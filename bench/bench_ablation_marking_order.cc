@@ -54,10 +54,15 @@ int main() {
       exec::EngineOptions engine_options;
       engine_options.eps = defaults.eps;
       engine_options.workers = defaults.workers;
-      const exec::JoinRun run = exec::RunPartitionedJoin(
+      const Result<exec::JoinRun> result = exec::TryRunPartitionedJoin(
           r, s, assign,
           core::CellAssignment::Hash(defaults.workers).AsOwnerFn(),
           engine_options);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+        return 1;
+      }
+      const exec::JoinRun& run = result.value();
       std::printf("%-14s %14s %14s %12zu %12zu\n",
                   agreements::MarkingOrderName(order),
                   WithCommas(run.metrics.ReplicatedTotal()).c_str(),

@@ -277,9 +277,15 @@ bool MeasureEngine(const std::vector<Tuple>& r, const std::vector<Tuple>& s,
   Dataset ds{"S", s};
   for (int i = 0; i < reps; ++i) {
     const Stopwatch watch;
-    const exec::JoinRun run =
-        exec::RunPartitionedJoin(dr, ds, assign, owner, options);
+    const Result<exec::JoinRun> result =
+        exec::TryRunPartitionedJoin(dr, ds, assign, owner, options);
     seconds.push_back(watch.ElapsedSeconds());
+    if (!result.ok()) {
+      std::fprintf(stderr, "FAIL: %s: %s\n", record.kernel.c_str(),
+                   result.status().ToString().c_str());
+      return false;
+    }
+    const exec::JoinRun& run = result.value();
     record.candidates = run.metrics.candidates;
     record.results = run.metrics.results;
     if (run.metrics.results != expected_results) {

@@ -1,8 +1,7 @@
 // Copyright 2026 The pasjoin Authors.
 #include "baselines/pbsm.h"
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "core/lpt_scheduler.h"
@@ -23,38 +22,6 @@ const char* PbsmVariantName(PbsmVariant v) {
   return "?";
 }
 
-namespace {
-
-/// All cells within MINDIST <= eps of `p`, native cell first. Generic over
-/// any grid resolution (the eps-grid variant reaches cells two steps away).
-exec::PartitionList CellsWithinEps(const grid::Grid& grid, const Point& p) {
-  exec::PartitionList out;
-  const grid::CellId native = grid.Locate(p);
-  out.push_back(native);
-  const double eps = grid.eps();
-  const double eps2 = eps * eps;
-  // Cell range covered by the eps-ball's bounding box (clamped to the grid).
-  const Rect& mbr = grid.mbr();
-  int cx_lo = static_cast<int>(std::floor((p.x - eps - mbr.min_x) / grid.cell_width()));
-  int cx_hi = static_cast<int>(std::floor((p.x + eps - mbr.min_x) / grid.cell_width()));
-  int cy_lo = static_cast<int>(std::floor((p.y - eps - mbr.min_y) / grid.cell_height()));
-  int cy_hi = static_cast<int>(std::floor((p.y + eps - mbr.min_y) / grid.cell_height()));
-  cx_lo = std::max(cx_lo, 0);
-  cy_lo = std::max(cy_lo, 0);
-  cx_hi = std::min(cx_hi, grid.nx() - 1);
-  cy_hi = std::min(cy_hi, grid.ny() - 1);
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      const grid::CellId cell = grid.CellIdOf(cx, cy);
-      if (cell == native) continue;
-      if (SquaredMinDist(p, grid.CellRect(cell)) <= eps2) out.push_back(cell);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
                                        PbsmVariant variant,
                                        const PbsmOptions& options) {
@@ -64,10 +31,7 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
   Stopwatch driver;
   obs::TraceRecorder* const trace = options.trace;
@@ -115,38 +79,22 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
   const double driver_seconds = driver.ElapsedSeconds();
 
   exec::AssignFn assign = [&grid, replicated](const Tuple& t, Side side) {
-    if (side == replicated) return CellsWithinEps(grid, t.pt);
+    if (side == replicated) return grid::CellsWithinEps(grid, t.pt);
     exec::PartitionList out;
     out.push_back(grid.Locate(t.pt));
     return out;
   };
 
   exec::EngineOptions engine_options;
+  static_cast<exec::ExecOptions&>(engine_options) = options;
   engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
 
   Result<exec::JoinRun> run_result = exec::TryRunPartitionedJoin(
       r, s, assign, assignment.AsOwnerFn(), engine_options);
   if (!run_result.ok()) return run_result.status();
   exec::JoinRun run = run_result.MoveValue();
-  run.metrics.algorithm = PbsmVariantName(variant);
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
-  if (trace != nullptr) {
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
+  exec::FinishDriverRun(PbsmVariantName(variant), driver_seconds, trace, &run);
   return run;
 }
 

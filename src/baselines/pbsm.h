@@ -16,11 +16,9 @@
 
 #include <cstdint>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 
 namespace pasjoin::baselines {
 
@@ -34,42 +32,23 @@ enum class PbsmVariant : uint8_t {
 /// "UNI(R)", "UNI(S)" or "eps-grid".
 const char* PbsmVariantName(PbsmVariant v);
 
-/// PBSM configuration.
-struct PbsmOptions {
+/// PBSM configuration. The execution knobs come from exec::ExecOptions; the
+/// baselines share the engine's SoA sweep kernel by default, so algorithm
+/// comparisons measure replication strategies rather than kernels.
+struct PbsmOptions : exec::ExecOptions {
   double eps = 0.0;
   /// Cell side as a multiple of eps for the UNI variants (kEpsGrid always
   /// uses 1).
   double resolution_factor = 2.0;
-  int workers = 12;
-  int num_splits = 0;
   /// Hash placement by default (the paper's PBSM setup); true enables LPT.
   bool use_lpt = false;
   /// Sampling for LPT cost estimates (only used when use_lpt).
   double sample_rate = 0.03;
   uint64_t sample_seed = 0x5a5a5a5a;
-  bool collect_results = false;
-  bool carry_payloads = true;
-  int physical_threads = 0;
-  /// Partition-level join kernel. The baselines share the engine's fast
-  /// SoA sweep by default, so algorithm comparisons measure replication
-  /// strategies rather than kernel implementations.
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Data-space MBR; computed from the inputs when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge cells.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md).
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md).
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md); null disables tracing at
-  /// zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Runs the PBSM eps-distance join.

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/lpt_scheduler.h"
 
 namespace pasjoin::baselines {
 
@@ -19,10 +20,7 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
   if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
   }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
   Stopwatch driver;
   obs::TraceRecorder* const trace = options.trace;
@@ -83,30 +81,17 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     return out;
   };
 
-  const int workers = options.workers;
-  exec::OwnerFn owner = [workers](exec::PartitionId p) {
-    return static_cast<int>(static_cast<uint32_t>(p) %
-                            static_cast<uint32_t>(workers));
-  };
+  const exec::OwnerFn owner =
+      core::CellAssignment::Hash(options.workers).AsOwnerFn();
 
   exec::EngineOptions engine_options;
+  static_cast<exec::ExecOptions&>(engine_options) = options;
   engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
 
   // The R-tree default pins the indexed side to the globally larger set
   // (Sedona's setup) via an explicit LocalJoinFn; any other selection goes
-  // through the engine's kernel dispatch (e.g. the SoA sweep fast path).
+  // through the engine's kernel dispatch (e.g. the native SoA sweep).
   exec::LocalJoinFn local_join;
   if (options.local_kernel == spatial::LocalJoinKernel::kRTree) {
     local_join = exec::RTreeProbeLocalJoinIndexing(indexed);
@@ -121,13 +106,7 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     run.metrics.local_kernel =
         spatial::LocalJoinKernelName(spatial::LocalJoinKernel::kRTree);
   }
-  run.metrics.algorithm = "Sedona";
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
-  if (trace != nullptr) {
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
+  exec::FinishDriverRun("Sedona", driver_seconds, trace, &run);
   return run;
 }
 

@@ -13,17 +13,21 @@
 
 #include <cstdint>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 #include "spatial/quadtree.h"
 
 namespace pasjoin::baselines {
 
-/// Sedona-like join configuration.
-struct SedonaOptions {
+/// Sedona-like join configuration. The execution knobs come from
+/// exec::ExecOptions, except that the partition-level kernel defaults to the
+/// R-tree probe — Sedona's own per-partition strategy (index the globally
+/// larger set, probe with the other) — for baseline fidelity; select
+/// kSweepSoA to give this baseline the engine's fast kernel too.
+struct SedonaOptions : exec::ExecOptions {
+  SedonaOptions() { local_kernel = spatial::LocalJoinKernel::kRTree; }
+
   double eps = 0.0;
   /// Sampling rate for building the QuadTree on the driver.
   double sample_rate = 0.03;
@@ -39,32 +43,10 @@ struct SedonaOptions {
   /// from target_partitions.
   spatial::QuadTreeOptions quadtree;
   bool fixed_capacity = false;
-  int workers = 12;
-  int num_splits = 0;
-  bool collect_results = false;
-  bool carry_payloads = true;
-  int physical_threads = 0;
-  /// Partition-level join kernel. Defaults to the R-tree probe — Sedona's
-  /// own per-partition strategy (index the globally larger set, probe with
-  /// the other) — for baseline fidelity; select kSweepSoA to give this
-  /// baseline the engine's fast kernel too.
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kRTree;
   /// Data-space MBR; computed from the inputs when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge partitions.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md).
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md).
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md); null disables tracing at
-  /// zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Runs the Sedona-like eps-distance join.

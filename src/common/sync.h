@@ -145,14 +145,12 @@ inline constexpr int kWatchdogRegistry = 60;
 /// exec engine: per-phase recovery state (retry/speculation bookkeeping).
 /// Outermost engine lock — held while submitting to the thread pool.
 inline constexpr int kEnginePhaseState = 100;
-/// exec engine: one logical worker's partition store (join-vs-rebuild
-/// serialization). Never nested with another store's lock.
+/// exec engine: the partition store of a worker lost in the join phase
+/// (its one lineage rebuild runs under it).
 inline constexpr int kEngineWorkerStore = 200;
-/// exec engine: lineage-rebuild time aggregation (inside the store lock).
-inline constexpr int kEngineRebuildStats = 300;
-/// exec engine: per-worker result-merge slots of the steal phases — a
-/// runner thread flushes its thread-local pair buffer into one slot per
-/// acquisition and never holds two slots at once (docs/PARALLELISM.md).
+/// exec engine: per-worker result-merge slots of the join phase — a thread
+/// flushes its thread-local pair buffer into one slot per acquisition and
+/// never holds two slots at once (docs/PARALLELISM.md).
 inline constexpr int kEngineOutputMerge = 350;
 /// exec::ThreadPool cancel-wake handshake (Wait(token)'s callback handoff);
 /// held while acquiring the pool lock, hence ranked just below it.

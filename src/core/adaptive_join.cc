@@ -23,10 +23,7 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
   }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
   Stopwatch driver;
   obs::TraceRecorder* const trace = options.trace;
@@ -61,6 +58,8 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   double planning_seconds = 0.0;
   const agreements::AgreementType tie_break = agreements::AgreementFor(
       r.tuples.size() <= s.tuples.size() ? Side::kR : Side::kS);
+  size_t marked_edges = 0;
+  size_t locked_edges = 0;
   agreements::AgreementGraph graph = [&] {
     obs::ScopedSpan span(trace, "driver-agreement-graph", "driver");
     Stopwatch planning_sw;
@@ -68,8 +67,13 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
         grid, stats, options.policy, tie_break, options.duplicate_free,
         options.marking_order, &planner, trace);
     planning_seconds += planning_sw.ElapsedSeconds();
-    span.AddArg("marked", static_cast<int64_t>(g.CountMarked()));
-    span.AddArg("locked", static_cast<int64_t>(g.CountLocked()));
+    // Counting scans every edge: pay for it only when someone reads it.
+    if (trace != nullptr || artifacts != nullptr) {
+      marked_edges = g.CountMarked();
+      locked_edges = g.CountLocked();
+      span.AddArg("marked", static_cast<int64_t>(marked_edges));
+      span.AddArg("locked", static_cast<int64_t>(locked_edges));
+    }
     return g;
   }();
 
@@ -91,8 +95,8 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
     artifacts->grid_ny = grid.ny();
     artifacts->sampled_r = stats.SampleSize(Side::kR);
     artifacts->sampled_s = stats.SampleSize(Side::kS);
-    artifacts->marked_edges = graph.CountMarked();
-    artifacts->locked_edges = graph.CountLocked();
+    artifacts->marked_edges = marked_edges;
+    artifacts->locked_edges = locked_edges;
   }
   const double driver_seconds = driver.ElapsedSeconds();
   if (artifacts != nullptr) {
@@ -107,39 +111,22 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   };
 
   exec::EngineOptions engine_options;
+  static_cast<exec::ExecOptions&>(engine_options) = options;
   engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
   engine_options.deduplicate = !options.duplicate_free;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
   // The grid partitions exactly `mbr`; declaring it as the engine's bounds
   // turns silently-clamped out-of-space points into a kInvalidArgument.
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
 
   Result<exec::JoinRun> run_result = exec::TryRunPartitionedJoin(
       r, s, assign, assignment.AsOwnerFn(), engine_options);
   if (!run_result.ok()) return run_result.status();
   exec::JoinRun run = run_result.MoveValue();
-  run.metrics.algorithm = agreements::PolicyName(options.policy);
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
-  // Planning is a subset of the driver time already folded into
-  // construction; the break-out feeds trace validation and the bench gate.
+  // Planning is a subset of the driver time folded into construction; the
+  // break-out feeds trace validation and the bench gate.
   run.metrics.measured_planning_seconds = planning_seconds;
-  if (trace != nullptr) {
-    // Re-publish the gauges: construction now includes the sequential
-    // driver time, which the engine could not see.
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
+  exec::FinishDriverRun(agreements::PolicyName(options.policy), driver_seconds,
+                        trace, &run);
   return run;
 }
 

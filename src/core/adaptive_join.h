@@ -18,17 +18,20 @@
 #include <cstdint>
 
 #include "agreements/agreement_graph.h"
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "core/planning.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 
 namespace pasjoin::core {
 
-/// Configuration of an adaptive-replication join.
-struct AdaptiveJoinOptions {
+/// Configuration of an adaptive-replication join. The execution knobs
+/// (workers, splits, kernel, fault, cancel, deadline, watchdog, trace, ...)
+/// come from exec::ExecOptions and are forwarded to the engine unchanged;
+/// the deadline also covers the driver's construction steps, and the trace
+/// gains driver spans for them (grid, sampling, agreement graph,
+/// placement).
+struct AdaptiveJoinOptions : exec::ExecOptions {
   /// Join distance threshold (required, > 0).
   double eps = 0.0;
   /// Agreement instantiation policy (LPiB and DIFF are the paper's variants;
@@ -40,10 +43,6 @@ struct AdaptiveJoinOptions {
   double sample_rate = 0.03;
   /// Seed of the sampling step.
   uint64_t sample_seed = 0x5a5a5a5a;
-  /// Logical workers ("nodes").
-  int workers = 12;
-  /// Input splits; 0 selects 4 * workers.
-  int num_splits = 0;
   /// Place cells on workers with LPT (true, Section 6.2) or hash (false).
   bool use_lpt = true;
   /// When false, skips Algorithm 1 (marking) and instead removes duplicate
@@ -56,37 +55,11 @@ struct AdaptiveJoinOptions {
   /// run the driver-side pipeline (agreement graph, marking, costs). The
   /// results are byte-identical for every thread count.
   PlanningOptions planning;
-  /// Materialize result pairs.
-  bool collect_results = false;
-  /// Carry tuple payloads through the shuffle (Table 5 / Figures 16-18).
-  bool carry_payloads = true;
-  /// Physical host threads (0 = auto).
-  int physical_threads = 0;
-  /// Partition-level join kernel (docs/ALGORITHM.md §"Local join kernels");
-  /// the default is the cache-friendly SoA sweep.
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Data-space MBR; when unset (zero area) it is computed from the inputs.
   /// An explicit MBR also becomes the engine's declared bounds: inputs with
   /// points outside it are rejected with kInvalidArgument instead of being
   /// silently clamped into edge cells by the grid.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md). Checked before the
-  /// sequential construction steps and polled throughout the engine run; a
-  /// cancelled join returns the token's status with no partial results.
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job, covering driver construction and
-  /// the engine run (docs/CANCELLATION.md). Unlimited by default.
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md): adds driver spans for
-  /// the construction steps (grid, sampling, agreement graph, placement)
-  /// on top of the engine's phase/task/kernel spans. Null disables tracing
-  /// at zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Diagnostics of the construction phase, for experiments and debugging.

@@ -1,8 +1,6 @@
 // Copyright 2026 The pasjoin Authors.
 #include "core/self_join.h"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -13,41 +11,6 @@
 
 namespace pasjoin::core {
 
-namespace {
-
-/// All cells within MINDIST <= eps of `p`, native first (the classic
-/// single-set replication of PBSM, reused here for the replicated stream).
-exec::PartitionList CellsWithinEps(const grid::Grid& grid, const Point& p) {
-  exec::PartitionList out;
-  const grid::CellId native = grid.Locate(p);
-  out.push_back(native);
-  const double eps = grid.eps();
-  const double eps2 = eps * eps;
-  const Rect& mbr = grid.mbr();
-  int cx_lo =
-      static_cast<int>(std::floor((p.x - eps - mbr.min_x) / grid.cell_width()));
-  int cx_hi =
-      static_cast<int>(std::floor((p.x + eps - mbr.min_x) / grid.cell_width()));
-  int cy_lo = static_cast<int>(
-      std::floor((p.y - eps - mbr.min_y) / grid.cell_height()));
-  int cy_hi = static_cast<int>(
-      std::floor((p.y + eps - mbr.min_y) / grid.cell_height()));
-  cx_lo = std::max(cx_lo, 0);
-  cy_lo = std::max(cy_lo, 0);
-  cx_hi = std::min(cx_hi, grid.nx() - 1);
-  cy_hi = std::min(cy_hi, grid.ny() - 1);
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      const grid::CellId cell = grid.CellIdOf(cx, cy);
-      if (cell == native) continue;
-      if (SquaredMinDist(p, grid.CellRect(cell)) <= eps2) out.push_back(cell);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
                                        const SelfJoinOptions& options) {
   if (!(options.eps > 0.0)) {
@@ -56,10 +19,7 @@ Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
   if (data.tuples.empty()) {
     return Status::InvalidArgument("input must be non-empty");
   }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
   Stopwatch driver;
   obs::TraceRecorder* const trace = options.trace;
@@ -103,11 +63,7 @@ Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
     planning_seconds = planning_sw.ElapsedSeconds();
     owner = assignment.AsOwnerFn();
   } else {
-    const int workers = options.workers;
-    owner = [workers](exec::PartitionId p) {
-      return static_cast<int>(static_cast<uint32_t>(p) %
-                              static_cast<uint32_t>(workers));
-    };
+    owner = CellAssignment::Hash(options.workers).AsOwnerFn();
   }
   const double driver_seconds = driver.ElapsedSeconds();
 
@@ -115,40 +71,24 @@ Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
   // single-assigned (side S); the engine's self-join filter keeps each
   // unordered pair once.
   exec::AssignFn assign = [&grid](const Tuple& t, Side side) {
-    if (side == Side::kR) return CellsWithinEps(grid, t.pt);
+    if (side == Side::kR) return grid::CellsWithinEps(grid, t.pt);
     exec::PartitionList out;
     out.push_back(grid.Locate(t.pt));
     return out;
   };
 
   exec::EngineOptions engine_options;
+  static_cast<exec::ExecOptions&>(engine_options) = options;
   engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
   engine_options.self_join = true;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
 
   Result<exec::JoinRun> run_result =
       exec::TryRunPartitionedJoin(data, data, assign, owner, engine_options);
   if (!run_result.ok()) return run_result.status();
   exec::JoinRun run = run_result.MoveValue();
-  run.metrics.algorithm = "self-join";
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
   run.metrics.measured_planning_seconds = planning_seconds;
-  if (trace != nullptr) {
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
+  exec::FinishDriverRun("self-join", driver_seconds, trace, &run);
   return run;
 }
 

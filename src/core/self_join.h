@@ -12,23 +12,22 @@
 
 #include <cstdint>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "core/planning.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 
 namespace pasjoin::core {
 
-/// Self-join configuration.
-struct SelfJoinOptions {
+/// Self-join configuration; the execution knobs come from exec::ExecOptions
+/// (with 8 logical workers by default).
+struct SelfJoinOptions : exec::ExecOptions {
+  SelfJoinOptions() { workers = 8; }
+
   /// Join distance threshold (required, > 0).
   double eps = 0.0;
   /// Cell side as a multiple of eps.
   double resolution_factor = 2.0;
-  int workers = 8;
-  int num_splits = 0;
   /// Place cells on workers with LPT over sampled per-cell costs instead of
   /// the default hash placement. Off by default (hash preserves the
   /// historical behavior); results are identical either way — only the
@@ -40,27 +39,10 @@ struct SelfJoinOptions {
   /// Parallel-planning configuration (core/planning.h), used by the LPT
   /// cost pass.
   PlanningOptions planning;
-  bool collect_results = false;
-  bool carry_payloads = true;
-  int physical_threads = 0;
-  /// Partition-level join kernel (default: the SoA sweep fast path).
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Data-space MBR; computed from the input when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge cells.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md).
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md).
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md); null disables tracing at
-  /// zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Computes { (a, b) : a.id < b.id, d(a, b) <= eps } over `data`.

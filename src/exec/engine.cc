@@ -1,28 +1,36 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Engine implementation. Two execution paths share the phase bodies:
+// Engine implementation: ONE dataflow, two executors.
 //
-//   * the fast path (fault injection disabled): identical to the original
-//     engine — every task runs exactly once, map outputs are moved into the
-//     per-worker stores and freed eagerly;
-//   * the fault-tolerant path (FaultOptions::enabled): every phase runs
-//     under a recovery runner that re-executes failed tasks from retained
-//     inputs (bounded retries with exponential backoff), rebuilds a lost
-//     logical worker's partitions from their lineage, and launches
-//     speculative backups for straggling tasks (first finisher commits,
-//     exactly once). See docs/FAULT_TOLERANCE.md for the model.
+// RunDataflow writes the map -> regroup -> join [-> dedup] sequence once.
+// Each phase is a list of tasks — a compute body that fills an attempt-local
+// output, and a commit that publishes it — handed to an executor:
+//
+//   * StealExecutor (fault injection disabled): every task runs exactly
+//     once on a work-stealing runner and commits in place; map outputs are
+//     moved into the per-worker stores and freed eagerly;
+//   * RecoveringExecutor (FaultOptions::enabled): every task runs under a
+//     recovery runner that re-executes failed attempts from retained inputs
+//     (bounded retries with exponential backoff), fails over a lost logical
+//     worker, and launches speculative backups for straggling tasks (first
+//     finisher commits, exactly once). The dataflow keeps the map outputs
+//     and per-partition lineage so a lost worker's partitions can be rebuilt.
+//
+// Both executors run the same task lists, including one join task per
+// (worker, partition). See docs/FAULT_TOLERANCE.md for the recovery model
+// and docs/PARALLELISM.md for stealing.
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -49,79 +57,8 @@ struct Routed {
   Tuple tuple;
 };
 
-/// Per-runner state marker for steal phases whose tasks need no scratch.
+/// Per-thread state of the phases whose tasks need no scratch.
 struct NoPhaseState {};
-
-/// Work-stealing phase driver of the fast path (docs/PARALLELISM.md): runs
-/// `task(index, state)` for every index in [0, count) across the pool's
-/// threads. One runner per thread is submitted; each runner claims
-/// grain-sized index blocks from a StealQueue (own slice first, stealing
-/// once dry), so a straggling index range is finished by whichever thread
-/// frees up — logical workers stay a pure placement concept.
-///
-/// Accounting: each index's elapsed time is attributed to
-/// `owner_of(index)`'s logical worker in `clock`, accumulated in a
-/// thread-confined PhaseClock::Shard and merged once per runner (the
-/// per-thread-accumulation idiom; no per-task locking). When `trace` is
-/// set, the phase gets a `phase_name` span on the driver track and every
-/// index a `task_name` span on its owning worker's track — physical
-/// interleaving is invisible in the trace by design.
-///
-/// Per-runner scratch: `make_state()` builds one state object per runner
-/// thread (kernel scratch, emission buffers); `finish(state)` runs once per
-/// runner after its last claim (flushing buffers into shared slots).
-///
-/// The measured wall time of the phase is added to `*measured_seconds`
-/// (the physical makespan, as opposed to the clock's simulated one).
-///
-/// Cancellation: once `cancel` fires, runners stop claiming (and skip
-/// remaining indices of a claimed block), queued runners are dropped, and
-/// the token's status is returned — the phase's outputs must then be
-/// discarded. Kernel-level polls inside `task` keep finer granularity.
-template <typename OwnerOf, typename MakeState, typename Task,
-          typename Finish>
-Status RunStealPhase(ThreadPool* pool, int count, int grain, PhaseClock* clock,
-                     const OwnerOf& owner_of, const MakeState& make_state,
-                     const Task& task, const Finish& finish,
-                     obs::TraceRecorder* trace, const char* phase_name,
-                     const char* task_name, const CancellationToken& cancel,
-                     double* measured_seconds) {
-  obs::ScopedSpan phase_span(trace, phase_name, "phase");
-  phase_span.SetTrack(obs::kDriverTrack);
-  phase_span.AddArg("tasks", count);
-  Stopwatch phase_wall;
-  const int runners = std::min(pool->num_threads(), count);
-  StealQueue queue(count, std::max(1, runners), grain);
-  for (int rnr = 0; rnr < runners; ++rnr) {
-    pool->Submit([rnr, clock, trace, task_name, &queue, &owner_of,
-                  &make_state, &task, &finish, &cancel] {
-      if (cancel.IsCancelled()) return;  // dequeued after the cancel
-      PhaseClock::Shard shard(clock->workers());
-      auto state = make_state();
-      int begin = 0;
-      int end = 0;
-      while (!cancel.IsCancelled() && queue.Next(rnr, &begin, &end)) {
-        for (int i = begin; i < end; ++i) {
-          if (cancel.IsCancelled()) break;
-          const int w = owner_of(i);
-          obs::ScopedTrack track_scope(trace, w);
-          obs::ScopedSpan span(trace, task_name, "task");
-          span.AddArg("task", i);
-          Stopwatch watch;
-          task(i, state);
-          shard.Add(w, watch.ElapsedSeconds());
-        }
-      }
-      finish(state);
-      clock->Merge(shard);
-    });
-  }
-  Status st = pool->Wait(cancel);
-  if (measured_seconds != nullptr) {
-    *measured_seconds += phase_wall.ElapsedSeconds();
-  }
-  return st;
-}
 
 struct PartitionBuffers {
   std::vector<Tuple> r;
@@ -145,6 +82,13 @@ using Store = std::unordered_map<PartitionId, PartitionBuffers>;
 /// survives the loss of the worker itself — exactly like Spark's
 /// driver-side RDD lineage.
 using WorkerLineage = std::unordered_map<PartitionId, std::vector<int32_t>>;
+
+/// One worker's regroup output. `lineage` is recorded only when the
+/// executor retains its inputs for re-execution.
+struct WorkerStore {
+  Store parts;
+  WorkerLineage lineage;
+};
 
 }  // namespace
 
@@ -206,8 +150,8 @@ LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Phase bodies shared by the fast and fault-tolerant paths. Each body is a
-// pure function of retained inputs, which is what makes re-execution safe.
+// Phase bodies, shared by both executors. Each body only reads what the
+// recovering executor retains, which is what makes re-execution safe.
 // ---------------------------------------------------------------------------
 
 /// Computes one map task: routes split `task % num_splits` of relation
@@ -293,105 +237,33 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
   reg->Add("shuffle_remote_bytes", remote_bytes);
 }
 
-/// Records one instant fault event with a single integer arg.
-void FaultInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                  const char* arg_name, int64_t arg_value) {
-  if (trace == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "fault";
-  e.type = 'i';
-  e.start_ns = trace->NowNs();
-  e.track = track;
-  e.arg_names[0] = arg_name;
-  e.arg_values[0] = arg_value;
-  e.num_args = 1;
-  trace->Append(e);
-}
-
-/// Records one instant cancellation event ("cancel-abandon"); the
-/// trace_summary.py validator reconciles the count against the
-/// tasks_cancelled counter (docs/CANCELLATION.md).
-void CancelInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                   const char* arg_name, int64_t arg_value) {
-  if (trace == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "cancel";
-  e.type = 'i';
-  e.start_ns = trace->NowNs();
-  e.track = track;
-  e.arg_names[0] = arg_name;
-  e.arg_values[0] = arg_value;
-  e.num_args = 1;
-  trace->Append(e);
-}
-
-/// Regroup body of the fault-tolerant path: gathers worker `w`'s inbound
-/// tuples by *copying* from the retained map outputs and records each
-/// partition's lineage (the contributing map tasks). Polls `cancel` between
-/// map outputs; a cancelled call leaves a partial store the caller discards.
-void BuildWorkerStoreRetained(int w, const std::vector<MapTaskOutput>& map_out,
-                              Store* store, WorkerLineage* lineage,
-                              const spatial::KernelCancellation* cancel) {
-  for (size_t task = 0; task < map_out.size(); ++task) {
-    const MapTaskOutput& out = map_out[task];
-    if (out.by_worker.empty()) continue;
-    const std::vector<Routed>& inbound = out.by_worker[static_cast<size_t>(w)];
-    for (const Routed& routed : inbound) {
-      PartitionBuffers& buf = (*store)[routed.part];
-      (routed.side == Side::kR ? buf.r : buf.s).push_back(routed.tuple);
-      std::vector<int32_t>& contributors = (*lineage)[routed.part];
-      if (contributors.empty() ||
-          contributors.back() != static_cast<int32_t>(task)) {
-        contributors.push_back(static_cast<int32_t>(task));
-      }
-    }
-    if (cancel != nullptr) {
-      cancel->Pulse(inbound.size());
-      if (cancel->ShouldStop()) return;
-    }
-  }
-}
-
-/// Lineage-based recovery: rebuilds a lost worker's partition buffers by
-/// re-reading exactly the retained map outputs its lineage names.
-Store RebuildWorkerStore(int w, const std::vector<MapTaskOutput>& map_out,
-                         const WorkerLineage& lineage) {
+/// Lineage-based recovery: refills the dropped (emptied) buffers of worker
+/// `w` by re-reading exactly the retained map outputs its lineage names.
+/// Buffers are refilled in place, so pointers into `store->parts` stay
+/// valid.
+void RebuildWorkerStore(int w, const std::vector<MapTaskOutput>& map_out,
+                        WorkerStore* store) {
   std::vector<int32_t> tasks;
-  for (const auto& [part, contributors] : lineage) {
+  for (const auto& [part, contributors] : store->lineage) {
     (void)part;
     tasks.insert(tasks.end(), contributors.begin(), contributors.end());
   }
   std::sort(tasks.begin(), tasks.end());
   tasks.erase(std::unique(tasks.begin(), tasks.end()), tasks.end());
-  Store store;
   for (int32_t task : tasks) {
     const MapTaskOutput& out = map_out[static_cast<size_t>(task)];
-    if (out.by_worker.empty()) continue;
     for (const Routed& routed : out.by_worker[static_cast<size_t>(w)]) {
-      PartitionBuffers& buf = store[routed.part];
+      PartitionBuffers& buf = store->parts[routed.part];
       (routed.side == Side::kR ? buf.r : buf.s).push_back(routed.tuple);
     }
   }
-  return store;
 }
 
-/// Output of one worker's join task.
-struct WorkerJoinOutput {
-  std::vector<ResultPair> pairs;
-  spatial::JoinCounters counters;
-  spatial::KernelTimings timings;
-  uint64_t partitions = 0;
-  uint64_t filtered = 0;
-};
-
 /// The resolved local-join strategy of one run: either the native SoA sweep
-/// fast path (no per-pair std::function anywhere) or a type-erased
-/// LocalJoinFn (custom kernels and the legacy selections).
+/// (no per-pair std::function anywhere) or a type-erased LocalJoinFn
+/// (custom kernels and the legacy selections).
 struct KernelDispatch {
-  bool use_soa = true;
-  LocalJoinFn fn;  // empty when use_soa
+  LocalJoinFn fn;  // empty for the native SoA sweep
   const char* name = "sweep-soa";
 };
 
@@ -399,24 +271,20 @@ KernelDispatch ResolveKernel(const EngineOptions& options,
                              const LocalJoinFn& custom) {
   KernelDispatch d;
   if (custom) {
-    d.use_soa = false;
     d.fn = custom;
     d.name = "custom";
     return d;
   }
   switch (options.local_kernel) {
     case spatial::LocalJoinKernel::kSweepSoA:
-      break;  // native fast path
+      break;  // native SoA sweep
     case spatial::LocalJoinKernel::kPlaneSweep:
-      d.use_soa = false;
       d.fn = PlaneSweepLocalJoin();
       break;
     case spatial::LocalJoinKernel::kNestedLoop:
-      d.use_soa = false;
       d.fn = NestedLoopLocalJoin();
       break;
     case spatial::LocalJoinKernel::kRTree:
-      d.use_soa = false;
       d.fn = RTreeProbeLocalJoin();
       break;
   }
@@ -424,50 +292,77 @@ KernelDispatch ResolveKernel(const EngineOptions& options,
   return d;
 }
 
-/// Kernel scratch of one join runner thread. SoaPartition instances are
-/// strictly one-per-thread (spatial/sweep_kernel.h threading contract); the
-/// self-join filter scratch rides along. Reused across every partition the
-/// runner joins.
-struct PartitionJoinScratch {
+/// Join output of one (worker, partition) task attempt, and the running sum
+/// of many such outputs per worker.
+struct JoinOutput {
+  std::vector<ResultPair> pairs;
+  spatial::JoinCounters counters;
+  spatial::KernelTimings timings;
+  uint64_t partitions = 0;
+  uint64_t filtered = 0;
+
+  /// Adds `other` to this output and resets it (keeping its capacity).
+  void Absorb(JoinOutput* other) {
+    pairs.insert(pairs.end(), other->pairs.begin(), other->pairs.end());
+    counters += other->counters;
+    timings += other->timings;
+    partitions += other->partitions;
+    filtered += other->filtered;
+    other->pairs.clear();
+    other->counters = spatial::JoinCounters{};
+    other->timings = spatial::KernelTimings{};
+    other->partitions = 0;
+    other->filtered = 0;
+  }
+};
+
+/// Per-thread join state, reused across every partition the thread joins:
+/// the kernel scratch (SoaPartition instances are strictly one-per-thread,
+/// spatial/sweep_kernel.h), a private copy of the buffers for attempts that
+/// must not reorder shared ones, a recycled pair buffer for the next
+/// attempt, and the per-worker accumulators flushed in batches into the
+/// merge slots.
+struct JoinThreadState {
   spatial::SoaPartition soa_r;
   spatial::SoaPartition soa_s;
   std::vector<ResultPair> self_scratch;
+  PartitionBuffers copy;
+  std::vector<ResultPair> spare_pairs;
+  /// Indexed by logical worker; sized on the thread's first commit.
+  std::vector<JoinOutput> acc;
 };
 
-/// Joins ONE partition's buffers, appending into the caller's accumulators
-/// (a runner's per-worker slice on the fast path, the WorkerJoinOutput on
-/// the fault path). May reorder buffer contents (the local join owns them)
-/// but never changes the produced multiset, so re-execution after a partial
-/// attempt is safe. The native SoA path polls `cancel` inside the sweep
-/// (kKernelPollGrain pivots) and pulses once per partition; type-erased
-/// kernels pulse their candidate count after the partition (their
-/// LocalJoinFn signature predates cancellation). The caller checks
-/// ShouldStop() between partitions and discards partial state.
+/// Joins ONE partition's buffers into the empty `out`. May reorder buffer
+/// contents (the local join owns them) but never changes the produced
+/// multiset. The native SoA path only reads the buffers; it polls `cancel`
+/// inside the sweep (kKernelPollGrain pivots) and pulses once per partition.
+/// Type-erased kernels pulse their candidate count after the partition
+/// (their LocalJoinFn signature predates cancellation). A cancelled call
+/// leaves partial output, which is never committed.
 void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
                          const EngineOptions& options,
                          const KernelDispatch& kernel, bool keep_pairs,
-                         PartitionJoinScratch* scratch,
-                         std::vector<ResultPair>* pairs,
-                         spatial::JoinCounters* counters,
-                         spatial::KernelTimings* timings, uint64_t* filtered,
+                         JoinThreadState* scratch, JoinOutput* out,
                          obs::TraceRecorder* trace,
                          const spatial::KernelCancellation* cancel) {
   const bool self_join = options.self_join;
   obs::ScopedSpan span(trace, "join-partition", "engine");
   span.SetStringArg("kernel", kernel.name);
   span.AddArg("cell", part);
-  const spatial::JoinCounters before = *counters;
-  if (kernel.use_soa) {
-    scratch->soa_r.LoadSorted(buf->r, timings, trace);
-    scratch->soa_s.LoadSorted(buf->s, timings, trace);
+  std::vector<ResultPair>* pairs = &out->pairs;
+  uint64_t* filtered = &out->filtered;
+  out->partitions = 1;
+  if (!kernel.fn) {
+    scratch->soa_r.LoadSorted(buf->r, &out->timings, trace);
+    scratch->soa_s.LoadSorted(buf->s, &out->timings, trace);
     if (self_join) {
       // The sweep sees every ordered match; keep r.id < s.id (each
       // unordered pair once) and count the rest so the phase total can be
       // corrected, exactly like the generic path's emit wrapper.
       scratch->self_scratch.clear();
-      *counters += spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s,
-                                         options.eps, &scratch->self_scratch,
-                                         timings, trace, cancel);
+      out->counters = spatial::SoaSweepJoin(
+          scratch->soa_r, scratch->soa_s, options.eps, &scratch->self_scratch,
+          &out->timings, trace, cancel);
       Stopwatch filter_watch;
       for (const ResultPair& p : scratch->self_scratch) {
         if (p.r_id >= p.s_id) {
@@ -476,12 +371,11 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
         }
         if (keep_pairs) pairs->push_back(p);
       }
-      timings->emit_seconds += filter_watch.ElapsedSeconds();
+      out->timings.emit_seconds += filter_watch.ElapsedSeconds();
     } else {
-      *counters += spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s,
-                                         options.eps,
-                                         keep_pairs ? pairs : nullptr,
-                                         timings, trace, cancel);
+      out->counters = spatial::SoaSweepJoin(
+          scratch->soa_r, scratch->soa_s, options.eps,
+          keep_pairs ? pairs : nullptr, &out->timings, trace, cancel);
     }
     // Partition boundary counts as progress too.
     if (cancel != nullptr) cancel->Pulse(1);
@@ -498,97 +392,50 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
           }
           if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
         };
-    *counters += kernel.fn(&buf->r, &buf->s, options.eps, emit);
-    if (cancel != nullptr) {
-      cancel->Pulse(counters->candidates - before.candidates + 1);
-    }
+    out->counters = kernel.fn(&buf->r, &buf->s, options.eps, emit);
+    if (cancel != nullptr) cancel->Pulse(out->counters.candidates + 1);
   }
-  span.AddArg("candidates",
-              static_cast<int64_t>(counters->candidates - before.candidates));
-  span.AddArg("results",
-              static_cast<int64_t>(counters->results - before.results));
+  span.AddArg("candidates", static_cast<int64_t>(out->counters.candidates));
+  span.AddArg("results", static_cast<int64_t>(out->counters.results));
 }
 
-/// Joins every non-empty partition of `store` (the fault-tolerant path's
-/// coarse per-worker join task; the fast path steals per-partition items
-/// instead).
-WorkerJoinOutput JoinWorkerStore(Store* store, const EngineOptions& options,
-                                 const KernelDispatch& kernel, bool keep_pairs,
-                                 obs::TraceRecorder* trace,
-                                 const spatial::KernelCancellation* cancel) {
-  WorkerJoinOutput out;
-  PartitionJoinScratch scratch;
-  for (auto& [part, buf] : *store) {
-    if (buf.r.empty() || buf.s.empty()) continue;
-    ++out.partitions;
-    JoinSinglePartition(part, &buf, options, kernel, keep_pairs, &scratch,
-                        &out.pairs, &out.counters, &out.timings,
-                        &out.filtered, trace, cancel);
-    if (cancel != nullptr && cancel->ShouldStop()) {
-      return out;  // partial; caller discards
-    }
-  }
-  return out;
-}
-
-/// One (worker, partition) unit of the fast path's stolen join phase. The
-/// buffer pointer stays valid for the whole phase: the stores are built
-/// before the items and never rehashed while the join runs.
+/// One (worker, partition) task of the join phase. The buffer pointer stays
+/// valid for the whole phase: the stores are built before the items and
+/// never rehashed while the join runs (a lineage rebuild refills them in
+/// place).
 struct JoinItem {
   int worker = 0;
   PartitionId part = 0;
   PartitionBuffers* buf = nullptr;
 };
 
-/// Shared merge slot of one logical worker's join output. Stealing runner
-/// threads flush their thread-local accumulators in here in batches; a
-/// runner holds at most one slot lock at a time (rank kEngineOutputMerge).
+/// Shared merge slot of one logical worker's join output. Runner threads
+/// flush their thread-local accumulators in here in batches; a thread
+/// holds at most one slot lock at a time (rank kEngineOutputMerge).
 struct WorkerMergeSlot {
   Mutex mu{"WorkerMergeSlot::mu", lockrank::kEngineOutputMerge};
-  std::vector<ResultPair> pairs PASJOIN_GUARDED_BY(mu);
-  spatial::JoinCounters counters PASJOIN_GUARDED_BY(mu);
-  spatial::KernelTimings timings PASJOIN_GUARDED_BY(mu);
-  uint64_t partitions PASJOIN_GUARDED_BY(mu) = 0;
-  uint64_t filtered PASJOIN_GUARDED_BY(mu) = 0;
+  JoinOutput out PASJOIN_GUARDED_BY(mu);
 };
 
-/// A runner's thread-local pair buffer is flushed into the shared slot once
-/// it exceeds this many pairs (and at runner finish), bounding thread-local
-/// memory while amortizing the slot lock over many partitions.
+/// A thread's per-worker accumulator is flushed into the shared slot once
+/// it exceeds this many pairs (and when the phase ends), bounding
+/// thread-local memory while amortizing the slot lock over many partitions.
 constexpr size_t kPairFlushThreshold = size_t{1} << 15;
 
-/// Thread-local join state of one steal-phase runner: the kernel scratch
-/// plus per-worker emission accumulators flushed in batches into the
-/// shared merge slots.
-struct JoinThreadState {
-  explicit JoinThreadState(int workers) : acc(static_cast<size_t>(workers)) {}
-
-  struct WorkerAcc {
-    std::vector<ResultPair> pairs;
-    spatial::JoinCounters counters;
-    spatial::KernelTimings timings;
-    uint64_t partitions = 0;
-    uint64_t filtered = 0;
-  };
-
-  PartitionJoinScratch scratch;
-  std::vector<WorkerAcc> acc;
-};
-
 /// Flushes one per-worker accumulator into its shared slot and resets it.
-void FlushWorkerAcc(JoinThreadState::WorkerAcc* acc, WorkerMergeSlot* slot) {
+void FlushJoinOutput(JoinOutput* acc, WorkerMergeSlot* slot) {
   MutexLock lock(&slot->mu);
-  slot->pairs.insert(slot->pairs.end(), acc->pairs.begin(), acc->pairs.end());
-  slot->counters += acc->counters;
-  slot->timings += acc->timings;
-  slot->partitions += acc->partitions;
-  slot->filtered += acc->filtered;
-  acc->pairs.clear();
-  acc->counters = spatial::JoinCounters{};
-  acc->timings = spatial::KernelTimings{};
-  acc->partitions = 0;
-  acc->filtered = 0;
+  slot->out.Absorb(acc);
 }
+
+/// A worker lost in the join phase: its buffers are dropped before the
+/// phase, and the first attempt that needs them rebuilds them from lineage
+/// under `mu` (rank kEngineWorkerStore) while the others wait.
+struct LostWorkerStore {
+  Mutex mu{"LostWorkerStore::mu", lockrank::kEngineWorkerStore};
+  bool rebuilt PASJOIN_GUARDED_BY(mu) = false;
+  double rebuild_seconds PASJOIN_GUARDED_BY(mu) = 0.0;
+};
 
 /// Hash-partitions one worker's result pairs across `workers` dedup buckets.
 /// Routes through ResultPairShardHash (a splitmix64-finalized mix): the raw
@@ -695,280 +542,138 @@ Status ValidateDatasetCoordinates(const Dataset& d, const Rect& bounds) {
   return Status::OK();
 }
 
-Status ValidateJoinInputs(const Dataset& r, const Dataset& s,
-                          const EngineOptions& options) {
-  if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive and finite");
-  }
-  if (options.workers <= 0) {
-    return Status::InvalidArgument("workers must be positive");
-  }
-  if (options.num_splits < 0) {
-    return Status::InvalidArgument("num_splits must be >= 0");
-  }
-  if (options.physical_threads < 0) {
-    return Status::InvalidArgument("physical_threads must be >= 0");
-  }
-  PASJOIN_RETURN_NOT_OK(options.fault.Validate(options.workers));
-  PASJOIN_RETURN_NOT_OK(options.watchdog.Validate());
-  PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(r, options.bounds));
-  if (&r != &s) {
-    PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(s, options.bounds));
-  }
-  return Status::OK();
+// ---------------------------------------------------------------------------
+// Executors. Both run a phase given as:
+//
+//   owner_of(task)                    -> logical worker the task belongs to
+//   compute(task, state, cancel)      -> the task's attempt-local output
+//   commit(task, state, output&&)     publishes one attempt's output
+//   finish(state)                     once per thread state, after the phase
+//
+// `State` is per-thread scratch, default-constructed by the executor and
+// reused across every task the thread runs. compute must leave shared
+// inputs intact when the executor retains them (kRetainsInputs), since a
+// failed or speculative attempt may run it again.
+// ---------------------------------------------------------------------------
+
+/// One phase's executor-facing description.
+struct PhaseSpec {
+  Phase phase = Phase::kMap;
+  int count = 0;
+  /// Steal-queue claim size (the recovering executor launches every task
+  /// on its own).
+  int grain = 1;
+  /// Receives the per-worker busy time of committed tasks.
+  PhaseClock* clock = nullptr;
+  /// Receives the phase's measured wall time.
+  double* measured_seconds = nullptr;
+};
+
+/// The driver-track span of each Phase and the span of its tasks on the
+/// owning worker's track, indexed by the Phase value.
+constexpr std::array<const char*, 5> kPhaseSpanNames = {
+    "phase-map", "phase-regroup", "phase-join", "phase-dedup-scatter",
+    "phase-dedup-merge"};
+constexpr std::array<const char*, 5> kTaskSpanNames = {
+    "map-task", "regroup-task", "join-task", "dedup-scatter-task",
+    "dedup-merge-task"};
+
+/// The `finish` of phases without per-thread state.
+struct NoFinish {
+  void operator()(NoPhaseState&) const {}
+};
+
+/// The `commit` of phases whose task t owns slot t of `slots`.
+template <typename Output>
+auto CommitTo(std::vector<Output>* slots) {
+  return [slots](int task, NoPhaseState&, Output&& out) {
+    (*slots)[static_cast<size_t>(task)] = std::move(out);
+  };
 }
 
-// ---------------------------------------------------------------------------
-// Fast path: the original single-attempt execution.
-// ---------------------------------------------------------------------------
+/// Work-stealing executor (docs/PARALLELISM.md): one attempt per task,
+/// committed in place. One runner per pool thread claims grain-sized task
+/// blocks from a StealQueue (own slice first, stealing once dry), so a
+/// straggling range is finished by whichever thread frees up — logical
+/// workers stay a pure placement concept.
+///
+/// Accounting: each task's elapsed time is attributed to owner_of(task) in
+/// the phase clock through a thread-confined PhaseClock::Shard merged once
+/// per runner (no per-task locking). When tracing, the phase gets a span on
+/// the driver track and every task a span on its owning worker's track —
+/// physical interleaving is invisible in the trace by design.
+///
+/// Cancellation: once the job token fires, runners stop claiming (and skip
+/// the rest of a claimed block), queued runners are dropped, and the
+/// token's status is returned — the caller then discards the phase's
+/// outputs. Kernel-level polls inside compute keep finer granularity.
+class StealExecutor {
+ public:
+  static constexpr bool kRetainsInputs = false;
 
-Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
-                            const AssignFn& assign, const OwnerFn& owner,
-                            const EngineOptions& options,
-                            const LocalJoinFn& local_join) {
-  const KernelDispatch kernel = ResolveKernel(options, local_join);
-  obs::TraceRecorder* const trace = options.trace;
-  // The job's integer observables accumulate in a counter registry — the
-  // trace's own registry when tracing (making the exported trace
-  // self-describing), a throwaway one otherwise — and JobMetrics snapshots
-  // them out at the end. Folds happen at phase boundaries, never per tuple.
-  obs::CounterRegistry local_registry;
-  obs::CounterRegistry* const reg =
-      trace != nullptr ? &trace->counters() : &local_registry;
-  reg->Clear();
-  const int workers = options.workers;
-  const int num_splits =
-      options.num_splits > 0 ? options.num_splits : 4 * workers;
-  const int physical = options.physical_threads > 0 ? options.physical_threads
-                                                    : ThreadPool::DefaultThreads();
-  // Destruction order matters: the pool is declared LAST so it drains its
-  // tasks first, then the watchdog thread joins, then the job source (which
-  // task tokens link to) goes away.
-  CancellationSource job_source(options.cancel);
-  const CancellationToken job_token = job_source.token();
-  Watchdog watchdog(options.watchdog, options.deadline, &job_source, trace);
-  const spatial::KernelCancellation job_cancel{&job_token, nullptr};
-  ThreadPool pool(physical);
+  StealExecutor(ThreadPool* pool, const CancellationToken& job_token,
+                obs::TraceRecorder* trace)
+      : pool_(pool), job_token_(job_token), trace_(trace) {}
 
-  JoinRun run;
-  JobMetrics& m = run.metrics;
-  m.workers = workers;
-  m.physical_threads = pool.num_threads();
-  Stopwatch wall;
-  double measured_construction = 0.0;
-  double measured_join = 0.0;
-  double measured_dedup = 0.0;
+  PASJOIN_DISALLOW_COPY(StealExecutor);
 
-  // ---------------------------------------------------------------- map ---
-  // Each relation is divided into `num_splits` contiguous splits; split k is
-  // co-located with logical worker k % workers (its "HDFS block locality").
-  // Every map task writes its own output slot, so stealing needs no merge.
-  const int total_map_tasks = 2 * num_splits;
-  std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
-  PhaseClock map_clock(workers);
-  auto map_owner = [&](int task) { return (task % num_splits) % workers; };
-  {
-    Status st = RunStealPhase(
-        &pool, total_map_tasks, /*grain=*/1, &map_clock, map_owner,
-        [] { return NoPhaseState{}; },
-        [&](int task, NoPhaseState&) {
-          map_out[static_cast<size_t>(task)] =
-              ComputeMapTask(task, r, s, assign, owner, options, num_splits,
-                             workers, &job_cancel);
-        },
-        [](NoPhaseState&) {}, trace, "phase-map", "map-task", job_token,
-        &measured_construction);
-    if (!st.ok()) return st;
-  }
-  AccumulateMapMetrics(map_out, num_splits, reg);
-
-  // ------------------------------------------------------------ regroup ---
-  // Each worker gathers its inbound tuples into per-partition buffers; the
-  // fast path moves them out of the map outputs and frees the shuffle
-  // early. Stolen at worker granularity: each index touches only its own
-  // worker's by_worker slots, and walking the map outputs in task order
-  // keeps every buffer's tuple order deterministic.
-  std::vector<Store> stores(static_cast<size_t>(workers));
-  PhaseClock regroup_clock(workers);
-  {
-    Status st = RunStealPhase(
-        &pool, workers, /*grain=*/1, &regroup_clock,
-        [](int w) { return w; }, [] { return NoPhaseState{}; },
-        [&](int w, NoPhaseState&) {
-          Store& store = stores[static_cast<size_t>(w)];
-          for (MapTaskOutput& out : map_out) {
-            if (out.by_worker.empty()) continue;
-            for (Routed& routed : out.by_worker[static_cast<size_t>(w)]) {
-              PartitionBuffers& buf = store[routed.part];
-              (routed.side == Side::kR ? buf.r : buf.s)
-                  .push_back(std::move(routed.tuple));
-            }
-            out.by_worker[static_cast<size_t>(w)].clear();
+  template <typename State = NoPhaseState, typename OwnerOf, typename Compute,
+            typename Commit, typename Finish = NoFinish>
+  Status Run(const PhaseSpec& spec, const OwnerOf& owner_of,
+             const Compute& compute, const Commit& commit,
+             const Finish& finish = Finish()) {
+    obs::ScopedSpan phase_span(trace_,
+                               kPhaseSpanNames[static_cast<size_t>(spec.phase)],
+                               "phase");
+    phase_span.SetTrack(obs::kDriverTrack);
+    phase_span.AddArg("tasks", spec.count);
+    const char* const task_name =
+        kTaskSpanNames[static_cast<size_t>(spec.phase)];
+    Stopwatch phase_wall;
+    const int runners = std::min(pool_->num_threads(), spec.count);
+    StealQueue queue(spec.count, std::max(1, runners), spec.grain);
+    for (int rnr = 0; rnr < runners; ++rnr) {
+      pool_->Submit([&, rnr] {
+        if (job_token_.IsCancelled()) return;  // dequeued after the cancel
+        PhaseClock::Shard shard(spec.clock->workers());
+        State state;
+        int begin = 0;
+        int end = 0;
+        while (!job_token_.IsCancelled() && queue.Next(rnr, &begin, &end)) {
+          for (int i = begin; i < end; ++i) {
+            if (job_token_.IsCancelled()) break;
+            const int w = owner_of(i);
+            obs::ScopedTrack track_scope(trace_, w);
+            obs::ScopedSpan span(trace_, task_name, "task");
+            span.AddArg("task", i);
+            Stopwatch watch;
+            commit(i, state, compute(i, state, &job_cancel_));
+            shard.Add(w, watch.ElapsedSeconds());
           }
-        },
-        [](NoPhaseState&) {}, trace, "phase-regroup", "regroup-task",
-        job_token, &measured_construction);
-    if (!st.ok()) return st;
-  }
-  map_out.clear();
-  map_out.shrink_to_fit();
-
-  // --------------------------------------------------------------- join ---
-  // The stolen unit is one (worker, partition) pair, not one worker: LPT
-  // placement decides which logical worker OWNS a partition (lineage,
-  // accounting, trace track), stealing decides which thread JOINS it. The
-  // item list is deterministic — per worker, partitions sorted by id — so
-  // results never depend on hash-map iteration or claim order.
-  const bool keep_pairs = options.collect_results || options.deduplicate;
-  std::vector<JoinItem> join_items;
-  for (int w = 0; w < workers; ++w) {
-    Store& store = stores[static_cast<size_t>(w)];
-    const size_t first = join_items.size();
-    for (auto& [part, buf] : store) {
-      if (buf.r.empty() || buf.s.empty()) continue;
-      join_items.push_back(JoinItem{w, part, &buf});
+        }
+        finish(state);
+        spec.clock->Merge(shard);
+      });
     }
-    std::sort(join_items.begin() + static_cast<std::ptrdiff_t>(first),
-              join_items.end(),
-              [](const JoinItem& a, const JoinItem& b) {
-                return a.part < b.part;
-              });
-  }
-  std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
-  PhaseClock join_clock(workers);
-  {
-    const int item_count = static_cast<int>(join_items.size());
-    Status st = RunStealPhase(
-        &pool, item_count,
-        StealQueue::DefaultGrain(item_count, pool.num_threads()), &join_clock,
-        [&](int i) { return join_items[static_cast<size_t>(i)].worker; },
-        [&] { return JoinThreadState(workers); },
-        [&](int i, JoinThreadState& state) {
-          const JoinItem& item = join_items[static_cast<size_t>(i)];
-          JoinThreadState::WorkerAcc& acc =
-              state.acc[static_cast<size_t>(item.worker)];
-          ++acc.partitions;
-          JoinSinglePartition(item.part, item.buf, options, kernel,
-                              keep_pairs, &state.scratch, &acc.pairs,
-                              &acc.counters, &acc.timings, &acc.filtered,
-                              trace, &job_cancel);
-          if (acc.pairs.size() >= kPairFlushThreshold) {
-            FlushWorkerAcc(&acc,
-                           &merge_slots[static_cast<size_t>(item.worker)]);
-          }
-        },
-        [&](JoinThreadState& state) {
-          for (int w = 0; w < workers; ++w) {
-            FlushWorkerAcc(&state.acc[static_cast<size_t>(w)],
-                           &merge_slots[static_cast<size_t>(w)]);
-          }
-        },
-        trace, "phase-join", "join-task", job_token, &measured_join);
-    if (!st.ok()) return st;
-  }
-  m.local_kernel = kernel.name;
-  std::vector<std::vector<ResultPair>> worker_pairs(
-      static_cast<size_t>(workers));
-  {
-    uint64_t candidates = 0;
-    uint64_t results = 0;
-    uint64_t partitions = 0;
-    for (int w = 0; w < workers; ++w) {
-      WorkerMergeSlot& slot = merge_slots[static_cast<size_t>(w)];
-      MutexLock lock(&slot.mu);
-      worker_pairs[static_cast<size_t>(w)] = std::move(slot.pairs);
-      candidates += slot.counters.candidates;
-      results += slot.counters.results - slot.filtered;
-      partitions += slot.partitions;
-      m.kernel_sort_seconds += slot.timings.sort_seconds;
-      m.kernel_sweep_seconds += slot.timings.sweep_seconds;
-      m.kernel_emit_seconds += slot.timings.emit_seconds;
-    }
-    reg->Add("candidates", candidates);
-    reg->Add("results", results);
-    reg->Add("partitions_joined", partitions);
-  }
-  join_items.clear();
-  stores.clear();
-
-  // -------------------------------------------------------------- dedup ---
-  // Parallel distinct over the produced pairs (the paper's non-duplicate-
-  // free variant, Table 6): hash-partition pairs across workers, then each
-  // worker removes duplicates in its bucket.
-  PhaseClock dedup_clock(workers);
-  if (options.deduplicate) {
-    std::vector<std::vector<std::vector<ResultPair>>> buckets(
-        static_cast<size_t>(workers));
-    PhaseClock scatter_clock(workers);
-    {
-      Status st = RunStealPhase(
-          &pool, workers, /*grain=*/1, &scatter_clock,
-          [](int w) { return w; }, [] { return NoPhaseState{}; },
-          [&](int w, NoPhaseState&) {
-            buckets[static_cast<size_t>(w)] = ScatterWorkerPairs(
-                worker_pairs[static_cast<size_t>(w)], workers, &job_cancel);
-          },
-          [](NoPhaseState&) {}, trace, "phase-dedup-scatter",
-          "dedup-scatter-task", job_token, &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    // Pair bytes crossing workers count as shuffle traffic.
-    AccumulateDedupShuffle(buckets, workers, reg);
-    std::vector<std::vector<ResultPair>> unique_pairs(
-        static_cast<size_t>(workers));
-    std::vector<uint64_t> unique_counts(static_cast<size_t>(workers), 0);
-    {
-      Status st = RunStealPhase(
-          &pool, workers, /*grain=*/1, &dedup_clock,
-          [](int w) { return w; }, [] { return NoPhaseState{}; },
-          [&](int w, NoPhaseState&) {
-            DedupMergeOutput out = MergeDedupBucket(
-                buckets, w, workers, options.collect_results, &job_cancel);
-            unique_pairs[static_cast<size_t>(w)] = std::move(out.unique);
-            unique_counts[static_cast<size_t>(w)] = out.count;
-          },
-          [](NoPhaseState&) {}, trace, "phase-dedup-merge",
-          "dedup-merge-task", job_token, &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    m.dedup_seconds = scatter_clock.Makespan() + dedup_clock.Makespan();
-    uint64_t unique_total = 0;
-    for (int w = 0; w < workers; ++w) {
-      unique_total += unique_counts[static_cast<size_t>(w)];
-    }
-    reg->Set("results", unique_total);
-    if (options.collect_results) {
-      for (auto& v : unique_pairs) {
-        run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-      }
-    }
-  } else if (options.collect_results) {
-    for (auto& v : worker_pairs) {
-      run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-    }
+    Status st = pool_->Wait(job_token_);
+    *spec.measured_seconds += phase_wall.ElapsedSeconds();
+    return st;
   }
 
-  // A cancel/deadline that fired after the last phase drained still turns
-  // the run into an error — never publish results past a cancellation.
-  if (job_token.IsCancelled()) return job_token.ToStatus();
+  /// No fault injection: no worker is ever lost, no task targeted.
+  int WorkerLostIn(Phase /*phase*/) const { return -1; }
+  void FailFirstAttempt(Phase /*phase*/, int /*task*/) {}
+  void AddStats(obs::CounterRegistry* /*reg*/, JobMetrics* /*m*/) const {}
 
-  m.construction_seconds = map_clock.Makespan() + regroup_clock.Makespan();
-  m.join_seconds = join_clock.Makespan();
-  m.worker_busy_join = join_clock.busy();
-  m.measured_construction_seconds = measured_construction;
-  m.measured_join_seconds = measured_join;
-  m.measured_dedup_seconds = measured_dedup;
-  SnapshotCounters(*reg, &m);
-  m.wall_seconds = wall.ElapsedSeconds();
-  if (!options.deadline.unlimited()) {
-    m.deadline_slack_seconds = options.deadline.SecondsRemaining();
-  }
-  if (trace != nullptr) PublishMetricGauges(m, reg);
-  return run;
-}
+ private:
+  ThreadPool* const pool_;
+  const CancellationToken job_token_;
+  const spatial::KernelCancellation job_cancel_{&job_token_, nullptr};
+  obs::TraceRecorder* const trace_;
+};
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant path: the recovery runner plus the recoverable phases.
+// The recovery machinery of the recovering executor.
 // ---------------------------------------------------------------------------
 
 /// Aggregated fault-tolerance counters of one job.
@@ -980,22 +685,101 @@ struct FaultStats {
   double recovery_seconds = 0.0;
 };
 
-/// Per-attempt cancellation context handed to a task body: the attempt's
-/// token (fires on job cancellation, a sibling attempt's commit, or a
-/// watchdog stall verdict) and the heartbeat cell the body pulses from its
-/// batch loops. Bodies fold both into a spatial::KernelCancellation.
-struct TaskContext {
-  CancellationToken cancel;
-  std::atomic<uint64_t>* progress = nullptr;
-};
-
 /// What a task body returns: a commit closure that publishes the computed
 /// result into the phase's output slots. The runner calls it exactly once
 /// per task (first finisher wins), which keeps speculative execution
 /// duplicate-free. A body cut short by its token returns a closure over
-/// PARTIAL state — the runner never publishes a cancelled attempt.
+/// PARTIAL state — the runner never publishes a cancelled attempt. The
+/// body polls the attempt's token (fires on job cancellation, a sibling
+/// attempt's commit, or a watchdog stall verdict) and pulses its heartbeat
+/// through the KernelCancellation it is given.
 using PublishFn = std::function<void()>;
-using TaskBody = std::function<PublishFn(int task, const TaskContext& ctx)>;
+using TaskBody =
+    std::function<PublishFn(int task, const spatial::KernelCancellation& kc)>;
+
+/// Recovering executor (docs/FAULT_TOLERANCE.md): runs every phase through
+/// a PhaseRunner. Each attempt computes into its own output; only
+/// the first successful attempt of a task commits it. Attempts compute and
+/// commit on the pool thread they run on, with that thread's state.
+class RecoveringExecutor {
+ public:
+  static constexpr bool kRetainsInputs = true;
+
+  RecoveringExecutor(ThreadPool* pool, const FaultOptions& fault, int workers,
+                     const CancellationToken& job_token, Watchdog* watchdog,
+                     obs::TraceRecorder* trace)
+      : pool_(pool),
+        injector_(fault),
+        workers_(workers),
+        job_token_(job_token),
+        watchdog_(watchdog),
+        trace_(trace) {}
+
+  PASJOIN_DISALLOW_COPY(RecoveringExecutor);
+
+  template <typename State = NoPhaseState, typename OwnerOf, typename Compute,
+            typename Commit, typename Finish = NoFinish>
+  Status Run(const PhaseSpec& spec, const OwnerOf& owner_of,
+             const Compute& compute, const Commit& commit,
+             const Finish& finish = Finish()) {
+    using Output = std::invoke_result_t<const Compute&, int, State&,
+                                        const spatial::KernelCancellation*>;
+    std::vector<State> states(static_cast<size_t>(pool_->num_threads()));
+    const TaskBody body = [&](int task,
+                              const spatial::KernelCancellation& kc) {
+      const int thread = ThreadPool::CurrentThreadIndex();
+      PASJOIN_DCHECK(thread >= 0 && thread < pool_->num_threads());
+      State& state = states[static_cast<size_t>(thread)];
+      auto out = std::make_shared<Output>(compute(task, state, &kc));
+      return PublishFn([&commit, &state, task, out] {
+        commit(task, state, std::move(*out));
+      });
+    };
+    Status st = RunTasks(spec, owner_of, body);
+    for (State& state : states) finish(state);
+    return st;
+  }
+
+  /// The logical worker lost at the start of `phase`, or -1.
+  int WorkerLostIn(Phase phase) const {
+    return injector_.LosesWorkerIn(phase) ? injector_.lost_worker() : -1;
+  }
+
+  /// Deterministically fails the first attempt of `task` in `phase`. Call
+  /// between phases only (FaultInjector's const-after-setup contract).
+  void FailFirstAttempt(Phase phase, int task) {
+    injector_.AddTargetedFailure(phase, task);
+  }
+
+  /// Folds the job's fault counters into `reg` and adds the retry time to
+  /// `m->recovery_seconds`.
+  void AddStats(obs::CounterRegistry* reg, JobMetrics* m) const {
+    reg->Add("tasks_failed", stats_.failed);
+    reg->Add("tasks_retried", stats_.retried);
+    reg->Add("tasks_speculated", stats_.speculated);
+    reg->Add("tasks_cancelled", stats_.cancelled);
+    reg->Add("watchdog_fires", watchdog_->fires());
+    m->recovery_seconds += stats_.recovery_seconds;
+  }
+
+ private:
+  class PhaseRunner;
+
+  /// Executes the phase's tasks through a PhaseRunner, recording the phase
+  /// span and the (one-shot) worker-loss transition.
+  Status RunTasks(const PhaseSpec& spec,
+                  const std::function<int(int)>& owner_of,
+                  const TaskBody& body);
+
+  ThreadPool* const pool_;
+  FaultInjector injector_;
+  const int workers_;
+  const CancellationToken job_token_;
+  Watchdog* const watchdog_;
+  obs::TraceRecorder* const trace_;
+  bool worker_lost_ = false;
+  FaultStats stats_;
+};
 
 /// One recoverable phase execution:
 ///   * every injected/real failure is retried (fresh attempt id, exponential
@@ -1016,38 +800,27 @@ using TaskBody = std::function<PublishFn(int task, const TaskContext& ctx)>;
 /// pool attempts is held in PASJOIN_GUARDED_BY(mu_) members; mu_ ranks
 /// kEnginePhaseState — the outermost engine lock, held while submitting to
 /// the thread pool (lockrank::kThreadPool ranks above it).
-class RecoveringPhaseRunner {
+class RecoveringExecutor::PhaseRunner {
  public:
-  RecoveringPhaseRunner(ThreadPool* pool, Phase phase, int count,
-                        PhaseClock* clock,
-                        const std::function<int(int)>& owner_of,
-                        const FaultInjector& injector, bool lose_here,
-                        bool lost_active, int survivor, FaultStats* stats,
-                        obs::TraceRecorder* trace, const char* task_name,
-                        const CancellationToken& job_token, Watchdog* watchdog,
-                        const TaskBody& body)
-      : pool_(pool),
-        phase_(phase),
-        count_(count),
-        clock_(clock),
+  PhaseRunner(RecoveringExecutor* ex, const PhaseSpec& spec,
+              const std::function<int(int)>& owner_of, const TaskBody& body)
+      : ex_(ex),
+        phase_(spec.phase),
+        count_(spec.count),
+        clock_(spec.clock),
+        task_name_(kTaskSpanNames[static_cast<size_t>(spec.phase)]),
         owner_of_(owner_of),
-        injector_(injector),
-        lose_here_(lose_here),
-        lost_active_(lost_active),
-        lost_(injector.lost_worker()),
-        survivor_(survivor),
-        stats_(stats),
-        trace_(trace),
-        task_name_(task_name),
-        job_token_(job_token),
-        watchdog_(watchdog),
-        body_(body) {
-    states_.resize(static_cast<size_t>(count));
+        body_(body),
+        lose_here_(ex->injector_.LosesWorkerIn(spec.phase)),
+        lost_(ex->injector_.lost_worker()),
+        min_samples_(static_cast<size_t>(std::max(3, count_ / 4))) {
+    states_.resize(static_cast<size_t>(count_));
   }
 
   /// Drives the phase to completion (or retry-budget exhaustion).
   Status Run() PASJOIN_EXCLUDES(mu_) {
-    const FaultOptions& fo = injector_.options();
+    const FaultOptions& fo = ex_->injector_.options();
+    double next_speculation_check = 0.0;
     MutexLock lock(&mu_);
     for (int t = 0; t < count_; ++t) Launch(t, 0, 0.0, /*is_retry=*/false);
 
@@ -1055,17 +828,25 @@ class RecoveringPhaseRunner {
       // 0. Job-level cancellation (external token, deadline): stop driving,
       //    adopt the token's status, drain below. In-flight attempts see
       //    the same signal through their linked heartbeat tokens.
-      if (job_token_.IsCancelled()) {
+      if (ex_->job_token_.IsCancelled()) {
         aborted_ = true;
-        failure_ = job_token_.ToStatus();
+        failure_ = ex_->job_token_.ToStatus();
         break;
       }
 
-      // 1. Retry newly failed tasks (or give up once the budget is spent).
-      for (int t = 0; t < count_; ++t) {
+      // 1. Retry newly failed tasks (or give up once the budget is spent),
+      //    in task order.
+      std::sort(failed_tasks_.begin(), failed_tasks_.end());
+      std::vector<int> still_failed;
+      for (const int t : failed_tasks_) {
         TaskState& st = states_[static_cast<size_t>(t)];
-        if (st.committed || st.failures == st.handled_failures) continue;
-        if (st.running > 0) continue;  // a live attempt may still succeed
+        if (st.committed) continue;
+        // An executing attempt may still succeed; a parked straggler is
+        // not waited for.
+        if (st.running > st.parked) {
+          still_failed.push_back(t);
+          continue;
+        }
         if (st.failures > fo.max_retries) {
           failure_ = Status::ResourceExhausted(
               "task " + std::to_string(t) + " of phase " + PhaseName(phase_) +
@@ -1082,50 +863,59 @@ class RecoveringPhaseRunner {
         st.handled_failures = st.failures;
         st.started_at = -1.0;  // re-arm the speculation timer
         retried_++;
-        FaultInstant(trace_, "fault-retry", obs::kDriverTrack, "task", t);
+        TraceInstant(ex_->trace_, "fault", "fault-retry", obs::kDriverTrack,
+                     "task", t);
         Launch(t, st.attempts, backoff_seconds, /*is_retry=*/true);
       }
       if (aborted_) break;
+      failed_tasks_ = std::move(still_failed);
 
-      // 2. Speculative execution: back up tasks that exceed the threshold.
-      if (fo.speculation && !committed_durations_.empty()) {
-        const size_t min_samples =
-            std::max<size_t>(3, static_cast<size_t>(count_) / 4);
-        if (committed_durations_.size() >= min_samples) {
-          std::vector<double> durations = committed_durations_;
-          const size_t mid = durations.size() / 2;
-          std::nth_element(durations.begin(),
-                           durations.begin() + static_cast<std::ptrdiff_t>(mid),
-                           durations.end());
-          const double median = durations[mid];
-          const double threshold =
-              std::max(fo.straggler_multiplier * median, 1e-3);
-          const double now = phase_watch_.ElapsedSeconds();
-          for (int t = 0; t < count_; ++t) {
-            TaskState& st = states_[static_cast<size_t>(t)];
-            if (st.committed || st.speculated || st.running == 0) continue;
-            if (st.failures != st.handled_failures) continue;
-            if (st.started_at < 0.0 || now - st.started_at <= threshold) {
-              continue;
-            }
-            st.speculated = true;
-            speculated_++;
-            FaultInstant(trace_, "fault-speculate", obs::kDriverTrack, "task",
-                         t);
-            Launch(t, st.attempts, 0.0, /*is_retry=*/false);
+      // 2. Speculative execution, once per poll: back up tasks held up by
+      //    an injected straggler delay beyond the threshold. A computing
+      //    attempt is never backed up: a copy would redo the same work on
+      //    the same cores, and OS preemption would launch backups at random
+      //    and make the fault pattern depend on host load.
+      const double now = phase_watch_.ElapsedSeconds();
+      if (fo.speculation && now >= next_speculation_check &&
+          committed_durations_.size() >= min_samples_) {
+        next_speculation_check = now + kPollSeconds;
+        std::vector<double> durations = committed_durations_;
+        const size_t mid = durations.size() / 2;
+        std::nth_element(durations.begin(),
+                         durations.begin() + static_cast<std::ptrdiff_t>(mid),
+                         durations.end());
+        const double threshold =
+            std::max(fo.straggler_multiplier * durations[mid], 1e-3);
+        for (int t = 0; t < count_; ++t) {
+          TaskState& st = states_[static_cast<size_t>(t)];
+          if (st.committed || st.speculated || st.parked == 0) continue;
+          if (st.failures != st.handled_failures) continue;
+          if (st.started_at < 0.0 || now - st.started_at <= threshold) {
+            continue;
           }
+          st.speculated = true;
+          speculated_++;
+          TraceInstant(ex_->trace_, "fault", "fault-speculate",
+                       obs::kDriverTrack, "task", t);
+          Launch(t, st.attempts, 0.0, /*is_retry=*/false);
         }
       }
-      cv_.WaitFor(&mu_, std::chrono::microseconds(500));
+
+      // 3. Resume parked stragglers that are due.
+      ResumeParked(/*all=*/false);
+      cv_.WaitFor(&mu_, std::chrono::duration<double>(kPollSeconds));
     }
-    // Drain every in-flight attempt before phase-local state goes away.
+    // Drain every in-flight attempt before phase-local state goes away;
+    // parked stragglers resume at once and no new attempt parks.
+    draining_ = true;
+    ResumeParked(/*all=*/true);
     while (running_total_ != 0) cv_.Wait(&mu_);
 
-    stats_->failed += failed_;
-    stats_->retried += retried_;
-    stats_->speculated += speculated_;
-    stats_->cancelled += cancelled_;
-    stats_->recovery_seconds += recovery_seconds_;
+    ex_->stats_.failed += failed_;
+    ex_->stats_.retried += retried_;
+    ex_->stats_.speculated += speculated_;
+    ex_->stats_.cancelled += cancelled_;
+    ex_->stats_.recovery_seconds += recovery_seconds_;
     if (aborted_) return failure_;
     return Status::OK();
   }
@@ -1135,6 +925,8 @@ class RecoveringPhaseRunner {
     bool committed = false;
     bool publishing = false;
     int running = 0;
+    /// The running attempts that are parked stragglers.
+    int parked = 0;
     int attempts = 0;
     int failures = 0;
     int handled_failures = 0;
@@ -1149,6 +941,23 @@ class RecoveringPhaseRunner {
     std::vector<std::shared_ptr<TaskHeartbeat>> live;
   };
 
+  /// The driver loop's poll interval.
+  static constexpr double kPollSeconds = 500e-6;
+
+  /// One attempt, and what a parked straggler needs to resume.
+  struct Attempt {
+    int task = 0;
+    int attempt = 0;
+    double backoff_seconds = 0.0;
+    bool is_retry = false;
+    std::shared_ptr<TaskHeartbeat> heartbeat;
+    /// Phase time (seconds) and trace time (ns) at which the attempt began.
+    double start_seconds = 0.0;
+    int64_t start_ns = 0;
+    /// Phase time at which a parked straggler is due; -1 if never parked.
+    double wake_at = -1.0;
+  };
+
   /// Drops `hb` from `st.live` (no-op for null / already-removed).
   static void RemoveLive(TaskState& st,
                          const std::shared_ptr<TaskHeartbeat>& hb) {
@@ -1161,7 +970,9 @@ class RecoveringPhaseRunner {
   /// neighbor once the owner has been lost).
   int Attribution(int task) const {
     const int w = owner_of_(task);
-    if (lost_active_ && w == lost_ && survivor_ >= 0) return survivor_;
+    if (ex_->worker_lost_ && w == lost_ && ex_->workers_ >= 2) {
+      return (lost_ + 1) % ex_->workers_;
+    }
     return w;
   }
 
@@ -1172,29 +983,35 @@ class RecoveringPhaseRunner {
     st.attempts++;
     st.running++;
     running_total_++;
-    pool_->Submit([this, task, attempt, backoff_seconds, is_retry] {
-      RunAttempt(task, attempt, backoff_seconds, is_retry);
-    });
+    Attempt a;
+    a.task = task;
+    a.attempt = attempt;
+    a.backoff_seconds = backoff_seconds;
+    a.is_retry = is_retry;
+    ex_->pool_->Submit([this, a] { RunAttempt(a); });
   }
 
-  /// Executes one attempt on a pool thread.
-  void RunAttempt(int task, int attempt, double backoff_seconds, bool is_retry)
-      PASJOIN_EXCLUDES(mu_) {
-    if (backoff_seconds > 0.0) {
-      FaultInstant(trace_, "fault-backoff", obs::kDriverTrack, "task", task);
+  /// Starts one attempt on a pool thread (after its backoff, if any): the
+  /// heartbeat, then — for an injected straggler — parking, so the straggle
+  /// delay holds no pool thread that other tasks (a speculative backup
+  /// among them) could use.
+  void RunAttempt(Attempt a) PASJOIN_EXCLUDES(mu_) {
+    const int task = a.task;
+    if (a.backoff_seconds > 0.0) {
+      TraceInstant(ex_->trace_, "fault", "fault-backoff", obs::kDriverTrack,
+                   "task", task);
       // Interruptible backoff: a job-level cancel wakes the sleeper instead
       // of letting it burn the remaining backoff.
-      if (job_token_.WaitForCancellation(backoff_seconds)) {
-        AbandonAttempt(task, nullptr);
+      if (ex_->job_token_.WaitForCancellation(a.backoff_seconds)) {
+        RetireAttempt(task, nullptr, /*abandoned=*/true);
         return;
       }
     }
-    if (job_token_.IsCancelled()) {
+    if (ex_->job_token_.IsCancelled()) {
       // Dequeued after a job cancel (or deadline): never start the body.
-      AbandonAttempt(task, nullptr);
+      RetireAttempt(task, nullptr, /*abandoned=*/true);
       return;
     }
-    std::shared_ptr<TaskHeartbeat> heartbeat;
     {
       MutexLock lock(&mu_);
       TaskState& ts = states_[static_cast<size_t>(task)];
@@ -1203,59 +1020,85 @@ class RecoveringPhaseRunner {
         FinishAttempt(task);
         return;
       }
-      if (ts.started_at < 0.0) ts.started_at = phase_watch_.ElapsedSeconds();
-      heartbeat =
-          std::make_shared<TaskHeartbeat>(job_token_, task_name_, task);
-      ts.live.push_back(heartbeat);
+      a.start_seconds = phase_watch_.ElapsedSeconds();
+      if (ts.started_at < 0.0) ts.started_at = a.start_seconds;
+      a.heartbeat =
+          std::make_shared<TaskHeartbeat>(ex_->job_token_, task_name_, task);
+      ts.live.push_back(a.heartbeat);
     }
+    if (ex_->trace_ != nullptr) a.start_ns = ex_->trace_->NowNs();
     // Register only now that the attempt is actually executing — queue wait
     // must not count against the watchdog's quiet period. Outside mu_: the
     // registry lock ranks below the phase-state lock.
-    if (watchdog_ != nullptr) watchdog_->Register(heartbeat);
-    // The attempt span wraps the same region as the attempt stopwatch and
-    // lands on the attributed worker's track; kernel spans opened inside
-    // `body` inherit the track. Failed and losing speculative attempts
-    // record committed=0, so the trace rollup can count only the attempts
-    // the PhaseClock counted.
-    const int attributed = Attribution(task);
-    obs::ScopedTrack track_scope(trace_, attributed);
-    obs::ScopedSpan attempt_span(trace_, task_name_, "task");
-    attempt_span.AddArg("task", task);
-    attempt_span.AddArg("attempt", attempt);
-    Stopwatch attempt_watch;
-    bool failed = false;
-    std::string error;
-    PublishFn publish;
+    if (ex_->watchdog_ != nullptr) ex_->watchdog_->Register(a.heartbeat);
+    if (OutrightFailure(task, a.attempt).empty() &&
+        ex_->injector_.IsStraggler(phase_, task, a.attempt)) {
+      // The driver loop resumes a parked straggler when its token fires — a
+      // job cancel, a sibling attempt's commit, or the watchdog's stall
+      // verdict (the heartbeat stays flat while the attempt is parked, which
+      // is exactly the stall signature) — or once its delay has passed and
+      // no backup is coming (AwaitsBackup).
+      MutexLock lock(&mu_);
+      if (!draining_) {
+        a.wake_at = a.start_seconds + ex_->injector_.StragglerDelaySeconds();
+        states_[static_cast<size_t>(task)].parked++;
+        parked_.push_back(std::move(a));
+        return;
+      }
+    }
+    Execute(a);
+  }
+
+  /// Why the attempt fails before doing any work — its worker was lost at
+  /// the start of this phase, or the injector fails it — or "" if it does
+  /// not.
+  std::string OutrightFailure(int task, int attempt) const {
     if (lose_here_ && attempt == 0 && owner_of_(task) == lost_) {
-      failed = true;
-      error = "logical worker " + std::to_string(lost_) + " lost";
-    } else if (injector_.ShouldFail(phase_, task, attempt)) {
-      failed = true;
-      error = "injected fault";
-    } else {
-      if (injector_.IsStraggler(phase_, task, attempt)) {
-        // Interruptible straggler delay: wakes early when the attempt's
-        // token fires — a job cancel, a sibling attempt's commit, or the
-        // watchdog's stall verdict (the heartbeat stays flat while the
-        // straggler sleeps, which is exactly the stall signature).
-        const bool token_fired = heartbeat->token().WaitForCancellation(
-            injector_.StragglerDelaySeconds());
-        bool committed_while_sleeping = false;
+      return "logical worker " + std::to_string(lost_) + " lost";
+    }
+    if (ex_->injector_.ShouldFail(phase_, task, attempt)) {
+      return "injected fault";
+    }
+    return "";
+  }
+
+  /// Runs a started attempt's body (after its straggle delay, if parked)
+  /// and commits its output when it is the task's first successful attempt.
+  void Execute(const Attempt& a) PASJOIN_EXCLUDES(mu_) {
+    const int task = a.task;
+    const std::shared_ptr<TaskHeartbeat>& heartbeat = a.heartbeat;
+    // The attempt span covers the attempt's time from its start, straggle
+    // included, like the time the PhaseClock is charged; it lands on the
+    // attributed worker's track, and kernel spans opened inside `body`
+    // inherit the track. Failed and losing speculative attempts record
+    // committed=0, so the trace rollup can count only the attempts the
+    // PhaseClock counted.
+    const int attributed = Attribution(task);
+    obs::ScopedTrack track_scope(ex_->trace_, attributed);
+    obs::ScopedSpan attempt_span(ex_->trace_, task_name_, "task");
+    attempt_span.SetStartNs(a.start_ns);
+    attempt_span.AddArg("task", task);
+    attempt_span.AddArg("attempt", a.attempt);
+    std::string error = OutrightFailure(task, a.attempt);
+    bool failed = !error.empty();
+    PublishFn publish;
+    if (!failed) {
+      if (a.wake_at >= 0.0) {
+        bool committed_while_parked = false;
         {
           MutexLock lock(&mu_);
-          committed_while_sleeping =
-              states_[static_cast<size_t>(task)].committed;
+          committed_while_parked = states_[static_cast<size_t>(task)].committed;
         }
-        if (committed_while_sleeping) {
-          // A speculative backup finished while this straggler slept.
+        if (committed_while_parked) {
+          // A speculative backup finished while this straggler was parked.
           attempt_span.AddArg("committed", 0);
-          RetireAttempt(task, heartbeat);
+          RetireAttempt(task, heartbeat, /*abandoned=*/false);
           return;
         }
-        if (token_fired) {
-          if (job_token_.IsCancelled()) {
+        if (heartbeat->token().IsCancelled()) {
+          if (ex_->job_token_.IsCancelled()) {
             attempt_span.AddArg("committed", 0);
-            AbandonAttempt(task, heartbeat);
+            RetireAttempt(task, heartbeat, /*abandoned=*/true);
             return;
           }
           // Watchdog stall verdict: treat as a task failure so the normal
@@ -1266,11 +1109,9 @@ class RecoveringPhaseRunner {
         }
       }
       if (!failed) {
-        TaskContext ctx;
-        ctx.cancel = heartbeat->token();
-        ctx.progress = heartbeat->cell();
+        const CancellationToken token = heartbeat->token();
         try {
-          publish = body_(task, ctx);
+          publish = body_(task, {&token, heartbeat->cell()});
         } catch (const std::exception& e) {
           failed = true;
           error = e.what();
@@ -1282,9 +1123,9 @@ class RecoveringPhaseRunner {
           // The token fired mid-body and cut it short: whatever closure the
           // body returned covers partial state and must never run.
           publish = nullptr;
-          if (job_token_.IsCancelled()) {
+          if (ex_->job_token_.IsCancelled()) {
             attempt_span.AddArg("committed", 0);
-            AbandonAttempt(task, heartbeat);
+            RetireAttempt(task, heartbeat, /*abandoned=*/true);
             return;
           }
           MutexLock lock(&mu_);
@@ -1305,13 +1146,13 @@ class RecoveringPhaseRunner {
         winner = true;
       }
     }
-    if (winner) {
-      if (publish) publish();
-      clock_->Add(attributed, attempt_watch.ElapsedSeconds());
-    }
+    if (winner && publish) publish();
+    const double elapsed = phase_watch_.ElapsedSeconds() - a.start_seconds;
+    if (winner) clock_->Add(attributed, elapsed);
     attempt_span.AddArg("committed", winner ? 1 : 0);
     if (failed) {
-      FaultInstant(trace_, "fault-failure", attributed, "task", task);
+      TraceInstant(ex_->trace_, "fault", "fault-failure", attributed, "task",
+                   task);
     }
     std::vector<std::shared_ptr<TaskHeartbeat>> siblings;
     // FinishAttempt() below wakes the driver loop, which may return from
@@ -1319,26 +1160,24 @@ class RecoveringPhaseRunner {
     // another instruction — everything after the block must touch only
     // locals and objects that outlive the pool workers (the watchdog, the
     // heartbeats' shared state), never `this`.
-    Watchdog* const watchdog = watchdog_;
+    Watchdog* const watchdog = ex_->watchdog_;
     {
       MutexLock lock(&mu_);
       TaskState& ts = states_[static_cast<size_t>(task)];
       if (winner) {
         ts.committed = true;
         committed_count_++;
-        committed_durations_.push_back(attempt_watch.ElapsedSeconds());
+        committed_durations_.push_back(elapsed);
         for (const std::shared_ptr<TaskHeartbeat>& other : ts.live) {
           if (other != heartbeat) siblings.push_back(other);
         }
       }
       if (failed) {
-        ts.failures++;
+        if (ts.failures++ == ts.handled_failures) failed_tasks_.push_back(task);
         ts.last_error = error;
         failed_++;
       }
-      if (is_retry) {
-        recovery_seconds_ += backoff_seconds + attempt_watch.ElapsedSeconds();
-      }
+      if (a.is_retry) recovery_seconds_ += a.backoff_seconds + elapsed;
       RemoveLive(ts, heartbeat);
       FinishAttempt(task);
     }
@@ -1352,70 +1191,93 @@ class RecoveringPhaseRunner {
     }
   }
 
-  /// Retires an attempt that has nothing left to do (its task committed).
-  void RetireAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat)
-      PASJOIN_EXCLUDES(mu_) {
-    // The runner may be destroyed the moment FinishAttempt() wakes the
-    // driver; only locals below the block.
-    Watchdog* const watchdog = watchdog_;
-    {
-      MutexLock lock(&mu_);
-      RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
-      FinishAttempt(task);
+  /// Hands parked stragglers back to the pool: those whose token fired,
+  /// those whose delay has passed unless they await a backup, or every one
+  /// of them when `all`.
+  void ResumeParked(bool all) PASJOIN_REQUIRES(mu_) {
+    const double now = phase_watch_.ElapsedSeconds();
+    const auto due = std::partition(
+        parked_.begin(), parked_.end(), [&](const Attempt& a) {
+          if (all || a.heartbeat->token().IsCancelled()) return false;
+          return now < a.wake_at || AwaitsBackup(a.task);
+        });
+    for (auto it = due; it != parked_.end(); ++it) {
+      states_[static_cast<size_t>(it->task)].parked--;
+      ex_->pool_->Submit([this, a = *it] { Execute(a); });
     }
-    if (watchdog != nullptr && heartbeat != nullptr) {
-      watchdog->Unregister(heartbeat);
-    }
+    parked_.erase(due, parked_.end());
   }
 
-  /// Retires an attempt abandoned because the JOB was cancelled. Each
-  /// abandonment is counted once in tasks_cancelled and traced as one
-  /// "cancel-abandon" instant — trace_summary.py reconciles the two.
-  void AbandonAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat)
-      PASJOIN_EXCLUDES(mu_) {
+  /// True when parked straggler `task`, past its delay, is left to
+  /// speculation: it has a backup, whose chain of attempts settles the task,
+  /// or may still get one, because enough tasks can commit without waking a
+  /// parked straggler. So with speculation on, every straggler that can be
+  /// backed up is, and the attempts launched never depend on timing.
+  bool AwaitsBackup(int task) PASJOIN_REQUIRES(mu_) {
+    if (!ex_->injector_.options().speculation) return false;
+    if (states_[static_cast<size_t>(task)].speculated) return true;
+    if (committed_durations_.size() >= min_samples_) return true;
+    return std::any_of(states_.begin(), states_.end(), [](const TaskState& st) {
+      return !st.committed && (st.running > st.parked ||
+                               st.failures != st.handled_failures);
+    });
+  }
+
+  /// Retires an attempt that ends without a result: its task already
+  /// committed, or (`abandoned`) the job was cancelled. Each abandonment is
+  /// counted once in tasks_cancelled and traced as one "cancel-abandon"
+  /// instant — trace_summary.py reconciles the two.
+  void RetireAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat,
+                     bool abandoned) PASJOIN_EXCLUDES(mu_) {
     // The runner may be destroyed the moment FinishAttempt() wakes the
     // driver; only locals below the block. The recorder and the watchdog
     // are engine-scope objects that outlive every pool worker.
-    Watchdog* const watchdog = watchdog_;
-    obs::TraceRecorder* const trace = trace_;
+    Watchdog* const watchdog = ex_->watchdog_;
+    obs::TraceRecorder* const trace = ex_->trace_;
     {
       MutexLock lock(&mu_);
-      cancelled_++;
+      if (abandoned) cancelled_++;
       RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
       FinishAttempt(task);
     }
     if (watchdog != nullptr && heartbeat != nullptr) {
       watchdog->Unregister(heartbeat);
     }
-    CancelInstant(trace, "cancel-abandon", obs::kDriverTrack, "task", task);
+    if (abandoned) {
+      TraceInstant(trace, "cancel", "cancel-abandon", obs::kDriverTrack,
+                   "task", task);
+    }
   }
 
-  /// Retires one attempt and wakes the driver loop.
+  /// Retires one attempt and wakes the driver loop when it has work to do
+  /// at once: a failure to retry, the phase's last commit, or the last
+  /// attempt of a drain. Everything else (speculation, parked stragglers,
+  /// job cancellation) waits for the loop's next poll.
   void FinishAttempt(int task) PASJOIN_REQUIRES(mu_) {
-    states_[static_cast<size_t>(task)].running--;
+    TaskState& ts = states_[static_cast<size_t>(task)];
+    ts.running--;
     running_total_--;
-    cv_.NotifyAll();
+    if (ts.failures != ts.handled_failures || committed_count_ == count_ ||
+        running_total_ == 0) {
+      cv_.NotifyAll();
+    }
   }
 
-  ThreadPool* const pool_;
+  RecoveringExecutor* const ex_;
   const Phase phase_;
   const int count_;
   PhaseClock* const clock_;
-  const std::function<int(int)>& owner_of_;
-  const FaultInjector& injector_;
-  const bool lose_here_;
-  const bool lost_active_;
-  const int lost_;
-  const int survivor_;
-  FaultStats* const stats_;
-  obs::TraceRecorder* const trace_;
   const char* const task_name_;
-  const CancellationToken job_token_;
-  Watchdog* const watchdog_;
+  const std::function<int(int)>& owner_of_;
   const TaskBody& body_;
+  const bool lose_here_;
+  const int lost_;
+  /// Commits a phase needs before speculation starts.
+  const size_t min_samples_;
   const Stopwatch phase_watch_;
 
-  Mutex mu_{"RecoveringPhaseRunner::mu_", lockrank::kEnginePhaseState};
+  Mutex mu_{"RecoveringExecutor::PhaseRunner::mu_",
+            lockrank::kEnginePhaseState};
   CondVar cv_;
   std::vector<TaskState> states_ PASJOIN_GUARDED_BY(mu_);
   int committed_count_ PASJOIN_GUARDED_BY(mu_) = 0;
@@ -1423,6 +1285,10 @@ class RecoveringPhaseRunner {
   bool aborted_ PASJOIN_GUARDED_BY(mu_) = false;
   Status failure_ PASJOIN_GUARDED_BY(mu_);
   std::vector<double> committed_durations_ PASJOIN_GUARDED_BY(mu_);
+  std::vector<Attempt> parked_ PASJOIN_GUARDED_BY(mu_);
+  /// Tasks with a failure the driver loop has not retried yet.
+  std::vector<int> failed_tasks_ PASJOIN_GUARDED_BY(mu_);
+  bool draining_ PASJOIN_GUARDED_BY(mu_) = false;
   uint64_t failed_ PASJOIN_GUARDED_BY(mu_) = 0;
   uint64_t retried_ PASJOIN_GUARDED_BY(mu_) = 0;
   uint64_t speculated_ PASJOIN_GUARDED_BY(mu_) = 0;
@@ -1430,69 +1296,46 @@ class RecoveringPhaseRunner {
   double recovery_seconds_ PASJOIN_GUARDED_BY(mu_) = 0.0;
 };
 
-/// Executes `count` tasks of `phase` through a RecoveringPhaseRunner,
-/// recording the phase span and the (one-shot) worker-loss transition. The
-/// phase's measured wall time is added to `*measured_seconds` (null skips
-/// the accounting), mirroring the fast path's RunStealPhase.
-Status RunRecoveringPhase(ThreadPool* pool, Phase phase, int count, int workers,
-                          PhaseClock* clock,
-                          const std::function<int(int)>& owner_of,
-                          const FaultInjector& injector, bool* worker_lost,
-                          FaultStats* stats, obs::TraceRecorder* trace,
-                          const char* phase_name, const char* task_name,
-                          const CancellationToken& job_token,
-                          Watchdog* watchdog, const TaskBody& body,
-                          double* measured_seconds) {
-  if (count <= 0) return Status::OK();
-  obs::ScopedSpan phase_span(trace, phase_name, "phase");
+Status RecoveringExecutor::RunTasks(const PhaseSpec& spec,
+                                    const std::function<int(int)>& owner_of,
+                                    const TaskBody& body) {
+  if (spec.count <= 0) return Status::OK();
+  obs::ScopedSpan phase_span(
+      trace_, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
   phase_span.SetTrack(obs::kDriverTrack);
-  phase_span.AddArg("tasks", count);
+  phase_span.AddArg("tasks", spec.count);
   Stopwatch phase_wall;
-  const bool lose_here = injector.LosesWorkerIn(phase);
-  if (lose_here) {
-    *worker_lost = true;
-    FaultInstant(trace, "fault-worker-lost", obs::kDriverTrack, "worker",
-                 injector.lost_worker());
+  if (injector_.LosesWorkerIn(spec.phase)) {
+    worker_lost_ = true;
+    TraceInstant(trace_, "fault", "fault-worker-lost", obs::kDriverTrack,
+                 "worker", injector_.lost_worker());
   }
-  const bool lost_active = *worker_lost;
-  const int lost = injector.lost_worker();
-  const int survivor =
-      (lost >= 0 && workers >= 2) ? (lost + 1) % workers : -1;
-  RecoveringPhaseRunner runner(pool, phase, count, clock, owner_of, injector,
-                               lose_here, lost_active, survivor, stats, trace,
-                               task_name, job_token, watchdog, body);
+  PhaseRunner runner(this, spec, owner_of, body);
   Status st = runner.Run();
-  if (measured_seconds != nullptr) {
-    *measured_seconds += phase_wall.ElapsedSeconds();
-  }
+  *spec.measured_seconds += phase_wall.ElapsedSeconds();
   return st;
 }
 
-/// One worker's regrouped partition buffers plus the lineage to rebuild
-/// them. The slot mutex serializes concurrent attempts of the same join
-/// task (the local join may reorder buffers) and guards lineage-based store
-/// rebuilds; it ranks kEngineWorkerStore, above the phase-state lock and
-/// below the rebuild-stats lock it acquires while holding.
-struct WorkerStoreSlot {
-  Mutex mu{"WorkerStoreSlot::mu", lockrank::kEngineWorkerStore};
-  Store store PASJOIN_GUARDED_BY(mu);
-  WorkerLineage lineage PASJOIN_GUARDED_BY(mu);
-  bool valid PASJOIN_GUARDED_BY(mu) = false;
-};
+// ---------------------------------------------------------------------------
+// The dataflow.
+// ---------------------------------------------------------------------------
 
-/// Aggregate time spent rebuilding lost worker stores from lineage,
-/// accumulated from join attempts while they hold their slot lock.
-struct RebuildStats {
-  Mutex mu{"RebuildStats::mu", lockrank::kEngineRebuildStats};
-  double seconds PASJOIN_GUARDED_BY(mu) = 0.0;
-};
-
-Result<JoinRun> RunFaultTolerant(const Dataset& r, const Dataset& s,
-                                 const AssignFn& assign, const OwnerFn& owner,
-                                 const EngineOptions& options,
-                                 const LocalJoinFn& local_join) {
-  const KernelDispatch kernel = ResolveKernel(options, local_join);
+/// Runs map -> regroup -> join [-> dedup scatter -> dedup merge] on `ex`.
+/// `threads` is the pool size (for the join's steal grain and the
+/// metrics); `job_token` is the job's cancellation token.
+template <typename Executor>
+Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
+                            const AssignFn& assign, const OwnerFn& owner,
+                            const EngineOptions& options,
+                            const KernelDispatch& kernel, int threads,
+                            const CancellationToken& job_token) {
+  constexpr bool kRetain = Executor::kRetainsInputs;
+  using Cancel = spatial::KernelCancellation;
   obs::TraceRecorder* const trace = options.trace;
+  // The job's integer observables accumulate in a counter registry — the
+  // trace's own registry when tracing (making the exported trace
+  // self-describing), a throwaway one otherwise — and JobMetrics snapshots
+  // them out at the end. Folds happen at phase boundaries, never per tuple.
   obs::CounterRegistry local_registry;
   obs::CounterRegistry* const reg =
       trace != nullptr ? &trace->counters() : &local_registry;
@@ -1500,236 +1343,234 @@ Result<JoinRun> RunFaultTolerant(const Dataset& r, const Dataset& s,
   const int workers = options.workers;
   const int num_splits =
       options.num_splits > 0 ? options.num_splits : 4 * workers;
-  const int physical = options.physical_threads > 0 ? options.physical_threads
-                                                    : ThreadPool::DefaultThreads();
-  // Destruction order matters: the pool is declared last so it drains its
-  // tasks first, then the watchdog thread joins, then the job source (which
-  // every attempt heartbeat links to) goes away.
-  CancellationSource job_source(options.cancel);
-  const CancellationToken job_token = job_source.token();
-  Watchdog watchdog(options.watchdog, options.deadline, &job_source, trace);
-  ThreadPool pool(physical);
-  FaultInjector injector(options.fault);
-  bool worker_lost = false;
-  FaultStats stats;
-  RebuildStats rebuild_stats;
-
-  // Targeted partition failures strike the join task of the owning worker.
-  for (int32_t part : options.fault.fail_partitions) {
-    injector.AddTargetedFailure(Phase::kJoin, owner(part));
-  }
+  const auto identity = [](int w) { return w; };
 
   JoinRun run;
   JobMetrics& m = run.metrics;
   m.workers = workers;
-  m.physical_threads = pool.num_threads();
+  m.physical_threads = threads;
   Stopwatch wall;
   double measured_construction = 0.0;
   double measured_join = 0.0;
   double measured_dedup = 0.0;
 
   // ---------------------------------------------------------------- map ---
+  // Each relation is divided into `num_splits` contiguous splits; split k is
+  // co-located with logical worker k % workers (its "HDFS block locality").
+  // Every map task writes its own output slot.
   const int total_map_tasks = 2 * num_splits;
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
   PhaseClock map_clock(workers);
-  const std::function<int(int)> map_owner = [num_splits, workers](int task) {
-    return (task % num_splits) % workers;
-  };
-  {
-    const TaskBody body = [&](int task, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto out = std::make_shared<MapTaskOutput>(ComputeMapTask(
-          task, r, s, assign, owner, options, num_splits, workers, &kc));
-      return [out, task, &map_out] {
-        map_out[static_cast<size_t>(task)] = std::move(*out);
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kMap, total_map_tasks,
-                                   workers, &map_clock, map_owner, injector,
-                                   &worker_lost, &stats, trace, "phase-map",
-                                   "map-task", job_token, &watchdog, body,
-                                   &measured_construction);
-    if (!st.ok()) return st;
-  }
+  PASJOIN_RETURN_NOT_OK(ex->Run(
+      PhaseSpec{Phase::kMap, total_map_tasks, 1, &map_clock,
+                &measured_construction},
+      [&](int task) { return (task % num_splits) % workers; },
+      [&](int task, NoPhaseState&, const Cancel* cancel) {
+        return ComputeMapTask(task, r, s, assign, owner, options, num_splits,
+                              workers, cancel);
+      },
+      CommitTo(&map_out)));
   AccumulateMapMetrics(map_out, num_splits, reg);
 
   // ------------------------------------------------------------ regroup ---
-  // The map outputs are the retained split data every re-execution recovers
-  // from, so (unlike the fast path) they are copied, not moved, and stay
-  // alive until the join phase has fully committed.
-  std::vector<WorkerStoreSlot> slots(static_cast<size_t>(workers));
+  // Each worker gathers its inbound tuples into per-partition buffers,
+  // walking the map outputs in task order so every buffer's tuple order is
+  // deterministic. The map outputs are the split data re-execution recovers
+  // from: an executor that retains inputs copies them and records each
+  // partition's lineage (the contributing map tasks); otherwise tuples are
+  // moved out and the shuffle is freed right after the phase.
+  std::vector<WorkerStore> stores(static_cast<size_t>(workers));
   PhaseClock regroup_clock(workers);
-  const std::function<int(int)> identity = [](int w) { return w; };
-  {
-    const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto store = std::make_shared<Store>();
-      auto lineage = std::make_shared<WorkerLineage>();
-      BuildWorkerStoreRetained(w, map_out, store.get(), lineage.get(), &kc);
-      return [&, w, store, lineage] {
-        WorkerStoreSlot& slot = slots[static_cast<size_t>(w)];
-        MutexLock lock(&slot.mu);
-        slot.store = std::move(*store);
-        slot.lineage = std::move(*lineage);
-        slot.valid = true;
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kRegroup, workers, workers,
-                                   &regroup_clock, identity, injector,
-                                   &worker_lost, &stats, trace,
-                                   "phase-regroup", "regroup-task", job_token,
-                                   &watchdog, body, &measured_construction);
-    if (!st.ok()) return st;
-  }
-
-  // A worker lost during the join phase takes its in-memory partition
-  // buffers with it; recovery must rebuild them from lineage.
-  if (injector.LosesWorkerIn(Phase::kJoin)) {
-    WorkerStoreSlot& slot = slots[static_cast<size_t>(injector.lost_worker())];
-    MutexLock lock(&slot.mu);
-    slot.store.clear();
-    slot.valid = false;
+  PASJOIN_RETURN_NOT_OK(ex->Run(
+      PhaseSpec{Phase::kRegroup, workers, 1, &regroup_clock,
+                &measured_construction},
+      identity,
+      [&](int w, NoPhaseState&, const Cancel* cancel) {
+        WorkerStore out;
+        for (size_t task = 0; task < map_out.size(); ++task) {
+          if (map_out[task].by_worker.empty()) continue;
+          std::vector<Routed>& inbound =
+              map_out[task].by_worker[static_cast<size_t>(w)];
+          for (Routed& routed : inbound) {
+            PartitionBuffers& buf = out.parts[routed.part];
+            std::vector<Tuple>& dst = routed.side == Side::kR ? buf.r : buf.s;
+            if constexpr (kRetain) {
+              dst.push_back(routed.tuple);
+              std::vector<int32_t>& contributors = out.lineage[routed.part];
+              if (contributors.empty() ||
+                  contributors.back() != static_cast<int32_t>(task)) {
+                contributors.push_back(static_cast<int32_t>(task));
+              }
+            } else {
+              dst.push_back(std::move(routed.tuple));
+            }
+          }
+          cancel->Pulse(inbound.size());
+          if constexpr (!kRetain) inbound.clear();
+          if (cancel->ShouldStop()) break;  // partial; never committed
+        }
+        return out;
+      },
+      CommitTo(&stores)));
+  if constexpr (!kRetain) {
+    map_out.clear();
+    map_out.shrink_to_fit();
   }
 
   // --------------------------------------------------------------- join ---
+  // One task per (worker, partition), not per worker: placement decides
+  // which logical worker OWNS a partition (lineage, accounting, trace
+  // track), the executor decides which thread JOINS it. The item list is
+  // deterministic — per worker, partitions sorted by id — so results never
+  // depend on hash-map iteration or claim order.
+  std::vector<JoinItem> items;
+  for (int w = 0; w < workers; ++w) {
+    const size_t first = items.size();
+    for (auto& [part, buf] : stores[static_cast<size_t>(w)].parts) {
+      if (buf.r.empty() || buf.s.empty()) continue;
+      items.push_back(JoinItem{w, part, &buf});
+    }
+    std::sort(items.begin() + static_cast<std::ptrdiff_t>(first), items.end(),
+              [](const JoinItem& a, const JoinItem& b) {
+                return a.part < b.part;
+              });
+  }
+  const int item_count = static_cast<int>(items.size());
+  // A targeted partition fails the first attempt of the task joining it.
+  for (const int32_t part : options.fault.fail_partitions) {
+    for (int i = 0; i < item_count; ++i) {
+      if (items[static_cast<size_t>(i)].part == part) {
+        ex->FailFirstAttempt(Phase::kJoin, i);
+      }
+    }
+  }
+  // A worker lost in the join phase takes its partition buffers with it.
+  const int lost = ex->WorkerLostIn(Phase::kJoin);
+  LostWorkerStore lost_store;
+  if (lost >= 0) {
+    for (auto& [part, buf] : stores[static_cast<size_t>(lost)].parts) {
+      (void)part;
+      buf = PartitionBuffers{};
+    }
+  }
   const bool keep_pairs = options.collect_results || options.deduplicate;
+  std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
+  PhaseClock join_clock(workers);
+  PASJOIN_RETURN_NOT_OK(ex->template Run<JoinThreadState>(
+      PhaseSpec{Phase::kJoin, item_count,
+                StealQueue::DefaultGrain(item_count, threads), &join_clock,
+                &measured_join},
+      [&](int i) { return items[static_cast<size_t>(i)].worker; },
+      [&](int i, JoinThreadState& state, const Cancel* cancel) {
+        const JoinItem& item = items[static_cast<size_t>(i)];
+        if (item.worker == lost) {
+          MutexLock lock(&lost_store.mu);
+          if (!lost_store.rebuilt) {
+            obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
+            rebuild_span.AddArg("worker", lost);
+            Stopwatch rebuild;
+            RebuildWorkerStore(lost, map_out,
+                               &stores[static_cast<size_t>(lost)]);
+            lost_store.rebuilt = true;
+            lost_store.rebuild_seconds += rebuild.ElapsedSeconds();
+          }
+        }
+        PartitionBuffers* buf = item.buf;
+        if (kRetain && kernel.fn) {
+          // Concurrent attempts of one task must not race on its buffers:
+          // type-erased kernels may reorder them in place.
+          state.copy = *buf;
+          buf = &state.copy;
+        }
+        JoinOutput out;
+        out.pairs = std::move(state.spare_pairs);
+        out.pairs.clear();
+        JoinSinglePartition(item.part, buf, options, kernel, keep_pairs, &state,
+                            &out, trace, cancel);
+        return out;
+      },
+      [&](int i, JoinThreadState& state, JoinOutput&& out) {
+        const auto w =
+            static_cast<size_t>(items[static_cast<size_t>(i)].worker);
+        if (state.acc.empty()) state.acc.resize(static_cast<size_t>(workers));
+        state.acc[w].Absorb(&out);
+        state.spare_pairs = std::move(out.pairs);
+        if (state.acc[w].pairs.size() >= kPairFlushThreshold) {
+          FlushJoinOutput(&state.acc[w], &merge_slots[w]);
+        }
+      },
+      [&](JoinThreadState& state) {
+        for (size_t w = 0; w < state.acc.size(); ++w) {
+          FlushJoinOutput(&state.acc[w], &merge_slots[w]);
+        }
+      }));
+  m.local_kernel = kernel.name;
   std::vector<std::vector<ResultPair>> worker_pairs(
       static_cast<size_t>(workers));
-  std::vector<spatial::JoinCounters> worker_counters(
-      static_cast<size_t>(workers));
-  std::vector<uint64_t> worker_partitions(static_cast<size_t>(workers), 0);
-  std::vector<uint64_t> worker_filtered(static_cast<size_t>(workers), 0);
-  std::vector<spatial::KernelTimings> worker_timings(
-      static_cast<size_t>(workers));
-  PhaseClock join_clock(workers);
-  {
-    const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto out = std::make_shared<WorkerJoinOutput>();
-      {
-        WorkerStoreSlot& slot = slots[static_cast<size_t>(w)];
-        MutexLock lock(&slot.mu);
-        if (!slot.valid) {
-          obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
-          rebuild_span.AddArg("worker", w);
-          Stopwatch rebuild;
-          slot.store = RebuildWorkerStore(w, map_out, slot.lineage);
-          slot.valid = true;
-          MutexLock stats_lock(&rebuild_stats.mu);
-          rebuild_stats.seconds += rebuild.ElapsedSeconds();
-        }
-        *out = JoinWorkerStore(&slot.store, options, kernel, keep_pairs,
-                               trace, &kc);
-      }
-      return [&, w, out] {
-        worker_pairs[static_cast<size_t>(w)] = std::move(out->pairs);
-        worker_counters[static_cast<size_t>(w)] = out->counters;
-        worker_partitions[static_cast<size_t>(w)] = out->partitions;
-        worker_filtered[static_cast<size_t>(w)] = out->filtered;
-        worker_timings[static_cast<size_t>(w)] = out->timings;
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kJoin, workers, workers,
-                                   &join_clock, identity, injector,
-                                   &worker_lost, &stats, trace, "phase-join",
-                                   "join-task", job_token, &watchdog, body,
-                                   &measured_join);
-    if (!st.ok()) return st;
+  JoinOutput total;
+  for (int w = 0; w < workers; ++w) {
+    WorkerMergeSlot& slot = merge_slots[static_cast<size_t>(w)];
+    MutexLock lock(&slot.mu);
+    worker_pairs[static_cast<size_t>(w)] = std::move(slot.out.pairs);
+    total.Absorb(&slot.out);
   }
-  m.local_kernel = kernel.name;
-  {
-    uint64_t candidates = 0;
-    uint64_t results = 0;
-    uint64_t partitions = 0;
-    for (int w = 0; w < workers; ++w) {
-      candidates += worker_counters[static_cast<size_t>(w)].candidates;
-      results += worker_counters[static_cast<size_t>(w)].results -
-                 worker_filtered[static_cast<size_t>(w)];
-      partitions += worker_partitions[static_cast<size_t>(w)];
-      m.kernel_sort_seconds +=
-          worker_timings[static_cast<size_t>(w)].sort_seconds;
-      m.kernel_sweep_seconds +=
-          worker_timings[static_cast<size_t>(w)].sweep_seconds;
-      m.kernel_emit_seconds +=
-          worker_timings[static_cast<size_t>(w)].emit_seconds;
-    }
-    reg->Add("candidates", candidates);
-    reg->Add("results", results);
-    reg->Add("partitions_joined", partitions);
-  }
+  reg->Add("candidates", total.counters.candidates);
+  reg->Add("results", total.counters.results - total.filtered);
+  reg->Add("partitions_joined", total.partitions);
+  m.kernel_sort_seconds = total.timings.sort_seconds;
+  m.kernel_sweep_seconds = total.timings.sweep_seconds;
+  m.kernel_emit_seconds = total.timings.emit_seconds;
+  items.clear();
+  stores.clear();
   map_out.clear();
   map_out.shrink_to_fit();
-  for (WorkerStoreSlot& slot : slots) {
-    MutexLock lock(&slot.mu);
-    slot.store.clear();
-  }
 
   // -------------------------------------------------------------- dedup ---
-  PhaseClock dedup_clock(workers);
+  // Parallel distinct over the produced pairs (the paper's non-duplicate-
+  // free variant, Table 6): hash-partition pairs across workers, then each
+  // worker removes duplicates in its bucket.
   if (options.deduplicate) {
     std::vector<std::vector<std::vector<ResultPair>>> buckets(
         static_cast<size_t>(workers));
     PhaseClock scatter_clock(workers);
-    {
-      const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-        const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-        auto out = std::make_shared<std::vector<std::vector<ResultPair>>>(
-            ScatterWorkerPairs(worker_pairs[static_cast<size_t>(w)], workers,
-                               &kc));
-        return [&, w, out] {
-          buckets[static_cast<size_t>(w)] = std::move(*out);
-        };
-      };
-      Status st = RunRecoveringPhase(&pool, Phase::kDedupScatter, workers,
-                                     workers, &scatter_clock, identity,
-                                     injector, &worker_lost, &stats, trace,
-                                     "phase-dedup-scatter",
-                                     "dedup-scatter-task", job_token,
-                                     &watchdog, body, &measured_dedup);
-      if (!st.ok()) return st;
-    }
+    PASJOIN_RETURN_NOT_OK(ex->Run(
+        PhaseSpec{Phase::kDedupScatter, workers, 1, &scatter_clock,
+                  &measured_dedup},
+        identity,
+        [&](int w, NoPhaseState&, const Cancel* cancel) {
+          return ScatterWorkerPairs(worker_pairs[static_cast<size_t>(w)],
+                                    workers, cancel);
+        },
+        CommitTo(&buckets)));
+    // Pair bytes crossing workers count as shuffle traffic.
     AccumulateDedupShuffle(buckets, workers, reg);
-    std::vector<std::vector<ResultPair>> unique_pairs(
-        static_cast<size_t>(workers));
-    std::vector<uint64_t> unique_counts(static_cast<size_t>(workers), 0);
-    {
-      const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-        const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-        auto out = std::make_shared<DedupMergeOutput>(MergeDedupBucket(
-            buckets, w, workers, options.collect_results, &kc));
-        return [&, w, out] {
-          unique_pairs[static_cast<size_t>(w)] = std::move(out->unique);
-          unique_counts[static_cast<size_t>(w)] = out->count;
-        };
-      };
-      Status st = RunRecoveringPhase(&pool, Phase::kDedupMerge, workers,
-                                     workers, &dedup_clock, identity, injector,
-                                     &worker_lost, &stats, trace,
-                                     "phase-dedup-merge", "dedup-merge-task",
-                                     job_token, &watchdog, body,
-                                     &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    m.dedup_seconds = scatter_clock.Makespan() + dedup_clock.Makespan();
+    std::vector<DedupMergeOutput> merged(static_cast<size_t>(workers));
+    PhaseClock merge_clock(workers);
+    PASJOIN_RETURN_NOT_OK(ex->Run(
+        PhaseSpec{Phase::kDedupMerge, workers, 1, &merge_clock,
+                  &measured_dedup},
+        identity,
+        [&](int w, NoPhaseState&, const Cancel* cancel) {
+          return MergeDedupBucket(buckets, w, workers, options.collect_results,
+                                  cancel);
+        },
+        CommitTo(&merged)));
+    m.dedup_seconds = scatter_clock.Makespan() + merge_clock.Makespan();
     uint64_t unique_total = 0;
-    for (int w = 0; w < workers; ++w) {
-      unique_total += unique_counts[static_cast<size_t>(w)];
+    for (const DedupMergeOutput& out : merged) {
+      unique_total += out.count;
+      run.pairs.insert(run.pairs.end(), out.unique.begin(), out.unique.end());
     }
     reg->Set("results", unique_total);
-    if (options.collect_results) {
-      for (auto& v : unique_pairs) {
-        run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-      }
-    }
   } else if (options.collect_results) {
-    for (auto& v : worker_pairs) {
+    for (const std::vector<ResultPair>& v : worker_pairs) {
       run.pairs.insert(run.pairs.end(), v.begin(), v.end());
     }
   }
 
-  // A cancellation that fired after the last phase finished (e.g. the
-  // deadline expired during the single-threaded fold above) still aborts
-  // the job: nothing is ever published from a cancelled run.
+  // A cancel/deadline that fired after the last phase drained (e.g. during
+  // the single-threaded folds above) still turns the run into an error —
+  // nothing is ever published from a cancelled run.
   if (job_token.IsCancelled()) return job_token.ToStatus();
 
   m.construction_seconds = map_clock.Makespan() + regroup_clock.Makespan();
@@ -1738,14 +1579,10 @@ Result<JoinRun> RunFaultTolerant(const Dataset& r, const Dataset& s,
   m.measured_construction_seconds = measured_construction;
   m.measured_join_seconds = measured_join;
   m.measured_dedup_seconds = measured_dedup;
-  reg->Add("tasks_failed", stats.failed);
-  reg->Add("tasks_retried", stats.retried);
-  reg->Add("tasks_speculated", stats.speculated);
-  reg->Add("tasks_cancelled", stats.cancelled);
-  reg->Add("watchdog_fires", watchdog.fires());
+  ex->AddStats(reg, &m);
   {
-    MutexLock lock(&rebuild_stats.mu);
-    m.recovery_seconds = stats.recovery_seconds + rebuild_stats.seconds;
+    MutexLock lock(&lost_store.mu);
+    m.recovery_seconds += lost_store.rebuild_seconds;
   }
   SnapshotCounters(*reg, &m);
   m.wall_seconds = wall.ElapsedSeconds();
@@ -1758,44 +1595,77 @@ Result<JoinRun> RunFaultTolerant(const Dataset& r, const Dataset& s,
 
 }  // namespace
 
+Status AdmitJob(const ExecOptions& options) {
+  if (options.workers <= 0) {
+    return Status::InvalidArgument("workers must be positive");
+  }
+  if (options.num_splits < 0) {
+    return Status::InvalidArgument("num_splits must be >= 0");
+  }
+  if (options.physical_threads < 0) {
+    return Status::InvalidArgument("physical_threads must be >= 0");
+  }
+  PASJOIN_RETURN_NOT_OK(options.fault.Validate(options.workers));
+  PASJOIN_RETURN_NOT_OK(options.watchdog.Validate());
+  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
+  if (options.deadline.HasExpired()) {
+    return Status::DeadlineExceeded(
+        "job deadline expired before the job started");
+  }
+  return Status::OK();
+}
+
+void FinishDriverRun(const char* algorithm, double driver_seconds,
+                     obs::TraceRecorder* trace, JoinRun* run) {
+  run->metrics.algorithm = algorithm;
+  run->metrics.construction_seconds += driver_seconds;
+  run->metrics.measured_construction_seconds += driver_seconds;
+  if (trace != nullptr) {
+    trace->counters().SetGauge("driver_seconds", driver_seconds);
+    PublishMetricGauges(run->metrics, &trace->counters());
+  }
+}
+
 Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const AssignFn& assign,
                                       const OwnerFn& owner,
                                       const EngineOptions& options,
                                       const LocalJoinFn& local_join) {
-  {
-    Status st = ValidateJoinInputs(r, s, options);
-    if (!st.ok()) return st;
+  if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
+    return Status::InvalidArgument("eps must be positive and finite");
   }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded(
-        "job deadline expired before execution started");
+  PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(r, options.bounds));
+  if (&r != &s) {
+    PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(s, options.bounds));
   }
-  if (options.fault.enabled) {
-    return RunFaultTolerant(r, s, assign, owner, options, local_join);
-  }
+  PASJOIN_RETURN_NOT_OK(AdmitJob(options));
+  const KernelDispatch kernel = ResolveKernel(options, local_join);
+  const int physical = options.physical_threads > 0
+                           ? options.physical_threads
+                           : ThreadPool::DefaultThreads();
+  // Destruction order matters: the pool is declared LAST so it drains its
+  // tasks first, then the watchdog thread joins, then the job source (which
+  // task tokens and attempt heartbeats link to) goes away.
+  CancellationSource job_source(options.cancel);
+  const CancellationToken job_token = job_source.token();
+  Watchdog watchdog(options.watchdog, options.deadline, &job_source,
+                    options.trace);
+  ThreadPool pool(physical);
   try {
-    return RunFastPath(r, s, assign, owner, options, local_join);
+    if (options.fault.enabled) {
+      RecoveringExecutor ex(&pool, options.fault, options.workers, job_token,
+                            &watchdog, options.trace);
+      return RunDataflow(&ex, r, s, assign, owner, options, kernel,
+                         pool.num_threads(), job_token);
+    }
+    StealExecutor ex(&pool, job_token, options.trace);
+    return RunDataflow(&ex, r, s, assign, owner, options, kernel,
+                       pool.num_threads(), job_token);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("engine task failed: ") + e.what());
   } catch (...) {
     return Status::Internal("engine task failed: unknown exception");
   }
-}
-
-JoinRun RunPartitionedJoin(const Dataset& r, const Dataset& s,
-                           const AssignFn& assign, const OwnerFn& owner,
-                           const EngineOptions& options,
-                           const LocalJoinFn& local_join) {
-  Result<JoinRun> result =
-      TryRunPartitionedJoin(r, s, assign, owner, options, local_join);
-  if (!result.ok()) {
-    std::fprintf(stderr, "RunPartitionedJoin: %s\n",
-                 result.status().ToString().c_str());
-  }
-  PASJOIN_CHECK(result.ok());
-  return result.MoveValue();
 }
 
 }  // namespace pasjoin::exec

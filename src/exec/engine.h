@@ -18,12 +18,12 @@
 // simulated duration is the makespan (max per-worker busy time). This makes
 // the paper's scalability experiments meaningful on any host (DESIGN.md §2).
 //
-// Fault tolerance: TryRunPartitionedJoin executes the same dataflow with the
-// recovery semantics of the Spark substrate the paper runs on — lineage-based
-// task retry with exponential backoff, worker-loss recovery from retained
-// split data, and speculative re-execution of stragglers. The model, its
-// guarantees, and the FaultOptions knobs are documented in
-// docs/FAULT_TOLERANCE.md.
+// Fault tolerance: with FaultOptions::enabled, TryRunPartitionedJoin runs the
+// same dataflow on a recovering executor with the semantics of the Spark
+// substrate the paper runs on — lineage-based task retry with exponential
+// backoff, worker-loss recovery from retained split data, and speculative
+// re-execution of stragglers. The model, its guarantees, and the
+// FaultOptions knobs are documented in docs/FAULT_TOLERANCE.md.
 #ifndef PASJOIN_EXEC_ENGINE_H_
 #define PASJOIN_EXEC_ENGINE_H_
 
@@ -81,26 +81,21 @@ LocalJoinFn RTreeProbeLocalJoin();
 /// Sedona setup indexes the globally larger data set, Section 7.1).
 LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed);
 
-/// Engine configuration.
-struct EngineOptions {
-  /// Join distance threshold.
-  double eps = 0.0;
+/// The execution knobs every join shares: the engine's EngineOptions and
+/// each driver's options struct (AdaptiveJoinOptions, SelfJoinOptions,
+/// PbsmOptions, SedonaOptions) inherit them, so a driver forwards all of
+/// them to the engine with one base-slice copy.
+struct ExecOptions {
   /// Logical workers (the paper's "nodes"/executors).
   int workers = 12;
   /// Input splits per relation; 0 selects 4 * workers.
   int num_splits = 0;
   /// Materialize result pairs in JoinRun::pairs.
   bool collect_results = false;
-  /// Run a parallel distinct step after the join (the non-duplicate-free
-  /// variant of Table 6). Implies internal collection of pairs.
-  bool deduplicate = false;
   /// Copy payload bytes through the shuffle (Figures 16-18). When false the
   /// shuffle carries only id+x+y, as in the post-processing variant of
   /// Table 5.
   bool carry_payloads = true;
-  /// Self-join mode: both inputs are the same relation; only unordered
-  /// pairs with r.id < s.id are reported (each pair once, no self-pairs).
-  bool self_join = false;
   /// Physical threads to execute on; 0 selects the host's core count.
   int physical_threads = 0;
   /// Partition-level join kernel (docs/ALGORITHM.md §"Local join kernels").
@@ -108,8 +103,45 @@ struct EngineOptions {
   /// the cache-friendly SoA sweep with batched emission.
   spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Fault injection + recovery policy (docs/FAULT_TOLERANCE.md). Ignored
-  /// unless fault.enabled; the default keeps the zero-overhead fast path.
+  /// unless fault.enabled, which selects the recovering executor.
   FaultOptions fault;
+  /// External cancellation (docs/CANCELLATION.md). A default token never
+  /// cancels (zero cost); pass CancellationSource::token() to be able to
+  /// abort the job from another thread. A cancelled run returns the
+  /// token's status (kCancelled unless the canceller chose another code)
+  /// and publishes NO partial results.
+  CancellationToken cancel;
+  /// Wall-clock budget for the whole job, driver construction included
+  /// (docs/CANCELLATION.md). Unlimited by default; when set, the run returns
+  /// kDeadlineExceeded shortly after the deadline passes (firing latency is
+  /// bounded by watchdog.poll_interval_seconds), again with no partial
+  /// results. On success, JobMetrics::deadline_slack_seconds records the
+  /// margin.
+  Deadline deadline;
+  /// Stuck-task watchdog (exec/watchdog.h). `watchdog.enabled` turns on
+  /// stall detection of fault-tolerant task attempts; deadlines above are
+  /// enforced whether or not it is enabled.
+  WatchdogOptions watchdog;
+  /// Execution trace sink (docs/OBSERVABILITY.md). Null (the default)
+  /// disables tracing at zero cost; when set, the engine records per-task
+  /// spans on one track per logical worker, per-partition join spans, the
+  /// kernel's sort/sweep/emit phases, and fault-recovery events, and folds
+  /// the job's counters into trace->counters(). Drivers add spans for their
+  /// construction steps. Not owned.
+  obs::TraceRecorder* trace = nullptr;
+};
+
+/// Engine configuration: the shared execution knobs plus what only the
+/// engine call itself decides.
+struct EngineOptions : ExecOptions {
+  /// Join distance threshold.
+  double eps = 0.0;
+  /// Run a parallel distinct step after the join (the non-duplicate-free
+  /// variant of Table 6). Implies internal collection of pairs.
+  bool deduplicate = false;
+  /// Self-join mode: both inputs are the same relation; only unordered
+  /// pairs with r.id < s.id are reported (each pair once, no self-pairs).
+  bool self_join = false;
   /// Declared data-space bounds. When set (positive area), every input
   /// point must lie inside (boundary inclusive) or the run is rejected with
   /// kInvalidArgument naming the offending dataset and index — partitioners
@@ -119,50 +151,41 @@ struct EngineOptions {
   /// skips the check. Exact-boundary points are valid: Grid::Locate keeps
   /// clamping max-edge coordinates into the last cell.
   Rect bounds;
-  /// Execution trace sink (docs/OBSERVABILITY.md). Null (the default)
-  /// disables tracing at zero cost; when set, the engine records per-task
-  /// spans on one track per logical worker, per-partition join spans, the
-  /// kernel's sort/sweep/emit phases, and fault-recovery events, and folds
-  /// the job's counters into trace->counters(). Not owned.
-  obs::TraceRecorder* trace = nullptr;
-  /// External cancellation (docs/CANCELLATION.md). A default token never
-  /// cancels (zero cost); pass CancellationSource::token() to be able to
-  /// abort the job from another thread. A cancelled run returns the
-  /// token's status (kCancelled unless the canceller chose another code)
-  /// and publishes NO partial results.
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md). Unlimited
-  /// by default; when set, the run returns kDeadlineExceeded shortly after
-  /// the deadline passes (firing latency is bounded by
-  /// watchdog.poll_interval_seconds), again with no partial results. On
-  /// success, JobMetrics::deadline_slack_seconds records the margin.
-  Deadline deadline;
-  /// Stuck-task watchdog (exec/watchdog.h). `watchdog.enabled` turns on
-  /// stall detection of fault-tolerant task attempts; deadlines above are
-  /// enforced whether or not it is enabled.
-  WatchdogOptions watchdog;
 };
 
 /// Outcome of a partitioned join run.
 struct JoinRun {
   JobMetrics metrics;
-  /// Result pairs; only populated when EngineOptions::collect_results.
+  /// Result pairs; only populated when ExecOptions::collect_results.
   std::vector<ResultPair> pairs;
 };
 
-/// Runs the map/shuffle/join dataflow with fault tolerance. `assign` decides
-/// replication; `owner` decides placement; `local_join` computes each
-/// partition's join.
+/// Admission check shared by the engine and every driver, run before any
+/// work starts: rejects invalid execution knobs (kInvalidArgument), then a
+/// cancelled token or an expired deadline.
+[[nodiscard]] Status AdmitJob(const ExecOptions& options);
+
+/// Driver epilogue: names the run's `algorithm`, folds `driver_seconds` of
+/// driver-side construction into its construction times and, when tracing,
+/// republishes the `driver_seconds` gauge and the metric gauges the engine
+/// published before the driver time was known.
+void FinishDriverRun(const char* algorithm, double driver_seconds,
+                     obs::TraceRecorder* trace, JoinRun* run);
+
+/// Runs the map/shuffle/join dataflow. `assign` decides replication; `owner`
+/// decides placement; `local_join` computes each partition's join.
 ///
 /// Inputs are validated (finite coordinates, eps > 0, workers > 0, coherent
-/// FaultOptions) and rejected with kInvalidArgument. When fault injection is
-/// enabled, failed or lost tasks are re-executed from retained split data
-/// (bounded retries with exponential backoff), a lost logical worker's
+/// FaultOptions) and rejected with kInvalidArgument. The one dataflow runs
+/// on one of two executors (docs/FAULT_TOLERANCE.md): without fault
+/// injection every task runs once and commits in place; with
+/// `fault.enabled`, failed or lost tasks are re-executed from retained split
+/// data (bounded retries with exponential backoff), a lost logical worker's
 /// partitions are rebuilt on survivors from their lineage, and straggling
 /// tasks are backed up speculatively; the recovered result is identical to a
 /// fault-free run. Returns kResourceExhausted when a task exhausts its retry
-/// budget and kInternal when a task of the fast path throws — this function
-/// never throws from the engine itself. Cancellation (options.cancel) and
+/// budget and kInternal when a task without fault injection throws — this
+/// function never throws from the engine itself. Cancellation (options.cancel) and
 /// deadlines (options.deadline) surface as kCancelled / kDeadlineExceeded;
 /// in every error case nothing is published to the returned JoinRun — a
 /// caller either gets the complete, exact join result or an error
@@ -176,13 +199,6 @@ struct JoinRun {
     const Dataset& r, const Dataset& s, const AssignFn& assign,
     const OwnerFn& owner, const EngineOptions& options,
     const LocalJoinFn& local_join = LocalJoinFn());
-
-/// Legacy convenience wrapper over TryRunPartitionedJoin: aborts the process
-/// (PASJOIN_CHECK) on any error. Prefer the Try variant in new code.
-JoinRun RunPartitionedJoin(const Dataset& r, const Dataset& s,
-                           const AssignFn& assign, const OwnerFn& owner,
-                           const EngineOptions& options,
-                           const LocalJoinFn& local_join = LocalJoinFn());
 
 }  // namespace pasjoin::exec
 

@@ -40,8 +40,9 @@ const char* PhaseName(Phase phase);
 /// Configuration of the fault-tolerance subsystem (failure injection plus
 /// the recovery policy applied by the engine).
 struct FaultOptions {
-  /// Master switch. When false the engine takes its zero-overhead fast path
-  /// and none of the remaining fields are consulted.
+  /// Master switch: true runs the job on the recovering executor. When false
+  /// the zero-overhead steal executor runs it and none of the remaining
+  /// fields are consulted.
   bool enabled = false;
 
   /// Seed of every injection decision. Decisions are a deterministic
@@ -58,9 +59,9 @@ struct FaultOptions {
   /// Applies to both dedup sub-phases (scatter and merge).
   double dedup_failure_p = 0.0;
 
-  /// Partitions whose owning join task fails deterministically on its first
-  /// attempt (targeted, phase=kJoin). Lets tests kill a specific partition's
-  /// task without touching the probabilistic machinery.
+  /// Partitions whose join task (one per joined partition) fails
+  /// deterministically on its first attempt. Lets tests kill a specific
+  /// partition's task without touching the probabilistic machinery.
   std::vector<int32_t> fail_partitions;
 
   // --- recovery policy -----------------------------------------------------
@@ -90,8 +91,9 @@ struct FaultOptions {
   /// milliseconds before doing its work.
   double straggler_slowdown = 4.0;
   double straggler_base_ms = 2.0;
-  /// Launch a speculative backup once a running task exceeds this multiple
-  /// of the phase's median committed task time.
+  /// Launch a speculative backup once a straggling task has waited out its
+  /// injected delay for longer than this multiple of the phase's median
+  /// committed task time (computing attempts are never backed up).
   double straggler_multiplier = 3.0;
   /// Enables speculative execution (first finisher wins; the result is
   /// committed exactly once, so duplicates are impossible).
@@ -109,9 +111,9 @@ struct FaultOptions {
 ///
 /// Concurrency: holds no pasjoin::Mutex by design — the const-after-setup
 /// contract makes query-path locking unnecessary. AddTargetedFailure must
-/// finish (driver thread, before the pool starts executing) before any
-/// concurrent ShouldFail/IsStraggler query; the engine enforces this by
-/// registering targeted failures before the first RunRecoveringPhase.
+/// finish (driver thread, while no phase runs) before any concurrent
+/// ShouldFail/IsStraggler query; the engine registers targeted join failures
+/// between the regroup and join phases.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultOptions& options) : options_(options) {}

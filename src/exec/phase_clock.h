@@ -12,12 +12,12 @@
 // concurrently on different threads, so accumulation must be safe against
 // concurrent Add()s to one worker's cell. Two sanctioned ways in:
 //
-//   * Add(): takes the clock's mutex per call. Fine for coarse tasks (the
-//     fault-tolerant path commits once per attempt);
+//   * Add(): takes the clock's mutex per call. Fine where each committed
+//     attempt adds once (the recovering executor);
 //   * Shard + Merge(): a thread-confined Shard accumulates without any
 //     synchronization and is folded into the clock with ONE lock
 //     acquisition at the end of the runner — the per-thread-accumulation
-//     idiom the steal phases use (tested by phase_clock_stress_test under
+//     idiom the steal executor uses (tested by phase_clock_stress_test under
 //     TSan: concurrent sharded accumulation is exact, never lossy).
 #ifndef PASJOIN_EXEC_PHASE_CLOCK_H_
 #define PASJOIN_EXEC_PHASE_CLOCK_H_

@@ -48,13 +48,17 @@ struct CancelWakeState {
   ThreadPool* pool PASJOIN_GUARDED_BY(mu) = nullptr;
 };
 
+/// The calling thread's index within its pool (ThreadPool::
+/// CurrentThreadIndex); set once when a pool thread starts.
+thread_local int current_thread_index = -1;
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   PASJOIN_CHECK(num_threads >= 1);
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -143,7 +147,8 @@ Status ThreadPool::Wait(const CancellationToken& cancel) {
   return cancelled ? cancel.ToStatus() : Status::OK();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(int index) {
+  current_thread_index = index;
   for (;;) {
     std::function<void()> task;
     {
@@ -179,6 +184,8 @@ void ThreadPool::WorkerLoop() {
     }
   }
 }
+
+int ThreadPool::CurrentThreadIndex() { return current_thread_index; }
 
 int ThreadPool::DefaultThreads() {
   return std::max(1u, std::thread::hardware_concurrency());

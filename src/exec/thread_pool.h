@@ -80,8 +80,13 @@ class ThreadPool {
   /// A sensible default: the host's hardware concurrency.
   static int DefaultThreads();
 
+  /// Index in [0, num_threads()) of the calling thread within its pool, or
+  /// -1 when the caller is not a pool thread. Lets a task pick per-thread
+  /// scratch without locking.
+  static int CurrentThreadIndex();
+
  private:
-  void WorkerLoop() PASJOIN_EXCLUDES(mu_);
+  void WorkerLoop(int index) PASJOIN_EXCLUDES(mu_);
 
   Mutex mu_{"ThreadPool::mu_", lockrank::kThreadPool};
   CondVar task_available_;

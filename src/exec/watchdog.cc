@@ -9,17 +9,13 @@
 
 namespace pasjoin::exec {
 
-namespace {
-
-/// Records one instant cancellation event (category "cancel") with a single
-/// integer arg; tools/trace_summary.py --validate reconciles these against
-/// the watchdog_fires / tasks_cancelled counters.
-void CancelInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                   const char* arg_name, int64_t arg_value) {
+void TraceInstant(obs::TraceRecorder* trace, const char* category,
+                  const char* name, int32_t track, const char* arg_name,
+                  int64_t arg_value) {
   if (trace == nullptr) return;
   obs::TraceEvent e;
   e.name = name;
-  e.category = "cancel";
+  e.category = category;
   e.type = 'i';
   e.start_ns = trace->NowNs();
   e.track = track;
@@ -28,8 +24,6 @@ void CancelInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
   e.num_args = 1;
   trace->Append(e);
 }
-
-}  // namespace
 
 Status WatchdogOptions::Validate() const {
   if (!std::isfinite(quiet_period_seconds) || quiet_period_seconds <= 0.0) {
@@ -98,9 +92,9 @@ void Watchdog::Loop() {
         deadline_fired_ = true;
         if (job_source_->Cancel(StatusCode::kDeadlineExceeded,
                                 "job deadline exceeded")) {
-          CancelInstant(trace_, "deadline-exceeded", obs::kDriverTrack,
-                        "slack_us",
-                        static_cast<int64_t>(remaining * 1e6));
+          TraceInstant(trace_, "cancel", "deadline-exceeded",
+                       obs::kDriverTrack, "slack_us",
+                       static_cast<int64_t>(remaining * 1e6));
         }
       } else {
         // Clip the sleep so the deadline fires when it passes, not at the
@@ -129,8 +123,8 @@ void Watchdog::Loop() {
                            hb->phase_name() + " made no progress for " +
                            std::to_string(options_.quiet_period_seconds) +
                            "s")) {
-          CancelInstant(trace_, "watchdog-fire", obs::kDriverTrack, "task",
-                        hb->task());
+          TraceInstant(trace_, "cancel", "watchdog-fire", obs::kDriverTrack,
+                       "task", hb->task());
         }
       }
     }

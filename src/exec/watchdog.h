@@ -15,12 +15,12 @@
 //     failure and re-executes it from lineage, which is what turns a hung
 //     attempt into a bounded retry instead of a hung job.
 //
-// Heartbeats are the progress signal: every attempt of the fault-tolerant
-// path owns a TaskHeartbeat whose counter the phase bodies bump from their
-// existing batch loops (tuples mapped, kernel emission batches, partitions
-// joined). Stall detection therefore only runs where recovery can act on a
-// cancellation — the fault-tolerant path; on the fast path the watchdog
-// enforces the deadline only.
+// Heartbeats are the progress signal: every attempt of the recovering
+// executor owns a TaskHeartbeat whose counter the phase bodies bump from
+// their existing batch loops (tuples mapped, kernel emission batches,
+// partitions joined). Stall detection therefore only runs where recovery can
+// act on a cancellation — the recovering executor; under the steal executor
+// the watchdog enforces the deadline only.
 #ifndef PASJOIN_EXEC_WATCHDOG_H_
 #define PASJOIN_EXEC_WATCHDOG_H_
 
@@ -38,12 +38,20 @@
 
 namespace pasjoin::exec {
 
+/// Records one instant event with a single integer arg on `track` (no-op
+/// for a null `trace`). The engine's "fault" events and the "cancel" events
+/// of the engine and the watchdog all go through it; tools/trace_summary.py
+/// --validate reconciles them against the fault and cancellation counters.
+void TraceInstant(obs::TraceRecorder* trace, const char* category,
+                  const char* name, int32_t track, const char* arg_name,
+                  int64_t arg_value);
+
 /// Stuck-task watchdog configuration (docs/CANCELLATION.md §"Watchdog
 /// tuning"). Deadlines are enforced independently of `enabled`.
 struct WatchdogOptions {
   /// Master switch for stall detection. Only effective together with
   /// FaultOptions::enabled (recovery is what makes cancelling a stuck
-  /// attempt productive); on the fast path an enabled watchdog is inert.
+  /// attempt productive); under the steal executor it is inert.
   bool enabled = false;
 
   /// An attempt whose heartbeat has not advanced for this long is

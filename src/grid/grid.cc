@@ -133,4 +133,32 @@ std::string Grid::ToString() const {
   return std::string(buf);
 }
 
+SmallVector<CellId, 4> CellsWithinEps(const Grid& grid, const Point& p) {
+  SmallVector<CellId, 4> out;
+  const CellId native = grid.Locate(p);
+  out.push_back(native);
+  const double eps = grid.eps();
+  const double eps2 = eps * eps;
+  // Cell range covered by the eps-ball's bounding box (clamped to the grid).
+  const Rect& mbr = grid.mbr();
+  const double w = grid.cell_width();
+  const double h = grid.cell_height();
+  const int cx_lo =
+      std::max(static_cast<int>(std::floor((p.x - eps - mbr.min_x) / w)), 0);
+  const int cx_hi = std::min(
+      static_cast<int>(std::floor((p.x + eps - mbr.min_x) / w)), grid.nx() - 1);
+  const int cy_lo =
+      std::max(static_cast<int>(std::floor((p.y - eps - mbr.min_y) / h)), 0);
+  const int cy_hi = std::min(
+      static_cast<int>(std::floor((p.y + eps - mbr.min_y) / h)), grid.ny() - 1);
+  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
+    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
+      const CellId cell = grid.CellIdOf(cx, cy);
+      if (cell == native) continue;
+      if (SquaredMinDist(p, grid.CellRect(cell)) <= eps2) out.push_back(cell);
+    }
+  }
+  return out;
+}
+
 }  // namespace pasjoin::grid

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "common/geometry.h"
+#include "common/small_vector.h"
 #include "common/status.h"
 
 namespace pasjoin::grid {
@@ -164,6 +165,13 @@ class Grid {
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
 };
+
+/// Every cell within MINDIST <= grid.eps() of `p`, the native cell
+/// (Grid::Locate) first: the single-set replication of PBSM and of the
+/// self-join's replicated stream. Valid for any cell size, including
+/// baseline grids finer than 2*eps (an eps x eps grid reaches cells two
+/// steps away).
+SmallVector<CellId, 4> CellsWithinEps(const Grid& grid, const Point& p);
 
 }  // namespace pasjoin::grid
 

@@ -127,15 +127,15 @@ TEST(SyncRankTest, IncreasingRankOrderIsAccepted) {
 }
 
 TEST(SyncRankTest, FullLockrankTableOrderIsAccepted) {
-  // The documented engine nesting: phase state -> worker store -> rebuild
-  // stats, with trace registration innermost. Must not abort.
+  // The documented engine nesting: phase state -> worker store -> output
+  // merge, with trace registration innermost. Must not abort.
   Mutex phase("t::phase", lockrank::kEnginePhaseState);
   Mutex store("t::store", lockrank::kEngineWorkerStore);
-  Mutex rebuild("t::rebuild", lockrank::kEngineRebuildStats);
+  Mutex merge("t::merge", lockrank::kEngineOutputMerge);
   Mutex trace("t::trace", lockrank::kTraceShards);
   MutexLock l1(&phase);
   MutexLock l2(&store);
-  MutexLock l3(&rebuild);
+  MutexLock l3(&merge);
   MutexLock l4(&trace);
   SUCCEED();
 }

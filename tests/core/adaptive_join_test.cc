@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "agreements/agreement_graph.h"
 #include "datagen/generators.h"
+#include "grid/grid.h"
+#include "grid/stats.h"
 #include "test_util.h"
 
 namespace pasjoin::core {
@@ -47,6 +50,14 @@ TEST(AdaptiveJoinTest, ValidatesOptions) {
   EXPECT_FALSE(AdaptiveDistanceJoin(r, empty, options).ok());
   options.resolution_factor = 1.2;
   EXPECT_FALSE(AdaptiveDistanceJoin(r, s, options).ok());
+  // Execution knobs are checked before placement needs them.
+  for (const bool use_lpt : {true, false}) {
+    options = BaseOptions();
+    options.use_lpt = use_lpt;
+    options.workers = 0;
+    EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdaptiveJoinTest, MatchesBruteForceForBothPolicies) {
@@ -136,6 +147,34 @@ TEST(AdaptiveJoinTest, ArtifactsDescribeConstruction) {
   EXPECT_GT(artifacts.marked_edges, 0u);
   EXPECT_GE(artifacts.locked_edges, artifacts.marked_edges);
   EXPECT_EQ(run.value().metrics.algorithm, "LPiB");
+}
+
+TEST(AdaptiveJoinTest, UntracedArtifactsCountTheGraphEdges) {
+  // Untraced runs count marked/locked edges only for the artifacts; the
+  // counts must still be those of the graph the driver built.
+  const Dataset r = SmallGaussian(2000, 13);
+  const Dataset s = SmallGaussian(2000, 14);
+  const AdaptiveJoinOptions options = BaseOptions();
+  ASSERT_EQ(options.trace, nullptr);
+  AdaptiveJoinArtifacts artifacts;
+  ASSERT_TRUE(AdaptiveDistanceJoin(r, s, options, &artifacts).ok());
+
+  const grid::Grid grid =
+      grid::Grid::Make(r.Mbr().Union(s.Mbr()), options.eps,
+                       options.resolution_factor)
+          .MoveValue();
+  grid::GridStats stats(&grid);
+  stats.AddSample(Side::kR, r, options.sample_rate, options.sample_seed);
+  stats.AddSample(Side::kS, s, options.sample_rate, options.sample_seed + 1);
+  agreements::AgreementGraph graph = agreements::AgreementGraph::Build(
+      grid, stats, options.policy,
+      agreements::AgreementFor(r.tuples.size() <= s.tuples.size()
+                                   ? Side::kR
+                                   : Side::kS));
+  graph.RunDuplicateFreeMarking(options.marking_order);
+  EXPECT_GT(graph.CountMarked(), 0u);
+  EXPECT_EQ(artifacts.marked_edges, graph.CountMarked());
+  EXPECT_EQ(artifacts.locked_edges, graph.CountLocked());
 }
 
 TEST(AdaptiveJoinTest, ReplicatesFarLessThanUniversalReplication) {

@@ -9,10 +9,13 @@
 
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "exec/engine_test_util.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
 namespace {
+
+using pasjoin::testing::MustRun;
 
 using Param = std::tuple<int /*workers*/, int /*splits*/, int /*physical*/>;
 
@@ -56,7 +59,7 @@ TEST_P(EngineSweep, ResultsAreConfigurationIndependent) {
     return static_cast<int>(static_cast<uint32_t>(p) %
                             static_cast<uint32_t>(workers));
   };
-  const JoinRun run = RunPartitionedJoin(r, s, GridAssign(eps), owner, options);
+  const JoinRun run = MustRun(r, s, GridAssign(eps), owner, options);
   EXPECT_EQ(run.metrics.results, truth);
   EXPECT_EQ(run.metrics.workers, workers);
   EXPECT_EQ(run.metrics.worker_busy_join.size(),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/engine_test_util.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
@@ -13,6 +14,7 @@ namespace {
 
 using pasjoin::testing::BruteForcePairs;
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::MustRun;
 
 /// A simple 1-D partitioner over [0, 10): partition = floor(x), with the
 /// replicated side copied into the neighbor partitions its eps-ball touches.
@@ -56,7 +58,7 @@ TEST(EngineTest, ProducesExactJoinResult) {
   EngineOptions options = BaseOptions();
   options.collect_results = true;
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  JoinRun run = RunPartitionedJoin(r, s, BandAssign(options.eps, Side::kR),
+  JoinRun run = MustRun(r, s, BandAssign(options.eps, Side::kR),
                                    owner, options);
   auto truth = BruteForcePairs(r, s, options.eps);
   EXPECT_EQ(run.metrics.results, truth.size());
@@ -76,15 +78,15 @@ TEST(EngineTest, LocalJoinVariantsAgree) {
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const AssignFn assign = BandAssign(options.eps, Side::kS);
   const uint64_t nl =
-      RunPartitionedJoin(r, s, assign, owner, options, NestedLoopLocalJoin())
+      MustRun(r, s, assign, owner, options, NestedLoopLocalJoin())
           .metrics.results;
   const uint64_t ps =
-      RunPartitionedJoin(r, s, assign, owner, options, PlaneSweepLocalJoin())
+      MustRun(r, s, assign, owner, options, PlaneSweepLocalJoin())
           .metrics.results;
   const uint64_t rt =
-      RunPartitionedJoin(r, s, assign, owner, options, RTreeProbeLocalJoin())
+      MustRun(r, s, assign, owner, options, RTreeProbeLocalJoin())
           .metrics.results;
-  const uint64_t rtr = RunPartitionedJoin(r, s, assign, owner, options,
+  const uint64_t rtr = MustRun(r, s, assign, owner, options,
                                           RTreeProbeLocalJoinIndexing(Side::kR))
                            .metrics.results;
   EXPECT_EQ(nl, ps);
@@ -108,7 +110,7 @@ TEST(EngineTest, KernelSelectionMatrixAgrees) {
         spatial::LocalJoinKernel::kNestedLoop,
         spatial::LocalJoinKernel::kRTree}) {
     options.local_kernel = kernel;
-    JoinRun run = RunPartitionedJoin(r, s, assign, owner, options);
+    JoinRun run = MustRun(r, s, assign, owner, options);
     EXPECT_EQ(run.metrics.local_kernel, spatial::LocalJoinKernelName(kernel));
     ASSERT_EQ(run.pairs.size(), truth.size())
         << spatial::LocalJoinKernelName(kernel);
@@ -135,8 +137,8 @@ TEST(EngineTest, ExplicitLocalJoinOverridesKernelSelection) {
   EngineOptions options = BaseOptions();
   options.local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   const AssignFn assign = BandAssign(options.eps, Side::kS);
-  const JoinRun dispatched = RunPartitionedJoin(r, s, assign, owner, options);
-  const JoinRun overridden = RunPartitionedJoin(r, s, assign, owner, options,
+  const JoinRun dispatched = MustRun(r, s, assign, owner, options);
+  const JoinRun overridden = MustRun(r, s, assign, owner, options,
                                                 NestedLoopLocalJoin());
   EXPECT_EQ(dispatched.metrics.results, overridden.metrics.results);
   EXPECT_EQ(overridden.metrics.local_kernel, "custom");
@@ -152,7 +154,7 @@ TEST(EngineTest, ReplicationCountsOnlyExtraCopies) {
   const Dataset r = MakeDataset(r_pts, 0, "R");
   const Dataset s = MakeDataset(s_pts, 1000, "S");
   EngineOptions options = BaseOptions();
-  const JoinRun run = RunPartitionedJoin(
+  const JoinRun run = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return p % 4; }, options);
   EXPECT_EQ(run.metrics.replicated_r, 10u);
@@ -166,18 +168,18 @@ TEST(EngineTest, ShuffleBytesAccountForPayloads) {
   EngineOptions options = BaseOptions();
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const AssignFn assign = BandAssign(options.eps, Side::kR);
-  const JoinRun bare = RunPartitionedJoin(r, s, assign, owner, options);
+  const JoinRun bare = MustRun(r, s, assign, owner, options);
 
   r.SetPayloadBytes(100);
   s.SetPayloadBytes(100);
-  const JoinRun heavy = RunPartitionedJoin(r, s, assign, owner, options);
+  const JoinRun heavy = MustRun(r, s, assign, owner, options);
   EXPECT_EQ(heavy.metrics.shuffled_tuples, bare.metrics.shuffled_tuples);
   EXPECT_EQ(heavy.metrics.shuffle_bytes,
             bare.metrics.shuffle_bytes + 100 * bare.metrics.shuffled_tuples);
 
   // carry_payloads=false restores the bare byte volume.
   options.carry_payloads = false;
-  const JoinRun stripped = RunPartitionedJoin(r, s, assign, owner, options);
+  const JoinRun stripped = MustRun(r, s, assign, owner, options);
   EXPECT_EQ(stripped.metrics.shuffle_bytes, bare.metrics.shuffle_bytes);
 }
 
@@ -187,14 +189,14 @@ TEST(EngineTest, RemoteBytesDependOnPlacement) {
   EngineOptions options = BaseOptions();
   options.workers = 1;  // single worker: nothing is remote
   options.num_splits = 4;
-  const JoinRun local = RunPartitionedJoin(
+  const JoinRun local = MustRun(
       r, s, BandAssign(options.eps, Side::kR), [](PartitionId) { return 0; },
       options);
   EXPECT_EQ(local.metrics.shuffle_remote_bytes, 0u);
   EXPECT_GT(local.metrics.shuffle_bytes, 0u);
 
   options.workers = 4;
-  const JoinRun spread = RunPartitionedJoin(
+  const JoinRun spread = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return (p + 1) % 4; }, options);
   EXPECT_GT(spread.metrics.shuffle_remote_bytes, 0u);
@@ -221,12 +223,12 @@ TEST(EngineTest, DeduplicateRemovesInflatedResults) {
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const size_t truth = BruteForcePairs(r, s, options.eps).size();
 
-  const JoinRun raw = RunPartitionedJoin(r, s, both, owner, options);
+  const JoinRun raw = MustRun(r, s, both, owner, options);
   EXPECT_GT(raw.metrics.results, truth);  // duplicates present
 
   options.deduplicate = true;
   options.collect_results = true;
-  const JoinRun dedup = RunPartitionedJoin(r, s, both, owner, options);
+  const JoinRun dedup = MustRun(r, s, both, owner, options);
   EXPECT_EQ(dedup.metrics.results, truth);
   EXPECT_EQ(dedup.pairs.size(), truth);
   EXPECT_GT(dedup.metrics.dedup_seconds, 0.0);
@@ -236,7 +238,7 @@ TEST(EngineTest, MetricsBookkeeping) {
   const Dataset r = MakeDataset(RandomPoints(100, 11), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(100, 12), 1000, "S");
   EngineOptions options = BaseOptions();
-  const JoinRun run = RunPartitionedJoin(
+  const JoinRun run = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return p % 4; }, options);
   const JobMetrics& m = run.metrics;

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "exec/engine_test_util.h"
 #include "obs/trace_recorder.h"
 #include "test_util.h"
 
@@ -22,6 +23,7 @@ namespace {
 
 using pasjoin::testing::BruteForcePairs;
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::MustRun;
 
 /// 1-D band partitioner over [0, 10): partition = floor(x), replicated side
 /// copied into every neighbor partition its eps-ball touches.
@@ -83,11 +85,11 @@ TEST(EngineTraceTest, TracedAndUntracedRunsProduceIdenticalResults) {
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const AssignFn assign = BandAssign(options.eps, Side::kR);
 
-  JoinRun untraced = RunPartitionedJoin(r, s, assign, owner, options);
+  JoinRun untraced = MustRun(r, s, assign, owner, options);
 
   obs::TraceRecorder recorder;
   options.trace = &recorder;
-  JoinRun traced = RunPartitionedJoin(r, s, assign, owner, options);
+  JoinRun traced = MustRun(r, s, assign, owner, options);
 
   std::sort(untraced.pairs.begin(), untraced.pairs.end());
   std::sort(traced.pairs.begin(), traced.pairs.end());
@@ -106,7 +108,7 @@ TEST(EngineTraceTest, TraceCoversEveryPhaseWithWorkerAttribution) {
   options.deduplicate = true;
   obs::TraceRecorder recorder;
   options.trace = &recorder;
-  const JoinRun run = RunPartitionedJoin(
+  const JoinRun run = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return p % 4; }, options);
   (void)run;
@@ -144,7 +146,7 @@ TEST(EngineTraceTest, JoinPartitionSpansReconcileWithCounters) {
   EngineOptions options = BaseOptions();
   obs::TraceRecorder recorder;
   options.trace = &recorder;
-  const JoinRun run = RunPartitionedJoin(
+  const JoinRun run = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return p % 4; }, options);
 
@@ -185,8 +187,8 @@ TEST(EngineTraceTest, ReusedRecorderReflectsTheLatestRunOnly) {
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const AssignFn assign = BandAssign(options.eps, Side::kR);
 
-  RunPartitionedJoin(r, s, assign, owner, options);
-  const JoinRun second = RunPartitionedJoin(r, s, assign, owner, options);
+  MustRun(r, s, assign, owner, options);
+  const JoinRun second = MustRun(r, s, assign, owner, options);
   // Counters are Clear()ed at run start, not accumulated across runs.
   EXPECT_EQ(recorder.counters().Get("candidates"), second.metrics.candidates);
   EXPECT_EQ(recorder.counters().Get("results"), second.metrics.results);
@@ -204,7 +206,7 @@ TEST(EngineTraceTest, FaultTolerantTracedRunRecordsRecoveryEvents) {
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
   const AssignFn assign = BandAssign(options.eps, Side::kR);
 
-  const JoinRun clean = RunPartitionedJoin(
+  const JoinRun clean = MustRun(
       r, s, assign, owner, [&options] {
         EngineOptions o = options;
         o.fault = FaultOptions{};

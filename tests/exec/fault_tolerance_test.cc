@@ -11,12 +11,15 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "exec/engine_test_util.h"
+#include "obs/trace_recorder.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
@@ -24,6 +27,7 @@ namespace {
 
 using pasjoin::testing::BruteForcePairs;
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::MustRun;
 
 /// A simple 1-D partitioner over [0, 10): partition = floor(x), with the
 /// replicated side copied into the neighbor partitions its eps-ball touches.
@@ -62,37 +66,92 @@ EngineOptions BaseOptions() {
   return options;
 }
 
+/// Number of committed join-task spans in `recorder`'s trace.
+uint64_t CommittedJoinTasks(const obs::TraceRecorder& recorder) {
+  uint64_t committed = 0;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (std::string(e.name) != "join-task") continue;
+    int64_t commit = 1;
+    for (int i = 0; i < e.num_args; ++i) {
+      if (std::string(e.arg_names[i]) == "committed") {
+        commit = e.arg_values[i];
+      }
+    }
+    if (commit != 0) ++committed;
+  }
+  return committed;
+}
+
 std::vector<ResultPair> SortedPairs(JoinRun run) {
   std::sort(run.pairs.begin(), run.pairs.end());
   return run.pairs;
 }
 
-/// Runs the join and requires success.
-JoinRun MustRun(const Dataset& r, const Dataset& s, const AssignFn& assign,
-                const OwnerFn& owner, const EngineOptions& options) {
-  Result<JoinRun> result = TryRunPartitionedJoin(r, s, assign, owner, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  PASJOIN_CHECK(result.ok());
-  return result.MoveValue();
-}
-
 TEST(FaultToleranceTest, FaultFreeRunMatchesFastPath) {
+  // The recovering executor without faults must match the steal executor
+  // for every kernel and thread count: same dataflow, same task lists.
   const Dataset r = MakeDataset(RandomPoints(300, 21), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(300, 22), 1000, "S");
-  EngineOptions options = BaseOptions();
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  const AssignFn assign = BandAssign(options.eps, Side::kR);
+  for (const int threads : {1, 4}) {
+    for (const spatial::LocalJoinKernel kernel :
+         {spatial::LocalJoinKernel::kSweepSoA,
+          spatial::LocalJoinKernel::kPlaneSweep,
+          spatial::LocalJoinKernel::kNestedLoop,
+          spatial::LocalJoinKernel::kRTree}) {
+      EngineOptions options = BaseOptions();
+      options.physical_threads = threads;
+      options.local_kernel = kernel;
+      const AssignFn assign = BandAssign(options.eps, Side::kR);
+      const std::string label = std::string(spatial::LocalJoinKernelName(
+                                    kernel)) +
+                                "/T" + std::to_string(threads);
 
-  const JoinRun fast = MustRun(r, s, assign, owner, options);
-  options.fault.enabled = true;  // all probabilities zero: no faults fire
-  const JoinRun tolerant = MustRun(r, s, assign, owner, options);
+      obs::TraceRecorder fast_trace;
+      options.trace = &fast_trace;
+      const JoinRun fast = MustRun(r, s, assign, owner, options);
+      obs::TraceRecorder tolerant_trace;
+      options.trace = &tolerant_trace;
+      options.fault.enabled = true;  // all probabilities zero: no faults
+      const JoinRun tolerant = MustRun(r, s, assign, owner, options);
 
-  EXPECT_EQ(tolerant.metrics.results, fast.metrics.results);
-  EXPECT_EQ(tolerant.metrics.shuffled_tuples, fast.metrics.shuffled_tuples);
-  EXPECT_EQ(tolerant.metrics.candidates, fast.metrics.candidates);
-  EXPECT_EQ(SortedPairs(tolerant), SortedPairs(fast));
-  EXPECT_EQ(tolerant.metrics.tasks_failed, 0u);
-  EXPECT_EQ(tolerant.metrics.tasks_retried, 0u);
+      EXPECT_EQ(tolerant.metrics.results, fast.metrics.results) << label;
+      EXPECT_EQ(tolerant.metrics.shuffled_tuples,
+                fast.metrics.shuffled_tuples)
+          << label;
+      EXPECT_EQ(tolerant.metrics.candidates, fast.metrics.candidates)
+          << label;
+      EXPECT_EQ(tolerant.metrics.partitions_joined,
+                fast.metrics.partitions_joined)
+          << label;
+      EXPECT_EQ(CommittedJoinTasks(tolerant_trace),
+                CommittedJoinTasks(fast_trace))
+          << label;
+      EXPECT_EQ(SortedPairs(tolerant), SortedPairs(fast)) << label;
+      EXPECT_EQ(tolerant.metrics.tasks_failed, 0u) << label;
+      EXPECT_EQ(tolerant.metrics.tasks_retried, 0u) << label;
+    }
+  }
+}
+
+TEST(FaultToleranceTest, JoinRunsOneCommittedTaskPerPartition) {
+  // Both executors join per (worker, partition): a fault-enabled run has
+  // one committed join-task span per joined partition.
+  const Dataset r = MakeDataset(RandomPoints(300, 52), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 53), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.fault.enabled = true;
+  options.fault.seed = 3;
+  options.fault.join_failure_p = 0.3;
+  options.fault.max_retries = 25;
+  options.fault.backoff_base_ms = 0.05;
+  obs::TraceRecorder recorder;
+  options.trace = &recorder;
+  const JoinRun run = MustRun(r, s, BandAssign(options.eps, Side::kR),
+                              [](PartitionId p) { return p % 4; }, options);
+
+  EXPECT_GT(run.metrics.partitions_joined, 4u);
+  EXPECT_EQ(CommittedJoinTasks(recorder), run.metrics.partitions_joined);
 }
 
 TEST(FaultToleranceTest, RecoversExactResultUnderInjectedFailures) {
@@ -198,6 +257,21 @@ TEST(FaultToleranceTest, TargetedPartitionFailureRecovers) {
   EXPECT_EQ(SortedPairs(recovered), truth);
   EXPECT_GT(recovered.metrics.tasks_failed, 0u);
   EXPECT_GT(recovered.metrics.tasks_retried, 0u);
+}
+
+TEST(FaultToleranceTest, TargetedPartitionsFailTheirOwnTasks) {
+  // Partitions 3 and 7 are both owned by worker 3; each fails the task
+  // that joins it, not the worker's whole join, so two tasks fail.
+  const Dataset r = MakeDataset(RandomPoints(300, 31), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 32), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.fault.enabled = true;
+  options.fault.fail_partitions = {3, 7};
+  const JoinRun run =
+      MustRun(r, s, BandAssign(options.eps, Side::kR),
+              [](PartitionId p) { return p % 4; }, options);
+  EXPECT_EQ(run.metrics.tasks_failed, 2u);
+  EXPECT_EQ(run.metrics.tasks_retried, 2u);
 }
 
 TEST(FaultToleranceTest, StragglersAreSpeculatedAndResultStaysExact) {

@@ -18,12 +18,14 @@
 
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "exec/engine_test_util.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
 namespace {
 
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::MustRun;
 
 /// 1-D band partitioner over [0, 10): partition = floor(x), R replicated
 /// into every neighbor partition its eps-ball touches — so the join emits
@@ -131,14 +133,14 @@ TEST(ParallelDeterminismTest, ThreadCountIsNeverObservable) {
     // Baseline: one physical thread. Stealing degenerates to sequential
     // execution, so this is the reference the parallel runs must match.
     JoinRun base =
-        RunPartitionedJoin(r, s, assign, owner, CaseOptions(c, 1));
+        MustRun(r, s, assign, owner, CaseOptions(c, 1));
     std::sort(base.pairs.begin(), base.pairs.end());
     EXPECT_GT(base.metrics.results, 0u) << CaseName(c);
     EXPECT_EQ(base.metrics.physical_threads, 1) << CaseName(c);
 
     for (int threads : {2, 5}) {
       JoinRun run =
-          RunPartitionedJoin(r, s, assign, owner, CaseOptions(c, threads));
+          MustRun(r, s, assign, owner, CaseOptions(c, threads));
       std::sort(run.pairs.begin(), run.pairs.end());
       EXPECT_EQ(run.metrics.physical_threads, threads) << CaseName(c);
       ExpectIdentical(base, run,
@@ -157,12 +159,12 @@ TEST(ParallelDeterminismTest, RepeatedParallelRunsAreIdentical) {
   const OwnerFn owner = [](PartitionId p) { return static_cast<int>(p) % 8; };
   const MatrixCase c{spatial::LocalJoinKernel::kSweepSoA, 8, false};
 
-  JoinRun first = RunPartitionedJoin(r, s, assign, owner, CaseOptions(c, 5));
+  JoinRun first = MustRun(r, s, assign, owner, CaseOptions(c, 5));
   std::sort(first.pairs.begin(), first.pairs.end());
   ASSERT_GT(first.pairs.size(), 0u);
   for (int rep = 0; rep < 4; ++rep) {
     JoinRun again =
-        RunPartitionedJoin(r, s, assign, owner, CaseOptions(c, 5));
+        MustRun(r, s, assign, owner, CaseOptions(c, 5));
     std::sort(again.pairs.begin(), again.pairs.end());
     ExpectIdentical(first, again, "rep " + std::to_string(rep));
   }
@@ -184,11 +186,11 @@ TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
   options.collect_results = true;
 
   options.physical_threads = 1;
-  JoinRun base = RunPartitionedJoin(r, s, assign, owner, options);
+  JoinRun base = MustRun(r, s, assign, owner, options);
   std::sort(base.pairs.begin(), base.pairs.end());
   for (int threads : {2, 5}) {
     options.physical_threads = threads;
-    JoinRun run = RunPartitionedJoin(r, s, assign, owner, options);
+    JoinRun run = MustRun(r, s, assign, owner, options);
     std::sort(run.pairs.begin(), run.pairs.end());
     ExpectIdentical(base, run, "T" + std::to_string(threads));
   }

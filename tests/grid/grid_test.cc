@@ -1,7 +1,12 @@
 // Copyright 2026 The pasjoin Authors.
 #include "grid/grid.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace pasjoin::grid {
 namespace {
@@ -195,6 +200,77 @@ TEST(GridTest, SingleRowGridHasNoQuartets) {
 TEST(GridTest, ToStringMentionsShape) {
   const Grid g = MakeGrid(10, 10, 1.0, 2.0);
   EXPECT_NE(g.ToString().find("grid 4x4"), std::string::npos);
+}
+
+/// True when cell `c` holds a point within eps of `p`, checked against the
+/// cell's closed rectangle (`closed`) or against the half-open cell that
+/// Grid::Locate fills, whose max edges belong to the next cell except on the
+/// last row/column.
+bool CellWithinEps(const Grid& g, CellId c, const Point& p, bool closed) {
+  const Rect rect = g.CellRect(c);
+  const double d2 = SquaredMinDist(p, rect);
+  const double eps2 = g.eps() * g.eps();
+  if (d2 < eps2 || (closed && d2 == eps2)) return true;
+  if (d2 > eps2) return false;
+  // Exactly eps away: only if the nearest point is not on an open edge.
+  const bool open_x = g.CellX(c) < g.nx() - 1 &&
+                      std::clamp(p.x, rect.min_x, rect.max_x) == rect.max_x;
+  const bool open_y = g.CellY(c) < g.ny() - 1 &&
+                      std::clamp(p.y, rect.min_y, rect.max_y) == rect.max_y;
+  return !open_x && !open_y;
+}
+
+TEST(CellsWithinEpsTest, MatchesBruteForceMinDistOnEpsAndTwoEpsGrids) {
+  // Brute force over every cell: CellsWithinEps must return every cell that
+  // can hold a point within eps (else a join partner is missed) and no cell
+  // whose MINDIST exceeds eps; a cell exactly eps away across an edge
+  // Locate gives to its neighbor may go either way.
+  const double eps = 0.5;
+  const Rect mbr{0, 0, 6.0, 4.5};
+  for (const double factor : {1.0, 2.0}) {
+    Result<Grid> made = Grid::MakeForBaseline(mbr, eps, factor);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const Grid& g = made.value();
+    ASSERT_DOUBLE_EQ(g.cell_width(), factor * eps);
+    // Points on every cell edge and corner, on the eps bands around them,
+    // on the MBR boundary, and at random.
+    std::vector<Point> points;
+    for (int cx = 0; cx <= g.nx(); ++cx) {
+      for (int cy = 0; cy <= g.ny(); ++cy) {
+        const double x = mbr.min_x + cx * g.cell_width();
+        const double y = mbr.min_y + cy * g.cell_height();
+        for (const double dx : {0.0, -eps, eps, 0.5 * eps}) {
+          for (const double dy : {0.0, -eps, eps, 0.25 * eps}) {
+            points.push_back(Point{std::clamp(x + dx, mbr.min_x, mbr.max_x),
+                                   std::clamp(y + dy, mbr.min_y, mbr.max_y)});
+          }
+        }
+      }
+    }
+    Rng rng(17);
+    for (int i = 0; i < 500; ++i) {
+      points.push_back(Point{rng.NextUniform(mbr.min_x, mbr.max_x),
+                             rng.NextUniform(mbr.min_y, mbr.max_y)});
+    }
+    for (const Point& p : points) {
+      const std::vector<CellId> cells = CellsWithinEps(g, p).ToVector();
+      ASSERT_FALSE(cells.empty());
+      EXPECT_EQ(cells.front(), g.Locate(p)) << "native cell first";
+      for (CellId c = 0; c < g.num_cells(); ++c) {
+        const auto n = std::count(cells.begin(), cells.end(), c);
+        EXPECT_LE(n, 1) << "cell " << c << " listed twice";
+        if (CellWithinEps(g, c, p, /*closed=*/false)) {
+          EXPECT_EQ(n, 1) << "factor " << factor << " point (" << p.x << ", "
+                          << p.y << ") misses cell " << c;
+        }
+        if (n == 1 && c != cells.front()) {
+          EXPECT_TRUE(CellWithinEps(g, c, p, /*closed=*/true))
+              << "factor " << factor << " point (" << p.x << ", " << p.y
+              << ") lists cell " << c << " beyond eps";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

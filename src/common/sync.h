@@ -146,7 +146,7 @@ inline constexpr int kWatchdogRegistry = 60;
 /// Outermost engine lock — held while submitting to the thread pool.
 inline constexpr int kEnginePhaseState = 100;
 /// exec engine: the partition store of a worker lost in the join phase
-/// (its one lineage rebuild runs under it).
+/// (its one rebuild, a re-run of the worker's regroup, runs under it).
 inline constexpr int kEngineWorkerStore = 200;
 /// exec engine: per-worker result-merge slots of the join phase — a thread
 /// flushes its thread-local pair buffer into one slot per acquisition and

@@ -7,18 +7,21 @@
 // output, and a commit that publishes it — handed to an executor:
 //
 //   * StealExecutor (fault injection disabled): every task runs exactly
-//     once on a work-stealing runner and commits in place; map outputs are
-//     moved into the per-worker stores and freed eagerly;
+//     once on a work-stealing runner and commits in place; each worker's
+//     regroup consumes and frees its inbound shuffle blocks;
 //   * RecoveringExecutor (FaultOptions::enabled): every task runs under a
 //     recovery runner that re-executes failed attempts from retained inputs
 //     (bounded retries with exponential backoff), fails over a lost logical
 //     worker, and launches speculative backups for straggling tasks (first
-//     finisher commits, exactly once). The dataflow keeps the map outputs
-//     and per-partition lineage so a lost worker's partitions can be rebuilt.
+//     finisher commits, exactly once). The dataflow keeps the shuffle
+//     blocks, so a lost worker's store is rebuilt by re-running its regroup.
 //
-// Both executors run the same task lists, including one join task per
-// (worker, partition). See docs/FAULT_TOLERANCE.md for the recovery model
-// and docs/PARALLELISM.md for stealing.
+// The shuffle is columnar (exec/shuffle.h): map tasks write one column
+// block per destination worker, regroup sorts a worker's blocks into
+// contiguous partition runs, and the join reads the runs in place. Both
+// executors run the same task lists, including one join task per (worker,
+// partition). See docs/FAULT_TOLERANCE.md for the recovery model and
+// docs/PARALLELISM.md for stealing.
 #include "exec/engine.h"
 
 #include <algorithm>
@@ -29,9 +32,9 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "common/stopwatch.h"
 #include "common/sync.h"
 #include "exec/phase_clock.h"
+#include "exec/shuffle.h"
 #include "exec/steal_queue.h"
 #include "exec/thread_pool.h"
 #include "obs/counters.h"
@@ -50,44 +54,18 @@ namespace pasjoin::exec {
 
 namespace {
 
-/// A tuple instance in flight through the shuffle.
-struct Routed {
-  PartitionId part;
-  Side side;
-  Tuple tuple;
-};
-
 /// Per-thread state of the phases whose tasks need no scratch.
 struct NoPhaseState {};
 
-struct PartitionBuffers {
-  std::vector<Tuple> r;
-  std::vector<Tuple> s;
-};
-
 struct MapTaskOutput {
-  /// Routed tuples grouped by destination worker.
-  std::vector<std::vector<Routed>> by_worker;
+  /// One column block per destination worker.
+  std::vector<ShuffleBlock> by_worker;
   uint64_t replicated = 0;
   uint64_t shuffled_tuples = 0;
   uint64_t shuffle_bytes = 0;
   uint64_t remote_bytes = 0;
-};
-
-/// Per-partition buffers held by one logical worker.
-using Store = std::unordered_map<PartitionId, PartitionBuffers>;
-
-/// Lineage of one worker's partitions: for each partition, the map tasks
-/// (input splits) that contributed tuples to it. Held by the driver, so it
-/// survives the loss of the worker itself — exactly like Spark's
-/// driver-side RDD lineage.
-using WorkerLineage = std::unordered_map<PartitionId, std::vector<int32_t>>;
-
-/// One worker's regroup output. `lineage` is recorded only when the
-/// executor retains its inputs for re-execution.
-struct WorkerStore {
-  Store parts;
-  WorkerLineage lineage;
+  /// Why the task's split cannot be routed (the lowest offending index).
+  Status error;
 };
 
 }  // namespace
@@ -154,11 +132,50 @@ namespace {
 // recovering executor retains, which is what makes re-execution safe.
 // ---------------------------------------------------------------------------
 
+/// The error of tuple `i` of `d`, which cannot be routed.
+Status RoutingError(const Dataset& d, size_t i, const std::string& problem) {
+  return Status::InvalidArgument(problem + " in dataset '" + d.name +
+                                 "' at index " + std::to_string(i));
+}
+
+/// Whether a point can be routed: its coordinates are finite and, when
+/// `bounds` has positive area, it lies inside. Such bounds mean the caller
+/// partitions exactly that rectangle, and Grid::Locate would silently clamp
+/// an outside point into an edge cell, so replication would run against
+/// the wrong cell rectangle. Contains() is closed, so exact-boundary points
+/// stay valid (Grid::Locate clamps max-edge coordinates into the last cell
+/// — the one clamp that is correct).
+bool Routable(const Point& pt, const Rect& bounds) {
+  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) return false;
+  return !(bounds.Area() > 0.0) || bounds.Contains(pt);
+}
+
+/// The error of tuple `i` of `d`, whose point is not Routable.
+Status PointError(const Dataset& d, size_t i, const Rect& bounds) {
+  const Point pt = d.tuples[i].pt;
+  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) {
+    return RoutingError(d, i, "non-finite coordinate");
+  }
+  return Status::InvalidArgument(
+      "point outside declared bounds in dataset '" + d.name + "' at index " +
+      std::to_string(i) + ": (" + std::to_string(pt.x) + ", " +
+      std::to_string(pt.y) + ") not in [" + std::to_string(bounds.min_x) +
+      ", " + std::to_string(bounds.max_x) + "] x [" +
+      std::to_string(bounds.min_y) + ", " + std::to_string(bounds.max_y) +
+      "]");
+}
+
 /// Computes one map task: routes split `task % num_splits` of relation
-/// (task < num_splits ? R : S) to its destination workers. Idempotent — the
-/// input splits ("HDFS blocks") are always retained. Polls `cancel` every
-/// kKernelPollGrain tuples and returns a partial output once it fires (the
-/// caller discards it — cancelled attempts never publish).
+/// (task < num_splits ? R : S) into one column block per destination
+/// worker, copying payload bytes only when they are carried. Idempotent —
+/// the input splits ("HDFS blocks") are always retained.
+///
+/// Validates as it routes: a tuple whose point is not Routable, whose
+/// `assign` returns no partition, or one of whose partitions `owner` maps
+/// outside [0, workers) stops the task with `error` naming it; the lowest
+/// such index is the split's first. Polls `cancel` every kKernelPollGrain
+/// tuples and returns a partial output once it fires (the caller discards
+/// it — cancelled attempts never publish).
 MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
                              const AssignFn& assign, const OwnerFn& owner,
                              const EngineOptions& options, int num_splits,
@@ -167,8 +184,8 @@ MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
   const bool is_r = task < num_splits;
   const int split = task % num_splits;
   const Side side = is_r ? Side::kR : Side::kS;
-  const std::vector<Tuple>& tuples = (is_r ? r : s).tuples;
-  const size_t n = tuples.size();
+  const Dataset& d = is_r ? r : s;
+  const size_t n = d.tuples.size();
   const size_t lo =
       n * static_cast<size_t>(split) / static_cast<size_t>(num_splits);
   const size_t hi =
@@ -176,26 +193,36 @@ MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
   const int src_worker = split % workers;
 
   MapTaskOutput out;
-  out.by_worker.resize(static_cast<size_t>(workers));
+  out.by_worker.assign(static_cast<size_t>(workers),
+                       ShuffleBlock(side, options.carry_payloads));
   for (size_t i = lo; i < hi; ++i) {
-    const Tuple& t = tuples[i];
+    const Tuple& t = d.tuples[i];
+    if (!Routable(t.pt, options.bounds)) {
+      out.error = PointError(d, i, options.bounds);
+      return out;
+    }
     const PartitionList parts = assign(t, side);
-    PASJOIN_DCHECK(!parts.empty());
+    if (parts.empty()) {
+      out.error = RoutingError(d, i, "assign returned no partition");
+      return out;
+    }
     out.replicated += parts.size() - 1;
     for (size_t p = 0; p < parts.size(); ++p) {
       const PartitionId part = parts[p];
       const int dest = owner(part);
-      Routed routed;
-      routed.part = part;
-      routed.side = side;
-      routed.tuple.id = t.id;
-      routed.tuple.pt = t.pt;
-      if (options.carry_payloads) routed.tuple.payload = t.payload;
-      const uint64_t bytes = routed.tuple.ShuffleBytes();
+      if (dest < 0 || dest >= workers) {
+        out.error = RoutingError(
+            d, i,
+            "owner placed partition " + std::to_string(part) +
+                " on worker " + std::to_string(dest) + ", outside [0, " +
+                std::to_string(workers) + ")");
+        return out;
+      }
+      const uint64_t bytes =
+          out.by_worker[static_cast<size_t>(dest)].Append(part, t);
       out.shuffled_tuples += 1;
       out.shuffle_bytes += bytes;
       if (dest != src_worker) out.remote_bytes += bytes;
-      out.by_worker[static_cast<size_t>(dest)].push_back(std::move(routed));
     }
     if (cancel != nullptr &&
         ((i - lo) & (spatial::kKernelPollGrain - 1)) ==
@@ -235,28 +262,6 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
   reg->Add("shuffled_tuples", shuffled_tuples);
   reg->Add("shuffle_bytes", shuffle_bytes);
   reg->Add("shuffle_remote_bytes", remote_bytes);
-}
-
-/// Lineage-based recovery: refills the dropped (emptied) buffers of worker
-/// `w` by re-reading exactly the retained map outputs its lineage names.
-/// Buffers are refilled in place, so pointers into `store->parts` stay
-/// valid.
-void RebuildWorkerStore(int w, const std::vector<MapTaskOutput>& map_out,
-                        WorkerStore* store) {
-  std::vector<int32_t> tasks;
-  for (const auto& [part, contributors] : store->lineage) {
-    (void)part;
-    tasks.insert(tasks.end(), contributors.begin(), contributors.end());
-  }
-  std::sort(tasks.begin(), tasks.end());
-  tasks.erase(std::unique(tasks.begin(), tasks.end()), tasks.end());
-  for (int32_t task : tasks) {
-    const MapTaskOutput& out = map_out[static_cast<size_t>(task)];
-    for (const Routed& routed : out.by_worker[static_cast<size_t>(w)]) {
-      PartitionBuffers& buf = store->parts[routed.part];
-      (routed.side == Side::kR ? buf.r : buf.s).push_back(routed.tuple);
-    }
-  }
 }
 
 /// The resolved local-join strategy of one run: either the native SoA sweep
@@ -318,28 +323,34 @@ struct JoinOutput {
 
 /// Per-thread join state, reused across every partition the thread joins:
 /// the kernel scratch (SoaPartition instances are strictly one-per-thread,
-/// spatial/sweep_kernel.h), a private copy of the buffers for attempts that
-/// must not reorder shared ones, a recycled pair buffer for the next
-/// attempt, and the per-worker accumulators flushed in batches into the
-/// merge slots.
+/// spatial/sweep_kernel.h), the tuples gathered for a type-erased kernel
+/// (which may reorder them), a recycled pair buffer for the next attempt,
+/// and the per-worker accumulators flushed in batches into the merge slots.
 struct JoinThreadState {
   spatial::SoaPartition soa_r;
   spatial::SoaPartition soa_s;
   std::vector<ResultPair> self_scratch;
-  PartitionBuffers copy;
+  std::vector<Tuple> r_tuples;
+  std::vector<Tuple> s_tuples;
   std::vector<ResultPair> spare_pairs;
   /// Indexed by logical worker; sized on the thread's first commit.
   std::vector<JoinOutput> acc;
 };
 
-/// Joins ONE partition's buffers into the empty `out`. May reorder buffer
-/// contents (the local join owns them) but never changes the produced
-/// multiset. The native SoA path only reads the buffers; it polls `cancel`
-/// inside the sweep (kKernelPollGrain pivots) and pulses once per partition.
-/// Type-erased kernels pulse their candidate count after the partition
-/// (their LocalJoinFn signature predates cancellation). A cancelled call
-/// leaves partial output, which is never committed.
-void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
+/// The [begin, end) slice of column `v`.
+template <typename T>
+std::span<const T> Slice(const std::vector<T>& v, size_t begin, size_t end) {
+  return {v.data() + begin, end - begin};
+}
+
+/// Joins ONE partition run of `store` into the empty `out`, never changing
+/// the store. The native SoA path loads the run's columns in place; it
+/// polls `cancel` inside the sweep (kKernelPollGrain pivots) and pulses once
+/// per partition. A type-erased kernel joins tuples gathered into the
+/// thread's buffers, which it may reorder, and pulses its candidate count
+/// after the partition (its LocalJoinFn signature predates cancellation).
+/// A cancelled call leaves partial output, which is never committed.
+void JoinSinglePartition(const WorkerStore& store, const PartitionRun& run,
                          const EngineOptions& options,
                          const KernelDispatch& kernel, bool keep_pairs,
                          JoinThreadState* scratch, JoinOutput* out,
@@ -348,13 +359,19 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
   const bool self_join = options.self_join;
   obs::ScopedSpan span(trace, "join-partition", "engine");
   span.SetStringArg("kernel", kernel.name);
-  span.AddArg("cell", part);
+  span.AddArg("cell", run.part);
   std::vector<ResultPair>* pairs = &out->pairs;
   uint64_t* filtered = &out->filtered;
   out->partitions = 1;
   if (!kernel.fn) {
-    scratch->soa_r.LoadSorted(buf->r, &out->timings, trace);
-    scratch->soa_s.LoadSorted(buf->s, &out->timings, trace);
+    scratch->soa_r.LoadSorted(Slice(store.x, run.begin, run.mid),
+                              Slice(store.y, run.begin, run.mid),
+                              Slice(store.id, run.begin, run.mid),
+                              &out->timings, trace);
+    scratch->soa_s.LoadSorted(Slice(store.x, run.mid, run.end),
+                              Slice(store.y, run.mid, run.end),
+                              Slice(store.id, run.mid, run.end),
+                              &out->timings, trace);
     if (self_join) {
       // The sweep sees every ordered match; keep r.id < s.id (each
       // unordered pair once) and count the rest so the phase total can be
@@ -392,21 +409,22 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
           }
           if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
         };
-    out->counters = kernel.fn(&buf->r, &buf->s, options.eps, emit);
+    GatherTuples(store, run.begin, run.mid, &scratch->r_tuples);
+    GatherTuples(store, run.mid, run.end, &scratch->s_tuples);
+    out->counters =
+        kernel.fn(&scratch->r_tuples, &scratch->s_tuples, options.eps, emit);
     if (cancel != nullptr) cancel->Pulse(out->counters.candidates + 1);
   }
   span.AddArg("candidates", static_cast<int64_t>(out->counters.candidates));
   span.AddArg("results", static_cast<int64_t>(out->counters.results));
 }
 
-/// One (worker, partition) task of the join phase. The buffer pointer stays
-/// valid for the whole phase: the stores are built before the items and
-/// never rehashed while the join runs (a lineage rebuild refills them in
-/// place).
+/// One (worker, partition) task of the join phase: run `run` of the
+/// worker's store, which joins partition `part`.
 struct JoinItem {
   int worker = 0;
   PartitionId part = 0;
-  PartitionBuffers* buf = nullptr;
+  size_t run = 0;
 };
 
 /// Shared merge slot of one logical worker's join output. Runner threads
@@ -428,9 +446,10 @@ void FlushJoinOutput(JoinOutput* acc, WorkerMergeSlot* slot) {
   slot->out.Absorb(acc);
 }
 
-/// A worker lost in the join phase: its buffers are dropped before the
-/// phase, and the first attempt that needs them rebuilds them from lineage
-/// under `mu` (rank kEngineWorkerStore) while the others wait.
+/// A worker lost in the join phase: its store is dropped before the phase,
+/// and the first attempt that needs it rebuilds it by re-running the
+/// worker's regroup over the retained shuffle blocks, under `mu` (rank
+/// kEngineWorkerStore) while the others wait.
 struct LostWorkerStore {
   Mutex mu{"LostWorkerStore::mu", lockrank::kEngineWorkerStore};
   bool rebuilt PASJOIN_GUARDED_BY(mu) = false;
@@ -509,40 +528,6 @@ void AccumulateDedupShuffle(
 }
 
 // ---------------------------------------------------------------------------
-// Input validation (kInvalidArgument instead of silently producing garbage).
-// ---------------------------------------------------------------------------
-
-Status ValidateDatasetCoordinates(const Dataset& d, const Rect& bounds) {
-  // A positive-area bounds rect means the caller partitions the data space
-  // over exactly that rectangle. Points outside it used to be silently
-  // clamped into edge cells by Grid::Locate, so replication decisions ran
-  // against the wrong cell rectangle and near-boundary matches could be
-  // missed without any error; now the run is rejected up front, naming the
-  // first offender. Contains() is closed, so exact-boundary points stay
-  // valid (Grid::Locate keeps clamping max-edge coordinates into the last
-  // cell — the one clamp that is correct).
-  const bool check_bounds = bounds.Area() > 0.0;
-  for (size_t i = 0; i < d.tuples.size(); ++i) {
-    const Tuple& t = d.tuples[i];
-    if (!std::isfinite(t.pt.x) || !std::isfinite(t.pt.y)) {
-      return Status::InvalidArgument("non-finite coordinate in dataset '" +
-                                     d.name + "' at index " +
-                                     std::to_string(i));
-    }
-    if (check_bounds && !bounds.Contains(t.pt)) {
-      return Status::InvalidArgument(
-          "point outside declared bounds in dataset '" + d.name +
-          "' at index " + std::to_string(i) + ": (" + std::to_string(t.pt.x) +
-          ", " + std::to_string(t.pt.y) + ") not in [" +
-          std::to_string(bounds.min_x) + ", " + std::to_string(bounds.max_x) +
-          "] x [" + std::to_string(bounds.min_y) + ", " +
-          std::to_string(bounds.max_y) + "]");
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // Executors. Both run a phase given as:
 //
 //   owner_of(task)                    -> logical worker the task belongs to
@@ -578,15 +563,16 @@ constexpr std::array<const char*, 5> kTaskSpanNames = {
     "map-task", "regroup-task", "join-task", "dedup-scatter-task",
     "dedup-merge-task"};
 
-/// The `finish` of phases without per-thread state.
+/// The `finish` of phases with nothing to flush from their thread state.
 struct NoFinish {
-  void operator()(NoPhaseState&) const {}
+  template <typename State>
+  void operator()(State&) const {}
 };
 
 /// The `commit` of phases whose task t owns slot t of `slots`.
 template <typename Output>
 auto CommitTo(std::vector<Output>* slots) {
-  return [slots](int task, NoPhaseState&, Output&& out) {
+  return [slots](int task, auto& /*state*/, Output&& out) {
     (*slots)[static_cast<size_t>(task)] = std::move(out);
   };
 }
@@ -1370,70 +1356,54 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                               workers, cancel);
       },
       CommitTo(&map_out)));
+  // Map tasks cover their splits in index order, R before S, so the first
+  // task that failed holds the lowest offending (dataset, index).
+  for (const MapTaskOutput& out : map_out) {
+    if (!out.error.ok()) return out.error;
+  }
   AccumulateMapMetrics(map_out, num_splits, reg);
 
   // ------------------------------------------------------------ regroup ---
-  // Each worker gathers its inbound tuples into per-partition buffers,
-  // walking the map outputs in task order so every buffer's tuple order is
-  // deterministic. The map outputs are the split data re-execution recovers
-  // from: an executor that retains inputs copies them and records each
-  // partition's lineage (the contributing map tasks); otherwise tuples are
-  // moved out and the shuffle is freed right after the phase.
+  // Each worker sorts its inbound blocks, in map-task order, into
+  // contiguous partition runs (exec/shuffle.h), so every run's instance
+  // order is deterministic. Payload views are built only for a type-erased
+  // kernel, the one consumer of payloads. The blocks are the split data
+  // re-execution recovers from: an executor that retains inputs keeps them;
+  // otherwise each worker's regroup frees its inbound blocks.
+  const bool keep_payloads = options.carry_payloads && kernel.fn;
+  const auto inbound = [&map_out](int w) {
+    std::vector<ShuffleBlock*> blocks;
+    blocks.reserve(map_out.size());
+    for (MapTaskOutput& out : map_out) {
+      blocks.push_back(&out.by_worker[static_cast<size_t>(w)]);
+    }
+    return blocks;
+  };
   std::vector<WorkerStore> stores(static_cast<size_t>(workers));
   PhaseClock regroup_clock(workers);
-  PASJOIN_RETURN_NOT_OK(ex->Run(
+  PASJOIN_RETURN_NOT_OK(ex->template Run<RegroupScratch>(
       PhaseSpec{Phase::kRegroup, workers, 1, &regroup_clock,
                 &measured_construction},
       identity,
-      [&](int w, NoPhaseState&, const Cancel* cancel) {
-        WorkerStore out;
-        for (size_t task = 0; task < map_out.size(); ++task) {
-          if (map_out[task].by_worker.empty()) continue;
-          std::vector<Routed>& inbound =
-              map_out[task].by_worker[static_cast<size_t>(w)];
-          for (Routed& routed : inbound) {
-            PartitionBuffers& buf = out.parts[routed.part];
-            std::vector<Tuple>& dst = routed.side == Side::kR ? buf.r : buf.s;
-            if constexpr (kRetain) {
-              dst.push_back(routed.tuple);
-              std::vector<int32_t>& contributors = out.lineage[routed.part];
-              if (contributors.empty() ||
-                  contributors.back() != static_cast<int32_t>(task)) {
-                contributors.push_back(static_cast<int32_t>(task));
-              }
-            } else {
-              dst.push_back(std::move(routed.tuple));
-            }
-          }
-          cancel->Pulse(inbound.size());
-          if constexpr (!kRetain) inbound.clear();
-          if (cancel->ShouldStop()) break;  // partial; never committed
-        }
-        return out;
+      [&](int w, RegroupScratch& scratch, const Cancel* cancel) {
+        return Regroup(inbound(w), keep_payloads, /*consume=*/!kRetain,
+                       &scratch, cancel);
       },
       CommitTo(&stores)));
-  if constexpr (!kRetain) {
-    map_out.clear();
-    map_out.shrink_to_fit();
-  }
 
   // --------------------------------------------------------------- join ---
   // One task per (worker, partition), not per worker: placement decides
-  // which logical worker OWNS a partition (lineage, accounting, trace
-  // track), the executor decides which thread JOINS it. The item list is
-  // deterministic — per worker, partitions sorted by id — so results never
-  // depend on hash-map iteration or claim order.
+  // which logical worker OWNS a partition (accounting, trace track,
+  // recovery), the executor decides which thread JOINS it. The item list is
+  // deterministic — per worker, its runs in ascending partition order — so
+  // results never depend on claim order.
   std::vector<JoinItem> items;
   for (int w = 0; w < workers; ++w) {
-    const size_t first = items.size();
-    for (auto& [part, buf] : stores[static_cast<size_t>(w)].parts) {
-      if (buf.r.empty() || buf.s.empty()) continue;
-      items.push_back(JoinItem{w, part, &buf});
+    const std::vector<PartitionRun>& runs = stores[static_cast<size_t>(w)].runs;
+    for (size_t k = 0; k < runs.size(); ++k) {
+      if (runs[k].mid == runs[k].begin || runs[k].end == runs[k].mid) continue;
+      items.push_back(JoinItem{w, runs[k].part, k});
     }
-    std::sort(items.begin() + static_cast<std::ptrdiff_t>(first), items.end(),
-              [](const JoinItem& a, const JoinItem& b) {
-                return a.part < b.part;
-              });
   }
   const int item_count = static_cast<int>(items.size());
   // A targeted partition fails the first attempt of the task joining it.
@@ -1444,15 +1414,10 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
       }
     }
   }
-  // A worker lost in the join phase takes its partition buffers with it.
+  // A worker lost in the join phase takes its store with it.
   const int lost = ex->WorkerLostIn(Phase::kJoin);
   LostWorkerStore lost_store;
-  if (lost >= 0) {
-    for (auto& [part, buf] : stores[static_cast<size_t>(lost)].parts) {
-      (void)part;
-      buf = PartitionBuffers{};
-    }
-  }
+  if (lost >= 0) stores[static_cast<size_t>(lost)] = WorkerStore();
   const bool keep_pairs = options.collect_results || options.deduplicate;
   std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
   PhaseClock join_clock(workers);
@@ -1463,30 +1428,25 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
       [&](int i) { return items[static_cast<size_t>(i)].worker; },
       [&](int i, JoinThreadState& state, const Cancel* cancel) {
         const JoinItem& item = items[static_cast<size_t>(i)];
+        WorkerStore& store = stores[static_cast<size_t>(item.worker)];
         if (item.worker == lost) {
           MutexLock lock(&lost_store.mu);
           if (!lost_store.rebuilt) {
             obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
             rebuild_span.AddArg("worker", lost);
             Stopwatch rebuild;
-            RebuildWorkerStore(lost, map_out,
-                               &stores[static_cast<size_t>(lost)]);
+            RegroupScratch scratch;
+            store = Regroup(inbound(lost), keep_payloads, /*consume=*/false,
+                            &scratch, nullptr);
             lost_store.rebuilt = true;
             lost_store.rebuild_seconds += rebuild.ElapsedSeconds();
           }
         }
-        PartitionBuffers* buf = item.buf;
-        if (kRetain && kernel.fn) {
-          // Concurrent attempts of one task must not race on its buffers:
-          // type-erased kernels may reorder them in place.
-          state.copy = *buf;
-          buf = &state.copy;
-        }
         JoinOutput out;
         out.pairs = std::move(state.spare_pairs);
         out.pairs.clear();
-        JoinSinglePartition(item.part, buf, options, kernel, keep_pairs, &state,
-                            &out, trace, cancel);
+        JoinSinglePartition(store, store.runs[item.run], options, kernel,
+                            keep_pairs, &state, &out, trace, cancel);
         return out;
       },
       [&](int i, JoinThreadState& state, JoinOutput&& out) {
@@ -1520,6 +1480,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   m.kernel_sort_seconds = total.timings.sort_seconds;
   m.kernel_sweep_seconds = total.timings.sweep_seconds;
   m.kernel_emit_seconds = total.timings.emit_seconds;
+  // The shuffle's teardown: a few buffers per block and per worker.
   items.clear();
   stores.clear();
   map_out.clear();
@@ -1633,10 +1594,6 @@ Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const LocalJoinFn& local_join) {
   if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive and finite");
-  }
-  PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(r, options.bounds));
-  if (&r != &s) {
-    PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(s, options.bounds));
   }
   PASJOIN_RETURN_NOT_OK(AdmitJob(options));
   const KernelDispatch kernel = ResolveKernel(options, local_join);

@@ -4,8 +4,9 @@
 // substrate of Algorithm 5. It executes the canonical dataflow of every
 // algorithm in this repository:
 //
-//   input splits --map--> (partition, tuple) --shuffle--> per-partition
-//   buffers --local join--> result pairs [--distinct--> deduplicated pairs]
+//   input splits --map--> per-worker column blocks --regroup (sort)-->
+//   per-partition runs --local join--> result pairs
+//   [--distinct--> deduplicated pairs]
 //
 // The engine is algorithm-agnostic: callers supply the partition-assignment
 // function (adaptive replication, PBSM replication, quadtree, ...), the
@@ -56,8 +57,10 @@ using AssignFn = std::function<PartitionList(const Tuple&, Side)>;
 /// Maps a partition to its owning logical worker in [0, workers).
 using OwnerFn = std::function<int(PartitionId)>;
 
-/// Joins one partition's buffers; must call `emit(r, s)` per match and
-/// return the work counters. May reorder/modify the buffers.
+/// Joins one partition's tuples; must call `emit(r, s)` per match and
+/// return the work counters. The vectors are the calling thread's gathered
+/// copies of the partition (payloads included when carried), so the kernel
+/// may reorder or modify them.
 ///
 /// This is the *generic* (type-erased) kernel interface: it pays an
 /// indirect call per result pair, so the engine only uses it for custom
@@ -175,17 +178,21 @@ void FinishDriverRun(const char* algorithm, double driver_seconds,
 /// Runs the map/shuffle/join dataflow. `assign` decides replication; `owner`
 /// decides placement; `local_join` computes each partition's join.
 ///
-/// Inputs are validated (finite coordinates, eps > 0, workers > 0, coherent
-/// FaultOptions) and rejected with kInvalidArgument. The one dataflow runs
-/// on one of two executors (docs/FAULT_TOLERANCE.md): without fault
+/// Inputs are validated and rejected with kInvalidArgument: eps > 0,
+/// workers > 0 and coherent FaultOptions up front; then, inside the map
+/// tasks, finite coordinates (inside `bounds` when declared), a non-empty
+/// `assign` result and an `owner` result in [0, workers) for every tuple —
+/// the error names the lowest offending (dataset, index). The one dataflow
+/// runs on one of two executors (docs/FAULT_TOLERANCE.md): without fault
 /// injection every task runs once and commits in place; with
 /// `fault.enabled`, failed or lost tasks are re-executed from retained split
 /// data (bounded retries with exponential backoff), a lost logical worker's
-/// partitions are rebuilt on survivors from their lineage, and straggling
-/// tasks are backed up speculatively; the recovered result is identical to a
-/// fault-free run. Returns kResourceExhausted when a task exhausts its retry
-/// budget and kInternal when a task without fault injection throws — this
-/// function never throws from the engine itself. Cancellation (options.cancel) and
+/// store is rebuilt on a survivor by re-running its regroup over the
+/// retained shuffle blocks, and straggling tasks are backed up
+/// speculatively; the recovered result is identical to a fault-free run.
+/// Returns kResourceExhausted when a task exhausts its retry budget and
+/// kInternal when a task without fault injection throws — this function
+/// never throws from the engine itself. Cancellation (options.cancel) and
 /// deadlines (options.deadline) surface as kCancelled / kDeadlineExceeded;
 /// in every error case nothing is published to the returned JoinRun — a
 /// caller either gets the complete, exact join result or an error

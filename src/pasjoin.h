@@ -54,6 +54,7 @@
 #include "exec/fault_injector.h"          // IWYU pragma: export
 #include "exec/metrics.h"                 // IWYU pragma: export
 #include "exec/phase_clock.h"             // IWYU pragma: export
+#include "exec/shuffle.h"                 // IWYU pragma: export
 #include "exec/steal_queue.h"             // IWYU pragma: export
 #include "exec/thread_pool.h"             // IWYU pragma: export
 #include "extent/extent_join.h"           // IWYU pragma: export

@@ -30,43 +30,82 @@ constexpr size_t kRadixMinSize = 32768;
 constexpr int kRadixBits = 16;
 constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
 
+/// Holds SoaPartition's reentrancy guard, the "kernel-sort" span and the
+/// sort timing for the duration of one load.
+class LoadScope {
+ public:
+  LoadScope(std::atomic<bool>* loading, size_t points, KernelTimings* timings,
+            obs::TraceRecorder* trace)
+      : loading_(loading),
+        timings_(timings),
+        span_(trace, "kernel-sort", "kernel") {
+    // One-kernel-per-thread contract (see the class comment): concurrent
+    // entry means a shared instance whose scratch is being corrupted —
+    // abort now instead of emitting a silently wrong join.
+    PASJOIN_CHECK(!loading_->exchange(true, std::memory_order_acquire));
+    span_.AddArg("points", static_cast<int64_t>(points));
+  }
+  LoadScope(const LoadScope&) = delete;
+  LoadScope& operator=(const LoadScope&) = delete;
+  ~LoadScope() {
+    if (timings_ != nullptr) timings_->sort_seconds += watch_.ElapsedSeconds();
+    loading_->store(false, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<bool>* const loading_;
+  KernelTimings* const timings_;
+  obs::ScopedSpan span_;
+  Stopwatch watch_;
+};
+
 }  // namespace
+
+void SoaPartition::LoadSorted(std::span<const double> x,
+                              std::span<const double> y,
+                              std::span<const int64_t> id,
+                              KernelTimings* timings,
+                              obs::TraceRecorder* trace) {
+  const LoadScope scope(&loading_, x.size(), timings, trace);
+  SortColumns(x, y, id);
+}
 
 void SoaPartition::LoadSorted(const std::vector<Tuple>& tuples,
                               KernelTimings* timings,
                               obs::TraceRecorder* trace) {
-  // One-kernel-per-thread contract (see the class comment): concurrent
-  // entry means a shared instance whose scratch is being corrupted — abort
-  // now instead of emitting a silently wrong join.
-  PASJOIN_CHECK(!loading_.exchange(true, std::memory_order_acquire));
-  obs::ScopedSpan span(trace, "kernel-sort", "kernel");
-  span.AddArg("points", static_cast<int64_t>(tuples.size()));
-  Stopwatch watch;
+  const LoadScope scope(&loading_, tuples.size(), timings, trace);
+  // One streaming read strips the 56-byte Tuples into dense columns; the
+  // sort and gather then never touch a Tuple (or its payload string).
   const size_t n = tuples.size();
-  PASJOIN_DCHECK(n <= 0xffffffffu);
-  // Pass 1 (sequential): strip the 56-byte Tuples into dense scratch
-  // columns and {x-bits, index} sort keys in one streaming read. The sort
-  // and the gather below then never touch a Tuple (or its payload string)
-  // again — random accesses hit the compact 8-byte columns, not the wide
-  // tuple array.
-  order_.clear();
-  order_.resize(n);
   x_scratch_.resize(n);
   y_scratch_.resize(n);
   id_scratch_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    x_scratch_[i] = tuples[i].pt.x;
+    y_scratch_[i] = tuples[i].pt.y;
+    id_scratch_[i] = tuples[i].id;
+  }
+  SortColumns(x_scratch_, y_scratch_, id_scratch_);
+}
+
+void SoaPartition::SortColumns(std::span<const double> x,
+                               std::span<const double> y,
+                               std::span<const int64_t> id) {
+  const size_t n = x.size();
+  PASJOIN_CHECK(y.size() == n && id.size() == n);
+  PASJOIN_DCHECK(n <= 0xffffffffu);
+  // Pass 1 (sequential): {x-bits, index} sort keys and, for the radix
+  // path, all four digit histograms in one streaming read of x.
+  order_.clear();
+  order_.resize(n);
   const bool use_radix = n >= kRadixMinSize;
   if (use_radix) {
     histogram_.assign(4 * kRadixBuckets, 0u);
   }
   for (size_t i = 0; i < n; ++i) {
-    const Tuple& t = tuples[i];
-    const uint64_t bits = OrderedBits(t.pt.x);
+    const uint64_t bits = OrderedBits(x[i]);
     order_[i] = {bits, static_cast<uint32_t>(i)};
-    x_scratch_[i] = t.pt.x;
-    y_scratch_[i] = t.pt.y;
-    id_scratch_[i] = t.id;
     if (use_radix) {
-      // All four digit histograms in this one streaming pass.
       ++histogram_[0 * kRadixBuckets + (bits & (kRadixBuckets - 1))];
       ++histogram_[1 * kRadixBuckets + ((bits >> 16) & (kRadixBuckets - 1))];
       ++histogram_[2 * kRadixBuckets + ((bits >> 32) & (kRadixBuckets - 1))];
@@ -107,18 +146,16 @@ void SoaPartition::LoadSorted(const std::vector<Tuple>& tuples,
     }
     if (src != &order_) order_.swap(order_scratch_);
   }
-  // Pass 2: sequential writes, random reads over the dense columns.
+  // Pass 2: sequential writes, random reads over the dense input columns.
   x_.resize(n);
   y_.resize(n);
   id_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t from = order_[i].second;
-    x_[i] = x_scratch_[from];
-    y_[i] = y_scratch_[from];
-    id_[i] = id_scratch_[from];
+    x_[i] = x[from];
+    y_[i] = y[from];
+    id_[i] = id[from];
   }
-  if (timings != nullptr) timings->sort_seconds += watch.ElapsedSeconds();
-  loading_.store(false, std::memory_order_release);
 }
 
 namespace {

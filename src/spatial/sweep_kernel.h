@@ -14,8 +14,9 @@
 //   * struct-of-arrays layout: each side becomes three parallel arrays
 //     (x, y, id) sorted by x once per partition (SoaPartition::LoadSorted:
 //     an index sort over 16-byte {x-bits, idx} keys — introsort for small
-//     partitions, LSD radix sort above ~32k — followed by a gather over
-//     dense scratch columns, so the payload strings are never moved);
+//     partitions, LSD radix sort above ~32k — followed by a gather from
+//     the input columns; the engine passes its shuffled partition runs,
+//     which are columns already, so no payload is ever touched);
 //   * sliding-window sweep: R is walked in x order with monotone [lo, hi)
 //     window pointers into S, so every candidate pair is inspected exactly
 //     once and the per-pivot counting loop has a fixed trip count — no
@@ -43,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/tuple.h"
@@ -95,11 +97,19 @@ class SoaPartition {
   SoaPartition(const SoaPartition&) = delete;
   SoaPartition& operator=(const SoaPartition&) = delete;
 
-  /// Rebuilds the arrays from `tuples`, sorted ascending by x. Ties are
-  /// broken by the original index, making the layout deterministic. When
-  /// `timings` is non-null the elapsed time is added to sort_seconds; when
-  /// `trace` is non-null a "kernel-sort" span is recorded on the calling
-  /// thread's current track (null = zero cost, see obs/trace_recorder.h).
+  /// Rebuilds the arrays from the parallel input columns `x`, `y`, `id`
+  /// (equal lengths), sorted ascending by x. Ties are broken by the input
+  /// index, making the layout deterministic. When `timings` is non-null
+  /// the elapsed time is added to sort_seconds; when `trace` is non-null a
+  /// "kernel-sort" span is recorded on the calling thread's current track
+  /// (null = zero cost, see obs/trace_recorder.h).
+  void LoadSorted(std::span<const double> x, std::span<const double> y,
+                  std::span<const int64_t> id,
+                  KernelTimings* timings = nullptr,
+                  obs::TraceRecorder* trace = nullptr);
+
+  /// The same over tuples: an adapter that first strips them into dense
+  /// columns (for tests and the single-call SoaSweepJoinTuples).
   void LoadSorted(const std::vector<Tuple>& tuples,
                   KernelTimings* timings = nullptr,
                   obs::TraceRecorder* trace = nullptr);
@@ -115,9 +125,14 @@ class SoaPartition {
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<int64_t> id_;
+  /// Sorts and gathers the input columns into x_/y_/id_; callers hold the
+  /// reentrancy guard.
+  void SortColumns(std::span<const double> x, std::span<const double> y,
+                   std::span<const int64_t> id);
+
   /// Scratch for the index sort ({order-preserving x bits, original index}
   /// keys, plus the radix sort's ping-pong buffer and histogram) and the
-  /// dense pre-gather columns (see LoadSorted).
+  /// tuple adapter's stripped columns.
   std::vector<std::pair<uint64_t, uint32_t>> order_;
   std::vector<std::pair<uint64_t, uint32_t>> order_scratch_;
   std::vector<uint32_t> histogram_;

@@ -2,6 +2,10 @@
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +17,12 @@ namespace pasjoin::exec {
 namespace {
 
 using pasjoin::testing::BruteForcePairs;
+using pasjoin::testing::ExpectedShuffleBytes;
 using pasjoin::testing::MakeDataset;
 using pasjoin::testing::MustRun;
+using pasjoin::testing::PayloadCheckingJoin;
+using pasjoin::testing::SetExpectedPayloads;
+using pasjoin::testing::SortedPairs;
 
 /// A simple 1-D partitioner over [0, 10): partition = floor(x), with the
 /// replicated side copied into the neighbor partitions its eps-ball touches.
@@ -232,6 +240,163 @@ TEST(EngineTest, DeduplicateRemovesInflatedResults) {
   EXPECT_EQ(dedup.metrics.results, truth);
   EXPECT_EQ(dedup.pairs.size(), truth);
   EXPECT_GT(dedup.metrics.dedup_seconds, 0.0);
+}
+
+/// The brute-force result pairs, sorted.
+std::vector<ResultPair> TruthPairs(const Dataset& r, const Dataset& s,
+                                   double eps) {
+  std::vector<ResultPair> out;
+  for (const auto& [pair, count] : BruteForcePairs(r, s, eps)) {
+    (void)count;
+    out.push_back(pair);
+  }
+  return out;
+}
+
+TEST(EngineTest, VariablePayloadsTravelThroughEveryKernel) {
+  // Payloads of 0..1000 bytes straddle the small-string limit. Every kernel
+  // joins exactly, shuffle_bytes counts each instance's header plus its
+  // payload, and a type-erased kernel receives every payload byte-exact.
+  Dataset r = MakeDataset(RandomPoints(300, 61), 0, "R");
+  Dataset s = MakeDataset(RandomPoints(300, 62), 1000, "S");
+  SetExpectedPayloads(&r);
+  SetExpectedPayloads(&s);
+  EngineOptions options = BaseOptions();
+  options.collect_results = true;
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  const AssignFn assign = BandAssign(options.eps, Side::kR);
+  const std::vector<ResultPair> truth = TruthPairs(r, s, options.eps);
+  const uint64_t bytes = ExpectedShuffleBytes(r, s, assign);
+  for (const spatial::LocalJoinKernel kernel :
+       {spatial::LocalJoinKernel::kSweepSoA,
+        spatial::LocalJoinKernel::kPlaneSweep,
+        spatial::LocalJoinKernel::kRTree}) {
+    options.local_kernel = kernel;
+    const JoinRun run = MustRun(r, s, assign, owner, options);
+    EXPECT_EQ(SortedPairs(run), truth) << spatial::LocalJoinKernelName(kernel);
+    EXPECT_EQ(run.metrics.shuffle_bytes, bytes)
+        << spatial::LocalJoinKernelName(kernel);
+  }
+  std::atomic<uint64_t> corrupt{0};
+  const JoinRun checked =
+      MustRun(r, s, assign, owner, options,
+              PayloadCheckingJoin(RTreeProbeLocalJoin(), &corrupt));
+  EXPECT_EQ(SortedPairs(checked), truth);
+  EXPECT_EQ(corrupt.load(), 0u);
+
+  // Without carried payloads only the headers travel.
+  options.carry_payloads = false;
+  const JoinRun bare = MustRun(r, s, assign, owner, options);
+  EXPECT_EQ(SortedPairs(bare), truth);
+  EXPECT_EQ(bare.metrics.shuffle_bytes,
+            kTupleHeaderBytes * bare.metrics.shuffled_tuples);
+}
+
+TEST(EngineTest, NegativeAndSparsePartitionIds) {
+  // The band partitions renamed to ids from -2^30 up to ~2^30: runs are
+  // found by sorting, so the ids' range costs nothing and every observable
+  // matches the dense ids 0..9, under both executors.
+  constexpr PartitionId kStride = (1 << 30) / 5;
+  const auto band_of = [](PartitionId p) {
+    return static_cast<int>((static_cast<int64_t>(p) + (1 << 30)) / kStride);
+  };
+  const Dataset r = MakeDataset(RandomPoints(300, 63), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 64), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.collect_results = true;
+  const AssignFn dense = BandAssign(options.eps, Side::kS);
+  const AssignFn sparse = [&dense](const Tuple& t, Side side) {
+    PartitionList out = dense(t, side);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = -(1 << 30) + out[i] * kStride;
+    }
+    return out;
+  };
+  const std::vector<ResultPair> truth = TruthPairs(r, s, options.eps);
+  for (const bool fault : {false, true}) {
+    options.fault.enabled = fault;
+    const JoinRun want =
+        MustRun(r, s, dense, [](PartitionId p) { return p % 4; }, options);
+    const JoinRun got = MustRun(
+        r, s, sparse, [&](PartitionId p) { return band_of(p) % 4; }, options);
+    EXPECT_EQ(SortedPairs(got), truth) << "fault " << fault;
+    EXPECT_EQ(got.metrics.shuffled_tuples, want.metrics.shuffled_tuples);
+    EXPECT_EQ(got.metrics.shuffle_bytes, want.metrics.shuffle_bytes);
+    EXPECT_EQ(got.metrics.shuffle_remote_bytes,
+              want.metrics.shuffle_remote_bytes);
+    EXPECT_EQ(got.metrics.candidates, want.metrics.candidates);
+    EXPECT_EQ(got.metrics.partitions_joined, want.metrics.partitions_joined);
+  }
+}
+
+// --- caller functions validated inside the map tasks ----------------------
+
+/// Runs the join expecting kInvalidArgument under both executors; returns
+/// the (identical) messages' first.
+std::string RejectionMessage(const Dataset& r, const Dataset& s,
+                             const AssignFn& assign, const OwnerFn& owner) {
+  std::string first;
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = fault;
+    const Result<JoinRun> run =
+        TryRunPartitionedJoin(r, s, assign, owner, options);
+    EXPECT_FALSE(run.ok()) << "fault " << fault;
+    if (run.ok()) continue;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    if (first.empty()) {
+      first = run.status().message();
+    } else {
+      EXPECT_EQ(run.status().message(), first) << "fault " << fault;
+    }
+  }
+  return first;
+}
+
+TEST(EngineValidationTest, OwnerOutsideWorkersIsRejected) {
+  const Dataset r = MakeDataset(RandomPoints(200, 65), 0, "roads");
+  const Dataset s = MakeDataset(RandomPoints(200, 66), 1000, "parks");
+  const AssignFn assign = BandAssign(0.25, Side::kR);
+  // The lowest R index routed to partition 7, natively or as a replica.
+  size_t first = r.size();
+  for (size_t i = 0; i < r.size() && first == r.size(); ++i) {
+    if (assign(r.tuples[i], Side::kR).Contains(7)) first = i;
+  }
+  ASSERT_LT(first, r.size());
+  for (const int bad : {4, -1}) {
+    const std::string message = RejectionMessage(
+        r, s, assign, [bad](PartitionId p) { return p == 7 ? bad : p % 4; });
+    EXPECT_NE(message.find("owner placed partition 7 on worker " +
+                           std::to_string(bad)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("dataset 'roads' at index " + std::to_string(first)),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST(EngineValidationTest, EmptyPartitionListIsRejected) {
+  const Dataset r = MakeDataset(RandomPoints(200, 67), 0, "roads");
+  const Dataset s = MakeDataset(RandomPoints(200, 68), 1000, "parks");
+  const AssignFn band = BandAssign(0.25, Side::kR);
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  // Two S offenders in different splits: the lower index is named.
+  const AssignFn drops_s = [&band](const Tuple& t, Side side) {
+    return t.id == 1013 || t.id == 1150 ? PartitionList() : band(t, side);
+  };
+  std::string message = RejectionMessage(r, s, drops_s, owner);
+  EXPECT_NE(message.find("assign returned no partition in dataset 'parks' "
+                         "at index 13"),
+            std::string::npos)
+      << message;
+  // An R offender comes first, whatever its index.
+  const AssignFn drops_both = [&band](const Tuple& t, Side side) {
+    return t.id == 1013 || t.id == 190 ? PartitionList() : band(t, side);
+  };
+  message = RejectionMessage(r, s, drops_both, owner);
+  EXPECT_NE(message.find("dataset 'roads' at index 190"), std::string::npos)
+      << message;
 }
 
 TEST(EngineTest, MetricsBookkeeping) {

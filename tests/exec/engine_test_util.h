@@ -4,9 +4,16 @@
 #ifndef PASJOIN_TESTS_EXEC_ENGINE_TEST_UTIL_H_
 #define PASJOIN_TESTS_EXEC_ENGINE_TEST_UTIL_H_
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/macros.h"
+#include "common/tuple.h"
 #include "exec/engine.h"
 
 namespace pasjoin::testing {
@@ -22,6 +29,62 @@ inline exec::JoinRun MustRun(
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   PASJOIN_CHECK(result.ok());
   return result.MoveValue();
+}
+
+/// The run's result pairs, sorted.
+inline std::vector<ResultPair> SortedPairs(exec::JoinRun run) {
+  std::sort(run.pairs.begin(), run.pairs.end());
+  return run.pairs;
+}
+
+/// Payload lengths around std::string's small-buffer limit.
+inline constexpr size_t kPayloadLengths[] = {0, 1, 15, 16, 127, 1000};
+
+/// The payload a tuple with id `id` carries in the payload tests: a length
+/// from kPayloadLengths and bytes that depend on the id, NUL and high bytes
+/// included.
+inline std::string ExpectedPayload(int64_t id) {
+  const auto n = static_cast<uint64_t>(id);
+  std::string out(kPayloadLengths[n % 6], '\0');
+  for (size_t k = 0; k < out.size(); ++k) {
+    out[k] = static_cast<char>((n * 131 + k * 7) & 0xff);
+  }
+  return out;
+}
+
+/// Gives every tuple of `d` its ExpectedPayload.
+inline void SetExpectedPayloads(Dataset* d) {
+  for (Tuple& t : d->tuples) t.payload = ExpectedPayload(t.id);
+}
+
+/// What JobMetrics::shuffle_bytes must be when payloads are carried: the
+/// 24-byte header plus the payload, summed over every shuffled instance.
+inline uint64_t ExpectedShuffleBytes(const Dataset& r, const Dataset& s,
+                                     const exec::AssignFn& assign) {
+  uint64_t bytes = 0;
+  for (const Side side : {Side::kR, Side::kS}) {
+    for (const Tuple& t : (side == Side::kR ? r : s).tuples) {
+      bytes += assign(t, side).size() * t.ShuffleBytes();
+    }
+  }
+  return bytes;
+}
+
+/// Wraps `inner`, counting in `*corrupt` every tuple handed to the kernel
+/// whose payload is not its ExpectedPayload: the bytes must travel through
+/// the shuffle, not merely be counted.
+inline exec::LocalJoinFn PayloadCheckingJoin(exec::LocalJoinFn inner,
+                                             std::atomic<uint64_t>* corrupt) {
+  return [inner, corrupt](
+             std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
+             const std::function<void(const Tuple&, const Tuple&)>& emit) {
+    for (const std::vector<Tuple>* side : {r, s}) {
+      for (const Tuple& t : *side) {
+        if (t.payload != ExpectedPayload(t.id)) corrupt->fetch_add(1);
+      }
+    }
+    return inner(r, s, eps, emit);
+  };
 }
 
 }  // namespace pasjoin::testing

@@ -2,6 +2,8 @@
 #include "spatial/sweep_kernel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,6 +202,41 @@ TEST(SoaPartitionTest, TiesBrokenByOriginalIndex) {
                                 {7, {1.0, 2}, ""}};
   part.LoadSorted(a);
   EXPECT_EQ(part.id(), (std::vector<int64_t>{5, 6, 7}));
+}
+
+TEST(SoaPartitionTest, ColumnLoadMatchesTupleLoad) {
+  // The column form (what the engine passes: a partition run's slices) and
+  // the tuple adapter build the same layout, on both sort paths.
+  for (const size_t n : {size_t{200}, size_t{40000}}) {
+    const std::vector<Tuple> tuples = RandomTuples(n, 21, 0);
+    std::vector<double> x;
+    std::vector<double> y;
+    std::vector<int64_t> id;
+    for (const Tuple& t : tuples) {
+      x.push_back(t.pt.x);
+      y.push_back(t.pt.y);
+      id.push_back(t.id);
+    }
+    SoaPartition from_tuples;
+    SoaPartition from_columns;
+    from_tuples.LoadSorted(tuples);
+    from_columns.LoadSorted(x, y, id);
+    EXPECT_EQ(from_columns.x(), from_tuples.x()) << n;
+    EXPECT_EQ(from_columns.y(), from_tuples.y()) << n;
+    EXPECT_EQ(from_columns.id(), from_tuples.id()) << n;
+
+    // A slice loads only its own instances.
+    const size_t half = n / 2;
+    from_columns.LoadSorted(std::span<const double>(x).subspan(half),
+                            std::span<const double>(y).subspan(half),
+                            std::span<const int64_t>(id).subspan(half));
+    ASSERT_EQ(from_columns.size(), n - half);
+    EXPECT_TRUE(
+        std::is_sorted(from_columns.x().begin(), from_columns.x().end()));
+    for (const int64_t got : from_columns.id()) {
+      EXPECT_GE(got, static_cast<int64_t>(half));
+    }
+  }
 }
 
 TEST(SoaSweepJoinTest, TimingsAccumulate) {

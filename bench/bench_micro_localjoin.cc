@@ -140,6 +140,24 @@ std::vector<Tuple> UniformUnitDensity(size_t n, uint64_t seed) {
   return out;
 }
 
+/// The kernels the --json mode measures; each record is named by
+/// KernelName.
+enum class Kernel { kSweepSoA, kPlaneSweep, kRTree, kNestedLoop };
+
+const char* KernelName(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kSweepSoA:
+      return "sweep-soa";
+    case Kernel::kPlaneSweep:
+      return "plane-sweep";
+    case Kernel::kRTree:
+      return "rtree";
+    case Kernel::kNestedLoop:
+      return "nested-loop";
+  }
+  return "unknown";
+}
+
 /// Reusable SoA buffers, like the engine's per-worker scratch: capacity is
 /// retained across repetitions so the timed region measures the kernel
 /// (load + sort + sweep), not first-touch page faults.
@@ -150,13 +168,12 @@ struct SoaScratch {
 
 /// Runs `kernel` once on r x s (count-only, matching the engine's
 /// default), returning counters and recording the wall time.
-spatial::JoinCounters TimeKernel(spatial::LocalJoinKernel kernel,
-                                 const std::vector<Tuple>& r,
+spatial::JoinCounters TimeKernel(Kernel kernel, const std::vector<Tuple>& r,
                                  const std::vector<Tuple>& s, double eps,
                                  SoaScratch* scratch, double* seconds) {
   spatial::JoinCounters counters;
   switch (kernel) {
-    case spatial::LocalJoinKernel::kSweepSoA: {
+    case Kernel::kSweepSoA: {
       const Stopwatch watch;
       scratch->r.LoadSorted(r);
       scratch->s.LoadSorted(s);
@@ -164,7 +181,7 @@ spatial::JoinCounters TimeKernel(spatial::LocalJoinKernel kernel,
       *seconds = watch.ElapsedSeconds();
       break;
     }
-    case spatial::LocalJoinKernel::kPlaneSweep: {
+    case Kernel::kPlaneSweep: {
       // The in-place sort is part of the kernel's cost; the defensive copy
       // (which the engine's partition buffers do not need) is not.
       std::vector<Tuple> r_buf = r;
@@ -175,14 +192,14 @@ spatial::JoinCounters TimeKernel(spatial::LocalJoinKernel kernel,
       *seconds = watch.ElapsedSeconds();
       break;
     }
-    case spatial::LocalJoinKernel::kNestedLoop: {
+    case Kernel::kNestedLoop: {
       const Stopwatch watch;
       counters = spatial::NestedLoopJoin(r, s, eps,
                                          [](const Tuple&, const Tuple&) {});
       *seconds = watch.ElapsedSeconds();
       break;
     }
-    case spatial::LocalJoinKernel::kRTree: {
+    case Kernel::kRTree: {
       const Stopwatch watch;
       const spatial::RTree tree(s);
       uint64_t results = 0;
@@ -199,11 +216,11 @@ spatial::JoinCounters TimeKernel(spatial::LocalJoinKernel kernel,
 }
 
 /// Measures `kernel` over `reps` repetitions and appends a BenchRecord.
-void MeasureKernel(spatial::LocalJoinKernel kernel,
-                   const std::vector<Tuple>& r, const std::vector<Tuple>& s,
-                   double eps, int reps, bench::BenchReport* report) {
+void MeasureKernel(Kernel kernel, const std::vector<Tuple>& r,
+                   const std::vector<Tuple>& s, double eps, int reps,
+                   bench::BenchReport* report) {
   bench::BenchRecord record;
-  record.kernel = spatial::LocalJoinKernelName(kernel);
+  record.kernel = KernelName(kernel);
   record.points = r.size();
   record.eps = eps;
   std::vector<double> seconds;
@@ -325,10 +342,8 @@ int RunJsonMode(const std::string& path) {
 
   // Full-size records: the fast kernels. The nested loop is O(n^2) and the
   // oracle only, so it runs on a reduced slice below.
-  for (const spatial::LocalJoinKernel kernel :
-       {spatial::LocalJoinKernel::kSweepSoA,
-        spatial::LocalJoinKernel::kPlaneSweep,
-        spatial::LocalJoinKernel::kRTree}) {
+  for (const Kernel kernel :
+       {Kernel::kSweepSoA, Kernel::kPlaneSweep, Kernel::kRTree}) {
     MeasureKernel(kernel, r, s, eps, reps, &report);
   }
 
@@ -365,10 +380,8 @@ int RunJsonMode(const std::string& path) {
   const size_t oracle_n = std::min<size_t>(n, 20'000);
   const std::vector<Tuple> r_small = UniformUnitDensity(oracle_n, 0xbe9c51);
   const std::vector<Tuple> s_small = UniformUnitDensity(oracle_n, 0x7a11ad);
-  MeasureKernel(spatial::LocalJoinKernel::kNestedLoop, r_small, s_small, eps,
-                reps, &report);
-  MeasureKernel(spatial::LocalJoinKernel::kSweepSoA, r_small, s_small, eps,
-                reps, &report);
+  MeasureKernel(Kernel::kNestedLoop, r_small, s_small, eps, reps, &report);
+  MeasureKernel(Kernel::kSweepSoA, r_small, s_small, eps, reps, &report);
 
   if (!bench::WriteJsonFile(report, path)) return 1;
   std::fprintf(stderr, "wrote %s\n", path.c_str());

@@ -77,7 +77,6 @@ exec::JoinRun RunAlgorithmFull(const std::string& algo, const Dataset& r,
     options.duplicate_free = config.duplicate_free;
     options.collect_results = config.collect_results;
     options.carry_payloads = config.carry_payloads;
-    options.local_kernel = config.local_kernel;
     Result<exec::JoinRun> run = core::AdaptiveDistanceJoin(r, s, options);
     PASJOIN_CHECK(run.ok());
     return run.MoveValue();
@@ -90,7 +89,6 @@ exec::JoinRun RunAlgorithmFull(const std::string& algo, const Dataset& r,
     options.num_splits = config.num_splits;
     options.collect_results = config.collect_results;
     options.carry_payloads = config.carry_payloads;
-    options.local_kernel = config.local_kernel;
     const baselines::PbsmVariant variant =
         algo == "UNI(R)"   ? baselines::PbsmVariant::kUniR
         : algo == "UNI(S)" ? baselines::PbsmVariant::kUniS

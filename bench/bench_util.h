@@ -98,9 +98,6 @@ struct RunConfig {
   /// Table 5 / Figures 16-18 knob.
   bool carry_payloads = true;
   bool collect_results = false;
-  /// Partition-level join kernel for the grid algorithms ("Sedona" keeps
-  /// its R-tree probe regardless, as in the paper's setup).
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
 };
 
 /// Runs `algo` (one of AllAlgorithms()) on r x s and returns its metrics.

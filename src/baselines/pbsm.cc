@@ -5,6 +5,7 @@
 
 #include "common/stopwatch.h"
 #include "core/lpt_scheduler.h"
+#include "core/planning.h"
 #include "grid/grid.h"
 #include "grid/stats.h"
 
@@ -30,6 +31,10 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
   }
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
+  }
+  if (options.use_lpt &&
+      !(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
+    return Status::InvalidArgument("sample rate must be in (0, 1]");
   }
   PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
@@ -63,18 +68,26 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
       break;
   }
 
+  double planning_seconds = 0.0;
   core::CellAssignment assignment = core::CellAssignment::Hash(options.workers);
   if (options.use_lpt) {
+    core::Planner planner{core::PlanningOptions{}};
+    grid::GridStats stats(&grid);
+    {
+      obs::ScopedSpan span(trace, "driver-sample", "driver");
+      stats.AddSample(Side::kR, r, options.sample_rate, options.sample_seed);
+      stats.AddSample(Side::kS, s, options.sample_rate,
+                      options.sample_seed + 1);
+    }
+    // The planning stopwatch covers exactly the planning-* spans it is
+    // validated against.
+    Stopwatch planning_sw;
     obs::ScopedSpan span(trace, "driver-placement", "driver");
     span.SetStringArg("scheduler", "lpt");
-    grid::GridStats stats(&grid);
-    stats.AddSample(Side::kR, r, options.sample_rate, options.sample_seed);
-    stats.AddSample(Side::kS, s, options.sample_rate, options.sample_seed + 1);
-    std::vector<double> costs(static_cast<size_t>(grid.num_cells()), 0.0);
-    for (grid::CellId c = 0; c < grid.num_cells(); ++c) {
-      costs[static_cast<size_t>(c)] = stats.EstimatedCellCost(c);
-    }
-    assignment = core::CellAssignment::Lpt(costs, options.workers);
+    assignment = core::PlanLptAssignment(
+        core::PlanCellCosts(grid, stats, &planner, trace), options.workers,
+        trace);
+    planning_seconds = planning_sw.ElapsedSeconds();
   }
   const double driver_seconds = driver.ElapsedSeconds();
 
@@ -94,6 +107,7 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
       r, s, assign, assignment.AsOwnerFn(), engine_options);
   if (!run_result.ok()) return run_result.status();
   exec::JoinRun run = run_result.MoveValue();
+  run.metrics.measured_planning_seconds = planning_seconds;
   exec::FinishDriverRun(PbsmVariantName(variant), driver_seconds, trace, &run);
   return run;
 }

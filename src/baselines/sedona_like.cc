@@ -30,9 +30,9 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
   }
 
   // The set with the fewest objects is both sampled for the partitioning
-  // structure and replicated (Section 7.1); the larger set is indexed.
+  // structure and replicated (Section 7.1); the other set is indexed, which
+  // is the engine's R-tree kernel's own choice (S unless |R| > |S|).
   const Side replicated = r.tuples.size() <= s.tuples.size() ? Side::kR : Side::kS;
-  const Side indexed = OtherSide(replicated);
   const Dataset& smaller = replicated == Side::kR ? r : s;
 
   std::vector<Point> sample;
@@ -89,23 +89,10 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
   engine_options.eps = options.eps;
   engine_options.bounds = mbr;
 
-  // The R-tree default pins the indexed side to the globally larger set
-  // (Sedona's setup) via an explicit LocalJoinFn; any other selection goes
-  // through the engine's kernel dispatch (e.g. the native SoA sweep).
-  exec::LocalJoinFn local_join;
-  if (options.local_kernel == spatial::LocalJoinKernel::kRTree) {
-    local_join = exec::RTreeProbeLocalJoinIndexing(indexed);
-  }
   Result<exec::JoinRun> run_result =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_options,
-                                  local_join);
+      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_options);
   if (!run_result.ok()) return run_result.status();
   exec::JoinRun run = run_result.MoveValue();
-  if (local_join) {
-    // The engine saw an opaque LocalJoinFn; name the kernel it wrapped.
-    run.metrics.local_kernel =
-        spatial::LocalJoinKernelName(spatial::LocalJoinKernel::kRTree);
-  }
   exec::FinishDriverRun("Sedona", driver_seconds, trace, &run);
   return run;
 }

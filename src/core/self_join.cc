@@ -19,6 +19,10 @@ Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
   if (data.tuples.empty()) {
     return Status::InvalidArgument("input must be non-empty");
   }
+  if (options.use_lpt &&
+      !(options.lpt_sample_rate > 0.0 && options.lpt_sample_rate <= 1.0)) {
+    return Status::InvalidArgument("LPT sample rate must be in (0, 1]");
+  }
   PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
 
   Stopwatch driver;

@@ -68,65 +68,6 @@ struct MapTaskOutput {
   Status error;
 };
 
-}  // namespace
-
-LocalJoinFn PlaneSweepLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return spatial::PlaneSweepJoin(r, s, eps, emit);
-  };
-}
-
-LocalJoinFn NestedLoopLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return spatial::NestedLoopJoin(*r, *s, eps, emit);
-  };
-}
-
-namespace {
-
-spatial::JoinCounters RTreeProbe(std::vector<Tuple>* r, std::vector<Tuple>* s,
-                                 double eps, bool index_r,
-                                 const std::function<void(const Tuple&,
-                                                          const Tuple&)>& emit) {
-  spatial::JoinCounters counters;
-  if (r->empty() || s->empty()) return counters;
-  const std::vector<Tuple>& indexed = index_r ? *r : *s;
-  const std::vector<Tuple>& probes = index_r ? *s : *r;
-  spatial::RTree tree(indexed);
-  for (const Tuple& q : probes) {
-    counters.candidates += tree.RangeQuery(q.pt, eps, [&](const Tuple& hit) {
-      ++counters.results;
-      if (index_r) {
-        emit(hit, q);
-      } else {
-        emit(q, hit);
-      }
-    });
-  }
-  return counters;
-}
-
-}  // namespace
-
-LocalJoinFn RTreeProbeLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    // Index the larger side, probe with the smaller.
-    return RTreeProbe(r, s, eps, r->size() >= s->size(), emit);
-  };
-}
-
-LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed) {
-  return [indexed](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-                   const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return RTreeProbe(r, s, eps, indexed == Side::kR, emit);
-  };
-}
-
-namespace {
-
 // ---------------------------------------------------------------------------
 // Phase bodies, shared by both executors. Each body only reads what the
 // recovering executor retains, which is what makes re-execution safe.
@@ -264,39 +205,6 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
   reg->Add("shuffle_remote_bytes", remote_bytes);
 }
 
-/// The resolved local-join strategy of one run: either the native SoA sweep
-/// (no per-pair std::function anywhere) or a type-erased LocalJoinFn
-/// (custom kernels and the legacy selections).
-struct KernelDispatch {
-  LocalJoinFn fn;  // empty for the native SoA sweep
-  const char* name = "sweep-soa";
-};
-
-KernelDispatch ResolveKernel(const EngineOptions& options,
-                             const LocalJoinFn& custom) {
-  KernelDispatch d;
-  if (custom) {
-    d.fn = custom;
-    d.name = "custom";
-    return d;
-  }
-  switch (options.local_kernel) {
-    case spatial::LocalJoinKernel::kSweepSoA:
-      break;  // native SoA sweep
-    case spatial::LocalJoinKernel::kPlaneSweep:
-      d.fn = PlaneSweepLocalJoin();
-      break;
-    case spatial::LocalJoinKernel::kNestedLoop:
-      d.fn = NestedLoopLocalJoin();
-      break;
-    case spatial::LocalJoinKernel::kRTree:
-      d.fn = RTreeProbeLocalJoin();
-      break;
-  }
-  d.name = spatial::LocalJoinKernelName(options.local_kernel);
-  return d;
-}
-
 /// Join output of one (worker, partition) task attempt, and the running sum
 /// of many such outputs per worker.
 struct JoinOutput {
@@ -322,16 +230,15 @@ struct JoinOutput {
 };
 
 /// Per-thread join state, reused across every partition the thread joins:
-/// the kernel scratch (SoaPartition instances are strictly one-per-thread,
-/// spatial/sweep_kernel.h), the tuples gathered for a type-erased kernel
-/// (which may reorder them), a recycled pair buffer for the next attempt,
-/// and the per-worker accumulators flushed in batches into the merge slots.
+/// the SoA kernel scratch (SoaPartition instances are strictly
+/// one-per-thread, spatial/sweep_kernel.h), the R-tree's indexed side, the
+/// self-join pair buffer, a recycled pair buffer for the next attempt, and
+/// the per-worker accumulators flushed in batches into the merge slots.
 struct JoinThreadState {
   spatial::SoaPartition soa_r;
   spatial::SoaPartition soa_s;
+  std::vector<Tuple> indexed;
   std::vector<ResultPair> self_scratch;
-  std::vector<Tuple> r_tuples;
-  std::vector<Tuple> s_tuples;
   std::vector<ResultPair> spare_pairs;
   /// Indexed by logical worker; sized on the thread's first commit.
   std::vector<JoinOutput> acc;
@@ -343,78 +250,99 @@ std::span<const T> Slice(const std::vector<T>& v, size_t begin, size_t end) {
   return {v.data() + begin, end - begin};
 }
 
+/// Joins `run` by building an STR R-tree over one side — R when `index_r`,
+/// S otherwise — gathered into `indexed`, and probing it with every
+/// instance of the other side, read from the store's columns. Appends each
+/// match as (r id, s id) to `pairs` unless it is null. Polls `cancel`
+/// between probes once kKernelPollGrain candidates accumulated and returns
+/// partial counters once it fires.
+spatial::JoinCounters RTreeProbeJoin(const WorkerStore& store,
+                                     const PartitionRun& run, double eps,
+                                     bool index_r, std::vector<Tuple>* indexed,
+                                     std::vector<ResultPair>* pairs,
+                                     const spatial::KernelCancellation* cancel) {
+  const size_t probe_begin = index_r ? run.mid : run.begin;
+  const size_t probe_end = index_r ? run.end : run.mid;
+  GatherTuples(store, index_r ? run.begin : run.mid,
+               index_r ? run.mid : run.end, indexed);
+  const spatial::RTree tree(*indexed);
+  spatial::JoinCounters counters;
+  uint64_t last_poll = 0;
+  for (size_t i = probe_begin; i < probe_end; ++i) {
+    const int64_t probe = store.id[i];
+    counters.candidates += tree.RangeQuery(
+        Point{store.x[i], store.y[i]}, eps, [&](const Tuple& hit) {
+          ++counters.results;
+          if (pairs != nullptr) {
+            pairs->push_back(index_r ? ResultPair{hit.id, probe}
+                                     : ResultPair{probe, hit.id});
+          }
+        });
+    if (cancel != nullptr &&
+        counters.candidates - last_poll >= spatial::kKernelPollGrain) {
+      cancel->Pulse(counters.candidates - last_poll);
+      last_poll = counters.candidates;
+      if (cancel->ShouldStop()) return counters;
+    }
+  }
+  if (cancel != nullptr) cancel->Pulse(counters.candidates - last_poll);
+  return counters;
+}
+
 /// Joins ONE partition run of `store` into the empty `out`, never changing
-/// the store. The native SoA path loads the run's columns in place; it
-/// polls `cancel` inside the sweep (kKernelPollGrain pivots) and pulses once
-/// per partition. A type-erased kernel joins tuples gathered into the
-/// thread's buffers, which it may reorder, and pulses its candidate count
-/// after the partition (its LocalJoinFn signature predates cancellation).
-/// A cancelled call leaves partial output, which is never committed.
+/// the store, with the kernel options.local_kernel selects: the SoA sweep
+/// loads the run's columns in place; the R-tree indexes R when `index_r`,
+/// S otherwise. Both poll `cancel` every kKernelPollGrain steps, and the
+/// partition boundary pulses once more. A cancelled call leaves partial
+/// output, which is never committed.
 void JoinSinglePartition(const WorkerStore& store, const PartitionRun& run,
-                         const EngineOptions& options,
-                         const KernelDispatch& kernel, bool keep_pairs,
-                         JoinThreadState* scratch, JoinOutput* out,
-                         obs::TraceRecorder* trace,
+                         const EngineOptions& options, bool index_r,
+                         bool keep_pairs, JoinThreadState* scratch,
+                         JoinOutput* out, obs::TraceRecorder* trace,
                          const spatial::KernelCancellation* cancel) {
   const bool self_join = options.self_join;
   obs::ScopedSpan span(trace, "join-partition", "engine");
-  span.SetStringArg("kernel", kernel.name);
+  span.SetStringArg("kernel",
+                    spatial::LocalJoinKernelName(options.local_kernel));
   span.AddArg("cell", run.part);
-  std::vector<ResultPair>* pairs = &out->pairs;
-  uint64_t* filtered = &out->filtered;
   out->partitions = 1;
-  if (!kernel.fn) {
-    scratch->soa_r.LoadSorted(Slice(store.x, run.begin, run.mid),
-                              Slice(store.y, run.begin, run.mid),
-                              Slice(store.id, run.begin, run.mid),
-                              &out->timings, trace);
-    scratch->soa_s.LoadSorted(Slice(store.x, run.mid, run.end),
-                              Slice(store.y, run.mid, run.end),
-                              Slice(store.id, run.mid, run.end),
-                              &out->timings, trace);
-    if (self_join) {
-      // The sweep sees every ordered match; keep r.id < s.id (each
-      // unordered pair once) and count the rest so the phase total can be
-      // corrected, exactly like the generic path's emit wrapper.
-      scratch->self_scratch.clear();
-      out->counters = spatial::SoaSweepJoin(
-          scratch->soa_r, scratch->soa_s, options.eps, &scratch->self_scratch,
-          &out->timings, trace, cancel);
-      Stopwatch filter_watch;
-      for (const ResultPair& p : scratch->self_scratch) {
-        if (p.r_id >= p.s_id) {
-          ++*filtered;
-          continue;
-        }
-        if (keep_pairs) pairs->push_back(p);
-      }
-      out->timings.emit_seconds += filter_watch.ElapsedSeconds();
-    } else {
-      out->counters = spatial::SoaSweepJoin(
-          scratch->soa_r, scratch->soa_s, options.eps,
-          keep_pairs ? pairs : nullptr, &out->timings, trace, cancel);
-    }
-    // Partition boundary counts as progress too.
-    if (cancel != nullptr) cancel->Pulse(1);
-  } else {
-    // In self-join mode the local join still sees every ordered match; the
-    // emit wrapper keeps only r.id < s.id (each unordered pair once) and
-    // the count is corrected after the phase.
-    const std::function<void(const Tuple&, const Tuple&)> emit =
-        [pairs, filtered, keep_pairs, self_join](const Tuple& a,
-                                                 const Tuple& b) {
-          if (self_join && a.id >= b.id) {
-            ++*filtered;
-            return;
-          }
-          if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
-        };
-    GatherTuples(store, run.begin, run.mid, &scratch->r_tuples);
-    GatherTuples(store, run.mid, run.end, &scratch->s_tuples);
-    out->counters =
-        kernel.fn(&scratch->r_tuples, &scratch->s_tuples, options.eps, emit);
-    if (cancel != nullptr) cancel->Pulse(out->counters.candidates + 1);
+  // A self join's kernel sees every ordered match; the filter below keeps
+  // r.id < s.id (each unordered pair once) and counts the rest so the phase
+  // total can be corrected.
+  std::vector<ResultPair>* const sink =
+      self_join ? &scratch->self_scratch : keep_pairs ? &out->pairs : nullptr;
+  if (self_join) sink->clear();
+  switch (options.local_kernel) {
+    case spatial::LocalJoinKernel::kSweepSoA:
+      scratch->soa_r.LoadSorted(Slice(store.x, run.begin, run.mid),
+                                Slice(store.y, run.begin, run.mid),
+                                Slice(store.id, run.begin, run.mid),
+                                &out->timings, trace);
+      scratch->soa_s.LoadSorted(Slice(store.x, run.mid, run.end),
+                                Slice(store.y, run.mid, run.end),
+                                Slice(store.id, run.mid, run.end),
+                                &out->timings, trace);
+      out->counters =
+          spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s, options.eps,
+                                sink, &out->timings, trace, cancel);
+      break;
+    case spatial::LocalJoinKernel::kRTree:
+      out->counters = RTreeProbeJoin(store, run, options.eps, index_r,
+                                     &scratch->indexed, sink, cancel);
+      break;
   }
+  if (self_join) {
+    Stopwatch filter_watch;
+    for (const ResultPair& p : scratch->self_scratch) {
+      if (p.r_id >= p.s_id) {
+        ++out->filtered;
+        continue;
+      }
+      if (keep_pairs) out->pairs.push_back(p);
+    }
+    out->timings.emit_seconds += filter_watch.ElapsedSeconds();
+  }
+  if (cancel != nullptr) cancel->Pulse(1);
   span.AddArg("candidates", static_cast<int64_t>(out->counters.candidates));
   span.AddArg("results", static_cast<int64_t>(out->counters.results));
 }
@@ -1307,14 +1235,14 @@ Status RecoveringExecutor::RunTasks(const PhaseSpec& spec,
 // ---------------------------------------------------------------------------
 
 /// Runs map -> regroup -> join [-> dedup scatter -> dedup merge] on `ex`.
-/// `threads` is the pool size (for the join's steal grain and the
+/// `index_r` picks the R-tree kernel's indexed side; `threads` is the pool
+/// size (for the join's steal grain and the
 /// metrics); `job_token` is the job's cancellation token.
 template <typename Executor>
 Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                             const AssignFn& assign, const OwnerFn& owner,
-                            const EngineOptions& options,
-                            const KernelDispatch& kernel, int threads,
-                            const CancellationToken& job_token) {
+                            const EngineOptions& options, bool index_r,
+                            int threads, const CancellationToken& job_token) {
   constexpr bool kRetain = Executor::kRetainsInputs;
   using Cancel = spatial::KernelCancellation;
   obs::TraceRecorder* const trace = options.trace;
@@ -1366,11 +1294,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // ------------------------------------------------------------ regroup ---
   // Each worker sorts its inbound blocks, in map-task order, into
   // contiguous partition runs (exec/shuffle.h), so every run's instance
-  // order is deterministic. Payload views are built only for a type-erased
-  // kernel, the one consumer of payloads. The blocks are the split data
-  // re-execution recovers from: an executor that retains inputs keeps them;
-  // otherwise each worker's regroup frees its inbound blocks.
-  const bool keep_payloads = options.carry_payloads && kernel.fn;
+  // order is deterministic. The blocks are the split data re-execution
+  // recovers from: an executor that retains inputs keeps them; otherwise
+  // each worker's regroup frees its inbound blocks, payload arenas included.
   const auto inbound = [&map_out](int w) {
     std::vector<ShuffleBlock*> blocks;
     blocks.reserve(map_out.size());
@@ -1386,8 +1312,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                 &measured_construction},
       identity,
       [&](int w, RegroupScratch& scratch, const Cancel* cancel) {
-        return Regroup(inbound(w), keep_payloads, /*consume=*/!kRetain,
-                       &scratch, cancel);
+        return Regroup(inbound(w), /*consume=*/!kRetain, &scratch, cancel);
       },
       CommitTo(&stores)));
 
@@ -1436,8 +1361,8 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
             rebuild_span.AddArg("worker", lost);
             Stopwatch rebuild;
             RegroupScratch scratch;
-            store = Regroup(inbound(lost), keep_payloads, /*consume=*/false,
-                            &scratch, nullptr);
+            store = Regroup(inbound(lost), /*consume=*/false, &scratch,
+                            nullptr);
             lost_store.rebuilt = true;
             lost_store.rebuild_seconds += rebuild.ElapsedSeconds();
           }
@@ -1445,7 +1370,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         JoinOutput out;
         out.pairs = std::move(state.spare_pairs);
         out.pairs.clear();
-        JoinSinglePartition(store, store.runs[item.run], options, kernel,
+        JoinSinglePartition(store, store.runs[item.run], options, index_r,
                             keep_pairs, &state, &out, trace, cancel);
         return out;
       },
@@ -1464,7 +1389,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
           FlushJoinOutput(&state.acc[w], &merge_slots[w]);
         }
       }));
-  m.local_kernel = kernel.name;
+  m.local_kernel = spatial::LocalJoinKernelName(options.local_kernel);
   std::vector<std::vector<ResultPair>> worker_pairs(
       static_cast<size_t>(workers));
   JoinOutput total;
@@ -1590,13 +1515,14 @@ void FinishDriverRun(const char* algorithm, double driver_seconds,
 Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const AssignFn& assign,
                                       const OwnerFn& owner,
-                                      const EngineOptions& options,
-                                      const LocalJoinFn& local_join) {
+                                      const EngineOptions& options) {
   if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive and finite");
   }
   PASJOIN_RETURN_NOT_OK(AdmitJob(options));
-  const KernelDispatch kernel = ResolveKernel(options, local_join);
+  // The R-tree indexes the globally larger input, S on a tie (Sedona's
+  // setup, Section 7.1).
+  const bool index_r = r.tuples.size() > s.tuples.size();
   const int physical = options.physical_threads > 0
                            ? options.physical_threads
                            : ThreadPool::DefaultThreads();
@@ -1612,11 +1538,11 @@ Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
     if (options.fault.enabled) {
       RecoveringExecutor ex(&pool, options.fault, options.workers, job_token,
                             &watchdog, options.trace);
-      return RunDataflow(&ex, r, s, assign, owner, options, kernel,
+      return RunDataflow(&ex, r, s, assign, owner, options, index_r,
                          pool.num_threads(), job_token);
     }
     StealExecutor ex(&pool, job_token, options.trace);
-    return RunDataflow(&ex, r, s, assign, owner, options, kernel,
+    return RunDataflow(&ex, r, s, assign, owner, options, index_r,
                        pool.num_threads(), job_token);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("engine task failed: ") + e.what());

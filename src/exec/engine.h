@@ -10,9 +10,9 @@
 //
 // The engine is algorithm-agnostic: callers supply the partition-assignment
 // function (adaptive replication, PBSM replication, quadtree, ...), the
-// partition->worker ownership function (hash or LPT), and optionally the
-// local join algorithm (plane sweep by default, R-tree probing for the
-// Sedona-like baseline).
+// partition->worker ownership function (hash or LPT), and the local join
+// kernel (ExecOptions::local_kernel: the SoA sweep by default, R-tree
+// probing for the Sedona-like baseline).
 //
 // Logical-vs-physical parallelism: tasks execute on a host thread pool, but
 // every task is attributed to the *logical* worker that owns it; a phase's
@@ -57,33 +57,6 @@ using AssignFn = std::function<PartitionList(const Tuple&, Side)>;
 /// Maps a partition to its owning logical worker in [0, workers).
 using OwnerFn = std::function<int(PartitionId)>;
 
-/// Joins one partition's tuples; must call `emit(r, s)` per match and
-/// return the work counters. The vectors are the calling thread's gathered
-/// copies of the partition (payloads included when carried), so the kernel
-/// may reorder or modify them.
-///
-/// This is the *generic* (type-erased) kernel interface: it pays an
-/// indirect call per result pair, so the engine only uses it for custom
-/// kernels and for the non-default LocalJoinKernel selections. The default
-/// sweep-SoA kernel (spatial/sweep_kernel.h) is executed natively with
-/// batched emission — no std::function runs in its inner loop.
-using LocalJoinFn = std::function<spatial::JoinCounters(
-    std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-    const std::function<void(const Tuple&, const Tuple&)>& emit)>;
-
-/// Plane-sweep local join (the legacy refinement of Algorithm 5).
-LocalJoinFn PlaneSweepLocalJoin();
-
-/// Brute-force local join (oracle/testing).
-LocalJoinFn NestedLoopLocalJoin();
-
-/// Builds an STR R-tree on the larger buffer and probes with the smaller.
-LocalJoinFn RTreeProbeLocalJoin();
-
-/// R-tree probe join that always indexes relation `indexed` (the paper's
-/// Sedona setup indexes the globally larger data set, Section 7.1).
-LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed);
-
 /// The execution knobs every join shares: the engine's EngineOptions and
 /// each driver's options struct (AdaptiveJoinOptions, SelfJoinOptions,
 /// PbsmOptions, SedonaOptions) inherit them, so a driver forwards all of
@@ -102,8 +75,8 @@ struct ExecOptions {
   /// Physical threads to execute on; 0 selects the host's core count.
   int physical_threads = 0;
   /// Partition-level join kernel (docs/ALGORITHM.md §"Local join kernels").
-  /// Ignored when the caller passes an explicit LocalJoinFn. The default is
-  /// the cache-friendly SoA sweep with batched emission.
+  /// The default is the cache-friendly SoA sweep with batched emission;
+  /// kRTree indexes S in every partition, or R when |R| > |S|.
   spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Fault injection + recovery policy (docs/FAULT_TOLERANCE.md). Ignored
   /// unless fault.enabled, which selects the recovering executor.
@@ -176,7 +149,7 @@ void FinishDriverRun(const char* algorithm, double driver_seconds,
                      obs::TraceRecorder* trace, JoinRun* run);
 
 /// Runs the map/shuffle/join dataflow. `assign` decides replication; `owner`
-/// decides placement; `local_join` computes each partition's join.
+/// decides placement; options.local_kernel computes each partition's join.
 ///
 /// Inputs are validated and rejected with kInvalidArgument: eps > 0,
 /// workers > 0 and coherent FaultOptions up front; then, inside the map
@@ -197,15 +170,9 @@ void FinishDriverRun(const char* algorithm, double driver_seconds,
 /// in every error case nothing is published to the returned JoinRun — a
 /// caller either gets the complete, exact join result or an error
 /// (docs/CANCELLATION.md).
-///
-/// When `local_join` is empty (the default), the engine selects the kernel
-/// from `options.local_kernel`; a non-empty LocalJoinFn overrides the
-/// selection (the Sedona-like baseline uses this to pin the R-tree's
-/// indexed side).
 [[nodiscard]] Result<JoinRun> TryRunPartitionedJoin(
     const Dataset& r, const Dataset& s, const AssignFn& assign,
-    const OwnerFn& owner, const EngineOptions& options,
-    const LocalJoinFn& local_join = LocalJoinFn());
+    const OwnerFn& owner, const EngineOptions& options);
 
 }  // namespace pasjoin::exec
 

@@ -44,15 +44,14 @@ struct JobMetrics {
   /// Number of non-empty partitions joined.
   uint64_t partitions_joined = 0;
 
-  /// Local join kernel executed in the join phase: "sweep-soa",
-  /// "plane-sweep", "nested-loop", "rtree", or "custom" when a
-  /// caller-supplied LocalJoinFn ran.
+  /// Local join kernel executed in the join phase: "sweep-soa" or "rtree"
+  /// (spatial::LocalJoinKernelName).
   std::string local_kernel;
 
   /// Per-phase breakdown of the partition-level join kernel, summed over
   /// every worker's join tasks (CPU seconds, not makespan). Reported by the
-  /// sweep-SoA kernel; zero for the type-erased LocalJoinFn kernels, whose
-  /// phases are not separable from outside.
+  /// sweep-SoA kernel. The R-tree kernel does not time its build and probe;
+  /// only a self join's pair filter counts, as emit time, under either.
   double kernel_sort_seconds = 0.0;
   double kernel_sweep_seconds = 0.0;
   double kernel_emit_seconds = 0.0;

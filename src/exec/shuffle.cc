@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 
 namespace pasjoin::exec {
 
@@ -25,8 +24,8 @@ std::string_view ShuffleBlock::Payload(size_t i) const {
   return {payload_bytes.data() + begin, payload_end[i] - begin};
 }
 
-WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool keep_payloads,
-                    bool consume, RegroupScratch* scratch,
+WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
+                    RegroupScratch* scratch,
                     const spatial::KernelCancellation* cancel) {
   // Counting sort by partition. Pass 1 numbers each distinct partition
   // with a slot (in order of first appearance) and counts its R and S
@@ -81,7 +80,6 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool keep_payloads,
   store.x.resize(n);
   store.y.resize(n);
   store.id.resize(n);
-  if (keep_payloads) store.payload.resize(n);
   pos = 0;
   for (const ShuffleBlock* block : inbound) {
     const bool is_r = block->side == Side::kR;
@@ -91,17 +89,10 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool keep_payloads,
       store.x[dest] = block->x[row];
       store.y[dest] = block->y[row];
       store.id[dest] = block->id[row];
-      if (keep_payloads) store.payload[dest] = block->Payload(row);
     }
   }
   if (consume) {
-    for (ShuffleBlock* block : inbound) {
-      if (keep_payloads && !block->payload_bytes.empty()) {
-        // Moving a vector keeps its buffer, so the views stay valid.
-        store.arenas.push_back(std::move(block->payload_bytes));
-      }
-      *block = ShuffleBlock();
-    }
+    for (ShuffleBlock* block : inbound) *block = ShuffleBlock();
   }
   return store;
 }
@@ -113,11 +104,6 @@ void GatherTuples(const WorkerStore& store, size_t begin, size_t end,
     Tuple& t = (*out)[i - begin];
     t.id = store.id[i];
     t.pt = Point{store.x[i], store.y[i]};
-    if (store.payload.empty()) {
-      t.payload.clear();
-    } else {
-      t.payload.assign(store.payload[i]);
-    }
   }
 }
 

@@ -72,13 +72,8 @@ struct WorkerStore {
   std::vector<double> x;
   std::vector<double> y;
   std::vector<int64_t> id;
-  /// Each instance's payload, viewing the arena of the block it came from.
-  /// Built only on request (see Regroup).
-  std::vector<std::string_view> payload;
   /// One run per partition, ascending by partition id.
   std::vector<PartitionRun> runs;
-  /// Arenas taken over from consumed blocks, keeping `payload` valid.
-  std::vector<std::vector<char>> arenas;
 };
 
 /// Counting-sort scratch of Regroup, reused across the regroups of one
@@ -94,17 +89,17 @@ struct RegroupScratch {
 
 /// Regroups one worker's `inbound` blocks, given in map-task order, into a
 /// WorkerStore by a counting sort on partition id. The sort is stable, so
-/// each run lists each side's instances in (map task, row) order.
-/// `keep_payloads` fills WorkerStore::payload; `consume` frees every
-/// inbound block afterwards (the store takes over the arenas it views).
+/// each run lists each side's instances in (map task, row) order. No
+/// kernel reads payloads, so the store has none; `consume` frees every
+/// inbound block afterwards, payload arena included.
 /// Polls `cancel` between inbound blocks, pulsing their instance counts,
 /// and returns an empty store once it fires (the caller discards it).
-WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool keep_payloads,
-                    bool consume, RegroupScratch* scratch,
+WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
+                    RegroupScratch* scratch,
                     const spatial::KernelCancellation* cancel);
 
-/// Copies instances [begin, end) of `store` into `out` (resized to fit),
-/// with their payloads when the store keeps them. Reuses `out`'s strings.
+/// Copies the id and point of instances [begin, end) of `store` into `out`
+/// (resized to fit); payloads are left as they are.
 void GatherTuples(const WorkerStore& store, size_t begin, size_t end,
                   std::vector<Tuple>* out);
 

@@ -76,6 +76,12 @@ Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
   if (r.objects.empty() || s.objects.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
+  if (options.workers <= 0) {
+    return Status::InvalidArgument("workers must be positive");
+  }
+  if (options.physical_threads < 0) {
+    return Status::InvalidArgument("physical_threads must be >= 0");
+  }
   const double eps = options.eps;
 
   ExtentJoinRun run;
@@ -142,8 +148,6 @@ Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
         CellContent& cell = cells[static_cast<size_t>(c)];
         if (cell.r.empty() || cell.s.empty()) continue;
         ++joined[static_cast<size_t>(w)];
-        const Rect cell_rect = g.CellRect(c);
-        (void)cell_rect;
         // Sweep over x-sorted MBRs: only pairs with overlapping eps-expanded
         // x-ranges reach the exact test.
         auto by_min_x = [](const std::pair<int32_t, Rect>& a,

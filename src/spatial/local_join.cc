@@ -7,29 +7,10 @@ const char* LocalJoinKernelName(LocalJoinKernel kernel) {
   switch (kernel) {
     case LocalJoinKernel::kSweepSoA:
       return "sweep-soa";
-    case LocalJoinKernel::kPlaneSweep:
-      return "plane-sweep";
-    case LocalJoinKernel::kNestedLoop:
-      return "nested-loop";
     case LocalJoinKernel::kRTree:
       return "rtree";
   }
   return "unknown";
-}
-
-bool ParseLocalJoinKernel(const std::string& name, LocalJoinKernel* out) {
-  if (name == "sweep-soa") {
-    *out = LocalJoinKernel::kSweepSoA;
-  } else if (name == "plane-sweep") {
-    *out = LocalJoinKernel::kPlaneSweep;
-  } else if (name == "nested-loop") {
-    *out = LocalJoinKernel::kNestedLoop;
-  } else if (name == "rtree") {
-    *out = LocalJoinKernel::kRTree;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 std::vector<ResultPair> NestedLoopJoinPairs(const std::vector<Tuple>& r,

@@ -1,19 +1,21 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Single-partition (in-memory) eps-distance join algorithms. These run
-// inside one grid cell / partition after the shuffle:
+// Single-partition (in-memory) eps-distance join algorithms over tuple
+// vectors, plus the kernel selection and cancellation hook the engine's
+// partition kernels share:
 //   * NestedLoopJoin - O(|R|*|S|); the oracle used by tests and the cost
 //     model of Table 1;
 //   * PlaneSweepJoin - sort both sides by x and sweep, checking the distance
-//     predicate inside the eps-window; this is the refinement step of
-//     Algorithm 5 ("computing distance join at partition-level").
+//     predicate inside the eps-window; the refinement step of Algorithm 5
+//     ("computing distance join at partition-level") in array-of-structs
+//     form, kept as the micro-benchmark's reference for the SoA kernel
+//     (spatial/sweep_kernel.h) the engine runs.
 #ifndef PASJOIN_SPATIAL_LOCAL_JOIN_H_
 #define PASJOIN_SPATIAL_LOCAL_JOIN_H_
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -52,25 +54,21 @@ inline constexpr uint64_t kKernelPollGrain = 1024;
 
 /// Selects the partition-level join kernel the engine runs after the
 /// shuffle (plumbed through every driver; see docs/ALGORITHM.md §"Local
-/// join kernels").
+/// join kernels"). PlaneSweepJoin and NestedLoopJoin below are not engine
+/// kernels: the first is the micro-benchmark's reference, the second the
+/// tests' oracle.
 enum class LocalJoinKernel : uint8_t {
   /// Struct-of-arrays forward sweep with batched emission
   /// (spatial/sweep_kernel.h) — the default fast path.
   kSweepSoA = 0,
-  /// The array-of-structs plane sweep below (legacy hot path).
-  kPlaneSweep,
-  /// Brute force; the oracle used by tests and the cost model.
-  kNestedLoop,
-  /// STR R-tree built on the larger side, probed with the smaller (the
-  /// Sedona-like baseline's strategy).
+  /// STR R-tree built per partition on the globally larger input (S on a
+  /// tie) and probed with eps-range queries from the other — the
+  /// Sedona-like baseline's strategy (Section 7.1).
   kRTree,
 };
 
-/// "sweep-soa", "plane-sweep", "nested-loop" or "rtree".
+/// "sweep-soa" or "rtree".
 const char* LocalJoinKernelName(LocalJoinKernel kernel);
-
-/// Inverse of LocalJoinKernelName; returns false on unknown names.
-bool ParseLocalJoinKernel(const std::string& name, LocalJoinKernel* out);
 
 /// Work counters of a local join.
 struct JoinCounters {

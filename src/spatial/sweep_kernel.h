@@ -4,9 +4,9 @@
 //
 // The generic joins in local_join.h walk arrays-of-structs (56-byte Tuple
 // records with an embedded std::string payload) and report every match
-// through a per-pair callback; in the engine that callback is a type-erased
-// std::function, which costs an indirect call per result and keeps the
-// sweep's working set large. This kernel is the hot-path replacement
+// through a per-pair callback (an indirect call per result once it is
+// type-erased), which keeps the sweep's working set large. This kernel is
+// the hot-path replacement
 // (Tsitsigkos et al., "Parallel In-Memory Evaluation of Spatial Joins",
 // motivate exactly this forward-sweep refinement step as the end-to-end
 // bottleneck in grid-partitioned joins):

@@ -1,6 +1,8 @@
 // Copyright 2026 The pasjoin Authors.
 #include "baselines/pbsm.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "datagen/generators.h"
@@ -42,6 +44,16 @@ TEST(PbsmTest, ValidatesOptions) {
   const Dataset empty;
   EXPECT_FALSE(
       PbsmDistanceJoin(r, empty, PbsmVariant::kUniR, BaseOptions()).ok());
+  // An LPT sample rate outside (0, 1] is an error, not an abort.
+  for (const double rate : {0.0, -0.1, 1.5, std::nan("")}) {
+    options = BaseOptions();
+    options.use_lpt = true;
+    options.sample_rate = rate;
+    const Result<exec::JoinRun> run =
+        PbsmDistanceJoin(r, r, PbsmVariant::kUniR, options);
+    ASSERT_FALSE(run.ok()) << rate;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << rate;
+  }
 }
 
 TEST(PbsmTest, AllVariantsMatchBruteForce) {

@@ -115,5 +115,27 @@ TEST(SedonaLikeTest, WorksWithTinySample) {
   EXPECT_EQ(run.value().metrics.results, BruteForcePairs(r, s, 0.5).size());
 }
 
+TEST(SedonaLikeTest, GoldenCountersOnASeededInput) {
+  // Golden values. The candidate count depends on which side the R-tree
+  // indexes, so it pins the engine's choice to Sedona's: both orientations
+  // index the same (larger) data set.
+  Dataset r = SmallGaussian(1500, 21);
+  const Dataset s = SmallGaussian(2000, 22);
+  r.SetPayloadBytes(16);
+  for (const bool swapped : {false, true}) {
+    Result<exec::JoinRun> run =
+        swapped ? SedonaLikeDistanceJoin(s, r, BaseOptions())
+                : SedonaLikeDistanceJoin(r, s, BaseOptions());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const exec::JobMetrics& m = run.value().metrics;
+    EXPECT_EQ(m.local_kernel, "rtree");
+    EXPECT_EQ(m.results, 158u) << swapped;
+    EXPECT_EQ(m.candidates, 15312u) << swapped;
+    EXPECT_EQ(m.replicated_r, swapped ? 0u : 393u);
+    EXPECT_EQ(m.replicated_s, swapped ? 393u : 0u);
+    EXPECT_EQ(m.shuffle_bytes, 123720u) << swapped;
+  }
+}
+
 }  // namespace
 }  // namespace pasjoin::baselines

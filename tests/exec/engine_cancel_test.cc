@@ -43,6 +43,19 @@ AssignFn BandAssign(double eps) {
   };
 }
 
+/// BandAssign with S moved to partitions 100 and up, where no R instance
+/// goes: the same shuffle volume, but no partition holds both sides, so the
+/// join phase has nothing to join.
+AssignFn DisjointBandAssign(double eps) {
+  return [band = BandAssign(eps)](const Tuple& t, Side side) {
+    PartitionList out = band(t, side);
+    if (side == Side::kS) {
+      for (size_t i = 0; i < out.size(); ++i) out[i] += 100;
+    }
+    return out;
+  };
+}
+
 OwnerFn ModOwner(int workers) {
   return [workers](PartitionId p) {
     return static_cast<int>(static_cast<uint32_t>(p) %
@@ -128,6 +141,38 @@ TEST(EngineCancelTest, DeadlineAbortsLargeJoin) {
   // overshoot. 2 s is orders of magnitude above the firing latency but
   // still far below the uncancelled runtime of this join.
   EXPECT_LT(elapsed, 2.0);
+}
+
+TEST(EngineCancelTest, DeadlineAbortsJoinPhaseForEveryKernel) {
+  // The deadline must fire inside the join phase, where each kernel polls
+  // on its own: it is set a little after the time a run whose sides never
+  // meet needs for everything but the join.
+  const Dataset r = MakeDataset(RandomPoints(kBigN, 11), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(kBigN, 12), 1000000, "S");
+  for (const spatial::LocalJoinKernel kernel :
+       {spatial::LocalJoinKernel::kSweepSoA,
+        spatial::LocalJoinKernel::kRTree}) {
+    const char* label = spatial::LocalJoinKernelName(kernel);
+    EngineOptions options = BigOptions();
+    options.local_kernel = kernel;
+    const Stopwatch no_join;
+    ASSERT_TRUE(TryRunPartitionedJoin(r, s, DisjointBandAssign(options.eps),
+                                      ModOwner(options.workers), options)
+                    .ok())
+        << label;
+    const double deadline = no_join.ElapsedSeconds() + 0.2;
+    options.deadline = Deadline::AfterSeconds(deadline);
+    const Stopwatch sw;
+    Result<JoinRun> result =
+        TryRunPartitionedJoin(r, s, BandAssign(options.eps),
+                              ModOwner(options.workers), options);
+    const double elapsed = sw.ElapsedSeconds();
+    ASSERT_FALSE(result.ok()) << label;
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded) << label;
+    // The same 2 s overshoot bound as above; a kernel that polled only
+    // between partitions would finish its partition first (seconds here).
+    EXPECT_LT(elapsed - deadline, 2.0) << label;
+  }
 }
 
 TEST(EngineCancelTest, DeadlineAbortsFaultTolerantJoin) {

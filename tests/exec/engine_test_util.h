@@ -5,7 +5,6 @@
 #define PASJOIN_TESTS_EXEC_ENGINE_TEST_UTIL_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,12 +19,12 @@ namespace pasjoin::testing {
 
 /// Runs exec::TryRunPartitionedJoin and requires success: a failed run
 /// records the status as a test failure and aborts the test.
-inline exec::JoinRun MustRun(
-    const Dataset& r, const Dataset& s, const exec::AssignFn& assign,
-    const exec::OwnerFn& owner, const exec::EngineOptions& options,
-    const exec::LocalJoinFn& local_join = exec::LocalJoinFn()) {
+inline exec::JoinRun MustRun(const Dataset& r, const Dataset& s,
+                             const exec::AssignFn& assign,
+                             const exec::OwnerFn& owner,
+                             const exec::EngineOptions& options) {
   Result<exec::JoinRun> result =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, options, local_join);
+      exec::TryRunPartitionedJoin(r, s, assign, owner, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   PASJOIN_CHECK(result.ok());
   return result.MoveValue();
@@ -68,23 +67,6 @@ inline uint64_t ExpectedShuffleBytes(const Dataset& r, const Dataset& s,
     }
   }
   return bytes;
-}
-
-/// Wraps `inner`, counting in `*corrupt` every tuple handed to the kernel
-/// whose payload is not its ExpectedPayload: the bytes must travel through
-/// the shuffle, not merely be counted.
-inline exec::LocalJoinFn PayloadCheckingJoin(exec::LocalJoinFn inner,
-                                             std::atomic<uint64_t>* corrupt) {
-  return [inner, corrupt](
-             std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-             const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    for (const std::vector<Tuple>* side : {r, s}) {
-      for (const Tuple& t : *side) {
-        if (t.payload != ExpectedPayload(t.id)) corrupt->fetch_add(1);
-      }
-    }
-    return inner(r, s, eps, emit);
-  };
 }
 
 }  // namespace pasjoin::testing

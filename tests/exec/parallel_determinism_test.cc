@@ -62,13 +62,7 @@ struct MatrixCase {
 };
 
 std::string CaseName(const MatrixCase& c) {
-  std::string name;
-  switch (c.kernel) {
-    case spatial::LocalJoinKernel::kSweepSoA: name = "sweep-soa"; break;
-    case spatial::LocalJoinKernel::kPlaneSweep: name = "plane-sweep"; break;
-    case spatial::LocalJoinKernel::kNestedLoop: name = "nested-loop"; break;
-    case spatial::LocalJoinKernel::kRTree: name = "rtree"; break;
-  }
+  std::string name = spatial::LocalJoinKernelName(c.kernel);
   name += "/W" + std::to_string(c.workers);
   name += c.fault ? "/fault" : "/clean";
   return name;
@@ -119,8 +113,6 @@ TEST(ParallelDeterminismTest, ThreadCountIsNeverObservable) {
       {spatial::LocalJoinKernel::kSweepSoA, 3, false},
       {spatial::LocalJoinKernel::kSweepSoA, 8, false},
       {spatial::LocalJoinKernel::kSweepSoA, 8, true},
-      {spatial::LocalJoinKernel::kPlaneSweep, 3, false},
-      {spatial::LocalJoinKernel::kPlaneSweep, 8, true},
       {spatial::LocalJoinKernel::kRTree, 3, false},
       {spatial::LocalJoinKernel::kRTree, 8, false},
       {spatial::LocalJoinKernel::kRTree, 8, true},

@@ -68,7 +68,6 @@ struct Instance {
   PartitionId part;
   Side side;
   int64_t id;
-  std::string payload;
 };
 
 /// Random blocks in map-task order (every R block before every S block),
@@ -99,8 +98,7 @@ std::vector<Instance> ReferenceOrder(const std::vector<ShuffleBlock>& blocks) {
   std::vector<Instance> all;
   for (const ShuffleBlock& block : blocks) {
     for (size_t i = 0; i < block.size(); ++i) {
-      all.push_back(Instance{block.part[i], block.side, block.id[i],
-                             std::string(block.Payload(i))});
+      all.push_back(Instance{block.part[i], block.side, block.id[i]});
     }
   }
   std::stable_sort(all.begin(), all.end(),
@@ -116,17 +114,15 @@ std::vector<ShuffleBlock*> Pointers(std::vector<ShuffleBlock>* blocks) {
   return out;
 }
 
-/// Checks `store` against the reference order: the columns, the payload
-/// views, and one run per partition with R before S.
+/// Checks `store` against the reference order: the columns and one run per
+/// partition with R before S.
 void ExpectStoreMatches(const WorkerStore& store,
                         const std::vector<Instance>& want) {
   ASSERT_EQ(store.id.size(), want.size());
-  ASSERT_EQ(store.payload.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(store.id[i], want[i].id) << "position " << i;
     EXPECT_EQ(store.x[i], 0.5 * static_cast<double>(want[i].id));
     EXPECT_EQ(store.y[i], -1.0 * static_cast<double>(want[i].id));
-    EXPECT_EQ(std::string(store.payload[i]), want[i].payload);
   }
   size_t next = 0;
   for (size_t k = 0; k < store.runs.size(); ++k) {
@@ -157,8 +153,7 @@ TEST(RegroupTest, StableRunsForNegativeAndSparsePartitionIds) {
     const std::vector<ShuffleBlock*> inbound = Pointers(&blocks);
     RegroupScratch scratch;
     const WorkerStore store =
-        Regroup(inbound, /*keep_payloads=*/true, /*consume=*/false, &scratch,
-                nullptr);
+        Regroup(inbound, /*consume=*/false, &scratch, nullptr);
     ExpectStoreMatches(store, want);
     EXPECT_EQ(store.runs.size(), parts.size()) << rows;
     // Not consumed: the blocks are intact for a rebuild.
@@ -166,38 +161,38 @@ TEST(RegroupTest, StableRunsForNegativeAndSparsePartitionIds) {
   }
 }
 
-TEST(RegroupTest, ConsumingKeepsPayloadViewsValid) {
+TEST(RegroupTest, ConsumingFreesInboundBlocks) {
   const std::vector<PartitionId> parts = {9, -3, 1 << 30};
   std::vector<ShuffleBlock> blocks = RandomBlocks(parts, 4, 50, 7);
   const std::vector<Instance> want = ReferenceOrder(blocks);
   RegroupScratch scratch;
-  const WorkerStore store = Regroup(Pointers(&blocks), /*keep_payloads=*/true,
-                                    /*consume=*/true, &scratch, nullptr);
+  const WorkerStore store =
+      Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
   for (const ShuffleBlock& block : blocks) {
     EXPECT_EQ(block.size(), 0u);
     EXPECT_EQ(block.payload_bytes.capacity(), 0u);
   }
   ExpectStoreMatches(store, want);
 
-  // GatherTuples rebuilds a run's tuples, payloads included.
+  // GatherTuples rebuilds a run's ids and points.
   std::vector<Tuple> gathered;
   const PartitionRun& run = store.runs.back();
   GatherTuples(store, run.begin, run.end, &gathered);
   ASSERT_EQ(gathered.size(), run.end - run.begin);
   for (size_t i = 0; i < gathered.size(); ++i) {
     EXPECT_EQ(gathered[i].id, want[run.begin + i].id);
-    EXPECT_EQ(gathered[i].payload, want[run.begin + i].payload);
+    EXPECT_EQ(gathered[i].pt.x, store.x[run.begin + i]);
+    EXPECT_EQ(gathered[i].pt.y, store.y[run.begin + i]);
   }
 }
 
 TEST(RegroupTest, NoInstancesGiveNoRuns) {
   std::vector<ShuffleBlock> blocks(3);
   RegroupScratch scratch;
-  const WorkerStore store = Regroup(Pointers(&blocks), false, true, &scratch,
-                                    nullptr);
+  const WorkerStore store =
+      Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
   EXPECT_TRUE(store.runs.empty());
   EXPECT_TRUE(store.id.empty());
-  EXPECT_TRUE(store.payload.empty());
 }
 
 }  // namespace

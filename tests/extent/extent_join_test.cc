@@ -38,6 +38,19 @@ TEST(ExtentJoinTest, ValidatesOptions) {
   EXPECT_FALSE(GridExtentDistanceJoin(r, r, options).ok());
   const ExtentDataset empty;
   EXPECT_FALSE(GridExtentDistanceJoin(r, empty, BaseOptions(0.5)).ok());
+  // Bad worker counts are errors, not crashes.
+  for (const int workers : {0, -1}) {
+    options = BaseOptions(0.5);
+    options.workers = workers;
+    const Result<ExtentJoinRun> run = GridExtentDistanceJoin(r, r, options);
+    ASSERT_FALSE(run.ok()) << workers;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << workers;
+  }
+  options = BaseOptions(0.5);
+  options.physical_threads = -1;
+  const Result<ExtentJoinRun> run = GridExtentDistanceJoin(r, r, options);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExtentJoinTest, MatchesOracleOnPolylines) {

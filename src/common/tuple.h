@@ -75,7 +75,9 @@ struct ResultPair {
   }
 };
 
-/// Hash functor for ResultPair (used by deduplication and test oracles).
+/// The raw ResultPair mix. Its low bits keep the structure of the ids, so
+/// nothing routes or indexes pairs by it directly: ResultPairShardHash
+/// finalizes it first.
 struct ResultPairHash {
   size_t operator()(const ResultPair& p) const {
     uint64_t h = static_cast<uint64_t>(p.r_id) * 0x9e3779b97f4a7c15ULL;
@@ -97,10 +99,13 @@ inline uint64_t SplitMix64(uint64_t h) {
 /// shard counts. The raw ResultPairHash keeps low-bit structure when tuple
 /// ids share a power-of-two stride (ids that are multiples of 64 collapse
 /// onto a single shard of 8), because `%` on a power of two reads only the
-/// low bits; the finalizer avalanches every input bit into them. Used by
-/// the engine's result-dedup partitioner; the un-finalized ResultPairHash
-/// remains the right choice for hash *tables*, whose prime-ish bucket
-/// counts are not low-bit-sensitive.
+/// low bits; the finalizer avalanches every input bit into them. The
+/// engine's distinct uses it twice: the scatter routes a pair to bucket
+/// `hash % workers`, and the bucket's open-addressing table indexes by
+/// multiply-shift, `(hash * capacity) >> 64`, i.e. by the HIGH bits. The
+/// low bits are no use there: within one bucket they are fixed modulo
+/// gcd(workers, 2^k), so with 12 workers a power-of-two table indexed by
+/// `hash & mask` would leave three quarters of its slots unused.
 struct ResultPairShardHash {
   size_t operator()(const ResultPair& p) const {
     return static_cast<size_t>(SplitMix64(ResultPairHash{}(p)));

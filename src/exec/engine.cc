@@ -35,7 +35,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -416,25 +415,57 @@ struct DedupMergeOutput {
   uint64_t count = 0;
 };
 
-/// Removes duplicates in dedup bucket `w` across all source workers.
-/// Polls `cancel` between source workers (partial output on cancel).
+/// Removes duplicates in dedup bucket `w` across all source workers, in one
+/// open-addressing table sized for every pair the bucket received: flat
+/// slot and occupancy arrays (no sentinel id — every int64_t is a valid
+/// tuple id), linear probing, and two frees per bucket. The home slot is
+/// the multiply-shift of ResultPairShardHash, i.e. its HIGH bits: the
+/// scatter routed the bucket by `hash % workers`, which fixes the low bits
+/// modulo gcd(workers, 2^k). Appends a pair to `unique` when first seen, so
+/// the output keeps the scatter's order. With `consume`, frees each source
+/// bucket once inserted. Polls `cancel` every kKernelPollGrain pairs
+/// (partial output on cancel).
 DedupMergeOutput MergeDedupBucket(
-    const std::vector<std::vector<std::vector<ResultPair>>>& buckets, int w,
-    int workers, bool collect, const spatial::KernelCancellation* cancel) {
-  DedupMergeOutput out;
-  std::unordered_set<ResultPair, ResultPairHash> seen;
+    std::vector<std::vector<std::vector<ResultPair>>>* buckets, int w,
+    int workers, bool collect, bool consume,
+    const spatial::KernelCancellation* cancel) {
+  const auto column = static_cast<size_t>(w);
+  size_t n = 0;
   for (int src = 0; src < workers; ++src) {
-    const std::vector<ResultPair>& bucket =
-        buckets[static_cast<size_t>(src)][static_cast<size_t>(w)];
-    for (const ResultPair& p : bucket) {
-      if (seen.insert(p).second && collect) out.unique.push_back(p);
-    }
-    if (cancel != nullptr) {
-      cancel->Pulse(bucket.size() + 1);
-      if (cancel->ShouldStop()) break;
-    }
+    n += (*buckets)[static_cast<size_t>(src)][column].size();
   }
-  out.count = seen.size();
+  const size_t cap = n + n / 2 + 16;
+  std::vector<ResultPair> slots(cap);
+  std::vector<uint8_t> used(cap, 0);
+  const ResultPairShardHash hasher;
+  DedupMergeOutput out;
+  uint64_t done = 0;
+  for (int src = 0; src < workers; ++src) {
+    std::vector<ResultPair>& bucket =
+        (*buckets)[static_cast<size_t>(src)][column];
+    for (const ResultPair& p : bucket) {
+      auto i = static_cast<size_t>(
+          (static_cast<unsigned __int128>(hasher(p)) * cap) >> 64);
+      while (used[i] != 0 && !(slots[i] == p)) {
+        if (++i == cap) i = 0;
+      }
+      if (used[i] == 0) {
+        used[i] = 1;
+        slots[i] = p;
+        ++out.count;
+        if (collect) out.unique.push_back(p);
+      }
+      if (cancel != nullptr &&
+          (++done & (spatial::kKernelPollGrain - 1)) == 0) {
+        cancel->Pulse(spatial::kKernelPollGrain);
+        if (cancel->ShouldStop()) return out;
+      }
+    }
+    if (consume) std::vector<ResultPair>().swap(bucket);
+  }
+  if (cancel != nullptr) {
+    cancel->Pulse(done & (spatial::kKernelPollGrain - 1));
+  }
   return out;
 }
 
@@ -1414,7 +1445,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // -------------------------------------------------------------- dedup ---
   // Parallel distinct over the produced pairs (the paper's non-duplicate-
   // free variant, Table 6): hash-partition pairs across workers, then each
-  // worker removes duplicates in its bucket.
+  // worker removes duplicates in its bucket. Unless the executor retains
+  // inputs, each scatter frees its worker's pairs and each merge frees the
+  // buckets it read (the shuffle bytes are counted in between).
   if (options.deduplicate) {
     std::vector<std::vector<std::vector<ResultPair>>> buckets(
         static_cast<size_t>(workers));
@@ -1424,8 +1457,10 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                   &measured_dedup},
         identity,
         [&](int w, NoPhaseState&, const Cancel* cancel) {
-          return ScatterWorkerPairs(worker_pairs[static_cast<size_t>(w)],
-                                    workers, cancel);
+          std::vector<ResultPair>& pairs = worker_pairs[static_cast<size_t>(w)];
+          auto out = ScatterWorkerPairs(pairs, workers, cancel);
+          if (!kRetain) std::vector<ResultPair>().swap(pairs);
+          return out;
         },
         CommitTo(&buckets)));
     // Pair bytes crossing workers count as shuffle traffic.
@@ -1437,8 +1472,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                   &measured_dedup},
         identity,
         [&](int w, NoPhaseState&, const Cancel* cancel) {
-          return MergeDedupBucket(buckets, w, workers, options.collect_results,
-                                  cancel);
+          return MergeDedupBucket(&buckets, w, workers,
+                                  options.collect_results,
+                                  /*consume=*/!kRetain, cancel);
         },
         CommitTo(&merged)));
     m.dedup_seconds = scatter_clock.Makespan() + merge_clock.Makespan();

@@ -198,7 +198,8 @@ TEST(CancellationStressTest, ConcurrentCancelRacesAreSingleWinner) {
     threads.reserve(4);
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&, t] {
-        if (source.Cancel(StatusCode::kCancelled, "t" + std::to_string(t))) {
+        if (source.Cancel(StatusCode::kCancelled,
+                          std::string("t").append(std::to_string(t)))) {
           ++wins;
         }
       });

@@ -289,11 +289,13 @@ TEST(EngineWatchdogTest, InfiniteStragglersAreCancelledAndRetried) {
 
 // A quick-firing watchdog must not cancel healthy tasks: with no injected
 // stragglers the kernels' heartbeat pulses keep every attempt alive and
-// the result stays exact.
-TEST(EngineWatchdogTest, HealthyRunSurvivesAggressiveWatchdog) {
+// the result stays exact. With `deduplicate`, the dedup scatter and merge
+// run too, and they pulse inside their pair loops.
+void ExpectSurvivesAggressiveWatchdog(bool deduplicate) {
   const Dataset r = MakeDataset(RandomPoints(500, 23), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(500, 24), 1000, "S");
   EngineOptions options = SmallOptions();
+  options.deduplicate = deduplicate;
 
   Result<JoinRun> clean_result =
       TryRunPartitionedJoin(r, s, BandAssign(options.eps),
@@ -313,6 +315,14 @@ TEST(EngineWatchdogTest, HealthyRunSurvivesAggressiveWatchdog) {
   JoinRun run = result.MoveValue();
   std::sort(run.pairs.begin(), run.pairs.end());
   EXPECT_EQ(run.pairs, expected);
+}
+
+TEST(EngineWatchdogTest, HealthyRunSurvivesAggressiveWatchdog) {
+  ExpectSurvivesAggressiveWatchdog(/*deduplicate=*/false);
+}
+
+TEST(EngineWatchdogTest, HealthyDedupRunSurvivesAggressiveWatchdog) {
+  ExpectSurvivesAggressiveWatchdog(/*deduplicate=*/true);
 }
 
 // Speculative execution + cancellation of losing attempts: the winner

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -176,35 +177,117 @@ TEST(EngineTest, RemoteBytesDependOnPlacement) {
   EXPECT_LE(spread.metrics.shuffle_remote_bytes, spread.metrics.shuffle_bytes);
 }
 
-TEST(EngineTest, DeduplicateRemovesInflatedResults) {
-  // Replicate BOTH sides: every pair within one partition of the border is
-  // discovered twice; dedup must restore the exact count.
-  const Dataset r = MakeDataset(RandomPoints(300, 9), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(300, 10), 1000, "S");
-  EngineOptions options = BaseOptions();
-  const AssignFn both = [](const Tuple& t, Side) {
+/// Copies BOTH sides into every partition within `reach` of the tuple's x,
+/// so a pair near a border is discovered once per shared partition.
+AssignFn ReplicateBoth(double reach) {
+  return [reach](const Tuple& t, Side) {
     PartitionList out;
     const int native = std::clamp(static_cast<int>(t.pt.x), 0, 9);
     out.push_back(native);
-    const int lo = std::clamp(static_cast<int>(t.pt.x - 0.25), 0, 9);
-    const int hi = std::clamp(static_cast<int>(t.pt.x + 0.25), 0, 9);
+    const int lo = std::clamp(static_cast<int>(t.pt.x - reach), 0, 9);
+    const int hi = std::clamp(static_cast<int>(t.pt.x + reach), 0, 9);
     for (int p = lo; p <= hi; ++p) {
       if (p != native) out.push_back(p);
     }
     return out;
   };
-  const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  const size_t truth = BruteForcePairs(r, s, options.eps).size();
+}
 
-  const JoinRun raw = MustRun(r, s, both, owner, options);
-  EXPECT_GT(raw.metrics.results, truth);  // duplicates present
-
+/// Runs the dedup path with collected results and expects exactly the
+/// brute-force pairs, with duplicates present before the distinct.
+void ExpectExactDistinct(const Dataset& r, const Dataset& s,
+                         const AssignFn& assign, EngineOptions options) {
+  const OwnerFn owner = [workers = options.workers](PartitionId p) {
+    return p % workers;
+  };
+  const auto truth = BruteForcePairs(r, s, options.eps);
+  ASSERT_GT(MustRun(r, s, assign, owner, options).metrics.results,
+            truth.size());  // duplicates present
   options.deduplicate = true;
   options.collect_results = true;
-  const JoinRun dedup = MustRun(r, s, both, owner, options);
-  EXPECT_EQ(dedup.metrics.results, truth);
-  EXPECT_EQ(dedup.pairs.size(), truth);
-  EXPECT_GT(dedup.metrics.dedup_seconds, 0.0);
+  JoinRun run = MustRun(r, s, assign, owner, options);
+  EXPECT_EQ(run.metrics.results, truth.size());
+  EXPECT_GT(run.metrics.dedup_seconds, 0.0);
+  ASSERT_EQ(run.pairs.size(), truth.size());
+  std::sort(run.pairs.begin(), run.pairs.end());
+  size_t i = 0;
+  for (const auto& [pair, count] : truth) {
+    (void)count;
+    EXPECT_EQ(run.pairs[i++], pair);
+  }
+}
+
+TEST(EngineTest, DeduplicateRemovesInflatedResults) {
+  // Replicate BOTH sides: every pair within one partition of the border is
+  // discovered twice; dedup must restore the exact pairs.
+  const Dataset r = MakeDataset(RandomPoints(300, 9), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 10), 1000, "S");
+  ExpectExactDistinct(r, s, ReplicateBoth(0.25), BaseOptions());
+}
+
+TEST(EngineTest, DeduplicateKeepsExtremeIds) {
+  // Tuple ids are arbitrary int64_t: every value, INT64_MIN and 0 included,
+  // is a real id, so the distinct's table cannot reserve one as "empty".
+  // The extreme-id tuples sit on a partition border and are all within eps
+  // of each other, so each of their pairs is found twice.
+  const std::vector<int64_t> ids = {std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max(), -1,
+                                    0};
+  Dataset r = MakeDataset(RandomPoints(200, 41), 1, "R");
+  Dataset s = MakeDataset(RandomPoints(200, 42), 1000, "S");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double x = 4.95 + 0.03 * static_cast<double>(i);
+    r.tuples.push_back(Tuple{ids[i], Point{x, 0.5}, ""});
+    s.tuples.push_back(Tuple{ids[i], Point{x, 0.52}, ""});
+  }
+  ExpectExactDistinct(r, s, ReplicateBoth(0.25), BaseOptions());
+}
+
+TEST(EngineTest, DeduplicateHeavyDuplication) {
+  // Both sides copied into the 4 partitions on either side: a close pair is
+  // found in up to 9 partitions, so the table sees long runs of repeats.
+  const Dataset r = MakeDataset(RandomPoints(300, 43), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 44), 1000, "S");
+  ExpectExactDistinct(r, s, ReplicateBoth(4.0), BaseOptions());
+}
+
+TEST(EngineTest, DeduplicateEdgeWorkerCounts) {
+  // One worker: a single bucket holds every pair. 64 workers over a handful
+  // of pairs: most buckets are empty.
+  const Dataset r = MakeDataset(RandomPoints(300, 45), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 46), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.workers = 1;
+  ExpectExactDistinct(r, s, ReplicateBoth(0.25), options);
+
+  const Dataset r_small = MakeDataset(RandomPoints(12, 47), 0, "R");
+  const Dataset s_small = MakeDataset(RandomPoints(12, 48), 1000, "S");
+  options.workers = 64;
+  options.num_splits = 16;
+  ExpectExactDistinct(r_small, s_small, ReplicateBoth(4.0), options);
+}
+
+TEST(EngineTest, DeduplicateKeepsFirstSeenOrder) {
+  // The distinct appends each pair when it is first seen, bucket by bucket:
+  // an order-sensitive checksum of the UNSORTED collected pairs pins that
+  // order. One pool thread makes the join's output order deterministic.
+  // The golden value was recorded with the node-based distinct that the
+  // flat table replaced.
+  const Dataset r = MakeDataset(RandomPoints(300, 49), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 50), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.physical_threads = 1;
+  options.deduplicate = true;
+  options.collect_results = true;
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  const JoinRun run = MustRun(r, s, ReplicateBoth(0.25), owner, options);
+  ASSERT_EQ(run.pairs.size(), BruteForcePairs(r, s, options.eps).size());
+  uint64_t checksum = 1469598103934665603ULL;  // FNV-1a over the id sequence
+  for (const ResultPair& p : run.pairs) {
+    checksum = (checksum ^ static_cast<uint64_t>(p.r_id)) * 1099511628211ULL;
+    checksum = (checksum ^ static_cast<uint64_t>(p.s_id)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(checksum, 10047554656918706508ULL);
 }
 
 /// The brute-force result pairs, sorted.

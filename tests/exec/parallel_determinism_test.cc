@@ -12,6 +12,7 @@
 // agree.
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,7 +64,8 @@ struct MatrixCase {
 
 std::string CaseName(const MatrixCase& c) {
   std::string name = spatial::LocalJoinKernelName(c.kernel);
-  name += "/W" + std::to_string(c.workers);
+  name += "/W";
+  name += std::to_string(c.workers);
   name += c.fault ? "/fault" : "/clean";
   return name;
 }
@@ -184,7 +186,8 @@ TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
     options.physical_threads = threads;
     JoinRun run = MustRun(r, s, assign, owner, options);
     std::sort(run.pairs.begin(), run.pairs.end());
-    ExpectIdentical(base, run, "T" + std::to_string(threads));
+    ExpectIdentical(base, run,
+                    std::string("T").append(std::to_string(threads)));
   }
 }
 

@@ -4,30 +4,16 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
-#include "core/lpt_scheduler.h"
+#include "core/driver.h"
 
 namespace pasjoin::baselines {
 
 Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
                                              const SedonaOptions& options) {
-  if (!(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
-  }
-  if (r.tuples.empty() || s.tuples.empty()) {
-    return Status::InvalidArgument("both join inputs must be non-empty");
-  }
-  if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
-    return Status::InvalidArgument("sample rate must be in (0, 1]");
-  }
-  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
-
-  Stopwatch driver;
-  obs::TraceRecorder* const trace = options.trace;
-  Rect mbr = options.mbr;
-  if (!(mbr.Area() > 0.0)) {
-    mbr = r.Mbr().Union(s.Mbr());
-  }
+  Result<core::Driver> admitted = core::Driver::Admit(
+      r, s, options.eps, options.mbr, options.sample_rate, options);
+  if (!admitted.ok()) return admitted.status();
+  core::Driver& driver = admitted.value();
 
   // The set with the fewest objects is both sampled for the partitioning
   // structure and replicated (Section 7.1); the other set is indexed, which
@@ -37,7 +23,7 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
 
   std::vector<Point> sample;
   {
-    obs::ScopedSpan span(trace, "driver-sample", "driver");
+    obs::ScopedSpan span(driver.trace(), "driver-sample", "driver");
     Rng rng(options.sample_seed);
     sample.reserve(static_cast<size_t>(
         static_cast<double>(smaller.tuples.size()) * options.sample_rate) + 16);
@@ -55,11 +41,10 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
         1, static_cast<int>(sample.size()) / std::max(1, target));
   }
   const spatial::QuadTreePartitioner partitioner = [&] {
-    obs::ScopedSpan span(trace, "driver-quadtree", "driver");
+    obs::ScopedSpan span(driver.trace(), "driver-quadtree", "driver");
     span.AddArg("sample_points", static_cast<int64_t>(sample.size()));
-    return spatial::QuadTreePartitioner(mbr, sample, quadtree);
+    return spatial::QuadTreePartitioner(driver.space(), sample, quadtree);
   }();
-  const double driver_seconds = driver.ElapsedSeconds();
 
   const double eps = options.eps;
   exec::AssignFn assign = [&partitioner, replicated, eps](const Tuple& t,
@@ -81,20 +66,9 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     return out;
   };
 
-  const exec::OwnerFn owner =
-      core::CellAssignment::Hash(options.workers).AsOwnerFn();
-
-  exec::EngineOptions engine_options;
-  static_cast<exec::ExecOptions&>(engine_options) = options;
-  engine_options.eps = options.eps;
-  engine_options.bounds = mbr;
-
-  Result<exec::JoinRun> run_result =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_options);
-  if (!run_result.ok()) return run_result.status();
-  exec::JoinRun run = run_result.MoveValue();
-  exec::FinishDriverRun("Sedona", driver_seconds, trace, &run);
-  return run;
+  return driver.Run(r, s, assign,
+                    core::CellAssignment::Hash(options.workers).AsOwnerFn(),
+                    "Sedona");
 }
 
 }  // namespace pasjoin::baselines

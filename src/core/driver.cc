@@ -1,0 +1,117 @@
+// Copyright 2026 The pasjoin Authors.
+#include "core/driver.h"
+
+#include "exec/metrics.h"
+
+namespace pasjoin::core {
+
+Result<Driver> Driver::Admit(const Dataset& r, const Dataset& s, double eps,
+                             const Rect& mbr,
+                             std::optional<double> sample_rate,
+                             const exec::ExecOptions& exec) {
+  PASJOIN_RETURN_NOT_OK(exec::ValidateEps(eps));
+  if (r.tuples.empty() || s.tuples.empty()) {
+    return Status::InvalidArgument("both join inputs must be non-empty");
+  }
+  if (sample_rate && !(*sample_rate > 0.0 && *sample_rate <= 1.0)) {
+    return Status::InvalidArgument("sample rate must be in (0, 1]");
+  }
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(exec));
+  Driver driver;
+  static_cast<exec::ExecOptions&>(driver.engine_) = exec;
+  driver.engine_.eps = eps;
+  driver.engine_.bounds = mbr.Area() > 0.0 ? mbr : r.Mbr().Union(s.Mbr());
+  return driver;
+}
+
+Result<grid::Grid> Driver::MakeGrid(double resolution_factor,
+                                    bool baseline) const {
+  obs::ScopedSpan span(trace(), "driver-grid", "driver");
+  return baseline ? grid::Grid::MakeForBaseline(space(), engine_.eps,
+                                                resolution_factor)
+                  : grid::Grid::Make(space(), engine_.eps, resolution_factor);
+}
+
+grid::GridStats Driver::Sample(const grid::Grid& grid, const Dataset& r,
+                               const Dataset& s, double rate, uint64_t seed_r,
+                               uint64_t seed_s) const {
+  obs::ScopedSpan span(trace(), "driver-sample", "driver");
+  grid::GridStats stats(&grid);
+  stats.AddSample(Side::kR, r, rate, seed_r);
+  stats.AddSample(Side::kS, s, rate, seed_s);
+  span.AddArg("sampled_r", static_cast<int64_t>(stats.SampleSize(Side::kR)));
+  span.AddArg("sampled_s", static_cast<int64_t>(stats.SampleSize(Side::kS)));
+  return stats;
+}
+
+CellAssignment Driver::Place(const grid::Grid& grid,
+                             const grid::GridStats* stats, Planner* planner) {
+  obs::ScopedSpan span(trace(), "driver-placement", "driver");
+  span.SetStringArg("scheduler", stats != nullptr ? "lpt" : "hash");
+  if (stats == nullptr) return CellAssignment::Hash(engine_.workers);
+  return Plan([&] {
+    return PlanLptAssignment(PlanCellCosts(grid, *stats, planner, trace()),
+                             engine_.workers, trace());
+  });
+}
+
+Result<exec::JoinRun> Driver::Run(const Dataset& r, const Dataset& s,
+                                  const exec::AssignFn& assign,
+                                  const exec::OwnerFn& owner,
+                                  const char* algorithm, bool deduplicate,
+                                  bool self_join) {
+  const double driver_seconds = ElapsedSeconds();
+  engine_.deduplicate = deduplicate;
+  engine_.self_join = self_join;
+  Result<exec::JoinRun> run =
+      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_);
+  if (!run.ok()) return run;
+  exec::JobMetrics& m = run.value().metrics;
+  m.algorithm = algorithm;
+  // Planning is a subset of the driver time folded into construction; the
+  // break-out feeds trace validation and the bench gate.
+  m.measured_planning_seconds = planning_seconds_;
+  m.construction_seconds += driver_seconds;
+  m.measured_construction_seconds += driver_seconds;
+  if (trace() != nullptr) {
+    // The engine published its gauges before the driver time was known.
+    trace()->counters().SetGauge("driver_seconds", driver_seconds);
+    exec::PublishMetricGauges(m, &trace()->counters());
+  }
+  return run;
+}
+
+Result<exec::JoinRun> UniformGridDistanceJoin(const Dataset& r,
+                                              const Dataset& s,
+                                              const UniformGridJoin& join,
+                                              const exec::ExecOptions& exec) {
+  Result<Driver> admitted =
+      Driver::Admit(r, s, join.eps, join.mbr, join.lpt_sample_rate, exec);
+  if (!admitted.ok()) return admitted.status();
+  Driver& driver = admitted.value();
+  Result<grid::Grid> grid_result =
+      driver.MakeGrid(join.resolution_factor, /*baseline=*/true);
+  if (!grid_result.ok()) return grid_result.status();
+  const grid::Grid grid = grid_result.MoveValue();
+
+  Planner planner(join.planning);
+  std::optional<grid::GridStats> stats;
+  if (join.lpt_sample_rate) {
+    stats.emplace(driver.Sample(grid, r, s, *join.lpt_sample_rate,
+                                join.sample_seed,
+                                join.sample_seed + (join.self_join ? 0 : 1)));
+  }
+  const CellAssignment placement =
+      driver.Place(grid, stats ? &*stats : nullptr, &planner);
+
+  const exec::AssignFn assign = [&grid, &join](const Tuple& t, Side side) {
+    if (side == join.replicated) return grid::CellsWithinEps(grid, t.pt);
+    exec::PartitionList out;
+    out.push_back(grid.Locate(t.pt));
+    return out;
+  };
+  return driver.Run(r, s, assign, placement.AsOwnerFn(), join.algorithm,
+                    /*deduplicate=*/false, join.self_join);
+}
+
+}  // namespace pasjoin::core

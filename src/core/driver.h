@@ -1,0 +1,125 @@
+// Copyright 2026 The pasjoin Authors.
+//
+// The driver pipeline every point join shares. Algorithm 5 is one pipeline,
+// and Sections 4.4 and 7.1 make PBSM an instance of the same
+// grid-partitioned dataflow:
+//
+//   admit -> data space -> grid -> sample -> place cells -> route
+//         -> engine run (map / shuffle / join), driver time folded in.
+//
+// A Driver owns the steps that do not depend on the join: admission, the
+// data space, the grid, sampling and placement with their driver spans and
+// the planning clock, and the engine epilogue. A join adds only what is its
+// own: the graph of agreements (AdaptiveDistanceJoin), the quadtree
+// (SedonaLikeDistanceJoin), or just the one-side router of
+// UniformGridDistanceJoin, which SelfDistanceJoin and PbsmDistanceJoin are.
+#ifndef PASJOIN_CORE_DRIVER_H_
+#define PASJOIN_CORE_DRIVER_H_
+
+#include <cstdint>
+#include <optional>
+
+#include "common/stopwatch.h"
+#include "core/planning.h"
+#include "exec/engine.h"
+
+namespace pasjoin::core {
+
+/// One driver call, from admission to the engine's result.
+class Driver {
+ public:
+  /// Admits a join of `r` and `s`: eps positive and finite, both inputs
+  /// non-empty, `sample_rate` in (0, 1] when the join samples (nullopt when
+  /// it does not), then exec::AdmitJob. Starts the driver clock. The data
+  /// space is `mbr` when it has area, the inputs' MBR otherwise.
+  [[nodiscard]] static Result<Driver> Admit(
+      const Dataset& r, const Dataset& s, double eps, const Rect& mbr,
+      std::optional<double> sample_rate, const exec::ExecOptions& exec);
+
+  /// The data space. It is also the engine's declared bounds, so a point
+  /// outside an explicit MBR is rejected instead of clamped into an edge
+  /// cell.
+  const Rect& space() const { return engine_.bounds; }
+  obs::TraceRecorder* trace() const { return engine_.trace; }
+
+  /// The grid over the data space, built in a driver-grid span:
+  /// Grid::Make, or Grid::MakeForBaseline when `baseline`.
+  [[nodiscard]] Result<grid::Grid> MakeGrid(double resolution_factor,
+                                            bool baseline) const;
+
+  /// Bernoulli-samples both inputs into per-cell statistics, in a
+  /// driver-sample span.
+  grid::GridStats Sample(const grid::Grid& grid, const Dataset& r,
+                         const Dataset& s, double rate, uint64_t seed_r,
+                         uint64_t seed_s) const;
+
+  /// Runs a planning step on the planning clock. The clock must cover
+  /// exactly the planning-* spans that trace validation reconciles it with.
+  template <typename Step>
+  auto Plan(Step&& step) {
+    const Stopwatch watch;
+    auto out = step();
+    planning_seconds_ += watch.ElapsedSeconds();
+    return out;
+  }
+
+  /// Places cells on workers in a driver-placement span: LPT over the
+  /// sampled per-cell costs when `stats` is set (Section 6.2), hash
+  /// otherwise.
+  CellAssignment Place(const grid::Grid& grid, const grid::GridStats* stats,
+                       Planner* planner);
+
+  /// Seconds since admission.
+  double ElapsedSeconds() const { return clock_.ElapsedSeconds(); }
+  /// The planning portion of the driver time.
+  double planning_seconds() const { return planning_seconds_; }
+
+  /// The engine epilogue: runs the dataflow with the job's execution knobs,
+  /// eps and bounds = data space, names the run `algorithm`, reports the
+  /// planning time and folds the driver time into construction.
+  [[nodiscard]] Result<exec::JoinRun> Run(
+      const Dataset& r, const Dataset& s, const exec::AssignFn& assign,
+      const exec::OwnerFn& owner, const char* algorithm,
+      bool deduplicate = false, bool self_join = false);
+
+ private:
+  Driver() = default;
+
+  /// The job's execution knobs plus eps and the data space as bounds.
+  exec::EngineOptions engine_;
+  Stopwatch clock_;
+  double planning_seconds_ = 0.0;
+};
+
+/// A uniform one-side grid join (PBSM, Sections 4.4 and 7.1): tuples of the
+/// replicated side go to every cell within eps, native cell first; the
+/// other side goes to its native cell only, so every pair is found in
+/// exactly one cell.
+struct UniformGridJoin {
+  /// The run's algorithm name.
+  const char* algorithm = "";
+  double eps = 0.0;
+  /// Cell side as a multiple of eps (any factor > 0).
+  double resolution_factor = 2.0;
+  Side replicated = Side::kR;
+  /// Both inputs are one relation: the engine keeps each unordered pair
+  /// once, and both sides share one sample.
+  bool self_join = false;
+  /// Places cells by LPT over per-cell costs sampled at this rate; hash
+  /// placement when unset.
+  std::optional<double> lpt_sample_rate;
+  /// Sampling seed of R; S uses seed + 1, or the same seed in a self join.
+  uint64_t sample_seed = 0;
+  PlanningOptions planning;
+  /// Data space; computed from the inputs when it has no area.
+  Rect mbr;
+};
+
+/// Runs `join` over `r` and `s` with the execution knobs `exec`.
+[[nodiscard]] Result<exec::JoinRun> UniformGridDistanceJoin(
+    const Dataset& r, const Dataset& s, const UniformGridJoin& join,
+    const exec::ExecOptions& exec);
+
+}  // namespace pasjoin::core
+
+#endif  // PASJOIN_CORE_DRIVER_H_

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/driver.h"
+
 namespace pasjoin::core {
 
 double EstimateResultCount(const grid::Grid& grid, const grid::GridStats& stats,
@@ -82,23 +84,19 @@ Result<double> AdviseEpsilon(const Dataset& r, const Dataset& s,
   if (!(target_results > 0.0)) {
     return Status::InvalidArgument("target result count must be positive");
   }
-  if (r.tuples.empty() || s.tuples.empty()) {
-    return Status::InvalidArgument("both inputs must be non-empty");
-  }
-  if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
-    return Status::InvalidArgument("sample rate must be in (0, 1]");
-  }
-
-  // Build the histogram fine enough that even eps_min is resolved: cells of
-  // about 2 * eps_min (the finest resolution the joins themselves use), but
-  // not absurdly many cells for tiny eps ranges.
-  const Rect mbr = r.Mbr().Union(s.Mbr());
-  Result<grid::Grid> grid_result = grid::Grid::Make(mbr, options.eps_min, 2.0);
+  // The statistics come from the join drivers' own steps. Build the
+  // histogram fine enough that even eps_min is resolved: cells of about
+  // 2 * eps_min, the finest resolution the joins themselves use.
+  Result<Driver> admitted = Driver::Admit(r, s, options.eps_min, Rect{},
+                                          options.sample_rate, {});
+  if (!admitted.ok()) return admitted.status();
+  Result<grid::Grid> grid_result =
+      admitted.value().MakeGrid(2.0, /*baseline=*/false);
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
-  grid::GridStats stats(&grid);
-  stats.AddSample(Side::kR, r, options.sample_rate, options.sample_seed);
-  stats.AddSample(Side::kS, s, options.sample_rate, options.sample_seed + 1);
+  const grid::GridStats stats =
+      admitted.value().Sample(grid, r, s, options.sample_rate,
+                              options.sample_seed, options.sample_seed + 1);
 
   // The estimate is monotone increasing in eps: bisect.
   double lo = options.eps_min;

@@ -3,10 +3,11 @@
 // eps-distance self-join: all unordered pairs {a, b}, a != b, of one point
 // set within distance eps (the MR-DSJ problem of the paper's related work,
 // Section 2). Adaptive replication brings nothing to a self-join (both
-// "sides" have identical statistics, so every agreement ties); instead the
-// single input is grid-partitioned with one replicated stream and one
-// single-assigned stream, and the engine's self-join filter keeps each pair
-// exactly once (reported as (min_id, max_id)).
+// "sides" have identical statistics, so every agreement ties); instead it is
+// PBSM's UNI(R) over one input (core::UniformGridDistanceJoin): one
+// replicated stream and one single-assigned stream, and the engine's
+// self-join filter keeps each pair exactly once (reported as
+// (min_id, max_id)).
 #ifndef PASJOIN_CORE_SELF_JOIN_H_
 #define PASJOIN_CORE_SELF_JOIN_H_
 

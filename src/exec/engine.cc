@@ -1537,24 +1537,18 @@ Status AdmitJob(const ExecOptions& options) {
   return Status::OK();
 }
 
-void FinishDriverRun(const char* algorithm, double driver_seconds,
-                     obs::TraceRecorder* trace, JoinRun* run) {
-  run->metrics.algorithm = algorithm;
-  run->metrics.construction_seconds += driver_seconds;
-  run->metrics.measured_construction_seconds += driver_seconds;
-  if (trace != nullptr) {
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    PublishMetricGauges(run->metrics, &trace->counters());
+Status ValidateEps(double eps) {
+  if (!std::isfinite(eps) || !(eps > 0.0)) {
+    return Status::InvalidArgument("eps must be positive and finite");
   }
+  return Status::OK();
 }
 
 Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const AssignFn& assign,
                                       const OwnerFn& owner,
                                       const EngineOptions& options) {
-  if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive and finite");
-  }
+  PASJOIN_RETURN_NOT_OK(ValidateEps(options.eps));
   PASJOIN_RETURN_NOT_OK(AdmitJob(options));
   // The R-tree indexes the globally larger input, S on a tie (Sedona's
   // setup, Section 7.1).

@@ -141,17 +141,14 @@ struct JoinRun {
 /// cancelled token or an expired deadline.
 [[nodiscard]] Status AdmitJob(const ExecOptions& options);
 
-/// Driver epilogue: names the run's `algorithm`, folds `driver_seconds` of
-/// driver-side construction into its construction times and, when tracing,
-/// republishes the `driver_seconds` gauge and the metric gauges the engine
-/// published before the driver time was known.
-void FinishDriverRun(const char* algorithm, double driver_seconds,
-                     obs::TraceRecorder* trace, JoinRun* run);
+/// The eps check shared by the engine, every driver and the extent join:
+/// kInvalidArgument unless eps is positive and finite.
+[[nodiscard]] Status ValidateEps(double eps);
 
 /// Runs the map/shuffle/join dataflow. `assign` decides replication; `owner`
 /// decides placement; options.local_kernel computes each partition's join.
 ///
-/// Inputs are validated and rejected with kInvalidArgument: eps > 0,
+/// Inputs are validated and rejected with kInvalidArgument: ValidateEps,
 /// workers > 0 and coherent FaultOptions up front; then, inside the map
 /// tasks, finite coordinates (inside `bounds` when declared), a non-empty
 /// `assign` result and an `owner` result in [0, workers) for every tuple —

@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "exec/engine.h"
 #include "exec/thread_pool.h"
 #include "grid/grid.h"
 
@@ -19,29 +20,6 @@ namespace {
 /// vertex array.
 uint64_t ObjectBytes(const SpatialObject& o) {
   return kTupleHeaderBytes + o.vertices.size() * 16;
-}
-
-/// Appends to `out` every cell of `g` intersecting `region`.
-void CellsIntersecting(const Grid& g, const Rect& region,
-                       std::vector<CellId>* out) {
-  const Rect& mbr = g.mbr();
-  int cx_lo = static_cast<int>(
-      std::floor((region.min_x - mbr.min_x) / g.cell_width()));
-  int cx_hi = static_cast<int>(
-      std::floor((region.max_x - mbr.min_x) / g.cell_width()));
-  int cy_lo = static_cast<int>(
-      std::floor((region.min_y - mbr.min_y) / g.cell_height()));
-  int cy_hi = static_cast<int>(
-      std::floor((region.max_y - mbr.min_y) / g.cell_height()));
-  cx_lo = std::clamp(cx_lo, 0, g.nx() - 1);
-  cx_hi = std::clamp(cx_hi, 0, g.nx() - 1);
-  cy_lo = std::clamp(cy_lo, 0, g.ny() - 1);
-  cy_hi = std::clamp(cy_hi, 0, g.ny() - 1);
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      out->push_back(g.CellIdOf(cx, cy));
-    }
-  }
 }
 
 /// The unique reference point of a candidate pair: the lower-left corner of
@@ -70,9 +48,7 @@ Rect ExtentDataset::Mbr() const {
 Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
                                              const ExtentDataset& s,
                                              const ExtentJoinOptions& options) {
-  if (!(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::ValidateEps(options.eps));
   if (r.objects.empty() || s.objects.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
@@ -91,10 +67,8 @@ Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
   Stopwatch wall;
   Stopwatch construction;
 
-  Rect mbr = options.mbr;
-  if (!(mbr.Area() > 0.0)) {
-    mbr = r.Mbr().Union(s.Mbr());
-  }
+  const Rect mbr =
+      options.mbr.Area() > 0.0 ? options.mbr : r.Mbr().Union(s.Mbr());
   Result<Grid> grid_result =
       Grid::MakeForBaseline(mbr, eps, options.resolution_factor);
   if (!grid_result.ok()) return grid_result.status();
@@ -103,31 +77,28 @@ Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
   // Multi-assignment: R objects to every cell their eps-expanded MBR
   // intersects, S objects to every cell their MBR intersects.
   std::vector<CellContent> cells(static_cast<size_t>(g.num_cells()));
-  std::vector<CellId> scratch;
-  for (int32_t i = 0; i < static_cast<int32_t>(r.objects.size()); ++i) {
-    const Rect obj_mbr = r.objects[static_cast<size_t>(i)].Mbr();
-    scratch.clear();
-    CellsIntersecting(g, obj_mbr.Expanded(eps), &scratch);
-    for (const CellId c : scratch) {
-      cells[static_cast<size_t>(c)].r.emplace_back(i, obj_mbr);
+  const auto route = [&](const ExtentDataset& d, Side side) {
+    const bool is_r = side == Side::kR;
+    for (int32_t i = 0; i < static_cast<int32_t>(d.objects.size()); ++i) {
+      const Rect obj_mbr = d.objects[static_cast<size_t>(i)].Mbr();
+      const grid::CellRange range =
+          g.CellsCovering(is_r ? obj_mbr.Expanded(eps) : obj_mbr);
+      for (int cy = range.y_lo; cy <= range.y_hi; ++cy) {
+        for (int cx = range.x_lo; cx <= range.x_hi; ++cx) {
+          CellContent& cell = cells[static_cast<size_t>(g.CellIdOf(cx, cy))];
+          (is_r ? cell.r : cell.s).emplace_back(i, obj_mbr);
+        }
+      }
+      const auto copies = static_cast<uint64_t>(range.x_hi - range.x_lo + 1) *
+                          static_cast<uint64_t>(range.y_hi - range.y_lo + 1);
+      (is_r ? m.replicated_r : m.replicated_s) += copies - 1;
+      m.shuffled_tuples += copies;
+      m.shuffle_bytes +=
+          copies * ObjectBytes(d.objects[static_cast<size_t>(i)]);
     }
-    m.replicated_r += scratch.size() - 1;
-    m.shuffled_tuples += scratch.size();
-    m.shuffle_bytes +=
-        scratch.size() * ObjectBytes(r.objects[static_cast<size_t>(i)]);
-  }
-  for (int32_t i = 0; i < static_cast<int32_t>(s.objects.size()); ++i) {
-    const Rect obj_mbr = s.objects[static_cast<size_t>(i)].Mbr();
-    scratch.clear();
-    CellsIntersecting(g, obj_mbr, &scratch);
-    for (const CellId c : scratch) {
-      cells[static_cast<size_t>(c)].s.emplace_back(i, obj_mbr);
-    }
-    m.replicated_s += scratch.size() - 1;
-    m.shuffled_tuples += scratch.size();
-    m.shuffle_bytes +=
-        scratch.size() * ObjectBytes(s.objects[static_cast<size_t>(i)]);
-  }
+  };
+  route(r, Side::kR);
+  route(s, Side::kS);
   m.construction_seconds = construction.ElapsedSeconds();
 
   // Per-cell joins, one task per logical worker (cells hashed to workers).

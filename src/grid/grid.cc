@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/macros.h"
 
@@ -23,21 +24,26 @@ Grid::Grid(const Rect& mbr, double eps, int nx, int ny)
       cell_w_(mbr.Width() / nx),
       cell_h_(mbr.Height() / ny) {}
 
+namespace {
+
+// floor(v) clamped to [0, n - 1] in double before the cast, so that no
+// value, infinite ones included, overflows it; NaN maps to 0.
+int ClampedCell(double v, int n) {
+  return static_cast<int>(
+      std::min(std::max(0.0, std::floor(v)), static_cast<double>(n - 1)));
+}
+
+}  // namespace
+
 Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
-  if (!(eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
-  }
-  if (!(mbr.Width() > 0.0) || !(mbr.Height() > 0.0)) {
-    return Status::InvalidArgument("MBR must have positive extent: " +
-                                   mbr.ToString());
-  }
-  if (resolution_factor < 2.0) {
+  if (!(resolution_factor >= 2.0)) {
     return Status::InvalidArgument(
         "resolution factor must be >= 2 (cells must exceed 2*eps, Sect. 4.1)");
   }
-  const double target = resolution_factor * eps;
-  int nx = std::max(1, static_cast<int>(std::floor(mbr.Width() / target)));
-  int ny = std::max(1, static_cast<int>(std::floor(mbr.Height() / target)));
+  Result<Grid> grid = MakeForBaseline(mbr, eps, resolution_factor);
+  if (!grid.ok()) return grid;
+  int nx = grid.value().nx_;
+  int ny = grid.value().ny_;
   // The paper requires cell sides *strictly* greater than 2*eps; shrink the
   // cell count until that holds (relevant when the MBR divides exactly).
   while (nx > 1 && mbr.Width() / nx <= 2.0 * eps) --nx;
@@ -51,28 +57,39 @@ Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
 
 Result<Grid> Grid::MakeForBaseline(const Rect& mbr, double eps,
                                    double resolution_factor) {
-  if (!(eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
+  if (!(resolution_factor > 0.0)) {
+    return Status::InvalidArgument("resolution factor must be positive");
+  }
+  if (!(eps > 0.0) || !std::isfinite(eps)) {
+    return Status::InvalidArgument("eps must be positive and finite");
   }
   if (!(mbr.Width() > 0.0) || !(mbr.Height() > 0.0)) {
     return Status::InvalidArgument("MBR must have positive extent: " +
                                    mbr.ToString());
   }
-  if (!(resolution_factor > 0.0)) {
-    return Status::InvalidArgument("resolution factor must be positive");
-  }
+  // The cell counts are computed in double: a tiny eps must not wrap the int
+  // cast, and a grid whose cells do not all get a CellId is rejected.
   const double target = resolution_factor * eps;
-  const int nx = std::max(1, static_cast<int>(std::floor(mbr.Width() / target)));
-  const int ny = std::max(1, static_cast<int>(std::floor(mbr.Height() / target)));
-  return Grid(mbr, eps, nx, ny);
+  const double nx = std::max(1.0, std::floor(mbr.Width() / target));
+  const double ny = std::max(1.0, std::floor(mbr.Height() / target));
+  if (!(nx * ny <= static_cast<double>(std::numeric_limits<CellId>::max()))) {
+    return Status::InvalidArgument(
+        "grid has more cells than CellId can number: eps is too small for "
+        "the MBR");
+  }
+  return Grid(mbr, eps, static_cast<int>(nx), static_cast<int>(ny));
 }
 
 CellId Grid::Locate(const Point& p) const {
-  int cx = static_cast<int>(std::floor((p.x - mbr_.min_x) / cell_w_));
-  int cy = static_cast<int>(std::floor((p.y - mbr_.min_y) / cell_h_));
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return CellIdOf(cx, cy);
+  return CellIdOf(ClampedCell((p.x - mbr_.min_x) / cell_w_, nx_),
+                  ClampedCell((p.y - mbr_.min_y) / cell_h_, ny_));
+}
+
+CellRange Grid::CellsCovering(const Rect& region) const {
+  return CellRange{ClampedCell((region.min_x - mbr_.min_x) / cell_w_, nx_),
+                   ClampedCell((region.min_y - mbr_.min_y) / cell_h_, ny_),
+                   ClampedCell((region.max_x - mbr_.min_x) / cell_w_, nx_),
+                   ClampedCell((region.max_y - mbr_.min_y) / cell_h_, ny_)};
 }
 
 Rect Grid::CellRect(CellId id) const {
@@ -139,20 +156,10 @@ SmallVector<CellId, 4> CellsWithinEps(const Grid& grid, const Point& p) {
   out.push_back(native);
   const double eps = grid.eps();
   const double eps2 = eps * eps;
-  // Cell range covered by the eps-ball's bounding box (clamped to the grid).
-  const Rect& mbr = grid.mbr();
-  const double w = grid.cell_width();
-  const double h = grid.cell_height();
-  const int cx_lo =
-      std::max(static_cast<int>(std::floor((p.x - eps - mbr.min_x) / w)), 0);
-  const int cx_hi = std::min(
-      static_cast<int>(std::floor((p.x + eps - mbr.min_x) / w)), grid.nx() - 1);
-  const int cy_lo =
-      std::max(static_cast<int>(std::floor((p.y - eps - mbr.min_y) / h)), 0);
-  const int cy_hi = std::min(
-      static_cast<int>(std::floor((p.y + eps - mbr.min_y) / h)), grid.ny() - 1);
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
+  const CellRange range =
+      grid.CellsCovering(Rect{p.x - eps, p.y - eps, p.x + eps, p.y + eps});
+  for (int cy = range.y_lo; cy <= range.y_hi; ++cy) {
+    for (int cx = range.x_lo; cx <= range.x_hi; ++cx) {
       const CellId cell = grid.CellIdOf(cx, cy);
       if (cell == native) continue;
       if (SquaredMinDist(p, grid.CellRect(cell)) <= eps2) out.push_back(cell);

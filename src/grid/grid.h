@@ -71,6 +71,14 @@ struct AreaInfo {
   QuartetId quartet = kInvalidId;
 };
 
+/// An inclusive rectangle of cell coordinates [x_lo, x_hi] x [y_lo, y_hi].
+struct CellRange {
+  int x_lo = 0;
+  int y_lo = 0;
+  int x_hi = -1;
+  int y_hi = -1;
+};
+
 /// An equi-sized rectangular grid over an MBR, tuned for eps-distance joins.
 class Grid {
  public:
@@ -79,8 +87,8 @@ class Grid {
   /// Section 4.2 requires). `resolution_factor` >= 2 is the paper's
   /// grid-resolution knob (Figure 15 sweeps 2..5).
   ///
-  /// Fails with InvalidArgument for non-positive eps, empty MBRs, or
-  /// factor < 2.
+  /// Fails with InvalidArgument for an eps that is not positive and finite,
+  /// empty MBRs, factor < 2, or more cells than CellId can number.
   [[nodiscard]] static Result<Grid> Make(const Rect& mbr, double eps,
                                          double resolution_factor = 2.0);
 
@@ -115,6 +123,11 @@ class Grid {
   /// The cell enclosing `p`. Points on shared borders go to the upper/right
   /// cell; points outside the MBR are clamped to the nearest cell.
   CellId Locate(const Point& p) const;
+
+  /// The cells covering `region`, clamped to the grid. Indices are clamped
+  /// before the integer cast, so any region is safe, however far outside
+  /// the MBR or infinite; a NaN bound maps to index 0.
+  CellRange CellsCovering(const Rect& region) const;
 
   /// Geometric extent of a cell.
   Rect CellRect(CellId id) const;

@@ -42,6 +42,7 @@
 #include "common/tuple.h"                 // IWYU pragma: export
 #include "core/adaptive_join.h"           // IWYU pragma: export
 #include "core/cost_model.h"              // IWYU pragma: export
+#include "core/driver.h"                  // IWYU pragma: export
 #include "core/epsilon_advisor.h"         // IWYU pragma: export
 #include "core/lpt_scheduler.h"           // IWYU pragma: export
 #include "core/planning.h"                // IWYU pragma: export

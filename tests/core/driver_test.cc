@@ -1,0 +1,273 @@
+// Copyright 2026 The pasjoin Authors.
+//
+// The shared driver path (core/driver.h) seen through every public driver:
+// one eps check, one grid-size check, and one set of driver spans whose
+// planning clock reconciles with the planning-* spans.
+#include "core/driver.h"
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "baselines/pbsm.h"
+#include "baselines/sedona_like.h"
+#include "core/adaptive_join.h"
+#include "core/self_join.h"
+#include "datagen/generators.h"
+#include "extent/extent_join.h"
+#include "extent/generators.h"
+#include "obs/trace_recorder.h"
+#include "test_util.h"
+
+namespace pasjoin::core {
+namespace {
+
+using baselines::PbsmVariant;
+
+Dataset Points(size_t n, uint64_t seed) {
+  return datagen::GenerateUniform(n, seed, Rect{0, 0, 1, 1});
+}
+
+/// Runs one driver over (r, s) at `eps` and returns its status.
+using DriverFn = std::function<Status(const Dataset& r, const Dataset& s,
+                                      double eps)>;
+
+struct NamedDriver {
+  std::string name;
+  DriverFn run;
+};
+
+template <typename Options>
+Options Base(double eps) {
+  Options o;
+  o.eps = eps;
+  o.workers = 3;
+  o.physical_threads = 2;
+  return o;
+}
+
+std::vector<NamedDriver> AllDrivers() {
+  return {
+      {"adaptive",
+       [](const Dataset& r, const Dataset& s, double eps) {
+         return AdaptiveDistanceJoin(r, s, Base<AdaptiveJoinOptions>(eps))
+             .status();
+       }},
+      {"self",
+       [](const Dataset& r, const Dataset&, double eps) {
+         return SelfDistanceJoin(r, Base<SelfJoinOptions>(eps)).status();
+       }},
+      {"pbsm",
+       [](const Dataset& r, const Dataset& s, double eps) {
+         return baselines::PbsmDistanceJoin(
+                    r, s, PbsmVariant::kEpsGrid,
+                    Base<baselines::PbsmOptions>(eps))
+             .status();
+       }},
+      {"sedona",
+       [](const Dataset& r, const Dataset& s, double eps) {
+         return baselines::SedonaLikeDistanceJoin(
+                    r, s, Base<baselines::SedonaOptions>(eps))
+             .status();
+       }},
+      {"extent",
+       [](const Dataset&, const Dataset&, double eps) {
+         const extent::ExtentDataset objects =
+             extent::GenerateRiverPolylines(8, 1, Rect{0, 0, 1, 1});
+         extent::ExtentJoinOptions o;
+         o.eps = eps;
+         return extent::GridExtentDistanceJoin(objects, objects, o).status();
+       }},
+  };
+}
+
+class DriverEpsTest
+    : public ::testing::TestWithParam<std::tuple<NamedDriver, double>> {};
+
+TEST_P(DriverEpsTest, RejectsEpsThatIsNotPositiveAndFinite) {
+  const auto& [driver, eps] = GetParam();
+  const Status st = driver.run(Points(50, 1), Points(40, 2), eps);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(st.message(), "eps must be positive and finite");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DriversTimesBadEps, DriverEpsTest,
+    ::testing::Combine(
+        ::testing::ValuesIn(AllDrivers()),
+        ::testing::Values(0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity())),
+    [](const ::testing::TestParamInfo<std::tuple<NamedDriver, double>>&
+           param_info) {
+      const double eps = std::get<1>(param_info.param);
+      std::string name = std::get<0>(param_info.param).name;
+      if (std::isnan(eps)) return name.append("_nan");
+      if (std::isinf(eps)) return name.append(eps > 0 ? "_inf" : "_neginf");
+      return name.append(eps == 0.0 ? "_zero" : "_negative");
+    });
+
+TEST(DriverGridTest, TooFineAGridIsAnInvalidArgument) {
+  // 499,999^2 cells for the adaptive grid, 5e11 per axis for the baseline
+  // grid: both exceed what CellId can number.
+  const Dataset r = Points(60, 3);
+  const Dataset s = Points(60, 4);
+  AdaptiveJoinOptions adaptive = Base<AdaptiveJoinOptions>(1e-6);
+  adaptive.mbr = Rect{0, 0, 1, 1};
+  const Status a = AdaptiveDistanceJoin(r, s, adaptive).status();
+  EXPECT_EQ(a.code(), StatusCode::kInvalidArgument) << a.ToString();
+  EXPECT_NE(a.message().find("CellId"), std::string::npos) << a.ToString();
+  baselines::PbsmOptions pbsm = Base<baselines::PbsmOptions>(1e-12);
+  pbsm.mbr = Rect{0, 0, 1, 1};
+  const Status p =
+      baselines::PbsmDistanceJoin(r, s, PbsmVariant::kUniR, pbsm).status();
+  EXPECT_EQ(p.code(), StatusCode::kInvalidArgument) << p.ToString();
+  EXPECT_NE(p.message().find("CellId"), std::string::npos) << p.ToString();
+}
+
+TEST(DriverGridTest, HugeEpsJoinsEveryPair) {
+  // eps far beyond the data space: one cell, every pair within distance.
+  const Dataset r = Points(30, 5);
+  const Dataset s = pasjoin::testing::MakeDataset(
+      {Point{0.1, 0.2}, Point{0.9, 0.4}, Point{0.5, 0.5}}, 1000);
+  const baselines::PbsmOptions pbsm = Base<baselines::PbsmOptions>(1e12);
+  for (const PbsmVariant v :
+       {PbsmVariant::kUniR, PbsmVariant::kUniS, PbsmVariant::kEpsGrid}) {
+    const Result<exec::JoinRun> run =
+        baselines::PbsmDistanceJoin(r, s, v, pbsm);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().metrics.results, 90u);
+  }
+  const Result<exec::JoinRun> self =
+      SelfDistanceJoin(r, Base<SelfJoinOptions>(1e12));
+  ASSERT_TRUE(self.ok()) << self.status().ToString();
+  EXPECT_EQ(self.value().metrics.results, 30u * 29u / 2u);
+}
+
+/// A traced driver configuration and the driver spans it must open.
+struct TracedCase {
+  std::string name;
+  std::function<Result<exec::JoinRun>(obs::TraceRecorder*)> run;
+  std::set<std::string> spans;
+  /// Expected scheduler arg of driver-placement ("" when not placed).
+  std::string scheduler;
+};
+
+const Dataset& TraceR() {
+  static const Dataset* const r = new Dataset(Points(3000, 7));
+  return *r;
+}
+const Dataset& TraceS() {
+  static const Dataset* const s = new Dataset(Points(2000, 8));
+  return *s;
+}
+
+std::vector<TracedCase> TracedCases() {
+  const std::set<std::string> grid_hash = {"driver-grid", "driver-placement"};
+  const std::set<std::string> grid_lpt = {"driver-grid", "driver-sample",
+                                          "driver-placement"};
+  const std::set<std::string> adaptive = {"driver-grid", "driver-sample",
+                                          "driver-agreement-graph",
+                                          "driver-placement"};
+  constexpr double kEps = 0.01;
+  std::vector<TracedCase> cases;
+  for (const bool lpt : {false, true}) {
+    const std::string scheduler = lpt ? "lpt" : "hash";
+    cases.push_back(
+        {"adaptive_" + scheduler,
+         [lpt](obs::TraceRecorder* trace) {
+           AdaptiveJoinOptions o = Base<AdaptiveJoinOptions>(kEps);
+           o.use_lpt = lpt;
+           o.trace = trace;
+           return AdaptiveDistanceJoin(TraceR(), TraceS(), o);
+         },
+         adaptive, scheduler});
+    cases.push_back({"self_" + scheduler,
+                     [lpt](obs::TraceRecorder* trace) {
+                       SelfJoinOptions o = Base<SelfJoinOptions>(kEps);
+                       o.use_lpt = lpt;
+                       o.trace = trace;
+                       return SelfDistanceJoin(TraceR(), o);
+                     },
+                     lpt ? grid_lpt : grid_hash, scheduler});
+    cases.push_back(
+        {"pbsm_" + scheduler,
+         [lpt](obs::TraceRecorder* trace) {
+           baselines::PbsmOptions o = Base<baselines::PbsmOptions>(kEps);
+           o.use_lpt = lpt;
+           o.trace = trace;
+           return baselines::PbsmDistanceJoin(TraceR(), TraceS(),
+                                              PbsmVariant::kUniS, o);
+         },
+         lpt ? grid_lpt : grid_hash, scheduler});
+  }
+  cases.push_back({"sedona",
+                   [](obs::TraceRecorder* trace) {
+                     baselines::SedonaOptions o =
+                         Base<baselines::SedonaOptions>(kEps);
+                     o.trace = trace;
+                     return baselines::SedonaLikeDistanceJoin(TraceR(),
+                                                              TraceS(), o);
+                   },
+                   {"driver-sample", "driver-quadtree"},
+                   ""});
+  return cases;
+}
+
+class DriverTraceTest : public ::testing::TestWithParam<TracedCase> {};
+
+TEST_P(DriverTraceTest, OpensTheSharedDriverSpansAndReconcilesPlanning) {
+  const TracedCase& c = GetParam();
+  obs::TraceRecorder trace;
+  const Result<exec::JoinRun> run = c.run(&trace);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  std::set<std::string> spans;
+  std::string scheduler;
+  double planning_spans = 0.0;
+  // The top-level planning spans; per-color rounds nest inside marking.
+  const std::set<std::string> planning = {
+      "planning-pairs", "planning-subgraphs", "planning-marking",
+      "planning-costs", "planning-lpt"};
+  for (const obs::TraceEvent& event : trace.Snapshot()) {
+    const std::string name = event.name;
+    if (name.rfind("driver-", 0) == 0) {
+      EXPECT_STREQ(event.category, "driver") << name;
+      EXPECT_EQ(event.track, obs::kDriverTrack) << name;
+      EXPECT_TRUE(spans.insert(name).second) << name << " opened twice";
+      if (name == "driver-placement") {
+        ASSERT_STREQ(event.str_name, "scheduler");
+        scheduler = event.str_value;
+      }
+    }
+    if (planning.count(name) != 0) {
+      planning_spans += static_cast<double>(event.duration_ns) * 1e-9;
+    }
+  }
+  EXPECT_EQ(spans, c.spans);
+  EXPECT_EQ(scheduler, c.scheduler);
+
+  // The planning clock covers exactly the planning spans: the same check
+  // as tools/trace_summary.py --validate, with its default bounds.
+  const double measured = run.value().metrics.measured_planning_seconds;
+  EXPECT_NEAR(planning_spans, measured, std::max(0.05 * measured, 0.005))
+      << "planning spans " << planning_spans << " s vs clock " << measured
+      << " s";
+  EXPECT_EQ(planning_spans > 0.0, measured > 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, DriverTraceTest, ::testing::ValuesIn(TracedCases()),
+    [](const ::testing::TestParamInfo<TracedCase>& param_info) {
+      return param_info.param.name;
+    });
+
+}  // namespace
+}  // namespace pasjoin::core

@@ -2,6 +2,8 @@
 #include "grid/grid.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,46 @@ TEST(GridMakeTest, RejectsBadArguments) {
   EXPECT_FALSE(Grid::Make(Rect{0, 0, 10, 10}, 1.0, 1.5).ok());
   // MBR smaller than 2*eps in one axis cannot host a valid grid.
   EXPECT_FALSE(Grid::Make(Rect{0, 0, 1.0, 10}, 1.0).ok());
+}
+
+TEST(GridMakeTest, RejectsNonFiniteArguments) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double eps : {inf, -inf, nan}) {
+    for (const Result<Grid>& g :
+         {Grid::Make(Rect{0, 0, 10, 10}, eps),
+          Grid::MakeForBaseline(Rect{0, 0, 10, 10}, eps, 1.0)}) {
+      ASSERT_FALSE(g.ok()) << eps;
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(g.status().message(), "eps must be positive and finite");
+    }
+  }
+  EXPECT_FALSE(Grid::Make(Rect{0, 0, 10, 10}, 1.0, nan).ok());
+  EXPECT_FALSE(Grid::MakeForBaseline(Rect{0, 0, 10, 10}, 1.0, nan).ok());
+  EXPECT_FALSE(Grid::Make(Rect{0, 0, inf, 10}, 1.0).ok());
+}
+
+TEST(GridMakeTest, RejectsMoreCellsThanCellIdCanNumber) {
+  // 499,999^2 cells: num_cells() would overflow int.
+  const Result<Grid> fine = Grid::Make(Rect{0, 0, 1, 1}, 1e-6, 2.0);
+  ASSERT_FALSE(fine.ok());
+  EXPECT_EQ(fine.status().code(), StatusCode::kInvalidArgument);
+  // 5e11 cells per axis: the int cast used to wrap into a 1x1 grid.
+  for (const Result<Grid>& g : {Grid::Make(Rect{0, 0, 1, 1}, 1e-12, 2.0),
+                                Grid::MakeForBaseline(Rect{0, 0, 1, 1}, 1e-12,
+                                                      2.0)}) {
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(g.status().message().find("CellId"), std::string::npos)
+        << g.status().ToString();
+  }
+  // One row of 2^31 - 1 cells still fits; its cell count is representable.
+  const Result<Grid> widest = Grid::MakeForBaseline(
+      Rect{0, 0, 2147483647.5, 1}, 0.5, 2.0);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value().num_cells(), 2147483647);
+  EXPECT_FALSE(
+      Grid::MakeForBaseline(Rect{0, 0, 2147483648.5, 1}, 0.5, 2.0).ok());
 }
 
 TEST(GridMakeTest, CellSidesStrictlyExceedTwoEps) {
@@ -84,6 +126,34 @@ TEST(GridTest, LocateClampsOutsidePoints) {
   EXPECT_EQ(g.Locate(Point{100, 100}), g.CellIdOf(g.nx() - 1, g.ny() - 1));
   // Points exactly on the max border belong to the last cell.
   EXPECT_EQ(g.Locate(Point{10, 10}), g.CellIdOf(g.nx() - 1, g.ny() - 1));
+}
+
+TEST(GridTest, LocateClampsNonFiniteAndHugeCoordinates) {
+  // Sampling locates points before the engine validates them.
+  const Grid g = MakeGrid(10, 10, 1.0, 2.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(g.Locate(Point{1e300, -1e300}), g.CellIdOf(g.nx() - 1, 0));
+  EXPECT_EQ(g.Locate(Point{-inf, inf}), g.CellIdOf(0, g.ny() - 1));
+  EXPECT_EQ(g.Locate(Point{nan, nan}), g.CellIdOf(0, 0));
+}
+
+TEST(GridTest, CellsCoveringClampsToTheGrid) {
+  const Grid g = MakeGrid(10, 10, 1.0, 2.0);  // 4 x 4 cells of 2.5
+  const CellRange inner = g.CellsCovering(Rect{2.6, 0.1, 7.4, 5.0});
+  EXPECT_EQ(inner.x_lo, 1);
+  EXPECT_EQ(inner.x_hi, 2);
+  EXPECT_EQ(inner.y_lo, 0);
+  EXPECT_EQ(inner.y_hi, 2);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Rect& all : {Rect{-1e12, -1e12, 1e12, 1e12},
+                          Rect{-inf, -inf, inf, inf}}) {
+    const CellRange r = g.CellsCovering(all);
+    EXPECT_EQ(r.x_lo, 0);
+    EXPECT_EQ(r.y_lo, 0);
+    EXPECT_EQ(r.x_hi, g.nx() - 1);
+    EXPECT_EQ(r.y_hi, g.ny() - 1);
+  }
 }
 
 TEST(GridTest, QuartetIdsCoverInteriorCornersOnly) {
@@ -218,6 +288,22 @@ bool CellWithinEps(const Grid& g, CellId c, const Point& p, bool closed) {
   const bool open_y = g.CellY(c) < g.ny() - 1 &&
                       std::clamp(p.y, rect.min_y, rect.max_y) == rect.max_y;
   return !open_x && !open_y;
+}
+
+TEST(CellsWithinEpsTest, HugeEpsReachesEveryCellWithoutOverflow) {
+  // eps = 1e12 on a 1 x 1 grid: the eps box spans far beyond int range.
+  Result<Grid> one = Grid::MakeForBaseline(Rect{0, 0, 1, 1}, 1e12, 2.0);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(CellsWithinEps(one.value(), Point{0.5, 0.5}).size(), 1u);
+  // A coarse eps on a finer grid lists every cell once, native first.
+  Result<Grid> fine = Grid::MakeForBaseline(Rect{0, 0, 1, 1}, 1e12, 1e-13);
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  const Grid& g = fine.value();
+  ASSERT_EQ(g.num_cells(), 100);
+  const std::vector<CellId> cells =
+      CellsWithinEps(g, Point{0.55, 0.25}).ToVector();
+  EXPECT_EQ(cells.size(), 100u);
+  EXPECT_EQ(cells.front(), g.Locate(Point{0.55, 0.25}));
 }
 
 TEST(CellsWithinEpsTest, MatchesBruteForceMinDistOnEpsAndTwoEpsGrids) {

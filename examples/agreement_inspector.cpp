@@ -57,6 +57,6 @@ int main() {
   const int cy = grid.QuartetY(busiest) - 2;
   std::printf("%s\n", agreements::GridAgreementsToDot(graph, cx, cy, 4, 4).c_str());
   std::printf("%s\n",
-              agreements::SubgraphToDot(graph.Subgraph(busiest)).c_str());
+              agreements::SubgraphToDot(graph, busiest).c_str());
   return 0;
 }

@@ -27,13 +27,15 @@ std::string EdgeStyle(const QuartetSubgraph& sub, int i, int j) {
 
 }  // namespace
 
-std::string SubgraphToDot(const QuartetSubgraph& sub) {
+std::string SubgraphToDot(const AgreementGraph& graph, grid::QuartetId q) {
+  const QuartetSubgraph& sub = graph.Subgraph(q);
+  const Point ref = graph.grid().QuartetRefPoint(q);
   std::ostringstream os;
-  os << "digraph quartet_" << sub.id << " {\n";
-  os << "  // reference point (" << sub.ref.x << ", " << sub.ref.y << ")\n";
+  os << "digraph quartet_" << q << " {\n";
+  os << "  // reference point (" << ref.x << ", " << ref.y << ")\n";
   for (int which = 0; which < 4; ++which) {
     os << "  " << kPosName[which] << " [label=\"" << kPosName[which] << "\\ncell "
-       << sub.cells[which] << "\"];\n";
+       << graph.grid().QuartetCellId(q, which) << "\"];\n";
   }
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
@@ -88,9 +90,9 @@ std::string GridAgreementsToDot(const AgreementGraph& graph, int cx0, int cy0,
       const grid::QuartetId q = g.QuartetIdOf(qx, qy);
       if (q == grid::kInvalidId) continue;
       const QuartetSubgraph& sub = graph.Subgraph(q);
-      edge(sub.cells[grid::kSW], sub.cells[grid::kNE],
+      edge(g.QuartetCellId(q, grid::kSW), g.QuartetCellId(q, grid::kNE),
            sub.type[grid::kSW][grid::kNE], ",style=dotted");
-      edge(sub.cells[grid::kSE], sub.cells[grid::kNW],
+      edge(g.QuartetCellId(q, grid::kSE), g.QuartetCellId(q, grid::kNW),
            sub.type[grid::kSE][grid::kNW], ",style=dotted");
     }
   }

@@ -13,8 +13,8 @@
 
 namespace pasjoin::agreements {
 
-/// DOT digraph of a single quartet subgraph (12 directed edges).
-std::string SubgraphToDot(const QuartetSubgraph& sub);
+/// DOT digraph of quartet `q`'s subgraph (12 directed edges).
+std::string SubgraphToDot(const AgreementGraph& graph, grid::QuartetId q);
 
 /// DOT digraph of the agreements over a cell window [cx0, cx0+w) x
 /// [cy0, cy0+h) of the grid. Side-pair agreements are drawn once per pair;

@@ -12,9 +12,16 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "exec/engine.h"
 
 namespace pasjoin::core {
+
+/// The estimated join cost of one cell: the LPT input.
+struct CellCost {
+  int32_t cell;
+  double cost;
+};
 
 /// An immutable partition -> worker mapping.
 class CellAssignment {
@@ -22,18 +29,24 @@ class CellAssignment {
   /// Hash assignment: owner(cell) = cell mod workers.
   static CellAssignment Hash(int workers);
 
-  /// LPT assignment for `cell_costs[cell]` estimated costs: cells sorted by
-  /// descending cost, each placed on the currently least-loaded worker.
-  /// Zero-cost cells fall back to hash placement (they carry no join work).
-  /// Costs must be finite-or-infinite non-negative numbers; a NaN or
-  /// negative cost aborts via PASJOIN_CHECK (NaN breaks the sort's strict
-  /// weak ordering, negatives corrupt the load heap).
+  /// LPT assignment for the listed cells' estimated costs: cells sorted by
+  /// descending cost (ties by ascending cell), each placed on the currently
+  /// least-loaded worker. Only positive-cost cells are stored; every other
+  /// cell keeps its hash owner (it carries no join work). Costs must be
+  /// finite-or-infinite non-negative numbers; a NaN or negative cost aborts
+  /// via PASJOIN_CHECK (NaN breaks the sort's strict weak ordering,
+  /// negatives corrupt the load heap).
+  static CellAssignment LptOverCells(const std::vector<CellCost>& costs,
+                                     int workers);
+
+  /// LptOverCells with `cell_costs[cell]` the cost of every cell.
   static CellAssignment Lpt(const std::vector<double>& cell_costs, int workers);
 
   /// The owning worker of `cell` in [0, workers).
   int OwnerOf(int32_t cell) const {
-    if (table_ && cell >= 0 && cell < static_cast<int32_t>(table_->size())) {
-      return (*table_)[static_cast<size_t>(cell)];
+    if (lpt_owner_) {
+      const int32_t owner = lpt_owner_->Find(cell);
+      if (owner != FlatIndex::kAbsent) return owner;
     }
     return static_cast<int>(static_cast<uint32_t>(cell) %
                             static_cast<uint32_t>(workers_));
@@ -54,8 +67,8 @@ class CellAssignment {
   explicit CellAssignment(int workers) : workers_(workers) {}
 
   int workers_ = 1;
-  /// Explicit table; null for pure hash assignment.
-  std::shared_ptr<const std::vector<int32_t>> table_;
+  /// LPT owners of the positive-cost cells; null for pure hash assignment.
+  std::shared_ptr<const FlatIndex> lpt_owner_;
 };
 
 }  // namespace pasjoin::core

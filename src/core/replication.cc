@@ -28,10 +28,9 @@ CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
 
   if (area.kind == AreaKind::kCorner) {
     // Merged duplicate-prone area of the quartet at corner (qx, qy).
-    const QuartetSubgraph& sub = graph_->Subgraph(area.quartet);
     const int i = grid_->PositionInQuartet(area.quartet, native);
     PASJOIN_DCHECK(i >= 0);
-    MeDuPAr(sub, p, tau, i, &out);
+    MeDuPAr(area.quartet, p, tau, i, &out);
     // The point may additionally fall in a supplementary area - of its own
     // quartet or of the two neighboring quartets (the other ends of the two
     // near borders). Definition 4.10's supplementary areas are disjoint from
@@ -39,7 +38,7 @@ CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
     // the quartet's merged (square-shaped) duplicate-prone area, so the own
     // quartet must be probed as well (resolved pseudocode ambiguity; see
     // DESIGN.md 5.1).
-    SupAr(sub, p, tau, i, &out);
+    SupAr(area.quartet, p, tau, i, &out);
     const int qx = grid_->QuartetX(area.quartet);
     const int qy = grid_->QuartetY(area.quartet);
     SupArAt(qx, qy - area.dy, p, tau, native, &out);
@@ -66,31 +65,32 @@ CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
   return out;
 }
 
-void ReplicationAssigner::MeDuPAr(const QuartetSubgraph& sub, const Point& o,
+void ReplicationAssigner::MeDuPAr(QuartetId q, const Point& o,
                                   AgreementType tau, int i,
                                   CellList* out) const {
+  const QuartetSubgraph& sub = graph_->Subgraph(q);
   // Side-adjacent cells within the quartet: replicate under an unmarked
   // agreement of the point's type (Algorithm 3, lines 2-4).
   const int side_adjacent[2] = {i ^ 1, i ^ 2};
   for (const int j : side_adjacent) {
     if (sub.type[i][j] == tau && !sub.edge[i][j].marked) {
-      out->PushBackUnique(sub.cells[j]);
+      out->PushBackUnique(grid_->QuartetCellId(q, j));
     }
   }
   // Diagonal cell (common touching point only), Algorithm 3 lines 5-11.
   const int d = DiagonalOf(i);
   if (sub.type[i][d] == tau && !sub.edge[i][d].marked) {
-    if (SquaredDistance(o, sub.ref) <= eps2_) {
+    if (SquaredDistance(o, grid_->QuartetRefPoint(q)) <= eps2_) {
       // Within eps of the reference point: the point can form pairs with
       // native points of the diagonal cell.
-      out->PushBackUnique(sub.cells[d]);
+      out->PushBackUnique(grid_->QuartetCellId(q, d));
     } else {
       // Beyond eps of the reference point the diagonal cell's native points
       // are unreachable, but a *marked* side agreement of the point's type
       // means its partners were redirected through the diagonal cell.
       for (const int j : side_adjacent) {
         if (sub.type[i][j] == tau && sub.edge[i][j].marked) {
-          out->PushBackUnique(sub.cells[d]);
+          out->PushBackUnique(grid_->QuartetCellId(q, d));
           break;
         }
       }
@@ -98,17 +98,18 @@ void ReplicationAssigner::MeDuPAr(const QuartetSubgraph& sub, const Point& o,
   }
 }
 
-void ReplicationAssigner::SupAr(const QuartetSubgraph& sub, const Point& o,
+void ReplicationAssigner::SupAr(QuartetId q, const Point& o,
                                 AgreementType tau, int i,
                                 CellList* out) const {
   // Supplementary-area test (Definition 4.10 / Algorithm 4): within 2*eps of
   // the quartet's reference point and within eps of a side-adjacent cell
   // whose duplicate-prone points of the *other* type were excluded from
   // replication into the native cell (marked e_ji of opposite type).
-  if (SquaredDistance(o, sub.ref) > 4.0 * eps2_) return;
+  if (SquaredDistance(o, grid_->QuartetRefPoint(q)) > 4.0 * eps2_) return;
+  const QuartetSubgraph& sub = graph_->Subgraph(q);
   const int side_adjacent[2] = {i ^ 1, i ^ 2};
   for (const int j : side_adjacent) {
-    const Rect j_rect = grid_->CellRect(sub.cells[j]);
+    const Rect j_rect = grid_->CellRect(grid_->QuartetCellId(q, j));
     if (SquaredMinDist(o, j_rect) > eps2_) continue;
     if (sub.type[j][i] == tau || !sub.edge[j][i].marked) continue;
     // The excluded partners were redirected to exactly one other quartet
@@ -118,10 +119,10 @@ void ReplicationAssigner::SupAr(const QuartetSubgraph& sub, const Point& o,
     const int l = DiagonalOf(i);
     if (sub.type[i][k] == tau && !sub.edge[i][k].marked &&
         sub.type[j][k] != tau && !sub.edge[j][k].marked) {
-      out->PushBackUnique(sub.cells[k]);
+      out->PushBackUnique(grid_->QuartetCellId(q, k));
     } else if (sub.type[i][l] == tau && !sub.edge[i][l].marked &&
                sub.type[j][l] != tau && !sub.edge[j][l].marked) {
-      out->PushBackUnique(sub.cells[l]);
+      out->PushBackUnique(grid_->QuartetCellId(q, l));
     }
   }
 }
@@ -131,10 +132,9 @@ void ReplicationAssigner::SupArAt(int qx, int qy, const Point& o,
                                   CellList* out) const {
   const QuartetId q = grid_->QuartetIdOf(qx, qy);
   if (q == grid::kInvalidId) return;
-  const QuartetSubgraph& sub = graph_->Subgraph(q);
   const int i = grid_->PositionInQuartet(q, native);
   if (i < 0) return;
-  SupAr(sub, o, tau, i, out);
+  SupAr(q, o, tau, i, out);
 }
 
 }  // namespace pasjoin::core

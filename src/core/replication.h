@@ -37,14 +37,14 @@ class ReplicationAssigner {
 
  private:
   /// Algorithm 3: assignment for a point in the merged duplicate-prone area
-  /// of quartet `sub`; `i` is the native cell's position within the quartet.
-  void MeDuPAr(const agreements::QuartetSubgraph& sub, const Point& o,
+  /// of quartet `q`; `i` is the native cell's position within the quartet.
+  void MeDuPAr(grid::QuartetId q, const Point& o,
                agreements::AgreementType tau, int i, CellList* out) const;
 
   /// Algorithm 4: assignment for a point possibly lying in a supplementary
-  /// area of quartet `sub`; `i` is the native cell's position.
-  void SupAr(const agreements::QuartetSubgraph& sub, const Point& o,
-             agreements::AgreementType tau, int i, CellList* out) const;
+  /// area of quartet `q`; `i` is the native cell's position.
+  void SupAr(grid::QuartetId q, const Point& o, agreements::AgreementType tau,
+             int i, CellList* out) const;
 
   /// Invokes SupAr for the quartet at interior corner (qx, qy), if any.
   void SupArAt(int qx, int qy, const Point& o, agreements::AgreementType tau,

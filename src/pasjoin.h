@@ -27,7 +27,6 @@
 #define PASJOIN_PASJOIN_H_
 
 #include "agreements/agreement_graph.h"   // IWYU pragma: export
-#include "agreements/coloring.h"          // IWYU pragma: export
 #include "agreements/dot_export.h"        // IWYU pragma: export
 #include "baselines/pbsm.h"               // IWYU pragma: export
 #include "baselines/sedona_like.h"        // IWYU pragma: export

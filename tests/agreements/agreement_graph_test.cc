@@ -89,11 +89,11 @@ TEST(AgreementGraphTest, PairTypesAreSymmetricAndSharedAcrossQuartets) {
   // PairTypeToward agrees with the subgraph copies.
   const QuartetId q = g.QuartetIdOf(1, 1);
   const QuartetSubgraph& sub = graph.Subgraph(q);
-  EXPECT_EQ(graph.PairTypeToward(sub.cells[grid::kSW], 1, 0),
+  EXPECT_EQ(graph.PairTypeToward(g.QuartetCellId(q, grid::kSW), 1, 0),
             sub.type[grid::kSW][grid::kSE]);
-  EXPECT_EQ(graph.PairTypeToward(sub.cells[grid::kSW], 0, 1),
+  EXPECT_EQ(graph.PairTypeToward(g.QuartetCellId(q, grid::kSW), 0, 1),
             sub.type[grid::kSW][grid::kNW]);
-  EXPECT_EQ(graph.PairTypeToward(sub.cells[grid::kNE], -1, 0),
+  EXPECT_EQ(graph.PairTypeToward(g.QuartetCellId(q, grid::kNE), -1, 0),
             sub.type[grid::kNE][grid::kNW]);
 }
 
@@ -243,7 +243,7 @@ TEST(DecidePairTypeTest, OrientationSymmetryProperty) {
       for (const AgreementType tie_break :
            {AgreementType::kReplicateR, AgreementType::kReplicateS}) {
         const AgreementGraph graph =
-            AgreementGraph::PrepareBuild(g, policy, tie_break);
+            AgreementGraph::PrepareBuild(g, stats, policy, tie_break);
         for (int cy = 0; cy < g.ny(); ++cy) {
           for (int cx = 0; cx < g.nx(); ++cx) {
             const CellId a = g.CellIdOf(cx, cy);
@@ -283,7 +283,7 @@ TEST(DecidePairTypeTest, DiffTieIsDecidedByTheSmallerCellId) {
   ASSERT_EQ(stats.CellCount(Side::kR, a), 5u);
   ASSERT_EQ(stats.CellCount(Side::kS, b), 3u);
   const AgreementGraph graph =
-      AgreementGraph::PrepareBuild(g, Policy::kDiff,
+      AgreementGraph::PrepareBuild(g, stats, Policy::kDiff,
                                    AgreementType::kReplicateR);
   EXPECT_EQ(graph.DecidePairType(stats, a, b, grid::DirIndex(1, 0)),
             AgreementType::kReplicateS);
@@ -293,7 +293,8 @@ TEST(DecidePairTypeTest, DiffTieIsDecidedByTheSmallerCellId) {
 
 TEST(AgreementGraphTest, ChunkedBuildMatchesSequentialBuild) {
   // PrepareBuild + DecidePairRange + MaterializeSubgraphRange over
-  // arbitrary chunk boundaries is the same computation Build runs.
+  // arbitrary chunk boundaries is the same computation Build runs. The
+  // sample leaves some cells empty, so default quartets are compared too.
   const Grid g = MakeGrid(5, 4);
   GridStats stats(&g);
   Rng rng(17);
@@ -303,21 +304,19 @@ TEST(AgreementGraphTest, ChunkedBuildMatchesSequentialBuild) {
   }
   for (const Policy policy : {Policy::kLPiB, Policy::kDiff}) {
     const AgreementGraph whole = AgreementGraph::Build(g, stats, policy);
-    AgreementGraph chunked = AgreementGraph::PrepareBuild(g, policy);
-    for (int begin = 0; begin < chunked.NumPairSlots(); begin += 7) {
+    AgreementGraph chunked = AgreementGraph::PrepareBuild(g, stats, policy);
+    for (int begin = 0; begin < chunked.NumPairAnchors(); begin += 7) {
       chunked.DecidePairRange(stats, begin,
-                              std::min(chunked.NumPairSlots(), begin + 7));
+                              std::min(chunked.NumPairAnchors(), begin + 7));
     }
-    for (QuartetId begin = 0; begin < g.num_quartets(); begin += 3) {
+    for (int begin = 0; begin < chunked.NumMaterialized(); begin += 3) {
       chunked.MaterializeSubgraphRange(
-          stats, begin, std::min(g.num_quartets(), begin + 3));
+          stats, begin, std::min(chunked.NumMaterialized(), begin + 3));
     }
     for (QuartetId q = 0; q < g.num_quartets(); ++q) {
       const QuartetSubgraph& sw = whole.Subgraph(q);
       const QuartetSubgraph& sc = chunked.Subgraph(q);
-      EXPECT_EQ(sw.id, sc.id);
       for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(sw.cells[i], sc.cells[i]);
         for (int j = 0; j < 4; ++j) {
           if (i == j) continue;
           EXPECT_EQ(sw.type[i][j], sc.type[i][j]);
@@ -340,8 +339,8 @@ TEST(AgreementGraphTest, MarkQuartetsInAnyOrderMatchesSequentialMarking) {
     seq.RunDuplicateFreeMarking(order);
     AgreementGraph rev = AgreementGraph::Build(g, stats, Policy::kLPiB);
     rev.RandomizeForTesting(23);
-    for (QuartetId q = g.num_quartets() - 1; q >= 0; --q) {
-      rev.MarkQuartets(&q, 1, order);
+    for (int slot = rev.NumMaterialized() - 1; slot >= 0; --slot) {
+      rev.MarkRange(slot, slot + 1, order);
     }
     rev.FinishMarking();
     for (QuartetId q = 0; q < g.num_quartets(); ++q) {

@@ -31,8 +31,8 @@ struct Scenario {
 
 TEST(DotExportTest, SubgraphDotHasAllEdgesAndVertices) {
   Scenario sc = Scenario::Make();
-  const QuartetSubgraph& sub = sc.graph().Subgraph(sc.grid().QuartetIdOf(1, 1));
-  const std::string dot = SubgraphToDot(sub);
+  const std::string dot =
+      SubgraphToDot(sc.graph(), sc.grid().QuartetIdOf(1, 1));
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   for (const char* name : {"SW", "SE", "NW", "NE"}) {
     EXPECT_NE(dot.find(name), std::string::npos);
@@ -52,7 +52,7 @@ TEST(DotExportTest, MarkedAndLockedEdgesAreHighlighted) {
   sc.graph().SetHorizontalPairType(0, 1, AgreementType::kReplicateS);
   sc.graph().RunDuplicateFreeMarking();
   ASSERT_GT(sc.graph().CountMarked(), 0u);
-  const std::string dot = SubgraphToDot(sc.graph().Subgraph(q));
+  const std::string dot = SubgraphToDot(sc.graph(), q);
   EXPECT_NE(dot.find("dashed"), std::string::npos);
   EXPECT_NE(dot.find("green4"), std::string::npos);
   const std::string text = SubgraphToString(sc.graph().Subgraph(q));

@@ -214,8 +214,8 @@ TEST(RunningExampleTest, ExampleFourFourEdgeWeights) {
         AgreementGraph::Build(ex.grid, stats, Policy::kUniformR);
     const agreements::QuartetSubgraph& sub = graph.Subgraph(q);
     // B is NE of the quartet, A is NW.
-    EXPECT_EQ(sub.cells[grid::kNE], ex.b);
-    EXPECT_EQ(sub.cells[grid::kNW], ex.a);
+    EXPECT_EQ(ex.grid.QuartetCellId(q, grid::kNE), ex.b);
+    EXPECT_EQ(ex.grid.QuartetCellId(q, grid::kNW), ex.a);
     EXPECT_FLOAT_EQ(sub.edge[grid::kNE][grid::kNW].weight, 3.0f);
   }
   // With agreement a_S everywhere: w_CB = (s5 from C) * (r2,r3,r4 in B) = 3.
@@ -223,7 +223,7 @@ TEST(RunningExampleTest, ExampleFourFourEdgeWeights) {
     const AgreementGraph graph =
         AgreementGraph::Build(ex.grid, stats, Policy::kUniformS);
     const agreements::QuartetSubgraph& sub = graph.Subgraph(q);
-    EXPECT_EQ(sub.cells[grid::kSE], ex.c);
+    EXPECT_EQ(ex.grid.QuartetCellId(q, grid::kSE), ex.c);
     EXPECT_FLOAT_EQ(sub.edge[grid::kSE][grid::kNE].weight, 3.0f);
   }
 }

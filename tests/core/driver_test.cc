@@ -232,7 +232,7 @@ TEST_P(DriverTraceTest, OpensTheSharedDriverSpansAndReconcilesPlanning) {
   std::set<std::string> spans;
   std::string scheduler;
   double planning_spans = 0.0;
-  // The top-level planning spans; per-color rounds nest inside marking.
+  // The top-level planning spans.
   const std::set<std::string> planning = {
       "planning-pairs", "planning-subgraphs", "planning-marking",
       "planning-costs", "planning-lpt"};

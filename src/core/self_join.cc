@@ -19,7 +19,6 @@ Result<exec::JoinRun> SelfDistanceJoin(const Dataset& data,
   join.self_join = true;
   if (options.use_lpt) join.lpt_sample_rate = options.lpt_sample_rate;
   join.sample_seed = options.lpt_sample_seed;
-  join.planning = options.planning;
   join.mbr = options.mbr;
   return UniformGridDistanceJoin(data, data, join, options);
 }

@@ -37,9 +37,6 @@ struct SelfJoinOptions : exec::ExecOptions {
   /// Sampling rate/seed for the LPT cost estimate (only read when use_lpt).
   double lpt_sample_rate = 0.03;
   uint64_t lpt_sample_seed = 0x5a5a5a5a;
-  /// Parallel-planning configuration (core/planning.h), used by the LPT
-  /// cost pass.
-  PlanningOptions planning;
   /// Data-space MBR; computed from the input when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge cells.

@@ -34,10 +34,8 @@ reported (exit 1 on violation):
     measured_dedup_seconds ~= phase-dedup-scatter + phase-dedup-merge;
   * the measured_planning_seconds gauge (wall time of the driver-side
     planning pipeline, docs/PARALLELISM.md section 8) vs the sum of the
-    top-level planning spans (planning-pairs, planning-subgraphs,
-    planning-marking, planning-costs, planning-lpt; the per-color
-    planning-color-round children nest inside planning-marking and are
-    excluded to avoid double counting);
+    planning spans (planning-pairs, planning-subgraphs, planning-marking,
+    planning-costs, planning-lpt);
   * kernel gauge sums (sort/sweep/emit) vs the kernel span sums, when the
     run reported a kernel breakdown;
   * the candidates counter vs the sum of join-partition span args (exact;
@@ -72,9 +70,8 @@ TASK_SPANS = (
     "dedup-merge-task",
 )
 KERNEL_SPANS = ("kernel-sort", "kernel-sweep", "kernel-emit")
-# Top-level spans of the driver-side planning pipeline (core/planning.h).
-# "planning-color-round" is deliberately absent: the per-color rounds nest
-# inside planning-marking, and counting both would double the marking time.
+# Spans of the driver-side planning pipeline (core/planning.h). They do not
+# nest, so their sum is the planning wall time.
 PLANNING_SPANS = (
     "planning-pairs",
     "planning-subgraphs",

@@ -6,9 +6,11 @@
 // and locked edge counts, and a checksum of every cell's LPT owner are
 // pinned to recorded values. The grids cover the regimes the planner must
 // handle: a 2.5M-cell grid with a 3% sample (nearly every cell unsampled),
-// a 25k-cell grid with a dense sample, and the 1 x N and N x 1 grids, which
-// have side pairs but no quartets. A change to how the plan is stored must
-// keep every value bit-identical.
+// a 25k-cell grid with a dense sample, the same at the 2 * eps cells the
+// end-to-end benchmark uses (where almost every tuple lies in a corner
+// square), and the 1 x N and N x 1 grids, which have side pairs but no
+// quartets. A change to how the plan is stored or evaluated must keep every
+// value bit-identical.
 //
 // On a mismatch the test prints the observed table in source syntax.
 #include <cstdint>
@@ -34,7 +36,8 @@ using agreements::MarkingOrder;
 using agreements::Policy;
 
 constexpr double kEps = 0.2;
-/// Cells of 2.5 * eps = 0.5 units: an MBR of W x H units has 2W x 2H cells.
+/// Cells of 2.5 * eps = 0.5 units unless a scenario says otherwise: an MBR of
+/// W x H units has 2W x 2H cells.
 constexpr double kFactor = 2.5;
 constexpr int kWorkers = 7;
 
@@ -47,6 +50,7 @@ struct Scenario {
   size_t s_points;
   double sample_rate;
   bool clustered;
+  double resolution_factor = kFactor;
 };
 
 /// FNV-1a, fed 64-bit words.
@@ -110,7 +114,8 @@ std::string Hex(uint64_t v) {
 }
 
 Plans PlanAll(const Scenario& sc, int threads) {
-  const Result<grid::Grid> made = grid::Grid::Make(sc.mbr, kEps, kFactor);
+  const Result<grid::Grid> made =
+      grid::Grid::Make(sc.mbr, kEps, sc.resolution_factor);
   EXPECT_TRUE(made.ok());
   const grid::Grid& grid = made.value();
   EXPECT_EQ(grid.nx(), sc.nx);
@@ -263,6 +268,40 @@ TEST(AssignmentGoldenTest, DenselySampledGrid) {
                  {0x395a6c0508a7418aULL, 0, 0},  // UNI(S)/index/distinct
                 },
                 0xa556c400419119a3ULL});
+}
+
+TEST(AssignmentGoldenTest, DenselySampledGridAtTwoEpsCells) {
+  // Cells of 2 * eps (0.4005 x 0.4008 units), as in the end-to-end
+  // benchmark: corner squares cover most of every cell.
+  ExpectGolden({{"coarse-2eps", Rect{0, 0, 80.1, 50.1}, 200, 125, 40000,
+                 30000, 0.1, true, 2.0},
+                {
+                 {0x817a467f5a78f7f7ULL, 17108, 27345},  // LPiB/paper/df
+                 {0x9015ddfc4bfb53a6ULL, 0, 0},  // LPiB/paper/distinct
+                 {0x13be1c41dd9f5a16ULL, 17066, 25963},  // LPiB/weight-desc/df
+                 {0x9015ddfc4bfb53a6ULL, 0, 0},  // LPiB/weight-desc/distinct
+                 {0x5cbb504e30426e53ULL, 17065, 25961},  // LPiB/index/df
+                 {0x9015ddfc4bfb53a6ULL, 0, 0},  // LPiB/index/distinct
+                 {0xd8766d08921b39a0ULL, 16288, 25820},  // DIFF/paper/df
+                 {0x26a5282fee37c965ULL, 0, 0},  // DIFF/paper/distinct
+                 {0xb9dc24684d1da3edULL, 16282, 24719},  // DIFF/weight-desc/df
+                 {0x26a5282fee37c965ULL, 0, 0},  // DIFF/weight-desc/distinct
+                 {0x503226784ec3e45bULL, 16281, 24715},  // DIFF/index/df
+                 {0x26a5282fee37c965ULL, 0, 0},  // DIFF/index/distinct
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/paper/df
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/paper/distinct
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/weight-desc/df
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/weight-desc/distinct
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/index/df
+                 {0x06f6ff9c8f7c7246ULL, 0, 0},  // UNI(R)/index/distinct
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/paper/df
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/paper/distinct
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/weight-desc/df
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/weight-desc/distinct
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/index/df
+                 {0xce76721d852fc4b6ULL, 0, 0},  // UNI(S)/index/distinct
+                },
+                0xb5c0aa3f32e957a1ULL});
 }
 
 TEST(AssignmentGoldenTest, OneColumnGridHasPairsButNoQuartets) {

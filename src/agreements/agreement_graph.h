@@ -116,6 +116,14 @@ struct QuartetSubgraph {
 /// into each owning subgraph, which guarantees the two subgraph copies agree.
 class AgreementGraph {
  public:
+  /// The side-pair types of one anchor cell (x, y): toward (x+1, y) and
+  /// toward (x, y+1).
+  struct AnchorPairs {
+    grid::CellId cell;
+    AgreementType right;
+    AgreementType up;
+  };
+
   /// Instantiates agreement types and edge weights from sample statistics
   /// under `policy`, then returns the (not yet duplicate-free) graph.
   ///
@@ -188,6 +196,22 @@ class AgreementGraph {
     return slot == FlatIndex::kAbsent ? default_
                                       : subgraphs_[static_cast<size_t>(slot)];
   }
+  /// The stored state by slot, for compiling it into another form
+  /// (core::ReplicationAssigner): materialized quartet `slot` and its
+  /// subgraph, pair anchor `slot`, and what every other quartet and pair
+  /// resolves to.
+  grid::QuartetId QuartetAt(int slot) const {
+    return quartets_[static_cast<size_t>(slot)];
+  }
+  const QuartetSubgraph& SubgraphAt(int slot) const {
+    return subgraphs_[static_cast<size_t>(slot)];
+  }
+  const AnchorPairs& AnchorAt(int slot) const {
+    return anchors_[static_cast<size_t>(slot)];
+  }
+  const QuartetSubgraph& default_subgraph() const { return default_; }
+  AgreementType default_type() const { return default_type_; }
+
   /// Test hook: the subgraph of `q`, materialized on first use.
   QuartetSubgraph* MutableSubgraph(grid::QuartetId q) {
     return &subgraphs_[static_cast<size_t>(Materialize(q))];
@@ -228,14 +252,6 @@ class AgreementGraph {
                                grid::CellId b, int dir_ab) const;
 
  private:
-  /// The side-pair types of one anchor cell (x, y): toward (x+1, y) and
-  /// toward (x, y+1).
-  struct AnchorPairs {
-    grid::CellId cell;
-    AgreementType right;
-    AgreementType up;
-  };
-
   AgreementGraph(const grid::Grid* grid, Policy policy, AgreementType tie_break);
 
   size_t CountEdges(bool EdgeState::*flag) const;

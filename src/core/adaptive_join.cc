@@ -33,21 +33,26 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
       r.tuples.size() <= s.tuples.size() ? Side::kR : Side::kS);
   size_t marked_edges = 0;
   size_t locked_edges = 0;
-  agreements::AgreementGraph graph = [&] {
+  // The graph is compiled into the assigner's route bytes and destroyed
+  // here, so it holds no heap while the engine runs.
+  const ReplicationAssigner assigner = [&] {
     obs::ScopedSpan span(trace, "driver-agreement-graph", "driver");
-    agreements::AgreementGraph g = driver.Plan([&] {
+    const agreements::AgreementGraph graph = driver.Plan([&] {
       return PlanAgreementGraph(grid, stats, options.policy, tie_break,
                                 options.duplicate_free, options.marking_order,
                                 &planner, trace);
     });
     // Counting scans every edge: pay for it only when someone reads it.
     if (trace != nullptr || artifacts != nullptr) {
-      marked_edges = g.CountMarked();
-      locked_edges = g.CountLocked();
+      marked_edges = graph.CountMarked();
+      locked_edges = graph.CountLocked();
       span.AddArg("marked", static_cast<int64_t>(marked_edges));
       span.AddArg("locked", static_cast<int64_t>(locked_edges));
     }
-    return g;
+    ReplicationAssigner compiled(&grid, &graph);
+    span.AddArg("route_quartets", compiled.num_route_quartets());
+    span.AddArg("route_anchors", compiled.num_route_anchors());
+    return compiled;
   }();
 
   // --- cell placement (Section 6.2) -----------------------------------------
@@ -66,7 +71,6 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   }
 
   // --- distributed execution (Algorithm 5, lines 6-9) -----------------------
-  const ReplicationAssigner assigner(&grid, &graph);
   const exec::AssignFn assign = [&assigner](const Tuple& t, Side side) {
     return assigner.Assign(t.pt, side);
   };

@@ -5,32 +5,155 @@
 
 namespace pasjoin::core {
 
-using agreements::AgreementFor;
+using agreements::AgreementGraph;
 using agreements::AgreementType;
 using agreements::QuartetSubgraph;
 using grid::AreaInfo;
 using grid::AreaKind;
-using grid::CellId;
+using grid::CellCoord;
 using grid::DiagonalOf;
 using grid::QuartetId;
 
-CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
-  const CellId native = grid_->Locate(p);
-  CellList out;
-  out.push_back(native);
+namespace {
 
-  const AreaInfo area = grid_->ClassifyArea(p, native);
+// The route byte of a native cell at position i of a quartet, for the points
+// of one type tau (docs/ALGORITHM.md §5); n = 0, 1 numbers the side cells
+// i ^ 1 and i ^ 2.
+//   bit n        Algorithm 3: replicate to side cell n;
+//   bit 2        Algorithm 3: replicate to the diagonal cell, always;
+//   bit 3        ... or when within eps of the reference point;
+//   bits 4 + 2n  Algorithm 4: where the partners that side cell n withholds
+//                from i went: nowhere, to the other side cell k, or to the
+//                diagonal cell l.
+constexpr uint8_t kDiagonalAlways = 1U << 2;
+constexpr uint8_t kDiagonalNear = 1U << 3;
+constexpr int kRedirectShift = 4;
+constexpr uint8_t kRedirectNone = 0;
+constexpr uint8_t kRedirectSide = 1;
+constexpr uint8_t kRedirectDiagonal = 2;
+
+/// Evaluates the graph predicates of Algorithms 3 and 4 for a point of type
+/// `tau` whose native cell is at position `i` of quartet subgraph `sub`.
+uint8_t CompileRoute(const QuartetSubgraph& sub, int i, AgreementType tau) {
+  // e_ab replicates tau-points from a to b.
+  auto open = [&](int a, int b) {
+    return sub.type[a][b] == tau && !sub.edge[a][b].marked;
+  };
+  const int side_adjacent[2] = {i ^ 1, i ^ 2};
+  const int d = DiagonalOf(i);
+  uint8_t route = 0;
+  bool marked_side = false;
+  for (int n = 0; n < 2; ++n) {
+    const int j = side_adjacent[n];
+    // Algorithm 3, lines 2-4: side cells under an unmarked agreement.
+    if (open(i, j)) route |= static_cast<uint8_t>(1U << n);
+    marked_side |= sub.type[i][j] == tau && sub.edge[i][j].marked;
+    // Algorithm 4: j withholds its duplicate-prone points of the other type
+    // from i (marked e_ji of opposite type). They were redirected to
+    // exactly one other quartet cell: the remaining side cell `k` or the
+    // diagonal cell `l` (lines 5-8).
+    if (sub.type[j][i] == tau || !sub.edge[j][i].marked) continue;
+    const int k = side_adjacent[1 - n];
+    uint8_t redirect = kRedirectNone;
+    if (open(i, k) && sub.type[j][k] != tau && !sub.edge[j][k].marked) {
+      redirect = kRedirectSide;
+    } else if (open(i, d) && sub.type[j][d] != tau &&
+               !sub.edge[j][d].marked) {
+      redirect = kRedirectDiagonal;
+    }
+    route |= static_cast<uint8_t>(redirect << (kRedirectShift + 2 * n));
+  }
+  // Algorithm 3, lines 5-11: the diagonal cell under an unmarked agreement,
+  // when within eps of the reference point - or regardless, when a marked
+  // side agreement of the point's type redirected its partners through it.
+  if (open(i, d)) {
+    route |= kDiagonalNear;
+    if (marked_side) route |= kDiagonalAlways;
+  }
+  return route;
+}
+
+std::array<uint8_t, 8> CompileRoutes(const QuartetSubgraph& sub) {
+  std::array<uint8_t, 8> routes{};
+  for (int i = 0; i < 4; ++i) {
+    for (const AgreementType tau :
+         {AgreementType::kReplicateR, AgreementType::kReplicateS}) {
+      routes[static_cast<size_t>(i * 2 + static_cast<int>(tau))] =
+          CompileRoute(sub, i, tau);
+    }
+  }
+  return routes;
+}
+
+int32_t PairBits(AgreementType right, AgreementType up) {
+  return static_cast<int32_t>(right) | (static_cast<int32_t>(up) << 1);
+}
+
+/// The cell at position `which` of the quartet at corner (qx, qy).
+grid::CellId QuartetCell(const grid::Grid& grid, int qx, int qy, int which) {
+  return grid.CellIdOf(qx - 1 + (which & 1), qy - 1 + (which >> 1));
+}
+
+}  // namespace
+
+ReplicationAssigner::ReplicationAssigner(const grid::Grid* grid,
+                                         const AgreementGraph* graph)
+    : grid_(*grid),
+      eps2_(grid->eps() * grid->eps()),
+      default_routes_(CompileRoutes(graph->default_subgraph())),
+      default_pairs_(PairBits(graph->default_type(), graph->default_type())),
+      num_anchors_(graph->NumPairAnchors()) {
+  const int quartets = graph->NumMaterialized();
+  quartet_slot_.Reserve(static_cast<size_t>(quartets));
+  routes_.reserve(static_cast<size_t>(quartets));
+  for (int slot = 0; slot < quartets; ++slot) {
+    quartet_slot_.Insert(graph->QuartetAt(slot), slot);
+    routes_.push_back(CompileRoutes(graph->SubgraphAt(slot)));
+  }
+  anchor_pairs_.Reserve(static_cast<size_t>(num_anchors_));
+  for (int slot = 0; slot < num_anchors_; ++slot) {
+    const AgreementGraph::AnchorPairs& a = graph->AnchorAt(slot);
+    anchor_pairs_.Insert(a.cell, PairBits(a.right, a.up));
+  }
+}
+
+uint8_t ReplicationAssigner::RouteOf(QuartetId q, int i, int s) const {
+  const int32_t slot = quartet_slot_.Find(q);
+  const Routes& routes = slot == FlatIndex::kAbsent
+                             ? default_routes_
+                             : routes_[static_cast<size_t>(slot)];
+  return routes[static_cast<size_t>(i * 2 + s)];
+}
+
+CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
+  const CellCoord c = grid_.LocateCell(p);
+  CellList out;
+  out.push_back(grid_.CellIdOf(c.x, c.y));
+
+  const AreaInfo area = grid_.ClassifyArea(p, c);
   if (area.kind == AreaKind::kNone) return out;
 
-  const AgreementType tau = AgreementFor(side);
-  const int cx = grid_->CellX(native);
-  const int cy = grid_->CellY(native);
+  // The point's agreement type, as route index and pair bit.
+  const int s = static_cast<int>(agreements::AgreementFor(side));
 
   if (area.kind == AreaKind::kCorner) {
-    // Merged duplicate-prone area of the quartet at corner (qx, qy).
-    const int i = grid_->PositionInQuartet(area.quartet, native);
-    PASJOIN_DCHECK(i >= 0);
-    MeDuPAr(area.quartet, p, tau, i, &out);
+    // Merged duplicate-prone area of the quartet at corner (qx, qy), in
+    // which the native cell has position i.
+    const int qx = c.x + (area.dx > 0 ? 1 : 0);
+    const int qy = c.y + (area.dy > 0 ? 1 : 0);
+    const int i = (area.dx < 0 ? 1 : 0) | (area.dy < 0 ? 2 : 0);
+    const uint8_t route = RouteOf(area.quartet, i, s);
+    const double ref_dist2 = SquaredDistance(p, grid_.CornerPoint(qx, qy));
+    // Algorithm 3.
+    for (int n = 0; n < 2; ++n) {
+      if ((route & (1U << n)) != 0) {
+        out.PushBackUnique(QuartetCell(grid_, qx, qy, i ^ (n + 1)));
+      }
+    }
+    if ((route & kDiagonalAlways) != 0 ||
+        ((route & kDiagonalNear) != 0 && ref_dist2 <= eps2_)) {
+      out.PushBackUnique(QuartetCell(grid_, qx, qy, DiagonalOf(i)));
+    }
     // The point may additionally fall in a supplementary area - of its own
     // quartet or of the two neighboring quartets (the other ends of the two
     // near borders). Definition 4.10's supplementary areas are disjoint from
@@ -38,103 +161,62 @@ CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
     // the quartet's merged (square-shaped) duplicate-prone area, so the own
     // quartet must be probed as well (resolved pseudocode ambiguity; see
     // DESIGN.md 5.1).
-    SupAr(area.quartet, p, tau, i, &out);
-    const int qx = grid_->QuartetX(area.quartet);
-    const int qy = grid_->QuartetY(area.quartet);
-    SupArAt(qx, qy - area.dy, p, tau, native, &out);
-    SupArAt(qx - area.dx, qy, p, tau, native, &out);
+    if (ref_dist2 <= 4.0 * eps2_) FollowRedirects(route, qx, qy, i, p, &out);
+    SupArAt(qx, qy - area.dy, c, p, s, &out);
+    SupArAt(qx - area.dx, qy, c, p, s, &out);
     return out;
   }
 
   // Plain replication area: one near border; the pair agreement decides.
   PASJOIN_DCHECK(area.kind == AreaKind::kPlain);
-  if (graph_->PairTypeToward(native, area.dx, area.dy) == tau) {
-    out.PushBackUnique(grid_->CellIdOf(cx + area.dx, cy + area.dy));
+  const grid::CellId anchor = grid_.CellIdOf(c.x + (area.dx < 0 ? -1 : 0),
+                                             c.y + (area.dy < 0 ? -1 : 0));
+  const int32_t found = anchor_pairs_.Find(anchor);
+  const int32_t pairs = found == FlatIndex::kAbsent ? default_pairs_ : found;
+  if (((pairs >> (area.dx != 0 ? 0 : 1)) & 1) == s) {
+    out.PushBackUnique(grid_.CellIdOf(c.x + area.dx, c.y + area.dy));
   }
   // The point may lie in a supplementary area of the quartets at the two
   // endpoints of the crossed border (Algorithm 2, lines 16-19).
   if (area.dx != 0) {
-    const int qx = cx + (area.dx > 0 ? 1 : 0);
-    SupArAt(qx, cy, p, tau, native, &out);
-    SupArAt(qx, cy + 1, p, tau, native, &out);
+    const int qx = c.x + (area.dx > 0 ? 1 : 0);
+    SupArAt(qx, c.y, c, p, s, &out);
+    SupArAt(qx, c.y + 1, c, p, s, &out);
   } else {
-    const int qy = cy + (area.dy > 0 ? 1 : 0);
-    SupArAt(cx, qy, p, tau, native, &out);
-    SupArAt(cx + 1, qy, p, tau, native, &out);
+    const int qy = c.y + (area.dy > 0 ? 1 : 0);
+    SupArAt(c.x, qy, c, p, s, &out);
+    SupArAt(c.x + 1, qy, c, p, s, &out);
   }
   return out;
 }
 
-void ReplicationAssigner::MeDuPAr(QuartetId q, const Point& o,
-                                  AgreementType tau, int i,
-                                  CellList* out) const {
-  const QuartetSubgraph& sub = graph_->Subgraph(q);
-  // Side-adjacent cells within the quartet: replicate under an unmarked
-  // agreement of the point's type (Algorithm 3, lines 2-4).
-  const int side_adjacent[2] = {i ^ 1, i ^ 2};
-  for (const int j : side_adjacent) {
-    if (sub.type[i][j] == tau && !sub.edge[i][j].marked) {
-      out->PushBackUnique(grid_->QuartetCellId(q, j));
-    }
-  }
-  // Diagonal cell (common touching point only), Algorithm 3 lines 5-11.
-  const int d = DiagonalOf(i);
-  if (sub.type[i][d] == tau && !sub.edge[i][d].marked) {
-    if (SquaredDistance(o, grid_->QuartetRefPoint(q)) <= eps2_) {
-      // Within eps of the reference point: the point can form pairs with
-      // native points of the diagonal cell.
-      out->PushBackUnique(grid_->QuartetCellId(q, d));
-    } else {
-      // Beyond eps of the reference point the diagonal cell's native points
-      // are unreachable, but a *marked* side agreement of the point's type
-      // means its partners were redirected through the diagonal cell.
-      for (const int j : side_adjacent) {
-        if (sub.type[i][j] == tau && sub.edge[i][j].marked) {
-          out->PushBackUnique(grid_->QuartetCellId(q, d));
-          break;
-        }
-      }
-    }
-  }
-}
-
-void ReplicationAssigner::SupAr(QuartetId q, const Point& o,
-                                AgreementType tau, int i,
-                                CellList* out) const {
+void ReplicationAssigner::FollowRedirects(uint8_t route, int qx, int qy,
+                                          int i, const Point& p,
+                                          CellList* out) const {
   // Supplementary-area test (Definition 4.10 / Algorithm 4): within 2*eps of
-  // the quartet's reference point and within eps of a side-adjacent cell
-  // whose duplicate-prone points of the *other* type were excluded from
-  // replication into the native cell (marked e_ji of opposite type).
-  if (SquaredDistance(o, grid_->QuartetRefPoint(q)) > 4.0 * eps2_) return;
-  const QuartetSubgraph& sub = graph_->Subgraph(q);
-  const int side_adjacent[2] = {i ^ 1, i ^ 2};
-  for (const int j : side_adjacent) {
-    const Rect j_rect = grid_->CellRect(grid_->QuartetCellId(q, j));
-    if (SquaredMinDist(o, j_rect) > eps2_) continue;
-    if (sub.type[j][i] == tau || !sub.edge[j][i].marked) continue;
-    // The excluded partners were redirected to exactly one other quartet
-    // cell; follow them there. Candidates: the remaining side neighbor `k`
-    // and the diagonal cell `l` (Algorithm 4, lines 5-8).
-    const int k = (j == (i ^ 1)) ? (i ^ 2) : (i ^ 1);
-    const int l = DiagonalOf(i);
-    if (sub.type[i][k] == tau && !sub.edge[i][k].marked &&
-        sub.type[j][k] != tau && !sub.edge[j][k].marked) {
-      out->PushBackUnique(grid_->QuartetCellId(q, k));
-    } else if (sub.type[i][l] == tau && !sub.edge[i][l].marked &&
-               sub.type[j][l] != tau && !sub.edge[j][l].marked) {
-      out->PushBackUnique(grid_->QuartetCellId(q, l));
-    }
+  // the quartet's reference point (the caller's test) and within eps of the
+  // side-adjacent donor cell j whose withheld partners the route redirects.
+  for (int n = 0; n < 2; ++n) {
+    const unsigned redirect = (route >> (kRedirectShift + 2 * n)) & 3U;
+    if (redirect == kRedirectNone) continue;
+    const int j = i ^ (n + 1);
+    const Rect j_rect =
+        grid_.CellRectAt(qx - 1 + (j & 1), qy - 1 + (j >> 1));
+    if (SquaredMinDist(p, j_rect) > eps2_) continue;
+    const int to = redirect == kRedirectSide ? i ^ (2 - n) : DiagonalOf(i);
+    out->PushBackUnique(QuartetCell(grid_, qx, qy, to));
   }
 }
 
-void ReplicationAssigner::SupArAt(int qx, int qy, const Point& o,
-                                  AgreementType tau, CellId native,
+void ReplicationAssigner::SupArAt(int qx, int qy, CellCoord native,
+                                  const Point& p, int s,
                                   CellList* out) const {
-  const QuartetId q = grid_->QuartetIdOf(qx, qy);
+  const QuartetId q = grid_.QuartetIdOf(qx, qy);
   if (q == grid::kInvalidId) return;
-  const int i = grid_->PositionInQuartet(q, native);
-  if (i < 0) return;
-  SupAr(q, o, tau, i, out);
+  if (SquaredDistance(p, grid_.CornerPoint(qx, qy)) > 4.0 * eps2_) return;
+  const int i = (native.x - (qx - 1)) | ((native.y - (qy - 1)) << 1);
+  PASJOIN_DCHECK(i >= 0 && i < 4);
+  FollowRedirects(RouteOf(q, i, s), qx, qy, i, p, out);
 }
 
 }  // namespace pasjoin::core

@@ -5,10 +5,21 @@
 // (its native cell plus up to 3 replicas). This is the C++ counterpart of
 // the paper's Algorithms 2 (area dispatch), 3 (MeDuPAr: merged
 // duplicate-prone area) and 4 (SupAr: supplementary areas).
+//
+// The graph predicates of Algorithms 3 and 4 depend only on the quartet,
+// the native cell's position in it and the point's relation, so the
+// assigner evaluates them once, at construction, into one route byte per
+// (quartet, position, relation). Per point only the geometric tests remain
+// (docs/ALGORITHM.md §5).
 #ifndef PASJOIN_CORE_REPLICATION_H_
 #define PASJOIN_CORE_REPLICATION_H_
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "agreements/agreement_graph.h"
+#include "common/flat_index.h"
 #include "common/small_vector.h"
 #include "common/tuple.h"
 #include "grid/grid.h"
@@ -20,39 +31,60 @@ using CellList = SmallVector<grid::CellId, 4>;
 
 /// Maps points to cells under adaptive replication.
 ///
-/// Thread-safe: Assign is const and the referenced grid/graph are immutable
-/// after construction, so one assigner can serve all workers (it plays the
-/// role of the broadcast grid of Algorithm 5).
+/// Thread-safe: Assign is const and the assigner owns immutable copies of
+/// the grid and of the compiled routes, so one assigner can serve all
+/// workers (it plays the role of the broadcast grid and graph of Algorithm
+/// 5). It keeps no reference to the graph, which may be destroyed as soon
+/// as the assigner is built.
 class ReplicationAssigner {
  public:
-  /// `grid` and `graph` must outlive the assigner; `graph` must already be
-  /// duplicate-free (RunDuplicateFreeMarking) unless the caller deliberately
-  /// wants the non-duplicate-free variant of Table 6.
+  /// Compiles `graph`'s routes over `grid`; neither needs to outlive the
+  /// assigner. `graph` must already be duplicate-free
+  /// (RunDuplicateFreeMarking) unless the caller deliberately wants the
+  /// non-duplicate-free variant of Table 6.
   ReplicationAssigner(const grid::Grid* grid,
-                      const agreements::AgreementGraph* graph)
-      : grid_(grid), graph_(graph), eps2_(grid->eps() * grid->eps()) {}
+                      const agreements::AgreementGraph* graph);
 
   /// Algorithm 2: the cells point `p` of relation `side` is assigned to.
   CellList Assign(const Point& p, Side side) const;
 
+  /// Quartets and pair anchors with compiled routes; every other quartet
+  /// and side pair takes the graph's defaults.
+  int num_route_quartets() const { return static_cast<int>(routes_.size()); }
+  int num_route_anchors() const { return num_anchors_; }
+
  private:
-  /// Algorithm 3: assignment for a point in the merged duplicate-prone area
-  /// of quartet `q`; `i` is the native cell's position within the quartet.
-  void MeDuPAr(grid::QuartetId q, const Point& o,
-               agreements::AgreementType tau, int i, CellList* out) const;
+  /// Route bytes of one quartet, indexed by position * 2 + agreement type.
+  using Routes = std::array<uint8_t, 8>;
 
-  /// Algorithm 4: assignment for a point possibly lying in a supplementary
-  /// area of quartet `q`; `i` is the native cell's position.
-  void SupAr(grid::QuartetId q, const Point& o, agreements::AgreementType tau,
-             int i, CellList* out) const;
+  /// The route byte of quartet `q` for the native cell at position `i` and
+  /// agreement type `s`.
+  uint8_t RouteOf(grid::QuartetId q, int i, int s) const;
 
-  /// Invokes SupAr for the quartet at interior corner (qx, qy), if any.
-  void SupArAt(int qx, int qy, const Point& o, agreements::AgreementType tau,
-               grid::CellId native, CellList* out) const;
+  /// Algorithm 4 on the quartet at interior corner (qx, qy), whose
+  /// reference point lies within 2 * eps of `p`: follows the redirects
+  /// `route` lists for the native cell at position `i`.
+  void FollowRedirects(uint8_t route, int qx, int qy, int i, const Point& p,
+                       CellList* out) const;
 
-  const grid::Grid* grid_;
-  const agreements::AgreementGraph* graph_;
+  /// Algorithm 4 on the quartet at corner (qx, qy), if it is interior and
+  /// its reference point lies within 2 * eps of `p`. `native` is a cell of
+  /// that quartet; `s` is the point's agreement type.
+  void SupArAt(int qx, int qy, grid::CellCoord native, const Point& p, int s,
+               CellList* out) const;
+
+  grid::Grid grid_;
   double eps2_;
+  /// Materialized quartets: their slot in routes_.
+  FlatIndex quartet_slot_;
+  std::vector<Routes> routes_;
+  /// Every other quartet.
+  Routes default_routes_{};
+  /// Pair anchors: the right pair's type in bit 0, the upper pair's in
+  /// bit 1. Every other anchor has default_pairs_.
+  FlatIndex anchor_pairs_;
+  int32_t default_pairs_ = 0;
+  int num_anchors_ = 0;
 };
 
 }  // namespace pasjoin::core

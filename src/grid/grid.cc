@@ -24,17 +24,6 @@ Grid::Grid(const Rect& mbr, double eps, int nx, int ny)
       cell_w_(mbr.Width() / nx),
       cell_h_(mbr.Height() / ny) {}
 
-namespace {
-
-// floor(v) clamped to [0, n - 1] in double before the cast, so that no
-// value, infinite ones included, overflows it; NaN maps to 0.
-int ClampedCell(double v, int n) {
-  return static_cast<int>(
-      std::min(std::max(0.0, std::floor(v)), static_cast<double>(n - 1)));
-}
-
-}  // namespace
-
 Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
   if (!(resolution_factor >= 2.0)) {
     return Status::InvalidArgument(
@@ -80,11 +69,6 @@ Result<Grid> Grid::MakeForBaseline(const Rect& mbr, double eps,
   return Grid(mbr, eps, static_cast<int>(nx), static_cast<int>(ny));
 }
 
-CellId Grid::Locate(const Point& p) const {
-  return CellIdOf(ClampedCell((p.x - mbr_.min_x) / cell_w_, nx_),
-                  ClampedCell((p.y - mbr_.min_y) / cell_h_, ny_));
-}
-
 CellRange Grid::CellsCovering(const Rect& region) const {
   return CellRange{ClampedCell((region.min_x - mbr_.min_x) / cell_w_, nx_),
                    ClampedCell((region.min_y - mbr_.min_y) / cell_h_, ny_),
@@ -94,10 +78,7 @@ CellRange Grid::CellsCovering(const Rect& region) const {
 
 Rect Grid::CellRect(CellId id) const {
   PASJOIN_DCHECK(id >= 0 && id < num_cells());
-  const int cx = CellX(id);
-  const int cy = CellY(id);
-  return Rect{mbr_.min_x + cx * cell_w_, mbr_.min_y + cy * cell_h_,
-              mbr_.min_x + (cx + 1) * cell_w_, mbr_.min_y + (cy + 1) * cell_h_};
+  return CellRectAt(CellX(id), CellY(id));
 }
 
 int Grid::PositionInQuartet(QuartetId q, CellId cell) const {
@@ -107,10 +88,10 @@ int Grid::PositionInQuartet(QuartetId q, CellId cell) const {
   return -1;
 }
 
-AreaInfo Grid::ClassifyArea(const Point& p, CellId cell) const {
-  const int cx = CellX(cell);
-  const int cy = CellY(cell);
-  const Rect rect = CellRect(cell);
+AreaInfo Grid::ClassifyArea(const Point& p, CellCoord c) const {
+  const int cx = c.x;
+  const int cy = c.y;
+  const Rect rect = CellRectAt(cx, cy);
 
   // Distance to each internal border; borders on the grid boundary never
   // trigger replication (there is no neighbor behind them).

@@ -18,6 +18,8 @@
 #ifndef PASJOIN_GRID_GRID_H_
 #define PASJOIN_GRID_GRID_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -71,6 +73,12 @@ struct AreaInfo {
   QuartetId quartet = kInvalidId;
 };
 
+/// The coordinates (cx, cy) of one grid cell.
+struct CellCoord {
+  int x = 0;
+  int y = 0;
+};
+
 /// An inclusive rectangle of cell coordinates [x_lo, x_hi] x [y_lo, y_hi].
 struct CellRange {
   int x_lo = 0;
@@ -122,7 +130,15 @@ class Grid {
 
   /// The cell enclosing `p`. Points on shared borders go to the upper/right
   /// cell; points outside the MBR are clamped to the nearest cell.
-  CellId Locate(const Point& p) const;
+  CellId Locate(const Point& p) const {
+    const CellCoord c = LocateCell(p);
+    return CellIdOf(c.x, c.y);
+  }
+  /// Locate, as cell coordinates.
+  CellCoord LocateCell(const Point& p) const {
+    return CellCoord{ClampedCell((p.x - mbr_.min_x) / cell_w_, nx_),
+                     ClampedCell((p.y - mbr_.min_y) / cell_h_, ny_)};
+  }
 
   /// The cells covering `region`, clamped to the grid. Indices are clamped
   /// before the integer cast, so any region is safe, however far outside
@@ -131,6 +147,12 @@ class Grid {
 
   /// Geometric extent of a cell.
   Rect CellRect(CellId id) const;
+  /// Geometric extent of cell (cx, cy).
+  Rect CellRectAt(int cx, int cy) const {
+    return Rect{mbr_.min_x + cx * cell_w_, mbr_.min_y + cy * cell_h_,
+                mbr_.min_x + (cx + 1) * cell_w_,
+                mbr_.min_y + (cy + 1) * cell_h_};
+  }
 
   /// QuartetId for interior corner (qx, qy), 1 <= qx <= nx-1, 1 <= qy <= ny-1;
   /// kInvalidId for non-interior corners.
@@ -144,8 +166,11 @@ class Grid {
 
   /// The reference point (common touching point) of a quartet.
   Point QuartetRefPoint(QuartetId q) const {
-    return Point{mbr_.min_x + QuartetX(q) * cell_w_,
-                 mbr_.min_y + QuartetY(q) * cell_h_};
+    return CornerPoint(QuartetX(q), QuartetY(q));
+  }
+  /// The grid-line intersection at corner (qx, qy).
+  Point CornerPoint(int qx, int qy) const {
+    return Point{mbr_.min_x + qx * cell_w_, mbr_.min_y + qy * cell_h_};
   }
 
   /// The CellId of quartet `q`'s cell at position `which` (kSW..kNE).
@@ -163,13 +188,24 @@ class Grid {
   /// Classifies where `p` (lying in `cell`) falls among the replication areas
   /// of Figure 9. Only *internal* borders count: proximity to the grid's
   /// outer boundary never triggers replication.
-  AreaInfo ClassifyArea(const Point& p, CellId cell) const;
+  AreaInfo ClassifyArea(const Point& p, CellId cell) const {
+    return ClassifyArea(p, CellCoord{CellX(cell), CellY(cell)});
+  }
+  /// ClassifyArea for `p` lying in cell `c`.
+  AreaInfo ClassifyArea(const Point& p, CellCoord c) const;
 
   /// Human-readable summary ("grid 241x104, cell 0.2405x0.2403, eps 0.12").
   std::string ToString() const;
 
  private:
   Grid(const Rect& mbr, double eps, int nx, int ny);
+
+  /// floor(v) clamped to [0, n - 1] in double before the cast, so that no
+  /// value, infinite ones included, overflows it; NaN maps to 0.
+  static int ClampedCell(double v, int n) {
+    return static_cast<int>(
+        std::min(std::max(0.0, std::floor(v)), static_cast<double>(n - 1)));
+  }
 
   Rect mbr_;
   double eps_ = 0.0;

@@ -54,7 +54,7 @@ namespace pasjoin::obs {
 inline constexpr int32_t kDriverTrack = -1;
 
 /// Maximum integer args carried by one event.
-inline constexpr int kMaxSpanArgs = 3;
+inline constexpr int kMaxSpanArgs = 4;
 
 /// One recorded trace event. Plain data; name/category/arg-name/str_value
 /// pointers must be string literals (static storage duration).
@@ -75,8 +75,8 @@ struct TraceEvent {
   /// registration order). Used for nesting/attribution checks.
   uint32_t thread = 0;
   /// Integer args (names must be string literals).
-  const char* arg_names[kMaxSpanArgs] = {nullptr, nullptr, nullptr};
-  int64_t arg_values[kMaxSpanArgs] = {0, 0, 0};
+  const char* arg_names[kMaxSpanArgs] = {};
+  int64_t arg_values[kMaxSpanArgs] = {};
   int num_args = 0;
   /// Optional string arg rendered as args.{str_name}: {str_value} (both
   /// string literals), e.g. the kernel name of a join task.

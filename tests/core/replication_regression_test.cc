@@ -4,6 +4,9 @@
 // DESIGN.md 5.1, "resolved pseudocode ambiguities"). Each test pins the
 // exact graph configuration and point pair, so a behavioural regression
 // fails here with full context rather than in a random property sweep.
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "agreements/agreement_graph.h"
@@ -150,6 +153,64 @@ TEST(ReplicationRegressionTest, DegenerateOnBorderPositions) {
       EXPECT_EQ(common, 1) << "seed " << seed << " point (" << p.x << ","
                            << p.y << ")";
     }
+  }
+}
+
+/// The assigner compiles the graph at construction and keeps no reference
+/// to it or to the grid: destroying both leaves every partition list
+/// unchanged, order included.
+TEST(ReplicationRegressionTest, AssignerOutlivesItsGraph) {
+  const double eps = 1.0;
+  auto grid = std::make_unique<Grid>(
+      Grid::Make(Rect{0, 0, 8.4, 6.3}, eps, 2.0).MoveValue());
+  ASSERT_EQ(grid->nx(), 4);
+  ASSERT_EQ(grid->ny(), 3);
+  const GridStats stats(grid.get());
+  auto graph = std::make_unique<AgreementGraph>(
+      AgreementGraph::Build(*grid, stats, Policy::kLPiB));
+  graph->RandomizeForTesting(11);
+  graph->RunDuplicateFreeMarking();
+  const ReplicationAssigner assigner(grid.get(), graph.get());
+
+  // A lattice of sixths of a cell, whose first line in each cell is the
+  // cell's border (every quartet corner lies on it), plus the points eps
+  // away from each corner along both axes and both diagonals.
+  const double w = grid->cell_width();
+  const double h = grid->cell_height();
+  std::vector<Point> probes;
+  for (int cy = 0; cy <= grid->ny(); ++cy) {
+    for (int ky = 0; ky < 6; ++ky) {
+      for (int cx = 0; cx <= grid->nx(); ++cx) {
+        for (int kx = 0; kx < 6; ++kx) {
+          probes.push_back({cx * w + kx * (w / 6), cy * h + ky * (h / 6)});
+        }
+      }
+    }
+  }
+  for (int qy = 1; qy < grid->ny(); ++qy) {
+    for (int qx = 1; qx < grid->nx(); ++qx) {
+      const Point ref = grid->CornerPoint(qx, qy);
+      for (const int dy : {-1, 0, 1}) {
+        for (const int dx : {-1, 0, 1}) {
+          probes.push_back({ref.x + dx * eps, ref.y + dy * eps});
+        }
+      }
+    }
+  }
+  std::vector<std::vector<grid::CellId>> before;
+  for (const Point& p : probes) {
+    before.push_back(assigner.Assign(p, Side::kR).ToVector());
+    before.push_back(assigner.Assign(p, Side::kS).ToVector());
+  }
+
+  graph.reset();
+  grid.reset();
+  size_t n = 0;
+  for (const Point& p : probes) {
+    EXPECT_EQ(assigner.Assign(p, Side::kR).ToVector(), before[n++])
+        << "R point (" << p.x << "," << p.y << ")";
+    EXPECT_EQ(assigner.Assign(p, Side::kS).ToVector(), before[n++])
+        << "S point (" << p.x << "," << p.y << ")";
   }
 }
 

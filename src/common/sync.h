@@ -148,18 +148,12 @@ inline constexpr int kEnginePhaseState = 100;
 /// exec engine: the partition store of a worker lost in the join phase
 /// (its one rebuild, a re-run of the worker's regroup, runs under it).
 inline constexpr int kEngineWorkerStore = 200;
-/// exec engine: per-worker result-merge slots of the join phase — a thread
-/// flushes its thread-local pair buffer into one slot per acquisition and
-/// never holds two slots at once (docs/PARALLELISM.md).
-inline constexpr int kEngineOutputMerge = 350;
 /// exec::ThreadPool cancel-wake handshake (Wait(token)'s callback handoff);
 /// held while acquiring the pool lock, hence ranked just below it.
 inline constexpr int kThreadPoolCancelWake = 380;
 /// exec::ThreadPool queue/shutdown state; acquired by Submit() while the
 /// engine holds its phase-state lock.
 inline constexpr int kThreadPool = 400;
-/// exec engine: per-phase worker busy-time accumulation (PhaseClock).
-inline constexpr int kEnginePhaseClock = 500;
 /// obs::TraceRecorder shard registration/export; a span recorded under any
 /// engine lock may register the thread's shard on first append.
 inline constexpr int kTraceShards = 600;

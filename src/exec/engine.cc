@@ -22,6 +22,13 @@
 // executors run the same task lists, including one join task per (worker,
 // partition). See docs/FAULT_TOLERANCE.md for the recovery model and
 // docs/PARALLELISM.md for stealing.
+//
+// Phase state is of two kinds only: task-indexed output slots, which a
+// task's commit writes, and per-thread state (scratch, counters, busy
+// time), which the driver thread folds after the phase. No lock guards
+// accounting or join output. The join commits each item's pairs into the
+// item's own slot, so the result comes out in the order of the item list
+// for every thread count and both executors.
 #include "exec/engine.h"
 
 #include <algorithm>
@@ -32,6 +39,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -41,7 +49,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/sync.h"
-#include "exec/phase_clock.h"
 #include "exec/shuffle.h"
 #include "exec/steal_queue.h"
 #include "exec/thread_pool.h"
@@ -204,43 +211,41 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
   reg->Add("shuffle_remote_bytes", remote_bytes);
 }
 
-/// Join output of one (worker, partition) task attempt, and the running sum
-/// of many such outputs per worker.
-struct JoinOutput {
-  std::vector<ResultPair> pairs;
+/// The counters and kernel timings of one or more joined partitions.
+struct JoinTally {
   spatial::JoinCounters counters;
   spatial::KernelTimings timings;
   uint64_t partitions = 0;
+  /// Ordered self-join matches the r.id < s.id filter dropped.
   uint64_t filtered = 0;
 
-  /// Adds `other` to this output and resets it (keeping its capacity).
-  void Absorb(JoinOutput* other) {
-    pairs.insert(pairs.end(), other->pairs.begin(), other->pairs.end());
-    counters += other->counters;
-    timings += other->timings;
-    partitions += other->partitions;
-    filtered += other->filtered;
-    other->pairs.clear();
-    other->counters = spatial::JoinCounters{};
-    other->timings = spatial::KernelTimings{};
-    other->partitions = 0;
-    other->filtered = 0;
+  JoinTally& operator+=(const JoinTally& other) {
+    counters += other.counters;
+    timings += other.timings;
+    partitions += other.partitions;
+    filtered += other.filtered;
+    return *this;
   }
+};
+
+/// Join output of one (worker, partition) task attempt.
+struct JoinOutput {
+  std::vector<ResultPair> pairs;
+  JoinTally tally;
 };
 
 /// Per-thread join state, reused across every partition the thread joins:
 /// the SoA kernel scratch (SoaPartition instances are strictly
 /// one-per-thread, spatial/sweep_kernel.h), the R-tree's indexed side, the
-/// self-join pair buffer, a recycled pair buffer for the next attempt, and
-/// the per-worker accumulators flushed in batches into the merge slots.
+/// self-join pair buffer, the tally of the joins the thread committed, and
+/// the time it spent rebuilding a lost worker's store.
 struct JoinThreadState {
   spatial::SoaPartition soa_r;
   spatial::SoaPartition soa_s;
   std::vector<Tuple> indexed;
   std::vector<ResultPair> self_scratch;
-  std::vector<ResultPair> spare_pairs;
-  /// Indexed by logical worker; sized on the thread's first commit.
-  std::vector<JoinOutput> acc;
+  JoinTally committed;
+  double rebuild_seconds = 0.0;
 };
 
 /// The [begin, end) slice of column `v`.
@@ -304,7 +309,8 @@ void JoinSinglePartition(const WorkerStore& store, const PartitionRun& run,
   span.SetStringArg("kernel",
                     spatial::LocalJoinKernelName(options.local_kernel));
   span.AddArg("cell", run.part);
-  out->partitions = 1;
+  JoinTally& tally = out->tally;
+  tally.partitions = 1;
   // A self join's kernel sees every ordered match; the filter below keeps
   // r.id < s.id (each unordered pair once) and counts the rest so the phase
   // total can be corrected.
@@ -316,34 +322,34 @@ void JoinSinglePartition(const WorkerStore& store, const PartitionRun& run,
       scratch->soa_r.LoadSorted(Slice(store.x, run.begin, run.mid),
                                 Slice(store.y, run.begin, run.mid),
                                 Slice(store.id, run.begin, run.mid),
-                                &out->timings, trace);
+                                &tally.timings, trace);
       scratch->soa_s.LoadSorted(Slice(store.x, run.mid, run.end),
                                 Slice(store.y, run.mid, run.end),
                                 Slice(store.id, run.mid, run.end),
-                                &out->timings, trace);
-      out->counters =
+                                &tally.timings, trace);
+      tally.counters =
           spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s, options.eps,
-                                sink, &out->timings, trace, cancel);
+                                sink, &tally.timings, trace, cancel);
       break;
     case spatial::LocalJoinKernel::kRTree:
-      out->counters = RTreeProbeJoin(store, run, options.eps, index_r,
-                                     &scratch->indexed, sink, cancel);
+      tally.counters = RTreeProbeJoin(store, run, options.eps, index_r,
+                                      &scratch->indexed, sink, cancel);
       break;
   }
   if (self_join) {
     Stopwatch filter_watch;
     for (const ResultPair& p : scratch->self_scratch) {
       if (p.r_id >= p.s_id) {
-        ++out->filtered;
+        ++tally.filtered;
         continue;
       }
       if (keep_pairs) out->pairs.push_back(p);
     }
-    out->timings.emit_seconds += filter_watch.ElapsedSeconds();
+    tally.timings.emit_seconds += filter_watch.ElapsedSeconds();
   }
   if (cancel != nullptr) cancel->Pulse(1);
-  span.AddArg("candidates", static_cast<int64_t>(out->counters.candidates));
-  span.AddArg("results", static_cast<int64_t>(out->counters.results));
+  span.AddArg("candidates", static_cast<int64_t>(tally.counters.candidates));
+  span.AddArg("results", static_cast<int64_t>(tally.counters.results));
 }
 
 /// One (worker, partition) task of the join phase: run `run` of the
@@ -354,25 +360,6 @@ struct JoinItem {
   size_t run = 0;
 };
 
-/// Shared merge slot of one logical worker's join output. Runner threads
-/// flush their thread-local accumulators in here in batches; a thread
-/// holds at most one slot lock at a time (rank kEngineOutputMerge).
-struct WorkerMergeSlot {
-  Mutex mu{"WorkerMergeSlot::mu", lockrank::kEngineOutputMerge};
-  JoinOutput out PASJOIN_GUARDED_BY(mu);
-};
-
-/// A thread's per-worker accumulator is flushed into the shared slot once
-/// it exceeds this many pairs (and when the phase ends), bounding
-/// thread-local memory while amortizing the slot lock over many partitions.
-constexpr size_t kPairFlushThreshold = size_t{1} << 15;
-
-/// Flushes one per-worker accumulator into its shared slot and resets it.
-void FlushJoinOutput(JoinOutput* acc, WorkerMergeSlot* slot) {
-  MutexLock lock(&slot->mu);
-  slot->out.Absorb(acc);
-}
-
 /// A worker lost in the join phase: its store is dropped before the phase,
 /// and the first attempt that needs it rebuilds it by re-running the
 /// worker's regroup over the retained shuffle blocks, under `mu` (rank
@@ -380,32 +367,35 @@ void FlushJoinOutput(JoinOutput* acc, WorkerMergeSlot* slot) {
 struct LostWorkerStore {
   Mutex mu{"LostWorkerStore::mu", lockrank::kEngineWorkerStore};
   bool rebuilt PASJOIN_GUARDED_BY(mu) = false;
-  double rebuild_seconds PASJOIN_GUARDED_BY(mu) = 0.0;
 };
 
-/// Hash-partitions one worker's result pairs across `workers` dedup buckets.
-/// Routes through ResultPairShardHash (a splitmix64-finalized mix): the raw
-/// ResultPairHash leaves low-bit structure in place, which degenerated to
-/// severe shard imbalance for power-of-two-strided tuple ids on power-of-two
-/// worker counts (tests/common/shard_hash_test.cc documents the failure).
-/// Polls `cancel` every kKernelPollGrain pairs (partial output on cancel).
+/// Hash-partitions one worker's result pairs — the pairs of its join items,
+/// in item order — across `workers` dedup buckets. Routes through
+/// ResultPairShardHash (a splitmix64-finalized mix): the raw ResultPairHash
+/// leaves low-bit structure in place, which degenerated to severe shard
+/// imbalance for power-of-two-strided tuple ids on power-of-two worker
+/// counts (tests/common/shard_hash_test.cc documents the failure). With
+/// `consume`, frees each item's pairs once scattered. Polls `cancel` every
+/// kKernelPollGrain pairs (partial output on cancel).
 std::vector<std::vector<ResultPair>> ScatterWorkerPairs(
-    const std::vector<ResultPair>& pairs, int workers,
+    std::span<std::vector<ResultPair>> item_pairs, int workers, bool consume,
     const spatial::KernelCancellation* cancel) {
   std::vector<std::vector<ResultPair>> out(static_cast<size_t>(workers));
   const ResultPairShardHash hasher;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const ResultPair& p = pairs[i];
-    out[hasher(p) % static_cast<size_t>(workers)].push_back(p);
-    if (cancel != nullptr &&
-        (i & (spatial::kKernelPollGrain - 1)) ==
-            spatial::kKernelPollGrain - 1) {
-      cancel->Pulse(spatial::kKernelPollGrain);
-      if (cancel->ShouldStop()) return out;
+  uint64_t done = 0;
+  for (std::vector<ResultPair>& pairs : item_pairs) {
+    for (const ResultPair& p : pairs) {
+      out[hasher(p) % static_cast<size_t>(workers)].push_back(p);
+      if (cancel != nullptr &&
+          (++done & (spatial::kKernelPollGrain - 1)) == 0) {
+        cancel->Pulse(spatial::kKernelPollGrain);
+        if (cancel->ShouldStop()) return out;
+      }
     }
+    if (consume) std::vector<ResultPair>().swap(pairs);
   }
   if (cancel != nullptr) {
-    cancel->Pulse(pairs.size() & (spatial::kKernelPollGrain - 1));
+    cancel->Pulse(done & (spatial::kKernelPollGrain - 1));
   }
   return out;
 }
@@ -492,12 +482,15 @@ void AccumulateDedupShuffle(
 //   owner_of(task)                    -> logical worker the task belongs to
 //   compute(task, state, cancel)      -> the task's attempt-local output
 //   commit(task, state, output&&)     publishes one attempt's output
-//   finish(state)                     once per thread state, after the phase
+//   finish(state)                     folds one thread state, after the phase
 //
-// `State` is per-thread scratch, default-constructed by the executor and
-// reused across every task the thread runs. compute must leave shared
-// inputs intact when the executor retains them (kRetainsInputs), since a
-// failed or speculative attempt may run it again.
+// `State` is per-thread state, default-constructed by the executor and
+// reused across every task the thread runs. commit writes the task's own
+// output slot and may add to `state`; nothing else is shared. After the
+// phase the driver thread calls finish on every state and sums the
+// threads' busy rows. compute must leave shared inputs intact when the
+// executor retains them (kRetainsInputs), since a failed or speculative
+// attempt may run it again.
 // ---------------------------------------------------------------------------
 
 /// One phase's executor-facing description.
@@ -507,11 +500,68 @@ struct PhaseSpec {
   /// Steal-queue claim size (the recovering executor launches every task
   /// on its own).
   int grain = 1;
-  /// Receives the per-worker busy time of committed tasks.
-  PhaseClock* clock = nullptr;
+  /// Receives the busy time of committed tasks, by owning logical worker
+  /// (sized to the worker count).
+  std::vector<double>* busy = nullptr;
   /// Receives the phase's measured wall time.
   double* measured_seconds = nullptr;
 };
+
+/// A phase's simulated makespan: the largest per-worker busy time.
+double Makespan(const std::vector<double>& busy) {
+  return busy.empty() ? 0.0 : *std::max_element(busy.begin(), busy.end());
+}
+
+/// The cache line size that threads' phase state is kept apart by: the
+/// states sit side by side in one vector, and a line two threads write
+/// would move between their cores on every task.
+constexpr size_t kCacheLine = 64;
+
+/// One thread's State, on cache lines of its own.
+template <typename State>
+struct alignas(kCacheLine) ThreadState {
+  State state;
+};
+
+/// The busy time of the tasks each thread committed, by (thread, owning
+/// worker). A thread adds only to its own row; rows sit a cache line
+/// apart, so no two threads write one line.
+class BusyRows {
+ public:
+  BusyRows(int threads, size_t workers)
+      : stride_(workers + kPad),
+        seconds_(kPad + static_cast<size_t>(threads) * stride_, 0.0) {}
+
+  void Add(int thread, int worker, double seconds) {
+    seconds_[kPad + static_cast<size_t>(thread) * stride_ +
+             static_cast<size_t>(worker)] += seconds;
+  }
+
+  /// Adds every row to `busy`, which is sized to the worker count.
+  void SumInto(std::vector<double>* busy) const {
+    for (size_t row = kPad; row < seconds_.size(); row += stride_) {
+      for (size_t w = 0; w < busy->size(); ++w) {
+        (*busy)[w] += seconds_[row + w];
+      }
+    }
+  }
+
+ private:
+  static constexpr size_t kPad = kCacheLine / sizeof(double);
+  const size_t stride_;
+  std::vector<double> seconds_;
+};
+
+/// Folds a phase's per-thread state on the driver thread, once every
+/// thread has left the phase: finishes each State and adds the busy rows
+/// to `spec.busy`.
+template <typename State, typename Finish>
+void FoldThreads(const PhaseSpec& spec,
+                 std::vector<ThreadState<State>>& states,
+                 const BusyRows& rows, const Finish& finish) {
+  for (ThreadState<State>& t : states) finish(t.state);
+  rows.SumInto(spec.busy);
+}
 
 /// The driver-track span of each Phase and the span of its tasks on the
 /// owning worker's track, indexed by the Phase value.
@@ -522,7 +572,7 @@ constexpr std::array<const char*, 5> kTaskSpanNames = {
     "map-task", "regroup-task", "join-task", "dedup-scatter-task",
     "dedup-merge-task"};
 
-/// The `finish` of phases with nothing to flush from their thread state.
+/// The `finish` of phases with nothing to fold from their thread state.
 struct NoFinish {
   template <typename State>
   void operator()(State&) const {}
@@ -542,10 +592,10 @@ auto CommitTo(std::vector<Output>* slots) {
 /// straggling range is finished by whichever thread frees up — logical
 /// workers stay a pure placement concept.
 ///
-/// Accounting: each task's elapsed time is attributed to owner_of(task) in
-/// the phase clock through a thread-confined PhaseClock::Shard merged once
-/// per runner (no per-task locking). When tracing, the phase gets a span on
-/// the driver track and every task a span on its owning worker's track —
+/// Accounting: each runner has its own State and busy row; a task's elapsed
+/// time goes to owner_of(task) in its runner's row, and the driver folds
+/// the runners after the phase. When tracing, the phase gets a span on the
+/// driver track and every task a span on its owning worker's track —
 /// physical interleaving is invisible in the trace by design.
 ///
 /// Cancellation: once the job token fires, runners stop claiming (and skip
@@ -577,11 +627,12 @@ class StealExecutor {
     Stopwatch phase_wall;
     const int runners = std::min(pool_->num_threads(), spec.count);
     StealQueue queue(spec.count, std::max(1, runners), spec.grain);
+    std::vector<ThreadState<State>> states(static_cast<size_t>(runners));
+    BusyRows rows(runners, spec.busy->size());
     for (int rnr = 0; rnr < runners; ++rnr) {
       pool_->Submit([&, rnr] {
         if (job_token_.IsCancelled()) return;  // dequeued after the cancel
-        PhaseClock::Shard shard(spec.clock->workers());
-        State state;
+        State& state = states[static_cast<size_t>(rnr)].state;
         int begin = 0;
         int end = 0;
         while (!job_token_.IsCancelled() && queue.Next(rnr, &begin, &end)) {
@@ -593,14 +644,13 @@ class StealExecutor {
             span.AddArg("task", i);
             Stopwatch watch;
             commit(i, state, compute(i, state, &job_cancel_));
-            shard.Add(w, watch.ElapsedSeconds());
+            rows.Add(rnr, w, watch.ElapsedSeconds());
           }
         }
-        finish(state);
-        spec.clock->Merge(shard);
       });
     }
     Status st = pool_->Wait(job_token_);
+    FoldThreads(spec, states, rows, finish);
     *spec.measured_seconds += phase_wall.ElapsedSeconds();
     return st;
   }
@@ -645,7 +695,9 @@ using TaskBody =
 /// Recovering executor (docs/FAULT_TOLERANCE.md): runs every phase through
 /// a PhaseRunner. Each attempt computes into its own output; only
 /// the first successful attempt of a task commits it. Attempts compute and
-/// commit on the pool thread they run on, with that thread's state.
+/// commit on the pool thread they run on, with that thread's State, and a
+/// committed attempt's time goes to that thread's busy row; the driver
+/// folds both after the phase.
 class RecoveringExecutor {
  public:
   static constexpr bool kRetainsInputs = true;
@@ -669,19 +721,21 @@ class RecoveringExecutor {
              const Finish& finish = Finish()) {
     using Output = std::invoke_result_t<const Compute&, int, State&,
                                         const spatial::KernelCancellation*>;
-    std::vector<State> states(static_cast<size_t>(pool_->num_threads()));
+    std::vector<ThreadState<State>> states(
+        static_cast<size_t>(pool_->num_threads()));
+    BusyRows rows(pool_->num_threads(), spec.busy->size());
     const TaskBody body = [&](int task,
                               const spatial::KernelCancellation& kc) {
       const int thread = ThreadPool::CurrentThreadIndex();
       PASJOIN_DCHECK(thread >= 0 && thread < pool_->num_threads());
-      State& state = states[static_cast<size_t>(thread)];
+      State& state = states[static_cast<size_t>(thread)].state;
       auto out = std::make_shared<Output>(compute(task, state, &kc));
       return PublishFn([&commit, &state, task, out] {
         commit(task, state, std::move(*out));
       });
     };
-    Status st = RunTasks(spec, owner_of, body);
-    for (State& state : states) finish(state);
+    Status st = RunTasks(spec, owner_of, body, &rows);
+    FoldThreads(spec, states, rows, finish);
     return st;
   }
 
@@ -711,10 +765,11 @@ class RecoveringExecutor {
   class PhaseRunner;
 
   /// Executes the phase's tasks through a PhaseRunner, recording the phase
-  /// span and the (one-shot) worker-loss transition.
+  /// span and the (one-shot) worker-loss transition. Committed attempts
+  /// add their time to `rows`, one row per pool thread.
   Status RunTasks(const PhaseSpec& spec,
                   const std::function<int(int)>& owner_of,
-                  const TaskBody& body);
+                  const TaskBody& body, BusyRows* rows);
 
   ThreadPool* const pool_;
   FaultInjector injector_;
@@ -748,11 +803,12 @@ class RecoveringExecutor {
 class RecoveringExecutor::PhaseRunner {
  public:
   PhaseRunner(RecoveringExecutor* ex, const PhaseSpec& spec,
-              const std::function<int(int)>& owner_of, const TaskBody& body)
+              const std::function<int(int)>& owner_of, const TaskBody& body,
+              BusyRows* rows)
       : ex_(ex),
         phase_(spec.phase),
         count_(spec.count),
-        clock_(spec.clock),
+        rows_(rows),
         task_name_(kTaskSpanNames[static_cast<size_t>(spec.phase)]),
         owner_of_(owner_of),
         body_(body),
@@ -965,13 +1021,14 @@ class RecoveringExecutor::PhaseRunner {
         FinishAttempt(task);
         return;
       }
+      // The busy time and the trace span start from adjacent readings.
       a.start_seconds = phase_watch_.ElapsedSeconds();
+      if (ex_->trace_ != nullptr) a.start_ns = ex_->trace_->NowNs();
       if (ts.started_at < 0.0) ts.started_at = a.start_seconds;
       a.heartbeat =
           std::make_shared<TaskHeartbeat>(ex_->job_token_, task_name_, task);
       ts.live.push_back(a.heartbeat);
     }
-    if (ex_->trace_ != nullptr) a.start_ns = ex_->trace_->NowNs();
     // Register only now that the attempt is actually executing — queue wait
     // must not count against the watchdog's quiet period. Outside mu_: the
     // registry lock ranks below the phase-state lock.
@@ -1013,17 +1070,18 @@ class RecoveringExecutor::PhaseRunner {
     const int task = a.task;
     const std::shared_ptr<TaskHeartbeat>& heartbeat = a.heartbeat;
     // The attempt span covers the attempt's time from its start, straggle
-    // included, like the time the PhaseClock is charged; it lands on the
-    // attributed worker's track, and kernel spans opened inside `body`
-    // inherit the track. Failed and losing speculative attempts record
-    // committed=0, so the trace rollup can count only the attempts the
-    // PhaseClock counted.
+    // included, like the busy time a committed attempt is charged; it lands
+    // on the attributed worker's track, and kernel spans opened inside
+    // `body` inherit the track. Failed and losing speculative attempts
+    // record committed=0, so the trace rollup can count only the attempts
+    // the busy rows counted.
     const int attributed = Attribution(task);
     obs::ScopedTrack track_scope(ex_->trace_, attributed);
-    obs::ScopedSpan attempt_span(ex_->trace_, task_name_, "task");
-    attempt_span.SetStartNs(a.start_ns);
-    attempt_span.AddArg("task", task);
-    attempt_span.AddArg("attempt", a.attempt);
+    std::optional<obs::ScopedSpan> attempt_span;
+    attempt_span.emplace(ex_->trace_, task_name_, "task");
+    attempt_span->SetStartNs(a.start_ns);
+    attempt_span->AddArg("task", task);
+    attempt_span->AddArg("attempt", a.attempt);
     std::string error = OutrightFailure(task, a.attempt);
     bool failed = !error.empty();
     PublishFn publish;
@@ -1036,13 +1094,13 @@ class RecoveringExecutor::PhaseRunner {
         }
         if (committed_while_parked) {
           // A speculative backup finished while this straggler was parked.
-          attempt_span.AddArg("committed", 0);
+          attempt_span->AddArg("committed", 0);
           RetireAttempt(task, heartbeat, /*abandoned=*/false);
           return;
         }
         if (heartbeat->token().IsCancelled()) {
           if (ex_->job_token_.IsCancelled()) {
-            attempt_span.AddArg("committed", 0);
+            attempt_span->AddArg("committed", 0);
             RetireAttempt(task, heartbeat, /*abandoned=*/true);
             return;
           }
@@ -1069,7 +1127,7 @@ class RecoveringExecutor::PhaseRunner {
           // body returned covers partial state and must never run.
           publish = nullptr;
           if (ex_->job_token_.IsCancelled()) {
-            attempt_span.AddArg("committed", 0);
+            attempt_span->AddArg("committed", 0);
             RetireAttempt(task, heartbeat, /*abandoned=*/true);
             return;
           }
@@ -1093,8 +1151,13 @@ class RecoveringExecutor::PhaseRunner {
     }
     if (winner && publish) publish();
     const double elapsed = phase_watch_.ElapsedSeconds() - a.start_seconds;
-    if (winner) clock_->Add(attributed, elapsed);
-    attempt_span.AddArg("committed", winner ? 1 : 0);
+    if (winner) {
+      rows_->Add(ThreadPool::CurrentThreadIndex(), attributed, elapsed);
+    }
+    attempt_span->AddArg("committed", winner ? 1 : 0);
+    // The span ends where the busy time does, before the bookkeeping below
+    // waits for the phase lock.
+    attempt_span.reset();
     if (failed) {
       TraceInstant(ex_->trace_, "fault", "fault-failure", attributed, "task",
                    task);
@@ -1211,7 +1274,7 @@ class RecoveringExecutor::PhaseRunner {
   RecoveringExecutor* const ex_;
   const Phase phase_;
   const int count_;
-  PhaseClock* const clock_;
+  BusyRows* const rows_;
   const char* const task_name_;
   const std::function<int(int)>& owner_of_;
   const TaskBody& body_;
@@ -1243,7 +1306,8 @@ class RecoveringExecutor::PhaseRunner {
 
 Status RecoveringExecutor::RunTasks(const PhaseSpec& spec,
                                     const std::function<int(int)>& owner_of,
-                                    const TaskBody& body) {
+                                    const TaskBody& body,
+                                    BusyRows* rows) {
   if (spec.count <= 0) return Status::OK();
   obs::ScopedSpan phase_span(
       trace_, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
@@ -1255,7 +1319,7 @@ Status RecoveringExecutor::RunTasks(const PhaseSpec& spec,
     TraceInstant(trace_, "fault", "fault-worker-lost", obs::kDriverTrack,
                  "worker", injector_.lost_worker());
   }
-  PhaseRunner runner(this, spec, owner_of, body);
+  PhaseRunner runner(this, spec, owner_of, body, rows);
   Status st = runner.Run();
   *spec.measured_seconds += phase_wall.ElapsedSeconds();
   return st;
@@ -1305,9 +1369,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // Every map task writes its own output slot.
   const int total_map_tasks = 2 * num_splits;
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
-  PhaseClock map_clock(workers);
+  std::vector<double> map_busy(static_cast<size_t>(workers));
   PASJOIN_RETURN_NOT_OK(ex->Run(
-      PhaseSpec{Phase::kMap, total_map_tasks, 1, &map_clock,
+      PhaseSpec{Phase::kMap, total_map_tasks, 1, &map_busy,
                 &measured_construction},
       [&](int task) { return (task % num_splits) % workers; },
       [&](int task, NoPhaseState&, const Cancel* cancel) {
@@ -1337,9 +1401,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
     return blocks;
   };
   std::vector<WorkerStore> stores(static_cast<size_t>(workers));
-  PhaseClock regroup_clock(workers);
+  std::vector<double> regroup_busy(static_cast<size_t>(workers));
   PASJOIN_RETURN_NOT_OK(ex->template Run<RegroupScratch>(
-      PhaseSpec{Phase::kRegroup, workers, 1, &regroup_clock,
+      PhaseSpec{Phase::kRegroup, workers, 1, &regroup_busy,
                 &measured_construction},
       identity,
       [&](int w, RegroupScratch& scratch, const Cancel* cancel) {
@@ -1351,15 +1415,19 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // One task per (worker, partition), not per worker: placement decides
   // which logical worker OWNS a partition (accounting, trace track,
   // recovery), the executor decides which thread JOINS it. The item list is
-  // deterministic — per worker, its runs in ascending partition order — so
-  // results never depend on claim order.
+  // deterministic — per worker, its runs in ascending partition order — and
+  // each item's pairs commit to the item's own slot, so results never
+  // depend on claim order. Worker w's items are [item_begin[w],
+  // item_begin[w + 1]).
   std::vector<JoinItem> items;
+  std::vector<size_t> item_begin(static_cast<size_t>(workers) + 1, 0);
   for (int w = 0; w < workers; ++w) {
     const std::vector<PartitionRun>& runs = stores[static_cast<size_t>(w)].runs;
     for (size_t k = 0; k < runs.size(); ++k) {
       if (runs[k].mid == runs[k].begin || runs[k].end == runs[k].mid) continue;
       items.push_back(JoinItem{w, runs[k].part, k});
     }
+    item_begin[static_cast<size_t>(w) + 1] = items.size();
   }
   const int item_count = static_cast<int>(items.size());
   // A targeted partition fails the first attempt of the task joining it.
@@ -1375,11 +1443,14 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   LostWorkerStore lost_store;
   if (lost >= 0) stores[static_cast<size_t>(lost)] = WorkerStore();
   const bool keep_pairs = options.collect_results || options.deduplicate;
-  std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
-  PhaseClock join_clock(workers);
+  std::vector<std::vector<ResultPair>> item_pairs(keep_pairs ? items.size()
+                                                             : 0);
+  std::vector<double> join_busy(static_cast<size_t>(workers));
+  JoinTally total;
+  double rebuild_seconds = 0.0;
   PASJOIN_RETURN_NOT_OK(ex->template Run<JoinThreadState>(
       PhaseSpec{Phase::kJoin, item_count,
-                StealQueue::DefaultGrain(item_count, threads), &join_clock,
+                StealQueue::DefaultGrain(item_count, threads), &join_busy,
                 &measured_join},
       [&](int i) { return items[static_cast<size_t>(i)].worker; },
       [&](int i, JoinThreadState& state, const Cancel* cancel) {
@@ -1395,41 +1466,25 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
             store = Regroup(inbound(lost), /*consume=*/false, &scratch,
                             nullptr);
             lost_store.rebuilt = true;
-            lost_store.rebuild_seconds += rebuild.ElapsedSeconds();
+            state.rebuild_seconds += rebuild.ElapsedSeconds();
           }
         }
         JoinOutput out;
-        out.pairs = std::move(state.spare_pairs);
-        out.pairs.clear();
         JoinSinglePartition(store, store.runs[item.run], options, index_r,
                             keep_pairs, &state, &out, trace, cancel);
         return out;
       },
       [&](int i, JoinThreadState& state, JoinOutput&& out) {
-        const auto w =
-            static_cast<size_t>(items[static_cast<size_t>(i)].worker);
-        if (state.acc.empty()) state.acc.resize(static_cast<size_t>(workers));
-        state.acc[w].Absorb(&out);
-        state.spare_pairs = std::move(out.pairs);
-        if (state.acc[w].pairs.size() >= kPairFlushThreshold) {
-          FlushJoinOutput(&state.acc[w], &merge_slots[w]);
+        state.committed += out.tally;
+        if (keep_pairs) {
+          item_pairs[static_cast<size_t>(i)] = std::move(out.pairs);
         }
       },
       [&](JoinThreadState& state) {
-        for (size_t w = 0; w < state.acc.size(); ++w) {
-          FlushJoinOutput(&state.acc[w], &merge_slots[w]);
-        }
+        total += state.committed;
+        rebuild_seconds += state.rebuild_seconds;
       }));
   m.local_kernel = spatial::LocalJoinKernelName(options.local_kernel);
-  std::vector<std::vector<ResultPair>> worker_pairs(
-      static_cast<size_t>(workers));
-  JoinOutput total;
-  for (int w = 0; w < workers; ++w) {
-    WorkerMergeSlot& slot = merge_slots[static_cast<size_t>(w)];
-    MutexLock lock(&slot.mu);
-    worker_pairs[static_cast<size_t>(w)] = std::move(slot.out.pairs);
-    total.Absorb(&slot.out);
-  }
   reg->Add("candidates", total.counters.candidates);
   reg->Add("results", total.counters.results - total.filtered);
   reg->Add("partitions_joined", total.partitions);
@@ -1446,29 +1501,31 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // Parallel distinct over the produced pairs (the paper's non-duplicate-
   // free variant, Table 6): hash-partition pairs across workers, then each
   // worker removes duplicates in its bucket. Unless the executor retains
-  // inputs, each scatter frees its worker's pairs and each merge frees the
-  // buckets it read (the shuffle bytes are counted in between).
+  // inputs, each scatter frees its worker's item pairs and each merge frees
+  // the buckets it read (the shuffle bytes are counted in between).
   if (options.deduplicate) {
     std::vector<std::vector<std::vector<ResultPair>>> buckets(
         static_cast<size_t>(workers));
-    PhaseClock scatter_clock(workers);
+    std::vector<double> scatter_busy(static_cast<size_t>(workers));
     PASJOIN_RETURN_NOT_OK(ex->Run(
-        PhaseSpec{Phase::kDedupScatter, workers, 1, &scatter_clock,
+        PhaseSpec{Phase::kDedupScatter, workers, 1, &scatter_busy,
                   &measured_dedup},
         identity,
         [&](int w, NoPhaseState&, const Cancel* cancel) {
-          std::vector<ResultPair>& pairs = worker_pairs[static_cast<size_t>(w)];
-          auto out = ScatterWorkerPairs(pairs, workers, cancel);
-          if (!kRetain) std::vector<ResultPair>().swap(pairs);
-          return out;
+          const auto wi = static_cast<size_t>(w);
+          const std::span<std::vector<ResultPair>> mine(
+              item_pairs.data() + item_begin[wi],
+              item_begin[wi + 1] - item_begin[wi]);
+          return ScatterWorkerPairs(mine, workers, /*consume=*/!kRetain,
+                                    cancel);
         },
         CommitTo(&buckets)));
     // Pair bytes crossing workers count as shuffle traffic.
     AccumulateDedupShuffle(buckets, workers, reg);
     std::vector<DedupMergeOutput> merged(static_cast<size_t>(workers));
-    PhaseClock merge_clock(workers);
+    std::vector<double> merge_busy(static_cast<size_t>(workers));
     PASJOIN_RETURN_NOT_OK(ex->Run(
-        PhaseSpec{Phase::kDedupMerge, workers, 1, &merge_clock,
+        PhaseSpec{Phase::kDedupMerge, workers, 1, &merge_busy,
                   &measured_dedup},
         identity,
         [&](int w, NoPhaseState&, const Cancel* cancel) {
@@ -1477,7 +1534,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                                   /*consume=*/!kRetain, cancel);
         },
         CommitTo(&merged)));
-    m.dedup_seconds = scatter_clock.Makespan() + merge_clock.Makespan();
+    m.dedup_seconds = Makespan(scatter_busy) + Makespan(merge_busy);
     uint64_t unique_total = 0;
     for (const DedupMergeOutput& out : merged) {
       unique_total += out.count;
@@ -1485,8 +1542,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
     }
     reg->Set("results", unique_total);
   } else if (options.collect_results) {
-    for (const std::vector<ResultPair>& v : worker_pairs) {
-      run.pairs.insert(run.pairs.end(), v.begin(), v.end());
+    run.pairs.reserve(total.counters.results - total.filtered);
+    for (const std::vector<ResultPair>& pairs : item_pairs) {
+      run.pairs.insert(run.pairs.end(), pairs.begin(), pairs.end());
     }
   }
 
@@ -1495,17 +1553,14 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // nothing is ever published from a cancelled run.
   if (job_token.IsCancelled()) return job_token.ToStatus();
 
-  m.construction_seconds = map_clock.Makespan() + regroup_clock.Makespan();
-  m.join_seconds = join_clock.Makespan();
-  m.worker_busy_join = join_clock.busy();
+  m.construction_seconds = Makespan(map_busy) + Makespan(regroup_busy);
+  m.join_seconds = Makespan(join_busy);
+  m.worker_busy_join = std::move(join_busy);
   m.measured_construction_seconds = measured_construction;
   m.measured_join_seconds = measured_join;
   m.measured_dedup_seconds = measured_dedup;
   ex->AddStats(reg, &m);
-  {
-    MutexLock lock(&lost_store.mu);
-    m.recovery_seconds += lost_store.rebuild_seconds;
-  }
+  m.recovery_seconds += rebuild_seconds;
   SnapshotCounters(*reg, &m);
   m.wall_seconds = wall.ElapsedSeconds();
   if (!options.deadline.unlimited()) {

@@ -18,6 +18,9 @@
 // every task is attributed to the *logical* worker that owns it; a phase's
 // simulated duration is the makespan (max per-worker busy time). This makes
 // the paper's scalability experiments meaningful on any host (DESIGN.md §2).
+// Thread count is never observable: each partition's join output commits
+// to its own slot, so the result pairs come out in one fixed order whatever
+// the threads or executor (docs/PARALLELISM.md §4).
 //
 // Fault tolerance: with FaultOptions::enabled, TryRunPartitionedJoin runs the
 // same dataflow on a recovering executor with the semantics of the Spark
@@ -132,7 +135,9 @@ struct EngineOptions : ExecOptions {
 /// Outcome of a partitioned join run.
 struct JoinRun {
   JobMetrics metrics;
-  /// Result pairs; only populated when ExecOptions::collect_results.
+  /// Result pairs; only populated when ExecOptions::collect_results. The
+  /// order is fixed by the inputs, `assign` and `owner` alone: the same for
+  /// every thread count and with or without fault injection.
   std::vector<ResultPair> pairs;
 };
 

@@ -74,6 +74,10 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
     cursors.begin = run.begin;
     cursors.mid = run.mid;
   }
+  // Pass 2 needs only the slots. Free the map's nodes now, on the thread
+  // that allocated them: the scratch itself is destroyed on the driver
+  // thread, one node at a time, after the phase.
+  slot_of.clear();
 
   // Pass 2 scatters every instance to its slot's cursor for its side.
   // Instances are visited in (block, row) order, so the sort is stable.

@@ -15,8 +15,9 @@
 // victim shard's cursor; a cursor racing past its slice end is harmless
 // (the overshoot is bounded by grain * claim attempts, and claims stop once
 // every slice reports exhausted). No ordering is promised — determinism of
-// the phases comes from *where results are written* (per-index slots or
-// order-insensitive merges), never from claim order.
+// the phases comes from *where results are written* (per-index slots, or
+// per-thread state the driver folds after the phase), never from claim
+// order.
 #ifndef PASJOIN_EXEC_STEAL_QUEUE_H_
 #define PASJOIN_EXEC_STEAL_QUEUE_H_
 

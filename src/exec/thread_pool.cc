@@ -144,7 +144,9 @@ Status ThreadPool::Wait(const CancellationToken& cancel) {
   }
   cancel.RemoveCallback(callback_id);
   if (error) ThrowTaskErrors(std::move(error), count);
-  return cancelled ? cancel.ToStatus() : Status::OK();
+  // A token that fired before the queue was seen non-empty (or after it
+  // drained) still fails the wait: its tasks may have skipped their work.
+  return cancel.IsCancelled() ? cancel.ToStatus() : Status::OK();
 }
 
 void ThreadPool::WorkerLoop(int index) {

@@ -57,11 +57,13 @@ class ThreadPool {
 
   /// Cancel-aware Wait: blocks until every submitted task has finished OR
   /// `cancel` fires. On cancellation, queued-but-unstarted tasks are
-  /// DROPPED (they never run), already-running tasks are drained to
-  /// completion (they observe the same token at their own poll points),
-  /// and the token's status (kCancelled / kDeadlineExceeded) is returned.
-  /// Task exceptions are reported exactly like Wait() — rethrown even when
-  /// the wait was cancelled. Returns OK when all tasks completed.
+  /// DROPPED (they never run) and already-running tasks are drained to
+  /// completion (they observe the same token at their own poll points).
+  /// Returns the token's status (kCancelled / kDeadlineExceeded) whenever
+  /// the token has fired by the time the wait returns — also when the
+  /// queue had drained before the wait began — and OK otherwise. Task
+  /// exceptions are reported exactly like Wait() — rethrown even when the
+  /// wait was cancelled.
   ///
   /// Cancellation latency is signal-delivery latency, not a poll period:
   /// the wait registers a callback on the token that wakes it directly, so

@@ -53,7 +53,6 @@
 #include "exec/engine.h"                  // IWYU pragma: export
 #include "exec/fault_injector.h"          // IWYU pragma: export
 #include "exec/metrics.h"                 // IWYU pragma: export
-#include "exec/phase_clock.h"             // IWYU pragma: export
 #include "exec/shuffle.h"                 // IWYU pragma: export
 #include "exec/steal_queue.h"             // IWYU pragma: export
 #include "exec/thread_pool.h"             // IWYU pragma: export

@@ -127,15 +127,15 @@ TEST(SyncRankTest, IncreasingRankOrderIsAccepted) {
 }
 
 TEST(SyncRankTest, FullLockrankTableOrderIsAccepted) {
-  // The documented engine nesting: phase state -> worker store -> output
-  // merge, with trace registration innermost. Must not abort.
+  // The documented engine nesting: phase state -> worker store -> thread
+  // pool, with trace registration innermost. Must not abort.
   Mutex phase("t::phase", lockrank::kEnginePhaseState);
   Mutex store("t::store", lockrank::kEngineWorkerStore);
-  Mutex merge("t::merge", lockrank::kEngineOutputMerge);
+  Mutex pool("t::pool", lockrank::kThreadPool);
   Mutex trace("t::trace", lockrank::kTraceShards);
   MutexLock l1(&phase);
   MutexLock l2(&store);
-  MutexLock l3(&merge);
+  MutexLock l3(&pool);
   MutexLock l4(&trace);
   SUCCEED();
 }

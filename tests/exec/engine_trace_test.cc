@@ -253,6 +253,57 @@ TEST(EngineTraceTest, FaultTolerantTracedRunRecordsRecoveryEvents) {
   }
 }
 
+TEST(EngineTraceTest, CommittedJoinTaskSpansSumToWorkerBusyTime) {
+  // No busy time is lost or counted twice when threads fold their busy
+  // rows: per worker, the committed join-task spans sum to
+  // worker_busy_join within trace_summary.py's tolerance (5%, or 5 ms for
+  // short phases). Both executors, at 5 threads.
+  const Dataset r = MakeDataset(RandomPoints(4000, 31), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(4000, 32), 100000, "S");
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    options.physical_threads = 5;
+    options.collect_results = false;
+    if (fault) {
+      options.fault.enabled = true;
+      options.fault.seed = 11;
+      options.fault.join_failure_p = 0.3;
+      options.fault.max_retries = 25;
+      options.fault.backoff_base_ms = 0.05;
+    }
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const JoinRun run = MustRun(r, s, BandAssign(options.eps, Side::kR),
+                                owner, options);
+    if (fault) {
+      EXPECT_GT(run.metrics.tasks_failed, 0u);
+    }
+
+    std::vector<double> span_busy(static_cast<size_t>(options.workers), 0.0);
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      if (std::string(e.name) != "join-task") continue;
+      int64_t committed = 1;
+      for (int i = 0; i < e.num_args; ++i) {
+        if (std::string(e.arg_names[i]) == "committed") {
+          committed = e.arg_values[i];
+        }
+      }
+      if (committed == 0) continue;
+      ASSERT_GE(e.track, 0);
+      ASSERT_LT(e.track, options.workers);
+      span_busy[static_cast<size_t>(e.track)] +=
+          static_cast<double>(e.duration_ns) * 1e-9;
+    }
+    const std::vector<double>& busy = run.metrics.worker_busy_join;
+    ASSERT_EQ(busy.size(), span_busy.size());
+    for (size_t w = 0; w < busy.size(); ++w) {
+      EXPECT_NEAR(span_busy[w], busy[w], std::max(0.05 * busy[w], 0.005))
+          << (fault ? "fault" : "clean") << " worker " << w;
+    }
+  }
+}
+
 // --- satellite regression: declared-bounds validation at engine ingress ----
 //
 // Grid::Locate clamps out-of-MBR coordinates into edge cells, so a point

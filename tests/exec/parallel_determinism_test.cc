@@ -3,13 +3,15 @@
 // The work-stealing engine's determinism contract (docs/PARALLELISM.md):
 // physical thread count is an execution detail, never an observable. For
 // every (kernel, logical-worker count, fault injection) configuration, a
-// run with N threads must produce byte-identical sorted result pairs and
-// identical counters to the single-threaded run — stealing only changes
-// WHERE work executes, all outputs are written to task-indexed slots or
-// folded through order-insensitive merges. Runs under TSan in the
-// multicore CI lane (label: stress), where a data race in the steal/merge
-// machinery shows up as a sanitizer report even when the outputs happen to
-// agree.
+// run with N threads must produce byte-identical result pairs, in the same
+// order and unsorted, and identical counters to the single-threaded run,
+// and a run with injected faults the same pairs as the fault-free run.
+// Stealing only changes WHERE work executes: every output is written to a
+// task-indexed slot (the join's pairs to one slot per partition, read back
+// in item order) or to per-thread state the driver folds after the phase.
+// Runs under TSan in the multicore CI lane (label: stress), where a data
+// race in the steal machinery shows up as a sanitizer report even when the
+// outputs happen to agree.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -126,16 +128,21 @@ TEST(ParallelDeterminismTest, ThreadCountIsNeverObservable) {
     };
     // Baseline: one physical thread. Stealing degenerates to sequential
     // execution, so this is the reference the parallel runs must match.
-    JoinRun base =
-        MustRun(r, s, assign, owner, CaseOptions(c, 1));
-    std::sort(base.pairs.begin(), base.pairs.end());
+    const JoinRun base = MustRun(r, s, assign, owner, CaseOptions(c, 1));
     EXPECT_GT(base.metrics.results, 0u) << CaseName(c);
     EXPECT_EQ(base.metrics.physical_threads, 1) << CaseName(c);
+    if (c.fault) {
+      // The recovering executor, retries included, returns the pairs of
+      // the steal executor in the same order.
+      const JoinRun clean = MustRun(
+          r, s, assign, owner, CaseOptions({c.kernel, c.workers, false}, 1));
+      ExpectIdentical(clean, base, CaseName(c) + "/vs-clean");
+      EXPECT_GT(base.metrics.tasks_failed, 0u) << CaseName(c);
+    }
 
     for (int threads : {2, 5}) {
-      JoinRun run =
+      const JoinRun run =
           MustRun(r, s, assign, owner, CaseOptions(c, threads));
-      std::sort(run.pairs.begin(), run.pairs.end());
       EXPECT_EQ(run.metrics.physical_threads, threads) << CaseName(c);
       ExpectIdentical(base, run,
                       CaseName(c) + "/T" + std::to_string(threads));
@@ -145,31 +152,29 @@ TEST(ParallelDeterminismTest, ThreadCountIsNeverObservable) {
 
 TEST(ParallelDeterminismTest, RepeatedParallelRunsAreIdentical) {
   // Same configuration, several parallel runs: scheduling noise between
-  // runs must not leak into any output (catches merge-order dependence
-  // that a single parallel-vs-sequential comparison could miss by luck).
-  const Dataset r = MakeDataset(RandomPoints(400, 81), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(400, 82), 50000, "S");
+  // runs must not leak into any output, pair order included (catches
+  // claim-order dependence that a single parallel-vs-sequential comparison
+  // could miss by luck). Enough points that the runners interleave.
+  const Dataset r = MakeDataset(RandomPoints(3000, 81), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(3000, 82), 50000, "S");
   const AssignFn assign = BandAssign(0.25);
   const OwnerFn owner = [](PartitionId p) { return static_cast<int>(p) % 8; };
   const MatrixCase c{spatial::LocalJoinKernel::kSweepSoA, 8, false};
 
-  JoinRun first = MustRun(r, s, assign, owner, CaseOptions(c, 5));
-  std::sort(first.pairs.begin(), first.pairs.end());
+  const JoinRun first = MustRun(r, s, assign, owner, CaseOptions(c, 5));
   ASSERT_GT(first.pairs.size(), 0u);
   for (int rep = 0; rep < 4; ++rep) {
-    JoinRun again =
-        MustRun(r, s, assign, owner, CaseOptions(c, 5));
-    std::sort(again.pairs.begin(), again.pairs.end());
+    const JoinRun again = MustRun(r, s, assign, owner, CaseOptions(c, 5));
     ExpectIdentical(first, again, "rep " + std::to_string(rep));
   }
 }
 
 TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
-  // Without dedup the engine concatenates per-worker pair vectors in worker
-  // order; the merge-slot fold must keep each worker's multiset intact no
-  // matter which threads produced it.
-  const Dataset r = MakeDataset(RandomPoints(400, 91), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(400, 92), 50000, "S");
+  // Without dedup the engine concatenates the join items' pair vectors in
+  // item order, so the collected pairs keep one order no matter which
+  // threads joined which partitions.
+  const Dataset r = MakeDataset(RandomPoints(3000, 91), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(3000, 92), 50000, "S");
   const AssignFn assign = BandAssign(0.25);
   const OwnerFn owner = [](PartitionId p) { return static_cast<int>(p) % 4; };
 
@@ -180,12 +185,10 @@ TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
   options.collect_results = true;
 
   options.physical_threads = 1;
-  JoinRun base = MustRun(r, s, assign, owner, options);
-  std::sort(base.pairs.begin(), base.pairs.end());
+  const JoinRun base = MustRun(r, s, assign, owner, options);
   for (int threads : {2, 5}) {
     options.physical_threads = threads;
-    JoinRun run = MustRun(r, s, assign, owner, options);
-    std::sort(run.pairs.begin(), run.pairs.end());
+    const JoinRun run = MustRun(r, s, assign, owner, options);
     ExpectIdentical(base, run,
                     std::string("T").append(std::to_string(threads)));
   }

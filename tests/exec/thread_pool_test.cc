@@ -198,6 +198,16 @@ TEST(ThreadPoolCancelTest, CancelledWaitReturnsDeadlineCode) {
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(ThreadPoolCancelTest, AlreadyCancelledWaitWithNoTasksReturnsTheCode) {
+  // Nothing queued: the wait loop never runs, yet the fired token must
+  // still fail the wait, with the token's own code.
+  ThreadPool pool(2);
+  CancellationSource source;
+  source.Cancel(StatusCode::kDeadlineExceeded, "expired before the wait");
+  const Status st = pool.Wait(source.token());
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(ThreadPoolCancelTest, TaskErrorsAreRethrownEvenWhenCancelled) {
   ThreadPool pool(1);
   CancellationSource source;

@@ -48,7 +48,8 @@ reported (exit 1 on violation):
 
 Only committed task spans (args.committed != 0; spans without the arg count
 as committed) enter the busy sums — failed and losing speculative attempts
-of the fault-tolerant path are excluded, mirroring the engine's PhaseClock.
+of the fault-tolerant path are excluded, mirroring the engine, which charges
+only a task's committed attempt to its worker's busy time.
 
 Usage:
   tools/trace_summary.py trace.json

@@ -99,9 +99,9 @@ double RunPlanningPipeline(const PlanningWorkload& w, int threads,
       core::PlanCellCosts(*w.grid, *w.stats, &planner, /*trace=*/nullptr);
   const CostModel model(w.grid.get(), w.stats.get());
   const std::vector<double> candidates = core::PlanPerCellCandidates(
-      model, graph, &planner, /*trace=*/nullptr);
+      model, graph, /*trace=*/nullptr);
   const CostPrediction prediction =
-      core::PlanPredict(model, graph, &planner, /*trace=*/nullptr);
+      core::PlanPredict(model, graph, /*trace=*/nullptr);
   const CellAssignment assignment =
       core::PlanLptAssignment(costs, /*workers=*/12, /*trace=*/nullptr);
   const double seconds = watch.ElapsedSeconds();

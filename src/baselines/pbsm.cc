@@ -1,8 +1,6 @@
 // Copyright 2026 The pasjoin Authors.
 #include "baselines/pbsm.h"
 
-#include "core/driver.h"
-
 namespace pasjoin::baselines {
 
 const char* PbsmVariantName(PbsmVariant v) {
@@ -22,7 +20,6 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
                                        const PbsmOptions& options) {
   core::UniformGridJoin join;
   join.algorithm = PbsmVariantName(variant);
-  join.eps = options.eps;
   join.resolution_factor =
       variant == PbsmVariant::kEpsGrid ? 1.0 : options.resolution_factor;
   // UNI(R) and UNI(S) name their replicated side; the eps-grid variant
@@ -32,9 +29,6 @@ Result<exec::JoinRun> PbsmDistanceJoin(const Dataset& r, const Dataset& s,
                             (variant == PbsmVariant::kEpsGrid && s_smaller)
                         ? Side::kS
                         : Side::kR;
-  if (options.use_lpt) join.lpt_sample_rate = options.sample_rate;
-  join.sample_seed = options.sample_seed;
-  join.mbr = options.mbr;
   return core::UniformGridDistanceJoin(r, s, join, options);
 }
 

@@ -6,7 +6,7 @@
 //   * UNI(R) / UNI(S) - 2eps x 2eps grid, universal replication of R / S;
 //   * eps-grid        - eps x eps grid, replicating the smaller data set.
 // Partitions are distributed to workers with a hash partitioner (the paper's
-// baseline setup); LPT can be enabled for ablations.
+// baseline setup).
 //
 // Replicating a single data set makes every variant duplicate-free by
 // construction: each pair is discovered only in the native cell of the
@@ -18,6 +18,7 @@
 
 #include "common/status.h"
 #include "common/tuple.h"
+#include "core/driver.h"
 #include "exec/engine.h"
 
 namespace pasjoin::baselines {
@@ -32,23 +33,13 @@ enum class PbsmVariant : uint8_t {
 /// "UNI(R)", "UNI(S)" or "eps-grid".
 const char* PbsmVariantName(PbsmVariant v);
 
-/// PBSM configuration. The execution knobs come from exec::ExecOptions; the
-/// baselines share the engine's SoA sweep kernel by default, so algorithm
-/// comparisons measure replication strategies rather than kernels.
-struct PbsmOptions : exec::ExecOptions {
-  double eps = 0.0;
+/// PBSM configuration: the shared core::JoinOptions. The baselines share
+/// the engine's SoA sweep kernel by default, so algorithm comparisons
+/// measure replication strategies rather than kernels.
+struct PbsmOptions : core::JoinOptions {
   /// Cell side as a multiple of eps for the UNI variants (kEpsGrid always
   /// uses 1).
   double resolution_factor = 2.0;
-  /// Hash placement by default (the paper's PBSM setup); true enables LPT.
-  bool use_lpt = false;
-  /// Sampling for LPT cost estimates (only used when use_lpt).
-  double sample_rate = 0.03;
-  uint64_t sample_seed = 0x5a5a5a5a;
-  /// Data-space MBR; computed from the inputs when unset. An explicit MBR
-  /// also becomes the engine's declared bounds: points outside it are
-  /// rejected instead of silently clamped into edge cells.
-  Rect mbr;
 };
 
 /// Runs the PBSM eps-distance join.

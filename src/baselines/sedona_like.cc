@@ -1,17 +1,18 @@
 // Copyright 2026 The pasjoin Authors.
 #include "baselines/sedona_like.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/driver.h"
+#include "spatial/quadtree.h"
 
 namespace pasjoin::baselines {
 
 Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
                                              const SedonaOptions& options) {
-  Result<core::Driver> admitted = core::Driver::Admit(
-      r, s, options.eps, options.mbr, options.sample_rate, options);
+  Result<core::Driver> admitted =
+      core::Driver::Admit(r, s, options, options.sample_rate);
   if (!admitted.ok()) return admitted.status();
   core::Driver& driver = admitted.value();
 
@@ -33,13 +34,11 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
       }
     }
   }
-  spatial::QuadTreeOptions quadtree = options.quadtree;
-  if (!options.fixed_capacity) {
-    const int target = options.target_partitions > 0 ? options.target_partitions
-                                                     : 4 * options.workers;
-    quadtree.max_items_per_node = std::max<int>(
-        1, static_cast<int>(sample.size()) / std::max(1, target));
-  }
+  // About four leaves per worker (admission caps workers, so the product
+  // cannot overflow).
+  spatial::QuadTreeOptions quadtree;
+  quadtree.max_items_per_node = std::max<int>(
+      1, static_cast<int>(sample.size()) / (4 * options.workers));
   const spatial::QuadTreePartitioner partitioner = [&] {
     obs::ScopedSpan span(driver.trace(), "driver-quadtree", "driver");
     span.AddArg("sample_points", static_cast<int64_t>(sample.size()));

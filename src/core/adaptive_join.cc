@@ -9,8 +9,9 @@ namespace pasjoin::core {
 Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
                                            const AdaptiveJoinOptions& options,
                                            AdaptiveJoinArtifacts* artifacts) {
-  Result<Driver> admitted = Driver::Admit(r, s, options.eps, options.mbr,
-                                          options.sample_rate, options);
+  PASJOIN_RETURN_NOT_OK(
+      exec::ValidateThreads(options.planning.threads, "planning threads"));
+  Result<Driver> admitted = Driver::Admit(r, s, options, options.sample_rate);
   if (!admitted.ok()) return admitted.status();
   Driver& driver = admitted.value();
   obs::TraceRecorder* const trace = options.trace;
@@ -21,8 +22,7 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
   const grid::GridStats stats =
-      driver.Sample(grid, r, s, options.sample_rate, options.sample_seed,
-                    options.sample_seed + 1);
+      driver.Sample(grid, r, s, options.sample_rate, options.sample_seed);
 
   // --- graph of agreements (Sections 4-5) ----------------------------------
   // Statistically undecidable pairs default to replicating the globally

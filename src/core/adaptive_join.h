@@ -20,20 +20,17 @@
 #include "agreements/agreement_graph.h"
 #include "common/status.h"
 #include "common/tuple.h"
+#include "core/driver.h"
 #include "core/planning.h"
 #include "exec/engine.h"
 
 namespace pasjoin::core {
 
-/// Configuration of an adaptive-replication join. The execution knobs
-/// (workers, splits, kernel, fault, cancel, deadline, watchdog, trace, ...)
-/// come from exec::ExecOptions and are forwarded to the engine unchanged;
-/// the deadline also covers the driver's construction steps, and the trace
-/// gains driver spans for them (grid, sampling, agreement graph,
-/// placement).
-struct AdaptiveJoinOptions : exec::ExecOptions {
-  /// Join distance threshold (required, > 0).
-  double eps = 0.0;
+/// Configuration of an adaptive-replication join: the shared JoinOptions
+/// (eps, data space, execution knobs) plus the plan's own choices. The
+/// trace gains driver spans for the grid, sampling, agreement graph and
+/// placement.
+struct AdaptiveJoinOptions : JoinOptions {
   /// Agreement instantiation policy (LPiB and DIFF are the paper's variants;
   /// UniformR/UniformS degrade the algorithm to PBSM-on-this-engine).
   agreements::Policy policy = agreements::Policy::kLPiB;
@@ -55,11 +52,6 @@ struct AdaptiveJoinOptions : exec::ExecOptions {
   /// run the driver-side pipeline (agreement graph, marking, costs). The
   /// results are byte-identical for every thread count.
   PlanningOptions planning;
-  /// Data-space MBR; when unset (zero area) it is computed from the inputs.
-  /// An explicit MBR also becomes the engine's declared bounds: inputs with
-  /// points outside it are rejected with kInvalidArgument instead of being
-  /// silently clamped into edge cells by the grid.
-  Rect mbr;
 };
 
 /// Diagnostics of the construction phase, for experiments and debugging.

@@ -5,22 +5,22 @@
 
 namespace pasjoin::core {
 
-Result<Driver> Driver::Admit(const Dataset& r, const Dataset& s, double eps,
-                             const Rect& mbr,
-                             std::optional<double> sample_rate,
-                             const exec::ExecOptions& exec) {
-  PASJOIN_RETURN_NOT_OK(exec::ValidateEps(eps));
+Result<Driver> Driver::Admit(const Dataset& r, const Dataset& s,
+                             const JoinOptions& options,
+                             std::optional<double> sample_rate) {
+  PASJOIN_RETURN_NOT_OK(exec::ValidateEps(options.eps));
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
   if (sample_rate && !(*sample_rate > 0.0 && *sample_rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
   }
-  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(exec));
+  PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
   Driver driver;
-  static_cast<exec::ExecOptions&>(driver.engine_) = exec;
-  driver.engine_.eps = eps;
-  driver.engine_.bounds = mbr.Area() > 0.0 ? mbr : r.Mbr().Union(s.Mbr());
+  static_cast<exec::ExecOptions&>(driver.engine_) = options;
+  driver.engine_.eps = options.eps;
+  driver.engine_.bounds =
+      options.mbr.Area() > 0.0 ? options.mbr : r.Mbr().Union(s.Mbr());
   return driver;
 }
 
@@ -33,12 +33,12 @@ Result<grid::Grid> Driver::MakeGrid(double resolution_factor,
 }
 
 grid::GridStats Driver::Sample(const grid::Grid& grid, const Dataset& r,
-                               const Dataset& s, double rate, uint64_t seed_r,
-                               uint64_t seed_s) const {
+                               const Dataset& s, double rate,
+                               uint64_t seed) const {
   obs::ScopedSpan span(trace(), "driver-sample", "driver");
   grid::GridStats stats(&grid);
-  stats.AddSample(Side::kR, r, rate, seed_r);
-  stats.AddSample(Side::kS, s, rate, seed_s);
+  stats.AddSample(Side::kR, r, rate, seed);
+  stats.AddSample(Side::kS, s, rate, seed + 1);
   span.AddArg("sampled_r", static_cast<int64_t>(stats.SampleSize(Side::kR)));
   span.AddArg("sampled_s", static_cast<int64_t>(stats.SampleSize(Side::kS)));
   span.AddArg("sampled_cells", static_cast<int64_t>(stats.Sampled().size()));
@@ -84,24 +84,16 @@ Result<exec::JoinRun> Driver::Run(const Dataset& r, const Dataset& s,
 Result<exec::JoinRun> UniformGridDistanceJoin(const Dataset& r,
                                               const Dataset& s,
                                               const UniformGridJoin& join,
-                                              const exec::ExecOptions& exec) {
+                                              const JoinOptions& options) {
   Result<Driver> admitted =
-      Driver::Admit(r, s, join.eps, join.mbr, join.lpt_sample_rate, exec);
+      Driver::Admit(r, s, options, /*sample_rate=*/std::nullopt);
   if (!admitted.ok()) return admitted.status();
   Driver& driver = admitted.value();
   Result<grid::Grid> grid_result =
       driver.MakeGrid(join.resolution_factor, /*baseline=*/true);
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
-
-  std::optional<grid::GridStats> stats;
-  if (join.lpt_sample_rate) {
-    stats.emplace(driver.Sample(grid, r, s, *join.lpt_sample_rate,
-                                join.sample_seed,
-                                join.sample_seed + (join.self_join ? 0 : 1)));
-  }
-  const CellAssignment placement =
-      driver.Place(stats ? &*stats : nullptr);
+  const CellAssignment placement = driver.Place(/*stats=*/nullptr);
 
   const exec::AssignFn assign = [&grid, &join](const Tuple& t, Side side) {
     if (side == join.replicated) return grid::CellsWithinEps(grid, t.pt);

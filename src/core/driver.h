@@ -25,16 +25,33 @@
 
 namespace pasjoin::core {
 
+/// The options every point join shares: the execution knobs, forwarded to
+/// the engine unchanged, plus the join distance and the data space.
+/// AdaptiveJoinOptions, SelfJoinOptions, PbsmOptions and SedonaOptions
+/// derive from it and add only what their join decides. The deadline also
+/// covers the driver's construction steps, and the trace gains driver spans
+/// for them.
+struct JoinOptions : exec::ExecOptions {
+  /// Join distance threshold (required, > 0).
+  double eps = 0.0;
+  /// Data-space MBR; computed from the inputs when it has no area. An
+  /// explicit MBR also becomes the engine's declared bounds: inputs with
+  /// points outside it are rejected with kInvalidArgument instead of being
+  /// silently clamped into edge partitions.
+  Rect mbr;
+};
+
 /// One driver call, from admission to the engine's result.
 class Driver {
  public:
-  /// Admits a join of `r` and `s`: eps positive and finite, both inputs
-  /// non-empty, `sample_rate` in (0, 1] when the join samples (nullopt when
-  /// it does not), then exec::AdmitJob. Starts the driver clock. The data
-  /// space is `mbr` when it has area, the inputs' MBR otherwise.
-  [[nodiscard]] static Result<Driver> Admit(
-      const Dataset& r, const Dataset& s, double eps, const Rect& mbr,
-      std::optional<double> sample_rate, const exec::ExecOptions& exec);
+  /// Admits a join of `r` and `s` under `options`: eps positive and finite,
+  /// both inputs non-empty, `sample_rate` in (0, 1] when the join samples
+  /// (nullopt when it does not), then exec::AdmitJob. Starts the driver
+  /// clock. The data space is `options.mbr` when it has area, the inputs'
+  /// MBR otherwise.
+  [[nodiscard]] static Result<Driver> Admit(const Dataset& r, const Dataset& s,
+                                            const JoinOptions& options,
+                                            std::optional<double> sample_rate);
 
   /// The data space. It is also the engine's declared bounds, so a point
   /// outside an explicit MBR is rejected instead of clamped into an edge
@@ -48,10 +65,9 @@ class Driver {
                                             bool baseline) const;
 
   /// Bernoulli-samples both inputs into per-cell statistics, in a
-  /// driver-sample span.
+  /// driver-sample span. R is sampled with `seed`, S with `seed + 1`.
   grid::GridStats Sample(const grid::Grid& grid, const Dataset& r,
-                         const Dataset& s, double rate, uint64_t seed_r,
-                         uint64_t seed_s) const;
+                         const Dataset& s, double rate, uint64_t seed) const;
 
   /// Runs a planning step on the planning clock. The clock must cover
   /// exactly the planning-* spans that trace validation reconciles it with.
@@ -93,30 +109,23 @@ class Driver {
 /// A uniform one-side grid join (PBSM, Sections 4.4 and 7.1): tuples of the
 /// replicated side go to every cell within eps, native cell first; the
 /// other side goes to its native cell only, so every pair is found in
-/// exactly one cell.
+/// exactly one cell. Cells are placed on workers by hash, the paper's
+/// baseline setup.
 struct UniformGridJoin {
   /// The run's algorithm name.
   const char* algorithm = "";
-  double eps = 0.0;
   /// Cell side as a multiple of eps (any factor > 0).
   double resolution_factor = 2.0;
   Side replicated = Side::kR;
   /// Both inputs are one relation: the engine keeps each unordered pair
-  /// once, and both sides share one sample.
+  /// once.
   bool self_join = false;
-  /// Places cells by LPT over per-cell costs sampled at this rate; hash
-  /// placement when unset.
-  std::optional<double> lpt_sample_rate;
-  /// Sampling seed of R; S uses seed + 1, or the same seed in a self join.
-  uint64_t sample_seed = 0;
-  /// Data space; computed from the inputs when it has no area.
-  Rect mbr;
 };
 
-/// Runs `join` over `r` and `s` with the execution knobs `exec`.
+/// Runs `join` over `r` and `s` under the caller's `options`.
 [[nodiscard]] Result<exec::JoinRun> UniformGridDistanceJoin(
     const Dataset& r, const Dataset& s, const UniformGridJoin& join,
-    const exec::ExecOptions& exec);
+    const JoinOptions& options);
 
 }  // namespace pasjoin::core
 

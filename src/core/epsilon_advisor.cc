@@ -101,16 +101,16 @@ Result<double> AdviseEpsilon(const Dataset& r, const Dataset& s,
   // The statistics come from the join drivers' own steps. Build the
   // histogram fine enough that even eps_min is resolved: cells of about
   // 2 * eps_min, the finest resolution the joins themselves use.
-  Result<Driver> admitted = Driver::Admit(r, s, options.eps_min, Rect{},
-                                          options.sample_rate, {});
+  JoinOptions job;
+  job.eps = options.eps_min;
+  Result<Driver> admitted = Driver::Admit(r, s, job, options.sample_rate);
   if (!admitted.ok()) return admitted.status();
   Result<grid::Grid> grid_result =
       admitted.value().MakeGrid(2.0, /*baseline=*/false);
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
-  const grid::GridStats stats =
-      admitted.value().Sample(grid, r, s, options.sample_rate,
-                              options.sample_seed, options.sample_seed + 1);
+  const grid::GridStats stats = admitted.value().Sample(
+      grid, r, s, options.sample_rate, options.sample_seed);
 
   // The estimate is monotone increasing in eps: bisect.
   double lo = options.eps_min;

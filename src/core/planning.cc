@@ -105,14 +105,13 @@ std::vector<double> PlanCellCosts(const grid::Grid& grid,
 
 std::vector<double> PlanPerCellCandidates(const CostModel& model,
                                           const AgreementGraph& graph,
-                                          Planner* /*planner*/,
                                           obs::TraceRecorder* trace) {
   obs::ScopedSpan span(trace, "planning-costs", "planning");
   return model.PerCellCandidates(graph);
 }
 
 CostPrediction PlanPredict(const CostModel& model, const AgreementGraph& graph,
-                           Planner* /*planner*/, obs::TraceRecorder* trace) {
+                           obs::TraceRecorder* trace) {
   obs::ScopedSpan span(trace, "planning-costs", "planning");
   return model.Predict(graph);
 }

@@ -44,8 +44,10 @@ namespace pasjoin::core {
 
 /// Configuration of the parallel planner.
 struct PlanningOptions {
-  /// Planning threads: 0 = auto (host hardware concurrency), 1 = fully
-  /// sequential (never spins up a pool), n > 1 = exactly n pool threads.
+  /// Planning threads: 0 = auto (host hardware concurrency, at most
+  /// ThreadPool::kMaxThreads), 1 = fully sequential (never spins up a
+  /// pool), n > 1 = exactly n pool threads. AdaptiveDistanceJoin rejects
+  /// counts outside [0, ThreadPool::kMaxThreads].
   int threads = 0;
   /// Loops shorter than this stay sequential regardless of `threads` (the
   /// pool + steal-queue setup costs more than the loop). Tests lower it to
@@ -110,16 +112,15 @@ std::vector<double> PlanCellCosts(const grid::Grid& grid,
                                   const grid::GridStats& stats,
                                   Planner* planner, obs::TraceRecorder* trace);
 
-/// CostModel::PerCellCandidates in a planning-costs span. `planner` is
-/// unused.
+/// CostModel::PerCellCandidates in a planning-costs span.
 std::vector<double> PlanPerCellCandidates(
     const CostModel& model, const agreements::AgreementGraph& graph,
-    Planner* planner, obs::TraceRecorder* trace);
+    obs::TraceRecorder* trace);
 
-/// CostModel::Predict in a planning-costs span. `planner` is unused.
+/// CostModel::Predict in a planning-costs span.
 CostPrediction PlanPredict(const CostModel& model,
                            const agreements::AgreementGraph& graph,
-                           Planner* planner, obs::TraceRecorder* trace);
+                           obs::TraceRecorder* trace);
 
 /// CellAssignment::Lpt wrapped in the planning-lpt span (the greedy LPT
 /// placement itself is inherently sequential; costs come from the parallel

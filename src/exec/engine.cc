@@ -38,6 +38,7 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -48,6 +49,7 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "common/str_append.h"
 #include "common/sync.h"
 #include "exec/shuffle.h"
 #include "exec/steal_queue.h"
@@ -1350,6 +1352,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
       trace != nullptr ? &trace->counters() : &local_registry;
   reg->Clear();
   const int workers = options.workers;
+  // Admission caps workers and splits, so neither product overflows.
+  static_assert(kMaxWorkers <= std::numeric_limits<int>::max() / 4 &&
+                kMaxSplits <= std::numeric_limits<int>::max() / 2);
   const int num_splits =
       options.num_splits > 0 ? options.num_splits : 4 * workers;
   const auto identity = [](int w) { return w; };
@@ -1570,18 +1575,30 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   return run;
 }
 
+/// kInvalidArgument naming `name` unless `value` is in [lo, hi].
+Status CheckRange(const char* name, int value, int lo, int hi) {
+  if (value >= lo && value <= hi) return Status::OK();
+  std::string message;
+  AppendF(&message, "%s must be in [%d, %d], got %d", name, lo, hi, value);
+  return Status::InvalidArgument(std::move(message));
+}
+
 }  // namespace
 
+Status ValidateThreads(int threads, const char* name) {
+  return CheckRange(name, threads, 0, ThreadPool::kMaxThreads);
+}
+
+Status ValidateParallelism(int workers, int num_splits,
+                           int physical_threads) {
+  PASJOIN_RETURN_NOT_OK(CheckRange("workers", workers, 1, kMaxWorkers));
+  PASJOIN_RETURN_NOT_OK(CheckRange("num_splits", num_splits, 0, kMaxSplits));
+  return ValidateThreads(physical_threads, "physical_threads");
+}
+
 Status AdmitJob(const ExecOptions& options) {
-  if (options.workers <= 0) {
-    return Status::InvalidArgument("workers must be positive");
-  }
-  if (options.num_splits < 0) {
-    return Status::InvalidArgument("num_splits must be >= 0");
-  }
-  if (options.physical_threads < 0) {
-    return Status::InvalidArgument("physical_threads must be >= 0");
-  }
+  PASJOIN_RETURN_NOT_OK(ValidateParallelism(
+      options.workers, options.num_splits, options.physical_threads));
   PASJOIN_RETURN_NOT_OK(options.fault.Validate(options.workers));
   PASJOIN_RETURN_NOT_OK(options.watchdog.Validate());
   if (options.cancel.IsCancelled()) return options.cancel.ToStatus();

@@ -61,13 +61,13 @@ using AssignFn = std::function<PartitionList(const Tuple&, Side)>;
 using OwnerFn = std::function<int(PartitionId)>;
 
 /// The execution knobs every join shares: the engine's EngineOptions and
-/// each driver's options struct (AdaptiveJoinOptions, SelfJoinOptions,
-/// PbsmOptions, SedonaOptions) inherit them, so a driver forwards all of
-/// them to the engine with one base-slice copy.
+/// the point joins' core::JoinOptions (the base of AdaptiveJoinOptions,
+/// SelfJoinOptions, PbsmOptions and SedonaOptions) inherit them, so a
+/// driver forwards all of them to the engine with one base-slice copy.
 struct ExecOptions {
-  /// Logical workers (the paper's "nodes"/executors).
+  /// Logical workers (the paper's "nodes"/executors), in [1, kMaxWorkers].
   int workers = 12;
-  /// Input splits per relation; 0 selects 4 * workers.
+  /// Input splits per relation, in [0, kMaxSplits]; 0 selects 4 * workers.
   int num_splits = 0;
   /// Materialize result pairs in JoinRun::pairs.
   bool collect_results = false;
@@ -75,7 +75,8 @@ struct ExecOptions {
   /// shuffle carries only id+x+y, as in the post-processing variant of
   /// Table 5.
   bool carry_payloads = true;
-  /// Physical threads to execute on; 0 selects the host's core count.
+  /// Physical threads to execute on, in [0, ThreadPool::kMaxThreads]; 0
+  /// selects the host's core count (at most the cap).
   int physical_threads = 0;
   /// Partition-level join kernel (docs/ALGORITHM.md §"Local join kernels").
   /// The default is the cache-friendly SoA sweep with batched emission;
@@ -140,6 +141,24 @@ struct JoinRun {
   /// every thread count and with or without fault injection.
   std::vector<ResultPair> pairs;
 };
+
+/// Caps on the parallelism knobs, checked at admission before any thread
+/// starts or any per-worker state is allocated. The largest values in use
+/// are 64 workers and 96 splits; the caps keep the engine's task arithmetic
+/// (4 * workers splits, 2 * num_splits map tasks) far from int overflow.
+/// Thread counts are capped at ThreadPool::kMaxThreads.
+inline constexpr int kMaxWorkers = 1 << 16;
+inline constexpr int kMaxSplits = 1 << 20;
+
+/// kInvalidArgument unless `threads` is in [0, ThreadPool::kMaxThreads]
+/// (0 = auto); `name` names the knob in the message.
+[[nodiscard]] Status ValidateThreads(int threads, const char* name);
+
+/// The parallelism checks of AdmitJob, shared with the extent join: workers
+/// in [1, kMaxWorkers], num_splits in [0, kMaxSplits] and
+/// ValidateThreads(physical_threads).
+[[nodiscard]] Status ValidateParallelism(int workers, int num_splits,
+                                         int physical_threads);
 
 /// Admission check shared by the engine and every driver, run before any
 /// work starts: rejects invalid execution knobs (kInvalidArgument), then a

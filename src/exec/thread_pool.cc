@@ -190,7 +190,8 @@ void ThreadPool::WorkerLoop(int index) {
 int ThreadPool::CurrentThreadIndex() { return current_thread_index; }
 
 int ThreadPool::DefaultThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
+  return std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                    kMaxThreads);
 }
 
 }  // namespace pasjoin::exec

@@ -79,7 +79,12 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
-  /// A sensible default: the host's hardware concurrency.
+  /// The most threads a job may ask one pool for; admission rejects more
+  /// (exec::ValidateThreads) before any thread starts.
+  static constexpr int kMaxThreads = 256;
+
+  /// A sensible default: the host's hardware concurrency, at most
+  /// kMaxThreads.
   static int DefaultThreads();
 
   /// Index in [0, num_threads()) of the calling thread within its pool, or

@@ -52,12 +52,8 @@ Result<ExtentJoinRun> GridExtentDistanceJoin(const ExtentDataset& r,
   if (r.objects.empty() || s.objects.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
-  if (options.workers <= 0) {
-    return Status::InvalidArgument("workers must be positive");
-  }
-  if (options.physical_threads < 0) {
-    return Status::InvalidArgument("physical_threads must be >= 0");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::ValidateParallelism(
+      options.workers, /*num_splits=*/0, options.physical_threads));
   const double eps = options.eps;
 
   ExtentJoinRun run;

@@ -1,8 +1,6 @@
 // Copyright 2026 The pasjoin Authors.
 #include "baselines/pbsm.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "datagen/generators.h"
@@ -44,16 +42,6 @@ TEST(PbsmTest, ValidatesOptions) {
   const Dataset empty;
   EXPECT_FALSE(
       PbsmDistanceJoin(r, empty, PbsmVariant::kUniR, BaseOptions()).ok());
-  // An LPT sample rate outside (0, 1] is an error, not an abort.
-  for (const double rate : {0.0, -0.1, 1.5, std::nan("")}) {
-    options = BaseOptions();
-    options.use_lpt = true;
-    options.sample_rate = rate;
-    const Result<exec::JoinRun> run =
-        PbsmDistanceJoin(r, r, PbsmVariant::kUniR, options);
-    ASSERT_FALSE(run.ok()) << rate;
-    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << rate;
-  }
 }
 
 TEST(PbsmTest, AllVariantsMatchBruteForce) {
@@ -118,22 +106,6 @@ TEST(PbsmTest, EpsGridReplicatesMoreThanTwoEpsGrid) {
           .value()
           .metrics.ReplicatedTotal();
   EXPECT_GT(eps_grid, uni);
-}
-
-TEST(PbsmTest, LptOptionKeepsResultsIdentical) {
-  const Dataset r = SmallGaussian(1000, 10);
-  const Dataset s = SmallGaussian(1000, 11);
-  PbsmOptions options = BaseOptions();
-  const uint64_t hash_results =
-      PbsmDistanceJoin(r, s, PbsmVariant::kUniR, options)
-          .value()
-          .metrics.results;
-  options.use_lpt = true;
-  const uint64_t lpt_results =
-      PbsmDistanceJoin(r, s, PbsmVariant::kUniR, options)
-          .value()
-          .metrics.results;
-  EXPECT_EQ(hash_results, lpt_results);
 }
 
 TEST(PbsmTest, ResolutionFactorSweepStaysCorrect) {

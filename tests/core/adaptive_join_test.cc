@@ -4,11 +4,15 @@
 #include "core/adaptive_join.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "agreements/agreement_graph.h"
 #include "datagen/generators.h"
+#include "exec/thread_pool.h"
 #include "grid/grid.h"
 #include "grid/stats.h"
 #include "test_util.h"
@@ -42,9 +46,14 @@ TEST(AdaptiveJoinTest, ValidatesOptions) {
   AdaptiveJoinOptions options = BaseOptions();
   options.eps = 0.0;
   EXPECT_FALSE(AdaptiveDistanceJoin(r, s, options).ok());
-  options = BaseOptions();
-  options.sample_rate = 0.0;
-  EXPECT_FALSE(AdaptiveDistanceJoin(r, s, options).ok());
+  // A sample rate outside (0, 1] is an error, not an abort.
+  for (const double rate : {0.0, -0.1, 1.5, std::nan("")}) {
+    options = BaseOptions();
+    options.sample_rate = rate;
+    EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << rate;
+  }
   options = BaseOptions();
   const Dataset empty;
   EXPECT_FALSE(AdaptiveDistanceJoin(r, empty, options).ok());
@@ -58,6 +67,31 @@ TEST(AdaptiveJoinTest, ValidatesOptions) {
     EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
               StatusCode::kInvalidArgument);
   }
+  // Thread counts outside [0, cap] are rejected before any thread starts,
+  // the planner's included.
+  for (const int threads : {exec::ThreadPool::kMaxThreads + 1,
+                            std::numeric_limits<int>::max()}) {
+    options = BaseOptions();
+    options.physical_threads = threads;
+    EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
+    options = BaseOptions();
+    options.planning.threads = threads;
+    const Status st = AdaptiveDistanceJoin(r, s, options).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << threads;
+    EXPECT_NE(st.message().find("planning threads"), std::string::npos)
+        << st.ToString();
+  }
+  options = BaseOptions();
+  options.planning.threads = -1;
+  EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
+            StatusCode::kInvalidArgument);
+  options = BaseOptions();
+  options.workers = std::numeric_limits<int>::max();
+  options.num_splits = std::numeric_limits<int>::max();
+  EXPECT_EQ(AdaptiveDistanceJoin(r, s, options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(AdaptiveJoinTest, MatchesBruteForceForBothPolicies) {

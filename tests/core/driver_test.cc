@@ -171,8 +171,6 @@ const Dataset& TraceS() {
 
 std::vector<TracedCase> TracedCases() {
   const std::set<std::string> grid_hash = {"driver-grid", "driver-placement"};
-  const std::set<std::string> grid_lpt = {"driver-grid", "driver-sample",
-                                          "driver-placement"};
   const std::set<std::string> adaptive = {"driver-grid", "driver-sample",
                                           "driver-agreement-graph",
                                           "driver-placement"};
@@ -189,25 +187,24 @@ std::vector<TracedCase> TracedCases() {
            return AdaptiveDistanceJoin(TraceR(), TraceS(), o);
          },
          adaptive, scheduler});
-    cases.push_back({"self_" + scheduler,
-                     [lpt](obs::TraceRecorder* trace) {
-                       SelfJoinOptions o = Base<SelfJoinOptions>(kEps);
-                       o.use_lpt = lpt;
-                       o.trace = trace;
-                       return SelfDistanceJoin(TraceR(), o);
-                     },
-                     lpt ? grid_lpt : grid_hash, scheduler});
-    cases.push_back(
-        {"pbsm_" + scheduler,
-         [lpt](obs::TraceRecorder* trace) {
-           baselines::PbsmOptions o = Base<baselines::PbsmOptions>(kEps);
-           o.use_lpt = lpt;
-           o.trace = trace;
-           return baselines::PbsmDistanceJoin(TraceR(), TraceS(),
-                                              PbsmVariant::kUniS, o);
-         },
-         lpt ? grid_lpt : grid_hash, scheduler});
   }
+  // PBSM and the self join place cells by hash and never sample.
+  cases.push_back({"self_hash",
+                   [](obs::TraceRecorder* trace) {
+                     SelfJoinOptions o = Base<SelfJoinOptions>(kEps);
+                     o.trace = trace;
+                     return SelfDistanceJoin(TraceR(), o);
+                   },
+                   grid_hash, "hash"});
+  cases.push_back({"pbsm_hash",
+                   [](obs::TraceRecorder* trace) {
+                     baselines::PbsmOptions o =
+                         Base<baselines::PbsmOptions>(kEps);
+                     o.trace = trace;
+                     return baselines::PbsmDistanceJoin(TraceR(), TraceS(),
+                                                        PbsmVariant::kUniS, o);
+                   },
+                   grid_hash, "hash"});
   cases.push_back({"sedona",
                    [](obs::TraceRecorder* trace) {
                      baselines::SedonaOptions o =

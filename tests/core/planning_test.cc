@@ -187,7 +187,7 @@ TEST(PlanningTest, CostHelpersMatchTheirSequentialCounterparts) {
   graph.RunDuplicateFreeMarking();
   const CostModel model(&grid, &stats);
   const std::vector<double> parallel_cand =
-      PlanPerCellCandidates(model, graph, &planner, /*trace=*/nullptr);
+      PlanPerCellCandidates(model, graph, /*trace=*/nullptr);
   const std::vector<double> sequential_cand = model.PerCellCandidates(graph);
   ASSERT_EQ(parallel_cand.size(), sequential_cand.size());
   for (size_t c = 0; c < parallel_cand.size(); ++c) {
@@ -195,7 +195,7 @@ TEST(PlanningTest, CostHelpersMatchTheirSequentialCounterparts) {
   }
 
   const CostPrediction parallel_pred =
-      PlanPredict(model, graph, &planner, /*trace=*/nullptr);
+      PlanPredict(model, graph, /*trace=*/nullptr);
   const CostPrediction sequential_pred = model.Predict(graph);
   EXPECT_EQ(parallel_pred.replicated_r, sequential_pred.replicated_r);
   EXPECT_EQ(parallel_pred.replicated_s, sequential_pred.replicated_s);

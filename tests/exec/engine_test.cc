@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "exec/engine_test_util.h"
+#include "exec/thread_pool.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
@@ -438,6 +439,51 @@ TEST(EngineValidationTest, EmptyPartitionListIsRejected) {
   message = RejectionMessage(r, s, drops_both, owner);
   EXPECT_NE(message.find("dataset 'roads' at index 190"), std::string::npos)
       << message;
+}
+
+TEST(EngineValidationTest, ParallelismIsCappedBeforeAnyWork) {
+  const Dataset r = MakeDataset(RandomPoints(20, 69), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(20, 70), 1000, "S");
+  const AssignFn assign = BandAssign(0.25, Side::kR);
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  // Each value is rejected before a thread starts or per-worker state is
+  // allocated; INT_MAX workers or splits would also overflow the task
+  // arithmetic (4 * workers, 2 * num_splits).
+  const auto rejects = [&](const char* name, const auto& set) {
+    EngineOptions options = BaseOptions();
+    set(&options);
+    const Status st =
+        TryRunPartitionedJoin(r, s, assign, owner, options).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(name), std::string::npos) << st.ToString();
+    EXPECT_EQ(AdmitJob(options).code(), StatusCode::kInvalidArgument);
+  };
+  for (const int threads : {ThreadPool::kMaxThreads + 1, kIntMax}) {
+    rejects("physical_threads",
+            [threads](EngineOptions* o) { o->physical_threads = threads; });
+  }
+  for (const int workers : {kMaxWorkers + 1, kIntMax}) {
+    rejects("workers", [workers](EngineOptions* o) { o->workers = workers; });
+  }
+  for (const int splits : {kMaxSplits + 1, kIntMax}) {
+    rejects("num_splits",
+            [splits](EngineOptions* o) { o->num_splits = splits; });
+  }
+  // The boundaries themselves are admitted; they are checked on the
+  // validators, never run.
+  EXPECT_TRUE(ValidateParallelism(kMaxWorkers, kMaxSplits,
+                                  ThreadPool::kMaxThreads)
+                  .ok());
+  EXPECT_TRUE(ValidateParallelism(1, 0, 0).ok());
+  EXPECT_TRUE(ValidateThreads(ThreadPool::kMaxThreads, "threads").ok());
+  EXPECT_EQ(ValidateThreads(-1, "threads").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateThreads(ThreadPool::kMaxThreads + 1, "threads").message(),
+            "threads must be in [0, 256], got 257");
+  // The auto count resolves within the cap.
+  EXPECT_GE(ThreadPool::DefaultThreads(), 1);
+  EXPECT_LE(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
 }
 
 TEST(EngineTest, MetricsBookkeeping) {

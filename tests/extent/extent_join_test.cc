@@ -2,10 +2,12 @@
 #include "extent/extent_join.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
 #include "extent/generators.h"
 
 namespace pasjoin::extent {
@@ -46,11 +48,19 @@ TEST(ExtentJoinTest, ValidatesOptions) {
     ASSERT_FALSE(run.ok()) << workers;
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << workers;
   }
+  // Thread counts outside [0, cap] are rejected before any thread starts.
+  for (const int threads : {-1, exec::ThreadPool::kMaxThreads + 1,
+                            std::numeric_limits<int>::max()}) {
+    options = BaseOptions(0.5);
+    options.physical_threads = threads;
+    const Result<ExtentJoinRun> run = GridExtentDistanceJoin(r, r, options);
+    ASSERT_FALSE(run.ok()) << threads;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << threads;
+  }
   options = BaseOptions(0.5);
-  options.physical_threads = -1;
-  const Result<ExtentJoinRun> run = GridExtentDistanceJoin(r, r, options);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  options.workers = std::numeric_limits<int>::max();
+  EXPECT_EQ(GridExtentDistanceJoin(r, r, options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExtentJoinTest, MatchesOracleOnPolylines) {

@@ -104,8 +104,6 @@ TEST_P(AlgorithmsAgreeTest, AllAlgorithmsReportTheOracleCount) {
     options.workers = 4;
     options.physical_threads = 2;
     options.sample_rate = 0.2;
-    options.quadtree.max_items_per_node = 64;
-    options.fixed_capacity = true;
     Result<exec::JoinRun> run =
         baselines::SedonaLikeDistanceJoin(w.r, w.s, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();

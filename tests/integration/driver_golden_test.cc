@@ -132,22 +132,18 @@ Runner Adaptive(agreements::Policy policy, bool lpt, bool duplicate_free) {
   };
 }
 
-Runner Self(bool lpt) {
-  return [=](int threads) {
+Runner Self() {
+  return [](int threads) {
     core::SelfJoinOptions o;
     SetExec(&o, threads);
-    o.use_lpt = lpt;
-    o.lpt_sample_rate = 0.2;
     return core::SelfDistanceJoin(R(), o);
   };
 }
 
-Runner Pbsm(baselines::PbsmVariant variant, bool lpt) {
+Runner Pbsm(baselines::PbsmVariant variant) {
   return [=](int threads) {
     baselines::PbsmOptions o;
     SetExec(&o, threads);
-    o.use_lpt = lpt;
-    o.sample_rate = 0.2;
     return baselines::PbsmDistanceJoin(R(), S(), variant, o);
   };
 }
@@ -190,29 +186,17 @@ std::vector<Case> Cases() {
       {"adaptive_diff_hash_distinct", Adaptive(Policy::kDiff, false, false),
        {2000, 3291, 9591, 556739, 506158, 29648, 21962, 378,
         0x1e4698e4eb118206ULL}},
-      {"self_hash", Self(false),
+      {"self_hash", Self(),
        {6708, 0, 11708, 308988, 247408, 38321, 14200, 366,
         0x2f55e2fc3029498dULL}},
-      {"self_lpt", Self(true),
-       {6708, 0, 11708, 308988, 248422, 38321, 14200, 366,
-        0x2f55e2fc3029498dULL}},
-      {"pbsm_unir_hash", Pbsm(PbsmVariant::kUniR, false),
+      {"pbsm_unir_hash", Pbsm(PbsmVariant::kUniR),
        {6686, 0, 10986, 290038, 233594, 27443, 21962, 337,
         0x1e4698e4eb118206ULL}},
-      {"pbsm_unir_lpt", Pbsm(PbsmVariant::kUniR, true),
-       {6686, 0, 10986, 290038, 232914, 27443, 21962, 337,
-        0x1e4698e4eb118206ULL}},
-      {"pbsm_unis_hash", Pbsm(PbsmVariant::kUniS, false),
+      {"pbsm_unis_hash", Pbsm(PbsmVariant::kUniS),
        {0, 4868, 9168, 241893, 193600, 27447, 21962, 358,
         0x1e4698e4eb118206ULL}},
-      {"pbsm_unis_lpt", Pbsm(PbsmVariant::kUniS, true),
-       {0, 4868, 9168, 241893, 194038, 27447, 21962, 358,
-        0x1e4698e4eb118206ULL}},
-      {"pbsm_epsgrid_hash", Pbsm(PbsmVariant::kEpsGrid, false),
+      {"pbsm_epsgrid_hash", Pbsm(PbsmVariant::kEpsGrid),
        {0, 12599, 16899, 445874, 356928, 27329, 21962, 908,
-        0x1e4698e4eb118206ULL}},
-      {"pbsm_epsgrid_lpt", Pbsm(PbsmVariant::kEpsGrid, true),
-       {0, 12599, 16899, 445874, 357729, 27329, 21962, 908,
         0x1e4698e4eb118206ULL}},
       {"sedona", Sedona(),
        {0, 2016, 6316, 166747, 134604, 110801, 21962, 66,

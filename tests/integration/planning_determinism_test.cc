@@ -83,7 +83,7 @@ void ExpectIdenticalGraphs(const Grid& grid, const AgreementGraph& expected,
   }
 }
 
-TEST(PlanningDeterminismTest, ColoredParallelPlanningIsByteIdentical) {
+TEST(PlanningDeterminismTest, ParallelPlanningIsByteIdentical) {
   const Shape shapes[] = {{9, 9}, {17, 5}, {4, 21}};
   const Policy policies[] = {Policy::kLPiB, Policy::kDiff, Policy::kUniformR};
   const MarkingOrder orders[] = {MarkingOrder::kPaper,
@@ -110,9 +110,9 @@ TEST(PlanningDeterminismTest, ColoredParallelPlanningIsByteIdentical) {
         const std::vector<double> reference_costs =
             PlanCellCosts(grid, stats, &reference_planner, /*trace=*/nullptr);
         const std::vector<double> reference_cand = PlanPerCellCandidates(
-            model, reference_graph, &reference_planner, /*trace=*/nullptr);
+            model, reference_graph, /*trace=*/nullptr);
         const CostPrediction reference_pred = PlanPredict(
-            model, reference_graph, &reference_planner, /*trace=*/nullptr);
+            model, reference_graph, /*trace=*/nullptr);
         const CellAssignment reference_lpt =
             PlanLptAssignment(reference_costs, /*workers=*/6,
                               /*trace=*/nullptr);
@@ -141,14 +141,14 @@ TEST(PlanningDeterminismTest, ColoredParallelPlanningIsByteIdentical) {
           }
 
           const std::vector<double> cand = PlanPerCellCandidates(
-              model, graph, &planner, /*trace=*/nullptr);
+              model, graph, /*trace=*/nullptr);
           ASSERT_EQ(cand.size(), reference_cand.size());
           for (size_t c = 0; c < cand.size(); ++c) {
             ASSERT_EQ(cand[c], reference_cand[c]) << "cell " << c;
           }
 
           const CostPrediction pred =
-              PlanPredict(model, graph, &planner, /*trace=*/nullptr);
+              PlanPredict(model, graph, /*trace=*/nullptr);
           ASSERT_EQ(pred.replicated_r, reference_pred.replicated_r);
           ASSERT_EQ(pred.replicated_s, reference_pred.replicated_s);
           ASSERT_EQ(pred.shuffled_tuples, reference_pred.shuffled_tuples);

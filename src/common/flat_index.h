@@ -1,13 +1,15 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// An open-addressing map from non-negative int32 ids (cells, quartets) to
-// int32 values (slots, owners). The planner keeps state only for the cells
-// a sample touched; this map finds that state without a table sized by the
-// grid. Linear probing over a power-of-two table kept at most half full, so
-// a lookup is one multiply and, almost always, one cache line. Ids are
-// hashed by blocks of 8: the 8 ids of a block (8 cells of a grid row) have
-// adjacent home slots, so a scan in id order walks the table's cache lines
-// instead of jumping between them.
+// An open-addressing map from int32 ids (cells, quartets, partitions) to
+// non-negative int32 values (slots, owners). The planner keeps state only
+// for the cells a sample touched, and regroup numbers only the partitions
+// one side reached; this map finds that state without a table sized by the
+// grid. An entry is empty when its value is kAbsent, so every int32 is a
+// valid id. Linear probing over a power-of-two table kept at most half
+// full, so a lookup is one multiply and, almost always, one cache line. Ids
+// are hashed by blocks of 8: the 8 ids of a block (8 cells of a grid row)
+// have adjacent home slots, so a scan in id order walks the table's cache
+// lines instead of jumping between them.
 #ifndef PASJOIN_COMMON_FLAT_INDEX_H_
 #define PASJOIN_COMMON_FLAT_INDEX_H_
 
@@ -32,12 +34,12 @@ class FlatIndex {
     return table_.empty() ? kAbsent : table_[Probe(key)].value;
   }
 
-  /// Maps `key` (>= 0) to `value` unless it is already mapped; returns the
+  /// Maps `key` to `value` (>= 0) unless it is already mapped; returns the
   /// stored value either way.
   int32_t Insert(int32_t key, int32_t value) {
     if (2 * (size_ + 1) > table_.size()) Rehash(2 * (size_ + 1));
     Entry& e = table_[Probe(key)];
-    if (e.key == kAbsent) {
+    if (e.value == kAbsent) {
       e = Entry{key, value};
       ++size_;
     }
@@ -46,7 +48,7 @@ class FlatIndex {
 
  private:
   struct Entry {
-    int32_t key = kAbsent;
+    int32_t key = 0;
     int32_t value = kAbsent;
   };
 
@@ -58,7 +60,7 @@ class FlatIndex {
     size_t i = ((static_cast<size_t>(((u >> 3) * 0x9e3779b9U) >> shift_) << 3) |
                 (u & 7)) &
                mask_;
-    while (table_[i].key != key && table_[i].key != kAbsent) {
+    while (table_[i].key != key && table_[i].value != kAbsent) {
       i = (i + 1) & mask_;
     }
     return i;
@@ -73,7 +75,7 @@ class FlatIndex {
     old.swap(table_);
     mask_ = table_.size() - 1;
     for (const Entry& e : old) {
-      if (e.key != kAbsent) table_[Probe(e.key)] = e;
+      if (e.value != kAbsent) table_[Probe(e.key)] = e;
     }
   }
 

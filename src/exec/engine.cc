@@ -588,6 +588,13 @@ auto CommitTo(std::vector<Output>* slots) {
   };
 }
 
+/// Adds the args a task's output reports to its task span: a regroup, the
+/// instances it kept. Other outputs report none.
+void AddTaskSpanArgs(obs::ScopedSpan& /*span*/, const auto& /*out*/) {}
+void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
+  span.AddArg("kept", static_cast<int64_t>(store.id.size()));
+}
+
 /// Work-stealing executor (docs/PARALLELISM.md): one attempt per task,
 /// committed in place. One runner per pool thread claims grain-sized task
 /// blocks from a StealQueue (own slice first, stealing once dry), so a
@@ -645,7 +652,9 @@ class StealExecutor {
             obs::ScopedSpan span(trace_, task_name, "task");
             span.AddArg("task", i);
             Stopwatch watch;
-            commit(i, state, compute(i, state, &job_cancel_));
+            auto out = compute(i, state, &job_cancel_);
+            AddTaskSpanArgs(span, out);
+            commit(i, state, std::move(out));
             rows.Add(rnr, w, watch.ElapsedSeconds());
           }
         }
@@ -689,10 +698,12 @@ struct FaultStats {
 /// PARTIAL state — the runner never publishes a cancelled attempt. The
 /// body polls the attempt's token (fires on job cancellation, a sibling
 /// attempt's commit, or a watchdog stall verdict) and pulses its heartbeat
-/// through the KernelCancellation it is given.
+/// through the KernelCancellation it is given. It adds its output's args to
+/// the attempt's task span.
 using PublishFn = std::function<void()>;
 using TaskBody =
-    std::function<PublishFn(int task, const spatial::KernelCancellation& kc)>;
+    std::function<PublishFn(int task, const spatial::KernelCancellation& kc,
+                            obs::ScopedSpan& span)>;
 
 /// Recovering executor (docs/FAULT_TOLERANCE.md): runs every phase through
 /// a PhaseRunner. Each attempt computes into its own output; only
@@ -726,12 +737,13 @@ class RecoveringExecutor {
     std::vector<ThreadState<State>> states(
         static_cast<size_t>(pool_->num_threads()));
     BusyRows rows(pool_->num_threads(), spec.busy->size());
-    const TaskBody body = [&](int task,
-                              const spatial::KernelCancellation& kc) {
+    const TaskBody body = [&](int task, const spatial::KernelCancellation& kc,
+                              obs::ScopedSpan& span) {
       const int thread = ThreadPool::CurrentThreadIndex();
       PASJOIN_DCHECK(thread >= 0 && thread < pool_->num_threads());
       State& state = states[static_cast<size_t>(thread)].state;
       auto out = std::make_shared<Output>(compute(task, state, &kc));
+      AddTaskSpanArgs(span, *out);
       return PublishFn([&commit, &state, task, out] {
         commit(task, state, std::move(*out));
       });
@@ -1116,7 +1128,7 @@ class RecoveringExecutor::PhaseRunner {
       if (!failed) {
         const CancellationToken token = heartbeat->token();
         try {
-          publish = body_(task, {&token, heartbeat->cell()});
+          publish = body_(task, {&token, heartbeat->cell()}, *attempt_span);
         } catch (const std::exception& e) {
           failed = true;
           error = e.what();
@@ -1393,10 +1405,11 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
 
   // ------------------------------------------------------------ regroup ---
   // Each worker sorts its inbound blocks, in map-task order, into
-  // contiguous partition runs (exec/shuffle.h), so every run's instance
-  // order is deterministic. The blocks are the split data re-execution
-  // recovers from: an executor that retains inputs keeps them; otherwise
-  // each worker's regroup frees its inbound blocks, payload arenas included.
+  // contiguous runs of the partitions both sides reach (exec/shuffle.h), so
+  // every run's instance order is deterministic and every run joins. The
+  // blocks are the split data re-execution recovers from: an executor that
+  // retains inputs keeps them; otherwise each worker's regroup frees its
+  // inbound blocks, payload arenas included.
   const auto inbound = [&map_out](int w) {
     std::vector<ShuffleBlock*> blocks;
     blocks.reserve(map_out.size());
@@ -1415,6 +1428,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         return Regroup(inbound(w), /*consume=*/!kRetain, &scratch, cancel);
       },
       CommitTo(&stores)));
+  uint64_t joinable = 0;
+  for (const WorkerStore& store : stores) joinable += store.id.size();
+  reg->Add("joinable_tuples", joinable);
 
   // --------------------------------------------------------------- join ---
   // One task per (worker, partition), not per worker: placement decides
@@ -1429,7 +1445,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   for (int w = 0; w < workers; ++w) {
     const std::vector<PartitionRun>& runs = stores[static_cast<size_t>(w)].runs;
     for (size_t k = 0; k < runs.size(); ++k) {
-      if (runs[k].mid == runs[k].begin || runs[k].end == runs[k].mid) continue;
+      PASJOIN_DCHECK(runs[k].begin < runs[k].mid && runs[k].mid < runs[k].end);
       items.push_back(JoinItem{w, runs[k].part, k});
     }
     item_begin[static_cast<size_t>(w) + 1] = items.size();

@@ -16,11 +16,12 @@ std::string JobMetrics::ToString() const {
   // kernel fields accumulated).
   std::string out = algorithm;
   AppendF(&out,
-          ": repl=%" PRIu64 " shuffled=%" PRIu64 " remoteMB=%.2f "
+          ": repl=%" PRIu64 " shuffled=%" PRIu64 " joinable=%" PRIu64
+          " remoteMB=%.2f "
           "cand=%" PRIu64 " res=%" PRIu64
           " constr=%.3fs join=%.3fs dedup=%.3fs total=%.3fs wall=%.3fs "
           "W=%d imbalance=%.2f",
-          ReplicatedTotal(), shuffled_tuples,
+          ReplicatedTotal(), shuffled_tuples, joinable_tuples,
           static_cast<double>(shuffle_remote_bytes) / (1024.0 * 1024.0),
           candidates, results, construction_seconds, join_seconds,
           dedup_seconds, TotalSeconds(), wall_seconds, workers,
@@ -63,6 +64,7 @@ void SnapshotCounters(const obs::CounterRegistry& registry,
   metrics->replicated_r = registry.Get("replicated_r");
   metrics->replicated_s = registry.Get("replicated_s");
   metrics->shuffled_tuples = registry.Get("shuffled_tuples");
+  metrics->joinable_tuples = registry.Get("joinable_tuples");
   metrics->shuffle_bytes = registry.Get("shuffle_bytes");
   metrics->shuffle_remote_bytes = registry.Get("shuffle_remote_bytes");
   metrics->candidates = registry.Get("candidates");

@@ -31,6 +31,9 @@ struct JobMetrics {
 
   /// Tuple instances routed through the shuffle (native + replicas).
   uint64_t shuffled_tuples = 0;
+  /// Shuffled instances regroup kept: those in a partition that both sides
+  /// reach. The rest can pair with nothing and are never stored.
+  uint64_t joinable_tuples = 0;
   /// Bytes of all shuffled tuple instances.
   uint64_t shuffle_bytes = 0;
   /// Bytes whose destination worker differs from the producing split's

@@ -11,9 +11,11 @@
 // and stably sorts them by partition into a WorkerStore: x, y and id
 // columns holding one contiguous run per partition, R instances before S
 // instances (the layout of Tsitsigkos & Mamoulis, "Parallel In-Memory
-// Evaluation of Spatial Joins"). The join reads each run's columns in
-// place. Teardown frees a few buffers per block and per worker, never one
-// per instance.
+// Evaluation of Spatial Joins"). Like the inner join of the paper's
+// Algorithm 5, it keeps only the partitions both sides reached: an instance
+// whose partition has no instance of the other side is never stored. The
+// join reads each run's columns in place. Teardown frees a few buffers per
+// block and per worker, never one per instance.
 #ifndef PASJOIN_EXEC_SHUFFLE_H_
 #define PASJOIN_EXEC_SHUFFLE_H_
 
@@ -21,7 +23,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/tuple.h"
@@ -72,27 +73,28 @@ struct WorkerStore {
   std::vector<double> x;
   std::vector<double> y;
   std::vector<int64_t> id;
-  /// One run per partition, ascending by partition id.
+  /// One run per partition with both sides, ascending by partition id.
   std::vector<PartitionRun> runs;
 };
 
-/// Counting-sort scratch of Regroup, reused across the regroups of one
-/// thread.
+/// Scratch of Regroup, reused across the regroups of one thread.
 struct RegroupScratch {
-  /// Slot of each distinct partition, in order of first appearance.
-  std::unordered_map<PartitionId, uint32_t> slot_of;
   /// Slot of each inbound instance, in (block, row) order.
   std::vector<uint32_t> slot;
   /// Per slot: the partition's R and S counts, then its scatter cursors.
   std::vector<PartitionRun> runs;
+  /// (ordered id, slot) key of each partition with both sides.
+  std::vector<uint64_t> keys;
 };
 
 /// Regroups one worker's `inbound` blocks, given in map-task order, into a
-/// WorkerStore by a counting sort on partition id. The sort is stable, so
-/// each run lists each side's instances in (map task, row) order. No
+/// WorkerStore by a counting sort on partition id. A partition with an
+/// empty side gets no run, and its instances are not stored. The sort is
+/// stable, so each run lists each side's instances in (map task, row)
+/// order; the store does not depend on how R and S blocks interleave. No
 /// kernel reads payloads, so the store has none; `consume` frees every
 /// inbound block afterwards, payload arena included.
-/// Polls `cancel` between inbound blocks, pulsing their instance counts,
+/// Polls `cancel` after each inbound block, pulsing its instance count,
 /// and returns an empty store once it fires (the caller discards it).
 WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
                     RegroupScratch* scratch,

@@ -178,6 +178,60 @@ TEST(EngineTraceTest, JoinPartitionSpansReconcileWithCounters) {
   EXPECT_DOUBLE_EQ(reg.GetGauge("join_seconds"), run.metrics.join_seconds);
 }
 
+TEST(EngineTraceTest, CommittedRegroupSpansSumToJoinableTuples) {
+  // Each committed regroup-task span carries the instances its store kept.
+  // Under the recovering executor, worker 2 is lost in the regroup, so a
+  // failed attempt records committed=0 and its retry commits.
+  const Dataset r = MakeDataset(RandomPoints(400, 33), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 34), 1000, "S");
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    if (fault) {
+      options.fault.enabled = true;
+      options.fault.lost_worker = 2;
+      options.fault.lost_worker_phase = Phase::kRegroup;
+    }
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    // S reaches partition 9 alone: its instances are never kept.
+    const JoinRun run = MustRun(
+        r, s,
+        [](const Tuple& t, Side side) {
+          PartitionList out;
+          out.push_back(side == Side::kS && t.pt.x >= 9.0
+                            ? 9
+                            : std::clamp(static_cast<int>(t.pt.x), 0, 8));
+          return out;
+        },
+        [](PartitionId p) { return p % 4; }, options);
+    uint64_t kept = 0;
+    size_t committed_spans = 0;
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      if (std::string(e.name) != "regroup-task") continue;
+      int64_t committed = 1;
+      int64_t span_kept = -1;
+      for (int i = 0; i < e.num_args; ++i) {
+        const std::string arg = e.arg_names[i];
+        if (arg == "committed") committed = e.arg_values[i];
+        if (arg == "kept") span_kept = e.arg_values[i];
+      }
+      if (committed == 0) continue;
+      ++committed_spans;
+      ASSERT_GE(span_kept, 0);
+      kept += static_cast<uint64_t>(span_kept);
+    }
+    EXPECT_EQ(committed_spans, static_cast<size_t>(options.workers));
+    EXPECT_EQ(kept, run.metrics.joinable_tuples) << fault;
+    EXPECT_EQ(recorder.counters().Get("joinable_tuples"),
+              run.metrics.joinable_tuples);
+    EXPECT_GT(run.metrics.joinable_tuples, 0u);
+    EXPECT_LT(run.metrics.joinable_tuples, run.metrics.shuffled_tuples);
+    if (fault) {
+      EXPECT_GT(run.metrics.tasks_failed, 0u);
+    }
+  }
+}
+
 TEST(EngineTraceTest, ReusedRecorderReflectsTheLatestRunOnly) {
   const Dataset r = MakeDataset(RandomPoints(200, 27), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(200, 28), 1000, "S");

@@ -79,6 +79,7 @@ TEST(JobMetricsTest, ToStringNeverTruncates) {
   m.replicated_r = 111;
   m.replicated_s = 222;
   m.shuffled_tuples = 333444;
+  m.joinable_tuples = 4321;
   m.shuffle_bytes = 555;
   m.shuffle_remote_bytes = 7 * 1024 * 1024;  // renders as remoteMB=7.00
   m.candidates = 666777;
@@ -101,7 +102,8 @@ TEST(JobMetricsTest, ToStringNeverTruncates) {
   const std::string s = m.ToString();
   EXPECT_GT(s.size(), 640u);  // provably past the old truncation point
   for (const char* token :
-       {"-LPiB", "repl=333", "shuffled=333444", "remoteMB=7.00",
+       {"-LPiB", "repl=333", "shuffled=333444", "joinable=4321",
+        "remoteMB=7.00",
         "cand=666777", "res=888999", "constr=1.125s", "join=2.250s",
         "dedup=0.500s", "total=3.875s", "wall=9.875s", "W=16",
         "imbalance=1.50", "-sweep-soa[sort=0.111s sweep=0.222s emit=0.333s]",
@@ -168,6 +170,7 @@ TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
   reg.Add("replicated_r", 10);
   reg.Add("replicated_s", 20);
   reg.Add("shuffled_tuples", 30);
+  reg.Add("joinable_tuples", 35);
   reg.Add("shuffle_bytes", 40);
   reg.Add("shuffle_remote_bytes", 50);
   reg.Add("candidates", 60);
@@ -182,6 +185,7 @@ TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
   EXPECT_EQ(m.replicated_r, 10u);
   EXPECT_EQ(m.replicated_s, 20u);
   EXPECT_EQ(m.shuffled_tuples, 30u);
+  EXPECT_EQ(m.joinable_tuples, 35u);
   EXPECT_EQ(m.shuffle_bytes, 40u);
   EXPECT_EQ(m.shuffle_remote_bytes, 50u);
   EXPECT_EQ(m.candidates, 60u);

@@ -13,7 +13,9 @@
 // race in the steal machinery shows up as a sanitizer report even when the
 // outputs happen to agree.
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,13 +51,19 @@ AssignFn BandAssign(double eps) {
   };
 }
 
-std::vector<Point> RandomPoints(size_t n, uint64_t seed) {
+/// Points uniform in [x_lo, x_hi) x [0, 1).
+std::vector<Point> BandPoints(size_t n, double x_lo, double x_hi,
+                              uint64_t seed) {
   Rng rng(seed);
   std::vector<Point> pts;
   for (size_t i = 0; i < n; ++i) {
-    pts.push_back(Point{rng.NextUniform(0, 10), rng.NextUniform(0, 1)});
+    pts.push_back(Point{rng.NextUniform(x_lo, x_hi), rng.NextUniform(0, 1)});
   }
   return pts;
+}
+
+std::vector<Point> RandomPoints(size_t n, uint64_t seed) {
+  return BandPoints(n, 0.0, 10.0, seed);
 }
 
 struct MatrixCase {
@@ -100,6 +108,7 @@ void ExpectIdentical(const JoinRun& base, const JoinRun& run,
   EXPECT_EQ(a.replicated_r, b.replicated_r) << label;
   EXPECT_EQ(a.replicated_s, b.replicated_s) << label;
   EXPECT_EQ(a.shuffled_tuples, b.shuffled_tuples) << label;
+  EXPECT_EQ(a.joinable_tuples, b.joinable_tuples) << label;
   EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << label;
   EXPECT_EQ(a.shuffle_remote_bytes, b.shuffle_remote_bytes) << label;
   EXPECT_EQ(a.candidates, b.candidates) << label;
@@ -191,6 +200,94 @@ TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
     const JoinRun run = MustRun(r, s, assign, owner, options);
     ExpectIdentical(base, run,
                     std::string("T").append(std::to_string(threads)));
+  }
+}
+
+/// The shuffled instances in a partition that both sides reach, counted
+/// from the partition lists `assign` gives.
+uint64_t BruteForceJoinable(const Dataset& r, const Dataset& s,
+                            const AssignFn& assign) {
+  std::map<PartitionId, std::array<uint64_t, 2>> count;
+  for (const Side side : {Side::kR, Side::kS}) {
+    for (const Tuple& t : (side == Side::kR ? r : s).tuples) {
+      const PartitionList parts = assign(t, side);
+      for (size_t k = 0; k < parts.size(); ++k) {
+        ++count[parts[k]][side == Side::kR ? 0 : 1];
+      }
+    }
+  }
+  uint64_t joinable = 0;
+  for (const auto& [part, sides] : count) {
+    if (sides[0] > 0 && sides[1] > 0) joinable += sides[0] + sides[1];
+  }
+  return joinable;
+}
+
+TEST(ParallelDeterminismTest, PartlyOverlappingClustersJoinExactly) {
+  // R covers x in [0, 6), S covers [4, 10), and partitions are quarter-unit
+  // bands, so 31 of the 40 partitions hold one side only. Regroup drops
+  // those before the join; no counter, pair or pair order may show it.
+  const Dataset r = MakeDataset(BandPoints(1500, 0.0, 6.0, 101), 0, "R");
+  const Dataset s = MakeDataset(BandPoints(1500, 4.0, 10.0, 102), 50000, "S");
+  const double eps = 0.1;
+  const AssignFn assign = [eps](const Tuple& t, Side side) {
+    PartitionList out;
+    const auto band = [](double x) {
+      return std::clamp(static_cast<int>(x * 4.0), 0, 39);
+    };
+    const int native = band(t.pt.x);
+    out.push_back(native);
+    if (side == Side::kR) {
+      for (int p = band(t.pt.x - eps); p <= band(t.pt.x + eps); ++p) {
+        if (p != native) out.push_back(p);
+      }
+    }
+    return out;
+  };
+  const OwnerFn owner = [](PartitionId p) { return static_cast<int>(p) % 5; };
+  EngineOptions options;
+  options.eps = eps;
+  options.workers = 5;
+  options.num_splits = 8;
+  options.collect_results = true;
+  options.physical_threads = 1;
+  const JoinRun base = MustRun(r, s, assign, owner, options);
+
+  // Only R replicates and S stays native, so every pair is found once.
+  const auto truth = pasjoin::testing::BruteForcePairs(r, s, eps);
+  std::vector<ResultPair> sorted = base.pairs;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted.size(), truth.size());
+  size_t i = 0;
+  for (const auto& [pair, count] : truth) {
+    (void)count;
+    EXPECT_EQ(sorted[i++], pair);
+  }
+  ASSERT_GT(truth.size(), 0u);
+  const uint64_t joinable = BruteForceJoinable(r, s, assign);
+  EXPECT_EQ(base.metrics.joinable_tuples, joinable);
+  EXPECT_LT(2 * joinable, base.metrics.shuffled_tuples);
+  EXPECT_EQ(base.metrics.partitions_joined, 9u);
+
+  for (const bool lose_worker : {false, true}) {
+    EngineOptions run_options = options;
+    if (lose_worker) {
+      // The recovering executor, with worker 1's store lost in the join
+      // and rebuilt by a second regroup.
+      run_options.fault.enabled = true;
+      run_options.fault.lost_worker = 1;
+      run_options.fault.lost_worker_phase = Phase::kJoin;
+    }
+    for (const int threads : {1, 4}) {
+      run_options.physical_threads = threads;
+      const JoinRun run = MustRun(r, s, assign, owner, run_options);
+      std::string label = lose_worker ? "lost-worker/T" : "T";
+      label += std::to_string(threads);
+      ExpectIdentical(base, run, label);
+      if (lose_worker) {
+        EXPECT_GT(run.metrics.recovery_seconds, 0.0) << label;
+      }
+    }
   }
 }
 

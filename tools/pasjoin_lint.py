@@ -62,6 +62,14 @@ suppression mechanism):
                          args only. Callbacks in these headers are template
                          parameters (zero-cost, inlinable) or batched result
                          buffers.
+  no-node-hash-hotpath   std::unordered_map / std::unordered_set (and their
+                         headers) must not appear in src/exec/engine.*,
+                         src/exec/shuffle.* or src/spatial. Those files touch
+                         every shuffled instance or candidate pair; a
+                         node-based table there costs an allocation per key
+                         and a pointer chase per lookup (the regroup cost a
+                         FlatIndex removed). Use common/flat_index.h or a
+                         sort.
 
 Suppression: append  // pasjoin-lint: allow(<rule>)  to the offending line.
 A suppression naming a rule this linter does not know is itself an error
@@ -117,6 +125,9 @@ RNG_TOKEN_RE = re.compile(
 RANDOM_HEADER_RE = re.compile(r'^\s*#\s*include\s+<random>')
 STD_FUNCTION_TOKEN_RE = re.compile(r"\bstd::function\b")
 FUNCTIONAL_HEADER_RE = re.compile(r'^\s*#\s*include\s+<functional>')
+NODE_HASH_TOKEN_RE = re.compile(r"\bstd::unordered_(?:multi)?(?:map|set)\b")
+NODE_HASH_HEADER_RE = re.compile(
+    r'^\s*#\s*include\s+<unordered_(?:map|set)>')
 NODISCARD_DECL_RE = re.compile(
     r"^\s*(?:static\s+)?(?:Status|Result<[^;{}()]+>)\s+[A-Z]\w*\s*\(")
 MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*[;{]")
@@ -134,6 +145,7 @@ KNOWN_RULES = frozenset({
     "rng-discipline",
     "nodiscard-status",
     "no-function-hotpath",
+    "no-node-hash-hotpath",
 })
 
 
@@ -324,6 +336,26 @@ def check_token_rule(files: list[Path], rule: str, token_re: re.Pattern,
     return violations
 
 
+def in_node_hash_scope(f: Path) -> bool:
+    """True for the files no-node-hash-hotpath covers: src/spatial, and the
+    engine and shuffle of src/exec (the fault injector stays off the hot
+    path and may keep its set)."""
+    parts = f.relative_to(SRC).parts
+    return parts[0] == "spatial" or (
+        parts[0] == "exec" and f.stem in ("engine", "shuffle"))
+
+
+def check_node_hash(files: list[Path]) -> list[Violation]:
+    return check_token_rule(
+        [f for f in files if in_node_hash_scope(f)],
+        "no-node-hash-hotpath", NODE_HASH_TOKEN_RE,
+        allowed=lambda f: False,
+        message="std::unordered_map/set is banned in src/exec/engine.*, "
+                "src/exec/shuffle.* and src/spatial (per-instance hot path): "
+                "use FlatIndex (common/flat_index.h) or a sort",
+        extra_line_re=NODE_HASH_HEADER_RE)
+
+
 def check_nodiscard(headers: list[Path]) -> list[Violation]:
     violations = []
     for h in headers:
@@ -480,6 +512,7 @@ def main() -> int:
                 "into batched result buffers (see spatial/sweep_kernel.h); "
                 "trace spans carry plain-data args (see obs/trace_recorder.h)",
         extra_line_re=FUNCTIONAL_HEADER_RE)
+    violations += check_node_hash(files)
     violations += check_nodiscard(headers)
     if not args.skip_compile:
         violations += check_self_contained(headers, args.verbose)

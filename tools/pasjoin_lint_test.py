@@ -190,7 +190,7 @@ class UnknownSuppressionTest(LintFixture):
                      "rng-discipline", "nodiscard-status",
                      "no-function-hotpath", "layering", "self-contained",
                      "umbrella-reachability", "no-include-cycles",
-                     "no-uninterruptible-sleep"):
+                     "no-uninterruptible-sleep", "no-node-hash-hotpath"):
             self.assertIn(rule, pasjoin_lint.KNOWN_RULES)
 
 
@@ -261,6 +261,46 @@ class UninterruptibleSleepTest(LintFixture):
         f = self.write(
             "exec/suppressed.cc",
             "usleep(1);  // pasjoin-lint: allow(no-uninterruptible-sleep)\n")
+        self.assertEqual(self.check([f]), [])
+
+
+class NodeHashHotpathTest(LintFixture):
+    """The no-node-hash-hotpath rule: engine, shuffle and spatial only."""
+
+    def check(self, files) -> list[str]:
+        return self.rules_of(pasjoin_lint.check_node_hash(files))
+
+    def test_unordered_map_in_shuffle_flags(self) -> None:
+        f = self.write("exec/shuffle.cc",
+                       "std::unordered_map<int, int> slot_of;\n")
+        self.assertEqual(self.check([f]), ["no-node-hash-hotpath"])
+
+    def test_headers_and_sets_flag_in_engine_and_spatial(self) -> None:
+        engine = self.write("exec/engine.h", "#include <unordered_set>\n")
+        spatial = self.write(
+            "spatial/sub/kernel.h",
+            "#include <unordered_map>\nstd::unordered_multiset<int> s;\n")
+        self.assertEqual(self.check([engine, spatial]),
+                         ["no-node-hash-hotpath"] * 3)
+
+    def test_fault_injector_and_other_layers_pass(self) -> None:
+        injector = self.write("exec/fault_injector.h",
+                              "#include <unordered_set>\n"
+                              "std::unordered_set<uint64_t> targeted_;\n")
+        core = self.write("core/driver.cc", "std::unordered_map<int, int> m;\n")
+        self.assertEqual(self.check([injector, core]), [])
+
+    def test_flat_table_and_comment_mention_pass(self) -> None:
+        f = self.write("exec/shuffle.h",
+                       "// was a std::unordered_map\n"
+                       "std::vector<Entry> table;\n")
+        self.assertEqual(self.check([f]), [])
+
+    def test_suppression_honored(self) -> None:
+        f = self.write(
+            "spatial/ok.cc",
+            "std::unordered_set<int> s;  "
+            "// pasjoin-lint: allow(no-node-hash-hotpath)\n")
         self.assertEqual(self.check([f]), [])
 
 

@@ -41,6 +41,8 @@ reported (exit 1 on violation):
   * the candidates counter vs the sum of join-partition span args (exact;
     skipped when fault or cancellation events are present, because losing
     and abandoned attempts also record partition spans);
+  * the joinable_tuples counter vs the sum of the committed regroup-task
+    spans' kept args (exact; skipped when cancellation events are present);
   * the watchdog_fires counter vs the number of watchdog-fire events, and
     the tasks_cancelled counter vs the number of cancel-abandon events
     (exact — each fire/abandon records exactly one instant);
@@ -102,6 +104,7 @@ class Rollup:
         self.cancel_events = []
         self.join_partitions = 0
         self.span_candidates = 0
+        self.regroup_kept = None  # no committed regroup span has the arg
         events = trace.get("traceEvents", [])
         if not isinstance(events, list):
             raise ValueError("traceEvents must be an array")
@@ -127,6 +130,9 @@ class Rollup:
             cell = self.spans[name][tid]
             cell[0] += 1
             cell[1] += seconds
+            kept = event.get("args", {}).get("kept")
+            if name == "regroup-task" and kept is not None:
+                self.regroup_kept = (self.regroup_kept or 0) + kept
             if name == "join-partition":
                 self.join_partitions += 1
                 self.span_candidates += event.get("args", {}).get(
@@ -340,6 +346,18 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         errors.append(
             f"partitions_joined: {rollup.join_partitions} join-partition "
             f"spans, counters report {counters['partitions_joined']}"
+        )
+
+    if (
+        not rollup.cancel_events
+        and rollup.regroup_kept is not None
+        and "joinable_tuples" in counters
+        and rollup.regroup_kept != counters["joinable_tuples"]
+    ):
+        errors.append(
+            f"joinable_tuples: regroup-task kept args sum to "
+            f"{rollup.regroup_kept}, counters report "
+            f"{counters['joinable_tuples']}"
         )
 
     # Cancellation bookkeeping is exact: the engine records one

@@ -16,11 +16,13 @@
 //     finisher commits, exactly once). The dataflow keeps the shuffle
 //     blocks, so a lost worker's store is rebuilt by re-running its regroup.
 //
-// The shuffle is columnar (exec/shuffle.h): map tasks write one column
-// block per destination worker, regroup sorts a worker's blocks into
-// contiguous partition runs, and the join reads the runs in place. Both
-// executors run the same task lists, including one join task per (worker,
-// partition). See docs/FAULT_TOLERANCE.md for the recovery model and
+// The shuffle is columnar (exec/shuffle.h). A map task routes its split
+// twice: it stages and counts every instance per destination worker, then
+// writes one exactly sized column block per destination, so each payload
+// is copied once. Regroup sorts a worker's blocks into contiguous
+// partition runs, and the join reads the runs in place. Both executors run
+// the same task lists, including one join task per (worker, partition).
+// See docs/FAULT_TOLERANCE.md for the recovery model and
 // docs/PARALLELISM.md for stealing.
 //
 // Phase state is of two kinds only: task-indexed output slots, which a
@@ -65,125 +67,25 @@ namespace {
 /// Per-thread state of the phases whose tasks need no scratch.
 struct NoPhaseState {};
 
-struct MapTaskOutput {
-  /// One column block per destination worker.
-  std::vector<ShuffleBlock> by_worker;
-  uint64_t replicated = 0;
-  uint64_t shuffled_tuples = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t remote_bytes = 0;
-  /// Why the task's split cannot be routed (the lowest offending index).
-  Status error;
-};
-
 // ---------------------------------------------------------------------------
 // Phase bodies, shared by both executors. Each body only reads what the
 // recovering executor retains, which is what makes re-execution safe.
 // ---------------------------------------------------------------------------
 
-/// The error of tuple `i` of `d`, which cannot be routed.
-Status RoutingError(const Dataset& d, size_t i, const std::string& problem) {
-  return Status::InvalidArgument(problem + " in dataset '" + d.name +
-                                 "' at index " + std::to_string(i));
-}
-
-/// Whether a point can be routed: its coordinates are finite and, when
-/// `bounds` has positive area, it lies inside. Such bounds mean the caller
-/// partitions exactly that rectangle, and Grid::Locate would silently clamp
-/// an outside point into an edge cell, so replication would run against
-/// the wrong cell rectangle. Contains() is closed, so exact-boundary points
-/// stay valid (Grid::Locate clamps max-edge coordinates into the last cell
-/// — the one clamp that is correct).
-bool Routable(const Point& pt, const Rect& bounds) {
-  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) return false;
-  return !(bounds.Area() > 0.0) || bounds.Contains(pt);
-}
-
-/// The error of tuple `i` of `d`, whose point is not Routable.
-Status PointError(const Dataset& d, size_t i, const Rect& bounds) {
-  const Point pt = d.tuples[i].pt;
-  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) {
-    return RoutingError(d, i, "non-finite coordinate");
-  }
-  return Status::InvalidArgument(
-      "point outside declared bounds in dataset '" + d.name + "' at index " +
-      std::to_string(i) + ": (" + std::to_string(pt.x) + ", " +
-      std::to_string(pt.y) + ") not in [" + std::to_string(bounds.min_x) +
-      ", " + std::to_string(bounds.max_x) + "] x [" +
-      std::to_string(bounds.min_y) + ", " + std::to_string(bounds.max_y) +
-      "]");
-}
-
-/// Computes one map task: routes split `task % num_splits` of relation
-/// (task < num_splits ? R : S) into one column block per destination
-/// worker, copying payload bytes only when they are carried. Idempotent —
-/// the input splits ("HDFS blocks") are always retained.
-///
-/// Validates as it routes: a tuple whose point is not Routable, whose
-/// `assign` returns no partition, or one of whose partitions `owner` maps
-/// outside [0, workers) stops the task with `error` naming it; the lowest
-/// such index is the split's first. Polls `cancel` every kKernelPollGrain
-/// tuples and returns a partial output once it fires (the caller discards
-/// it — cancelled attempts never publish).
-MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
-                             const AssignFn& assign, const OwnerFn& owner,
-                             const EngineOptions& options, int num_splits,
-                             int workers,
-                             const spatial::KernelCancellation* cancel) {
+/// The split of map task `task`: split `task % num_splits` of relation
+/// (task < num_splits ? R : S), co-located with logical worker
+/// split % workers (its "HDFS block locality").
+MapSplit MapTaskSplit(int task, const Dataset& r, const Dataset& s,
+                      int num_splits, int workers) {
   const bool is_r = task < num_splits;
   const int split = task % num_splits;
-  const Side side = is_r ? Side::kR : Side::kS;
   const Dataset& d = is_r ? r : s;
   const size_t n = d.tuples.size();
-  const size_t lo =
-      n * static_cast<size_t>(split) / static_cast<size_t>(num_splits);
-  const size_t hi =
-      n * (static_cast<size_t>(split) + 1) / static_cast<size_t>(num_splits);
-  const int src_worker = split % workers;
-
-  MapTaskOutput out;
-  out.by_worker.assign(static_cast<size_t>(workers),
-                       ShuffleBlock(side, options.carry_payloads));
-  for (size_t i = lo; i < hi; ++i) {
-    const Tuple& t = d.tuples[i];
-    if (!Routable(t.pt, options.bounds)) {
-      out.error = PointError(d, i, options.bounds);
-      return out;
-    }
-    const PartitionList parts = assign(t, side);
-    if (parts.empty()) {
-      out.error = RoutingError(d, i, "assign returned no partition");
-      return out;
-    }
-    out.replicated += parts.size() - 1;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      const PartitionId part = parts[p];
-      const int dest = owner(part);
-      if (dest < 0 || dest >= workers) {
-        out.error = RoutingError(
-            d, i,
-            "owner placed partition " + std::to_string(part) +
-                " on worker " + std::to_string(dest) + ", outside [0, " +
-                std::to_string(workers) + ")");
-        return out;
-      }
-      const uint64_t bytes =
-          out.by_worker[static_cast<size_t>(dest)].Append(part, t);
-      out.shuffled_tuples += 1;
-      out.shuffle_bytes += bytes;
-      if (dest != src_worker) out.remote_bytes += bytes;
-    }
-    if (cancel != nullptr &&
-        ((i - lo) & (spatial::kKernelPollGrain - 1)) ==
-            spatial::kKernelPollGrain - 1) {
-      cancel->Pulse(spatial::kKernelPollGrain);
-      if (cancel->ShouldStop()) return out;  // partial; caller discards
-    }
-  }
-  if (cancel != nullptr) {
-    cancel->Pulse((hi - lo) & (spatial::kKernelPollGrain - 1));
-  }
-  return out;
+  return MapSplit{
+      &d, is_r ? Side::kR : Side::kS,
+      n * static_cast<size_t>(split) / static_cast<size_t>(num_splits),
+      n * (static_cast<size_t>(split) + 1) / static_cast<size_t>(num_splits),
+      split % workers};
 }
 
 /// Folds the map phase's counters into the job's counter registry (called
@@ -195,6 +97,7 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
   uint64_t shuffled_tuples = 0;
   uint64_t shuffle_bytes = 0;
   uint64_t remote_bytes = 0;
+  uint64_t block_bytes = 0;
   for (size_t task = 0; task < map_out.size(); ++task) {
     const MapTaskOutput& out = map_out[task];
     if (task < static_cast<size_t>(num_splits)) {
@@ -205,12 +108,14 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
     shuffled_tuples += out.shuffled_tuples;
     shuffle_bytes += out.shuffle_bytes;
     remote_bytes += out.remote_bytes;
+    block_bytes += out.block_bytes;
   }
   reg->Add("replicated_r", replicated_r);
   reg->Add("replicated_s", replicated_s);
   reg->Add("shuffled_tuples", shuffled_tuples);
   reg->Add("shuffle_bytes", shuffle_bytes);
   reg->Add("shuffle_remote_bytes", remote_bytes);
+  reg->Add("shuffle_block_bytes", block_bytes);
 }
 
 /// The counters and kernel timings of one or more joined partitions.
@@ -588,9 +493,13 @@ auto CommitTo(std::vector<Output>* slots) {
   };
 }
 
-/// Adds the args a task's output reports to its task span: a regroup, the
-/// instances it kept. Other outputs report none.
+/// Adds the args a task's output reports to its task span: a map task, the
+/// bytes its blocks allocate; a regroup, the instances it kept. Other
+/// outputs report none.
 void AddTaskSpanArgs(obs::ScopedSpan& /*span*/, const auto& /*out*/) {}
+void AddTaskSpanArgs(obs::ScopedSpan& span, const MapTaskOutput& out) {
+  span.AddArg("bytes", static_cast<int64_t>(out.block_bytes));
+}
 void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
   span.AddArg("kept", static_cast<int64_t>(store.id.size()));
 }
@@ -1382,18 +1291,18 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
 
   // ---------------------------------------------------------------- map ---
   // Each relation is divided into `num_splits` contiguous splits; split k is
-  // co-located with logical worker k % workers (its "HDFS block locality").
-  // Every map task writes its own output slot.
+  // co-located with logical worker k % workers. Every map task writes its
+  // own output slot; its staging list is the thread's MapScratch.
   const int total_map_tasks = 2 * num_splits;
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
   std::vector<double> map_busy(static_cast<size_t>(workers));
-  PASJOIN_RETURN_NOT_OK(ex->Run(
+  PASJOIN_RETURN_NOT_OK(ex->template Run<MapScratch>(
       PhaseSpec{Phase::kMap, total_map_tasks, 1, &map_busy,
                 &measured_construction},
       [&](int task) { return (task % num_splits) % workers; },
-      [&](int task, NoPhaseState&, const Cancel* cancel) {
-        return ComputeMapTask(task, r, s, assign, owner, options, num_splits,
-                              workers, cancel);
+      [&](int task, MapScratch& scratch, const Cancel* cancel) {
+        return RouteSplit(MapTaskSplit(task, r, s, num_splits, workers),
+                          assign, owner, options, &scratch, cancel);
       },
       CommitTo(&map_out)));
   // Map tasks cover their splits in index order, R before S, so the first

@@ -17,12 +17,13 @@ std::string JobMetrics::ToString() const {
   std::string out = algorithm;
   AppendF(&out,
           ": repl=%" PRIu64 " shuffled=%" PRIu64 " joinable=%" PRIu64
-          " remoteMB=%.2f "
+          " remoteMB=%.2f blockMB=%.2f "
           "cand=%" PRIu64 " res=%" PRIu64
           " constr=%.3fs join=%.3fs dedup=%.3fs total=%.3fs wall=%.3fs "
           "W=%d imbalance=%.2f",
           ReplicatedTotal(), shuffled_tuples, joinable_tuples,
           static_cast<double>(shuffle_remote_bytes) / (1024.0 * 1024.0),
+          static_cast<double>(shuffle_block_bytes) / (1024.0 * 1024.0),
           candidates, results, construction_seconds, join_seconds,
           dedup_seconds, TotalSeconds(), wall_seconds, workers,
           JoinImbalance());
@@ -67,6 +68,7 @@ void SnapshotCounters(const obs::CounterRegistry& registry,
   metrics->joinable_tuples = registry.Get("joinable_tuples");
   metrics->shuffle_bytes = registry.Get("shuffle_bytes");
   metrics->shuffle_remote_bytes = registry.Get("shuffle_remote_bytes");
+  metrics->shuffle_block_bytes = registry.Get("shuffle_block_bytes");
   metrics->candidates = registry.Get("candidates");
   metrics->results = registry.Get("results");
   metrics->partitions_joined = registry.Get("partitions_joined");

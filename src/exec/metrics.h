@@ -39,6 +39,9 @@ struct JobMetrics {
   /// Bytes whose destination worker differs from the producing split's
   /// worker - the analogue of Spark's "shuffle remote reads".
   uint64_t shuffle_remote_bytes = 0;
+  /// Bytes the map's shuffle blocks allocate: their columns plus their
+  /// payload arenas, summed over every map task.
+  uint64_t shuffle_block_bytes = 0;
 
   /// Candidate pairs distance-checked and qualifying result pairs.
   uint64_t candidates = 0;

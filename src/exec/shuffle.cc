@@ -2,31 +2,102 @@
 #include "exec/shuffle.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/flat_index.h"
+#include "common/macros.h"
 
 namespace pasjoin::exec {
 
-uint64_t ShuffleBlock::Append(PartitionId p, const Tuple& t) {
-  part.push_back(p);
-  x.push_back(t.pt.x);
-  y.push_back(t.pt.y);
-  id.push_back(t.id);
-  if (!carry_payloads) return kTupleHeaderBytes;
-  payload_bytes.insert(payload_bytes.end(), t.payload.begin(), t.payload.end());
-  payload_end.push_back(payload_bytes.size());
-  return kTupleHeaderBytes + t.payload.size();
+void ShuffleBlock::Allocate(size_t n, size_t arena_bytes) {
+  part = std::vector<PartitionId>(n);
+  x = std::vector<double>(n);
+  y = std::vector<double>(n);
+  id = std::vector<int64_t>(n);
+  if (arena_bytes == 0) return;
+  payload_end = std::vector<uint64_t>(n);
+  payload_bytes = std::vector<char>(arena_bytes);
+}
+
+void ShuffleBlock::Put(size_t i, PartitionId p, const Tuple& t) {
+  part[i] = p;
+  x[i] = t.pt.x;
+  y[i] = t.pt.y;
+  id[i] = t.id;
+  if (payload_end.empty()) return;
+  const uint64_t begin = i == 0 ? 0 : payload_end[i - 1];
+  PASJOIN_DCHECK(begin + t.payload.size() <= payload_bytes.size());
+  std::copy(t.payload.begin(), t.payload.end(),
+            payload_bytes.begin() + static_cast<std::ptrdiff_t>(begin));
+  payload_end[i] = begin + t.payload.size();
 }
 
 std::string_view ShuffleBlock::Payload(size_t i) const {
-  if (!carry_payloads) return {};
+  if (payload_end.empty()) return {};
   const uint64_t begin = i == 0 ? 0 : payload_end[i - 1];
   return {payload_bytes.data() + begin, payload_end[i] - begin};
 }
 
+uint64_t ShuffleBlock::AllocatedBytes() const {
+  return part.capacity() * sizeof(PartitionId) +
+         (x.capacity() + y.capacity()) * sizeof(double) +
+         id.capacity() * sizeof(int64_t) +
+         payload_end.capacity() * sizeof(uint64_t) + payload_bytes.capacity();
+}
+
 namespace {
+
+/// The error of tuple `i` of `d`, which cannot be routed.
+Status RoutingError(const Dataset& d, size_t i, const std::string& problem) {
+  return Status::InvalidArgument(problem + " in dataset '" + d.name +
+                                 "' at index " + std::to_string(i));
+}
+
+/// Whether a point can be routed: its coordinates are finite and, when
+/// `bounds` has positive area, it lies inside. Such bounds mean the caller
+/// partitions exactly that rectangle, and Grid::Locate would silently clamp
+/// an outside point into an edge cell, so replication would run against
+/// the wrong cell rectangle. Contains() is closed, so exact-boundary points
+/// stay valid (Grid::Locate clamps max-edge coordinates into the last cell
+/// — the one clamp that is correct).
+bool Routable(const Point& pt, const Rect& bounds) {
+  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) return false;
+  return !(bounds.Area() > 0.0) || bounds.Contains(pt);
+}
+
+/// The error of tuple `i` of `d`, whose point is not Routable.
+Status PointError(const Dataset& d, size_t i, const Rect& bounds) {
+  const Point pt = d.tuples[i].pt;
+  if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) {
+    return RoutingError(d, i, "non-finite coordinate");
+  }
+  return Status::InvalidArgument(
+      "point outside declared bounds in dataset '" + d.name + "' at index " +
+      std::to_string(i) + ": (" + std::to_string(pt.x) + ", " +
+      std::to_string(pt.y) + ") not in [" + std::to_string(bounds.min_x) +
+      ", " + std::to_string(bounds.max_x) + "] x [" +
+      std::to_string(bounds.min_y) + ", " + std::to_string(bounds.max_y) +
+      "]");
+}
+
+/// After step `k` (0-based) of a pass, every kKernelPollGrain steps: pulses
+/// `cancel` and returns whether it fired.
+bool StopAfter(const spatial::KernelCancellation* cancel, size_t k) {
+  constexpr size_t kGrain = spatial::kKernelPollGrain;
+  if (cancel == nullptr || (k & (kGrain - 1)) != kGrain - 1) return false;
+  cancel->Pulse(kGrain);
+  return cancel->ShouldStop();
+}
+
+/// Pulses the last `n % kKernelPollGrain` steps of a pass of `n` steps,
+/// which no StopAfter pulsed.
+void PulseTail(const spatial::KernelCancellation* cancel, size_t n) {
+  if (cancel != nullptr) cancel->Pulse(n & (spatial::kKernelPollGrain - 1));
+}
 
 /// The slot of the instances whose partition cannot join.
 constexpr uint32_t kSink = 0;
@@ -44,6 +115,78 @@ uint64_t RunKey(PartitionId part, uint32_t s) {
 }
 
 }  // namespace
+
+MapTaskOutput RouteSplit(const MapSplit& split, const AssignFn& assign,
+                         const OwnerFn& owner, const EngineOptions& options,
+                         MapScratch* scratch,
+                         const spatial::KernelCancellation* cancel) {
+  const Dataset& d = *split.data;
+  const int workers = options.workers;
+  const bool carry = options.carry_payloads;
+  std::vector<StagedInstance>& staged = scratch->staged;
+  std::vector<size_t>& count = scratch->count;
+  std::vector<size_t>& arena = scratch->arena;
+  staged.clear();
+  count.assign(static_cast<size_t>(workers), 0);
+  arena.assign(static_cast<size_t>(workers), 0);
+  MapTaskOutput out;
+
+  // Route pass: validate and route every tuple, staging its instances and
+  // counting them per destination.
+  for (size_t i = split.begin; i < split.end; ++i) {
+    const Tuple& t = d.tuples[i];
+    if (!Routable(t.pt, options.bounds)) {
+      out.error = PointError(d, i, options.bounds);
+      return out;
+    }
+    const PartitionList parts = assign(t, split.side);
+    if (parts.empty()) {
+      out.error = RoutingError(d, i, "assign returned no partition");
+      return out;
+    }
+    out.replicated += parts.size() - 1;
+    const size_t payload = carry ? t.payload.size() : 0;
+    const uint64_t bytes = kTupleHeaderBytes + payload;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const PartitionId part = parts[p];
+      const int dest = owner(part);
+      if (dest < 0 || dest >= workers) {
+        out.error = RoutingError(
+            d, i,
+            "owner placed partition " + std::to_string(part) +
+                " on worker " + std::to_string(dest) + ", outside [0, " +
+                std::to_string(workers) + ")");
+        return out;
+      }
+      staged.push_back(StagedInstance{i, part, dest});
+      ++count[static_cast<size_t>(dest)];
+      arena[static_cast<size_t>(dest)] += payload;
+      out.shuffle_bytes += bytes;
+      if (dest != split.home) out.remote_bytes += bytes;
+    }
+    if (StopAfter(cancel, i - split.begin)) return out;  // caller discards
+  }
+  PulseTail(cancel, split.end - split.begin);
+  out.shuffled_tuples = staged.size();
+
+  // Fill pass: every block at its final size, then each staged instance at
+  // its block's cursor, so a block lists its instances in (row, replica)
+  // order.
+  out.by_worker.assign(static_cast<size_t>(workers), ShuffleBlock(split.side));
+  for (size_t w = 0; w < out.by_worker.size(); ++w) {
+    out.by_worker[w].Allocate(count[w], arena[w]);
+    out.block_bytes += out.by_worker[w].AllocatedBytes();
+    count[w] = 0;
+  }
+  for (size_t k = 0; k < staged.size(); ++k) {
+    const StagedInstance& inst = staged[k];
+    const auto w = static_cast<size_t>(inst.dest);
+    out.by_worker[w].Put(count[w]++, inst.part, d.tuples[inst.row]);
+    if (StopAfter(cancel, k)) return out;  // caller discards
+  }
+  PulseTail(cancel, staged.size());
+  return out;
+}
 
 WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
                     RegroupScratch* scratch,

@@ -68,6 +68,7 @@ void ExpectSameCounters(const JobMetrics& a, const JobMetrics& b) {
   EXPECT_EQ(a.shuffled_tuples, b.shuffled_tuples);
   EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
   EXPECT_EQ(a.shuffle_remote_bytes, b.shuffle_remote_bytes);
+  EXPECT_EQ(a.shuffle_block_bytes, b.shuffle_block_bytes);
   EXPECT_EQ(a.candidates, b.candidates);
   EXPECT_EQ(a.results, b.results);
   EXPECT_EQ(a.partitions_joined, b.partitions_joined);
@@ -226,6 +227,54 @@ TEST(EngineTraceTest, CommittedRegroupSpansSumToJoinableTuples) {
               run.metrics.joinable_tuples);
     EXPECT_GT(run.metrics.joinable_tuples, 0u);
     EXPECT_LT(run.metrics.joinable_tuples, run.metrics.shuffled_tuples);
+    if (fault) {
+      EXPECT_GT(run.metrics.tasks_failed, 0u);
+    }
+  }
+}
+
+TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
+  // Each committed map-task span carries the bytes its blocks allocate.
+  // Under the recovering executor, worker 1 is lost in the map, so its
+  // tasks' failed attempts record committed=0 and their retries commit.
+  const Dataset r = MakeDataset(RandomPoints(400, 35), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 36), 1000, "S");
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    if (fault) {
+      options.fault.enabled = true;
+      options.fault.lost_worker = 1;
+      options.fault.lost_worker_phase = Phase::kMap;
+    }
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const JoinRun run =
+        MustRun(r, s, BandAssign(options.eps, Side::kR),
+                [](PartitionId p) { return p % 4; }, options);
+    uint64_t bytes = 0;
+    size_t committed_spans = 0;
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      if (std::string(e.name) != "map-task") continue;
+      int64_t committed = 1;
+      int64_t span_bytes = -1;
+      for (int i = 0; i < e.num_args; ++i) {
+        const std::string arg = e.arg_names[i];
+        if (arg == "committed") committed = e.arg_values[i];
+        if (arg == "bytes") span_bytes = e.arg_values[i];
+      }
+      if (committed == 0) continue;
+      ++committed_spans;
+      ASSERT_GE(span_bytes, 0);
+      bytes += static_cast<uint64_t>(span_bytes);
+    }
+    EXPECT_EQ(committed_spans, 2u * static_cast<size_t>(options.num_splits));
+    EXPECT_EQ(bytes, run.metrics.shuffle_block_bytes) << fault;
+    EXPECT_EQ(recorder.counters().Get("shuffle_block_bytes"),
+              run.metrics.shuffle_block_bytes);
+    // 28 bytes per instance, the four columns: the payloads are empty, so
+    // no block allocates end offsets.
+    EXPECT_EQ(run.metrics.shuffle_block_bytes,
+              28 * run.metrics.shuffled_tuples);
     if (fault) {
       EXPECT_GT(run.metrics.tasks_failed, 0u);
     }

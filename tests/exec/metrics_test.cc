@@ -82,6 +82,7 @@ TEST(JobMetricsTest, ToStringNeverTruncates) {
   m.joinable_tuples = 4321;
   m.shuffle_bytes = 555;
   m.shuffle_remote_bytes = 7 * 1024 * 1024;  // renders as remoteMB=7.00
+  m.shuffle_block_bytes = 3 * 1024 * 1024;   // renders as blockMB=3.00
   m.candidates = 666777;
   m.results = 888999;
   m.partitions_joined = 55;
@@ -103,7 +104,7 @@ TEST(JobMetricsTest, ToStringNeverTruncates) {
   EXPECT_GT(s.size(), 640u);  // provably past the old truncation point
   for (const char* token :
        {"-LPiB", "repl=333", "shuffled=333444", "joinable=4321",
-        "remoteMB=7.00",
+        "remoteMB=7.00", "blockMB=3.00",
         "cand=666777", "res=888999", "constr=1.125s", "join=2.250s",
         "dedup=0.500s", "total=3.875s", "wall=9.875s", "W=16",
         "imbalance=1.50", "-sweep-soa[sort=0.111s sweep=0.222s emit=0.333s]",
@@ -173,6 +174,7 @@ TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
   reg.Add("joinable_tuples", 35);
   reg.Add("shuffle_bytes", 40);
   reg.Add("shuffle_remote_bytes", 50);
+  reg.Add("shuffle_block_bytes", 55);
   reg.Add("candidates", 60);
   reg.Add("results", 70);
   reg.Add("partitions_joined", 80);
@@ -188,6 +190,7 @@ TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
   EXPECT_EQ(m.joinable_tuples, 35u);
   EXPECT_EQ(m.shuffle_bytes, 40u);
   EXPECT_EQ(m.shuffle_remote_bytes, 50u);
+  EXPECT_EQ(m.shuffle_block_bytes, 55u);
   EXPECT_EQ(m.candidates, 60u);
   EXPECT_EQ(m.results, 70u);
   EXPECT_EQ(m.partitions_joined, 80u);

@@ -14,8 +14,10 @@
 // outputs happen to agree.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,7 @@ void ExpectIdentical(const JoinRun& base, const JoinRun& run,
   EXPECT_EQ(a.joinable_tuples, b.joinable_tuples) << label;
   EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << label;
   EXPECT_EQ(a.shuffle_remote_bytes, b.shuffle_remote_bytes) << label;
+  EXPECT_EQ(a.shuffle_block_bytes, b.shuffle_block_bytes) << label;
   EXPECT_EQ(a.candidates, b.candidates) << label;
   EXPECT_EQ(a.results, b.results) << label;
   EXPECT_EQ(a.partitions_joined, b.partitions_joined) << label;
@@ -286,6 +289,78 @@ TEST(ParallelDeterminismTest, PartlyOverlappingClustersJoinExactly) {
       ExpectIdentical(base, run, label);
       if (lose_worker) {
         EXPECT_GT(run.metrics.recovery_seconds, 0.0) << label;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, RetriedAndBackedUpMapTasksMatchACleanRun) {
+  // A map task stages its instances in its thread's scratch, which the
+  // thread's next task attempt reuses. A failed, lost or backed-up map
+  // attempt must leave nothing there that reaches a later attempt: pairs,
+  // their order and every counter equal a fault-free run's at 1 and 4
+  // threads. The targeted failure throws from `assign` partway through a
+  // split, so its attempt dies with instances already staged; at one
+  // thread the retry reuses that very scratch.
+  Dataset r = MakeDataset(RandomPoints(3000, 111), 0, "R");
+  Dataset s = MakeDataset(RandomPoints(3000, 112), 50000, "S");
+  pasjoin::testing::SetExpectedPayloads(&r);
+  pasjoin::testing::SetExpectedPayloads(&s);
+  const AssignFn band = BandAssign(0.25);
+  const OwnerFn owner = [](PartitionId p) { return static_cast<int>(p) % 4; };
+  EngineOptions options;
+  options.eps = 0.25;
+  options.workers = 4;
+  options.num_splits = 8;
+  options.collect_results = true;
+  options.physical_threads = 1;
+  const JoinRun base = MustRun(r, s, band, owner, options);
+  ASSERT_GT(base.metrics.results, 0u);
+  EXPECT_GT(base.metrics.shuffle_block_bytes,
+            base.metrics.shuffle_bytes);  // the columns outweigh the wire
+
+  enum class Fault { kThrowOnce, kLoseWorker, kStragglers };
+  for (const Fault fault :
+       {Fault::kThrowOnce, Fault::kLoseWorker, Fault::kStragglers}) {
+    for (const int threads : {1, 4}) {
+      EngineOptions run_options = options;
+      run_options.physical_threads = threads;
+      run_options.fault.enabled = true;
+      std::atomic<bool> thrown{false};
+      AssignFn assign = band;
+      std::string label;
+      switch (fault) {
+        case Fault::kThrowOnce:
+          // Row 1000 of R sits in the middle of split 2 (rows 750-1124).
+          assign = [&](const Tuple& t, Side side) {
+            if (side == Side::kR && t.id == 1000 && !thrown.exchange(true)) {
+              throw std::runtime_error("injected map failure");
+            }
+            return band(t, side);
+          };
+          label = "throw-once";
+          break;
+        case Fault::kLoseWorker:
+          run_options.fault.lost_worker = 1;
+          run_options.fault.lost_worker_phase = Phase::kMap;
+          label = "lost-worker";
+          break;
+        case Fault::kStragglers:
+          run_options.fault.seed = 7;
+          run_options.fault.straggler_p = 0.3;
+          run_options.fault.straggler_base_ms = 10.0;
+          run_options.fault.speculation = true;
+          label = "stragglers";
+          break;
+      }
+      label.append("/T").append(std::to_string(threads));
+      const JoinRun run = MustRun(r, s, assign, owner, run_options);
+      ExpectIdentical(base, run, label);
+      if (fault == Fault::kStragglers) {
+        EXPECT_GT(run.metrics.tasks_speculated, 0u) << label;
+      } else {
+        EXPECT_GT(run.metrics.tasks_failed, 0u) << label;
+        EXPECT_GT(run.metrics.tasks_retried, 0u) << label;
       }
     }
   }

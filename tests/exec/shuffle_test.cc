@@ -1,9 +1,11 @@
 // Copyright 2026 The pasjoin Authors.
 //
 // Tests of the engine's columnar shuffle (exec/shuffle.h): payload bytes
-// travel byte-exact through a block, and regroup is the stable sort of a
-// worker's inbound blocks into runs of the partitions both sides reach, for
-// any partition ids — negative, sparse and extreme ones included.
+// travel byte-exact through a block; the map writes each block at its final
+// size, equal to a per-instance reference, with the routing errors and
+// cancellation of the engine; and regroup is the stable sort of a worker's
+// inbound blocks into runs of the partitions both sides reach, for any
+// partition ids — negative, sparse and extreme ones included.
 #include "exec/shuffle.h"
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,17 +37,29 @@ Tuple MakeTuple(int64_t id) {
                ExpectedPayload(id)};
 }
 
+/// A block of `side` holding `instances` in order, sized and filled the
+/// way the map's fill pass fills one.
+ShuffleBlock MakeBlock(Side side, bool carry,
+                       const std::vector<std::pair<PartitionId, Tuple>>&
+                           instances) {
+  size_t arena = 0;
+  for (const auto& [part, t] : instances) arena += t.payload.size();
+  ShuffleBlock block(side);
+  block.Allocate(instances.size(), carry ? arena : 0);
+  for (size_t i = 0; i < instances.size(); ++i) {
+    block.Put(i, instances[i].first, instances[i].second);
+  }
+  return block;
+}
+
 TEST(ShuffleBlockTest, PayloadBytesReadBackByteExact) {
-  ShuffleBlock block(Side::kS, /*carry=*/true);
-  uint64_t bytes = 0;
+  std::vector<std::pair<PartitionId, Tuple>> instances;
   uint64_t arena = 0;
   for (int64_t id = 40; id < 52; ++id) {
-    const Tuple t = MakeTuple(id);
-    const uint64_t sent = block.Append(static_cast<PartitionId>(id % 5), t);
-    EXPECT_EQ(sent, kTupleHeaderBytes + t.payload.size());
-    bytes += sent;
-    arena += t.payload.size();
+    instances.emplace_back(static_cast<PartitionId>(id % 5), MakeTuple(id));
+    arena += instances.back().second.payload.size();
   }
+  const ShuffleBlock block = MakeBlock(Side::kS, /*carry=*/true, instances);
   ASSERT_EQ(block.size(), 12u);
   for (size_t i = 0; i < block.size(); ++i) {
     const int64_t id = static_cast<int64_t>(i) + 40;
@@ -55,16 +70,21 @@ TEST(ShuffleBlockTest, PayloadBytesReadBackByteExact) {
     EXPECT_EQ(std::string(block.Payload(i)), ExpectedPayload(id))
         << "instance " << i;
   }
-  // The bytes live in the one arena, not in per-instance strings.
+  // The bytes live in the one arena, allocated at its final size.
   EXPECT_EQ(block.payload_bytes.size(), arena);
-  EXPECT_EQ(bytes, kTupleHeaderBytes * block.size() + arena);
+  EXPECT_EQ(block.payload_bytes.capacity(), arena);
+  EXPECT_EQ(block.payload_end.back(), arena);
+  EXPECT_EQ(block.AllocatedBytes(), 36 * block.size() + arena);
 }
 
 TEST(ShuffleBlockTest, UncarriedPayloadsAreNeitherCopiedNorCounted) {
-  ShuffleBlock block(Side::kR, /*carry=*/false);
-  EXPECT_EQ(block.Append(3, MakeTuple(5)), kTupleHeaderBytes);
+  const ShuffleBlock block =
+      MakeBlock(Side::kR, /*carry=*/false, {{3, MakeTuple(5)}});
+  ASSERT_EQ(block.size(), 1u);
   EXPECT_TRUE(block.payload_bytes.empty());
+  EXPECT_TRUE(block.payload_end.empty());
   EXPECT_TRUE(block.Payload(0).empty());
+  EXPECT_EQ(block.AllocatedBytes(), 28u);
 }
 
 /// One shuffled instance, as the reference sort sees it.
@@ -92,14 +112,14 @@ std::vector<ShuffleBlock> RandomBlocks(const SideSpec& r, const SideSpec& s,
   for (const Side side : {Side::kR, Side::kS}) {
     const SideSpec& spec = side == Side::kR ? r : s;
     for (size_t b = 0; b < blocks_per_side; ++b) {
-      ShuffleBlock block(side, /*carry=*/true);
+      std::vector<std::pair<PartitionId, Tuple>> instances;
       // Some blocks stay empty, as for a worker a split sends nothing to.
       const size_t n = b % 3 == 1 ? 0 : spec.rows;
       for (size_t i = 0; i < n; ++i, ++id) {
         const PartitionId part = spec.parts[rng.NextBounded(spec.parts.size())];
-        block.Append(part, MakeTuple(id));
+        instances.emplace_back(part, MakeTuple(id));
       }
-      blocks.push_back(std::move(block));
+      blocks.push_back(MakeBlock(side, /*carry=*/true, instances));
     }
   }
   return blocks;
@@ -233,9 +253,11 @@ TEST(RegroupTest, CollidingIdsProbePastEachOther) {
   std::vector<ShuffleBlock> blocks;
   int64_t id = 0;
   for (const Side side : {Side::kR, Side::kS}) {
-    ShuffleBlock block(side, /*carry=*/false);
-    for (const PartitionId p : parts) block.Append(p, MakeTuple(id++));
-    blocks.push_back(std::move(block));
+    std::vector<std::pair<PartitionId, Tuple>> instances;
+    for (const PartitionId p : parts) {
+      instances.emplace_back(p, MakeTuple(id++));
+    }
+    blocks.push_back(MakeBlock(side, /*carry=*/false, instances));
   }
   RegroupScratch scratch;
   const WorkerStore store =
@@ -399,6 +421,302 @@ TEST(RegroupTest, NoInstancesGiveNoRuns) {
       Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
   EXPECT_TRUE(store.runs.empty());
   EXPECT_TRUE(store.id.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The map's write half: RouteSplit.
+// ---------------------------------------------------------------------------
+
+constexpr int kRouteWorkers = 6;
+
+/// Tuples 0 to n - 1, each MakeTuple(row): the id is the row.
+Dataset RouteDataset(size_t n) {
+  Dataset d{"R", {}};
+  for (size_t i = 0; i < n; ++i) {
+    d.tuples.push_back(MakeTuple(static_cast<int64_t>(i)));
+  }
+  return d;
+}
+
+/// 1 to 4 partitions per tuple, negative ids included.
+PartitionList RouteAssign(const Tuple& t, Side side) {
+  PartitionList out;
+  const int64_t k = 1 + (t.id + (side == Side::kS ? 1 : 0)) % 4;
+  for (int64_t j = 0; j < k; ++j) {
+    out.push_back(static_cast<PartitionId>((t.id * 7 + j * 5) % 23 - 11));
+  }
+  return out;
+}
+
+/// Several partitions per worker; workers 3 to 5 receive nothing.
+int RouteOwner(PartitionId p) { return ((p % 3) + 3) % 3; }
+
+EngineOptions RouteOptions(bool carry) {
+  EngineOptions options;
+  options.workers = kRouteWorkers;
+  options.carry_payloads = carry;
+  return options;
+}
+
+/// What RouteSplit must write, built one instance at a time.
+struct ReferenceBlock {
+  std::vector<PartitionId> part;
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<int64_t> id;
+  std::vector<uint64_t> payload_end;
+  std::string arena;
+};
+
+/// The per-instance reference of RouteSplit: blocks and counters.
+struct ReferenceRoute {
+  std::vector<ReferenceBlock> blocks;
+  MapTaskOutput counters;
+};
+
+ReferenceRoute RouteReference(const MapSplit& split, bool carry) {
+  ReferenceRoute ref;
+  ref.blocks.resize(kRouteWorkers);
+  MapTaskOutput& c = ref.counters;
+  for (size_t row = split.begin; row < split.end; ++row) {
+    const Tuple& t = split.data->tuples[row];
+    const PartitionList parts = RouteAssign(t, split.side);
+    c.replicated += parts.size() - 1;
+    for (size_t k = 0; k < parts.size(); ++k) {
+      const int w = RouteOwner(parts[k]);
+      ReferenceBlock& b = ref.blocks[static_cast<size_t>(w)];
+      b.part.push_back(parts[k]);
+      b.x.push_back(t.pt.x);
+      b.y.push_back(t.pt.y);
+      b.id.push_back(t.id);
+      const uint64_t bytes = kTupleHeaderBytes + (carry ? t.payload.size() : 0);
+      if (carry) {
+        b.arena += t.payload;
+        b.payload_end.push_back(b.arena.size());
+      }
+      c.shuffled_tuples += 1;
+      c.shuffle_bytes += bytes;
+      if (w != split.home) c.remote_bytes += bytes;
+    }
+  }
+  // A block whose payloads are all empty carries no end offsets.
+  for (ReferenceBlock& b : ref.blocks) {
+    if (b.arena.empty()) b.payload_end.clear();
+  }
+  return ref;
+}
+
+/// Requires `out` to hold exactly the reference's blocks, column by
+/// column, each allocated at its final size, and its counters.
+void ExpectRouteMatches(const MapTaskOutput& out, const ReferenceRoute& ref,
+                        Side side, const std::string& label) {
+  ASSERT_TRUE(out.error.ok()) << label << ": " << out.error.ToString();
+  ASSERT_EQ(out.by_worker.size(), ref.blocks.size()) << label;
+  uint64_t allocated = 0;
+  for (size_t w = 0; w < ref.blocks.size(); ++w) {
+    const ShuffleBlock& b = out.by_worker[w];
+    const ReferenceBlock& want = ref.blocks[w];
+    const std::string where = label + " worker " + std::to_string(w);
+    EXPECT_EQ(b.side, side) << where;
+    EXPECT_EQ(b.part, want.part) << where;
+    EXPECT_EQ(b.x, want.x) << where;
+    EXPECT_EQ(b.y, want.y) << where;
+    EXPECT_EQ(b.id, want.id) << where;
+    EXPECT_EQ(b.payload_end, want.payload_end) << where;
+    EXPECT_EQ(std::string(b.payload_bytes.begin(), b.payload_bytes.end()),
+              want.arena)
+        << where;
+    EXPECT_EQ(b.part.capacity(), b.part.size()) << where;
+    EXPECT_EQ(b.x.capacity(), b.x.size()) << where;
+    EXPECT_EQ(b.y.capacity(), b.y.size()) << where;
+    EXPECT_EQ(b.id.capacity(), b.id.size()) << where;
+    EXPECT_EQ(b.payload_end.capacity(), b.payload_end.size()) << where;
+    EXPECT_EQ(b.payload_bytes.capacity(), b.payload_bytes.size()) << where;
+    // Four columns, and with payload bytes an end offset and the bytes.
+    allocated += (want.arena.empty() ? 28 : 36) * want.id.size() +
+                 want.arena.size();
+  }
+  const MapTaskOutput& c = ref.counters;
+  EXPECT_EQ(out.replicated, c.replicated) << label;
+  EXPECT_EQ(out.shuffled_tuples, c.shuffled_tuples) << label;
+  EXPECT_EQ(out.shuffle_bytes, c.shuffle_bytes) << label;
+  EXPECT_EQ(out.remote_bytes, c.remote_bytes) << label;
+  EXPECT_EQ(out.block_bytes, allocated) << label;
+}
+
+TEST(RouteSplitTest, ExactlySizedBlocksMatchAPerInstanceReference) {
+  const Dataset d = RouteDataset(3000);
+  MapScratch scratch;  // shared by every call, as by one thread's tasks
+  for (const bool carry : {true, false}) {
+    // A split crossing the poll grain, a one-tuple split whose payload is
+    // empty and an empty split.
+    for (const auto& [begin, end] : {std::pair<size_t, size_t>{450, 2950},
+                                     {6, 7},
+                                     {1000, 1000}}) {
+      for (const Side side : {Side::kR, Side::kS}) {
+        const MapSplit split{&d, side, begin, end, /*home=*/1};
+        std::string label = carry ? "carried " : "bare ";
+        label.append(std::to_string(begin)).append("-");
+        label.append(std::to_string(end));
+        label.append(side == Side::kR ? " R" : " S");
+        const MapTaskOutput out = RouteSplit(split, RouteAssign, RouteOwner,
+                                             RouteOptions(carry), &scratch,
+                                             nullptr);
+        ExpectRouteMatches(out, RouteReference(split, carry), side, label);
+      }
+    }
+  }
+}
+
+TEST(RouteSplitTest, RoutingErrorsNameTheLowestOffendingIndex) {
+  // Every point of RouteDataset lies inside these (closed) bounds.
+  const Rect bounds{0.0, -3000.0, 1500.0, 0.0};
+  enum class Fault { kNonFinite, kOutside, kNoPartition, kBadOwner };
+  const auto message = [](Fault fault, size_t i) {
+    const std::string at =
+        std::string(" in dataset 'R' at index ").append(std::to_string(i));
+    switch (fault) {
+      case Fault::kNonFinite:
+        return std::string("non-finite coordinate").append(at);
+      case Fault::kOutside:
+        return std::string("point outside declared bounds").append(at).append(
+            ": (1600.000000, -1.000000) not in [0.000000, 1500.000000] x "
+            "[-3000.000000, 0.000000]");
+      case Fault::kNoPartition:
+        return std::string("assign returned no partition").append(at);
+      case Fault::kBadOwner:
+        return std::string("owner placed partition 99 on worker 6, outside "
+                           "[0, 6)")
+            .append(at);
+    }
+    return std::string();
+  };
+  // The split is [200, 1800): two offenders, reported at the lower index,
+  // or one on the split's last tuple.
+  const std::vector<std::vector<size_t>> offenders = {{1300, 900}, {1799}};
+  for (const Fault fault : {Fault::kNonFinite, Fault::kOutside,
+                            Fault::kNoPartition, Fault::kBadOwner}) {
+    for (const std::vector<size_t>& bad : offenders) {
+      for (const bool carry : {true, false}) {
+        Dataset d = RouteDataset(2000);
+        const auto offends = [&bad](int64_t id) {
+          return std::find(bad.begin(), bad.end(), static_cast<size_t>(id)) !=
+                 bad.end();
+        };
+        for (const size_t i : bad) {
+          if (fault == Fault::kNonFinite) {
+            d.tuples[i].pt.y = std::numeric_limits<double>::quiet_NaN();
+          } else if (fault == Fault::kOutside) {
+            d.tuples[i].pt = Point{1600.0, -1.0};
+          }
+        }
+        const AssignFn assign = [&](const Tuple& t, Side side) {
+          PartitionList parts = RouteAssign(t, side);
+          if (offends(t.id) && fault == Fault::kNoPartition) {
+            return PartitionList();
+          }
+          if (offends(t.id) && fault == Fault::kBadOwner) parts.push_back(99);
+          return parts;
+        };
+        const OwnerFn owner = [](PartitionId p) {
+          return p == 99 ? kRouteWorkers : RouteOwner(p);
+        };
+        EngineOptions options = RouteOptions(carry);
+        options.bounds = bounds;
+        MapScratch scratch;
+        const MapTaskOutput out =
+            RouteSplit(MapSplit{&d, Side::kR, 200, 1800, 0}, assign, owner,
+                       options, &scratch, nullptr);
+        const size_t lowest = *std::min_element(bad.begin(), bad.end());
+        EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(out.error.message(), message(fault, lowest))
+            << static_cast<int>(fault) << " carry=" << carry;
+      }
+    }
+  }
+}
+
+TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
+  // The split is 2500 tuples: the route pass polls after tuples 1024 and
+  // 2048, the fill pass after every 1024 instances. A
+  // cancel fired on a middle tuple stops the route pass at its first
+  // poll; one fired on the split's last tuple lets the route pass finish
+  // and stops the fill pass at its first poll. The next call on the same
+  // scratch must write what a fresh scratch writes.
+  const Dataset d = RouteDataset(3000);
+  const MapSplit split{&d, Side::kR, 450, 2950, 2};
+  for (const bool carry : {true, false}) {
+    const ReferenceRoute want = RouteReference(split, carry);
+    for (const size_t cancel_at : {size_t{460}, size_t{2949}}) {
+      CancellationSource source;
+      const CancellationToken token = source.token();
+      std::atomic<uint64_t> progress{0};
+      const spatial::KernelCancellation cancel{&token, &progress};
+      const AssignFn assign = [&](const Tuple& t, Side side) {
+        if (static_cast<size_t>(t.id) == cancel_at) {
+          source.Cancel(StatusCode::kCancelled, "test");
+        }
+        return RouteAssign(t, side);
+      };
+      MapScratch scratch;
+      const MapTaskOutput partial = RouteSplit(
+          split, assign, RouteOwner, RouteOptions(carry), &scratch, &cancel);
+      EXPECT_TRUE(partial.error.ok());
+      const bool in_route = cancel_at < 2949;
+      if (in_route) {
+        EXPECT_EQ(progress.load(), 1024u);
+        EXPECT_TRUE(partial.by_worker.empty());
+      } else {
+        EXPECT_EQ(progress.load(), 2500u + 1024u);
+        ASSERT_EQ(partial.by_worker.size(), size_t{kRouteWorkers});
+      }
+      // The staging list stops where its pass did.
+      size_t staged = 0;
+      for (size_t row = split.begin;
+           row < (in_route ? split.begin + 1024 : split.end); ++row) {
+        staged += RouteAssign(d.tuples[row], Side::kR).size();
+      }
+      EXPECT_EQ(scratch.staged.size(), staged);
+      // The rerun of the task on this thread, not cancelled.
+      const MapTaskOutput rerun = RouteSplit(split, RouteAssign, RouteOwner,
+                                             RouteOptions(carry), &scratch,
+                                             nullptr);
+      ExpectRouteMatches(rerun, want, Side::kR,
+                         std::string("rerun after ")
+                             .append(std::to_string(cancel_at)));
+    }
+  }
+}
+
+TEST(RouteSplitTest, CancelledMapOutputIsNeverCommitted) {
+  // Through the engine, on both executors: a cancel fired while a map task
+  // routes a middle tuple, or its split's last tuple, fails the run with
+  // the token's status and publishes nothing.
+  const Dataset r = RouteDataset(3000);
+  Dataset s = RouteDataset(3000);
+  s.name = "S";
+  for (const bool fault : {false, true}) {
+    for (const int64_t cancel_at : {int64_t{40}, int64_t{1499}}) {
+      CancellationSource source;
+      EngineOptions options = RouteOptions(true);
+      options.eps = 1.0;
+      options.num_splits = 2;  // R's first split is [0, 1500)
+      options.physical_threads = 2;
+      options.collect_results = true;
+      options.cancel = source.token();
+      options.fault.enabled = fault;
+      const AssignFn assign = [&](const Tuple& t, Side side) {
+        if (side == Side::kR && t.id == cancel_at) {
+          source.Cancel(StatusCode::kCancelled, "test");
+        }
+        return RouteAssign(t, side);
+      };
+      const Result<JoinRun> run =
+          TryRunPartitionedJoin(r, s, assign, RouteOwner, options);
+      ASSERT_FALSE(run.ok()) << "fault=" << fault << " at " << cancel_at;
+      EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+    }
+  }
 }
 
 }  // namespace

@@ -43,6 +43,8 @@ reported (exit 1 on violation):
     and abandoned attempts also record partition spans);
   * the joinable_tuples counter vs the sum of the committed regroup-task
     spans' kept args (exact; skipped when cancellation events are present);
+  * the shuffle_block_bytes counter vs the sum of the committed map-task
+    spans' bytes args (exact; skipped when cancellation events are present);
   * the watchdog_fires counter vs the number of watchdog-fire events, and
     the tasks_cancelled counter vs the number of cancel-abandon events
     (exact — each fire/abandon records exactly one instant);
@@ -105,6 +107,7 @@ class Rollup:
         self.join_partitions = 0
         self.span_candidates = 0
         self.regroup_kept = None  # no committed regroup span has the arg
+        self.map_bytes = None  # no committed map span has the arg
         events = trace.get("traceEvents", [])
         if not isinstance(events, list):
             raise ValueError("traceEvents must be an array")
@@ -133,6 +136,9 @@ class Rollup:
             kept = event.get("args", {}).get("kept")
             if name == "regroup-task" and kept is not None:
                 self.regroup_kept = (self.regroup_kept or 0) + kept
+            block_bytes = event.get("args", {}).get("bytes")
+            if name == "map-task" and block_bytes is not None:
+                self.map_bytes = (self.map_bytes or 0) + block_bytes
             if name == "join-partition":
                 self.join_partitions += 1
                 self.span_candidates += event.get("args", {}).get(
@@ -358,6 +364,18 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
             f"joinable_tuples: regroup-task kept args sum to "
             f"{rollup.regroup_kept}, counters report "
             f"{counters['joinable_tuples']}"
+        )
+
+    if (
+        not rollup.cancel_events
+        and rollup.map_bytes is not None
+        and "shuffle_block_bytes" in counters
+        and rollup.map_bytes != counters["shuffle_block_bytes"]
+    ):
+        errors.append(
+            f"shuffle_block_bytes: map-task bytes args sum to "
+            f"{rollup.map_bytes}, counters report "
+            f"{counters['shuffle_block_bytes']}"
         )
 
     # Cancellation bookkeeping is exact: the engine records one

@@ -95,15 +95,6 @@ bool CancellationToken::WaitForCancellation(double seconds) const {
   return false;
 }
 
-uint64_t CancellationToken::AddCallback(std::function<void()> fn) const {
-  if (state_ == nullptr) return 0;  // Can never fire; don't retain fn.
-  return state_->AddCallback(std::move(fn));
-}
-
-void CancellationToken::RemoveCallback(uint64_t id) const {
-  if (state_ != nullptr) state_->RemoveCallback(id);
-}
-
 CancellationSource::CancellationSource()
     : state_(std::make_shared<cancel_internal::CancellationState>()) {}
 

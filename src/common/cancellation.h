@@ -12,11 +12,11 @@
 //
 // The hot-path cost is one relaxed-ish atomic load (acquire) per poll; a
 // default-constructed token has no state at all and polls as a null-pointer
-// test. The callback list and the interruptible waits are guarded by a
-// pasjoin::Mutex ranked in the global lock-order table
-// (lockrank::kCancellationState); callbacks always run *outside* that lock,
-// on the thread that called Cancel(), so a callback may take any other lock
-// without ordering constraints.
+// test. The callback list (the links of child sources) and the
+// interruptible waits are guarded by a pasjoin::Mutex ranked in the global
+// lock-order table (lockrank::kCancellationState); callbacks always run
+// *outside* that lock, on the thread that called Cancel(), so a callback may
+// take any other lock without ordering constraints.
 //
 // Deadline is the value-type companion: a steady-clock expiry the engine
 // converts into a Cancel(kDeadlineExceeded) the moment it passes.
@@ -113,7 +113,8 @@ class CancellationState {
   const std::string& reason() const;
 
   /// Registers `fn` to run when Cancel() fires (on the cancelling thread,
-  /// with no locks held). If the state is already cancelled, runs `fn`
+  /// with no locks held). Its one user is the parent->child link of a
+  /// CancellationSource. If the state is already cancelled, runs `fn`
   /// inline and returns 0; otherwise returns a nonzero id for
   /// RemoveCallback. `fn` must own its captures (shared_ptr, not raw
   /// `this`): removal does not wait for an in-flight invocation.
@@ -179,13 +180,6 @@ class CancellationToken {
   /// sleep was cut short by cancellation, false after a full `seconds`
   /// sleep. A token without a source sleeps the full duration.
   bool WaitForCancellation(double seconds) const;
-
-  /// See CancellationState::AddCallback; on a sourceless token the
-  /// callback can never fire and 0 is returned without retaining `fn`.
-  uint64_t AddCallback(std::function<void()> fn) const;
-
-  /// See CancellationState::RemoveCallback; no-op on a sourceless token.
-  void RemoveCallback(uint64_t id) const;
 
  private:
   friend class CancellationSource;

@@ -148,9 +148,6 @@ inline constexpr int kEnginePhaseState = 100;
 /// exec engine: the partition store of a worker lost in the join phase
 /// (its one rebuild, a re-run of the worker's regroup, runs under it).
 inline constexpr int kEngineWorkerStore = 200;
-/// exec::ThreadPool cancel-wake handshake (Wait(token)'s callback handoff);
-/// held while acquiring the pool lock, hence ranked just below it.
-inline constexpr int kThreadPoolCancelWake = 380;
 /// exec::ThreadPool queue/shutdown state; acquired by Submit() while the
 /// engine holds its phase-state lock.
 inline constexpr int kThreadPool = 400;

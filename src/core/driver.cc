@@ -74,9 +74,9 @@ Result<exec::JoinRun> Driver::Run(const Dataset& r, const Dataset& s,
   m.construction_seconds += driver_seconds;
   m.measured_construction_seconds += driver_seconds;
   if (trace() != nullptr) {
-    // The engine published its gauges before the driver time was known.
+    // The engine published its metrics before the driver time was known.
     trace()->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(m, &trace()->counters());
+    exec::PublishMetrics(m, &trace()->counters());
   }
   return run;
 }

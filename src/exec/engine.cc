@@ -88,34 +88,22 @@ MapSplit MapTaskSplit(int task, const Dataset& r, const Dataset& s,
       split % workers};
 }
 
-/// Folds the map phase's counters into the job's counter registry (called
-/// once per phase, never per tuple — docs/OBSERVABILITY.md).
+/// Adds the map phase's counters to the job's metrics (once per phase,
+/// never per tuple — docs/OBSERVABILITY.md).
 void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
-                          int num_splits, obs::CounterRegistry* reg) {
-  uint64_t replicated_r = 0;
-  uint64_t replicated_s = 0;
-  uint64_t shuffled_tuples = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t remote_bytes = 0;
-  uint64_t block_bytes = 0;
+                          int num_splits, JobMetrics* m) {
   for (size_t task = 0; task < map_out.size(); ++task) {
     const MapTaskOutput& out = map_out[task];
     if (task < static_cast<size_t>(num_splits)) {
-      replicated_r += out.replicated;
+      m->replicated_r += out.replicated;
     } else {
-      replicated_s += out.replicated;
+      m->replicated_s += out.replicated;
     }
-    shuffled_tuples += out.shuffled_tuples;
-    shuffle_bytes += out.shuffle_bytes;
-    remote_bytes += out.remote_bytes;
-    block_bytes += out.block_bytes;
+    m->shuffled_tuples += out.shuffled_tuples;
+    m->shuffle_bytes += out.shuffle_bytes;
+    m->shuffle_remote_bytes += out.remote_bytes;
+    m->shuffle_block_bytes += out.block_bytes;
   }
-  reg->Add("replicated_r", replicated_r);
-  reg->Add("replicated_s", replicated_s);
-  reg->Add("shuffled_tuples", shuffled_tuples);
-  reg->Add("shuffle_bytes", shuffle_bytes);
-  reg->Add("shuffle_remote_bytes", remote_bytes);
-  reg->Add("shuffle_block_bytes", block_bytes);
 }
 
 /// The counters and kernel timings of one or more joined partitions.
@@ -366,10 +354,10 @@ DedupMergeOutput MergeDedupBucket(
   return out;
 }
 
-/// Adds the dedup shuffle traffic (pair bytes crossing workers) to `*reg`.
+/// Adds the dedup shuffle traffic (pair bytes crossing workers) to `*m`.
 void AccumulateDedupShuffle(
     const std::vector<std::vector<std::vector<ResultPair>>>& buckets,
-    int workers, obs::CounterRegistry* reg) {
+    int workers, JobMetrics* m) {
   uint64_t total_bytes = 0;
   for (int src = 0; src < workers; ++src) {
     for (int dst = 0; dst < workers; ++dst) {
@@ -379,8 +367,8 @@ void AccumulateDedupShuffle(
           sizeof(ResultPair);
     }
   }
-  reg->Add("shuffle_bytes", total_bytes);
-  reg->Add("shuffle_remote_bytes", total_bytes);
+  m->shuffle_bytes += total_bytes;
+  m->shuffle_remote_bytes += total_bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -517,9 +505,10 @@ void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
 /// physical interleaving is invisible in the trace by design.
 ///
 /// Cancellation: once the job token fires, runners stop claiming (and skip
-/// the rest of a claimed block), queued runners are dropped, and the
-/// token's status is returned — the caller then discards the phase's
-/// outputs. Kernel-level polls inside compute keep finer granularity.
+/// the rest of a claimed block), a runner dequeued after the cancel returns
+/// at once, and the token's status is returned after the pool drains — the
+/// caller then discards the phase's outputs. Kernel-level polls inside
+/// compute keep finer granularity.
 class StealExecutor {
  public:
   static constexpr bool kRetainsInputs = false;
@@ -569,7 +558,8 @@ class StealExecutor {
         }
       });
     }
-    Status st = pool_->Wait(job_token_);
+    pool_->Wait();
+    Status st = job_token_.ToStatus();
     FoldThreads(spec, states, rows, finish);
     *spec.measured_seconds += phase_wall.ElapsedSeconds();
     return st;
@@ -578,7 +568,7 @@ class StealExecutor {
   /// No fault injection: no worker is ever lost, no task targeted.
   int WorkerLostIn(Phase /*phase*/) const { return -1; }
   void FailFirstAttempt(Phase /*phase*/, int /*task*/) {}
-  void AddStats(obs::CounterRegistry* /*reg*/, JobMetrics* /*m*/) const {}
+  void AddStats(JobMetrics* /*m*/) const {}
 
  private:
   ThreadPool* const pool_;
@@ -596,7 +586,6 @@ struct FaultStats {
   uint64_t failed = 0;
   uint64_t retried = 0;
   uint64_t speculated = 0;
-  uint64_t cancelled = 0;
   double recovery_seconds = 0.0;
 };
 
@@ -673,14 +662,12 @@ class RecoveringExecutor {
     injector_.AddTargetedFailure(phase, task);
   }
 
-  /// Folds the job's fault counters into `reg` and adds the retry time to
-  /// `m->recovery_seconds`.
-  void AddStats(obs::CounterRegistry* reg, JobMetrics* m) const {
-    reg->Add("tasks_failed", stats_.failed);
-    reg->Add("tasks_retried", stats_.retried);
-    reg->Add("tasks_speculated", stats_.speculated);
-    reg->Add("tasks_cancelled", stats_.cancelled);
-    reg->Add("watchdog_fires", watchdog_->fires());
+  /// Adds the job's fault counters and retry time to `*m`.
+  void AddStats(JobMetrics* m) const {
+    m->tasks_failed += stats_.failed;
+    m->tasks_retried += stats_.retried;
+    m->tasks_speculated += stats_.speculated;
+    m->watchdog_fires += watchdog_->fires();
     m->recovery_seconds += stats_.recovery_seconds;
   }
 
@@ -838,7 +825,6 @@ class RecoveringExecutor::PhaseRunner {
     ex_->stats_.failed += failed_;
     ex_->stats_.retried += retried_;
     ex_->stats_.speculated += speculated_;
-    ex_->stats_.cancelled += cancelled_;
     ex_->stats_.recovery_seconds += recovery_seconds_;
     if (aborted_) return failure_;
     return Status::OK();
@@ -1156,8 +1142,7 @@ class RecoveringExecutor::PhaseRunner {
 
   /// Retires an attempt that ends without a result: its task already
   /// committed, or (`abandoned`) the job was cancelled. Each abandonment is
-  /// counted once in tasks_cancelled and traced as one "cancel-abandon"
-  /// instant — trace_summary.py reconciles the two.
+  /// traced as one "cancel-abandon" instant.
   void RetireAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat,
                      bool abandoned) PASJOIN_EXCLUDES(mu_) {
     // The runner may be destroyed the moment FinishAttempt() wakes the
@@ -1167,7 +1152,6 @@ class RecoveringExecutor::PhaseRunner {
     obs::TraceRecorder* const trace = ex_->trace_;
     {
       MutexLock lock(&mu_);
-      if (abandoned) cancelled_++;
       RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
       FinishAttempt(task);
     }
@@ -1223,7 +1207,6 @@ class RecoveringExecutor::PhaseRunner {
   uint64_t failed_ PASJOIN_GUARDED_BY(mu_) = 0;
   uint64_t retried_ PASJOIN_GUARDED_BY(mu_) = 0;
   uint64_t speculated_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t cancelled_ PASJOIN_GUARDED_BY(mu_) = 0;
   double recovery_seconds_ PASJOIN_GUARDED_BY(mu_) = 0.0;
 };
 
@@ -1264,14 +1247,10 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   constexpr bool kRetain = Executor::kRetainsInputs;
   using Cancel = spatial::KernelCancellation;
   obs::TraceRecorder* const trace = options.trace;
-  // The job's integer observables accumulate in a counter registry — the
-  // trace's own registry when tracing (making the exported trace
-  // self-describing), a throwaway one otherwise — and JobMetrics snapshots
-  // them out at the end. Folds happen at phase boundaries, never per tuple.
-  obs::CounterRegistry local_registry;
-  obs::CounterRegistry* const reg =
-      trace != nullptr ? &trace->counters() : &local_registry;
-  reg->Clear();
+  // JobMetrics is the job's record: phase totals are added to it at phase
+  // boundaries, never per tuple. The trace's registry is its export, written
+  // only by a run that succeeds, so a failed run leaves it empty.
+  if (trace != nullptr) trace->counters().Clear();
   const int workers = options.workers;
   // Admission caps workers and splits, so neither product overflows.
   static_assert(kMaxWorkers <= std::numeric_limits<int>::max() / 4 &&
@@ -1310,7 +1289,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   for (const MapTaskOutput& out : map_out) {
     if (!out.error.ok()) return out.error;
   }
-  AccumulateMapMetrics(map_out, num_splits, reg);
+  AccumulateMapMetrics(map_out, num_splits, &m);
 
   // ------------------------------------------------------------ regroup ---
   // Each worker sorts its inbound blocks, in map-task order, into
@@ -1337,9 +1316,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         return Regroup(inbound(w), /*consume=*/!kRetain, &scratch, cancel);
       },
       CommitTo(&stores)));
-  uint64_t joinable = 0;
-  for (const WorkerStore& store : stores) joinable += store.id.size();
-  reg->Add("joinable_tuples", joinable);
+  for (const WorkerStore& store : stores) m.joinable_tuples += store.id.size();
 
   // --------------------------------------------------------------- join ---
   // One task per (worker, partition), not per worker: placement decides
@@ -1415,9 +1392,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         rebuild_seconds += state.rebuild_seconds;
       }));
   m.local_kernel = spatial::LocalJoinKernelName(options.local_kernel);
-  reg->Add("candidates", total.counters.candidates);
-  reg->Add("results", total.counters.results - total.filtered);
-  reg->Add("partitions_joined", total.partitions);
+  m.candidates = total.counters.candidates;
+  m.results = total.counters.results - total.filtered;
+  m.partitions_joined = total.partitions;
   m.kernel_sort_seconds = total.timings.sort_seconds;
   m.kernel_sweep_seconds = total.timings.sweep_seconds;
   m.kernel_emit_seconds = total.timings.emit_seconds;
@@ -1451,7 +1428,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         },
         CommitTo(&buckets)));
     // Pair bytes crossing workers count as shuffle traffic.
-    AccumulateDedupShuffle(buckets, workers, reg);
+    AccumulateDedupShuffle(buckets, workers, &m);
     std::vector<DedupMergeOutput> merged(static_cast<size_t>(workers));
     std::vector<double> merge_busy(static_cast<size_t>(workers));
     PASJOIN_RETURN_NOT_OK(ex->Run(
@@ -1465,14 +1442,13 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         },
         CommitTo(&merged)));
     m.dedup_seconds = Makespan(scatter_busy) + Makespan(merge_busy);
-    uint64_t unique_total = 0;
+    m.results = 0;
     for (const DedupMergeOutput& out : merged) {
-      unique_total += out.count;
+      m.results += out.count;
       run.pairs.insert(run.pairs.end(), out.unique.begin(), out.unique.end());
     }
-    reg->Set("results", unique_total);
   } else if (options.collect_results) {
-    run.pairs.reserve(total.counters.results - total.filtered);
+    run.pairs.reserve(m.results);
     for (const std::vector<ResultPair>& pairs : item_pairs) {
       run.pairs.insert(run.pairs.end(), pairs.begin(), pairs.end());
     }
@@ -1489,14 +1465,13 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   m.measured_construction_seconds = measured_construction;
   m.measured_join_seconds = measured_join;
   m.measured_dedup_seconds = measured_dedup;
-  ex->AddStats(reg, &m);
+  ex->AddStats(&m);
   m.recovery_seconds += rebuild_seconds;
-  SnapshotCounters(*reg, &m);
   m.wall_seconds = wall.ElapsedSeconds();
   if (!options.deadline.unlimited()) {
     m.deadline_slack_seconds = options.deadline.SecondsRemaining();
   }
-  if (trace != nullptr) PublishMetricGauges(m, reg);
+  if (trace != nullptr) PublishMetrics(m, &trace->counters());
   return run;
 }
 

@@ -105,9 +105,9 @@ struct ExecOptions {
   /// Execution trace sink (docs/OBSERVABILITY.md). Null (the default)
   /// disables tracing at zero cost; when set, the engine records per-task
   /// spans on one track per logical worker, per-partition join spans, the
-  /// kernel's sort/sweep/emit phases, and fault-recovery events, and folds
-  /// the job's counters into trace->counters(). Drivers add spans for their
-  /// construction steps. Not owned.
+  /// kernel's sort/sweep/emit phases, and fault-recovery events, and a
+  /// successful run publishes its JobMetrics into trace->counters(). Drivers
+  /// add spans for their construction steps. Not owned.
   obs::TraceRecorder* trace = nullptr;
 };
 

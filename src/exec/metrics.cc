@@ -50,9 +50,8 @@ std::string JobMetrics::ToString() const {
             " recovery=%.3fs",
             tasks_failed, tasks_retried, tasks_speculated, recovery_seconds);
   }
-  if (tasks_cancelled > 0 || watchdog_fires > 0) {
-    AppendF(&out, " cancelled=%" PRIu64 " watchdog_fires=%" PRIu64,
-            tasks_cancelled, watchdog_fires);
+  if (watchdog_fires > 0) {
+    AppendF(&out, " watchdog_fires=%" PRIu64, watchdog_fires);
   }
   if (std::isfinite(deadline_slack_seconds)) {
     AppendF(&out, " deadline_slack=%.3fs", deadline_slack_seconds);
@@ -60,27 +59,22 @@ std::string JobMetrics::ToString() const {
   return out;
 }
 
-void SnapshotCounters(const obs::CounterRegistry& registry,
-                      JobMetrics* metrics) {
-  metrics->replicated_r = registry.Get("replicated_r");
-  metrics->replicated_s = registry.Get("replicated_s");
-  metrics->shuffled_tuples = registry.Get("shuffled_tuples");
-  metrics->joinable_tuples = registry.Get("joinable_tuples");
-  metrics->shuffle_bytes = registry.Get("shuffle_bytes");
-  metrics->shuffle_remote_bytes = registry.Get("shuffle_remote_bytes");
-  metrics->shuffle_block_bytes = registry.Get("shuffle_block_bytes");
-  metrics->candidates = registry.Get("candidates");
-  metrics->results = registry.Get("results");
-  metrics->partitions_joined = registry.Get("partitions_joined");
-  metrics->tasks_failed = registry.Get("tasks_failed");
-  metrics->tasks_retried = registry.Get("tasks_retried");
-  metrics->tasks_speculated = registry.Get("tasks_speculated");
-  metrics->tasks_cancelled = registry.Get("tasks_cancelled");
-  metrics->watchdog_fires = registry.Get("watchdog_fires");
-}
-
-void PublishMetricGauges(const JobMetrics& metrics,
-                         obs::CounterRegistry* registry) {
+void PublishMetrics(const JobMetrics& metrics,
+                    obs::CounterRegistry* registry) {
+  registry->Set("replicated_r", metrics.replicated_r);
+  registry->Set("replicated_s", metrics.replicated_s);
+  registry->Set("shuffled_tuples", metrics.shuffled_tuples);
+  registry->Set("joinable_tuples", metrics.joinable_tuples);
+  registry->Set("shuffle_bytes", metrics.shuffle_bytes);
+  registry->Set("shuffle_remote_bytes", metrics.shuffle_remote_bytes);
+  registry->Set("shuffle_block_bytes", metrics.shuffle_block_bytes);
+  registry->Set("candidates", metrics.candidates);
+  registry->Set("results", metrics.results);
+  registry->Set("partitions_joined", metrics.partitions_joined);
+  registry->Set("tasks_failed", metrics.tasks_failed);
+  registry->Set("tasks_retried", metrics.tasks_retried);
+  registry->Set("tasks_speculated", metrics.tasks_speculated);
+  registry->Set("watchdog_fires", metrics.watchdog_fires);
   registry->SetGauge("construction_seconds", metrics.construction_seconds);
   registry->SetGauge("join_seconds", metrics.join_seconds);
   registry->SetGauge("dedup_seconds", metrics.dedup_seconds);

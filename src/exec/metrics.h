@@ -121,9 +121,6 @@ struct JobMetrics {
   double recovery_seconds = 0.0;
 
   // --- cancellation + deadlines (docs/CANCELLATION.md) ---------------------
-  /// Task attempts abandoned because the job was cancelled (external token,
-  /// deadline) — NOT failures: an abandoned attempt never consumed a retry.
-  uint64_t tasks_cancelled = 0;
   /// Times the stuck-task watchdog cancelled a stalled attempt. Each fire
   /// fails exactly that attempt; the recovery runner retries it normally.
   uint64_t watchdog_fires = 0;
@@ -154,20 +151,14 @@ struct JobMetrics {
   std::string ToString() const;
 };
 
-/// Fills the integer counter fields of `*metrics` from the canonical
-/// per-job counters registry (the engine folds its phase totals into the
-/// registry; JobMetrics snapshots them out — docs/OBSERVABILITY.md).
-/// Counter names are the JobMetrics field names ("replicated_r",
-/// "shuffle_bytes", "tasks_retried", ...). Never-touched counters read 0.
-void SnapshotCounters(const obs::CounterRegistry& registry,
-                      JobMetrics* metrics);
-
-/// Publishes the job's floating-point observables (phase seconds, kernel
-/// phase breakdown) into `*registry` as gauges, making an attached trace
-/// self-describing (tools/trace_summary.py --validate cross-checks span
-/// sums against these gauges).
-void PublishMetricGauges(const JobMetrics& metrics,
-                         obs::CounterRegistry* registry);
+/// Exports `metrics` into `*registry`, making an attached trace
+/// self-describing (docs/OBSERVABILITY.md): the integer counters under
+/// their field names ("replicated_r", "shuffle_bytes", "tasks_retried",
+/// ...) and the floating-point observables (phase seconds, kernel phase
+/// breakdown) as gauges. tools/trace_summary.py --validate cross-checks
+/// span sums against both.
+void PublishMetrics(const JobMetrics& metrics,
+                    obs::CounterRegistry* registry);
 
 }  // namespace pasjoin::exec
 

@@ -13,14 +13,17 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/macros.h"
-#include "common/status.h"
 #include "common/sync.h"
 
 namespace pasjoin::exec {
 
 /// Fixed pool of worker threads executing submitted tasks FIFO.
+///
+/// The pool knows nothing of cancellation: Wait() always waits for every
+/// submitted task. A cancellable caller submits tasks that poll its token
+/// and return once it fires, then reads the token's status after Wait()
+/// (the engine's steal runners, docs/CANCELLATION.md).
 ///
 /// Concurrency: all queue/shutdown/error state is guarded by `mu_`
 /// (rank lockrank::kThreadPool — the engine's recovery runner holds its
@@ -36,9 +39,9 @@ class ThreadPool {
   /// before the destructor runs — including tasks still queued, never
   /// started — executes to completion first (tested in
   /// tests/exec/thread_pool_test.cc). Tasks that must not run after a
-  /// cancellation have to check their token themselves, or be dropped
-  /// beforehand via Wait(token). A captured task exception that was never
-  /// observed via Wait() is dropped (destructors must not throw).
+  /// cancellation check their token themselves. A captured task exception
+  /// that was never observed via Wait() is dropped (destructors must not
+  /// throw).
   ~ThreadPool();
 
   PASJOIN_DISALLOW_COPY(ThreadPool);
@@ -54,28 +57,6 @@ class ThreadPool {
   /// several threw, throws a std::runtime_error carrying the failure count
   /// and the first captured message (no failure is silently dropped).
   void Wait() PASJOIN_EXCLUDES(mu_);
-
-  /// Cancel-aware Wait: blocks until every submitted task has finished OR
-  /// `cancel` fires. On cancellation, queued-but-unstarted tasks are
-  /// DROPPED (they never run) and already-running tasks are drained to
-  /// completion (they observe the same token at their own poll points).
-  /// Returns the token's status (kCancelled / kDeadlineExceeded) whenever
-  /// the token has fired by the time the wait returns — also when the
-  /// queue had drained before the wait began — and OK otherwise. Task
-  /// exceptions are reported exactly like Wait() — rethrown even when the
-  /// wait was cancelled.
-  ///
-  /// Cancellation latency is signal-delivery latency, not a poll period:
-  /// the wait registers a callback on the token that wakes it directly, so
-  /// queued tasks are dropped as soon as the cancel fires (asserted at
-  /// sub-poll-interval precision by ThreadPoolCancelTest).
-  ///
-  /// Only for callers whose per-task completion accounting does not
-  /// outlive the drop: the engine's RecoveringPhaseRunner tracks every
-  /// attempt itself and must never use this (a dropped task would leak an
-  /// in-flight attempt record).
-  [[nodiscard]] Status Wait(const CancellationToken& cancel)
-      PASJOIN_EXCLUDES(mu_);
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 

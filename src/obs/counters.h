@@ -2,16 +2,14 @@
 //
 // Named counter registry of the observability layer.
 //
-// A CounterRegistry is the canonical store of a job's integer observables
-// (replicas, shuffled bytes, candidates, fault-tolerance events, ...) and
-// floating-point gauges (phase makespans). The engine folds its per-phase
-// totals into a registry at phase boundaries — never per tuple, so the
-// registry is off the hot path — and exec::JobMetrics snapshots its integer
-// fields out of the registry at the end of the run
-// (exec::SnapshotCounters). When a TraceRecorder is attached, its embedded
-// registry is serialized into the trace file ("pasjoin_counters"), which is
-// what lets tools/trace_summary.py cross-check span sums against the
-// reported metrics.
+// A CounterRegistry holds named integer counters (replicas, shuffled bytes,
+// candidates, fault-tolerance events, ...) and floating-point gauges (phase
+// makespans). A TraceRecorder embeds one as the trace's export of the job's
+// exec::JobMetrics: a successful run writes it once at its end
+// (exec::PublishMetrics), so it is off the hot path, and it is serialized
+// into the trace file ("pasjoin_counters"), which is what lets
+// tools/trace_summary.py cross-check span sums against the reported
+// metrics.
 #ifndef PASJOIN_OBS_COUNTERS_H_
 #define PASJOIN_OBS_COUNTERS_H_
 

@@ -31,31 +31,46 @@ constexpr int kRadixBits = 16;
 constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
 
 /// Holds SoaPartition's reentrancy guard, the "kernel-sort" span and the
-/// sort timing for the duration of one load.
+/// sort timing for the duration of one load. The span's duration and the
+/// added sort_seconds come from the same stopwatch reading, so the span sum
+/// matches the kernel_sort_seconds gauge.
 class LoadScope {
  public:
   LoadScope(std::atomic<bool>* loading, size_t points, KernelTimings* timings,
             obs::TraceRecorder* trace)
-      : loading_(loading),
-        timings_(timings),
-        span_(trace, "kernel-sort", "kernel") {
+      : loading_(loading), timings_(timings), trace_(trace) {
     // One-kernel-per-thread contract (see the class comment): concurrent
     // entry means a shared instance whose scratch is being corrupted —
     // abort now instead of emitting a silently wrong join.
     PASJOIN_CHECK(!loading_->exchange(true, std::memory_order_acquire));
-    span_.AddArg("points", static_cast<int64_t>(points));
+    if (trace_ != nullptr) {
+      event_.name = "kernel-sort";
+      event_.category = "kernel";
+      event_.track = obs::TraceRecorder::CurrentTrack();
+      event_.arg_names[0] = "points";
+      event_.arg_values[0] = static_cast<int64_t>(points);
+      event_.num_args = 1;
+      event_.start_ns = trace_->NowNs();
+    }
+    watch_.Reset();
   }
   LoadScope(const LoadScope&) = delete;
   LoadScope& operator=(const LoadScope&) = delete;
   ~LoadScope() {
-    if (timings_ != nullptr) timings_->sort_seconds += watch_.ElapsedSeconds();
+    const double seconds = watch_.ElapsedSeconds();
+    if (timings_ != nullptr) timings_->sort_seconds += seconds;
+    if (trace_ != nullptr) {
+      event_.duration_ns = static_cast<int64_t>(seconds * 1e9);
+      trace_->Append(event_);
+    }
     loading_->store(false, std::memory_order_release);
   }
 
  private:
   std::atomic<bool>* const loading_;
   KernelTimings* const timings_;
-  obs::ScopedSpan span_;
+  obs::TraceRecorder* const trace_;
+  obs::TraceEvent event_;
   Stopwatch watch_;
 };
 

@@ -1,9 +1,9 @@
 // Copyright 2026 The pasjoin Authors.
 //
 // Tests of the cooperative cancellation primitives (common/cancellation.h):
-// Deadline arithmetic, token/source semantics, first-cancel-wins, callback
-// registration/removal, parent->child propagation, and the interruptible
-// wait contract (docs/CANCELLATION.md).
+// Deadline arithmetic, token/source semantics, first-cancel-wins,
+// parent->child propagation and unlinking, and the interruptible wait
+// contract (docs/CANCELLATION.md).
 #include "common/cancellation.h"
 
 #include <atomic>
@@ -49,9 +49,6 @@ TEST(CancellationTokenTest, DefaultTokenNeverCancels) {
   EXPECT_FALSE(token.CanBeCancelled());
   EXPECT_FALSE(token.IsCancelled());
   EXPECT_TRUE(token.ToStatus().ok());
-  // Callback on a sourceless token is dropped, id 0.
-  EXPECT_EQ(token.AddCallback([] { FAIL() << "must never fire"; }), 0u);
-  token.RemoveCallback(0);  // no-op
 }
 
 TEST(CancellationTokenTest, SourceCancelTripsAllTokens) {
@@ -90,36 +87,6 @@ TEST(CancellationTokenTest, TokenOutlivesSource) {
   // The token keeps the shared state alive; reading it is safe.
   EXPECT_TRUE(token.IsCancelled());
   EXPECT_EQ(token.ToStatus().code(), StatusCode::kCancelled);
-}
-
-TEST(CancellationCallbackTest, CallbackRunsOnCancel) {
-  CancellationSource source;
-  std::atomic<int> fired{0};
-  const uint64_t id = source.token().AddCallback([&] { ++fired; });
-  EXPECT_NE(id, 0u);
-  EXPECT_EQ(fired.load(), 0);
-  source.Cancel(StatusCode::kCancelled, "go");
-  EXPECT_EQ(fired.load(), 1);
-  // Cancelling again does not re-run callbacks.
-  source.Cancel(StatusCode::kCancelled, "again");
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(CancellationCallbackTest, CallbackOnCancelledSourceRunsInline) {
-  CancellationSource source;
-  source.Cancel(StatusCode::kCancelled, "done");
-  bool fired = false;
-  EXPECT_EQ(source.token().AddCallback([&] { fired = true; }), 0u);
-  EXPECT_TRUE(fired);
-}
-
-TEST(CancellationCallbackTest, RemovedCallbackDoesNotFire) {
-  CancellationSource source;
-  std::atomic<int> fired{0};
-  const uint64_t id = source.token().AddCallback([&] { ++fired; });
-  source.token().RemoveCallback(id);
-  source.Cancel(StatusCode::kCancelled, "go");
-  EXPECT_EQ(fired.load(), 0);
 }
 
 TEST(CancellationLinkTest, ParentCancelPropagatesToChild) {

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "exec/engine.h"
+#include "obs/trace_recorder.h"
 #include "test_util.h"
 
 namespace pasjoin::exec {
@@ -208,6 +211,79 @@ TEST(EngineCancelTest, ExternalCancelAbortsRun) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(result.status().message(), "user pressed ctrl-c");
+}
+
+TEST(EngineCancelTest, DeadlineInTheJoinLeavesTheTraceRegistryEmpty) {
+  // Zero partial results covers the trace's counters too: the registry is
+  // cleared at job start and written only by a run that succeeds, so a
+  // deadline in the join leaves none of the map's or regroup's counters.
+  // The deadline is set as in DeadlineAbortsJoinPhaseForEveryKernel.
+  const Dataset r = MakeDataset(RandomPoints(kBigN, 11), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(kBigN, 12), 1000000, "S");
+  EngineOptions options = BigOptions();
+  obs::TraceRecorder recorder;
+  options.trace = &recorder;
+  const Stopwatch no_join;
+  ASSERT_TRUE(TryRunPartitionedJoin(r, s, DisjointBandAssign(options.eps),
+                                    ModOwner(options.workers), options)
+                  .ok());
+  const double deadline = no_join.ElapsedSeconds() + 0.2;
+  ASSERT_FALSE(recorder.counters().SnapshotCounters().empty());
+  options.deadline = Deadline::AfterSeconds(deadline);
+  Result<JoinRun> result =
+      TryRunPartitionedJoin(r, s, BandAssign(options.eps),
+                            ModOwner(options.workers), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(recorder.counters().SnapshotCounters().empty());
+  EXPECT_TRUE(recorder.counters().SnapshotGauges().empty());
+}
+
+/// Runs a small join on the steal executor whose `assign` cancels the
+/// job's external source with (`code`, `message`) while routing tuple 7 of
+/// R, inside a map task, and then throws when `then_throw`.
+Result<JoinRun> RunCancelledFromMapTask(StatusCode code,
+                                        const char* message,
+                                        bool then_throw) {
+  const Dataset r = MakeDataset(RandomPoints(400, 21), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 22), 1000, "S");
+  EngineOptions options = SmallOptions();
+  CancellationSource source;
+  options.cancel = source.token();
+  const AssignFn band = BandAssign(options.eps);
+  const AssignFn assign = [&](const Tuple& t, Side side) {
+    if (side == Side::kR && t.id == 7) {
+      source.Cancel(code, message);
+      if (then_throw) throw std::runtime_error("assign failed after cancel");
+    }
+    return band(t, side);
+  };
+  return TryRunPartitionedJoin(r, s, assign, ModOwner(options.workers),
+                               options);
+}
+
+TEST(EngineCancelTest, CancelInsideAStealMapTaskReturnsItsStatus) {
+  // The run returns the cancel's own code and reason, whichever it is.
+  for (const StatusCode code :
+       {StatusCode::kCancelled, StatusCode::kDeadlineExceeded}) {
+    const Result<JoinRun> result = RunCancelledFromMapTask(
+        code, "cancelled by assign", /*then_throw=*/false);
+    ASSERT_FALSE(result.ok()) << StatusCodeToString(code);
+    EXPECT_EQ(result.status().code(), code);
+    EXPECT_EQ(result.status().message(), "cancelled by assign");
+  }
+}
+
+TEST(EngineCancelTest, TaskErrorAfterACancelIsStillReported) {
+  // A task that throws after the job was cancelled fails the run as an
+  // internal error: the exception is never hidden behind the cancel.
+  const Result<JoinRun> result = RunCancelledFromMapTask(
+      StatusCode::kCancelled, "cancelled by assign", /*then_throw=*/true);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("assign failed after cancel"),
+            std::string::npos)
+      << result.status().message();
 }
 
 TEST(EngineCancelTest, SuccessfulRunRecordsDeadlineSlack) {

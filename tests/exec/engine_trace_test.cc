@@ -407,6 +407,31 @@ TEST(EngineTraceTest, CommittedJoinTaskSpansSumToWorkerBusyTime) {
   }
 }
 
+TEST(EngineTraceTest, KernelSortSpansSumToKernelSortSeconds) {
+  // Each kernel-sort span and the sort time it adds to kernel_sort_seconds
+  // come from one pair of clock readings, so the two sums agree up to the
+  // span's whole-nanosecond truncation.
+  const Dataset r = MakeDataset(RandomPoints(3000, 35), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(3000, 36), 100000, "S");
+  EngineOptions options = BaseOptions();
+  options.local_kernel = spatial::LocalJoinKernel::kSweepSoA;
+  obs::TraceRecorder recorder;
+  options.trace = &recorder;
+  const JoinRun run = MustRun(r, s, BandAssign(options.eps, Side::kR),
+                              [](PartitionId p) { return p % 4; }, options);
+  int64_t span_ns = 0;
+  int64_t spans = 0;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (std::string(e.name) != "kernel-sort") continue;
+    span_ns += e.duration_ns;
+    ++spans;
+  }
+  ASSERT_GT(spans, 0);
+  EXPECT_NEAR(static_cast<double>(span_ns) * 1e-9,
+              run.metrics.kernel_sort_seconds,
+              static_cast<double>(spans) * 1e-9);
+}
+
 // --- satellite regression: declared-bounds validation at engine ingress ----
 //
 // Grid::Locate clamps out-of-MBR coordinates into edge cells, so a point

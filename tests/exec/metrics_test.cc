@@ -148,7 +148,7 @@ TEST(JobMetricsTest, MeasuredGaugesArePublished) {
   m.measured_join_seconds = 1.5;
   m.measured_dedup_seconds = 0.25;
   m.physical_threads = 8;
-  PublishMetricGauges(m, &reg);
+  PublishMetrics(m, &reg);
   EXPECT_DOUBLE_EQ(reg.GetGauge("measured_construction_seconds"), 0.5);
   EXPECT_DOUBLE_EQ(reg.GetGauge("measured_join_seconds"), 1.5);
   EXPECT_DOUBLE_EQ(reg.GetGauge("measured_dedup_seconds"), 0.25);
@@ -167,45 +167,51 @@ TEST(JobMetricsTest, SingleFieldLongerThanStackBufferSurvives) {
 }
 
 TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
-  obs::CounterRegistry reg;
-  reg.Add("replicated_r", 10);
-  reg.Add("replicated_s", 20);
-  reg.Add("shuffled_tuples", 30);
-  reg.Add("joinable_tuples", 35);
-  reg.Add("shuffle_bytes", 40);
-  reg.Add("shuffle_remote_bytes", 50);
-  reg.Add("shuffle_block_bytes", 55);
-  reg.Add("candidates", 60);
-  reg.Add("results", 70);
-  reg.Add("partitions_joined", 80);
-  reg.Add("tasks_failed", 1);
-  reg.Add("tasks_retried", 2);
-  reg.Add("tasks_speculated", 3);
-
+  // PublishMetrics exports every integer counter under its field name.
   JobMetrics m;
-  SnapshotCounters(reg, &m);
-  EXPECT_EQ(m.replicated_r, 10u);
-  EXPECT_EQ(m.replicated_s, 20u);
-  EXPECT_EQ(m.shuffled_tuples, 30u);
-  EXPECT_EQ(m.joinable_tuples, 35u);
-  EXPECT_EQ(m.shuffle_bytes, 40u);
-  EXPECT_EQ(m.shuffle_remote_bytes, 50u);
-  EXPECT_EQ(m.shuffle_block_bytes, 55u);
-  EXPECT_EQ(m.candidates, 60u);
-  EXPECT_EQ(m.results, 70u);
-  EXPECT_EQ(m.partitions_joined, 80u);
-  EXPECT_EQ(m.tasks_failed, 1u);
-  EXPECT_EQ(m.tasks_retried, 2u);
-  EXPECT_EQ(m.tasks_speculated, 3u);
-
+  m.replicated_r = 10;
+  m.replicated_s = 20;
+  m.shuffled_tuples = 30;
+  m.joinable_tuples = 35;
+  m.shuffle_bytes = 40;
+  m.shuffle_remote_bytes = 50;
+  m.shuffle_block_bytes = 55;
+  m.candidates = 60;
+  m.results = 70;
+  m.partitions_joined = 80;
+  m.tasks_failed = 1;
+  m.tasks_retried = 2;
+  m.tasks_speculated = 3;
+  m.watchdog_fires = 4;
   m.construction_seconds = 1.5;
   m.join_seconds = 2.5;
   m.workers = 8;
-  PublishMetricGauges(m, &reg);
+
+  obs::CounterRegistry reg;
+  PublishMetrics(m, &reg);
+  EXPECT_EQ(reg.Get("replicated_r"), 10u);
+  EXPECT_EQ(reg.Get("replicated_s"), 20u);
+  EXPECT_EQ(reg.Get("shuffled_tuples"), 30u);
+  EXPECT_EQ(reg.Get("joinable_tuples"), 35u);
+  EXPECT_EQ(reg.Get("shuffle_bytes"), 40u);
+  EXPECT_EQ(reg.Get("shuffle_remote_bytes"), 50u);
+  EXPECT_EQ(reg.Get("shuffle_block_bytes"), 55u);
+  EXPECT_EQ(reg.Get("candidates"), 60u);
+  EXPECT_EQ(reg.Get("results"), 70u);
+  EXPECT_EQ(reg.Get("partitions_joined"), 80u);
+  EXPECT_EQ(reg.Get("tasks_failed"), 1u);
+  EXPECT_EQ(reg.Get("tasks_retried"), 2u);
+  EXPECT_EQ(reg.Get("tasks_speculated"), 3u);
+  EXPECT_EQ(reg.Get("watchdog_fires"), 4u);
   EXPECT_DOUBLE_EQ(reg.GetGauge("construction_seconds"), 1.5);
   EXPECT_DOUBLE_EQ(reg.GetGauge("join_seconds"), 2.5);
   EXPECT_DOUBLE_EQ(reg.GetGauge("total_seconds"), 4.0);
   EXPECT_EQ(reg.Get("workers"), 8u);
+
+  // A second publish (the driver's, after its fold) replaces the values.
+  m.results = 71;
+  PublishMetrics(m, &reg);
+  EXPECT_EQ(reg.Get("results"), 71u);
 }
 
 }  // namespace

@@ -45,9 +45,8 @@ reported (exit 1 on violation):
     spans' kept args (exact; skipped when cancellation events are present);
   * the shuffle_block_bytes counter vs the sum of the committed map-task
     spans' bytes args (exact; skipped when cancellation events are present);
-  * the watchdog_fires counter vs the number of watchdog-fire events, and
-    the tasks_cancelled counter vs the number of cancel-abandon events
-    (exact — each fire/abandon records exactly one instant);
+  * the watchdog_fires counter vs the number of watchdog-fire events
+    (exact — each fire records exactly one instant);
   * no dropped events.
 
 Only committed task spans (args.committed != 0; spans without the arg count
@@ -378,27 +377,17 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
             f"{counters['shuffle_block_bytes']}"
         )
 
-    # Cancellation bookkeeping is exact: the engine records one
-    # "watchdog-fire" instant per watchdog cancellation and one
-    # "cancel-abandon" instant per task attempt abandoned because the job
-    # was cancelled, and folds the same quantities into the counters.
-    cancel_counts = defaultdict(int)
-    for event in rollup.cancel_events:
-        cancel_counts[event.get("name", "?")] += 1
-    if "watchdog_fires" in counters and counters["watchdog_fires"] != (
-        cancel_counts["watchdog-fire"]
-    ):
+    # Watchdog bookkeeping is exact: the engine records one "watchdog-fire"
+    # instant per watchdog cancellation and counts the same fires.
+    fires = sum(
+        1
+        for event in rollup.cancel_events
+        if event.get("name") == "watchdog-fire"
+    )
+    if "watchdog_fires" in counters and counters["watchdog_fires"] != fires:
         errors.append(
-            f"watchdog_fires: {cancel_counts['watchdog-fire']} watchdog-fire "
-            f"events, counters report {counters['watchdog_fires']}"
-        )
-    if "tasks_cancelled" in counters and counters["tasks_cancelled"] != (
-        cancel_counts["cancel-abandon"]
-    ):
-        errors.append(
-            f"tasks_cancelled: {cancel_counts['cancel-abandon']} "
-            f"cancel-abandon events, counters report "
-            f"{counters['tasks_cancelled']}"
+            f"watchdog_fires: {fires} watchdog-fire events, counters report "
+            f"{counters['watchdog_fires']}"
         )
 
     dropped = trace.get("pasjoin_dropped_events", 0)

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", m.ToString().c_str());
 
   // Per-span-name counts, straight from the recorder (the JSON carries the
-  // same events plus the counters registry).
+  // same events plus the job's exported metrics).
   std::map<std::string, size_t> span_counts;
   const std::vector<obs::TraceEvent> events = recorder.Snapshot();
   for (const obs::TraceEvent& event : events) {

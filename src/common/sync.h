@@ -154,8 +154,6 @@ inline constexpr int kThreadPool = 400;
 /// obs::TraceRecorder shard registration/export; a span recorded under any
 /// engine lock may register the thread's shard on first append.
 inline constexpr int kTraceShards = 600;
-/// obs::CounterRegistry maps; leaf lock, never held across other locks.
-inline constexpr int kCounterRegistry = 700;
 }  // namespace lockrank
 
 namespace sync_internal {

@@ -74,9 +74,10 @@ Result<exec::JoinRun> Driver::Run(const Dataset& r, const Dataset& s,
   m.construction_seconds += driver_seconds;
   m.measured_construction_seconds += driver_seconds;
   if (trace() != nullptr) {
-    // The engine published its metrics before the driver time was known.
-    trace()->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetrics(m, &trace()->counters());
+    // The engine exported its metrics before the driver time was known;
+    // this export replaces it.
+    exec::PublishMetrics(m, &trace()->exported());
+    trace()->exported().gauges.emplace_back("driver_seconds", driver_seconds);
   }
   return run;
 }

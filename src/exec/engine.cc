@@ -56,7 +56,6 @@
 #include "exec/shuffle.h"
 #include "exec/steal_queue.h"
 #include "exec/thread_pool.h"
-#include "obs/counters.h"
 #include "spatial/rtree.h"
 #include "spatial/sweep_kernel.h"
 
@@ -1248,9 +1247,9 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   using Cancel = spatial::KernelCancellation;
   obs::TraceRecorder* const trace = options.trace;
   // JobMetrics is the job's record: phase totals are added to it at phase
-  // boundaries, never per tuple. The trace's registry is its export, written
-  // only by a run that succeeds, so a failed run leaves it empty.
-  if (trace != nullptr) trace->counters().Clear();
+  // boundaries, never per tuple. The trace's export of it is written only by
+  // a run that succeeds, so a failed run leaves it empty.
+  if (trace != nullptr) trace->exported() = obs::TraceExport{};
   const int workers = options.workers;
   // Admission caps workers and splits, so neither product overflows.
   static_assert(kMaxWorkers <= std::numeric_limits<int>::max() / 4 &&
@@ -1471,7 +1470,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   if (!options.deadline.unlimited()) {
     m.deadline_slack_seconds = options.deadline.SecondsRemaining();
   }
-  if (trace != nullptr) PublishMetrics(m, &trace->counters());
+  if (trace != nullptr) PublishMetrics(m, &trace->exported());
   return run;
 }
 

@@ -106,7 +106,7 @@ struct ExecOptions {
   /// disables tracing at zero cost; when set, the engine records per-task
   /// spans on one track per logical worker, per-partition join spans, the
   /// kernel's sort/sweep/emit phases, and fault-recovery events, and a
-  /// successful run publishes its JobMetrics into trace->counters(). Drivers
+  /// successful run exports its JobMetrics into trace->exported(). Drivers
   /// add spans for their construction steps. Not owned.
   obs::TraceRecorder* trace = nullptr;
 };

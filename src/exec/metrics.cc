@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/str_append.h"
-#include "obs/counters.h"
+#include "obs/trace_recorder.h"
 
 namespace pasjoin::exec {
 
@@ -59,50 +59,22 @@ std::string JobMetrics::ToString() const {
   return out;
 }
 
-void PublishMetrics(const JobMetrics& metrics,
-                    obs::CounterRegistry* registry) {
-  registry->Set("replicated_r", metrics.replicated_r);
-  registry->Set("replicated_s", metrics.replicated_s);
-  registry->Set("shuffled_tuples", metrics.shuffled_tuples);
-  registry->Set("joinable_tuples", metrics.joinable_tuples);
-  registry->Set("shuffle_bytes", metrics.shuffle_bytes);
-  registry->Set("shuffle_remote_bytes", metrics.shuffle_remote_bytes);
-  registry->Set("shuffle_block_bytes", metrics.shuffle_block_bytes);
-  registry->Set("candidates", metrics.candidates);
-  registry->Set("results", metrics.results);
-  registry->Set("partitions_joined", metrics.partitions_joined);
-  registry->Set("tasks_failed", metrics.tasks_failed);
-  registry->Set("tasks_retried", metrics.tasks_retried);
-  registry->Set("tasks_speculated", metrics.tasks_speculated);
-  registry->Set("watchdog_fires", metrics.watchdog_fires);
-  registry->SetGauge("construction_seconds", metrics.construction_seconds);
-  registry->SetGauge("join_seconds", metrics.join_seconds);
-  registry->SetGauge("dedup_seconds", metrics.dedup_seconds);
-  registry->SetGauge("total_seconds", metrics.TotalSeconds());
-  registry->SetGauge("wall_seconds", metrics.wall_seconds);
-  registry->SetGauge("recovery_seconds", metrics.recovery_seconds);
-  // +infinity means "no deadline" and is not representable in the JSON
-  // trace; only a real slack is published.
-  if (std::isfinite(metrics.deadline_slack_seconds)) {
-    registry->SetGauge("deadline_slack_seconds", metrics.deadline_slack_seconds);
+void PublishMetrics(const JobMetrics& metrics, obs::TraceExport* out) {
+  *out = obs::TraceExport{};
+  for (const CounterField& f : kCounterFields) {
+    out->counters.emplace_back(f.name, metrics.*f.member);
   }
-  registry->SetGauge("kernel_sort_seconds", metrics.kernel_sort_seconds);
-  registry->SetGauge("kernel_sweep_seconds", metrics.kernel_sweep_seconds);
-  registry->SetGauge("kernel_emit_seconds", metrics.kernel_emit_seconds);
-  registry->SetGauge("measured_construction_seconds",
-                     metrics.measured_construction_seconds);
-  registry->SetGauge("measured_join_seconds", metrics.measured_join_seconds);
-  registry->SetGauge("measured_dedup_seconds",
-                     metrics.measured_dedup_seconds);
-  registry->SetGauge("measured_total_seconds", metrics.MeasuredTotalSeconds());
-  registry->SetGauge("measured_planning_seconds",
-                     metrics.measured_planning_seconds);
-  registry->Set("workers", static_cast<uint64_t>(
-                               metrics.workers > 0 ? metrics.workers : 0));
-  registry->Set("physical_threads",
-                static_cast<uint64_t>(
-                    metrics.physical_threads > 0 ? metrics.physical_threads
-                                                 : 0));
+  out->counters.emplace_back(
+      "workers", static_cast<uint64_t>(std::max(metrics.workers, 0)));
+  out->counters.emplace_back(
+      "physical_threads",
+      static_cast<uint64_t>(std::max(metrics.physical_threads, 0)));
+  const auto gauge = [out](const char* name, double value) {
+    if (std::isfinite(value)) out->gauges.emplace_back(name, value);
+  };
+  for (const GaugeField& f : kGaugeFields) gauge(f.name, metrics.*f.member);
+  gauge("total_seconds", metrics.TotalSeconds());
+  gauge("measured_total_seconds", metrics.MeasuredTotalSeconds());
 }
 
 }  // namespace pasjoin::exec

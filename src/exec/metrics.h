@@ -14,7 +14,7 @@
 #include <vector>
 
 namespace pasjoin::obs {
-class CounterRegistry;
+struct TraceExport;
 }  // namespace pasjoin::obs
 
 namespace pasjoin::exec {
@@ -151,14 +151,80 @@ struct JobMetrics {
   std::string ToString() const;
 };
 
-/// Exports `metrics` into `*registry`, making an attached trace
-/// self-describing (docs/OBSERVABILITY.md): the integer counters under
-/// their field names ("replicated_r", "shuffle_bytes", "tasks_retried",
-/// ...) and the floating-point observables (phase seconds, kernel phase
-/// breakdown) as gauges. tools/trace_summary.py --validate cross-checks
-/// span sums against both.
-void PublishMetrics(const JobMetrics& metrics,
-                    obs::CounterRegistry* registry);
+/// Which comparisons a counter takes part in.
+enum class CounterKind {
+  /// What the job computed and moved: identical across thread counts,
+  /// tracing and faults.
+  kResult,
+  /// What recovery did: identical for the same fault configuration.
+  kFault,
+};
+
+/// One uint64_t counter of JobMetrics: its export name, its member and its
+/// kind.
+struct CounterField {
+  const char* name;
+  uint64_t JobMetrics::*member;
+  CounterKind kind;
+};
+
+/// One double gauge of JobMetrics: its export name and its member.
+struct GaugeField {
+  const char* name;
+  double JobMetrics::*member;
+};
+
+/// Every uint64_t counter of JobMetrics. PublishMetrics exports each under
+/// its name, and the tests compare each by its kind, so a new counter needs
+/// only its field, its row here, the code that computes it and its docs
+/// (docs/OBSERVABILITY.md). tools/pasjoin_lint.py checks that every scalar
+/// field has a row or an explicit line in PublishMetrics.
+inline constexpr CounterField kCounterFields[] = {
+    {"replicated_r", &JobMetrics::replicated_r, CounterKind::kResult},
+    {"replicated_s", &JobMetrics::replicated_s, CounterKind::kResult},
+    {"shuffled_tuples", &JobMetrics::shuffled_tuples, CounterKind::kResult},
+    {"joinable_tuples", &JobMetrics::joinable_tuples, CounterKind::kResult},
+    {"shuffle_bytes", &JobMetrics::shuffle_bytes, CounterKind::kResult},
+    {"shuffle_remote_bytes", &JobMetrics::shuffle_remote_bytes,
+     CounterKind::kResult},
+    {"shuffle_block_bytes", &JobMetrics::shuffle_block_bytes,
+     CounterKind::kResult},
+    {"candidates", &JobMetrics::candidates, CounterKind::kResult},
+    {"results", &JobMetrics::results, CounterKind::kResult},
+    {"partitions_joined", &JobMetrics::partitions_joined,
+     CounterKind::kResult},
+    {"tasks_failed", &JobMetrics::tasks_failed, CounterKind::kFault},
+    {"tasks_retried", &JobMetrics::tasks_retried, CounterKind::kFault},
+    {"tasks_speculated", &JobMetrics::tasks_speculated, CounterKind::kFault},
+    {"watchdog_fires", &JobMetrics::watchdog_fires, CounterKind::kFault},
+};
+
+/// Every double gauge of JobMetrics, exported like the counters.
+inline constexpr GaugeField kGaugeFields[] = {
+    {"construction_seconds", &JobMetrics::construction_seconds},
+    {"join_seconds", &JobMetrics::join_seconds},
+    {"dedup_seconds", &JobMetrics::dedup_seconds},
+    {"wall_seconds", &JobMetrics::wall_seconds},
+    {"recovery_seconds", &JobMetrics::recovery_seconds},
+    {"deadline_slack_seconds", &JobMetrics::deadline_slack_seconds},
+    {"kernel_sort_seconds", &JobMetrics::kernel_sort_seconds},
+    {"kernel_sweep_seconds", &JobMetrics::kernel_sweep_seconds},
+    {"kernel_emit_seconds", &JobMetrics::kernel_emit_seconds},
+    {"measured_construction_seconds",
+     &JobMetrics::measured_construction_seconds},
+    {"measured_join_seconds", &JobMetrics::measured_join_seconds},
+    {"measured_dedup_seconds", &JobMetrics::measured_dedup_seconds},
+    {"measured_planning_seconds", &JobMetrics::measured_planning_seconds},
+};
+
+/// Replaces `*out` with the export of `metrics` that makes an attached
+/// trace self-describing (docs/OBSERVABILITY.md): every kCounterFields and
+/// kGaugeFields row under its name, the worker and thread counts, and the
+/// simulated and measured totals. A non-finite gauge (the +infinity slack
+/// of a job without a deadline) is not representable in the JSON trace and
+/// is left out. tools/trace_summary.py --validate cross-checks span sums
+/// against the export.
+void PublishMetrics(const JobMetrics& metrics, obs::TraceExport* out);
 
 }  // namespace pasjoin::exec
 

@@ -51,6 +51,33 @@ void AppendMicros(std::string* out, int64_t ns) {
   out->append(buf);
 }
 
+void AppendValue(std::string* out, uint64_t value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
+  out->append(buf);
+}
+
+void AppendValue(std::string* out, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", value);
+  out->append(buf);
+}
+
+/// Appends `"name":value` for each pair, comma-separated.
+template <typename T>
+void AppendNamedValues(std::string* out,
+                       const std::vector<std::pair<const char*, T>>& values) {
+  bool first = true;
+  for (const auto& [name, value] : values) {
+    if (!first) out->append(",");
+    first = false;
+    out->append("\"");
+    AppendEscaped(out, name);
+    out->append("\":");
+    AppendValue(out, value);
+  }
+}
+
 }  // namespace
 
 TraceRecorder::TraceRecorder(size_t max_events_per_thread)
@@ -200,27 +227,9 @@ void TraceRecorder::AppendJson(std::string* out) const {
   }
   out->append("],\n\"displayTimeUnit\":\"ms\",\n\"pasjoin_counters\":{");
 
-  bool first_counter = true;
-  for (const auto& [name, value] : counters_.SnapshotCounters()) {
-    if (!first_counter) out->append(",");
-    first_counter = false;
-    out->append("\"");
-    AppendEscaped(out, name.c_str());
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, value);
-    out->append(buf);
-  }
+  AppendNamedValues(out, exported_.counters);
   out->append("},\n\"pasjoin_gauges\":{");
-  bool first_gauge = true;
-  for (const auto& [name, value] : counters_.SnapshotGauges()) {
-    if (!first_gauge) out->append(",");
-    first_gauge = false;
-    out->append("\"");
-    AppendEscaped(out, name.c_str());
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\":%.9g", value);
-    out->append(buf);
-  }
+  AppendNamedValues(out, exported_.gauges);
   out->append("},\n\"pasjoin_dropped_events\":");
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, dropped_events());

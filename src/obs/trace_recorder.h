@@ -23,8 +23,9 @@
 //
 // Export is Chrome trace-event JSON (chrome://tracing and Perfetto both
 // load it): one process, one "thread" timeline per logical worker plus one
-// for the driver, span args carried per event, and the recorder's
-// CounterRegistry serialized under the top-level "pasjoin_counters" key.
+// for the driver, span args carried per event, and the traced job's
+// TraceExport (its JobMetrics, written by exec::PublishMetrics) under the
+// top-level "pasjoin_counters" and "pasjoin_gauges" keys.
 // tools/trace_summary.py prints a per-phase/per-worker rollup and
 // cross-validates span sums against the job's reported metrics.
 //
@@ -34,7 +35,9 @@
 //
 // Thread-safety: Append/ScopedSpan/ScopedTrack are safe from any thread.
 // Snapshot/WriteJson/AppendJson must not run concurrently with appends
-// (export the trace after the traced run has completed).
+// (export the trace after the traced run has completed). The TraceExport is
+// plain data: the traced job writes it on the thread that runs the job,
+// while none of its tasks run, so a recorder traces one job at a time.
 #ifndef PASJOIN_OBS_TRACE_RECORDER_H_
 #define PASJOIN_OBS_TRACE_RECORDER_H_
 
@@ -42,11 +45,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
-#include "obs/counters.h"
 
 namespace pasjoin::obs {
 
@@ -84,6 +87,14 @@ struct TraceEvent {
   const char* str_value = nullptr;
 };
 
+/// Named values a traced job exports into the trace file
+/// ("pasjoin_counters", "pasjoin_gauges"), in export order. Names must be
+/// string literals, like event names.
+struct TraceExport {
+  std::vector<std::pair<const char*, uint64_t>> counters;
+  std::vector<std::pair<const char*, double>> gauges;
+};
+
 /// Collects trace events into per-thread shards and exports Chrome
 /// trace-event JSON. See the file comment for the threading contract.
 class TraceRecorder {
@@ -110,9 +121,10 @@ class TraceRecorder {
   /// Records an instant event on `track` at the current time.
   void Instant(const char* name, const char* category, int32_t track);
 
-  /// Integer observables of the traced job; serialized into the trace file.
-  CounterRegistry& counters() { return counters_; }
-  const CounterRegistry& counters() const { return counters_; }
+  /// The traced job's exported metrics; serialized into the trace file.
+  /// Not synchronized (see the file comment).
+  TraceExport& exported() { return exported_; }
+  const TraceExport& exported() const { return exported_; }
 
   /// Events dropped because a shard hit max_events_per_thread.
   uint64_t dropped_events() const PASJOIN_EXCLUDES(mu_);
@@ -159,7 +171,7 @@ class TraceRecorder {
   /// (guards against a stale cache entry after a recorder at the same
   /// address was destroyed and another constructed).
   const uint64_t recorder_id_;
-  CounterRegistry counters_;
+  TraceExport exported_;
 
   /// Guards shard registration and export; rank kTraceShards because a span
   /// recorded under any engine lock may register a shard on first append.

@@ -14,7 +14,7 @@
 //
 // Layering (lower layers never include higher ones):
 //   common     - geometry, tuples, Status/Result, RNG, timing
-//   obs        - execution tracing and the counters registry
+//   obs        - execution tracing and the trace's metrics export
 //   datagen    - synthetic data sets and dataset IO
 //   grid       - the regular grid, replication areas, sample statistics
 //   spatial    - local join algorithms, R-tree, quadtree
@@ -61,7 +61,6 @@
 #include "extent/geometry.h"              // IWYU pragma: export
 #include "grid/grid.h"                    // IWYU pragma: export
 #include "grid/stats.h"                   // IWYU pragma: export
-#include "obs/counters.h"                 // IWYU pragma: export
 #include "obs/trace_recorder.h"           // IWYU pragma: export
 #include "spatial/local_join.h"           // IWYU pragma: export
 #include "spatial/quadtree.h"             // IWYU pragma: export

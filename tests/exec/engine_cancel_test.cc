@@ -214,9 +214,9 @@ TEST(EngineCancelTest, ExternalCancelAbortsRun) {
 }
 
 TEST(EngineCancelTest, DeadlineInTheJoinLeavesTheTraceRegistryEmpty) {
-  // Zero partial results covers the trace's counters too: the registry is
-  // cleared at job start and written only by a run that succeeds, so a
-  // deadline in the join leaves none of the map's or regroup's counters.
+  // Zero partial results covers the trace's metrics export too: it is reset
+  // at job start and written only by a run that succeeds, so a deadline in
+  // the join leaves none of the map's or regroup's counters.
   // The deadline is set as in DeadlineAbortsJoinPhaseForEveryKernel.
   const Dataset r = MakeDataset(RandomPoints(kBigN, 11), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(kBigN, 12), 1000000, "S");
@@ -228,15 +228,15 @@ TEST(EngineCancelTest, DeadlineInTheJoinLeavesTheTraceRegistryEmpty) {
                                     ModOwner(options.workers), options)
                   .ok());
   const double deadline = no_join.ElapsedSeconds() + 0.2;
-  ASSERT_FALSE(recorder.counters().SnapshotCounters().empty());
+  ASSERT_FALSE(recorder.exported().counters.empty());
   options.deadline = Deadline::AfterSeconds(deadline);
   Result<JoinRun> result =
       TryRunPartitionedJoin(r, s, BandAssign(options.eps),
                             ModOwner(options.workers), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(recorder.counters().SnapshotCounters().empty());
-  EXPECT_TRUE(recorder.counters().SnapshotGauges().empty());
+  EXPECT_TRUE(recorder.exported().counters.empty());
+  EXPECT_TRUE(recorder.exported().gauges.empty());
 }
 
 /// Runs a small join on the steal executor whose `assign` cancels the

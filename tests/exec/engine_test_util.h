@@ -1,12 +1,15 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Shared helper for the engine tests.
+// Shared helpers for the engine tests.
 #ifndef PASJOIN_TESTS_EXEC_ENGINE_TEST_UTIL_H_
 #define PASJOIN_TESTS_EXEC_ENGINE_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "common/macros.h"
 #include "common/tuple.h"
 #include "exec/engine.h"
+#include "exec/metrics.h"
 
 namespace pasjoin::testing {
 
@@ -34,6 +38,36 @@ inline exec::JoinRun MustRun(const Dataset& r, const Dataset& s,
 inline std::vector<ResultPair> SortedPairs(exec::JoinRun run) {
   std::sort(run.pairs.begin(), run.pairs.end());
   return run.pairs;
+}
+
+/// Expects `a` and `b` to hold the same value in every exec::kCounterFields
+/// counter whose kind is in `kinds`, and the same algorithm, local kernel
+/// and worker count. `label` names the case in failure messages.
+inline void ExpectSameCounters(const exec::JobMetrics& a,
+                               const exec::JobMetrics& b,
+                               std::initializer_list<exec::CounterKind> kinds,
+                               const std::string& label = "") {
+  for (const exec::CounterField& f : exec::kCounterFields) {
+    if (std::find(kinds.begin(), kinds.end(), f.kind) == kinds.end()) {
+      continue;
+    }
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name << " " << label;
+  }
+  EXPECT_EQ(a.algorithm, b.algorithm) << label;
+  EXPECT_EQ(a.local_kernel, b.local_kernel) << label;
+  EXPECT_EQ(a.workers, b.workers) << label;
+}
+
+/// The value exported under `name` in one list of an obs::TraceExport. A
+/// name that is missing fails the test and reads as zero.
+template <typename T>
+T ExportedValue(const std::vector<std::pair<const char*, T>>& values,
+                std::string_view name) {
+  for (const auto& [exported_name, value] : values) {
+    if (name == exported_name) return value;
+  }
+  ADD_FAILURE() << "nothing exported under " << name;
+  return T{};
 }
 
 /// Payload lengths around std::string's small-buffer limit.

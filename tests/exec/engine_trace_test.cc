@@ -4,6 +4,7 @@
 // attaching a TraceRecorder must not change any result or counter, and the
 // recorded spans must reconcile with the reported JobMetrics.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/adaptive_join.h"
 #include "exec/engine.h"
 #include "exec/engine_test_util.h"
 #include "obs/trace_recorder.h"
@@ -22,6 +24,8 @@ namespace pasjoin::exec {
 namespace {
 
 using pasjoin::testing::BruteForcePairs;
+using pasjoin::testing::ExpectSameCounters;
+using pasjoin::testing::ExportedValue;
 using pasjoin::testing::MakeDataset;
 using pasjoin::testing::MustRun;
 
@@ -62,21 +66,40 @@ EngineOptions BaseOptions() {
   return options;
 }
 
-void ExpectSameCounters(const JobMetrics& a, const JobMetrics& b) {
-  EXPECT_EQ(a.replicated_r, b.replicated_r);
-  EXPECT_EQ(a.replicated_s, b.replicated_s);
-  EXPECT_EQ(a.shuffled_tuples, b.shuffled_tuples);
-  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
-  EXPECT_EQ(a.shuffle_remote_bytes, b.shuffle_remote_bytes);
-  EXPECT_EQ(a.shuffle_block_bytes, b.shuffle_block_bytes);
-  EXPECT_EQ(a.candidates, b.candidates);
-  EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.partitions_joined, b.partitions_joined);
-  EXPECT_EQ(a.workers, b.workers);
-  EXPECT_EQ(a.local_kernel, b.local_kernel);
-  EXPECT_EQ(a.tasks_failed, b.tasks_failed);
-  EXPECT_EQ(a.tasks_retried, b.tasks_retried);
-  EXPECT_EQ(a.tasks_speculated, b.tasks_speculated);
+/// Expects `exported` to hold, each exactly once, every kCounterFields and
+/// kGaugeFields row of `m` with its value (a non-finite gauge left out), the
+/// worker and thread counts, the two totals and `extra_gauges`, and nothing
+/// else.
+void ExpectExportOf(const JobMetrics& m, const obs::TraceExport& exported,
+                    const std::vector<std::string>& extra_gauges) {
+  std::map<std::string, uint64_t> counters;
+  for (const auto& [name, value] : exported.counters) {
+    EXPECT_TRUE(counters.emplace(name, value).second) << "twice: " << name;
+  }
+  std::map<std::string, double> gauges;
+  for (const auto& [name, value] : exported.gauges) {
+    EXPECT_TRUE(gauges.emplace(name, value).second) << "twice: " << name;
+  }
+
+  std::map<std::string, uint64_t> want_counters;
+  for (const CounterField& f : kCounterFields) {
+    want_counters[f.name] = m.*f.member;
+  }
+  want_counters["workers"] = static_cast<uint64_t>(m.workers);
+  want_counters["physical_threads"] = static_cast<uint64_t>(m.physical_threads);
+  EXPECT_EQ(counters, want_counters);
+
+  std::map<std::string, double> want_gauges;
+  for (const GaugeField& f : kGaugeFields) {
+    if (std::isfinite(m.*f.member)) want_gauges[f.name] = m.*f.member;
+  }
+  want_gauges["total_seconds"] = m.TotalSeconds();
+  want_gauges["measured_total_seconds"] = m.MeasuredTotalSeconds();
+  for (const std::string& name : extra_gauges) {
+    ASSERT_EQ(gauges.count(name), 1u) << name;
+    want_gauges[name] = gauges[name];
+  }
+  EXPECT_EQ(gauges, want_gauges);
 }
 
 TEST(EngineTraceTest, TracedAndUntracedRunsProduceIdenticalResults) {
@@ -95,7 +118,8 @@ TEST(EngineTraceTest, TracedAndUntracedRunsProduceIdenticalResults) {
   std::sort(untraced.pairs.begin(), untraced.pairs.end());
   std::sort(traced.pairs.begin(), traced.pairs.end());
   EXPECT_EQ(traced.pairs, untraced.pairs);
-  ExpectSameCounters(traced.metrics, untraced.metrics);
+  ExpectSameCounters(traced.metrics, untraced.metrics,
+                     {CounterKind::kResult, CounterKind::kFault});
 
   // The traced run actually recorded something, on clean shards.
   EXPECT_GT(recorder.Snapshot().size(), 0u);
@@ -170,13 +194,17 @@ TEST(EngineTraceTest, JoinPartitionSpansReconcileWithCounters) {
   EXPECT_EQ(span_candidates, run.metrics.candidates);
   EXPECT_EQ(span_results, run.metrics.results);
 
-  // The counters registry embedded in the trace mirrors the JobMetrics.
-  const obs::CounterRegistry& reg = recorder.counters();
-  EXPECT_EQ(reg.Get("candidates"), run.metrics.candidates);
-  EXPECT_EQ(reg.Get("results"), run.metrics.results);
-  EXPECT_EQ(reg.Get("partitions_joined"), run.metrics.partitions_joined);
-  EXPECT_EQ(reg.Get("shuffled_tuples"), run.metrics.shuffled_tuples);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("join_seconds"), run.metrics.join_seconds);
+  // The metrics export embedded in the trace mirrors the JobMetrics.
+  const obs::TraceExport& exported = recorder.exported();
+  EXPECT_EQ(ExportedValue(exported.counters, "candidates"),
+            run.metrics.candidates);
+  EXPECT_EQ(ExportedValue(exported.counters, "results"), run.metrics.results);
+  EXPECT_EQ(ExportedValue(exported.counters, "partitions_joined"),
+            run.metrics.partitions_joined);
+  EXPECT_EQ(ExportedValue(exported.counters, "shuffled_tuples"),
+            run.metrics.shuffled_tuples);
+  EXPECT_DOUBLE_EQ(ExportedValue(exported.gauges, "join_seconds"),
+                   run.metrics.join_seconds);
 }
 
 TEST(EngineTraceTest, CommittedRegroupSpansSumToJoinableTuples) {
@@ -223,7 +251,7 @@ TEST(EngineTraceTest, CommittedRegroupSpansSumToJoinableTuples) {
     }
     EXPECT_EQ(committed_spans, static_cast<size_t>(options.workers));
     EXPECT_EQ(kept, run.metrics.joinable_tuples) << fault;
-    EXPECT_EQ(recorder.counters().Get("joinable_tuples"),
+    EXPECT_EQ(ExportedValue(recorder.exported().counters, "joinable_tuples"),
               run.metrics.joinable_tuples);
     EXPECT_GT(run.metrics.joinable_tuples, 0u);
     EXPECT_LT(run.metrics.joinable_tuples, run.metrics.shuffled_tuples);
@@ -269,8 +297,9 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
     }
     EXPECT_EQ(committed_spans, 2u * static_cast<size_t>(options.num_splits));
     EXPECT_EQ(bytes, run.metrics.shuffle_block_bytes) << fault;
-    EXPECT_EQ(recorder.counters().Get("shuffle_block_bytes"),
-              run.metrics.shuffle_block_bytes);
+    EXPECT_EQ(
+        ExportedValue(recorder.exported().counters, "shuffle_block_bytes"),
+        run.metrics.shuffle_block_bytes);
     // 28 bytes per instance, the four columns: the payloads are empty, so
     // no block allocates end offsets.
     EXPECT_EQ(run.metrics.shuffle_block_bytes,
@@ -292,9 +321,11 @@ TEST(EngineTraceTest, ReusedRecorderReflectsTheLatestRunOnly) {
 
   MustRun(r, s, assign, owner, options);
   const JoinRun second = MustRun(r, s, assign, owner, options);
-  // Counters are Clear()ed at run start, not accumulated across runs.
-  EXPECT_EQ(recorder.counters().Get("candidates"), second.metrics.candidates);
-  EXPECT_EQ(recorder.counters().Get("results"), second.metrics.results);
+  // The export is reset at run start, not accumulated across runs.
+  EXPECT_EQ(ExportedValue(recorder.exported().counters, "candidates"),
+            second.metrics.candidates);
+  EXPECT_EQ(ExportedValue(recorder.exported().counters, "results"),
+            second.metrics.results);
 }
 
 TEST(EngineTraceTest, FaultTolerantTracedRunRecordsRecoveryEvents) {
@@ -438,6 +469,42 @@ TEST(EngineTraceTest, KernelSortSpansSumToKernelSortSeconds) {
 // outside the declared data space used to flow through partitioning
 // silently and join against the wrong neighborhood. EngineOptions::bounds
 // now rejects such inputs up front.
+
+TEST(EngineTraceTest, ExportHoldsEveryTableFieldOnce) {
+  // The engine exports its metrics by itself; Driver::Run replaces that
+  // export with one that adds driver_seconds. A deadline far away makes the
+  // engine run's slack finite, so both sides of the non-finite rule show.
+  const Dataset r = MakeDataset(RandomPoints(400, 37), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 38), 1000, "S");
+  {
+    EngineOptions options = BaseOptions();
+    options.deadline = Deadline::AfterSeconds(3600.0);
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const JoinRun run =
+        MustRun(r, s, BandAssign(options.eps, Side::kR),
+                [](PartitionId p) { return p % 4; }, options);
+    ASSERT_TRUE(std::isfinite(run.metrics.deadline_slack_seconds));
+    ExpectExportOf(run.metrics, recorder.exported(), {});
+  }
+  {
+    core::AdaptiveJoinOptions options;
+    options.eps = 0.25;
+    options.workers = 4;
+    options.physical_threads = 2;
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    Result<JoinRun> run = core::AdaptiveDistanceJoin(r, s, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const JobMetrics& m = run.value().metrics;
+    ASSERT_FALSE(std::isfinite(m.deadline_slack_seconds));
+    ExpectExportOf(m, recorder.exported(), {"driver_seconds"});
+    const double driver_seconds =
+        ExportedValue(recorder.exported().gauges, "driver_seconds");
+    EXPECT_GT(driver_seconds, 0.0);
+    EXPECT_LE(driver_seconds, m.construction_seconds);
+  }
+}
 
 TEST(EngineBoundsTest, OutOfBoundsPointIsRejectedWithDatasetAndIndex) {
   std::vector<Point> r_pts = RandomPoints(20, 31);

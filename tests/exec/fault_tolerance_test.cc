@@ -28,6 +28,7 @@ namespace pasjoin::exec {
 namespace {
 
 using pasjoin::testing::BruteForcePairs;
+using pasjoin::testing::ExpectSameCounters;
 using pasjoin::testing::ExpectedShuffleBytes;
 using pasjoin::testing::MakeDataset;
 using pasjoin::testing::MustRun;
@@ -113,15 +114,8 @@ TEST(FaultToleranceTest, FaultFreeRunMatchesFastPath) {
       options.fault.enabled = true;  // all probabilities zero: no faults
       const JoinRun tolerant = MustRun(r, s, assign, owner, options);
 
-      EXPECT_EQ(tolerant.metrics.results, fast.metrics.results) << label;
-      EXPECT_EQ(tolerant.metrics.shuffled_tuples,
-                fast.metrics.shuffled_tuples)
-          << label;
-      EXPECT_EQ(tolerant.metrics.candidates, fast.metrics.candidates)
-          << label;
-      EXPECT_EQ(tolerant.metrics.partitions_joined,
-                fast.metrics.partitions_joined)
-          << label;
+      ExpectSameCounters(tolerant.metrics, fast.metrics,
+                         {CounterKind::kResult, CounterKind::kFault}, label);
       EXPECT_EQ(CommittedJoinTasks(tolerant_trace),
                 CommittedJoinTasks(fast_trace))
           << label;

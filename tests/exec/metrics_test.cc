@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/counters.h"
+#include "exec/engine_test_util.h"
+#include "obs/trace_recorder.h"
 
 namespace pasjoin::exec {
 namespace {
+
+using pasjoin::testing::ExportedValue;
 
 TEST(JobMetricsTest, Totals) {
   JobMetrics m;
@@ -142,18 +145,22 @@ TEST(JobMetricsTest, ToStringReportsMeasuredBlockOnlyWhenExecuted) {
 }
 
 TEST(JobMetricsTest, MeasuredGaugesArePublished) {
-  obs::CounterRegistry reg;
+  obs::TraceExport exported;
   JobMetrics m;
   m.measured_construction_seconds = 0.5;
   m.measured_join_seconds = 1.5;
   m.measured_dedup_seconds = 0.25;
   m.physical_threads = 8;
-  PublishMetrics(m, &reg);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("measured_construction_seconds"), 0.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("measured_join_seconds"), 1.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("measured_dedup_seconds"), 0.25);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("measured_total_seconds"), 2.25);
-  EXPECT_EQ(reg.Get("physical_threads"), 8u);
+  PublishMetrics(m, &exported);
+  EXPECT_DOUBLE_EQ(
+      ExportedValue(exported.gauges, "measured_construction_seconds"), 0.5);
+  EXPECT_DOUBLE_EQ(ExportedValue(exported.gauges, "measured_join_seconds"),
+                   1.5);
+  EXPECT_DOUBLE_EQ(ExportedValue(exported.gauges, "measured_dedup_seconds"),
+                   0.25);
+  EXPECT_DOUBLE_EQ(ExportedValue(exported.gauges, "measured_total_seconds"),
+                   2.25);
+  EXPECT_EQ(ExportedValue(exported.counters, "physical_threads"), 8u);
 }
 
 TEST(JobMetricsTest, SingleFieldLongerThanStackBufferSurvives) {
@@ -187,31 +194,42 @@ TEST(CounterSnapshotTest, RegistryRoundTripsIntoJobMetrics) {
   m.join_seconds = 2.5;
   m.workers = 8;
 
-  obs::CounterRegistry reg;
-  PublishMetrics(m, &reg);
-  EXPECT_EQ(reg.Get("replicated_r"), 10u);
-  EXPECT_EQ(reg.Get("replicated_s"), 20u);
-  EXPECT_EQ(reg.Get("shuffled_tuples"), 30u);
-  EXPECT_EQ(reg.Get("joinable_tuples"), 35u);
-  EXPECT_EQ(reg.Get("shuffle_bytes"), 40u);
-  EXPECT_EQ(reg.Get("shuffle_remote_bytes"), 50u);
-  EXPECT_EQ(reg.Get("shuffle_block_bytes"), 55u);
-  EXPECT_EQ(reg.Get("candidates"), 60u);
-  EXPECT_EQ(reg.Get("results"), 70u);
-  EXPECT_EQ(reg.Get("partitions_joined"), 80u);
-  EXPECT_EQ(reg.Get("tasks_failed"), 1u);
-  EXPECT_EQ(reg.Get("tasks_retried"), 2u);
-  EXPECT_EQ(reg.Get("tasks_speculated"), 3u);
-  EXPECT_EQ(reg.Get("watchdog_fires"), 4u);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("construction_seconds"), 1.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("join_seconds"), 2.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("total_seconds"), 4.0);
-  EXPECT_EQ(reg.Get("workers"), 8u);
+  obs::TraceExport exported;
+  PublishMetrics(m, &exported);
+  const auto counter = [&exported](const char* name) {
+    return ExportedValue(exported.counters, name);
+  };
+  const auto gauge = [&exported](const char* name) {
+    return ExportedValue(exported.gauges, name);
+  };
+  EXPECT_EQ(counter("replicated_r"), 10u);
+  EXPECT_EQ(counter("replicated_s"), 20u);
+  EXPECT_EQ(counter("shuffled_tuples"), 30u);
+  EXPECT_EQ(counter("joinable_tuples"), 35u);
+  EXPECT_EQ(counter("shuffle_bytes"), 40u);
+  EXPECT_EQ(counter("shuffle_remote_bytes"), 50u);
+  EXPECT_EQ(counter("shuffle_block_bytes"), 55u);
+  EXPECT_EQ(counter("candidates"), 60u);
+  EXPECT_EQ(counter("results"), 70u);
+  EXPECT_EQ(counter("partitions_joined"), 80u);
+  EXPECT_EQ(counter("tasks_failed"), 1u);
+  EXPECT_EQ(counter("tasks_retried"), 2u);
+  EXPECT_EQ(counter("tasks_speculated"), 3u);
+  EXPECT_EQ(counter("watchdog_fires"), 4u);
+  EXPECT_DOUBLE_EQ(gauge("construction_seconds"), 1.5);
+  EXPECT_DOUBLE_EQ(gauge("join_seconds"), 2.5);
+  EXPECT_DOUBLE_EQ(gauge("total_seconds"), 4.0);
+  EXPECT_EQ(counter("workers"), 8u);
 
-  // A second publish (the driver's, after its fold) replaces the values.
+  // A second publish (the driver's, after its fold) replaces the values
+  // rather than appending to them.
+  const size_t counters = exported.counters.size();
+  const size_t gauges = exported.gauges.size();
   m.results = 71;
-  PublishMetrics(m, &reg);
-  EXPECT_EQ(reg.Get("results"), 71u);
+  PublishMetrics(m, &exported);
+  EXPECT_EQ(counter("results"), 71u);
+  EXPECT_EQ(exported.counters.size(), counters);
+  EXPECT_EQ(exported.gauges.size(), gauges);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 namespace pasjoin::exec {
 namespace {
 
+using pasjoin::testing::ExpectSameCounters;
 using pasjoin::testing::MakeDataset;
 using pasjoin::testing::MustRun;
 
@@ -105,19 +106,8 @@ EngineOptions CaseOptions(const MatrixCase& c, int threads) {
 void ExpectIdentical(const JoinRun& base, const JoinRun& run,
                      const std::string& label) {
   EXPECT_EQ(run.pairs, base.pairs) << label;
-  const JobMetrics& a = base.metrics;
-  const JobMetrics& b = run.metrics;
-  EXPECT_EQ(a.replicated_r, b.replicated_r) << label;
-  EXPECT_EQ(a.replicated_s, b.replicated_s) << label;
-  EXPECT_EQ(a.shuffled_tuples, b.shuffled_tuples) << label;
-  EXPECT_EQ(a.joinable_tuples, b.joinable_tuples) << label;
-  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << label;
-  EXPECT_EQ(a.shuffle_remote_bytes, b.shuffle_remote_bytes) << label;
-  EXPECT_EQ(a.shuffle_block_bytes, b.shuffle_block_bytes) << label;
-  EXPECT_EQ(a.candidates, b.candidates) << label;
-  EXPECT_EQ(a.results, b.results) << label;
-  EXPECT_EQ(a.partitions_joined, b.partitions_joined) << label;
-  EXPECT_EQ(a.local_kernel, b.local_kernel) << label;
+  ExpectSameCounters(base.metrics, run.metrics, {CounterKind::kResult},
+                     label);
 }
 
 TEST(ParallelDeterminismTest, ThreadCountIsNeverObservable) {

@@ -4,6 +4,7 @@
 // replication counts, shuffled bytes) must be bit-identical across runs and
 // independent of physical thread count - only timings may vary.
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "baselines/sedona_like.h"
 #include "core/adaptive_join.h"
 #include "datagen/generators.h"
+#include "exec/engine_test_util.h"
 
 namespace pasjoin {
 namespace {
@@ -24,24 +26,8 @@ Dataset Data(uint64_t seed) {
   return datagen::GenerateGaussianClusters(4000, seed, options);
 }
 
-struct Signature {
-  uint64_t results;
-  uint64_t replicated;
-  uint64_t shuffle_bytes;
-  uint64_t shuffle_remote_bytes;
-  uint64_t candidates;
-
-  static Signature Of(const exec::JobMetrics& m) {
-    return Signature{m.results, m.ReplicatedTotal(), m.shuffle_bytes,
-                     m.shuffle_remote_bytes, m.candidates};
-  }
-  friend bool operator==(const Signature& a, const Signature& b) {
-    return a.results == b.results && a.replicated == b.replicated &&
-           a.shuffle_bytes == b.shuffle_bytes &&
-           a.shuffle_remote_bytes == b.shuffle_remote_bytes &&
-           a.candidates == b.candidates;
-  }
-};
+using pasjoin::testing::ExpectSameCounters;
+constexpr auto kResult = exec::CounterKind::kResult;
 
 TEST(DeterminismTest, AdaptiveJoinIsDeterministicAcrossRunsAndThreads) {
   const Dataset r = Data(1);
@@ -51,13 +37,13 @@ TEST(DeterminismTest, AdaptiveJoinIsDeterministicAcrossRunsAndThreads) {
   options.workers = 6;
   options.sample_rate = 0.2;
   options.physical_threads = 1;
-  const Signature first =
-      Signature::Of(core::AdaptiveDistanceJoin(r, s, options).value().metrics);
+  const exec::JobMetrics first =
+      core::AdaptiveDistanceJoin(r, s, options).value().metrics;
   for (const int physical : {1, 2, 4}) {
     options.physical_threads = physical;
-    const Signature again = Signature::Of(
-        core::AdaptiveDistanceJoin(r, s, options).value().metrics);
-    EXPECT_TRUE(first == again) << "physical threads " << physical;
+    ExpectSameCounters(
+        first, core::AdaptiveDistanceJoin(r, s, options).value().metrics,
+        {kResult}, "physical threads " + std::to_string(physical));
   }
 }
 
@@ -85,26 +71,24 @@ TEST(DeterminismTest, BaselinesAreDeterministic) {
     baselines::PbsmOptions options;
     options.eps = 0.5;
     options.workers = 6;
-    const Signature first = Signature::Of(
+    ExpectSameCounters(
         baselines::PbsmDistanceJoin(r, s, baselines::PbsmVariant::kUniR, options)
             .value()
-            .metrics);
-    const Signature again = Signature::Of(
+            .metrics,
         baselines::PbsmDistanceJoin(r, s, baselines::PbsmVariant::kUniR, options)
             .value()
-            .metrics);
-    EXPECT_TRUE(first == again);
+            .metrics,
+        {kResult});
   }
   {
     baselines::SedonaOptions options;
     options.eps = 0.5;
     options.workers = 6;
     options.sample_rate = 0.2;
-    const Signature first = Signature::Of(
-        baselines::SedonaLikeDistanceJoin(r, s, options).value().metrics);
-    const Signature again = Signature::Of(
-        baselines::SedonaLikeDistanceJoin(r, s, options).value().metrics);
-    EXPECT_TRUE(first == again);
+    ExpectSameCounters(
+        baselines::SedonaLikeDistanceJoin(r, s, options).value().metrics,
+        baselines::SedonaLikeDistanceJoin(r, s, options).value().metrics,
+        {kResult});
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/counters.h"
 
 namespace pasjoin::obs {
 namespace {
@@ -328,8 +327,8 @@ TEST(TraceRecorderTest, FreshRecorderDoesNotInheritStaleThreadCache) {
 
 TEST(TraceRecorderTest, ExportedJsonIsWellFormed) {
   TraceRecorder recorder;
-  recorder.counters().Add("candidates", 1234);
-  recorder.counters().SetGauge("join_seconds", 0.25);
+  recorder.exported().counters.emplace_back("candidates", 1234);
+  recorder.exported().gauges.emplace_back("join_seconds", 0.25);
   {
     ScopedTrack track(&recorder, 0);
     ScopedSpan span(&recorder, "join-task", "task");
@@ -374,45 +373,6 @@ TEST(TraceRecorderTest, ConcurrentAppendJsonStaysWellFormed) {
   std::string json;
   recorder.AppendJson(&json);
   EXPECT_TRUE(JsonChecker(json).Valid());
-}
-
-TEST(CounterRegistryTest, AddSetGetAndClear) {
-  CounterRegistry reg;
-  EXPECT_EQ(reg.Get("never"), 0u);
-  reg.Add("hits", 2);
-  reg.Add("hits", 3);
-  EXPECT_EQ(reg.Get("hits"), 5u);
-  reg.Set("hits", 1);
-  EXPECT_EQ(reg.Get("hits"), 1u);
-  reg.SetGauge("seconds", 1.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("seconds"), 1.5);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("unset"), 0.0);
-
-  const auto counters = reg.SnapshotCounters();
-  ASSERT_EQ(counters.size(), 1u);
-  EXPECT_EQ(counters.at("hits"), 1u);
-  const auto gauges = reg.SnapshotGauges();
-  ASSERT_EQ(gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(gauges.at("seconds"), 1.5);
-
-  reg.Clear();
-  EXPECT_EQ(reg.Get("hits"), 0u);
-  EXPECT_TRUE(reg.SnapshotCounters().empty());
-  EXPECT_TRUE(reg.SnapshotGauges().empty());
-}
-
-TEST(CounterRegistryTest, ConcurrentAddsAreLinearizable) {
-  CounterRegistry reg;
-  constexpr int kThreads = 4;
-  constexpr int kAdds = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reg] {
-      for (int i = 0; i < kAdds; ++i) reg.Add("total", 1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(reg.Get("total"), static_cast<uint64_t>(kThreads * kAdds));
 }
 
 }  // namespace

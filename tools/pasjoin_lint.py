@@ -70,6 +70,13 @@ suppression mechanism):
                          and a pointer chase per lookup (the regroup cost a
                          FlatIndex removed). Use common/flat_index.h or a
                          sort.
+  job-metrics-table      Every uint64_t, double or int data member of struct
+                         JobMetrics (src/exec/metrics.h) has a row in its
+                         field table (&JobMetrics::<name>) or an explicit
+                         metrics.<name> line in exec::PublishMetrics
+                         (src/exec/metrics.cc). The table drives the trace
+                         export and every test comparison of counters, so a
+                         field without a row is silently dropped from both.
 
 Suppression: append  // pasjoin-lint: allow(<rule>)  to the offending line.
 A suppression naming a rule this linter does not know is itself an error
@@ -131,6 +138,10 @@ NODE_HASH_HEADER_RE = re.compile(
 NODISCARD_DECL_RE = re.compile(
     r"^\s*(?:static\s+)?(?:Status|Result<[^;{}()]+>)\s+[A-Z]\w*\s*\(")
 MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*[;{]")
+JOB_METRICS_STRUCT_RE = re.compile(r"^\s*struct\s+JobMetrics\s*\{")
+SCALAR_MEMBER_RE = re.compile(r"^\s*(?:uint64_t|double|int)\s+(\w+)\s*[=;{]")
+TABLE_ROW_RE = re.compile(r"&JobMetrics::(\w+)")
+EXPLICIT_EXPORT_RE = re.compile(r"\bmetrics\.(\w+)")
 
 # Every rule this linter can emit or honor in an allow(...) suppression.
 KNOWN_RULES = frozenset({
@@ -146,6 +157,7 @@ KNOWN_RULES = frozenset({
     "nodiscard-status",
     "no-function-hotpath",
     "no-node-hash-hotpath",
+    "job-metrics-table",
 })
 
 
@@ -404,6 +416,47 @@ def check_guarded_by(files: list[Path]) -> list[Violation]:
     return violations
 
 
+def check_job_metrics_table() -> list[Violation]:
+    """Every scalar data member of struct JobMetrics has a table row in
+    exec/metrics.h or an explicit line in exec::PublishMetrics."""
+    header = SRC / "exec" / "metrics.h"
+    source = SRC / "exec" / "metrics.cc"
+    if not header.is_file():
+        return []
+    raw_lines = header.read_text().splitlines()
+    code = strip_comments_and_strings(header.read_text())
+    exported = set(TABLE_ROW_RE.findall(code))
+    if source.is_file():
+        body = re.search(r"\bvoid\s+PublishMetrics\s*\(.*?^\}",
+                         strip_comments_and_strings(source.read_text()),
+                         re.S | re.M)
+        if body:
+            exported |= set(EXPLICIT_EXPORT_RE.findall(body.group(0)))
+
+    violations = []
+    depth = 0
+    in_struct = False
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if not in_struct and JOB_METRICS_STRUCT_RE.match(line):
+            in_struct = True
+        elif in_struct and depth == 1:
+            m = SCALAR_MEMBER_RE.match(line)
+            if (m and m.group(1) not in exported and
+                    not suppressed(raw_lines[lineno - 1],
+                                   "job-metrics-table")):
+                violations.append(Violation(
+                    "job-metrics-table", header, lineno,
+                    f"JobMetrics::{m.group(1)} has no field-table row "
+                    "(kCounterFields/kGaugeFields) and no explicit line in "
+                    "exec::PublishMetrics: the trace export and the tests' "
+                    "counter comparisons would miss it"))
+        if in_struct:
+            depth += line.count("{") - line.count("}")
+            if depth == 0:
+                break
+    return violations
+
+
 def check_suppressions(files: list[Path]) -> list[Violation]:
     """Rejects allow(...) suppressions naming rules this linter does not
     have: a stale allowance silently stops suppressing after a rule rename
@@ -513,6 +566,7 @@ def main() -> int:
                 "trace spans carry plain-data args (see obs/trace_recorder.h)",
         extra_line_re=FUNCTIONAL_HEADER_RE)
     violations += check_node_hash(files)
+    violations += check_job_metrics_table()
     violations += check_nodiscard(headers)
     if not args.skip_compile:
         violations += check_self_contained(headers, args.verbose)

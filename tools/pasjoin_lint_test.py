@@ -190,7 +190,8 @@ class UnknownSuppressionTest(LintFixture):
                      "rng-discipline", "nodiscard-status",
                      "no-function-hotpath", "layering", "self-contained",
                      "umbrella-reachability", "no-include-cycles",
-                     "no-uninterruptible-sleep", "no-node-hash-hotpath"):
+                     "no-uninterruptible-sleep", "no-node-hash-hotpath",
+                     "job-metrics-table"):
             self.assertIn(rule, pasjoin_lint.KNOWN_RULES)
 
 
@@ -302,6 +303,59 @@ class NodeHashHotpathTest(LintFixture):
             "std::unordered_set<int> s;  "
             "// pasjoin-lint: allow(no-node-hash-hotpath)\n")
         self.assertEqual(self.check([f]), [])
+
+
+class JobMetricsTableTest(LintFixture):
+    HEADER = """struct JobMetrics {
+  std::string algorithm;
+  uint64_t results = 0;
+  uint64_t candidates = 0;  // the candidates counter
+  double join_seconds = 0.0;
+  int workers = 0;
+  std::vector<double> worker_busy_join;
+  double TotalSeconds() const {
+    double total = join_seconds;
+    return total;
+  }
+};
+
+inline constexpr CounterField kCounterFields[] = {
+    {"results", &JobMetrics::results, CounterKind::kResult},
+%s};
+inline constexpr GaugeField kGaugeFields[] = {
+    {"join_seconds", &JobMetrics::join_seconds},
+};
+"""
+    SOURCE = """void PublishMetrics(const JobMetrics& metrics, TraceExport* out) {
+  out->counters.emplace_back("workers", metrics.workers);
+  gauge("total_seconds", metrics.TotalSeconds());
+}
+"""
+    CANDIDATES_ROW = (
+        '    {"candidates", &JobMetrics::candidates, CounterKind::kResult},\n')
+
+    def test_complete_struct_passes(self) -> None:
+        self.write("exec/metrics.h", self.HEADER % self.CANDIDATES_ROW)
+        self.write("exec/metrics.cc", self.SOURCE)
+        self.assertEqual(pasjoin_lint.check_job_metrics_table(), [])
+
+    def test_member_missing_its_row_flags(self) -> None:
+        self.write("exec/metrics.h", self.HEADER % "")
+        self.write("exec/metrics.cc", self.SOURCE)
+        vs = pasjoin_lint.check_job_metrics_table()
+        self.assertEqual(self.rules_of(vs), ["job-metrics-table"])
+        self.assertIn("JobMetrics::candidates", vs[0].message)
+        self.assertEqual(vs[0].line, 4)
+
+    def test_explicit_line_outside_publish_metrics_does_not_count(
+            self) -> None:
+        self.write("exec/metrics.h", self.HEADER % self.CANDIDATES_ROW)
+        self.write("exec/metrics.cc", self.SOURCE.replace(
+            "metrics.workers", "0") + "int W(const JobMetrics& metrics) "
+            "{\n  return metrics.workers;\n}\n")
+        vs = pasjoin_lint.check_job_metrics_table()
+        self.assertEqual(self.rules_of(vs), ["job-metrics-table"])
+        self.assertIn("JobMetrics::workers", vs[0].message)
 
 
 class LayeringTest(LintFixture):

@@ -21,7 +21,10 @@ This tool prints a human-readable rollup:
   * fault events, when any.
 
 With --validate it also cross-checks the trace against the metrics the job
-reported (exit 1 on violation):
+reported (exit 1 on violation). A trace with no exported metrics (a failed
+or cancelled run) fails, and so does an export that lacks a key one of the
+checks below needs; only the driver_seconds gauge is optional, because a
+trace of the engine alone has none. The checks:
 
   * construction_seconds ~= driver_seconds gauge + map makespan + regroup
     makespan, join_seconds ~= join makespan, dedup_seconds ~= scatter
@@ -74,6 +77,27 @@ TASK_SPANS = (
     "dedup-merge-task",
 )
 KERNEL_SPANS = ("kernel-sort", "kernel-sweep", "kernel-emit")
+# The exported keys the --validate checks read. Every successful run
+# exports all of them (exec::PublishMetrics).
+REQUIRED_COUNTERS = (
+    "candidates",
+    "partitions_joined",
+    "joinable_tuples",
+    "shuffle_block_bytes",
+    "watchdog_fires",
+)
+REQUIRED_GAUGES = (
+    "construction_seconds",
+    "join_seconds",
+    "dedup_seconds",
+    "measured_construction_seconds",
+    "measured_join_seconds",
+    "measured_dedup_seconds",
+    "measured_planning_seconds",
+    "kernel_sort_seconds",
+    "kernel_sweep_seconds",
+    "kernel_emit_seconds",
+)
 # Spans of the driver-side planning pipeline (core/planning.h). They do not
 # nest, so their sum is the planning wall time.
 PLANNING_SPANS = (
@@ -246,58 +270,58 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
                 f"{expected:.4f}s (tolerance {tolerance:.0%} + {slack}s)"
             )
 
-    if "construction_seconds" in gauges:
-        derived = (
-            gauges.get("driver_seconds", 0.0)
-            + rollup.makespan("map-task")
-            + rollup.makespan("regroup-task")
-        )
-        check("construction_seconds", gauges["construction_seconds"], derived)
-    if "join_seconds" in gauges:
-        check("join_seconds", gauges["join_seconds"],
-              rollup.makespan("join-task"))
-    if "dedup_seconds" in gauges:
-        derived = rollup.makespan("dedup-scatter-task") + rollup.makespan(
-            "dedup-merge-task"
-        )
-        check("dedup_seconds", gauges["dedup_seconds"], derived)
+    if not counters:
+        return ["no job metrics exported: failed or cancelled run?"]
+    missing = [k for k in REQUIRED_COUNTERS if k not in counters] + [
+        k for k in REQUIRED_GAUGES if k not in gauges
+    ]
+    if missing:
+        return [f"exported metrics lack {', '.join(missing)}"]
+
+    driver_seconds = gauges.get("driver_seconds", 0.0)
+    check(
+        "construction_seconds",
+        gauges["construction_seconds"],
+        driver_seconds
+        + rollup.makespan("map-task")
+        + rollup.makespan("regroup-task"),
+    )
+    check("join_seconds", gauges["join_seconds"], rollup.makespan("join-task"))
+    check(
+        "dedup_seconds",
+        gauges["dedup_seconds"],
+        rollup.makespan("dedup-scatter-task")
+        + rollup.makespan("dedup-merge-task"),
+    )
 
     # Measured (physical) phase times: each phase's wall time is the single
     # driver-track "phase-*" span enclosing it, so the gauge must match the
     # span total. Construction additionally includes the sequential driver
     # time, exactly like the simulated construction gauge.
-    if "measured_construction_seconds" in gauges:
-        derived = (
-            gauges.get("driver_seconds", 0.0)
-            + rollup.total("phase-map")
-            + rollup.total("phase-regroup")
-        )
-        check(
-            "measured_construction_seconds",
-            gauges["measured_construction_seconds"],
-            derived,
-        )
-    if "measured_join_seconds" in gauges:
-        check(
-            "measured_join_seconds",
-            gauges["measured_join_seconds"],
-            rollup.total("phase-join"),
-        )
-    if "measured_dedup_seconds" in gauges:
-        derived = rollup.total("phase-dedup-scatter") + rollup.total(
-            "phase-dedup-merge"
-        )
-        check(
-            "measured_dedup_seconds",
-            gauges["measured_dedup_seconds"],
-            derived,
-        )
+    check(
+        "measured_construction_seconds",
+        gauges["measured_construction_seconds"],
+        driver_seconds
+        + rollup.total("phase-map")
+        + rollup.total("phase-regroup"),
+    )
+    check(
+        "measured_join_seconds",
+        gauges["measured_join_seconds"],
+        rollup.total("phase-join"),
+    )
+    check(
+        "measured_dedup_seconds",
+        gauges["measured_dedup_seconds"],
+        rollup.total("phase-dedup-scatter")
+        + rollup.total("phase-dedup-merge"),
+    )
 
     # Driver-side planning: the measured_planning_seconds gauge is the
     # driver's wall clock around the planning pipeline, whose stages are
     # exactly the top-level planning spans (all on the driver track, so
     # their totals add up to wall time).
-    if gauges.get("measured_planning_seconds", 0.0) > 0.0:
+    if gauges["measured_planning_seconds"] > 0.0:
         derived = sum(rollup.total(name) for name in PLANNING_SPANS)
         check(
             "measured_planning_seconds",
@@ -309,7 +333,7 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
     # engine folds caller-side batch post-processing (the self-join filter)
     # into emit_seconds, which has no kernel span, so emit is checked as a
     # lower bound only.
-    if gauges.get("kernel_sort_seconds", 0.0) > 0.0:
+    if gauges["kernel_sort_seconds"] > 0.0:
         check(
             "kernel_sort_seconds",
             gauges["kernel_sort_seconds"],
@@ -333,7 +357,6 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         not rollup.fault_events
         and not rollup.cancel_events
         and rollup.join_partitions
-        and "candidates" in counters
     ):
         if rollup.span_candidates != counters["candidates"]:
             errors.append(
@@ -345,7 +368,6 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         not rollup.fault_events
         and not rollup.cancel_events
         and rollup.join_partitions
-        and "partitions_joined" in counters
         and rollup.join_partitions != counters["partitions_joined"]
     ):
         errors.append(
@@ -356,7 +378,6 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
     if (
         not rollup.cancel_events
         and rollup.regroup_kept is not None
-        and "joinable_tuples" in counters
         and rollup.regroup_kept != counters["joinable_tuples"]
     ):
         errors.append(
@@ -368,7 +389,6 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
     if (
         not rollup.cancel_events
         and rollup.map_bytes is not None
-        and "shuffle_block_bytes" in counters
         and rollup.map_bytes != counters["shuffle_block_bytes"]
     ):
         errors.append(
@@ -384,7 +404,7 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         for event in rollup.cancel_events
         if event.get("name") == "watchdog-fire"
     )
-    if "watchdog_fires" in counters and counters["watchdog_fires"] != fires:
+    if counters["watchdog_fires"] != fires:
         errors.append(
             f"watchdog_fires: {fires} watchdog-fire events, counters report "
             f"{counters['watchdog_fires']}"

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+# Copyright 2026 The pasjoin Authors.
+"""Unit tests for trace_summary --validate.
+
+Each test builds a small trace dict by hand: one driver track, one worker
+track, the spans of a map, a regroup and a join, and the job's exported
+metrics. The base trace reconciles; each failing case breaks one check.
+Run directly or through ctest (registered in tests/CMakeLists.txt).
+"""
+
+from __future__ import annotations
+
+import sys
+import unittest
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import trace_summary  # noqa: E402
+
+
+def span(name, tid, dur_us, **args):
+    return {"name": name, "cat": "task", "ph": "X", "pid": 0, "tid": tid,
+            "ts": 0.0, "dur": float(dur_us), "args": args}
+
+
+def passing_trace():
+    """A trace whose exported metrics match its spans (times in seconds)."""
+    return {
+        "traceEvents": [
+            {"ph": "M", "pid": 0, "tid": 0, "name": "thread_name",
+             "args": {"name": "driver"}},
+            {"ph": "M", "pid": 0, "tid": 1, "name": "thread_name",
+             "args": {"name": "worker 0"}},
+            span("phase-map", 0, 1000),
+            span("phase-regroup", 0, 500),
+            span("phase-join", 0, 2000),
+            span("map-task", 1, 1000, task=0, bytes=100),
+            span("regroup-task", 1, 500, task=0, kept=10),
+            span("join-task", 1, 2000, task=0),
+            span("join-partition", 1, 1500, cell=3, candidates=5, results=3),
+            span("kernel-sort", 1, 100),
+            span("kernel-sweep", 1, 200),
+            span("kernel-emit", 1, 50),
+        ],
+        "pasjoin_counters": {
+            "candidates": 5,
+            "results": 3,
+            "partitions_joined": 1,
+            "joinable_tuples": 10,
+            "shuffle_block_bytes": 100,
+            "watchdog_fires": 0,
+        },
+        "pasjoin_gauges": {
+            "driver_seconds": 0.01,
+            "construction_seconds": 0.0115,
+            "join_seconds": 0.002,
+            "dedup_seconds": 0.0,
+            "measured_construction_seconds": 0.0115,
+            "measured_join_seconds": 0.002,
+            "measured_dedup_seconds": 0.0,
+            "measured_planning_seconds": 0.0,
+            "kernel_sort_seconds": 0.0001,
+            "kernel_sweep_seconds": 0.0002,
+            "kernel_emit_seconds": 0.00005,
+        },
+        "pasjoin_dropped_events": 0,
+    }
+
+
+def validate(trace) -> list:
+    return trace_summary.validate(
+        trace_summary.Rollup(trace), trace, tolerance=0.05, slack=0.005)
+
+
+class ValidateTest(unittest.TestCase):
+    def assert_one_error(self, trace, needle: str) -> None:
+        errors = validate(trace)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn(needle, errors[0])
+
+    def test_passing_trace(self) -> None:
+        self.assertEqual(validate(passing_trace()), [])
+
+    def test_engine_only_trace_without_driver_seconds_passes(self) -> None:
+        trace = passing_trace()
+        del trace["pasjoin_gauges"]["driver_seconds"]
+        trace["pasjoin_gauges"]["construction_seconds"] = 0.0015
+        trace["pasjoin_gauges"]["measured_construction_seconds"] = 0.0015
+        self.assertEqual(validate(trace), [])
+
+    def test_construction_seconds_mismatch_fails(self) -> None:
+        trace = passing_trace()
+        trace["pasjoin_gauges"]["construction_seconds"] = 1.0
+        self.assert_one_error(trace, "construction_seconds")
+
+    def test_kept_sum_against_joinable_tuples_fails(self) -> None:
+        trace = passing_trace()
+        trace["pasjoin_counters"]["joinable_tuples"] = 11
+        self.assert_one_error(trace, "joinable_tuples")
+
+    def test_bytes_sum_against_shuffle_block_bytes_fails(self) -> None:
+        trace = passing_trace()
+        trace["pasjoin_counters"]["shuffle_block_bytes"] = 101
+        self.assert_one_error(trace, "shuffle_block_bytes")
+
+    def test_watchdog_fires_without_events_fails(self) -> None:
+        trace = passing_trace()
+        trace["pasjoin_counters"]["watchdog_fires"] = 1
+        self.assert_one_error(trace, "watchdog_fires")
+
+    def test_missing_key_fails(self) -> None:
+        for section, key in (("pasjoin_counters", "joinable_tuples"),
+                             ("pasjoin_gauges", "kernel_sort_seconds")):
+            trace = passing_trace()
+            del trace[section][key]
+            self.assert_one_error(trace, key)
+
+    def test_empty_export_fails(self) -> None:
+        trace = passing_trace()
+        trace["pasjoin_counters"] = {}
+        trace["pasjoin_gauges"] = {}
+        self.assert_one_error(trace, "no job metrics exported")
+        trace = passing_trace()
+        del trace["pasjoin_counters"]
+        del trace["pasjoin_gauges"]
+        self.assert_one_error(trace, "no job metrics exported")
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -67,6 +67,10 @@ bool CancellationState::WaitForCancellation(double seconds) {
   const Deadline until = Deadline::AfterSeconds(seconds);
   MutexLock lock(&mu_);
   while (phase_.load(std::memory_order_acquire) != kCancelled) {
+    if (until.unlimited()) {
+      cv_.Wait(&mu_);
+      continue;
+    }
     const double remaining = until.SecondsRemaining();
     if (remaining <= 0.0) return false;
     cv_.WaitFor(&mu_, std::chrono::duration<double>(remaining));
@@ -89,7 +93,11 @@ bool CancellationToken::WaitForCancellation(double seconds) const {
   MutexLock lock(&mu);
   double remaining = until.SecondsRemaining();
   while (remaining > 0.0) {
-    cv.WaitFor(&mu, std::chrono::duration<double>(remaining));
+    if (until.unlimited()) {
+      cv.Wait(&mu);  // nothing can wake it: an unbounded sleep
+    } else {
+      cv.WaitFor(&mu, std::chrono::duration<double>(remaining));
+    }
     remaining = until.SecondsRemaining();
   }
   return false;

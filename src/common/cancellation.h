@@ -7,8 +7,8 @@
 // code doing the work checks IsCancelled() at well-chosen poll points (the
 // engine's task loops, the kernels' emission batches, every blocking wait).
 // Nothing is ever torn down mid-operation — a cancelled task runs to its
-// next poll point, unwinds normally, and the commit-once publishing of the
-// engine guarantees no partial results become visible.
+// next poll point, unwinds normally, and never commits its output, so no
+// partial results become visible.
 //
 // The hot-path cost is one relaxed-ish atomic load (acquire) per poll; a
 // default-constructed token has no state at all and polls as a null-pointer
@@ -49,14 +49,24 @@ class Deadline {
   /// Explicit spelling of the unlimited deadline.
   static Deadline Never() { return Deadline(); }
 
-  /// Expires `seconds` from now. Non-positive values produce an
-  /// already-expired deadline (useful for tests and admission rejection).
+  /// Expires `seconds` from now. Non-positive values and NaN produce an
+  /// already-expired deadline (useful for tests and admission rejection);
+  /// +infinity and any span the steady clock cannot hold from now produce
+  /// Never().
   static Deadline AfterSeconds(double seconds) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const double ticks = std::chrono::duration<double, Clock::period>(
+                             std::chrono::duration<double>(
+                                 seconds > 0.0 ? seconds : 0.0))
+                             .count();
+    // The room converts to the nearest double, so every tick count below it
+    // is at most the room itself and adds to `now` without overflow.
+    const auto room = (Clock::time_point::max() - now).count();
+    if (!(ticks < static_cast<double>(room))) return Never();
     Deadline d;
     d.has_deadline_ = true;
-    d.at_ = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(seconds > 0.0 ? seconds : 0.0));
+    d.at_ = now + Clock::duration(static_cast<Clock::rep>(ticks));
     return d;
   }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +43,24 @@ TEST(DeadlineTest, FutureDeadlineNotYetExpired) {
   EXPECT_FALSE(d.HasExpired());
   EXPECT_GT(d.SecondsRemaining(), 3000.0);
   EXPECT_LE(d.SecondsRemaining(), 3600.0);
+}
+
+TEST(DeadlineTest, HugeAndInfiniteSecondsNeverExpire) {
+  // The steady clock holds about 292 years of nanoseconds; a longer span
+  // would overflow its tick count, so it means "never".
+  for (const double seconds : {1e10, 1e300,
+                               std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::infinity()}) {
+    const Deadline d = Deadline::AfterSeconds(seconds);
+    EXPECT_TRUE(d.unlimited()) << seconds;
+    EXPECT_FALSE(d.HasExpired()) << seconds;
+  }
+  // A span the clock holds stays a deadline, and NaN stays expired.
+  const Deadline far = Deadline::AfterSeconds(1e9);
+  EXPECT_FALSE(far.unlimited());
+  EXPECT_GT(far.SecondsRemaining(), 0.99e9);
+  EXPECT_TRUE(Deadline::AfterSeconds(std::numeric_limits<double>::quiet_NaN())
+                  .HasExpired());
 }
 
 TEST(CancellationTokenTest, DefaultTokenNeverCancels) {
@@ -155,6 +174,28 @@ TEST(CancellationWaitTest, CancelInterruptsWait) {
   canceller.join();
   EXPECT_TRUE(source.token().WaitForCancellation(10.0))
       << "already-cancelled wait returns immediately";
+}
+
+TEST(CancellationWaitTest, HugeWaitOnCancelledTokenReturnsAtOnce) {
+  CancellationSource source;
+  source.Cancel(StatusCode::kCancelled, "already gone");
+  const Stopwatch sw;
+  EXPECT_TRUE(source.token().WaitForCancellation(1e300));
+  EXPECT_TRUE(source.token().WaitForCancellation(
+      std::numeric_limits<double>::infinity()));
+  EXPECT_LT(sw.ElapsedSeconds(), 5.0);
+}
+
+TEST(CancellationWaitTest, CancelInterruptsAnUnboundedWait) {
+  CancellationSource source;
+  std::thread canceller([&] {
+    CancellationToken().WaitForCancellation(0.005);
+    source.Cancel(StatusCode::kCancelled, "wake up");
+  });
+  const Stopwatch sw;
+  EXPECT_TRUE(source.token().WaitForCancellation(1e300));
+  EXPECT_LT(sw.ElapsedSeconds(), 5.0);
+  canceller.join();
 }
 
 TEST(CancellationStressTest, ConcurrentCancelRacesAreSingleWinner) {

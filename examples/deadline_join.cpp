@@ -56,10 +56,10 @@ int main() {
 
   // --- 2. an impossible deadline --------------------------------------------
   // 50 ms is not enough for 200k x 200k. The watchdog cancels the job, every
-  // poll point (drivers, phase runner, kernels) backs out cooperatively, and
-  // the join returns kDeadlineExceeded with NO partial results: pairs are
-  // published per-task with commit-once semantics, and a cancelled run never
-  // reaches the publish step.
+  // poll point (drivers, task runners, kernels) backs out cooperatively, and
+  // the join returns kDeadlineExceeded with NO partial results: a task
+  // commits only its complete output, and a cancelled run never reaches the
+  // publish step.
   {
     core::AdaptiveJoinOptions options = BaseOptions();
     options.deadline = Deadline::AfterSeconds(0.05);

@@ -2,7 +2,7 @@
 //
 // Fault-tolerant execution: runs the same adaptive join twice - once clean,
 // once with injected chaos (20% task failures in every phase, one lost
-// logical worker, 4x stragglers) - and verifies the recovered result is
+// logical worker, 20 ms stragglers) - and verifies the recovered result is
 // identical to the fault-free one. Demonstrates the FaultOptions knobs, the
 // Result-returning TryRunPartitionedJoin entry point, and the recovery
 // metrics (docs/FAULT_TOLERANCE.md).
@@ -40,8 +40,8 @@ int main() {
   // --- 2. the same join under injected chaos --------------------------------
   // 20% of task attempts fail in every phase, logical worker 2 dies at the
   // start of the join phase (its partitions are rebuilt from lineage on a
-  // survivor), and 10% of first attempts straggle at 4x slowdown (backed up
-  // by speculative execution).
+  // survivor), and 10% of first attempts straggle for 20 ms (backed up by
+  // speculative execution).
   exec::FaultOptions& fault = options.fault;
   fault.enabled = true;
   fault.seed = 2026;
@@ -53,8 +53,7 @@ int main() {
   fault.lost_worker = 2;
   fault.lost_worker_phase = exec::Phase::kJoin;
   fault.straggler_p = 0.1;
-  fault.straggler_slowdown = 4.0;
-  fault.straggler_base_ms = 5.0;
+  fault.straggler_delay_ms = 20.0;
   fault.speculation = true;
 
   Result<exec::JoinRun> faulty = core::AdaptiveDistanceJoin(r, s, options);

@@ -142,14 +142,12 @@ inline constexpr int kCancellationState = 40;
 /// thread snapshots registered heartbeats under it and cancels them only
 /// after releasing it, so it nests with nothing.
 inline constexpr int kWatchdogRegistry = 60;
-/// exec engine: per-phase recovery state (retry/speculation bookkeeping).
-/// Outermost engine lock — held while submitting to the thread pool.
-inline constexpr int kEnginePhaseState = 100;
 /// exec engine: the partition store of a worker lost in the join phase
 /// (its one rebuild, a re-run of the worker's regroup, runs under it).
+/// The only engine lock.
 inline constexpr int kEngineWorkerStore = 200;
-/// exec::ThreadPool queue/shutdown state; acquired by Submit() while the
-/// engine holds its phase-state lock.
+/// exec::ThreadPool queue/shutdown state. Submit() and Wait() take it with
+/// no other lock held.
 inline constexpr int kThreadPool = 400;
 /// obs::TraceRecorder shard registration/export; a span recorded under any
 /// engine lock may register the thread's shard on first append.

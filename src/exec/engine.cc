@@ -7,14 +7,15 @@
 // output, and a commit that publishes it — handed to an executor:
 //
 //   * StealExecutor (fault injection disabled): every task runs exactly
-//     once on a work-stealing runner and commits in place; each worker's
-//     regroup consumes and frees its inbound shuffle blocks;
-//   * RecoveringExecutor (FaultOptions::enabled): every task runs under a
-//     recovery runner that re-executes failed attempts from retained inputs
-//     (bounded retries with exponential backoff), fails over a lost logical
-//     worker, and launches speculative backups for straggling tasks (first
-//     finisher commits, exactly once). The dataflow keeps the shuffle
-//     blocks, so a lost worker's store is rebuilt by re-running its regroup.
+//     once on a work-stealing runner loop and commits in place; each
+//     worker's regroup consumes and frees its inbound shuffle blocks;
+//   * RecoveringExecutor (FaultOptions::enabled): runs each phase as waves
+//     on the same runner loop, at most one attempt per task per wave.
+//     Between waves the driver thread re-executes failed attempts from
+//     retained inputs (bounded retries with exponential backoff), fails over
+//     a lost logical worker, and backs up or resumes parked stragglers. The
+//     dataflow keeps the shuffle blocks, so a lost worker's store is rebuilt
+//     by re-running its regroup.
 //
 // The shuffle is columnar (exec/shuffle.h). A map task routes its split
 // twice: it stages and counts every instance per destination worker, then
@@ -35,8 +36,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -45,7 +44,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -383,16 +381,16 @@ void AccumulateDedupShuffle(
 // output slot and may add to `state`; nothing else is shared. After the
 // phase the driver thread calls finish on every state and sums the
 // threads' busy rows. compute must leave shared inputs intact when the
-// executor retains them (kRetainsInputs), since a failed or speculative
-// attempt may run it again.
+// executor retains them (kRetainsInputs), since a failed attempt may run
+// it again.
 // ---------------------------------------------------------------------------
 
 /// One phase's executor-facing description.
 struct PhaseSpec {
   Phase phase = Phase::kMap;
   int count = 0;
-  /// Steal-queue claim size (the recovering executor launches every task
-  /// on its own).
+  /// Steal-queue claim size (the recovering executor claims its attempts
+  /// one at a time).
   int grain = 1;
   /// Receives the busy time of committed tasks, by owning logical worker
   /// (sized to the worker count).
@@ -446,17 +444,6 @@ class BusyRows {
   std::vector<double> seconds_;
 };
 
-/// Folds a phase's per-thread state on the driver thread, once every
-/// thread has left the phase: finishes each State and adds the busy rows
-/// to `spec.busy`.
-template <typename State, typename Finish>
-void FoldThreads(const PhaseSpec& spec,
-                 std::vector<ThreadState<State>>& states,
-                 const BusyRows& rows, const Finish& finish) {
-  for (ThreadState<State>& t : states) finish(t.state);
-  rows.SumInto(spec.busy);
-}
-
 /// The driver-track span of each Phase and the span of its tasks on the
 /// owning worker's track, indexed by the Phase value.
 constexpr std::array<const char*, 5> kPhaseSpanNames = {
@@ -491,11 +478,58 @@ void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
   span.AddArg("kept", static_cast<int64_t>(store.id.size()));
 }
 
-/// Work-stealing executor (docs/PARALLELISM.md): one attempt per task,
-/// committed in place. One runner per pool thread claims grain-sized task
-/// blocks from a StealQueue (own slice first, stealing once dry), so a
+/// Runs one phase of either executor: the phase's span on the driver track
+/// and its measured wall time around `run_tasks(states, rows)`, which gets
+/// one State and one busy row per pool thread. Then the driver thread
+/// finishes every State and adds the busy rows to `spec.busy`.
+template <typename State, typename Finish, typename RunTasks>
+Status RunPhase(obs::TraceRecorder* trace, int threads, const PhaseSpec& spec,
+                const Finish& finish, const RunTasks& run_tasks) {
+  obs::ScopedSpan phase_span(
+      trace, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
+  phase_span.SetTrack(obs::kDriverTrack);
+  phase_span.AddArg("tasks", spec.count);
+  Stopwatch phase_wall;
+  std::vector<ThreadState<State>> states(static_cast<size_t>(threads));
+  BusyRows rows(threads, spec.busy->size());
+  Status st = run_tasks(states, rows);
+  for (ThreadState<State>& t : states) finish(t.state);
+  rows.SumInto(spec.busy);
+  *spec.measured_seconds += phase_wall.ElapsedSeconds();
+  return st;
+}
+
+/// The runner loop both executors share (docs/PARALLELISM.md): one runner
+/// per pool thread, at most `count`, claims grain-sized blocks of [0,
+/// count) from a StealQueue (own slice first, stealing once dry) and calls
+/// `body(runner, i)` for each i it claims; then the pool drains. So a
 /// straggling range is finished by whichever thread frees up — logical
-/// workers stay a pure placement concept.
+/// workers stay a pure placement concept. Once `job_token` fires, runners
+/// stop claiming and skip the rest of a claimed block, and a runner
+/// dequeued after the cancel returns at once.
+template <typename Body>
+void RunOnRunners(ThreadPool* pool, const CancellationToken& job_token,
+                  int count, int grain, const Body& body) {
+  const int runners = std::min(pool->num_threads(), count);
+  StealQueue queue(count, std::max(1, runners), grain);
+  for (int rnr = 0; rnr < runners; ++rnr) {
+    pool->Submit([&, rnr] {
+      if (job_token.IsCancelled()) return;  // dequeued after the cancel
+      int begin = 0;
+      int end = 0;
+      while (!job_token.IsCancelled() && queue.Next(rnr, &begin, &end)) {
+        for (int i = begin; i < end; ++i) {
+          if (job_token.IsCancelled()) break;
+          body(rnr, i);
+        }
+      }
+    });
+  }
+  pool->Wait();
+}
+
+/// Work-stealing executor: one attempt per task, committed in place on the
+/// runner loop.
 ///
 /// Accounting: each runner has its own State and busy row; a task's elapsed
 /// time goes to owner_of(task) in its runner's row, and the driver folds
@@ -503,10 +537,8 @@ void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
 /// driver track and every task a span on its owning worker's track —
 /// physical interleaving is invisible in the trace by design.
 ///
-/// Cancellation: once the job token fires, runners stop claiming (and skip
-/// the rest of a claimed block), a runner dequeued after the cancel returns
-/// at once, and the token's status is returned after the pool drains — the
-/// caller then discards the phase's outputs. Kernel-level polls inside
+/// Cancellation: the token's status is returned after the pool drains, and
+/// the caller then discards the phase's outputs. Kernel-level polls inside
 /// compute keep finer granularity.
 class StealExecutor {
  public:
@@ -523,45 +555,26 @@ class StealExecutor {
   Status Run(const PhaseSpec& spec, const OwnerOf& owner_of,
              const Compute& compute, const Commit& commit,
              const Finish& finish = Finish()) {
-    obs::ScopedSpan phase_span(trace_,
-                               kPhaseSpanNames[static_cast<size_t>(spec.phase)],
-                               "phase");
-    phase_span.SetTrack(obs::kDriverTrack);
-    phase_span.AddArg("tasks", spec.count);
     const char* const task_name =
         kTaskSpanNames[static_cast<size_t>(spec.phase)];
-    Stopwatch phase_wall;
-    const int runners = std::min(pool_->num_threads(), spec.count);
-    StealQueue queue(spec.count, std::max(1, runners), spec.grain);
-    std::vector<ThreadState<State>> states(static_cast<size_t>(runners));
-    BusyRows rows(runners, spec.busy->size());
-    for (int rnr = 0; rnr < runners; ++rnr) {
-      pool_->Submit([&, rnr] {
-        if (job_token_.IsCancelled()) return;  // dequeued after the cancel
-        State& state = states[static_cast<size_t>(rnr)].state;
-        int begin = 0;
-        int end = 0;
-        while (!job_token_.IsCancelled() && queue.Next(rnr, &begin, &end)) {
-          for (int i = begin; i < end; ++i) {
-            if (job_token_.IsCancelled()) break;
-            const int w = owner_of(i);
-            obs::ScopedTrack track_scope(trace_, w);
-            obs::ScopedSpan span(trace_, task_name, "task");
-            span.AddArg("task", i);
-            Stopwatch watch;
-            auto out = compute(i, state, &job_cancel_);
-            AddTaskSpanArgs(span, out);
-            commit(i, state, std::move(out));
-            rows.Add(rnr, w, watch.ElapsedSeconds());
-          }
-        }
-      });
-    }
-    pool_->Wait();
-    Status st = job_token_.ToStatus();
-    FoldThreads(spec, states, rows, finish);
-    *spec.measured_seconds += phase_wall.ElapsedSeconds();
-    return st;
+    return RunPhase<State>(
+        trace_, pool_->num_threads(), spec, finish,
+        [&](std::vector<ThreadState<State>>& states, BusyRows& rows) {
+          RunOnRunners(pool_, job_token_, spec.count, spec.grain,
+                       [&](int rnr, int i) {
+                         State& state = states[static_cast<size_t>(rnr)].state;
+                         const int w = owner_of(i);
+                         obs::ScopedTrack track_scope(trace_, w);
+                         obs::ScopedSpan span(trace_, task_name, "task");
+                         span.AddArg("task", i);
+                         Stopwatch watch;
+                         auto out = compute(i, state, &job_cancel_);
+                         AddTaskSpanArgs(span, out);
+                         commit(i, state, std::move(out));
+                         rows.Add(rnr, w, watch.ElapsedSeconds());
+                       });
+          return job_token_.ToStatus();
+        });
   }
 
   /// No fault injection: no worker is ever lost, no task targeted.
@@ -576,10 +589,6 @@ class StealExecutor {
   obs::TraceRecorder* const trace_;
 };
 
-// ---------------------------------------------------------------------------
-// The recovery machinery of the recovering executor.
-// ---------------------------------------------------------------------------
-
 /// Aggregated fault-tolerance counters of one job.
 struct FaultStats {
   uint64_t failed = 0;
@@ -588,26 +597,18 @@ struct FaultStats {
   double recovery_seconds = 0.0;
 };
 
-/// What a task body returns: a commit closure that publishes the computed
-/// result into the phase's output slots. The runner calls it exactly once
-/// per task (first finisher wins), which keeps speculative execution
-/// duplicate-free. A body cut short by its token returns a closure over
-/// PARTIAL state — the runner never publishes a cancelled attempt. The
-/// body polls the attempt's token (fires on job cancellation, a sibling
-/// attempt's commit, or a watchdog stall verdict) and pulses its heartbeat
-/// through the KernelCancellation it is given. It adds its output's args to
-/// the attempt's task span.
-using PublishFn = std::function<void()>;
-using TaskBody =
-    std::function<PublishFn(int task, const spatial::KernelCancellation& kc,
-                            obs::ScopedSpan& span)>;
-
-/// Recovering executor (docs/FAULT_TOLERANCE.md): runs every phase through
-/// a PhaseRunner. Each attempt computes into its own output; only
-/// the first successful attempt of a task commits it. Attempts compute and
-/// commit on the pool thread they run on, with that thread's State, and a
-/// committed attempt's time goes to that thread's busy row; the driver
-/// folds both after the phase.
+/// Recovering executor (docs/FAULT_TOLERANCE.md): runs each phase as waves
+/// on the runner loop. A wave gives every pending task at most one attempt,
+/// which computes into its own output and, if it succeeds, commits in place
+/// with its runner's State and busy row. Between waves the driver thread
+/// reads the wave's outcomes and plans the next one (PlanWave): retries of
+/// failed tasks, and backups or resumptions of parked stragglers.
+///
+/// Two attempts of one task never run at once, so a commit needs no
+/// referee, and the attempts launched follow from the injector's decisions
+/// alone, never from timing. The pool's Wait() orders a wave's outcomes
+/// before the driver reads them, and the driver's plan before the next
+/// wave's runners start.
 class RecoveringExecutor {
  public:
   static constexpr bool kRetainsInputs = true;
@@ -629,25 +630,36 @@ class RecoveringExecutor {
   Status Run(const PhaseSpec& spec, const OwnerOf& owner_of,
              const Compute& compute, const Commit& commit,
              const Finish& finish = Finish()) {
-    using Output = std::invoke_result_t<const Compute&, int, State&,
-                                        const spatial::KernelCancellation*>;
-    std::vector<ThreadState<State>> states(
-        static_cast<size_t>(pool_->num_threads()));
-    BusyRows rows(pool_->num_threads(), spec.busy->size());
-    const TaskBody body = [&](int task, const spatial::KernelCancellation& kc,
-                              obs::ScopedSpan& span) {
-      const int thread = ThreadPool::CurrentThreadIndex();
-      PASJOIN_DCHECK(thread >= 0 && thread < pool_->num_threads());
-      State& state = states[static_cast<size_t>(thread)].state;
-      auto out = std::make_shared<Output>(compute(task, state, &kc));
-      AddTaskSpanArgs(span, *out);
-      return PublishFn([&commit, &state, task, out] {
-        commit(task, state, std::move(*out));
-      });
-    };
-    Status st = RunTasks(spec, owner_of, body, &rows);
-    FoldThreads(spec, states, rows, finish);
-    return st;
+    const char* const task_name =
+        kTaskSpanNames[static_cast<size_t>(spec.phase)];
+    return RunPhase<State>(
+        trace_, pool_->num_threads(), spec, finish,
+        [&](std::vector<ThreadState<State>>& states, BusyRows& rows) {
+          phase_ = spec.phase;
+          tasks_.assign(static_cast<size_t>(spec.count), TaskState());
+          for (int t = 0; t < spec.count; ++t) {
+            tasks_[static_cast<size_t>(t)].owner = owner_of(t);
+          }
+          committed_ = 0;
+          if (injector_.LosesWorkerIn(phase_)) {
+            worker_lost_ = true;
+            TraceInstant(trace_, "fault", "fault-worker-lost",
+                         obs::kDriverTrack, "worker", injector_.lost_worker());
+          }
+          Status st;
+          while ((st = PlanWave()).ok() && !wave_.empty()) {
+            RunOnRunners(pool_, job_token_, static_cast<int>(wave_.size()), 1,
+                         [&](int rnr, int i) {
+                           RunAttempt(&wave_[static_cast<size_t>(i)],
+                                      task_name,
+                                      states[static_cast<size_t>(rnr)].state,
+                                      &rows, rnr, compute, commit);
+                         });
+            if (job_token_.IsCancelled()) return AbandonWave();
+            SettleWave();
+          }
+          return st;
+        });
   }
 
   /// The logical worker lost at the start of `phase`, or -1.
@@ -671,14 +683,222 @@ class RecoveringExecutor {
   }
 
  private:
-  class PhaseRunner;
+  /// One task of the running phase, as the driver sees it between waves.
+  struct TaskState {
+    int owner = 0;
+    /// Attempts launched so far, which numbers the next one.
+    int attempts = 0;
+    int failures = 0;
+    /// Failed in the last wave and not retried yet.
+    bool failed = false;
+    bool committed = false;
+    /// The first attempt is an injected straggler, waiting off the pool for
+    /// a backup or for its own resumption.
+    bool parked = false;
+    bool speculated = false;
+    std::string last_error;
+  };
 
-  /// Executes the phase's tasks through a PhaseRunner, recording the phase
-  /// span and the (one-shot) worker-loss transition. Committed attempts
-  /// add their time to `rows`, one row per pool thread.
-  Status RunTasks(const PhaseSpec& spec,
-                  const std::function<int(int)>& owner_of,
-                  const TaskBody& body, BusyRows* rows);
+  /// One attempt of a wave. The runner that claims it writes the outcome;
+  /// the driver reads it once the pool has drained.
+  struct Attempt {
+    enum class Outcome : uint8_t { kAbandoned, kCommitted, kFailed };
+
+    int task = 0;
+    int attempt = 0;
+    double backoff_seconds = 0.0;
+    bool is_retry = false;
+    /// A parked straggler's first attempt: it waits out the straggler delay
+    /// before its body runs.
+    bool resumed = false;
+    Outcome outcome = Outcome::kAbandoned;
+    std::string error{};
+    double elapsed_seconds = 0.0;
+  };
+
+  /// Runs one attempt on runner `rnr`: its backoff, then, unless it fails
+  /// outright, its body under a fresh heartbeat. The output commits unless
+  /// the attempt's token fired (a body cut short returns partial output).
+  /// A job cancel leaves the attempt kAbandoned.
+  template <typename State, typename Compute, typename Commit>
+  void RunAttempt(Attempt* a, const char* task_name, State& state,
+                  BusyRows* rows, int rnr, const Compute& compute,
+                  const Commit& commit) {
+    const int task = a->task;
+    if (a->backoff_seconds > 0.0) {
+      TraceInstant(trace_, "fault", "fault-backoff", obs::kDriverTrack, "task",
+                   task);
+      // Interruptible: a job cancel ends the wait.
+      if (job_token_.WaitForCancellation(a->backoff_seconds)) return;
+    }
+    // The attempt span lands on the attributed worker's track, and kernel
+    // spans opened inside `compute` inherit the track. Failed attempts
+    // record committed=0, so the trace rollup counts only the attempts the
+    // busy rows count.
+    const int attributed = Attribution(task);
+    obs::ScopedTrack track_scope(trace_, attributed);
+    std::optional<obs::ScopedSpan> span;
+    span.emplace(trace_, task_name, "task");
+    span->AddArg("task", task);
+    span->AddArg("attempt", a->attempt);
+    const Stopwatch watch;
+    std::string error = OutrightFailure(task, a->attempt);
+    bool committed = false;
+    if (error.empty()) {
+      const auto heartbeat =
+          std::make_shared<TaskHeartbeat>(job_token_, task_name, task);
+      const CancellationToken token = heartbeat->token();
+      if (watchdog_ != nullptr) watchdog_->Register(heartbeat);
+      // A resumed straggler waits out its delay on its own token, where the
+      // watchdog sees a flat heartbeat and may cancel it.
+      if (!a->resumed ||
+          !token.WaitForCancellation(injector_.StragglerDelaySeconds())) {
+        try {
+          const spatial::KernelCancellation kc{&token, heartbeat->cell()};
+          auto out = compute(task, state, &kc);
+          if (!token.IsCancelled()) {
+            AddTaskSpanArgs(*span, out);
+            commit(task, state, std::move(out));
+            committed = true;
+          }
+        } catch (const std::exception& e) {
+          error = e.what();
+        } catch (...) {
+          error = "unknown exception";
+        }
+      }
+      if (watchdog_ != nullptr) watchdog_->Unregister(heartbeat);
+      if (!committed && error.empty()) {
+        if (job_token_.IsCancelled()) {
+          span->AddArg("committed", 0);
+          return;
+        }
+        error = token.ToStatus().message();  // the watchdog's stall verdict
+      }
+    }
+    a->elapsed_seconds = watch.ElapsedSeconds();
+    if (committed) rows->Add(rnr, attributed, a->elapsed_seconds);
+    span->AddArg("committed", committed ? 1 : 0);
+    span.reset();  // the span ends where the busy time does
+    if (!committed) {
+      TraceInstant(trace_, "fault", "fault-failure", attributed, "task", task);
+    }
+    a->error = std::move(error);
+    a->outcome =
+        committed ? Attempt::Outcome::kCommitted : Attempt::Outcome::kFailed;
+  }
+
+  /// Plans the next wave into wave_, in task order: each task's first
+  /// attempt, unless it is an injected straggler, which parks; a retry of
+  /// every task that failed in the last wave, with exponential backoff, or
+  /// kResourceExhausted once a task has spent its retry budget. Then, with
+  /// speculation on and max(3, count / 4) tasks committed, one backup of
+  /// every parked straggler; otherwise, once nothing else is left to run,
+  /// the parked stragglers themselves.
+  Status PlanWave() {
+    const FaultOptions& fo = injector_.options();
+    const int count = static_cast<int>(tasks_.size());
+    wave_.clear();
+    for (int t = 0; t < count; ++t) {
+      TaskState& ts = tasks_[static_cast<size_t>(t)];
+      if (ts.attempts == 0) {
+        ts.attempts = 1;
+        ts.parked = OutrightFailure(t, 0).empty() &&
+                    injector_.IsStraggler(phase_, t, 0);
+        if (!ts.parked) wave_.push_back(Attempt{.task = t});
+      } else if (ts.failed) {
+        if (ts.failures > fo.max_retries) {
+          std::string message;
+          AppendF(&message,
+                  "task %d of phase %s failed %d time(s), retry budget (%d) "
+                  "exhausted; last error: %s",
+                  t, PhaseName(phase_), ts.failures, fo.max_retries,
+                  ts.last_error.c_str());
+          return Status::ResourceExhausted(std::move(message));
+        }
+        ts.failed = false;
+        ++stats_.retried;
+        TraceInstant(trace_, "fault", "fault-retry", obs::kDriverTrack, "task",
+                     t);
+        wave_.push_back(Attempt{
+            .task = t,
+            .attempt = ts.attempts++,
+            .backoff_seconds =
+                std::ldexp(fo.backoff_base_ms, ts.failures - 1) / 1000.0,
+            .is_retry = true});
+      }
+    }
+    const bool back_up =
+        fo.speculation && committed_ >= std::max(3, count / 4);
+    if (!back_up && !wave_.empty()) return Status::OK();
+    for (int t = 0; t < count; ++t) {
+      TaskState& ts = tasks_[static_cast<size_t>(t)];
+      if (!ts.parked || ts.speculated) continue;
+      if (back_up) {
+        ts.speculated = true;
+        ++stats_.speculated;
+        TraceInstant(trace_, "fault", "fault-speculate", obs::kDriverTrack,
+                     "task", t);
+        wave_.push_back(Attempt{.task = t, .attempt = ts.attempts++});
+      } else {
+        ts.parked = false;
+        wave_.push_back(Attempt{.task = t, .resumed = true});
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Folds a finished wave into the task states and the fault counters.
+  void SettleWave() {
+    for (Attempt& a : wave_) {
+      TaskState& ts = tasks_[static_cast<size_t>(a.task)];
+      if (a.is_retry) {
+        stats_.recovery_seconds += a.backoff_seconds + a.elapsed_seconds;
+      }
+      if (a.outcome == Attempt::Outcome::kCommitted) {
+        ts.committed = true;
+        ++committed_;
+        continue;
+      }
+      ++stats_.failed;
+      ++ts.failures;
+      ts.failed = true;
+      ts.last_error = std::move(a.error);
+    }
+  }
+
+  /// Ends a phase the job's token cancelled: one "cancel-abandon" instant
+  /// per attempt the wave left unfinished, and the token's status.
+  Status AbandonWave() const {
+    for (const Attempt& a : wave_) {
+      if (a.outcome == Attempt::Outcome::kAbandoned) {
+        TraceInstant(trace_, "cancel", "cancel-abandon", obs::kDriverTrack,
+                     "task", a.task);
+      }
+    }
+    return job_token_.ToStatus();
+  }
+
+  /// Why the attempt fails before doing any work — its worker was lost at
+  /// the start of this phase, or the injector fails it — or "" if it does
+  /// not.
+  std::string OutrightFailure(int task, int attempt) const {
+    const int lost = injector_.lost_worker();
+    if (attempt == 0 && injector_.LosesWorkerIn(phase_) &&
+        tasks_[static_cast<size_t>(task)].owner == lost) {
+      return "logical worker " + std::to_string(lost) + " lost";
+    }
+    if (injector_.ShouldFail(phase_, task, attempt)) return "injected fault";
+    return "";
+  }
+
+  /// Logical worker an attempt of `task` is attributed to: the
+  /// deterministic failover neighbor once the owner has been lost.
+  int Attribution(int task) const {
+    const int owner = tasks_[static_cast<size_t>(task)].owner;
+    const int lost = injector_.lost_worker();
+    return worker_lost_ && owner == lost ? (lost + 1) % workers_ : owner;
+  }
 
   ThreadPool* const pool_;
   FaultInjector injector_;
@@ -688,547 +908,12 @@ class RecoveringExecutor {
   obs::TraceRecorder* const trace_;
   bool worker_lost_ = false;
   FaultStats stats_;
+  /// The running phase, its tasks, their commits so far, and the wave.
+  Phase phase_ = Phase::kMap;
+  std::vector<TaskState> tasks_;
+  int committed_ = 0;
+  std::vector<Attempt> wave_;
 };
-
-/// One recoverable phase execution:
-///   * every injected/real failure is retried (fresh attempt id, exponential
-///     backoff) until FaultOptions::max_retries is exhausted, at which point
-///     the phase aborts with kResourceExhausted;
-///   * the configured worker loss fails the worker's first attempts, and its
-///     re-executions (like all post-loss work of that worker) are attributed
-///     to the deterministic failover neighbor (lost + 1) % workers;
-///   * once enough tasks committed, any task running longer than
-///     straggler_multiplier x the median committed time gets one speculative
-///     backup; whichever attempt finishes first commits (the commit-once
-///     publishing protocol lives in the `publishing`/`committed` bits of
-///     TaskState, all guarded by `mu_`).
-/// All in-flight attempts are drained before Run() returns, so phase-local
-/// state owned by the caller stays valid.
-///
-/// The retry/speculation bookkeeping shared between the driver loop and the
-/// pool attempts is held in PASJOIN_GUARDED_BY(mu_) members; mu_ ranks
-/// kEnginePhaseState — the outermost engine lock, held while submitting to
-/// the thread pool (lockrank::kThreadPool ranks above it).
-class RecoveringExecutor::PhaseRunner {
- public:
-  PhaseRunner(RecoveringExecutor* ex, const PhaseSpec& spec,
-              const std::function<int(int)>& owner_of, const TaskBody& body,
-              BusyRows* rows)
-      : ex_(ex),
-        phase_(spec.phase),
-        count_(spec.count),
-        rows_(rows),
-        task_name_(kTaskSpanNames[static_cast<size_t>(spec.phase)]),
-        owner_of_(owner_of),
-        body_(body),
-        lose_here_(ex->injector_.LosesWorkerIn(spec.phase)),
-        lost_(ex->injector_.lost_worker()),
-        min_samples_(static_cast<size_t>(std::max(3, count_ / 4))) {
-    states_.resize(static_cast<size_t>(count_));
-  }
-
-  /// Drives the phase to completion (or retry-budget exhaustion).
-  Status Run() PASJOIN_EXCLUDES(mu_) {
-    const FaultOptions& fo = ex_->injector_.options();
-    double next_speculation_check = 0.0;
-    MutexLock lock(&mu_);
-    for (int t = 0; t < count_; ++t) Launch(t, 0, 0.0, /*is_retry=*/false);
-
-    while (committed_count_ < count_) {
-      // 0. Job-level cancellation (external token, deadline): stop driving,
-      //    adopt the token's status, drain below. In-flight attempts see
-      //    the same signal through their linked heartbeat tokens.
-      if (ex_->job_token_.IsCancelled()) {
-        aborted_ = true;
-        failure_ = ex_->job_token_.ToStatus();
-        break;
-      }
-
-      // 1. Retry newly failed tasks (or give up once the budget is spent),
-      //    in task order.
-      std::sort(failed_tasks_.begin(), failed_tasks_.end());
-      std::vector<int> still_failed;
-      for (const int t : failed_tasks_) {
-        TaskState& st = states_[static_cast<size_t>(t)];
-        if (st.committed) continue;
-        // An executing attempt may still succeed; a parked straggler is
-        // not waited for.
-        if (st.running > st.parked) {
-          still_failed.push_back(t);
-          continue;
-        }
-        if (st.failures > fo.max_retries) {
-          failure_ = Status::ResourceExhausted(
-              "task " + std::to_string(t) + " of phase " + PhaseName(phase_) +
-              " failed " + std::to_string(st.failures) +
-              " time(s), retry budget (" + std::to_string(fo.max_retries) +
-              ") exhausted; last error: " + st.last_error);
-          aborted_ = true;
-          break;
-        }
-        const int retry_index = st.failures;  // 1-based
-        const double backoff_seconds =
-            fo.backoff_base_ms *
-            std::pow(fo.backoff_multiplier, retry_index - 1) / 1000.0;
-        st.handled_failures = st.failures;
-        st.started_at = -1.0;  // re-arm the speculation timer
-        retried_++;
-        TraceInstant(ex_->trace_, "fault", "fault-retry", obs::kDriverTrack,
-                     "task", t);
-        Launch(t, st.attempts, backoff_seconds, /*is_retry=*/true);
-      }
-      if (aborted_) break;
-      failed_tasks_ = std::move(still_failed);
-
-      // 2. Speculative execution, once per poll: back up tasks held up by
-      //    an injected straggler delay beyond the threshold. A computing
-      //    attempt is never backed up: a copy would redo the same work on
-      //    the same cores, and OS preemption would launch backups at random
-      //    and make the fault pattern depend on host load.
-      const double now = phase_watch_.ElapsedSeconds();
-      if (fo.speculation && now >= next_speculation_check &&
-          committed_durations_.size() >= min_samples_) {
-        next_speculation_check = now + kPollSeconds;
-        std::vector<double> durations = committed_durations_;
-        const size_t mid = durations.size() / 2;
-        std::nth_element(durations.begin(),
-                         durations.begin() + static_cast<std::ptrdiff_t>(mid),
-                         durations.end());
-        const double threshold =
-            std::max(fo.straggler_multiplier * durations[mid], 1e-3);
-        for (int t = 0; t < count_; ++t) {
-          TaskState& st = states_[static_cast<size_t>(t)];
-          if (st.committed || st.speculated || st.parked == 0) continue;
-          if (st.failures != st.handled_failures) continue;
-          if (st.started_at < 0.0 || now - st.started_at <= threshold) {
-            continue;
-          }
-          st.speculated = true;
-          speculated_++;
-          TraceInstant(ex_->trace_, "fault", "fault-speculate",
-                       obs::kDriverTrack, "task", t);
-          Launch(t, st.attempts, 0.0, /*is_retry=*/false);
-        }
-      }
-
-      // 3. Resume parked stragglers that are due.
-      ResumeParked(/*all=*/false);
-      cv_.WaitFor(&mu_, std::chrono::duration<double>(kPollSeconds));
-    }
-    // Drain every in-flight attempt before phase-local state goes away;
-    // parked stragglers resume at once and no new attempt parks.
-    draining_ = true;
-    ResumeParked(/*all=*/true);
-    while (running_total_ != 0) cv_.Wait(&mu_);
-
-    ex_->stats_.failed += failed_;
-    ex_->stats_.retried += retried_;
-    ex_->stats_.speculated += speculated_;
-    ex_->stats_.recovery_seconds += recovery_seconds_;
-    if (aborted_) return failure_;
-    return Status::OK();
-  }
-
- private:
-  struct TaskState {
-    bool committed = false;
-    bool publishing = false;
-    int running = 0;
-    /// The running attempts that are parked stragglers.
-    int parked = 0;
-    int attempts = 0;
-    int failures = 0;
-    int handled_failures = 0;
-    bool speculated = false;
-    /// Seconds since phase start at which the oldest live attempt began
-    /// executing (-1 while queued); drives the speculation threshold.
-    double started_at = -1.0;
-    std::string last_error;
-    /// Heartbeats of currently-executing attempts of this task. The winner
-    /// cancels the other entries after committing (speculation losers stop
-    /// at their next poll instead of running to completion).
-    std::vector<std::shared_ptr<TaskHeartbeat>> live;
-  };
-
-  /// The driver loop's poll interval.
-  static constexpr double kPollSeconds = 500e-6;
-
-  /// One attempt, and what a parked straggler needs to resume.
-  struct Attempt {
-    int task = 0;
-    int attempt = 0;
-    double backoff_seconds = 0.0;
-    bool is_retry = false;
-    std::shared_ptr<TaskHeartbeat> heartbeat;
-    /// Phase time (seconds) and trace time (ns) at which the attempt began.
-    double start_seconds = 0.0;
-    int64_t start_ns = 0;
-    /// Phase time at which a parked straggler is due; -1 if never parked.
-    double wake_at = -1.0;
-  };
-
-  /// Drops `hb` from `st.live` (no-op for null / already-removed).
-  static void RemoveLive(TaskState& st,
-                         const std::shared_ptr<TaskHeartbeat>& hb) {
-    if (hb == nullptr) return;
-    st.live.erase(std::remove(st.live.begin(), st.live.end(), hb),
-                  st.live.end());
-  }
-
-  /// Logical worker an attempt of `task` is attributed to (the failover
-  /// neighbor once the owner has been lost).
-  int Attribution(int task) const {
-    const int w = owner_of_(task);
-    if (ex_->worker_lost_ && w == lost_ && ex_->workers_ >= 2) {
-      return (lost_ + 1) % ex_->workers_;
-    }
-    return w;
-  }
-
-  /// Launches one attempt on the pool.
-  void Launch(int task, int attempt, double backoff_seconds, bool is_retry)
-      PASJOIN_REQUIRES(mu_) {
-    TaskState& st = states_[static_cast<size_t>(task)];
-    st.attempts++;
-    st.running++;
-    running_total_++;
-    Attempt a;
-    a.task = task;
-    a.attempt = attempt;
-    a.backoff_seconds = backoff_seconds;
-    a.is_retry = is_retry;
-    ex_->pool_->Submit([this, a] { RunAttempt(a); });
-  }
-
-  /// Starts one attempt on a pool thread (after its backoff, if any): the
-  /// heartbeat, then — for an injected straggler — parking, so the straggle
-  /// delay holds no pool thread that other tasks (a speculative backup
-  /// among them) could use.
-  void RunAttempt(Attempt a) PASJOIN_EXCLUDES(mu_) {
-    const int task = a.task;
-    if (a.backoff_seconds > 0.0) {
-      TraceInstant(ex_->trace_, "fault", "fault-backoff", obs::kDriverTrack,
-                   "task", task);
-      // Interruptible backoff: a job-level cancel wakes the sleeper instead
-      // of letting it burn the remaining backoff.
-      if (ex_->job_token_.WaitForCancellation(a.backoff_seconds)) {
-        RetireAttempt(task, nullptr, /*abandoned=*/true);
-        return;
-      }
-    }
-    if (ex_->job_token_.IsCancelled()) {
-      // Dequeued after a job cancel (or deadline): never start the body.
-      RetireAttempt(task, nullptr, /*abandoned=*/true);
-      return;
-    }
-    {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (ts.committed) {
-        // A queued backup whose original already won: nothing to do.
-        FinishAttempt(task);
-        return;
-      }
-      // The busy time and the trace span start from adjacent readings.
-      a.start_seconds = phase_watch_.ElapsedSeconds();
-      if (ex_->trace_ != nullptr) a.start_ns = ex_->trace_->NowNs();
-      if (ts.started_at < 0.0) ts.started_at = a.start_seconds;
-      a.heartbeat =
-          std::make_shared<TaskHeartbeat>(ex_->job_token_, task_name_, task);
-      ts.live.push_back(a.heartbeat);
-    }
-    // Register only now that the attempt is actually executing — queue wait
-    // must not count against the watchdog's quiet period. Outside mu_: the
-    // registry lock ranks below the phase-state lock.
-    if (ex_->watchdog_ != nullptr) ex_->watchdog_->Register(a.heartbeat);
-    if (OutrightFailure(task, a.attempt).empty() &&
-        ex_->injector_.IsStraggler(phase_, task, a.attempt)) {
-      // The driver loop resumes a parked straggler when its token fires — a
-      // job cancel, a sibling attempt's commit, or the watchdog's stall
-      // verdict (the heartbeat stays flat while the attempt is parked, which
-      // is exactly the stall signature) — or once its delay has passed and
-      // no backup is coming (AwaitsBackup).
-      MutexLock lock(&mu_);
-      if (!draining_) {
-        a.wake_at = a.start_seconds + ex_->injector_.StragglerDelaySeconds();
-        states_[static_cast<size_t>(task)].parked++;
-        parked_.push_back(std::move(a));
-        return;
-      }
-    }
-    Execute(a);
-  }
-
-  /// Why the attempt fails before doing any work — its worker was lost at
-  /// the start of this phase, or the injector fails it — or "" if it does
-  /// not.
-  std::string OutrightFailure(int task, int attempt) const {
-    if (lose_here_ && attempt == 0 && owner_of_(task) == lost_) {
-      return "logical worker " + std::to_string(lost_) + " lost";
-    }
-    if (ex_->injector_.ShouldFail(phase_, task, attempt)) {
-      return "injected fault";
-    }
-    return "";
-  }
-
-  /// Runs a started attempt's body (after its straggle delay, if parked)
-  /// and commits its output when it is the task's first successful attempt.
-  void Execute(const Attempt& a) PASJOIN_EXCLUDES(mu_) {
-    const int task = a.task;
-    const std::shared_ptr<TaskHeartbeat>& heartbeat = a.heartbeat;
-    // The attempt span covers the attempt's time from its start, straggle
-    // included, like the busy time a committed attempt is charged; it lands
-    // on the attributed worker's track, and kernel spans opened inside
-    // `body` inherit the track. Failed and losing speculative attempts
-    // record committed=0, so the trace rollup can count only the attempts
-    // the busy rows counted.
-    const int attributed = Attribution(task);
-    obs::ScopedTrack track_scope(ex_->trace_, attributed);
-    std::optional<obs::ScopedSpan> attempt_span;
-    attempt_span.emplace(ex_->trace_, task_name_, "task");
-    attempt_span->SetStartNs(a.start_ns);
-    attempt_span->AddArg("task", task);
-    attempt_span->AddArg("attempt", a.attempt);
-    std::string error = OutrightFailure(task, a.attempt);
-    bool failed = !error.empty();
-    PublishFn publish;
-    if (!failed) {
-      if (a.wake_at >= 0.0) {
-        bool committed_while_parked = false;
-        {
-          MutexLock lock(&mu_);
-          committed_while_parked = states_[static_cast<size_t>(task)].committed;
-        }
-        if (committed_while_parked) {
-          // A speculative backup finished while this straggler was parked.
-          attempt_span->AddArg("committed", 0);
-          RetireAttempt(task, heartbeat, /*abandoned=*/false);
-          return;
-        }
-        if (heartbeat->token().IsCancelled()) {
-          if (ex_->job_token_.IsCancelled()) {
-            attempt_span->AddArg("committed", 0);
-            RetireAttempt(task, heartbeat, /*abandoned=*/true);
-            return;
-          }
-          // Watchdog stall verdict: treat as a task failure so the normal
-          // recovery machinery re-executes from lineage (stragglers only
-          // fire on attempt 0, so the retry runs clean).
-          failed = true;
-          error = heartbeat->token().ToStatus().message();
-        }
-      }
-      if (!failed) {
-        const CancellationToken token = heartbeat->token();
-        try {
-          publish = body_(task, {&token, heartbeat->cell()}, *attempt_span);
-        } catch (const std::exception& e) {
-          failed = true;
-          error = e.what();
-        } catch (...) {
-          failed = true;
-          error = "unknown exception";
-        }
-        if (!failed && heartbeat->token().IsCancelled()) {
-          // The token fired mid-body and cut it short: whatever closure the
-          // body returned covers partial state and must never run.
-          publish = nullptr;
-          if (ex_->job_token_.IsCancelled()) {
-            attempt_span->AddArg("committed", 0);
-            RetireAttempt(task, heartbeat, /*abandoned=*/true);
-            return;
-          }
-          MutexLock lock(&mu_);
-          if (!states_[static_cast<size_t>(task)].committed) {
-            // Not a sibling commit, so it was the watchdog: fail -> retry.
-            failed = true;
-            error = heartbeat->token().ToStatus().message();
-          }
-        }
-      }
-    }
-    bool winner = false;
-    if (!failed) {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (!ts.committed && !ts.publishing) {
-        ts.publishing = true;
-        winner = true;
-      }
-    }
-    if (winner && publish) publish();
-    const double elapsed = phase_watch_.ElapsedSeconds() - a.start_seconds;
-    if (winner) {
-      rows_->Add(ThreadPool::CurrentThreadIndex(), attributed, elapsed);
-    }
-    attempt_span->AddArg("committed", winner ? 1 : 0);
-    // The span ends where the busy time does, before the bookkeeping below
-    // waits for the phase lock.
-    attempt_span.reset();
-    if (failed) {
-      TraceInstant(ex_->trace_, "fault", "fault-failure", attributed, "task",
-                   task);
-    }
-    std::vector<std::shared_ptr<TaskHeartbeat>> siblings;
-    // FinishAttempt() below wakes the driver loop, which may return from
-    // the phase and destroy this runner before this thread executes
-    // another instruction — everything after the block must touch only
-    // locals and objects that outlive the pool workers (the watchdog, the
-    // heartbeats' shared state), never `this`.
-    Watchdog* const watchdog = ex_->watchdog_;
-    {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (winner) {
-        ts.committed = true;
-        committed_count_++;
-        committed_durations_.push_back(elapsed);
-        for (const std::shared_ptr<TaskHeartbeat>& other : ts.live) {
-          if (other != heartbeat) siblings.push_back(other);
-        }
-      }
-      if (failed) {
-        if (ts.failures++ == ts.handled_failures) failed_tasks_.push_back(task);
-        ts.last_error = error;
-        failed_++;
-      }
-      if (a.is_retry) recovery_seconds_ += a.backoff_seconds + elapsed;
-      RemoveLive(ts, heartbeat);
-      FinishAttempt(task);
-    }
-    if (watchdog != nullptr) watchdog->Unregister(heartbeat);
-    // The winner interrupts still-running sibling attempts (speculation
-    // losers, or the straggler a backup beat): each stops at its next poll
-    // instead of finishing work whose result can never commit. Cancelled
-    // outside every lock (rank kCancellationState nests with nothing).
-    for (const std::shared_ptr<TaskHeartbeat>& other : siblings) {
-      other->Cancel(StatusCode::kCancelled, "sibling attempt committed");
-    }
-  }
-
-  /// Hands parked stragglers back to the pool: those whose token fired,
-  /// those whose delay has passed unless they await a backup, or every one
-  /// of them when `all`.
-  void ResumeParked(bool all) PASJOIN_REQUIRES(mu_) {
-    const double now = phase_watch_.ElapsedSeconds();
-    const auto due = std::partition(
-        parked_.begin(), parked_.end(), [&](const Attempt& a) {
-          if (all || a.heartbeat->token().IsCancelled()) return false;
-          return now < a.wake_at || AwaitsBackup(a.task);
-        });
-    for (auto it = due; it != parked_.end(); ++it) {
-      states_[static_cast<size_t>(it->task)].parked--;
-      ex_->pool_->Submit([this, a = *it] { Execute(a); });
-    }
-    parked_.erase(due, parked_.end());
-  }
-
-  /// True when parked straggler `task`, past its delay, is left to
-  /// speculation: it has a backup, whose chain of attempts settles the task,
-  /// or may still get one, because enough tasks can commit without waking a
-  /// parked straggler. So with speculation on, every straggler that can be
-  /// backed up is, and the attempts launched never depend on timing.
-  bool AwaitsBackup(int task) PASJOIN_REQUIRES(mu_) {
-    if (!ex_->injector_.options().speculation) return false;
-    if (states_[static_cast<size_t>(task)].speculated) return true;
-    if (committed_durations_.size() >= min_samples_) return true;
-    return std::any_of(states_.begin(), states_.end(), [](const TaskState& st) {
-      return !st.committed && (st.running > st.parked ||
-                               st.failures != st.handled_failures);
-    });
-  }
-
-  /// Retires an attempt that ends without a result: its task already
-  /// committed, or (`abandoned`) the job was cancelled. Each abandonment is
-  /// traced as one "cancel-abandon" instant.
-  void RetireAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat,
-                     bool abandoned) PASJOIN_EXCLUDES(mu_) {
-    // The runner may be destroyed the moment FinishAttempt() wakes the
-    // driver; only locals below the block. The recorder and the watchdog
-    // are engine-scope objects that outlive every pool worker.
-    Watchdog* const watchdog = ex_->watchdog_;
-    obs::TraceRecorder* const trace = ex_->trace_;
-    {
-      MutexLock lock(&mu_);
-      RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
-      FinishAttempt(task);
-    }
-    if (watchdog != nullptr && heartbeat != nullptr) {
-      watchdog->Unregister(heartbeat);
-    }
-    if (abandoned) {
-      TraceInstant(trace, "cancel", "cancel-abandon", obs::kDriverTrack,
-                   "task", task);
-    }
-  }
-
-  /// Retires one attempt and wakes the driver loop when it has work to do
-  /// at once: a failure to retry, the phase's last commit, or the last
-  /// attempt of a drain. Everything else (speculation, parked stragglers,
-  /// job cancellation) waits for the loop's next poll.
-  void FinishAttempt(int task) PASJOIN_REQUIRES(mu_) {
-    TaskState& ts = states_[static_cast<size_t>(task)];
-    ts.running--;
-    running_total_--;
-    if (ts.failures != ts.handled_failures || committed_count_ == count_ ||
-        running_total_ == 0) {
-      cv_.NotifyAll();
-    }
-  }
-
-  RecoveringExecutor* const ex_;
-  const Phase phase_;
-  const int count_;
-  BusyRows* const rows_;
-  const char* const task_name_;
-  const std::function<int(int)>& owner_of_;
-  const TaskBody& body_;
-  const bool lose_here_;
-  const int lost_;
-  /// Commits a phase needs before speculation starts.
-  const size_t min_samples_;
-  const Stopwatch phase_watch_;
-
-  Mutex mu_{"RecoveringExecutor::PhaseRunner::mu_",
-            lockrank::kEnginePhaseState};
-  CondVar cv_;
-  std::vector<TaskState> states_ PASJOIN_GUARDED_BY(mu_);
-  int committed_count_ PASJOIN_GUARDED_BY(mu_) = 0;
-  int running_total_ PASJOIN_GUARDED_BY(mu_) = 0;
-  bool aborted_ PASJOIN_GUARDED_BY(mu_) = false;
-  Status failure_ PASJOIN_GUARDED_BY(mu_);
-  std::vector<double> committed_durations_ PASJOIN_GUARDED_BY(mu_);
-  std::vector<Attempt> parked_ PASJOIN_GUARDED_BY(mu_);
-  /// Tasks with a failure the driver loop has not retried yet.
-  std::vector<int> failed_tasks_ PASJOIN_GUARDED_BY(mu_);
-  bool draining_ PASJOIN_GUARDED_BY(mu_) = false;
-  uint64_t failed_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t retried_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t speculated_ PASJOIN_GUARDED_BY(mu_) = 0;
-  double recovery_seconds_ PASJOIN_GUARDED_BY(mu_) = 0.0;
-};
-
-Status RecoveringExecutor::RunTasks(const PhaseSpec& spec,
-                                    const std::function<int(int)>& owner_of,
-                                    const TaskBody& body,
-                                    BusyRows* rows) {
-  if (spec.count <= 0) return Status::OK();
-  obs::ScopedSpan phase_span(
-      trace_, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
-  phase_span.SetTrack(obs::kDriverTrack);
-  phase_span.AddArg("tasks", spec.count);
-  Stopwatch phase_wall;
-  if (injector_.LosesWorkerIn(spec.phase)) {
-    worker_lost_ = true;
-    TraceInstant(trace_, "fault", "fault-worker-lost", obs::kDriverTrack,
-                 "worker", injector_.lost_worker());
-  }
-  PhaseRunner runner(this, spec, owner_of, body, rows);
-  Status st = runner.Run();
-  *spec.measured_seconds += phase_wall.ElapsedSeconds();
-  return st;
-}
 
 // ---------------------------------------------------------------------------
 // The dataflow.

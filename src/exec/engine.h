@@ -26,8 +26,11 @@
 // same dataflow on a recovering executor with the semantics of the Spark
 // substrate the paper runs on — lineage-based task retry with exponential
 // backoff, worker-loss recovery from retained split data, and speculative
-// re-execution of stragglers. The model, its guarantees, and the
-// FaultOptions knobs are documented in docs/FAULT_TOLERANCE.md.
+// re-execution of stragglers. It runs each phase as waves of attempts on
+// the same work-stealing runners and plans the next wave on the driver
+// thread, so the attempts it launches never depend on timing. The model,
+// its guarantees, and the FaultOptions knobs are documented in
+// docs/FAULT_TOLERANCE.md.
 #ifndef PASJOIN_EXEC_ENGINE_H_
 #define PASJOIN_EXEC_ENGINE_H_
 

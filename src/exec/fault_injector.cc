@@ -49,9 +49,6 @@ Status FaultOptions::Validate(int workers) const {
   if (!(backoff_base_ms >= 0.0) || !std::isfinite(backoff_base_ms)) {
     return Status::InvalidArgument("backoff_base_ms must be >= 0 and finite");
   }
-  if (!(backoff_multiplier >= 1.0) || !std::isfinite(backoff_multiplier)) {
-    return Status::InvalidArgument("backoff_multiplier must be >= 1");
-  }
   if (lost_worker >= 0) {
     if (workers < 2) {
       return Status::InvalidArgument(
@@ -62,14 +59,9 @@ Status FaultOptions::Validate(int workers) const {
           "lost_worker must name a logical worker in [0, workers)");
     }
   }
-  if (!(straggler_slowdown >= 1.0) || !std::isfinite(straggler_slowdown)) {
-    return Status::InvalidArgument("straggler_slowdown must be >= 1");
-  }
-  if (!(straggler_base_ms >= 0.0) || !std::isfinite(straggler_base_ms)) {
-    return Status::InvalidArgument("straggler_base_ms must be >= 0 and finite");
-  }
-  if (!(straggler_multiplier >= 1.0) || !std::isfinite(straggler_multiplier)) {
-    return Status::InvalidArgument("straggler_multiplier must be >= 1");
+  if (!(straggler_delay_ms >= 0.0) || !std::isfinite(straggler_delay_ms)) {
+    return Status::InvalidArgument(
+        "straggler_delay_ms must be >= 0 and finite");
   }
   return Status::OK();
 }
@@ -119,7 +111,7 @@ bool FaultInjector::IsStraggler(Phase phase, int task, int attempt) const {
 }
 
 double FaultInjector::StragglerDelaySeconds() const {
-  return options_.straggler_slowdown * options_.straggler_base_ms / 1000.0;
+  return options_.straggler_delay_ms / 1000.0;
 }
 
 bool FaultInjector::LosesWorkerIn(Phase phase) const {

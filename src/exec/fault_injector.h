@@ -70,9 +70,8 @@ struct FaultOptions {
   /// kResourceExhausted.
   int max_retries = 3;
   /// Exponential backoff before re-execution: retry k (1-based) waits
-  /// backoff_base_ms * backoff_multiplier^(k-1) milliseconds.
+  /// backoff_base_ms * 2^(k-1) milliseconds.
   double backoff_base_ms = 0.25;
-  double backoff_multiplier = 2.0;
 
   // --- simulated worker loss -----------------------------------------------
   /// Logical worker to lose (-1 = none). The loss strikes at the start of
@@ -87,16 +86,11 @@ struct FaultOptions {
   /// Probability that a task's *first* attempt straggles (retries and
   /// speculative copies are assumed to land on healthy workers).
   double straggler_p = 0.0;
-  /// An injected straggler sleeps straggler_slowdown * straggler_base_ms
-  /// milliseconds before doing its work.
-  double straggler_slowdown = 4.0;
-  double straggler_base_ms = 2.0;
-  /// Launch a speculative backup once a straggling task has waited out its
-  /// injected delay for longer than this multiple of the phase's median
-  /// committed task time (computing attempts are never backed up).
-  double straggler_multiplier = 3.0;
-  /// Enables speculative execution (first finisher wins; the result is
-  /// committed exactly once, so duplicates are impossible).
+  /// Milliseconds an injected straggler waits before doing its work.
+  double straggler_delay_ms = 8.0;
+  /// Enables speculative execution: once max(3, tasks / 4) tasks of a
+  /// phase have committed, every parked straggler gets one backup attempt.
+  /// A task's attempts never run at once, so it commits exactly once.
   bool speculation = true;
 
   /// Validates every field against `workers` logical workers.
@@ -128,7 +122,7 @@ class FaultInjector {
   /// (attempt 0) straggle.
   bool IsStraggler(Phase phase, int task, int attempt) const;
 
-  /// Seconds an injected straggler sleeps before doing its work.
+  /// Seconds an injected straggler waits before doing its work.
   double StragglerDelaySeconds() const;
 
   /// True when the configured worker loss strikes in `phase`.

@@ -110,7 +110,7 @@ struct JobMetrics {
 
   // --- fault tolerance (docs/FAULT_TOLERANCE.md) ---------------------------
   /// Task attempts that failed: injected faults, simulated worker loss, and
-  /// exceptions observed by the recovery runner.
+  /// exceptions observed by the recovering executor.
   uint64_t tasks_failed = 0;
   /// Re-executions launched after a failure (lineage-based recovery).
   uint64_t tasks_retried = 0;
@@ -122,7 +122,7 @@ struct JobMetrics {
 
   // --- cancellation + deadlines (docs/CANCELLATION.md) ---------------------
   /// Times the stuck-task watchdog cancelled a stalled attempt. Each fire
-  /// fails exactly that attempt; the recovery runner retries it normally.
+  /// fails exactly that attempt; the recovering executor retries it normally.
   uint64_t watchdog_fires = 0;
   /// Seconds left on the job deadline when the run finished; +infinity when
   /// no deadline was set (check std::isfinite before printing/serializing).

@@ -27,17 +27,13 @@ namespace {
                            " tasks failed; first: " + first_message);
 }
 
-/// The calling thread's index within its pool (ThreadPool::
-/// CurrentThreadIndex); set once when a pool thread starts.
-thread_local int current_thread_index = -1;
-
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   PASJOIN_CHECK(num_threads >= 1);
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -71,8 +67,7 @@ void ThreadPool::Wait() {
   if (error) ThrowTaskErrors(std::move(error), count);
 }
 
-void ThreadPool::WorkerLoop(int index) {
-  current_thread_index = index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -108,8 +103,6 @@ void ThreadPool::WorkerLoop(int index) {
     }
   }
 }
-
-int ThreadPool::CurrentThreadIndex() { return current_thread_index; }
 
 int ThreadPool::DefaultThreads() {
   return std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,

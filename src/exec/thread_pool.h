@@ -26,8 +26,7 @@ namespace pasjoin::exec {
 /// (the engine's steal runners, docs/CANCELLATION.md).
 ///
 /// Concurrency: all queue/shutdown/error state is guarded by `mu_`
-/// (rank lockrank::kThreadPool — the engine's recovery runner holds its
-/// phase-state lock while calling Submit(), so this lock ranks above it).
+/// (rank lockrank::kThreadPool).
 class ThreadPool {
  public:
   /// Creates `num_threads` threads (>= 1).
@@ -68,13 +67,8 @@ class ThreadPool {
   /// kMaxThreads.
   static int DefaultThreads();
 
-  /// Index in [0, num_threads()) of the calling thread within its pool, or
-  /// -1 when the caller is not a pool thread. Lets a task pick per-thread
-  /// scratch without locking.
-  static int CurrentThreadIndex();
-
  private:
-  void WorkerLoop(int index) PASJOIN_EXCLUDES(mu_);
+  void WorkerLoop() PASJOIN_EXCLUDES(mu_);
 
   Mutex mu_{"ThreadPool::mu_", lockrank::kThreadPool};
   CondVar task_available_;

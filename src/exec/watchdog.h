@@ -11,8 +11,8 @@
 //     latency is bounded by the poll interval, not aligned to it), and
 //   * cancels any registered *task attempt* whose progress heartbeat has
 //     not advanced for quiet_period_seconds (kCancelled, reason naming the
-//     task) — the recovery runner then treats the cancelled attempt as a
-//     failure and re-executes it from lineage, which is what turns a hung
+//     task) — the recovering executor then treats the cancelled attempt as
+//     a failure and re-executes it from lineage, which is what turns a hung
 //     attempt into a bounded retry instead of a hung job.
 //
 // Heartbeats are the progress signal: every attempt of the recovering
@@ -93,8 +93,8 @@ class TaskHeartbeat {
   /// The heartbeat counter cell, for kernels that bump it directly.
   std::atomic<uint64_t>* cell() { return &progress_; }
 
-  /// Token the attempt polls: fires on attempt-level cancellation (watchdog
-  /// or sibling commit) and on job-level cancellation (via the link).
+  /// Token the attempt polls: fires on attempt-level cancellation (the
+  /// watchdog) and on job-level cancellation (via the link).
   CancellationToken token() const { return source_.token(); }
 
   /// Cancels this attempt only (the job is untouched).

@@ -217,13 +217,6 @@ class ScopedSpan {
     event_.str_value = value;
   }
 
-  /// Backdates the span's start to `start_ns` (a NowNs() reading taken
-  /// earlier on any thread).
-  void SetStartNs(int64_t start_ns) {
-    if (recorder_ == nullptr) return;
-    event_.start_ns = start_ns;
-  }
-
   /// Overrides the span's logical track (defaults to CurrentTrack()).
   void SetTrack(int32_t track) {
     if (recorder_ == nullptr) return;

@@ -127,16 +127,14 @@ TEST(SyncRankTest, IncreasingRankOrderIsAccepted) {
 }
 
 TEST(SyncRankTest, FullLockrankTableOrderIsAccepted) {
-  // The documented engine nesting: phase state -> worker store -> thread
-  // pool, with trace registration innermost. Must not abort.
-  Mutex phase("t::phase", lockrank::kEnginePhaseState);
+  // The documented engine nesting: worker store -> thread pool, with trace
+  // registration innermost. Must not abort.
   Mutex store("t::store", lockrank::kEngineWorkerStore);
   Mutex pool("t::pool", lockrank::kThreadPool);
   Mutex trace("t::trace", lockrank::kTraceShards);
-  MutexLock l1(&phase);
-  MutexLock l2(&store);
-  MutexLock l3(&pool);
-  MutexLock l4(&trace);
+  MutexLock l1(&store);
+  MutexLock l2(&pool);
+  MutexLock l3(&trace);
   SUCCEED();
 }
 

@@ -324,6 +324,26 @@ TEST(EngineCancelTest, InvalidWatchdogOptionsRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A retry backoff longer than the steady clock can hold waits like an
+// unlimited one instead of overflowing the clock: the job's deadline ends
+// it, and the run reports kDeadlineExceeded.
+TEST(EngineCancelTest, HugeBackoffEndsAtTheDeadline) {
+  const Dataset r = MakeDataset(RandomPoints(200, 27), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(200, 28), 1000, "S");
+  EngineOptions options = SmallOptions();
+  options.fault.enabled = true;
+  options.fault.map_failure_p = 1.0;
+  options.fault.backoff_base_ms = 1e300;
+  options.deadline = Deadline::AfterSeconds(0.2);
+  const Stopwatch sw;
+  Result<JoinRun> result =
+      TryRunPartitionedJoin(r, s, BandAssign(options.eps),
+                            ModOwner(options.workers), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(sw.ElapsedSeconds(), 30.0);
+}
+
 // The acceptance scenario of docs/CANCELLATION.md: every first attempt is
 // an "infinite" straggler (it would sleep ~17 minutes); the watchdog
 // cancels each stalled attempt after its 50 ms quiet period, the recovery
@@ -343,8 +363,7 @@ TEST(EngineWatchdogTest, InfiniteStragglersAreCancelledAndRetried) {
 
   options.fault.enabled = true;
   options.fault.straggler_p = 1.0;
-  options.fault.straggler_base_ms = 1e6;  // "never" finishes on its own
-  options.fault.straggler_slowdown = 1.0;
+  options.fault.straggler_delay_ms = 1e6;  // "never" finishes on its own
   options.watchdog.enabled = true;
   options.watchdog.quiet_period_seconds = 0.05;
   options.watchdog.poll_interval_seconds = 0.005;
@@ -417,8 +436,7 @@ TEST(EngineWatchdogTest, SpeculationLosersAreCancelledExactly) {
 
   options.fault.enabled = true;
   options.fault.straggler_p = 0.3;
-  options.fault.straggler_base_ms = 10.0;
-  options.fault.straggler_multiplier = 1.5;
+  options.fault.straggler_delay_ms = 40.0;
   options.fault.speculation = true;
   options.watchdog.enabled = true;
   options.watchdog.quiet_period_seconds = 5.0;  // stalls resolve by racing

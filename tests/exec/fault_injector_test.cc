@@ -5,6 +5,8 @@
 // failures, and the probability edge cases.
 #include "exec/fault_injector.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/status.h"
@@ -52,9 +54,6 @@ TEST(FaultOptionsTest, RejectsBadRetryPolicy) {
   options = FaultOptions();
   options.backoff_base_ms = -0.5;
   EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
-  options = FaultOptions();
-  options.backoff_multiplier = 0.5;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultOptionsTest, RejectsBadWorkerLoss) {
@@ -69,15 +68,16 @@ TEST(FaultOptionsTest, RejectsBadWorkerLoss) {
 }
 
 TEST(FaultOptionsTest, RejectsBadStragglerPolicy) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    FaultOptions options;
+    options.straggler_delay_ms = bad;
+    EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
   FaultOptions options;
-  options.straggler_slowdown = 0.5;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
-  options = FaultOptions();
-  options.straggler_base_ms = -1.0;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
-  options = FaultOptions();
-  options.straggler_multiplier = 0.9;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
+  options.straggler_delay_ms = 0.0;
+  EXPECT_TRUE(options.Validate(4).ok());
 }
 
 TEST(FaultOptionsTest, FailureProbabilityIsPerPhase) {

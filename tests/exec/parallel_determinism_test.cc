@@ -338,7 +338,7 @@ TEST(ParallelDeterminismTest, RetriedAndBackedUpMapTasksMatchACleanRun) {
         case Fault::kStragglers:
           run_options.fault.seed = 7;
           run_options.fault.straggler_p = 0.3;
-          run_options.fault.straggler_base_ms = 10.0;
+          run_options.fault.straggler_delay_ms = 40.0;
           run_options.fault.speculation = true;
           label = "stragglers";
           break;

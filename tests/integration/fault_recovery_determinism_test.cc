@@ -55,8 +55,7 @@ exec::FaultOptions Chaos(double p, uint64_t seed) {
   fault.lost_worker = 1;
   fault.lost_worker_phase = exec::Phase::kJoin;
   fault.straggler_p = 0.1;
-  fault.straggler_slowdown = 4.0;
-  fault.straggler_base_ms = 5.0;
+  fault.straggler_delay_ms = 20.0;
   return fault;
 }
 

@@ -65,9 +65,9 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     return out;
   };
 
-  return driver.Run(r, s, assign,
-                    core::CellAssignment::Hash(options.workers).AsOwnerFn(),
-                    "Sedona");
+  const exec::OwnerFn owner =
+      core::CellAssignment::Hash(options.workers).AsOwnerFn();
+  return driver.Run(r, s, exec::FnRouter(assign, owner), "Sedona");
 }
 
 }  // namespace pasjoin::baselines

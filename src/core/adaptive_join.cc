@@ -71,10 +71,7 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
   }
 
   // --- distributed execution (Algorithm 5, lines 6-9) -----------------------
-  const exec::AssignFn assign = [&assigner](const Tuple& t, Side side) {
-    return assigner.Assign(t.pt, side);
-  };
-  return driver.Run(r, s, assign, assignment.AsOwnerFn(),
+  return driver.Run(r, s, AdaptiveRouter(&assigner, &assignment),
                     agreements::PolicyName(options.policy),
                     /*deduplicate=*/!options.duplicate_free);
 }

@@ -56,15 +56,14 @@ CellAssignment Driver::Place(const grid::GridStats* stats) {
 }
 
 Result<exec::JoinRun> Driver::Run(const Dataset& r, const Dataset& s,
-                                  const exec::AssignFn& assign,
-                                  const exec::OwnerFn& owner,
+                                  const exec::Router& router,
                                   const char* algorithm, bool deduplicate,
                                   bool self_join) {
   const double driver_seconds = ElapsedSeconds();
   engine_.deduplicate = deduplicate;
   engine_.self_join = self_join;
   Result<exec::JoinRun> run =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_);
+      exec::TryRunPartitionedJoin(r, s, router, engine_);
   if (!run.ok()) return run;
   exec::JobMetrics& m = run.value().metrics;
   m.algorithm = algorithm;
@@ -102,7 +101,8 @@ Result<exec::JoinRun> UniformGridDistanceJoin(const Dataset& r,
     out.push_back(grid.Locate(t.pt));
     return out;
   };
-  return driver.Run(r, s, assign, placement.AsOwnerFn(), join.algorithm,
+  const exec::OwnerFn owner = placement.AsOwnerFn();
+  return driver.Run(r, s, exec::FnRouter(assign, owner), join.algorithm,
                     /*deduplicate=*/false, join.self_join);
 }
 

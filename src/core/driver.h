@@ -92,10 +92,12 @@ class Driver {
   /// The engine epilogue: runs the dataflow with the job's execution knobs,
   /// eps and bounds = data space, names the run `algorithm`, reports the
   /// planning time and folds the driver time into construction.
-  [[nodiscard]] Result<exec::JoinRun> Run(
-      const Dataset& r, const Dataset& s, const exec::AssignFn& assign,
-      const exec::OwnerFn& owner, const char* algorithm,
-      bool deduplicate = false, bool self_join = false);
+  [[nodiscard]] Result<exec::JoinRun> Run(const Dataset& r,
+                                          const Dataset& s,
+                                          const exec::Router& router,
+                                          const char* algorithm,
+                                          bool deduplicate = false,
+                                          bool self_join = false);
 
  private:
   Driver() = default;

@@ -925,7 +925,7 @@ class RecoveringExecutor {
 /// metrics); `job_token` is the job's cancellation token.
 template <typename Executor>
 Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
-                            const AssignFn& assign, const OwnerFn& owner,
+                            const Router& router,
                             const EngineOptions& options, bool index_r,
                             int threads, const CancellationToken& job_token) {
   constexpr bool kRetain = Executor::kRetainsInputs;
@@ -965,7 +965,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
       [&](int task) { return (task % num_splits) % workers; },
       [&](int task, MapScratch& scratch, const Cancel* cancel) {
         return RouteSplit(MapTaskSplit(task, r, s, num_splits, workers),
-                          assign, owner, options, &scratch, cancel);
+                          router, options, &scratch, cancel);
       },
       CommitTo(&map_out)));
   // Map tasks cover their splits in index order, R before S, so the first
@@ -1201,8 +1201,7 @@ Status ValidateEps(double eps) {
 }
 
 Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
-                                      const AssignFn& assign,
-                                      const OwnerFn& owner,
+                                      const Router& router,
                                       const EngineOptions& options) {
   PASJOIN_RETURN_NOT_OK(ValidateEps(options.eps));
   PASJOIN_RETURN_NOT_OK(AdmitJob(options));
@@ -1224,17 +1223,24 @@ Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
     if (options.fault.enabled) {
       RecoveringExecutor ex(&pool, options.fault, options.workers, job_token,
                             &watchdog, options.trace);
-      return RunDataflow(&ex, r, s, assign, owner, options, index_r,
+      return RunDataflow(&ex, r, s, router, options, index_r,
                          pool.num_threads(), job_token);
     }
     StealExecutor ex(&pool, job_token, options.trace);
-    return RunDataflow(&ex, r, s, assign, owner, options, index_r,
+    return RunDataflow(&ex, r, s, router, options, index_r,
                        pool.num_threads(), job_token);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("engine task failed: ") + e.what());
   } catch (...) {
     return Status::Internal("engine task failed: unknown exception");
   }
+}
+
+Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
+                                      const AssignFn& assign,
+                                      const OwnerFn& owner,
+                                      const EngineOptions& options) {
+  return TryRunPartitionedJoin(r, s, FnRouter(assign, owner), options);
 }
 
 }  // namespace pasjoin::exec

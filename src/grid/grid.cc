@@ -91,22 +91,12 @@ int Grid::PositionInQuartet(QuartetId q, CellId cell) const {
 AreaInfo Grid::ClassifyArea(const Point& p, CellCoord c) const {
   const int cx = c.x;
   const int cy = c.y;
-  const Rect rect = CellRectAt(cx, cy);
-
   // Distance to each internal border; borders on the grid boundary never
   // trigger replication (there is no neighbor behind them).
-  const bool near_left = cx > 0 && (p.x - rect.min_x) <= eps_;
-  const bool near_right = cx < nx_ - 1 && (rect.max_x - p.x) <= eps_;
-  const bool near_bottom = cy > 0 && (p.y - rect.min_y) <= eps_;
-  const bool near_top = cy < ny_ - 1 && (rect.max_y - p.y) <= eps_;
-
-  // Cell sides strictly exceed 2*eps, so at most one border per axis is near.
-  PASJOIN_DCHECK(!(near_left && near_right));
-  PASJOIN_DCHECK(!(near_bottom && near_top));
-
+  const BorderSigns near = NearBorders(p, c);
   AreaInfo info;
-  info.dx = near_left ? -1 : (near_right ? +1 : 0);
-  info.dy = near_bottom ? -1 : (near_top ? +1 : 0);
+  info.dx = near.dx;
+  info.dy = near.dy;
   if (info.dx == 0 && info.dy == 0) {
     info.kind = AreaKind::kNone;
     return info;

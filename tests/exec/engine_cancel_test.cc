@@ -420,9 +420,11 @@ TEST(EngineWatchdogTest, HealthyDedupRunSurvivesAggressiveWatchdog) {
   ExpectSurvivesAggressiveWatchdog(/*deduplicate=*/true);
 }
 
-// Speculative execution + cancellation of losing attempts: the winner
-// commits exactly once and losers are cancelled, never published.
-TEST(EngineWatchdogTest, SpeculationLosersAreCancelledExactly) {
+// Stragglers with speculation and the watchdog on: a parked straggler is
+// backed up (or resumed) in a later wave, and no two attempts of a task
+// run at once, so no attempt is cancelled as a loser. The result must
+// equal the clean run's.
+TEST(EngineWatchdogTest, StragglersWithSpeculationStayExact) {
   const Dataset r = MakeDataset(RandomPoints(600, 25), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(600, 26), 1000, "S");
   EngineOptions options = SmallOptions();

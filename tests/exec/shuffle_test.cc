@@ -451,6 +451,14 @@ PartitionList RouteAssign(const Tuple& t, Side side) {
 /// Several partitions per worker; workers 3 to 5 receive nothing.
 int RouteOwner(PartitionId p) { return ((p % 3) + 3) % 3; }
 
+/// RouteSplit through FnRouter(assign, owner).
+MapTaskOutput RouteFns(const MapSplit& split, const AssignFn& assign,
+                       const OwnerFn& owner, const EngineOptions& options,
+                       MapScratch* scratch,
+                       const spatial::KernelCancellation* cancel) {
+  return RouteSplit(split, FnRouter(assign, owner), options, scratch, cancel);
+}
+
 EngineOptions RouteOptions(bool carry) {
   EngineOptions options;
   options.workers = kRouteWorkers;
@@ -559,7 +567,7 @@ TEST(RouteSplitTest, ExactlySizedBlocksMatchAPerInstanceReference) {
         label.append(std::to_string(begin)).append("-");
         label.append(std::to_string(end));
         label.append(side == Side::kR ? " R" : " S");
-        const MapTaskOutput out = RouteSplit(split, RouteAssign, RouteOwner,
+        const MapTaskOutput out = RouteFns(split, RouteAssign, RouteOwner,
                                              RouteOptions(carry), &scratch,
                                              nullptr);
         ExpectRouteMatches(out, RouteReference(split, carry), side, label);
@@ -625,7 +633,7 @@ TEST(RouteSplitTest, RoutingErrorsNameTheLowestOffendingIndex) {
         options.bounds = bounds;
         MapScratch scratch;
         const MapTaskOutput out =
-            RouteSplit(MapSplit{&d, Side::kR, 200, 1800, 0}, assign, owner,
+            RouteFns(MapSplit{&d, Side::kR, 200, 1800, 0}, assign, owner,
                        options, &scratch, nullptr);
         const size_t lowest = *std::min_element(bad.begin(), bad.end());
         EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
@@ -634,6 +642,77 @@ TEST(RouteSplitTest, RoutingErrorsNameTheLowestOffendingIndex) {
       }
     }
   }
+}
+
+TEST(RouteSplitTest, AnErrorBeforeANonFinitePointOfItsBlockIsReported) {
+  // Rows 10 and 20 share the split's first router block. Row 10 has no
+  // partition or an owner outside [0, workers), row 20 a non-finite point:
+  // the task reports row 10 with the message a lone offender gets, and the
+  // router never sees row 20 or any row after it.
+  for (const bool no_partition : {false, true}) {
+    Dataset d = RouteDataset(300);
+    d.tuples[20].pt.x = std::numeric_limits<double>::quiet_NaN();
+    int64_t last_seen = -1;
+    const AssignFn assign = [&](const Tuple& t, Side side) {
+      last_seen = std::max(last_seen, t.id);
+      PartitionList parts = RouteAssign(t, side);
+      if (t.id != 10) return parts;
+      if (no_partition) return PartitionList();
+      parts.push_back(99);
+      return parts;
+    };
+    const OwnerFn owner = [](PartitionId p) {
+      return p == 99 ? kRouteWorkers : RouteOwner(p);
+    };
+    MapScratch scratch;
+    const MapTaskOutput out =
+        RouteFns(MapSplit{&d, Side::kR, 0, 300, 0}, assign, owner,
+                 RouteOptions(true), &scratch, nullptr);
+    EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.error.message(),
+              std::string(no_partition ? "assign returned no partition"
+                                       : "owner placed partition 99 on "
+                                         "worker 6, outside [0, 6)")
+                  .append(" in dataset 'R' at index 10"));
+    EXPECT_EQ(last_seen, 19);
+  }
+}
+
+TEST(RouteSplitTest, LongPartitionListsSplitTheRouterBlock) {
+  // 600 partitions per tuple: three tuples fill a block, so the fourth
+  // opens the next one and is assigned again. A tuple with more partitions
+  // than a block holds is rejected.
+  const Dataset d = RouteDataset(10);
+  const auto wide = [](size_t n) {
+    return [n](const Tuple& t, Side) {
+      PartitionList parts;
+      for (size_t j = 0; j < n; ++j) {
+        parts.push_back(static_cast<PartitionId>(t.id * 1000) +
+                        static_cast<PartitionId>(j));
+      }
+      return parts;
+    };
+  };
+  const OwnerFn owner = RouteOwner;
+  MapScratch scratch;
+  const MapTaskOutput out = RouteFns(MapSplit{&d, Side::kR, 0, 10, 0},
+                                     wide(600), owner, RouteOptions(false),
+                                     &scratch, nullptr);
+  ASSERT_TRUE(out.error.ok()) << out.error.ToString();
+  EXPECT_EQ(out.shuffled_tuples, 6000u);
+  EXPECT_EQ(out.replicated, 5990u);
+  for (const ShuffleBlock& block : out.by_worker) {
+    for (size_t k = 1; k < block.size(); ++k) {
+      EXPECT_LT(block.part[k - 1], block.part[k]);  // (row, replica) order
+    }
+  }
+  const MapTaskOutput too_wide =
+      RouteFns(MapSplit{&d, Side::kR, 0, 10, 0},
+               wide(RoutedBlock::kMaxInstances + 1), owner,
+               RouteOptions(false), &scratch, nullptr);
+  EXPECT_EQ(too_wide.error.message(),
+            "assign returned more than 2048 partitions in dataset 'R' at "
+            "index 0");
 }
 
 TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
@@ -659,7 +738,7 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         return RouteAssign(t, side);
       };
       MapScratch scratch;
-      const MapTaskOutput partial = RouteSplit(
+      const MapTaskOutput partial = RouteFns(
           split, assign, RouteOwner, RouteOptions(carry), &scratch, &cancel);
       EXPECT_TRUE(partial.error.ok());
       const bool in_route = cancel_at < 2949;
@@ -678,7 +757,7 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
       }
       EXPECT_EQ(scratch.staged.size(), staged);
       // The rerun of the task on this thread, not cancelled.
-      const MapTaskOutput rerun = RouteSplit(split, RouteAssign, RouteOwner,
+      const MapTaskOutput rerun = RouteFns(split, RouteAssign, RouteOwner,
                                              RouteOptions(carry), &scratch,
                                              nullptr);
       ExpectRouteMatches(rerun, want, Side::kR,

@@ -7,10 +7,6 @@
 
 namespace pasjoin {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -23,18 +19,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 uint64_t Rng::NextBounded(uint64_t bound) {
   PASJOIN_DCHECK(bound > 0);
   // Rejection sampling to avoid modulo bias.
@@ -43,11 +27,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
     const uint64_t r = NextUint64();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextUniform(double lo, double hi) {

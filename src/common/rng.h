@@ -22,14 +22,26 @@ class Rng {
   /// Seeds the full 256-bit state from a 64-bit seed via SplitMix64.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next 64 uniformly random bits.
-  uint64_t NextUint64();
+  /// Next 64 uniformly random bits. Inline: samplers draw once per tuple.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Unbiased.
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double NextUniform(double lo, double hi);
@@ -44,6 +56,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

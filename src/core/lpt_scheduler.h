@@ -48,8 +48,7 @@ class CellAssignment {
       const int32_t owner = lpt_owner_->Find(cell);
       if (owner != FlatIndex::kAbsent) return owner;
     }
-    return static_cast<int>(static_cast<uint32_t>(cell) %
-                            static_cast<uint32_t>(workers_));
+    return static_cast<int>(HashOwner(static_cast<uint32_t>(cell)));
   }
 
   /// Adapts this assignment to the engine's OwnerFn.
@@ -64,9 +63,24 @@ class CellAssignment {
   std::vector<double> WorkerLoads(const std::vector<double>& cell_costs) const;
 
  private:
-  explicit CellAssignment(int workers) : workers_(workers) {}
+  explicit CellAssignment(int workers)
+      : workers_(workers),
+        mod_multiplier_(~uint64_t{0} / static_cast<uint32_t>(workers) + 1) {}
+
+  /// cell % workers without a divide (Lemire, Kaser and Kurz, "Faster
+  /// Remainder by Direct Computation", 2019): the fractional part of
+  /// cell / workers, held in 64 bits, times workers. Exact for every 32-bit
+  /// cell and divisor; a single worker's multiplier wraps to 0.
+  uint32_t HashOwner(uint32_t cell) const {
+    const uint64_t fraction = mod_multiplier_ * cell;
+    return static_cast<uint32_t>((static_cast<unsigned __int128>(fraction) *
+                                  static_cast<uint32_t>(workers_)) >>
+                                 64);
+  }
 
   int workers_ = 1;
+  /// ceil(2^64 / workers), modulo 2^64.
+  uint64_t mod_multiplier_ = 0;
   /// LPT owners of the positive-cost cells; null for pure hash assignment.
   std::shared_ptr<const FlatIndex> lpt_owner_;
 };

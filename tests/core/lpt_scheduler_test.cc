@@ -2,7 +2,9 @@
 #include "core/lpt_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,33 @@ TEST(CellAssignmentTest, HashCoversAllWorkers) {
     ++seen[static_cast<size_t>(w)];
   }
   for (int count : seen) EXPECT_EQ(count, 25);
+}
+
+// The hash owner is computed without a divide; it must be the remainder
+// exactly, for every id a grid or quadtree numbers and every worker count
+// admission accepts. No thread is started.
+TEST(CellAssignmentTest, HashOwnerIsTheRemainderForEveryWorkerCount) {
+  std::vector<int32_t> ids = {std::numeric_limits<int32_t>::min(), -1, 0,
+                              std::numeric_limits<int32_t>::max()};
+  for (int32_t c = -300; c <= 3000; ++c) ids.push_back(c);
+  // And about 2000 ids spread over the whole range.
+  for (int64_t c = std::numeric_limits<int32_t>::min();
+       c <= std::numeric_limits<int32_t>::max(); c += 2147483) {
+    ids.push_back(static_cast<int32_t>(c));
+  }
+  std::vector<int> workers;
+  for (int w = 1; w <= 1000; ++w) workers.push_back(w);
+  workers.push_back(4096);
+  workers.push_back(exec::kMaxWorkers);
+  for (const int w : workers) {
+    const CellAssignment a = CellAssignment::Hash(w);
+    for (const int32_t c : ids) {
+      const int expected = static_cast<int>(static_cast<uint32_t>(c) %
+                                            static_cast<uint32_t>(w));
+      ASSERT_EQ(a.OwnerOf(c), expected) << "cell " << c << ", " << w
+                                        << " workers";
+    }
+  }
 }
 
 TEST(CellAssignmentTest, LptPlacesHeaviestCellsApart) {

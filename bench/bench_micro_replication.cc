@@ -1,9 +1,10 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Microbenchmarks of the construction-side hot paths: point location, area
-// classification, adaptive cell assignment (Algorithms 2-4, one point at a
-// time and in the map's blocks), compiling the graph into the assigner's
-// routes, graph instantiation and Algorithm 1 marking. The fixture is the
+// Microbenchmarks of the construction-side hot paths: the admission scan
+// (bounds and sample), point location, area classification, adaptive cell
+// assignment (Algorithms 2-4, one point at a time and in the map's blocks),
+// compiling the graph into the assigner's routes, graph instantiation and
+// Algorithm 1 marking. The fixture is the
 // 241 x 104 (25k-cell) grid of S1 at eps 0.12.
 #include <benchmark/benchmark.h>
 
@@ -160,6 +161,20 @@ void BM_StatsAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StatsAdd);
+
+/// The driver's admission scan over the fixture's input: its bounds and a
+/// 3% Bernoulli sample in one pass. Items are tuples read.
+void BM_ScanInput(benchmark::State& state) {
+  const Fixture& f = SharedFixture();
+  for (auto _ : state) {
+    grid::InputScan scan = grid::ScanInput(f.data, /*fold_bounds=*/true,
+                                           grid::SampleDraw{0.03, 1});
+    benchmark::DoNotOptimize(scan);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.data.tuples.size()));
+}
+BENCHMARK(BM_ScanInput);
 
 }  // namespace
 }  // namespace pasjoin

@@ -4,42 +4,30 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/rng.h"
 #include "spatial/quadtree.h"
 
 namespace pasjoin::baselines {
 
 Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
                                              const SedonaOptions& options) {
-  Result<core::Driver> admitted =
-      core::Driver::Admit(r, s, options, options.sample_rate);
-  if (!admitted.ok()) return admitted.status();
-  core::Driver& driver = admitted.value();
-
   // The set with the fewest objects is both sampled for the partitioning
   // structure and replicated (Section 7.1); the other set is indexed, which
   // is the engine's R-tree kernel's own choice (S unless |R| > |S|).
   const Side replicated = r.tuples.size() <= s.tuples.size() ? Side::kR : Side::kS;
-  const Dataset& smaller = replicated == Side::kR ? r : s;
+  core::Sampling sampling{options.sample_rate, {}};
+  sampling.seed[static_cast<int>(replicated)] = options.sample_seed;
+  Result<core::Driver> admitted = core::Driver::Admit(r, s, options, sampling);
+  if (!admitted.ok()) return admitted.status();
+  core::Driver& driver = admitted.value();
 
-  std::vector<Point> sample;
-  {
-    obs::ScopedSpan span(driver.trace(), "driver-sample", "driver");
-    Rng rng(options.sample_seed);
-    sample.reserve(static_cast<size_t>(
-        static_cast<double>(smaller.tuples.size()) * options.sample_rate) + 16);
-    for (const Tuple& t : smaller.tuples) {
-      if (options.sample_rate >= 1.0 || rng.NextBernoulli(options.sample_rate)) {
-        sample.push_back(t.pt);
-      }
-    }
-  }
-  // About four leaves per worker (admission caps workers, so the product
-  // cannot overflow).
-  spatial::QuadTreeOptions quadtree;
-  quadtree.max_items_per_node = std::max<int>(
-      1, static_cast<int>(sample.size()) / (4 * options.workers));
+  // The sample dies with the tree's construction, before the engine runs.
   const spatial::QuadTreePartitioner partitioner = [&] {
+    const std::vector<Point> sample = driver.TakeSample(replicated);
+    // About four leaves per worker (admission caps workers, so the product
+    // cannot overflow).
+    spatial::QuadTreeOptions quadtree;
+    quadtree.max_items_per_node = std::max<int>(
+        1, static_cast<int>(sample.size()) / (4 * options.workers));
     obs::ScopedSpan span(driver.trace(), "driver-quadtree", "driver");
     span.AddArg("sample_points", static_cast<int64_t>(sample.size()));
     return spatial::QuadTreePartitioner(driver.space(), sample, quadtree);

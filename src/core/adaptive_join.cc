@@ -11,7 +11,9 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
                                            AdaptiveJoinArtifacts* artifacts) {
   PASJOIN_RETURN_NOT_OK(
       exec::ValidateThreads(options.planning.threads, "planning threads"));
-  Result<Driver> admitted = Driver::Admit(r, s, options, options.sample_rate);
+  Result<Driver> admitted = Driver::Admit(
+      r, s, options,
+      Sampling::BothSides(options.sample_rate, options.sample_seed));
   if (!admitted.ok()) return admitted.status();
   Driver& driver = admitted.value();
   obs::TraceRecorder* const trace = options.trace;
@@ -21,8 +23,7 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
       driver.MakeGrid(options.resolution_factor, /*baseline=*/false);
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
-  const grid::GridStats stats =
-      driver.Sample(grid, r, s, options.sample_rate, options.sample_seed);
+  const grid::GridStats stats = driver.Sample(grid);
 
   // --- graph of agreements (Sections 4-5) ----------------------------------
   // Statistically undecidable pairs default to replicating the globally

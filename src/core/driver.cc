@@ -1,26 +1,49 @@
 // Copyright 2026 The pasjoin Authors.
 #include "core/driver.h"
 
+#include <utility>
+
 #include "exec/metrics.h"
 
 namespace pasjoin::core {
 
 Result<Driver> Driver::Admit(const Dataset& r, const Dataset& s,
                              const JoinOptions& options,
-                             std::optional<double> sample_rate) {
+                             std::optional<Sampling> sampling) {
   PASJOIN_RETURN_NOT_OK(exec::ValidateEps(options.eps));
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
-  if (sample_rate && !(*sample_rate > 0.0 && *sample_rate <= 1.0)) {
+  if (sampling && !(sampling->rate > 0.0 && sampling->rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
   }
   PASJOIN_RETURN_NOT_OK(exec::AdmitJob(options));
   Driver driver;
   static_cast<exec::ExecOptions&>(driver.engine_) = options;
   driver.engine_.eps = options.eps;
-  driver.engine_.bounds =
-      options.mbr.Area() > 0.0 ? options.mbr : r.Mbr().Union(s.Mbr());
+
+  obs::ScopedSpan span(driver.trace(), "driver-scan", "driver");
+  const bool declared = options.mbr.Area() > 0.0;
+  int64_t scanned = 0;
+  Rect bounds[2];
+  for (const Side side : {Side::kR, Side::kS}) {
+    const int i = static_cast<int>(side);
+    const Dataset& input = side == Side::kR ? r : s;
+    std::optional<grid::SampleDraw> draw;
+    if (sampling && sampling->seed[i]) {
+      draw = grid::SampleDraw{sampling->rate, *sampling->seed[i]};
+    }
+    driver.population_[i] = input.tuples.size();
+    if (declared && !draw) continue;
+    grid::InputScan scan = grid::ScanInput(input, !declared, draw);
+    bounds[i] = scan.bounds;
+    driver.drawn_[i] = std::move(scan.sample);
+    scanned += static_cast<int64_t>(input.tuples.size());
+  }
+  driver.engine_.bounds = declared ? options.mbr : bounds[0].Union(bounds[1]);
+  span.AddArg("tuples", scanned);
+  span.AddArg("sampled_r", static_cast<int64_t>(driver.drawn_[0].size()));
+  span.AddArg("sampled_s", static_cast<int64_t>(driver.drawn_[1].size()));
   return driver;
 }
 
@@ -32,13 +55,14 @@ Result<grid::Grid> Driver::MakeGrid(double resolution_factor,
                   : grid::Grid::Make(space(), engine_.eps, resolution_factor);
 }
 
-grid::GridStats Driver::Sample(const grid::Grid& grid, const Dataset& r,
-                               const Dataset& s, double rate,
-                               uint64_t seed) const {
+grid::GridStats Driver::Sample(const grid::Grid& grid) {
   obs::ScopedSpan span(trace(), "driver-sample", "driver");
   grid::GridStats stats(&grid);
-  stats.AddSample(Side::kR, r, rate, seed);
-  stats.AddSample(Side::kS, s, rate, seed + 1);
+  for (const Side side : {Side::kR, Side::kS}) {
+    const std::vector<Point> drawn = TakeSample(side);
+    stats.AddDrawn(side, drawn, population_[static_cast<int>(side)]);
+  }
+  stats.SortCells();
   span.AddArg("sampled_r", static_cast<int64_t>(stats.SampleSize(Side::kR)));
   span.AddArg("sampled_s", static_cast<int64_t>(stats.SampleSize(Side::kS)));
   span.AddArg("sampled_cells", static_cast<int64_t>(stats.Sampled().size()));
@@ -86,7 +110,7 @@ Result<exec::JoinRun> UniformGridDistanceJoin(const Dataset& r,
                                               const UniformGridJoin& join,
                                               const JoinOptions& options) {
   Result<Driver> admitted =
-      Driver::Admit(r, s, options, /*sample_rate=*/std::nullopt);
+      Driver::Admit(r, s, options, /*sampling=*/std::nullopt);
   if (!admitted.ok()) return admitted.status();
   Driver& driver = admitted.value();
   Result<grid::Grid> grid_result =

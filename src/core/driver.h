@@ -4,20 +4,24 @@
 // and Sections 4.4 and 7.1 make PBSM an instance of the same
 // grid-partitioned dataflow:
 //
-//   admit -> data space -> grid -> sample -> place cells -> route
+//   admit -> scan (data space + drawn sample) -> grid -> sample statistics
+//         -> place cells -> route
 //         -> engine run (map / shuffle / join), driver time folded in.
 //
-// A Driver owns the steps that do not depend on the join: admission, the
-// data space, the grid, sampling and placement with their driver spans and
-// the planning clock, and the engine epilogue. A join adds only what is its
-// own: the graph of agreements (AdaptiveDistanceJoin), the quadtree
-// (SedonaLikeDistanceJoin), or just the one-side router of
+// A Driver owns the steps that do not depend on the join: admission and
+// the one pass over each input that finds the data space and draws the
+// sample, the grid, the sample statistics and placement with their driver
+// spans and the planning clock, and the engine epilogue. A join adds only
+// what is its own: the graph of agreements (AdaptiveDistanceJoin), the
+// quadtree (SedonaLikeDistanceJoin), or just the one-side router of
 // UniformGridDistanceJoin, which SelfDistanceJoin and PbsmDistanceJoin are.
 #ifndef PASJOIN_CORE_DRIVER_H_
 #define PASJOIN_CORE_DRIVER_H_
 
 #include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "core/planning.h"
@@ -41,17 +45,32 @@ struct JoinOptions : exec::ExecOptions {
   Rect mbr;
 };
 
+/// The sample a join draws: one Bernoulli rate, and the seed of each side
+/// it samples (nullopt for a side it does not).
+struct Sampling {
+  /// Both sides at `rate`, R drawn with `seed` and S with `seed + 1`.
+  static Sampling BothSides(double rate, uint64_t seed) {
+    return Sampling{rate, {seed, seed + 1}};
+  }
+
+  double rate = 0.0;
+  /// Indexed by Side.
+  std::optional<uint64_t> seed[2];
+};
+
 /// One driver call, from admission to the engine's result.
 class Driver {
  public:
   /// Admits a join of `r` and `s` under `options`: eps positive and finite,
-  /// both inputs non-empty, `sample_rate` in (0, 1] when the join samples
-  /// (nullopt when it does not), then exec::AdmitJob. Starts the driver
-  /// clock. The data space is `options.mbr` when it has area, the inputs'
-  /// MBR otherwise.
+  /// both inputs non-empty, the sampling rate in (0, 1] when the join
+  /// samples (nullopt when it does not), then exec::AdmitJob. Starts the
+  /// driver clock, then reads each input once in a driver-scan span: it
+  /// folds the inputs' MBR unless `options.mbr` has area (the data space is
+  /// that MBR or the inputs') and draws the side's sample (grid::ScanInput).
+  /// A rejected join reads no tuple.
   [[nodiscard]] static Result<Driver> Admit(const Dataset& r, const Dataset& s,
                                             const JoinOptions& options,
-                                            std::optional<double> sample_rate);
+                                            std::optional<Sampling> sampling);
 
   /// The data space. It is also the engine's declared bounds, so a point
   /// outside an explicit MBR is rejected instead of clamped into an edge
@@ -64,10 +83,14 @@ class Driver {
   [[nodiscard]] Result<grid::Grid> MakeGrid(double resolution_factor,
                                             bool baseline) const;
 
-  /// Bernoulli-samples both inputs into per-cell statistics, in a
-  /// driver-sample span. R is sampled with `seed`, S with `seed + 1`.
-  grid::GridStats Sample(const grid::Grid& grid, const Dataset& r,
-                         const Dataset& s, double rate, uint64_t seed) const;
+  /// Builds the per-cell statistics of both sides' drawn samples over
+  /// `grid`, in a driver-sample span, and frees the drawn points.
+  grid::GridStats Sample(const grid::Grid& grid);
+
+  /// Hands over the points drawn from `side`; the driver keeps none.
+  std::vector<Point> TakeSample(Side side) {
+    return std::exchange(drawn_[static_cast<int>(side)], {});
+  }
 
   /// Runs a planning step on the planning clock. The clock must cover
   /// exactly the planning-* spans that trace validation reconciles it with.
@@ -106,6 +129,9 @@ class Driver {
   exec::EngineOptions engine_;
   Stopwatch clock_;
   double planning_seconds_ = 0.0;
+  /// Per side: the points drawn at admission and the input's size.
+  std::vector<Point> drawn_[2];
+  size_t population_[2] = {0, 0};
 };
 
 /// A uniform one-side grid join (PBSM, Sections 4.4 and 7.1): tuples of the

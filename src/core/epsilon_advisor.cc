@@ -103,14 +103,14 @@ Result<double> AdviseEpsilon(const Dataset& r, const Dataset& s,
   // 2 * eps_min, the finest resolution the joins themselves use.
   JoinOptions job;
   job.eps = options.eps_min;
-  Result<Driver> admitted = Driver::Admit(r, s, job, options.sample_rate);
+  Result<Driver> admitted = Driver::Admit(
+      r, s, job, Sampling::BothSides(options.sample_rate, options.sample_seed));
   if (!admitted.ok()) return admitted.status();
   Result<grid::Grid> grid_result =
       admitted.value().MakeGrid(2.0, /*baseline=*/false);
   if (!grid_result.ok()) return grid_result.status();
   const grid::Grid grid = grid_result.MoveValue();
-  const grid::GridStats stats = admitted.value().Sample(
-      grid, r, s, options.sample_rate, options.sample_seed);
+  const grid::GridStats stats = admitted.value().Sample(grid);
 
   // The estimate is monotone increasing in eps: bisect.
   double lo = options.eps_min;

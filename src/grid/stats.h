@@ -18,6 +18,8 @@
 #define PASJOIN_GRID_STATS_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/flat_index.h"
@@ -32,6 +34,31 @@ int DirIndex(int dx, int dy);
 
 /// The (dx, dy) offsets for direction index `dir` in [0, 8).
 void DirOffset(int dir, int* dx, int* dy);
+
+/// A Bernoulli draw over one input (matching Spark's sample()): each tuple
+/// is taken independently with probability `rate`, decided in input order
+/// by one NextBernoulli(rate) of Rng(seed) per tuple. A rate of 1 takes
+/// every tuple and draws nothing.
+struct SampleDraw {
+  double rate = 1.0;
+  uint64_t seed = 0;
+};
+
+/// What one pass over an input read before planning.
+struct InputScan {
+  /// The input's MBR when the scan folded it, the empty Rect otherwise.
+  Rect bounds;
+  /// The drawn points, in input order.
+  std::vector<Point> sample;
+};
+
+/// Reads `dataset` once, tuple by tuple: folds its bounds when
+/// `fold_bounds` (from tuple 0 with Rect::Union, exactly as Dataset::Mbr,
+/// so NaN and infinite coordinates give the same Rect), and draws `draw`
+/// when set. Folding needs a non-empty `dataset`; the rate must be in
+/// (0, 1].
+InputScan ScanInput(const Dataset& dataset, bool fold_bounds,
+                    const std::optional<SampleDraw>& draw);
 
 /// The sample counts of one cell.
 struct CellCounts {
@@ -52,9 +79,20 @@ class GridStats {
   /// Records one sampled point of relation `side`.
   void Add(Side side, const Point& p);
 
-  /// Records each tuple of `dataset` independently with probability `rate`
-  /// using `seed` (Bernoulli sampling, matching Spark's sample()). Returns
-  /// the number of sampled tuples.
+  /// Records the points a draw took from a `population`-tuple input of
+  /// relation `side`, and scales the side by population / drawn points
+  /// (the scale stays 1.0 when nothing was drawn). Cells first met here
+  /// are appended; SortCells lays them out.
+  void AddDrawn(Side side, std::span<const Point> drawn, size_t population);
+
+  /// Lays the sampled cells' slots out in cell order: consumers walking
+  /// Sampled() then walk the grid row by row, and every table they probe
+  /// with it, instead of jumping.
+  void SortCells();
+
+  /// Draws SampleDraw{rate, seed} from `dataset` (see ScanInput), records
+  /// the drawn points with AddDrawn and sorts the cells. Returns the number
+  /// of sampled tuples.
   size_t AddSample(Side side, const Dataset& dataset, double rate,
                    uint64_t seed);
 
@@ -79,7 +117,8 @@ class GridStats {
   }
 
   /// The counts of every cell holding at least one sampled point: in cell
-  /// order after AddSample, followed by cells first met by later Add calls.
+  /// order after AddSample or SortCells, followed by cells first met by
+  /// later Add calls.
   const std::vector<CellCounts>& Sampled() const { return counts_; }
 
   /// Estimated number of candidate pairs (|R_i| * |S_i|) for `cell`, scaled

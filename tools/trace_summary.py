@@ -18,6 +18,8 @@ This tool prints a human-readable rollup:
     simulated phase seconds are built from;
   * per worker: busy seconds per phase;
   * the job counters and gauges embedded in the trace;
+  * the driver time no driver-* span covers, when the trace has the
+    driver_seconds gauge;
   * fault events, when any.
 
 With --validate it also cross-checks the trace against the metrics the job
@@ -35,6 +37,9 @@ trace of the engine alone has none. The checks:
     phase spans: measured_construction_seconds ~= driver_seconds +
     phase-map + phase-regroup, measured_join_seconds ~= phase-join,
     measured_dedup_seconds ~= phase-dedup-scatter + phase-dedup-merge;
+  * the driver spans (driver-scan, driver-grid, driver-sample, ...; they do
+    not nest) vs the driver_seconds gauge: the spans lie inside the driver
+    time, so their sum may not exceed it beyond the tolerance;
   * the measured_planning_seconds gauge (wall time of the driver-side
     planning pipeline, docs/PARALLELISM.md section 8) vs the sum of the
     planning spans (planning-pairs, planning-subgraphs, planning-marking,
@@ -109,6 +114,11 @@ PLANNING_SPANS = (
 )
 
 
+# Spans of the driver's construction steps (core/driver.h) share this
+# prefix. They do not nest, so their sum is the covered driver time.
+DRIVER_SPAN_PREFIX = "driver-"
+
+
 def load_trace(path: str):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
@@ -181,6 +191,13 @@ class Rollup:
     def count(self, name: str) -> int:
         return sum(count for count, _ in self.spans.get(name, {}).values())
 
+    def driver_spans_total(self) -> float:
+        return sum(
+            self.total(name)
+            for name in self.spans
+            if name.startswith(DRIVER_SPAN_PREFIX)
+        )
+
 
 def print_rollup(rollup: Rollup, trace) -> None:
     print("== per-phase task spans ==")
@@ -238,6 +255,13 @@ def print_rollup(rollup: Rollup, trace) -> None:
         print("\n== gauges ==")
         for key in sorted(gauges):
             print(f"{key:<24} {gauges[key]:.6f}")
+    driver_seconds = gauges.get("driver_seconds")
+    if driver_seconds:
+        uncovered = driver_seconds - rollup.driver_spans_total()
+        print(
+            f"\ndriver time outside driver-* spans: {uncovered:.6f}s of "
+            f"{driver_seconds:.6f}s ({uncovered / driver_seconds:.1%})"
+        )
     if rollup.fault_events:
         print(f"\n== fault events ({len(rollup.fault_events)}) ==")
         by_name = defaultdict(int)
@@ -316,6 +340,16 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         rollup.total("phase-dedup-scatter")
         + rollup.total("phase-dedup-merge"),
     )
+
+    # The driver spans lie inside the driver time; more span time than
+    # driver time means a span double counts or the gauge lost a step.
+    if "driver_seconds" in gauges:
+        covered = rollup.driver_spans_total()
+        if covered > driver_seconds + max(tolerance * driver_seconds, slack):
+            errors.append(
+                f"driver_seconds: driver-* spans sum to {covered:.4f}s, "
+                f"more than the reported {driver_seconds:.4f}s"
+            )
 
     # Driver-side planning: the measured_planning_seconds gauge is the
     # driver's wall clock around the planning pipeline, whose stages are

@@ -10,6 +10,8 @@ Run directly or through ctest (registered in tests/CMakeLists.txt).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import unittest
 from pathlib import Path
@@ -32,6 +34,10 @@ def passing_trace():
              "args": {"name": "driver"}},
             {"ph": "M", "pid": 0, "tid": 1, "name": "thread_name",
              "args": {"name": "worker 0"}},
+            span("driver-scan", 0, 4000, tuples=20, sampled_r=1,
+                 sampled_s=1),
+            span("driver-grid", 0, 1000),
+            span("driver-sample", 0, 2000),
             span("phase-map", 0, 1000),
             span("phase-regroup", 0, 500),
             span("phase-join", 0, 2000),
@@ -93,6 +99,28 @@ class ValidateTest(unittest.TestCase):
         trace = passing_trace()
         trace["pasjoin_gauges"]["construction_seconds"] = 1.0
         self.assert_one_error(trace, "construction_seconds")
+
+    def test_driver_spans_beyond_driver_seconds_fail(self) -> None:
+        trace = passing_trace()
+        # 7 ms of driver spans against a 6 ms driver time: beyond the
+        # 5 ms slack only once the spans grow past 11 ms.
+        trace["pasjoin_gauges"]["driver_seconds"] = 0.006
+        trace["pasjoin_gauges"]["construction_seconds"] = 0.0075
+        trace["pasjoin_gauges"]["measured_construction_seconds"] = 0.0075
+        self.assertEqual(validate(trace), [])
+        trace["traceEvents"].append(span("driver-placement", 0, 5000))
+        self.assert_one_error(trace, "driver-* spans sum to 0.0120s")
+
+    def test_rollup_prints_the_uncovered_driver_time(self) -> None:
+        trace = passing_trace()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            trace_summary.print_rollup(trace_summary.Rollup(trace), trace)
+        self.assertIn(
+            "driver time outside driver-* spans: 0.003000s of 0.010000s "
+            "(30.0%)",
+            out.getvalue(),
+        )
 
     def test_kept_sum_against_joinable_tuples_fails(self) -> None:
         trace = passing_trace()

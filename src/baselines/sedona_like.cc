@@ -55,7 +55,10 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
 
   const exec::OwnerFn owner =
       core::CellAssignment::Hash(options.workers).AsOwnerFn();
-  return driver.Run(r, s, exec::FnRouter(assign, owner), "Sedona");
+  return driver.Run(r, s,
+                    exec::FnRouter(assign, owner,
+                                   partitioner.num_partitions()),
+                    "Sedona");
 }
 
 }  // namespace pasjoin::baselines

@@ -1,11 +1,59 @@
 // Copyright 2026 The pasjoin Authors.
 #include "core/driver.h"
 
+#include <span>
 #include <utility>
 
 #include "exec/metrics.h"
 
 namespace pasjoin::core {
+
+namespace {
+
+/// The router of a uniform grid join: a tuple of the replicated side goes
+/// to grid::CellsWithinEps, any other to its native cell, and each cell to
+/// its owner under `placement`, with no type-erased call per tuple or per
+/// instance. The grid and the placement must outlive the router. Its range
+/// is the grid's cells.
+class UniformGridRouter final : public exec::Router {
+ public:
+  UniformGridRouter(const grid::Grid* grid, const CellAssignment* placement,
+                    Side replicated)
+      : grid_(grid), placement_(placement), replicated_(replicated) {}
+
+  size_t Route(std::span<const Tuple> tuples, Side side,
+               exec::RoutedBlock* out) const override {
+    size_t end = 0;
+    size_t k = 0;
+    for (; k < tuples.size(); ++k) {
+      if (side == replicated_) {
+        const SmallVector<grid::CellId, 4> cells =
+            grid::CellsWithinEps(*grid_, tuples[k].pt);
+        if (cells.size() > exec::RoutedBlock::kMaxInstances - end) break;
+        for (size_t j = 0; j < cells.size(); ++j) out->part[end++] = cells[j];
+      } else {
+        if (end == exec::RoutedBlock::kMaxInstances) break;
+        out->part[end++] = grid_->Locate(tuples[k].pt);
+      }
+      out->end[k] = end;
+    }
+    for (size_t j = 0; j < end; ++j) {
+      out->owner[j] = placement_->OwnerOf(out->part[j]);
+    }
+    return k;
+  }
+
+  exec::PartitionId partition_count() const override {
+    return grid_->num_cells();
+  }
+
+ private:
+  const grid::Grid* grid_;
+  const CellAssignment* placement_;
+  Side replicated_;
+};
+
+}  // namespace
 
 Result<Driver> Driver::Admit(const Dataset& r, const Dataset& s,
                              const JoinOptions& options,
@@ -119,15 +167,8 @@ Result<exec::JoinRun> UniformGridDistanceJoin(const Dataset& r,
   const grid::Grid grid = grid_result.MoveValue();
   const CellAssignment placement = driver.Place(/*stats=*/nullptr);
 
-  const exec::AssignFn assign = [&grid, &join](const Tuple& t, Side side) {
-    if (side == join.replicated) return grid::CellsWithinEps(grid, t.pt);
-    exec::PartitionList out;
-    out.push_back(grid.Locate(t.pt));
-    return out;
-  };
-  const exec::OwnerFn owner = placement.AsOwnerFn();
-  return driver.Run(r, s, exec::FnRouter(assign, owner), join.algorithm,
-                    /*deduplicate=*/false, join.self_join);
+  return driver.Run(r, s, UniformGridRouter(&grid, &placement, join.replicated),
+                    join.algorithm, /*deduplicate=*/false, join.self_join);
 }
 
 }  // namespace pasjoin::core

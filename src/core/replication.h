@@ -50,6 +50,9 @@ class ReplicationAssigner {
   ReplicationAssigner(const grid::Grid* grid,
                       const agreements::AgreementGraph* graph);
 
+  /// The grid the assigner routes over.
+  const grid::Grid& grid() const { return grid_; }
+
   /// Algorithm 2: the cells point `p` of relation `side` is assigned to.
   /// The scalar reference of AssignBatch.
   CellList Assign(const Point& p, Side side) const;
@@ -106,7 +109,8 @@ class ReplicationAssigner {
 
 /// The adaptive join's map router: each block's cells from AssignBatch,
 /// each cell's owner from the placement, with no type-erased call per
-/// tuple or per instance. Both must outlive the router.
+/// tuple or per instance. Both must outlive the router. Its range is the
+/// grid's cells.
 class AdaptiveRouter final : public exec::Router {
  public:
   AdaptiveRouter(const ReplicationAssigner* assigner,
@@ -116,6 +120,9 @@ class AdaptiveRouter final : public exec::Router {
   /// Routes every tuple of `tuples`.
   size_t Route(std::span<const Tuple> tuples, Side side,
                exec::RoutedBlock* out) const override;
+  exec::PartitionId partition_count() const override {
+    return assigner_->grid().num_cells();
+  }
 
  private:
   const ReplicationAssigner* assigner_;

@@ -2,36 +2,44 @@
 //
 // Engine implementation: ONE dataflow, two executors.
 //
-// RunDataflow writes the map -> regroup -> join [-> dedup] sequence once.
+// RunDataflow writes the map (route, fill) -> regroup -> join [-> dedup]
+// sequence once.
 // Each phase is a list of tasks — a compute body that fills an attempt-local
 // output, and a commit that publishes it — handed to an executor:
 //
 //   * StealExecutor (fault injection disabled): every task runs exactly
-//     once on a work-stealing runner loop and commits in place; each
-//     worker's regroup consumes and frees its inbound shuffle blocks;
+//     once on a work-stealing runner loop and commits in place; each fill
+//     frees its staged list and each worker's regroup its inbound shuffle
+//     blocks once read;
 //   * RecoveringExecutor (FaultOptions::enabled): runs each phase as waves
 //     on the same runner loop, at most one attempt per task per wave.
 //     Between waves the driver thread re-executes failed attempts from
 //     retained inputs (bounded retries with exponential backoff), fails over
-//     a lost logical worker, and backs up or resumes parked stragglers. The
-//     dataflow keeps the shuffle blocks, so a lost worker's store is rebuilt
-//     by re-running its regroup.
+//     a lost logical worker, and backs up or resumes parked stragglers,
+//     waiting out a resumed wave's straggler delay once. An injected fault
+//     strikes after the attempt's body ran. The dataflow keeps the staged
+//     lists through the fill and the shuffle blocks through the join, so a
+//     fill retries from its whole list and a lost worker's store is
+//     rebuilt by re-running its regroup.
 //
-// The shuffle is columnar (exec/shuffle.h). A map task routes its split
-// twice: it stages and counts every instance per destination worker, then
-// writes one exactly sized column block per destination, so each payload
-// is copied once. Regroup sorts a worker's blocks into contiguous
-// partition runs, and the join reads the runs in place. Both executors run
+// The shuffle is columnar (exec/shuffle.h). A map task is a route task,
+// which stages its split's instances and marks the partitions its side
+// reaches, and a fill task, run in the next phase: once every route has
+// committed, it writes the instances whose partition both sides reach
+// (every instance when the router declares no range) into one exactly
+// sized column block per destination, so each payload is copied once.
+// Regroup sorts a worker's blocks into contiguous partition runs, and the
+// join reads the runs in place. Both executors run
 // the same task lists, including one join task per (worker, partition).
 // See docs/FAULT_TOLERANCE.md for the recovery model and
 // docs/PARALLELISM.md for stealing.
 //
 // Phase state is of two kinds only: task-indexed output slots, which a
 // task's commit writes, and per-thread state (scratch, counters, busy
-// time), which the driver thread folds after the phase. No lock guards
-// accounting or join output. The join commits each item's pairs into the
-// item's own slot, so the result comes out in the order of the item list
-// for every thread count and both executors.
+// time, the route's reach sets), which the driver thread folds after the
+// phase. No lock guards accounting or join output. The join commits each
+// item's pairs into the item's own slot, so the result comes out in the
+// order of the item list for every thread count and both executors.
 #include "exec/engine.h"
 
 #include <algorithm>
@@ -85,12 +93,14 @@ MapSplit MapTaskSplit(int task, const Dataset& r, const Dataset& s,
       split % workers};
 }
 
-/// Adds the map phase's counters to the job's metrics (once per phase,
-/// never per tuple — docs/OBSERVABILITY.md).
-void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
+/// Adds the map's counters to the job's metrics (once per phase, never per
+/// tuple — docs/OBSERVABILITY.md): the routed ones from the route tasks,
+/// the block bytes from the fill tasks.
+void AccumulateMapMetrics(const std::vector<StagedSplit>& staged,
+                          const std::vector<MapTaskOutput>& filled,
                           int num_splits, JobMetrics* m) {
-  for (size_t task = 0; task < map_out.size(); ++task) {
-    const MapTaskOutput& out = map_out[task];
+  for (size_t task = 0; task < staged.size(); ++task) {
+    const StagedSplit& out = staged[task];
     if (task < static_cast<size_t>(num_splits)) {
       m->replicated_r += out.replicated;
     } else {
@@ -99,7 +109,7 @@ void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
     m->shuffled_tuples += out.shuffled_tuples;
     m->shuffle_bytes += out.shuffle_bytes;
     m->shuffle_remote_bytes += out.remote_bytes;
-    m->shuffle_block_bytes += out.block_bytes;
+    m->shuffle_block_bytes += filled[task].block_bytes;
   }
 }
 
@@ -446,12 +456,12 @@ class BusyRows {
 
 /// The driver-track span of each Phase and the span of its tasks on the
 /// owning worker's track, indexed by the Phase value.
-constexpr std::array<const char*, 5> kPhaseSpanNames = {
-    "phase-map", "phase-regroup", "phase-join", "phase-dedup-scatter",
-    "phase-dedup-merge"};
-constexpr std::array<const char*, 5> kTaskSpanNames = {
-    "map-task", "regroup-task", "join-task", "dedup-scatter-task",
-    "dedup-merge-task"};
+constexpr std::array<const char*, 6> kPhaseSpanNames = {
+    "phase-map",          "phase-regroup",     "phase-join",
+    "phase-dedup-scatter", "phase-dedup-merge", "phase-fill"};
+constexpr std::array<const char*, 6> kTaskSpanNames = {
+    "map-task",           "regroup-task",     "join-task",
+    "dedup-scatter-task", "dedup-merge-task", "fill-task"};
 
 /// The `finish` of phases with nothing to fold from their thread state.
 struct NoFinish {
@@ -467,12 +477,18 @@ auto CommitTo(std::vector<Output>* slots) {
   };
 }
 
-/// Adds the args a task's output reports to its task span: a map task, the
-/// bytes its blocks allocate; a regroup, the instances it kept. Other
-/// outputs report none.
+/// Adds the args a task's output reports to its task span: a fill task,
+/// whether it shipped only joinable instances or all of them, the
+/// instances its blocks hold, the bytes they allocate and the staged bytes
+/// it freed; a regroup, the instances it kept. Other outputs report none.
 void AddTaskSpanArgs(obs::ScopedSpan& /*span*/, const auto& /*out*/) {}
 void AddTaskSpanArgs(obs::ScopedSpan& span, const MapTaskOutput& out) {
+  // Every block of a task is filtered or none is; a task has one per worker.
+  span.SetStringArg("shipped",
+                    out.by_worker[0].joinable_only ? "joinable" : "all");
+  span.AddArg("instances", static_cast<int64_t>(out.instances));
   span.AddArg("bytes", static_cast<int64_t>(out.block_bytes));
+  span.AddArg("freed", static_cast<int64_t>(out.freed_bytes));
 }
 void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
   span.AddArg("kept", static_cast<int64_t>(store.id.size()));
@@ -648,6 +664,7 @@ class RecoveringExecutor {
           }
           Status st;
           while ((st = PlanWave()).ok() && !wave_.empty()) {
+            if (!AwaitResumed(task_name)) return AbandonWave();
             RunOnRunners(pool_, job_token_, static_cast<int>(wave_.size()), 1,
                          [&](int rnr, int i) {
                            RunAttempt(&wave_[static_cast<size_t>(i)],
@@ -708,18 +725,48 @@ class RecoveringExecutor {
     int attempt = 0;
     double backoff_seconds = 0.0;
     bool is_retry = false;
-    /// A parked straggler's first attempt: it waits out the straggler delay
-    /// before its body runs.
+    /// A parked straggler's first attempt: the driver waits out the
+    /// straggler delay before the wave's runners start.
     bool resumed = false;
+    /// A resumed attempt's heartbeat, registered with the watchdog while
+    /// the driver waits.
+    std::shared_ptr<TaskHeartbeat> heartbeat{};
     Outcome outcome = Outcome::kAbandoned;
     std::string error{};
     double elapsed_seconds = 0.0;
   };
 
-  /// Runs one attempt on runner `rnr`: its backoff, then, unless it fails
-  /// outright, its body under a fresh heartbeat. The output commits unless
-  /// the attempt's token fired (a body cut short returns partial output).
-  /// A job cancel leaves the attempt kAbandoned.
+  /// Waits out the straggler delay of the wave's resumed attempts on the
+  /// driver thread, once for the whole wave, with every resumed attempt's
+  /// heartbeat registered: the watchdog sees them flat and may cancel any,
+  /// and a cancelled attempt ends the wait on its own token. Returns false
+  /// once the job is cancelled.
+  bool AwaitResumed(const char* task_name) {
+    std::vector<Attempt*> resumed;
+    for (Attempt& a : wave_) {
+      if (!a.resumed) continue;
+      a.heartbeat = std::make_shared<TaskHeartbeat>(job_token_, task_name,
+                                                    a.task);
+      if (watchdog_ != nullptr) watchdog_->Register(a.heartbeat);
+      resumed.push_back(&a);
+    }
+    const Stopwatch wait;
+    const double delay = injector_.StragglerDelaySeconds();
+    for (const Attempt* a : resumed) {
+      const double left = delay - wait.ElapsedSeconds();
+      if (left <= 0.0 || job_token_.IsCancelled()) break;
+      a->heartbeat->token().WaitForCancellation(left);
+    }
+    return !job_token_.IsCancelled();
+  }
+
+  /// Runs one attempt on runner `rnr`: its backoff, then, unless its worker
+  /// was lost, its body under a fresh heartbeat (a resumed attempt's, once
+  /// its wait is over). The output commits unless the attempt's token fired
+  /// (a body cut short returns partial output) or the injector fails the
+  /// attempt: an injected fault strikes after the body ran, before its
+  /// output commits, so a retry needs every input the body read. A job
+  /// cancel leaves the attempt kAbandoned.
   template <typename State, typename Compute, typename Commit>
   void RunAttempt(Attempt* a, const char* task_name, State& state,
                   BusyRows* rows, int rnr, const Compute& compute,
@@ -742,21 +789,25 @@ class RecoveringExecutor {
     span->AddArg("task", task);
     span->AddArg("attempt", a->attempt);
     const Stopwatch watch;
-    std::string error = OutrightFailure(task, a->attempt);
+    std::string error = LostWorkerFailure(task, a->attempt);
     bool committed = false;
     if (error.empty()) {
-      const auto heartbeat =
-          std::make_shared<TaskHeartbeat>(job_token_, task_name, task);
+      std::shared_ptr<TaskHeartbeat> heartbeat = std::move(a->heartbeat);
+      if (heartbeat == nullptr) {
+        heartbeat =
+            std::make_shared<TaskHeartbeat>(job_token_, task_name, task);
+        if (watchdog_ != nullptr) watchdog_->Register(heartbeat);
+      }
       const CancellationToken token = heartbeat->token();
-      if (watchdog_ != nullptr) watchdog_->Register(heartbeat);
-      // A resumed straggler waits out its delay on its own token, where the
-      // watchdog sees a flat heartbeat and may cancel it.
-      if (!a->resumed ||
-          !token.WaitForCancellation(injector_.StragglerDelaySeconds())) {
+      if (!token.IsCancelled()) {
         try {
           const spatial::KernelCancellation kc{&token, heartbeat->cell()};
           auto out = compute(task, state, &kc);
-          if (!token.IsCancelled()) {
+          if (token.IsCancelled()) {
+            // Discarded below, with the token's verdict.
+          } else if (injector_.ShouldFail(phase_, task, a->attempt)) {
+            error = "injected fault";
+          } else {
             AddTaskSpanArgs(*span, out);
             commit(task, state, std::move(out));
             committed = true;
@@ -803,7 +854,8 @@ class RecoveringExecutor {
       TaskState& ts = tasks_[static_cast<size_t>(t)];
       if (ts.attempts == 0) {
         ts.attempts = 1;
-        ts.parked = OutrightFailure(t, 0).empty() &&
+        ts.parked = LostWorkerFailure(t, 0).empty() &&
+                    !injector_.ShouldFail(phase_, t, 0) &&
                     injector_.IsStraggler(phase_, t, 0);
         if (!ts.parked) wave_.push_back(Attempt{.task = t});
       } else if (ts.failed) {
@@ -868,9 +920,13 @@ class RecoveringExecutor {
   }
 
   /// Ends a phase the job's token cancelled: one "cancel-abandon" instant
-  /// per attempt the wave left unfinished, and the token's status.
-  Status AbandonWave() const {
-    for (const Attempt& a : wave_) {
+  /// per attempt the wave left unfinished, and the token's status. The
+  /// watchdog stops sampling the resumed attempts that never started.
+  Status AbandonWave() {
+    for (Attempt& a : wave_) {
+      if (a.heartbeat != nullptr && watchdog_ != nullptr) {
+        watchdog_->Unregister(a.heartbeat);
+      }
       if (a.outcome == Attempt::Outcome::kAbandoned) {
         TraceInstant(trace_, "cancel", "cancel-abandon", obs::kDriverTrack,
                      "task", a.task);
@@ -880,15 +936,13 @@ class RecoveringExecutor {
   }
 
   /// Why the attempt fails before doing any work — its worker was lost at
-  /// the start of this phase, or the injector fails it — or "" if it does
-  /// not.
-  std::string OutrightFailure(int task, int attempt) const {
+  /// the start of this phase — or "" if it does not.
+  std::string LostWorkerFailure(int task, int attempt) const {
     const int lost = injector_.lost_worker();
     if (attempt == 0 && injector_.LosesWorkerIn(phase_) &&
         tasks_[static_cast<size_t>(task)].owner == lost) {
       return "logical worker " + std::to_string(lost) + " lost";
     }
-    if (injector_.ShouldFail(phase_, task, attempt)) return "injected fault";
     return "";
   }
 
@@ -954,26 +1008,60 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
 
   // ---------------------------------------------------------------- map ---
   // Each relation is divided into `num_splits` contiguous splits; split k is
-  // co-located with logical worker k % workers. Every map task writes its
-  // own output slot; its staging list is the thread's MapScratch.
+  // co-located with logical worker k % workers. A map task is a route task
+  // and a fill task, run as two phases with a barrier between them
+  // (exec/shuffle.h). Each route task stages its split's instances in its
+  // own slot and, when the router declares its range, marks the partitions
+  // its side reaches in its thread's ReachSet; the barrier ORs the
+  // threads' sets. A failed attempt marks a subset of what its retry marks,
+  // so the union is exact.
   const int total_map_tasks = 2 * num_splits;
-  std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
+  const auto map_owner = [&](int task) {
+    return (task % num_splits) % workers;
+  };
+  const PartitionId range = router.partition_count();
+  ReachSet reach;
+  std::vector<StagedSplit> staged(static_cast<size_t>(total_map_tasks));
   std::vector<double> map_busy(static_cast<size_t>(workers));
-  PASJOIN_RETURN_NOT_OK(ex->template Run<MapScratch>(
+  PASJOIN_RETURN_NOT_OK(ex->template Run<ReachSet>(
       PhaseSpec{Phase::kMap, total_map_tasks, 1, &map_busy,
                 &measured_construction},
-      [&](int task) { return (task % num_splits) % workers; },
-      [&](int task, MapScratch& scratch, const Cancel* cancel) {
+      map_owner,
+      [&](int task, ReachSet& mine, const Cancel* cancel) {
+        if (range > 0 && mine.empty()) mine.Reset(range);
         return RouteSplit(MapTaskSplit(task, r, s, num_splits, workers),
-                          router, options, &scratch, cancel);
+                          router, options, range > 0 ? &mine : nullptr,
+                          cancel);
       },
-      CommitTo(&map_out)));
+      CommitTo(&staged),
+      [&reach](ReachSet& mine) { reach.Union(std::move(mine)); }));
   // Map tasks cover their splits in index order, R before S, so the first
   // task that failed holds the lowest offending (dataset, index).
-  for (const MapTaskOutput& out : map_out) {
+  for (const StagedSplit& out : staged) {
     if (!out.error.ok()) return out.error;
   }
-  AccumulateMapMetrics(map_out, num_splits, &m);
+
+  // Each fill task writes the joinable instances of its staged list (all of
+  // them without a declared range) into exactly sized blocks. Unless the
+  // executor retains inputs, the fill frees its staged list once its
+  // blocks are written; the rest go after the phase, as nothing reads them
+  // after it.
+  std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
+  std::vector<double> fill_busy(static_cast<size_t>(workers));
+  PASJOIN_RETURN_NOT_OK(ex->template Run<FillScratch>(
+      PhaseSpec{Phase::kFill, total_map_tasks, 1, &fill_busy,
+                &measured_construction},
+      map_owner,
+      [&](int task, FillScratch& scratch, const Cancel* cancel) {
+        return FillSplit(MapTaskSplit(task, r, s, num_splits, workers),
+                         &staged[static_cast<size_t>(task)],
+                         range > 0 ? &reach : nullptr, options,
+                         /*consume=*/!kRetain, &scratch, cancel);
+      },
+      CommitTo(&map_out)));
+  AccumulateMapMetrics(staged, map_out, num_splits, &m);
+  staged = std::vector<StagedSplit>();
+  reach = ReachSet();
 
   // ------------------------------------------------------------ regroup ---
   // Each worker sorts its inbound blocks, in map-task order, into
@@ -1143,7 +1231,8 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // nothing is ever published from a cancelled run.
   if (job_token.IsCancelled()) return job_token.ToStatus();
 
-  m.construction_seconds = Makespan(map_busy) + Makespan(regroup_busy);
+  m.construction_seconds =
+      Makespan(map_busy) + Makespan(fill_busy) + Makespan(regroup_busy);
   m.join_seconds = Makespan(join_busy);
   m.worker_busy_join = std::move(join_busy);
   m.measured_construction_seconds = measured_construction;

@@ -17,12 +17,20 @@ Status BadProbability(const char* name) {
 
 bool IsProbability(double p) { return std::isfinite(p) && p >= 0.0 && p <= 1.0; }
 
+/// The phase whose key `phase`'s draws use: a map task draws once per
+/// attempt, under Phase::kMap's key, and the draws strike its fill.
+Phase DrawnAs(Phase phase) {
+  return phase == Phase::kFill ? Phase::kMap : phase;
+}
+
 }  // namespace
 
 const char* PhaseName(Phase phase) {
   switch (phase) {
     case Phase::kMap:
       return "map";
+    case Phase::kFill:
+      return "fill";
     case Phase::kRegroup:
       return "regroup";
     case Phase::kJoin:
@@ -69,6 +77,7 @@ Status FaultOptions::Validate(int workers) const {
 double FaultOptions::FailureProbability(Phase phase) const {
   switch (phase) {
     case Phase::kMap:
+    case Phase::kFill:
       return map_failure_p;
     case Phase::kRegroup:
       return regroup_failure_p;
@@ -97,17 +106,18 @@ double FaultInjector::UnitInterval(uint64_t salt, Phase phase, int task,
 bool FaultInjector::ShouldFail(Phase phase, int task, int attempt) const {
   if (attempt == 0 && targeted_.count(TargetKey(phase, task)) > 0) return true;
   const double p = options_.FailureProbability(phase);
-  if (p <= 0.0) return false;
+  if (phase == Phase::kMap || p <= 0.0) return false;
   if (p >= 1.0) return true;
-  return UnitInterval(/*salt=*/1, phase, task, attempt) < p;
+  return UnitInterval(/*salt=*/1, DrawnAs(phase), task, attempt) < p;
 }
 
 bool FaultInjector::IsStraggler(Phase phase, int task, int attempt) const {
-  if (attempt != 0) return false;  // backups/retries land on healthy workers
+  // Backups and retries land on healthy workers.
+  if (attempt != 0 || phase == Phase::kMap) return false;
   const double p = options_.straggler_p;
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  return UnitInterval(/*salt=*/2, phase, task, attempt) < p;
+  return UnitInterval(/*salt=*/2, DrawnAs(phase), task, attempt) < p;
 }
 
 double FaultInjector::StragglerDelaySeconds() const {

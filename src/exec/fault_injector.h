@@ -24,17 +24,21 @@
 
 namespace pasjoin::exec {
 
-/// Engine execution phases, in dataflow order. Used to scope injected
-/// failures and the simulated worker loss.
+/// Engine execution phases. Used to scope injected failures and the
+/// simulated worker loss. In dataflow order they run kMap (the map's route
+/// tasks), kFill (its fill tasks), kRegroup, kJoin, kDedupScatter and
+/// kDedupMerge. The injection draws hash the phase value, so a new phase
+/// is numbered last and every other phase keeps its draws.
 enum class Phase : uint8_t {
   kMap = 0,
   kRegroup = 1,
   kJoin = 2,
   kDedupScatter = 3,
   kDedupMerge = 4,
+  kFill = 5,
 };
 
-/// "map", "regroup", "join", "dedup-scatter" or "dedup-merge".
+/// "map", "fill", "regroup", "join", "dedup-scatter" or "dedup-merge".
 const char* PhaseName(Phase phase);
 
 /// Configuration of the fault-tolerance subsystem (failure injection plus
@@ -52,7 +56,9 @@ struct FaultOptions {
 
   // --- injected task failures ----------------------------------------------
   /// Per-phase probability that a task attempt fails (applies to first
-  /// attempts, retries, and speculative copies alike).
+  /// attempts, retries, and speculative copies alike). A map task is a
+  /// route task and a fill task; it draws once per attempt, and the fault
+  /// strikes its fill (the route phase draws no fault and no straggler).
   double map_failure_p = 0.0;
   double regroup_failure_p = 0.0;
   double join_failure_p = 0.0;
@@ -115,11 +121,13 @@ class FaultInjector {
   const FaultOptions& options() const { return options_; }
 
   /// True when attempt `attempt` of task `task` in `phase` must fail
-  /// (probabilistic or targeted).
+  /// (probabilistic or targeted). A map task draws once per attempt:
+  /// Phase::kFill draws under Phase::kMap's key and Phase::kMap draws
+  /// nothing, so a map task fails with probability map_failure_p.
   bool ShouldFail(Phase phase, int task, int attempt) const;
 
   /// True when the attempt is an injected straggler. Only first attempts
-  /// (attempt 0) straggle.
+  /// (attempt 0) straggle, and of a map task only the fill, as above.
   bool IsStraggler(Phase phase, int task, int attempt) const;
 
   /// Seconds an injected straggler waits before doing its work.

@@ -14,13 +14,13 @@
 namespace pasjoin::exec {
 
 void ShuffleBlock::Allocate(size_t n, size_t arena_bytes) {
-  part = std::vector<PartitionId>(n);
-  x = std::vector<double>(n);
-  y = std::vector<double>(n);
-  id = std::vector<int64_t>(n);
+  part.resize(n);
+  x.resize(n);
+  y.resize(n);
+  id.resize(n);
   if (arena_bytes == 0) return;
-  payload_end = std::vector<uint64_t>(n);
-  payload_bytes = std::vector<char>(arena_bytes);
+  payload_end.resize(n);
+  payload_bytes.resize(arena_bytes);
 }
 
 void ShuffleBlock::Put(size_t i, PartitionId p, const Tuple& t) {
@@ -132,26 +132,65 @@ size_t FnRouter::Route(std::span<const Tuple> tuples, Side side,
   return tuples.size();
 }
 
-MapTaskOutput RouteSplit(const MapSplit& split, const Router& router,
-                         const EngineOptions& options, MapScratch* scratch,
-                         const spatial::KernelCancellation* cancel) {
+void ReachSet::Reset(PartitionId n) {
+  const size_t pages = (static_cast<size_t>(n) + (size_t{1} << kShift) - 1) >>
+                       kShift;
+  for (std::vector<std::unique_ptr<Page>>& side : pages_) {
+    side.clear();
+    side.resize(pages);
+  }
+}
+
+void ReachSet::Union(ReachSet&& other) {
+  if (other.empty()) return;
+  if (empty()) {
+    *this = std::move(other);
+    return;
+  }
+  for (int side = 0; side < 2; ++side) {
+    std::vector<std::unique_ptr<Page>>& mine = pages_[side];
+    std::vector<std::unique_ptr<Page>>& theirs = other.pages_[side];
+    PASJOIN_DCHECK(mine.size() == theirs.size());
+    for (size_t i = 0; i < mine.size(); ++i) {
+      if (theirs[i] == nullptr) continue;
+      if (mine[i] == nullptr) {
+        mine[i] = std::move(theirs[i]);
+        continue;
+      }
+      for (size_t w = 0; w < kWords; ++w) {
+        mine[i]->words[w] |= theirs[i]->words[w];
+      }
+    }
+  }
+}
+
+StagedSplit RouteSplit(const MapSplit& split, const Router& router,
+                       const EngineOptions& options, ReachSet* reach,
+                       const spatial::KernelCancellation* cancel) {
   constexpr size_t kGrain = spatial::kKernelPollGrain;
   static_assert(kGrain % RoutedBlock::kMaxTuples == 0);
   const Dataset& d = *split.data;
   const int workers = options.workers;
   const bool carry = options.carry_payloads;
   const bool bounded = options.bounds.Area() > 0.0;
-  std::vector<StagedInstance>& staged = scratch->staged;
-  std::vector<size_t>& count = scratch->count;
-  std::vector<size_t>& arena = scratch->arena;
-  staged.clear();
-  count.assign(static_cast<size_t>(workers), 0);
-  arena.assign(static_cast<size_t>(workers), 0);
-  MapTaskOutput out;
+  const PartitionId range = router.partition_count();
+  StagedSplit out;
+  // A staged row is a 32-bit offset into the split.
+  if (split.end - split.begin > std::numeric_limits<uint32_t>::max()) {
+    out.error = Status::InvalidArgument(
+        "the split of dataset '" + d.name + "' at index " +
+        std::to_string(split.begin) +
+        " holds more than 2^32 - 1 tuples; use more splits");
+    return out;
+  }
+  // Every tuple has at least one instance. The list lives until its fill,
+  // alongside every other task's, so the route trims its growth slack.
+  std::vector<StagedInstance>& staged = out.instances;
+  staged.reserve(split.end - split.begin);
 
-  // Route pass: validate and route the split a block at a time, staging
-  // each instance and counting it per destination. A block ends before its
-  // first point that cannot be routed and never crosses a poll.
+  // Validate and route the split a block at a time, staging each instance.
+  // A block ends before its first point that cannot be routed and never
+  // crosses a poll.
   RoutedBlock block{};
   for (size_t i = split.begin; i < split.end;) {
     const size_t to_poll = kGrain - ((i - split.begin) & (kGrain - 1));
@@ -186,9 +225,18 @@ MapTaskOutput RouteSplit(const MapSplit& split, const Router& router,
       out.replicated += last - first - 1;
       const size_t payload = carry ? d.tuples[i].payload.size() : 0;
       const uint64_t bytes = kTupleHeaderBytes + payload;
+      const auto row = static_cast<uint32_t>(i - split.begin);
       for (; first < last; ++first) {
         const PartitionId part = block.part[first];
         const int dest = block.owner[first];
+        if (range > 0 && (part < 0 || part >= range)) {
+          out.error = RoutingError(
+              d, i,
+              "assign returned partition " + std::to_string(part) +
+                  ", outside the router's range [0, " +
+                  std::to_string(range) + ")");
+          return out;
+        }
         if (dest < 0 || dest >= workers) {
           out.error = RoutingError(
               d, i,
@@ -197,9 +245,9 @@ MapTaskOutput RouteSplit(const MapSplit& split, const Router& router,
                   std::to_string(workers) + ")");
           return out;
         }
-        staged.push_back(StagedInstance{i, part, dest});
-        ++count[static_cast<size_t>(dest)];
-        arena[static_cast<size_t>(dest)] += payload;
+        staged.push_back(StagedInstance{row, part, dest});
+        if (reach != nullptr) reach->Mark(split.side, part);
+        out.payload_bytes += payload;
         out.shuffle_bytes += bytes;
         if (dest != split.home) out.remote_bytes += bytes;
       }
@@ -208,23 +256,75 @@ MapTaskOutput RouteSplit(const MapSplit& split, const Router& router,
   }
   PulseTail(cancel, split.end - split.begin);
   out.shuffled_tuples = staged.size();
+  staged.shrink_to_fit();
+  return out;
+}
 
-  // Fill pass: every block at its final size, then each staged instance at
-  // its block's cursor, so a block lists its instances in (row, replica)
-  // order.
-  out.by_worker.assign(static_cast<size_t>(workers), ShuffleBlock(split.side));
-  for (size_t w = 0; w < out.by_worker.size(); ++w) {
-    out.by_worker[w].Allocate(count[w], arena[w]);
-    out.block_bytes += out.by_worker[w].AllocatedBytes();
+MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
+                        const ReachSet* reach, const EngineOptions& options,
+                        bool consume, FillScratch* scratch,
+                        const spatial::KernelCancellation* cancel) {
+  const std::vector<Tuple>& tuples = split.data->tuples;
+  const std::span<const StagedInstance> instances(staged->instances);
+  const auto workers = static_cast<size_t>(options.workers);
+  const Side other = split.side == Side::kR ? Side::kS : Side::kR;
+
+  // Copy the joinable instances, in staged order, into the scratch list
+  // without a branch on the reach set, counting them per destination.
+  std::vector<StagedInstance>& joinable = scratch->joinable;
+  joinable.resize(instances.size());
+  std::vector<size_t> count(workers, 0);
+  size_t n = 0;
+  for (size_t k = 0; k < instances.size(); ++k) {
+    const StagedInstance& inst = instances[k];
+    const size_t keep =
+        reach == nullptr || reach->Reaches(other, inst.part) ? 1 : 0;
+    joinable[n] = inst;
+    n += keep;
+    count[static_cast<size_t>(inst.dest)] += keep;
+    if (StopAfter(cancel, k)) return MapTaskOutput();  // caller discards
+  }
+  PulseTail(cancel, instances.size());
+  std::vector<size_t> arena(workers, 0);
+  if (staged->payload_bytes > 0) {  // with none, read no tuple
+    for (size_t k = 0; k < n; ++k) {
+      arena[static_cast<size_t>(joinable[k].dest)] +=
+          tuples[split.begin + joinable[k].row].payload.size();
+    }
+  }
+
+  // Size every block exactly, then write each instance at its block's
+  // cursor, so a block lists its instances in (row, replica) order.
+  MapTaskOutput out;
+  out.by_worker.assign(workers, ShuffleBlock(split.side));
+  for (size_t w = 0; w < workers; ++w) {
+    ShuffleBlock& block = out.by_worker[w];
+    block.joinable_only = reach != nullptr;
+    block.Allocate(count[w], arena[w]);
+    out.instances += count[w];
+    out.block_bytes += block.AllocatedBytes();
     count[w] = 0;
   }
-  for (size_t k = 0; k < staged.size(); ++k) {
-    const StagedInstance& inst = staged[k];
+  for (size_t k = 0; k < n; ++k) {
+    const StagedInstance& inst = joinable[k];
     const auto w = static_cast<size_t>(inst.dest);
-    out.by_worker[w].Put(count[w]++, inst.part, d.tuples[inst.row]);
+    out.by_worker[w].Put(count[w]++, inst.part,
+                         tuples[split.begin + inst.row]);
     if (StopAfter(cancel, k)) return out;  // caller discards
   }
-  PulseTail(cancel, staged.size());
+  PulseTail(cancel, n);
+  // The fill wrote every slot it allocated.
+  for (size_t w = 0; w < workers; ++w) {
+    PASJOIN_DCHECK(count[w] == out.by_worker[w].size());
+    PASJOIN_DCHECK(out.by_worker[w].payload_end.empty() ||
+                   out.by_worker[w].payload_end.back() ==
+                       out.by_worker[w].payload_bytes.size());
+  }
+  if (consume) {
+    out.freed_bytes =
+        staged->instances.capacity() * sizeof(StagedInstance);
+    std::vector<StagedInstance>().swap(staged->instances);
+  }
   return out;
 }
 
@@ -324,6 +424,7 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
     const bool is_r = block->side == Side::kR;
     for (size_t row = 0; row < block->size(); ++row) {
       PartitionRun& cursors = runs[slot[pos++]];
+      PASJOIN_DCHECK(!block->joinable_only || cursors.begin != kDropped);
       if (cursors.begin == kDropped) continue;
       const size_t dest = is_r ? cursors.begin++ : cursors.mid++;
       store.x[dest] = block->x[row];

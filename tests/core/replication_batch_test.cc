@@ -205,22 +205,36 @@ TEST(AssignBatchTest, MatchesAssignOnAdversarialPoints) {
   }
 }
 
-/// Requires two map outputs to hold the same blocks and counters.
-void ExpectSameOutput(const exec::MapTaskOutput& got,
-                      const exec::MapTaskOutput& want,
+/// Requires two routed splits to hold the same staged instances and
+/// counters, and to fill the same blocks.
+void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
+                      exec::StagedSplit want,
+                      const exec::EngineOptions& options,
                       const std::string& where) {
   ASSERT_TRUE(got.error.ok()) << where << ": " << got.error.ToString();
   ASSERT_TRUE(want.error.ok()) << where << ": " << want.error.ToString();
-  ASSERT_EQ(got.by_worker.size(), want.by_worker.size()) << where;
-  for (size_t w = 0; w < got.by_worker.size(); ++w) {
-    EXPECT_EQ(got.by_worker[w].part, want.by_worker[w].part) << where;
-    EXPECT_EQ(got.by_worker[w].id, want.by_worker[w].id) << where;
+  ASSERT_EQ(got.instances.size(), want.instances.size()) << where;
+  for (size_t k = 0; k < got.instances.size(); ++k) {
+    EXPECT_EQ(got.instances[k].row, want.instances[k].row) << where;
+    EXPECT_EQ(got.instances[k].part, want.instances[k].part) << where;
+    EXPECT_EQ(got.instances[k].dest, want.instances[k].dest) << where;
   }
   EXPECT_EQ(got.replicated, want.replicated) << where;
   EXPECT_EQ(got.shuffled_tuples, want.shuffled_tuples) << where;
   EXPECT_EQ(got.shuffle_bytes, want.shuffle_bytes) << where;
   EXPECT_EQ(got.remote_bytes, want.remote_bytes) << where;
-  EXPECT_EQ(got.block_bytes, want.block_bytes) << where;
+  exec::FillScratch scratch;
+  const exec::MapTaskOutput got_fill = exec::FillSplit(
+      split, &got, nullptr, options, /*consume=*/false, &scratch, nullptr);
+  const exec::MapTaskOutput want_fill = exec::FillSplit(
+      split, &want, nullptr, options, /*consume=*/false, &scratch, nullptr);
+  ASSERT_EQ(got_fill.by_worker.size(), want_fill.by_worker.size()) << where;
+  for (size_t w = 0; w < got_fill.by_worker.size(); ++w) {
+    EXPECT_EQ(got_fill.by_worker[w].part, want_fill.by_worker[w].part)
+        << where;
+    EXPECT_EQ(got_fill.by_worker[w].id, want_fill.by_worker[w].id) << where;
+  }
+  EXPECT_EQ(got_fill.block_bytes, want_fill.block_bytes) << where;
 }
 
 TEST(AssignBatchTest, AdaptiveRouterWritesThePerTupleRoutersBlocks) {
@@ -243,7 +257,6 @@ TEST(AssignBatchTest, AdaptiveRouterWritesThePerTupleRoutersBlocks) {
       };
       const exec::OwnerFn owner = placement.AsOwnerFn();
       const exec::FnRouter reference(assign, owner);
-      exec::MapScratch scratch;
       // Splits of one tuple, of one short of a router block, of one block
       // and of one tuple past it, over the first points.
       for (const size_t length :
@@ -254,12 +267,11 @@ TEST(AssignBatchTest, AdaptiveRouterWritesThePerTupleRoutersBlocks) {
                begin += length) {
             const exec::MapSplit split{&points, side, begin, begin + length,
                                        /*home=*/2};
-            const exec::MapTaskOutput want =
-                exec::RouteSplit(split, reference, options, &scratch, nullptr);
             ExpectSameOutput(
-                exec::RouteSplit(split, router, options, &scratch, nullptr),
-                want,
-                Where(c, duplicate_free, side, length, begin));
+                split,
+                exec::RouteSplit(split, router, options, nullptr, nullptr),
+                exec::RouteSplit(split, reference, options, nullptr, nullptr),
+                options, Where(c, duplicate_free, side, length, begin));
           }
         }
       }

@@ -146,14 +146,15 @@ TEST(EngineTraceTest, TraceCoversEveryPhaseWithWorkerAttribution) {
   }
   // One driver-track span per engine phase.
   for (const char* phase :
-       {"phase-map", "phase-regroup", "phase-join", "phase-dedup-scatter",
-        "phase-dedup-merge"}) {
+       {"phase-map", "phase-fill", "phase-regroup", "phase-join",
+        "phase-dedup-scatter", "phase-dedup-merge"}) {
     EXPECT_EQ(count[phase], 1u) << phase;
     EXPECT_EQ(tracks[phase], std::set<int32_t>{obs::kDriverTrack}) << phase;
   }
   // Task spans land on logical-worker tracks, never the driver's.
-  for (const char* task : {"map-task", "regroup-task", "join-task",
-                           "dedup-scatter-task", "dedup-merge-task"}) {
+  for (const char* task :
+       {"map-task", "fill-task", "regroup-task", "join-task",
+        "dedup-scatter-task", "dedup-merge-task"}) {
     EXPECT_GT(count[task], 0u) << task;
     for (const int32_t track : tracks[task]) {
       EXPECT_GE(track, 0) << task;
@@ -262,9 +263,11 @@ TEST(EngineTraceTest, CommittedRegroupSpansSumToJoinableTuples) {
 }
 
 TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
-  // Each committed map-task span carries the bytes its blocks allocate.
-  // Under the recovering executor, worker 1 is lost in the map, so its
-  // tasks' failed attempts record committed=0 and their retries commit.
+  // Each committed fill-task span (the map's second phase) carries the
+  // bytes its blocks allocate. Under the recovering executor, worker 1 is
+  // lost in the fill, so its tasks' failed attempts record committed=0 and
+  // their retries commit. The router declares no range, so every routed
+  // instance is shipped.
   const Dataset r = MakeDataset(RandomPoints(400, 35), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(400, 36), 1000, "S");
   for (const bool fault : {false, true}) {
@@ -272,7 +275,7 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
     if (fault) {
       options.fault.enabled = true;
       options.fault.lost_worker = 1;
-      options.fault.lost_worker_phase = Phase::kMap;
+      options.fault.lost_worker_phase = Phase::kFill;
     }
     obs::TraceRecorder recorder;
     options.trace = &recorder;
@@ -282,7 +285,7 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
     uint64_t bytes = 0;
     size_t committed_spans = 0;
     for (const obs::TraceEvent& e : recorder.Snapshot()) {
-      if (std::string(e.name) != "map-task") continue;
+      if (std::string(e.name) != "fill-task") continue;
       int64_t committed = 1;
       int64_t span_bytes = -1;
       for (int i = 0; i < e.num_args; ++i) {
@@ -306,6 +309,58 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
               28 * run.metrics.shuffled_tuples);
     if (fault) {
       EXPECT_GT(run.metrics.tasks_failed, 0u);
+    }
+  }
+}
+
+TEST(EngineTraceTest, StealFillsFreeStagedListsAndRecoveringFillsKeepThem) {
+  // Each fill-task span reports the staged bytes its task freed. The steal
+  // executor runs every task once, so each fill frees its staged list as
+  // it commits: at least 12 bytes per routed instance in all. The
+  // recovering executor keeps every list for the fill's retries and frees
+  // none in a task. The router declares its range, so the fill-task spans'
+  // instances sum to joinable_tuples.
+  const Dataset r = MakeDataset(RandomPoints(400, 37), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 38), 1000, "S");
+  const AssignFn assign = BandAssign(0.25, Side::kR);
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  const FnRouter router(assign, owner, /*partition_count=*/10);
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = fault;
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    Result<JoinRun> result = TryRunPartitionedJoin(r, s, router, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const JobMetrics& m = result.value().metrics;
+    uint64_t freed = 0;
+    uint64_t instances = 0;
+    size_t spans = 0;
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      if (std::string(e.name) != "fill-task") continue;
+      ++spans;
+      EXPECT_STREQ(e.str_name, "shipped");
+      EXPECT_STREQ(e.str_value, "joinable");
+      int64_t task_freed = -1;
+      for (int i = 0; i < e.num_args; ++i) {
+        const std::string arg = e.arg_names[i];
+        if (arg == "freed") task_freed = e.arg_values[i];
+        if (arg == "instances") {
+          instances += static_cast<uint64_t>(e.arg_values[i]);
+        }
+      }
+      ASSERT_GE(task_freed, 0);
+      if (!fault) {
+        EXPECT_GT(task_freed, 0);
+      }
+      freed += static_cast<uint64_t>(task_freed);
+    }
+    EXPECT_EQ(spans, 2u * static_cast<size_t>(options.num_splits)) << fault;
+    EXPECT_EQ(instances, m.joinable_tuples) << fault;
+    if (fault) {
+      EXPECT_EQ(freed, 0u);
+    } else {
+      EXPECT_GE(freed, 12 * m.shuffled_tuples);
     }
   }
 }

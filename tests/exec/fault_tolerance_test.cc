@@ -359,6 +359,113 @@ TEST(FaultToleranceTest, TargetedPartitionsFailTheirOwnTasks) {
   EXPECT_EQ(run.metrics.tasks_retried, 2u);
 }
 
+/// R over [0, 10) x [0, 1) and S over [0, 5) x [0, 1): under BandAssign
+/// with R replicated, partitions 6 to 9 hold R alone, so a router that
+/// declares BandAssign's range [0, 10) ships only part of what it routes.
+struct HalfOverlap {
+  Dataset r = MakeDataset(RandomPoints(600, 71), 0, "R");
+  Dataset s = MakeDataset(RandomPoints(600, 72), 1000, "S");
+  AssignFn assign = BandAssign(0.25, Side::kR);
+  OwnerFn owner = [](PartitionId p) { return p % 4; };
+  FnRouter router{assign, owner, /*partition_count=*/10};
+
+  HalfOverlap() {
+    for (Tuple& t : s.tuples) t.pt.x *= 0.5;
+  }
+
+  JoinRun Run(const EngineOptions& options) const {
+    Result<JoinRun> run = TryRunPartitionedJoin(r, s, router, options);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    PASJOIN_CHECK(run.ok());
+    return run.MoveValue();
+  }
+};
+
+/// The committed = 0 spans named `name` in `recorder`'s trace.
+size_t FailedSpans(const obs::TraceRecorder& recorder, const char* name) {
+  size_t failed = 0;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (std::string(e.name) != name) continue;
+    for (int i = 0; i < e.num_args; ++i) {
+      if (std::string(e.arg_names[i]) == "committed" && e.arg_values[i] == 0) {
+        ++failed;
+      }
+    }
+  }
+  return failed;
+}
+
+TEST(FaultToleranceTest, FailedFillAttemptsRetryFromTheirFullStagedLists) {
+  // An injected map fault strikes a fill attempt after its body wrote the
+  // task's blocks, before they commit. The recovering executor keeps every
+  // staged list, so the retry fills from the whole list again: the pairs,
+  // their order and every result counter equal a fault-free run's. A fill
+  // that freed the list it read would leave its retry nothing to write.
+  const HalfOverlap in;
+  EngineOptions options = BaseOptions();
+  const JoinRun clean = in.Run(options);
+  ASSERT_GT(clean.metrics.results, 0u);
+  ASSERT_LT(clean.metrics.joinable_tuples, clean.metrics.shuffled_tuples);
+  // Only joinable instances were shipped: 28 bytes each, no payloads.
+  EXPECT_EQ(clean.metrics.shuffle_block_bytes,
+            28 * clean.metrics.joinable_tuples);
+
+  options.fault.enabled = true;
+  options.fault.seed = 3;
+  options.fault.map_failure_p = 0.5;
+  options.fault.max_retries = 25;
+  options.fault.backoff_base_ms = 0.05;
+  for (const int threads : {1, 4}) {
+    options.physical_threads = threads;
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const JoinRun run = in.Run(options);
+    const std::string label = std::string("T").append(std::to_string(threads));
+    EXPECT_EQ(run.pairs, clean.pairs) << label;
+    ExpectSameCounters(clean.metrics, run.metrics, {CounterKind::kResult},
+                       label);
+    EXPECT_GT(FailedSpans(recorder, "fill-task"), 0u) << label;
+    EXPECT_EQ(FailedSpans(recorder, "map-task"), 0u) << label;
+    EXPECT_EQ(run.metrics.tasks_failed, FailedSpans(recorder, "fill-task"))
+        << label;
+  }
+}
+
+TEST(FaultToleranceTest, LostWorkersRebuildFromRetainedFilteredBlocks) {
+  // The retained blocks hold only joinable instances. A worker lost in the
+  // regroup re-sorts them on a survivor; one lost in the join has its store
+  // rebuilt from them; and an injected regroup fault strikes after the
+  // regroup read them. Each recovers the fault-free pairs in their order,
+  // which needs every block intact after the regroups that read it.
+  const HalfOverlap in;
+  const JoinRun clean = in.Run(BaseOptions());
+  ASSERT_LT(clean.metrics.joinable_tuples, clean.metrics.shuffled_tuples);
+  struct Scenario {
+    const char* name;
+    Phase lost_phase;
+    double regroup_failure_p;
+  };
+  for (const Scenario& sc : {Scenario{"lost-in-regroup", Phase::kRegroup, 0.5},
+                             Scenario{"lost-in-join", Phase::kJoin, 0.0}}) {
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = true;
+    options.fault.seed = 5;
+    options.fault.lost_worker = 2;
+    options.fault.lost_worker_phase = sc.lost_phase;
+    options.fault.regroup_failure_p = sc.regroup_failure_p;
+    options.fault.max_retries = 25;
+    options.fault.backoff_base_ms = 0.05;
+    const JoinRun run = in.Run(options);
+    EXPECT_EQ(run.pairs, clean.pairs) << sc.name;
+    ExpectSameCounters(clean.metrics, run.metrics, {CounterKind::kResult},
+                       sc.name);
+    EXPECT_EQ(run.metrics.shuffle_block_bytes,
+              28 * run.metrics.joinable_tuples)
+        << sc.name;
+    EXPECT_GT(run.metrics.tasks_failed, 0u) << sc.name;
+  }
+}
+
 TEST(FaultToleranceTest, VariablePayloadsRecoverExactly) {
   // Payloads of 0..1000 bytes through every recovery path: a failed join
   // task re-reads its run, a lost regroup re-sorts the retained blocks, and

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -424,7 +425,7 @@ TEST(RegroupTest, NoInstancesGiveNoRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// The map's write half: RouteSplit.
+// The map's write half: RouteSplit (route) then FillSplit (fill).
 // ---------------------------------------------------------------------------
 
 constexpr int kRouteWorkers = 6;
@@ -451,12 +452,27 @@ PartitionList RouteAssign(const Tuple& t, Side side) {
 /// Several partitions per worker; workers 3 to 5 receive nothing.
 int RouteOwner(PartitionId p) { return ((p % 3) + 3) % 3; }
 
-/// RouteSplit through FnRouter(assign, owner).
-MapTaskOutput RouteFns(const MapSplit& split, const AssignFn& assign,
-                       const OwnerFn& owner, const EngineOptions& options,
-                       MapScratch* scratch,
-                       const spatial::KernelCancellation* cancel) {
-  return RouteSplit(split, FnRouter(assign, owner), options, scratch, cancel);
+/// One map task's two phases: what the route staged and what the fill
+/// wrote (nothing when the route failed).
+struct Routed {
+  StagedSplit staged;
+  MapTaskOutput filled;
+};
+
+/// RouteSplit through FnRouter(assign, owner), then an unfiltered,
+/// consuming FillSplit unless the route failed or was cancelled.
+Routed RouteFns(const MapSplit& split, const AssignFn& assign,
+                const OwnerFn& owner, const EngineOptions& options,
+                const spatial::KernelCancellation* cancel) {
+  Routed out;
+  out.staged =
+      RouteSplit(split, FnRouter(assign, owner), options, nullptr, cancel);
+  if (out.staged.error.ok() && (cancel == nullptr || !cancel->ShouldStop())) {
+    FillScratch scratch;
+    out.filled = FillSplit(split, &out.staged, nullptr, options,
+                           /*consume=*/true, &scratch, cancel);
+  }
+  return out;
 }
 
 EngineOptions RouteOptions(bool carry) {
@@ -466,7 +482,13 @@ EngineOptions RouteOptions(bool carry) {
   return options;
 }
 
-/// What RouteSplit must write, built one instance at a time.
+/// A block column as a plain vector.
+template <typename T>
+std::vector<T> Plain(const Column<T>& column) {
+  return std::vector<T>(column.begin(), column.end());
+}
+
+/// What the fill must write, built one instance at a time.
 struct ReferenceBlock {
   std::vector<PartitionId> part;
   std::vector<double> x;
@@ -476,35 +498,41 @@ struct ReferenceBlock {
   std::string arena;
 };
 
-/// The per-instance reference of RouteSplit: blocks and counters.
+/// The per-instance reference of a map task: blocks and routed counters.
 struct ReferenceRoute {
   std::vector<ReferenceBlock> blocks;
-  MapTaskOutput counters;
+  StagedSplit counters;
 };
 
-ReferenceRoute RouteReference(const MapSplit& split, bool carry) {
+/// The reference of `split` under RouteAssign and RouteOwner. With
+/// `ships`, only the instances whose partition it accepts are written;
+/// the counters count every routed instance.
+ReferenceRoute RouteReference(
+    const MapSplit& split, bool carry,
+    const std::function<bool(PartitionId)>& ships = nullptr) {
   ReferenceRoute ref;
   ref.blocks.resize(kRouteWorkers);
-  MapTaskOutput& c = ref.counters;
+  StagedSplit& c = ref.counters;
   for (size_t row = split.begin; row < split.end; ++row) {
     const Tuple& t = split.data->tuples[row];
     const PartitionList parts = RouteAssign(t, split.side);
     c.replicated += parts.size() - 1;
     for (size_t k = 0; k < parts.size(); ++k) {
       const int w = RouteOwner(parts[k]);
+      const uint64_t bytes = kTupleHeaderBytes + (carry ? t.payload.size() : 0);
+      c.shuffled_tuples += 1;
+      c.shuffle_bytes += bytes;
+      if (w != split.home) c.remote_bytes += bytes;
+      if (ships && !ships(parts[k])) continue;
       ReferenceBlock& b = ref.blocks[static_cast<size_t>(w)];
       b.part.push_back(parts[k]);
       b.x.push_back(t.pt.x);
       b.y.push_back(t.pt.y);
       b.id.push_back(t.id);
-      const uint64_t bytes = kTupleHeaderBytes + (carry ? t.payload.size() : 0);
       if (carry) {
         b.arena += t.payload;
         b.payload_end.push_back(b.arena.size());
       }
-      c.shuffled_tuples += 1;
-      c.shuffle_bytes += bytes;
-      if (w != split.home) c.remote_bytes += bytes;
     }
   }
   // A block whose payloads are all empty carries no end offsets.
@@ -516,21 +544,23 @@ ReferenceRoute RouteReference(const MapSplit& split, bool carry) {
 
 /// Requires `out` to hold exactly the reference's blocks, column by
 /// column, each allocated at its final size, and its counters.
-void ExpectRouteMatches(const MapTaskOutput& out, const ReferenceRoute& ref,
+void ExpectRouteMatches(const Routed& out, const ReferenceRoute& ref,
                         Side side, const std::string& label) {
-  ASSERT_TRUE(out.error.ok()) << label << ": " << out.error.ToString();
-  ASSERT_EQ(out.by_worker.size(), ref.blocks.size()) << label;
+  ASSERT_TRUE(out.staged.error.ok())
+      << label << ": " << out.staged.error.ToString();
+  ASSERT_EQ(out.filled.by_worker.size(), ref.blocks.size()) << label;
   uint64_t allocated = 0;
+  uint64_t instances = 0;
   for (size_t w = 0; w < ref.blocks.size(); ++w) {
-    const ShuffleBlock& b = out.by_worker[w];
+    const ShuffleBlock& b = out.filled.by_worker[w];
     const ReferenceBlock& want = ref.blocks[w];
     const std::string where = label + " worker " + std::to_string(w);
     EXPECT_EQ(b.side, side) << where;
-    EXPECT_EQ(b.part, want.part) << where;
-    EXPECT_EQ(b.x, want.x) << where;
-    EXPECT_EQ(b.y, want.y) << where;
-    EXPECT_EQ(b.id, want.id) << where;
-    EXPECT_EQ(b.payload_end, want.payload_end) << where;
+    EXPECT_EQ(Plain(b.part), want.part) << where;
+    EXPECT_EQ(Plain(b.x), want.x) << where;
+    EXPECT_EQ(Plain(b.y), want.y) << where;
+    EXPECT_EQ(Plain(b.id), want.id) << where;
+    EXPECT_EQ(Plain(b.payload_end), want.payload_end) << where;
     EXPECT_EQ(std::string(b.payload_bytes.begin(), b.payload_bytes.end()),
               want.arena)
         << where;
@@ -543,18 +573,19 @@ void ExpectRouteMatches(const MapTaskOutput& out, const ReferenceRoute& ref,
     // Four columns, and with payload bytes an end offset and the bytes.
     allocated += (want.arena.empty() ? 28 : 36) * want.id.size() +
                  want.arena.size();
+    instances += want.id.size();
   }
-  const MapTaskOutput& c = ref.counters;
-  EXPECT_EQ(out.replicated, c.replicated) << label;
-  EXPECT_EQ(out.shuffled_tuples, c.shuffled_tuples) << label;
-  EXPECT_EQ(out.shuffle_bytes, c.shuffle_bytes) << label;
-  EXPECT_EQ(out.remote_bytes, c.remote_bytes) << label;
-  EXPECT_EQ(out.block_bytes, allocated) << label;
+  const StagedSplit& c = ref.counters;
+  EXPECT_EQ(out.staged.replicated, c.replicated) << label;
+  EXPECT_EQ(out.staged.shuffled_tuples, c.shuffled_tuples) << label;
+  EXPECT_EQ(out.staged.shuffle_bytes, c.shuffle_bytes) << label;
+  EXPECT_EQ(out.staged.remote_bytes, c.remote_bytes) << label;
+  EXPECT_EQ(out.filled.instances, instances) << label;
+  EXPECT_EQ(out.filled.block_bytes, allocated) << label;
 }
 
 TEST(RouteSplitTest, ExactlySizedBlocksMatchAPerInstanceReference) {
   const Dataset d = RouteDataset(3000);
-  MapScratch scratch;  // shared by every call, as by one thread's tasks
   for (const bool carry : {true, false}) {
     // A split crossing the poll grain, a one-tuple split whose payload is
     // empty and an empty split.
@@ -567,10 +598,16 @@ TEST(RouteSplitTest, ExactlySizedBlocksMatchAPerInstanceReference) {
         label.append(std::to_string(begin)).append("-");
         label.append(std::to_string(end));
         label.append(side == Side::kR ? " R" : " S");
-        const MapTaskOutput out = RouteFns(split, RouteAssign, RouteOwner,
-                                             RouteOptions(carry), &scratch,
-                                             nullptr);
+        const Routed out = RouteFns(split, RouteAssign, RouteOwner,
+                                    RouteOptions(carry), nullptr);
         ExpectRouteMatches(out, RouteReference(split, carry), side, label);
+        // The consuming fill freed the staged list.
+        EXPECT_EQ(out.staged.instances.capacity(), 0u) << label;
+        EXPECT_EQ(out.filled.freed_bytes % sizeof(StagedInstance), 0u)
+            << label;
+        EXPECT_GE(out.filled.freed_bytes,
+                  out.staged.shuffled_tuples * sizeof(StagedInstance))
+            << label;
       }
     }
   }
@@ -631,13 +668,12 @@ TEST(RouteSplitTest, RoutingErrorsNameTheLowestOffendingIndex) {
         };
         EngineOptions options = RouteOptions(carry);
         options.bounds = bounds;
-        MapScratch scratch;
-        const MapTaskOutput out =
+        const Routed out =
             RouteFns(MapSplit{&d, Side::kR, 200, 1800, 0}, assign, owner,
-                       options, &scratch, nullptr);
+                     options, nullptr);
         const size_t lowest = *std::min_element(bad.begin(), bad.end());
-        EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
-        EXPECT_EQ(out.error.message(), message(fault, lowest))
+        EXPECT_EQ(out.staged.error.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(out.staged.error.message(), message(fault, lowest))
             << static_cast<int>(fault) << " carry=" << carry;
       }
     }
@@ -664,12 +700,10 @@ TEST(RouteSplitTest, AnErrorBeforeANonFinitePointOfItsBlockIsReported) {
     const OwnerFn owner = [](PartitionId p) {
       return p == 99 ? kRouteWorkers : RouteOwner(p);
     };
-    MapScratch scratch;
-    const MapTaskOutput out =
-        RouteFns(MapSplit{&d, Side::kR, 0, 300, 0}, assign, owner,
-                 RouteOptions(true), &scratch, nullptr);
-    EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(out.error.message(),
+    const Routed out = RouteFns(MapSplit{&d, Side::kR, 0, 300, 0}, assign,
+                                owner, RouteOptions(true), nullptr);
+    EXPECT_EQ(out.staged.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.staged.error.message(),
               std::string(no_partition ? "assign returned no partition"
                                        : "owner placed partition 99 on "
                                          "worker 6, outside [0, 6)")
@@ -694,34 +728,33 @@ TEST(RouteSplitTest, LongPartitionListsSplitTheRouterBlock) {
     };
   };
   const OwnerFn owner = RouteOwner;
-  MapScratch scratch;
-  const MapTaskOutput out = RouteFns(MapSplit{&d, Side::kR, 0, 10, 0},
-                                     wide(600), owner, RouteOptions(false),
-                                     &scratch, nullptr);
-  ASSERT_TRUE(out.error.ok()) << out.error.ToString();
-  EXPECT_EQ(out.shuffled_tuples, 6000u);
-  EXPECT_EQ(out.replicated, 5990u);
-  for (const ShuffleBlock& block : out.by_worker) {
+  const Routed out = RouteFns(MapSplit{&d, Side::kR, 0, 10, 0}, wide(600),
+                              owner, RouteOptions(false), nullptr);
+  ASSERT_TRUE(out.staged.error.ok()) << out.staged.error.ToString();
+  EXPECT_EQ(out.staged.shuffled_tuples, 6000u);
+  EXPECT_EQ(out.staged.replicated, 5990u);
+  for (const ShuffleBlock& block : out.filled.by_worker) {
     for (size_t k = 1; k < block.size(); ++k) {
       EXPECT_LT(block.part[k - 1], block.part[k]);  // (row, replica) order
     }
   }
-  const MapTaskOutput too_wide =
+  const Routed too_wide =
       RouteFns(MapSplit{&d, Side::kR, 0, 10, 0},
                wide(RoutedBlock::kMaxInstances + 1), owner,
-               RouteOptions(false), &scratch, nullptr);
-  EXPECT_EQ(too_wide.error.message(),
+               RouteOptions(false), nullptr);
+  EXPECT_EQ(too_wide.staged.error.message(),
             "assign returned more than 2048 partitions in dataset 'R' at "
             "index 0");
 }
 
 TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
-  // The split is 2500 tuples: the route pass polls after tuples 1024 and
-  // 2048, the fill pass after every 1024 instances. A
-  // cancel fired on a middle tuple stops the route pass at its first
-  // poll; one fired on the split's last tuple lets the route pass finish
-  // and stops the fill pass at its first poll. The next call on the same
-  // scratch must write what a fresh scratch writes.
+  // The split is 2500 tuples: the route polls after tuples 1024 and 2048,
+  // the fill after every 1024 instances. A cancel fired on a middle tuple
+  // stops the route at its first poll; one fired on the split's last tuple
+  // lets the route finish and stops the fill at its first poll. A fill cut
+  // short leaves its staged list whole even when it consumes, so the fill
+  // can run again from it on the same scratch; and a rerun of the task
+  // writes what an uncancelled run writes.
   const Dataset d = RouteDataset(3000);
   const MapSplit split{&d, Side::kR, 450, 2950, 2};
   for (const bool carry : {true, false}) {
@@ -737,34 +770,180 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         }
         return RouteAssign(t, side);
       };
-      MapScratch scratch;
-      const MapTaskOutput partial = RouteFns(
-          split, assign, RouteOwner, RouteOptions(carry), &scratch, &cancel);
-      EXPECT_TRUE(partial.error.ok());
+      Routed partial = RouteFns(split, assign, RouteOwner,
+                                RouteOptions(carry), &cancel);
+      EXPECT_TRUE(partial.staged.error.ok());
+      EXPECT_TRUE(partial.filled.by_worker.empty());
       const bool in_route = cancel_at < 2949;
+      FillScratch scratch;
       if (in_route) {
         EXPECT_EQ(progress.load(), 1024u);
-        EXPECT_TRUE(partial.by_worker.empty());
       } else {
+        // The route finished; a fill under the fired token stops at its
+        // first poll.
+        EXPECT_EQ(progress.load(), 2500u);
+        partial.filled = FillSplit(split, &partial.staged, nullptr,
+                                   RouteOptions(carry), /*consume=*/true,
+                                   &scratch, &cancel);
         EXPECT_EQ(progress.load(), 2500u + 1024u);
-        ASSERT_EQ(partial.by_worker.size(), size_t{kRouteWorkers});
       }
-      // The staging list stops where its pass did.
+      // The staged list stops where the route did.
       size_t staged = 0;
       for (size_t row = split.begin;
            row < (in_route ? split.begin + 1024 : split.end); ++row) {
         staged += RouteAssign(d.tuples[row], Side::kR).size();
       }
-      EXPECT_EQ(scratch.staged.size(), staged);
-      // The rerun of the task on this thread, not cancelled.
-      const MapTaskOutput rerun = RouteFns(split, RouteAssign, RouteOwner,
-                                             RouteOptions(carry), &scratch,
-                                             nullptr);
-      ExpectRouteMatches(rerun, want, Side::kR,
-                         std::string("rerun after ")
-                             .append(std::to_string(cancel_at)));
+      EXPECT_EQ(partial.staged.instances.size(), staged);
+      EXPECT_EQ(partial.filled.freed_bytes, 0u);
+      const std::string label =
+          std::string("rerun after ").append(std::to_string(cancel_at));
+      if (!in_route) {
+        // The fill again, from the list and the scratch the cut-short
+        // fill left.
+        partial.filled = FillSplit(split, &partial.staged, nullptr,
+                                   RouteOptions(carry), /*consume=*/true,
+                                   &scratch, nullptr);
+        ExpectRouteMatches(partial, want, Side::kR, label + " (fill)");
+      }
+      // The rerun of the whole task, not cancelled.
+      ExpectRouteMatches(RouteFns(split, RouteAssign, RouteOwner,
+                                  RouteOptions(carry), nullptr),
+                         want, Side::kR, label);
     }
   }
+}
+
+/// R and S splits of one dataset whose partitions overlap only in part:
+/// every R tuple reaches partitions 0 to 4, every S tuple 3 to 7.
+PartitionList HalfOverlapAssign(const Tuple& t, Side side) {
+  PartitionList out;
+  const PartitionId base = side == Side::kR ? 0 : 3;
+  out.push_back(base + static_cast<PartitionId>(t.id % 5));
+  if (t.id % 3 == 0) {
+    out.push_back(base + static_cast<PartitionId>((t.id + 2) % 5));
+  }
+  return out;
+}
+
+TEST(FillSplitTest, ShipsOnlyPartitionsTheOtherSideReaches) {
+  // The routes mark what each side reaches in one ReachSet per "thread";
+  // their union is the job's. Each fill then writes only the instances of
+  // partitions 3 and 4, which both sides reach, in (row, replica) order,
+  // while the routed counters still count every instance.
+  const Dataset d = RouteDataset(3000);
+  const AssignFn assign = HalfOverlapAssign;
+  const OwnerFn owner = RouteOwner;
+  const FnRouter router(assign, owner, /*partition_count=*/8);
+  for (const bool carry : {true, false}) {
+    const EngineOptions options = RouteOptions(carry);
+    const MapSplit r_split{&d, Side::kR, 0, 1700, 0};
+    const MapSplit s_split{&d, Side::kS, 1700, 3000, 1};
+    ReachSet reach_a;
+    ReachSet reach_b;
+    reach_a.Reset(8);
+    reach_b.Reset(8);
+    StagedSplit r_staged = RouteSplit(r_split, router, options, &reach_a,
+                                      nullptr);
+    StagedSplit s_staged = RouteSplit(s_split, router, options, &reach_b,
+                                      nullptr);
+    ASSERT_TRUE(r_staged.error.ok() && s_staged.error.ok());
+    ReachSet reach;
+    reach.Union(std::move(reach_a));
+    reach.Union(std::move(reach_b));
+    for (PartitionId p = 0; p < 8; ++p) {
+      EXPECT_EQ(reach.Reaches(Side::kR, p), p <= 4) << p;
+      EXPECT_EQ(reach.Reaches(Side::kS, p), p >= 3) << p;
+    }
+    for (const MapSplit* split : {&r_split, &s_split}) {
+      StagedSplit& staged = split->side == Side::kR ? r_staged : s_staged;
+      Routed out;
+      out.staged = staged;
+      FillScratch scratch;
+      out.filled = FillSplit(*split, &staged, &reach, options,
+                             /*consume=*/false, &scratch, nullptr);
+      EXPECT_EQ(staged.instances.size(), out.staged.instances.size());
+      for (const ShuffleBlock& block : out.filled.by_worker) {
+        EXPECT_TRUE(block.joinable_only);
+      }
+      // The reference of HalfOverlapAssign, built like RouteReference's.
+      ReferenceRoute want;
+      want.blocks.resize(kRouteWorkers);
+      for (size_t row = split->begin; row < split->end; ++row) {
+        const Tuple& t = d.tuples[row];
+        const PartitionList parts = HalfOverlapAssign(t, split->side);
+        for (size_t k = 0; k < parts.size(); ++k) {
+          const PartitionId p = parts[k];
+          const uint64_t bytes =
+              kTupleHeaderBytes + (carry ? t.payload.size() : 0);
+          ++want.counters.shuffled_tuples;
+          want.counters.shuffle_bytes += bytes;
+          if (RouteOwner(p) != split->home) {
+            want.counters.remote_bytes += bytes;
+          }
+          if (p < 3 || p > 4) continue;
+          ReferenceBlock& b = want.blocks[static_cast<size_t>(RouteOwner(p))];
+          b.part.push_back(p);
+          b.x.push_back(t.pt.x);
+          b.y.push_back(t.pt.y);
+          b.id.push_back(t.id);
+          if (carry) {
+            b.arena += t.payload;
+            b.payload_end.push_back(b.arena.size());
+          }
+        }
+        want.counters.replicated += parts.size() - 1;
+      }
+      for (ReferenceBlock& b : want.blocks) {
+        if (b.arena.empty()) b.payload_end.clear();
+      }
+      ExpectRouteMatches(out, want, split->side,
+                         std::string(carry ? "carried " : "bare ")
+                             .append(split->side == Side::kR ? "R" : "S"));
+      EXPECT_LT(out.filled.instances, out.staged.shuffled_tuples);
+    }
+  }
+}
+
+TEST(FillSplitTest, OnlyAConsumingFillFreesItsStagedList) {
+  const Dataset d = RouteDataset(500);
+  const MapSplit split{&d, Side::kR, 0, 500, 0};
+  const EngineOptions options = RouteOptions(true);
+  StagedSplit staged = RouteSplit(split, FnRouter(RouteAssign, RouteOwner),
+                                  options, nullptr, nullptr);
+  ASSERT_TRUE(staged.error.ok());
+  const size_t n = staged.instances.size();
+  FillScratch scratch;
+  const MapTaskOutput kept =
+      FillSplit(split, &staged, nullptr, options, /*consume=*/false, &scratch,
+                nullptr);
+  EXPECT_EQ(kept.freed_bytes, 0u);
+  EXPECT_EQ(staged.instances.size(), n);
+  const size_t capacity = staged.instances.capacity();
+  const MapTaskOutput freed =
+      FillSplit(split, &staged, nullptr, options, /*consume=*/true, &scratch,
+                nullptr);
+  EXPECT_EQ(freed.freed_bytes, capacity * sizeof(StagedInstance));
+  EXPECT_EQ(staged.instances.capacity(), 0u);
+  EXPECT_EQ(freed.instances, kept.instances);
+  EXPECT_EQ(freed.block_bytes, kept.block_bytes);
+}
+
+TEST(RouteSplitTest, APartitionOutsideTheDeclaredRangeIsAnError) {
+  // HalfOverlapAssign reaches partition 7 on S, outside a range of 7.
+  const Dataset d = RouteDataset(100);
+  const AssignFn assign = HalfOverlapAssign;
+  const OwnerFn owner = RouteOwner;
+  const FnRouter router(assign, owner, /*partition_count=*/7);
+  ReachSet reach;
+  reach.Reset(7);
+  const StagedSplit r = RouteSplit(MapSplit{&d, Side::kR, 0, 100, 0}, router,
+                                   RouteOptions(false), &reach, nullptr);
+  EXPECT_TRUE(r.error.ok()) << r.error.ToString();
+  const StagedSplit s = RouteSplit(MapSplit{&d, Side::kS, 0, 100, 0}, router,
+                                   RouteOptions(false), &reach, nullptr);
+  EXPECT_EQ(s.error.message(),
+            "assign returned partition 7, outside the router's range [0, 7) "
+            "in dataset 'R' at index 4");
 }
 
 TEST(RouteSplitTest, CancelledMapOutputIsNeverCommitted) {

@@ -4,8 +4,9 @@
 
 The engine's TraceRecorder (src/obs/trace_recorder.h) exports Chrome
 trace-event JSON: one "thread" timeline per logical worker plus one for the
-driver, task spans named <phase>-task (map-task, regroup-task, join-task,
-dedup-scatter-task, dedup-merge-task), per-partition join-partition spans,
+driver, task spans named <phase>-task (map-task, fill-task, regroup-task,
+join-task, dedup-scatter-task, dedup-merge-task), per-partition
+join-partition spans,
 kernel-sort/kernel-sweep/kernel-emit spans, fault-* events, cancellation
 events (cat "cancel": cancel-abandon, watchdog-fire, deadline-exceeded), and
 the job's counters/gauges under the top-level pasjoin_counters /
@@ -28,14 +29,16 @@ or cancelled run) fails, and so does an export that lacks a key one of the
 checks below needs; only the driver_seconds gauge is optional, because a
 trace of the engine alone has none. The checks:
 
-  * construction_seconds ~= driver_seconds gauge + map makespan + regroup
-    makespan, join_seconds ~= join makespan, dedup_seconds ~= scatter
-    makespan + merge makespan — each within --tolerance (default 5%,
-    plus a small absolute slack for sub-millisecond phases);
+  * construction_seconds ~= driver_seconds gauge + map makespan + fill
+    makespan + regroup makespan, join_seconds ~= join makespan,
+    dedup_seconds ~= scatter makespan + merge makespan — each within
+    --tolerance (default 5%, plus a small absolute slack for
+    sub-millisecond phases);
   * the measured_* gauges (real wall time of each phase group under the
     work-stealing execution, docs/PARALLELISM.md) vs the driver-track
     phase spans: measured_construction_seconds ~= driver_seconds +
-    phase-map + phase-regroup, measured_join_seconds ~= phase-join,
+    phase-map + phase-fill + phase-regroup, measured_join_seconds ~=
+    phase-join,
     measured_dedup_seconds ~= phase-dedup-scatter + phase-dedup-merge;
   * the driver spans (driver-scan, driver-grid, driver-sample, ...; they do
     not nest) vs the driver_seconds gauge: the spans lie inside the driver
@@ -51,8 +54,13 @@ trace of the engine alone has none. The checks:
     and abandoned attempts also record partition spans);
   * the joinable_tuples counter vs the sum of the committed regroup-task
     spans' kept args (exact; skipped when cancellation events are present);
-  * the shuffle_block_bytes counter vs the sum of the committed map-task
+  * the shuffle_block_bytes counter vs the sum of the committed fill-task
     spans' bytes args (exact; skipped when cancellation events are present);
+  * in a run whose router declares its partition range (its fill-task
+    spans carry shipped: joinable), the joinable_tuples counter vs the sum
+    of the committed fill-task spans' instances args: the fill ships only
+    joinable instances (exact; skipped when cancellation events are
+    present);
   * the watchdog_fires counter vs the number of watchdog-fire events
     (exact — each fire records exactly one instant);
   * no dropped events.
@@ -76,6 +84,7 @@ from collections import defaultdict
 
 TASK_SPANS = (
     "map-task",
+    "fill-task",
     "regroup-task",
     "join-task",
     "dedup-scatter-task",
@@ -140,7 +149,10 @@ class Rollup:
         self.join_partitions = 0
         self.span_candidates = 0
         self.regroup_kept = None  # no committed regroup span has the arg
-        self.map_bytes = None  # no committed map span has the arg
+        self.fill_bytes = None  # no committed fill span has the arg
+        self.fill_instances = None  # no committed fill span has the arg
+        # Whether a committed fill span shipped only joinable instances.
+        self.fill_filtered = False
         events = trace.get("traceEvents", [])
         if not isinstance(events, list):
             raise ValueError("traceEvents must be an array")
@@ -169,14 +181,23 @@ class Rollup:
             kept = event.get("args", {}).get("kept")
             if name == "regroup-task" and kept is not None:
                 self.regroup_kept = (self.regroup_kept or 0) + kept
-            block_bytes = event.get("args", {}).get("bytes")
-            if name == "map-task" and block_bytes is not None:
-                self.map_bytes = (self.map_bytes or 0) + block_bytes
+            if name == "fill-task":
+                self.add_fill(event.get("args", {}))
             if name == "join-partition":
                 self.join_partitions += 1
                 self.span_candidates += event.get("args", {}).get(
                     "candidates", 0
                 )
+
+    def add_fill(self, args) -> None:
+        if args.get("bytes") is not None:
+            self.fill_bytes = (self.fill_bytes or 0) + args["bytes"]
+        if args.get("instances") is not None:
+            self.fill_instances = (
+                self.fill_instances or 0
+            ) + args["instances"]
+        if args.get("shipped") == "joinable":
+            self.fill_filtered = True
 
     def track_name(self, tid) -> str:
         return self.track_names.get(tid, f"tid {tid}")
@@ -308,6 +329,7 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         gauges["construction_seconds"],
         driver_seconds
         + rollup.makespan("map-task")
+        + rollup.makespan("fill-task")
         + rollup.makespan("regroup-task"),
     )
     check("join_seconds", gauges["join_seconds"], rollup.makespan("join-task"))
@@ -327,6 +349,7 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
         gauges["measured_construction_seconds"],
         driver_seconds
         + rollup.total("phase-map")
+        + rollup.total("phase-fill")
         + rollup.total("phase-regroup"),
     )
     check(
@@ -422,13 +445,27 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
 
     if (
         not rollup.cancel_events
-        and rollup.map_bytes is not None
-        and rollup.map_bytes != counters["shuffle_block_bytes"]
+        and rollup.fill_bytes is not None
+        and rollup.fill_bytes != counters["shuffle_block_bytes"]
     ):
         errors.append(
-            f"shuffle_block_bytes: map-task bytes args sum to "
-            f"{rollup.map_bytes}, counters report "
+            f"shuffle_block_bytes: fill-task bytes args sum to "
+            f"{rollup.fill_bytes}, counters report "
             f"{counters['shuffle_block_bytes']}"
+        )
+
+    # A router that declares its partition range gets only the instances of
+    # partitions both sides reach shipped, which are exactly the ones
+    # regroup keeps.
+    if (
+        not rollup.cancel_events
+        and rollup.fill_filtered
+        and rollup.fill_instances != counters["joinable_tuples"]
+    ):
+        errors.append(
+            f"joinable_tuples: fill-task instances args of a run that "
+            f"ships joinable instances only sum to {rollup.fill_instances}, "
+            f"counters report {counters['joinable_tuples']}"
         )
 
     # Watchdog bookkeeping is exact: the engine records one "watchdog-fire"

@@ -16,8 +16,8 @@
 //     Between waves the driver thread re-executes failed attempts from
 //     retained inputs (bounded retries with exponential backoff), fails over
 //     a lost logical worker, and backs up or resumes parked stragglers,
-//     waiting out a resumed wave's straggler delay once. An injected fault
-//     strikes after the attempt's body ran. The dataflow keeps the staged
+//     waiting out a resumed wave's straggler delay once. A fill's injected
+//     fault strikes after its body ran. The dataflow keeps the staged
 //     lists through the fill and the shuffle blocks through the join, so a
 //     fill retries from its whole list and a lost worker's store is
 //     rebuilt by re-running its regroup.
@@ -71,6 +71,9 @@ namespace {
 
 /// Per-thread state of the phases whose tasks need no scratch.
 struct NoPhaseState {};
+
+/// The error of an attempt the fault injector fails.
+constexpr const char* kInjectedFault = "injected fault";
 
 // ---------------------------------------------------------------------------
 // Phase bodies, shared by both executors. Each body only reads what the
@@ -407,6 +410,9 @@ struct PhaseSpec {
   std::vector<double>* busy = nullptr;
   /// Receives the phase's measured wall time.
   double* measured_seconds = nullptr;
+  /// An arg of the phase's span, when named (a string literal).
+  const char* arg_name = nullptr;
+  int64_t arg = 0;
 };
 
 /// A phase's simulated makespan: the largest per-worker busy time.
@@ -478,17 +484,13 @@ auto CommitTo(std::vector<Output>* slots) {
 }
 
 /// Adds the args a task's output reports to its task span: a fill task,
-/// whether it shipped only joinable instances or all of them, the
-/// instances its blocks hold, the bytes they allocate and the staged bytes
-/// it freed; a regroup, the instances it kept. Other outputs report none.
+/// the instances its blocks hold and the bytes they allocate; a regroup,
+/// the instances it kept. Other outputs report none. The output may be one
+/// a cancel cut short, so only its counters are read.
 void AddTaskSpanArgs(obs::ScopedSpan& /*span*/, const auto& /*out*/) {}
 void AddTaskSpanArgs(obs::ScopedSpan& span, const MapTaskOutput& out) {
-  // Every block of a task is filtered or none is; a task has one per worker.
-  span.SetStringArg("shipped",
-                    out.by_worker[0].joinable_only ? "joinable" : "all");
   span.AddArg("instances", static_cast<int64_t>(out.instances));
   span.AddArg("bytes", static_cast<int64_t>(out.block_bytes));
-  span.AddArg("freed", static_cast<int64_t>(out.freed_bytes));
 }
 void AddTaskSpanArgs(obs::ScopedSpan& span, const WorkerStore& store) {
   span.AddArg("kept", static_cast<int64_t>(store.id.size()));
@@ -505,6 +507,7 @@ Status RunPhase(obs::TraceRecorder* trace, int threads, const PhaseSpec& spec,
       trace, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
   phase_span.SetTrack(obs::kDriverTrack);
   phase_span.AddArg("tasks", spec.count);
+  if (spec.arg_name != nullptr) phase_span.AddArg(spec.arg_name, spec.arg);
   Stopwatch phase_wall;
   std::vector<ThreadState<State>> states(static_cast<size_t>(threads));
   BusyRows rows(threads, spec.busy->size());
@@ -760,13 +763,13 @@ class RecoveringExecutor {
     return !job_token_.IsCancelled();
   }
 
-  /// Runs one attempt on runner `rnr`: its backoff, then, unless its worker
-  /// was lost, its body under a fresh heartbeat (a resumed attempt's, once
+  /// Runs one attempt on runner `rnr`: its backoff, then, unless it fails
+  /// outright, its body under a fresh heartbeat (a resumed attempt's, once
   /// its wait is over). The output commits unless the attempt's token fired
-  /// (a body cut short returns partial output) or the injector fails the
-  /// attempt: an injected fault strikes after the body ran, before its
-  /// output commits, so a retry needs every input the body read. A job
-  /// cancel leaves the attempt kAbandoned.
+  /// (a body cut short returns partial output) or a fill's injected fault
+  /// strikes: it strikes after the body wrote the task's blocks, as a fill
+  /// that dies midway would, so the retry needs the staged list the body
+  /// read. A job cancel leaves the attempt kAbandoned.
   template <typename State, typename Compute, typename Commit>
   void RunAttempt(Attempt* a, const char* task_name, State& state,
                   BusyRows* rows, int rnr, const Compute& compute,
@@ -789,7 +792,10 @@ class RecoveringExecutor {
     span->AddArg("task", task);
     span->AddArg("attempt", a->attempt);
     const Stopwatch watch;
-    std::string error = LostWorkerFailure(task, a->attempt);
+    std::string error = OutrightFailure(task, a->attempt);
+    const bool fails_after_body =
+        phase_ == Phase::kFill && error == kInjectedFault;
+    if (fails_after_body) error.clear();
     bool committed = false;
     if (error.empty()) {
       std::shared_ptr<TaskHeartbeat> heartbeat = std::move(a->heartbeat);
@@ -805,8 +811,8 @@ class RecoveringExecutor {
           auto out = compute(task, state, &kc);
           if (token.IsCancelled()) {
             // Discarded below, with the token's verdict.
-          } else if (injector_.ShouldFail(phase_, task, a->attempt)) {
-            error = "injected fault";
+          } else if (fails_after_body) {
+            error = kInjectedFault;
           } else {
             AddTaskSpanArgs(*span, out);
             commit(task, state, std::move(out));
@@ -854,8 +860,7 @@ class RecoveringExecutor {
       TaskState& ts = tasks_[static_cast<size_t>(t)];
       if (ts.attempts == 0) {
         ts.attempts = 1;
-        ts.parked = LostWorkerFailure(t, 0).empty() &&
-                    !injector_.ShouldFail(phase_, t, 0) &&
+        ts.parked = OutrightFailure(t, 0).empty() &&
                     injector_.IsStraggler(phase_, t, 0);
         if (!ts.parked) wave_.push_back(Attempt{.task = t});
       } else if (ts.failed) {
@@ -936,13 +941,15 @@ class RecoveringExecutor {
   }
 
   /// Why the attempt fails before doing any work — its worker was lost at
-  /// the start of this phase — or "" if it does not.
-  std::string LostWorkerFailure(int task, int attempt) const {
+  /// the start of this phase, or the injector fails it (a fill's fault
+  /// strikes later, in RunAttempt) — or "" if it does not.
+  std::string OutrightFailure(int task, int attempt) const {
     const int lost = injector_.lost_worker();
     if (attempt == 0 && injector_.LosesWorkerIn(phase_) &&
         tasks_[static_cast<size_t>(task)].owner == lost) {
       return "logical worker " + std::to_string(lost) + " lost";
     }
+    if (injector_.ShouldFail(phase_, task, attempt)) return kInjectedFault;
     return "";
   }
 
@@ -1045,12 +1052,13 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // them without a declared range) into exactly sized blocks. Unless the
   // executor retains inputs, the fill frees its staged list once its
   // blocks are written; the rest go after the phase, as nothing reads them
-  // after it.
+  // after it. The phase's span records the declared range, so a trace
+  // tells whether the fill shipped only joinable instances.
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
   std::vector<double> fill_busy(static_cast<size_t>(workers));
   PASJOIN_RETURN_NOT_OK(ex->template Run<FillScratch>(
       PhaseSpec{Phase::kFill, total_map_tasks, 1, &fill_busy,
-                &measured_construction},
+                &measured_construction, "range", range},
       map_owner,
       [&](int task, FillScratch& scratch, const Cancel* cancel) {
         return FillSplit(MapTaskSplit(task, r, s, num_splits, workers),

@@ -320,11 +320,7 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
                    out.by_worker[w].payload_end.back() ==
                        out.by_worker[w].payload_bytes.size());
   }
-  if (consume) {
-    out.freed_bytes =
-        staged->instances.capacity() * sizeof(StagedInstance);
-    std::vector<StagedInstance>().swap(staged->instances);
-  }
+  if (consume) std::vector<StagedInstance>().swap(staged->instances);
   return out;
 }
 

@@ -202,8 +202,6 @@ struct MapTaskOutput {
   uint64_t instances = 0;
   /// The bytes `by_worker` allocates, columns and arenas.
   uint64_t block_bytes = 0;
-  /// The bytes of staged entries the task freed (consuming fills only).
-  uint64_t freed_bytes = 0;
 };
 
 /// The route phase of one map task: routes `split` through `router` and

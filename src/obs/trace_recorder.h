@@ -57,7 +57,7 @@ namespace pasjoin::obs {
 inline constexpr int32_t kDriverTrack = -1;
 
 /// Maximum integer args carried by one event.
-inline constexpr int kMaxSpanArgs = 6;
+inline constexpr int kMaxSpanArgs = 5;
 
 /// One recorded trace event. Plain data; name/category/arg-name/str_value
 /// pointers must be string literals (static storage duration).

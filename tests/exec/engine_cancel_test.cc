@@ -286,6 +286,105 @@ TEST(EngineCancelTest, TaskErrorAfterACancelIsStillReported) {
       << result.status().message();
 }
 
+/// The events of `recorder`'s trace named `name`.
+std::vector<obs::TraceEvent> EventsNamed(const obs::TraceRecorder& recorder,
+                                         const std::string& name) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (name == e.name) out.push_back(e);
+  }
+  return out;
+}
+
+/// The value of `e`'s arg `name`, or -1 when it has none.
+int64_t ArgOf(const obs::TraceEvent& e, const std::string& name) {
+  for (int i = 0; i < e.num_args; ++i) {
+    if (name == e.arg_names[i]) return e.arg_values[i];
+  }
+  return -1;
+}
+
+TEST(EngineCancelTest, CancelInAStealFillTaskEndsItsSpanAndTheRun) {
+  // A cancel that lands in a steal fill task's first pass, before the task
+  // sized its blocks, cuts the task short with an empty output. Its traced
+  // span still ends, reporting 0 instances and 0 bytes, and the run returns
+  // the cancel's status with no partial result. Nothing the caller supplies
+  // runs in the fill, so the cancel is timed: an uncancelled traced run
+  // gives the fill phase's window, and each try moves the cancel by
+  // bisection toward the window until a fill-task span reports 0 bytes. No
+  // router range is declared, so every fill task has instances to write
+  // and only a cut-short one reports none; no partition holds both sides,
+  // so a run the cancel misses ends after an empty join.
+  const Dataset r = MakeDataset(RandomPoints(kBigN / 2, 41), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(kBigN / 2, 42), 1000000, "S");
+  EngineOptions options = BigOptions();
+  const AssignFn assign = DisjointBandAssign(options.eps);
+  const OwnerFn owner = ModOwner(options.workers);
+  double fill_begin = 0.0;
+  double fill_end = 0.0;
+  {
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const int64_t start_ns = recorder.NowNs();
+    ASSERT_TRUE(TryRunPartitionedJoin(r, s, assign, owner, options).ok());
+    const std::vector<obs::TraceEvent> fill =
+        EventsNamed(recorder, "phase-fill");
+    ASSERT_EQ(fill.size(), 1u);
+    fill_begin = static_cast<double>(fill[0].start_ns - start_ns) / 1e9;
+    fill_end = fill_begin + static_cast<double>(fill[0].duration_ns) / 1e9;
+  }
+  // Cancels before `early` land before the fill, after `late` after it.
+  double early = 0.0;
+  double late = 2 * fill_end;
+  double at = (fill_begin + fill_end) / 2;
+  Rng rng(43);
+  bool cut_in_first_pass = false;
+  for (int attempt = 0; attempt < 60 && !cut_in_first_pass; ++attempt) {
+    CancellationSource source;
+    options.cancel = source.token();
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    const Stopwatch watch;
+    std::thread canceller([&] {
+      source.token().WaitForCancellation(at - watch.ElapsedSeconds());
+      source.Cancel(StatusCode::kCancelled, "cancelled in the fill");
+    });
+    const Result<JoinRun> result =
+        TryRunPartitionedJoin(r, s, assign, owner, options);
+    canceller.join();
+    const bool filled = !EventsNamed(recorder, "phase-fill").empty();
+    const bool regrouped = !EventsNamed(recorder, "phase-regroup").empty();
+    if (result.ok() || regrouped) {
+      late = at;
+    } else if (!filled) {
+      early = at;
+    }
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+      EXPECT_EQ(result.status().message(), "cancelled in the fill");
+      EXPECT_TRUE(recorder.exported().counters.empty());
+    }
+    const bool in_fill = filled && !regrouped && !result.ok();
+    if (in_fill) {
+      for (const obs::TraceEvent& e : EventsNamed(recorder, "fill-task")) {
+        if (ArgOf(e, "bytes") == 0) {
+          EXPECT_EQ(ArgOf(e, "instances"), 0);
+          cut_in_first_pass = true;
+        }
+      }
+    }
+    if (late - early < 1e-4) {  // the window moved: widen the search
+      early = std::max(0.0, early - (fill_end - fill_begin));
+      late += fill_end - fill_begin;
+    }
+    // A try that landed in the fill, but after each running task's first
+    // pass, is followed by one at another point between the bounds.
+    at = in_fill ? early + (late - early) * rng.NextUniform(0.2, 0.8)
+                 : (early + late) / 2;
+  }
+  EXPECT_TRUE(cut_in_first_pass);
+}
+
 TEST(EngineCancelTest, SuccessfulRunRecordsDeadlineSlack) {
   const Dataset r = MakeDataset(RandomPoints(300, 3), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(300, 4), 1000, "S");

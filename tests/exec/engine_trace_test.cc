@@ -313,54 +313,64 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
   }
 }
 
-TEST(EngineTraceTest, StealFillsFreeStagedListsAndRecoveringFillsKeepThem) {
-  // Each fill-task span reports the staged bytes its task freed. The steal
-  // executor runs every task once, so each fill frees its staged list as
-  // it commits: at least 12 bytes per routed instance in all. The
-  // recovering executor keeps every list for the fill's retries and frees
-  // none in a task. The router declares its range, so the fill-task spans'
-  // instances sum to joinable_tuples.
+TEST(EngineTraceTest, FillSpansShipJoinableInstancesOfARangedRouter) {
+  // The phase-fill span records the router's declared range, 0 for none.
+  // S covers half of R's bands, so five of the ten partitions hold R
+  // alone. With the range declared, the committed fill-task spans'
+  // instances sum to joinable_tuples under both executors (injected fill
+  // faults included); without it, every routed instance ships and they sum
+  // to shuffled_tuples.
   const Dataset r = MakeDataset(RandomPoints(400, 37), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(400, 38), 1000, "S");
+  Dataset s = MakeDataset(RandomPoints(400, 38), 1000, "S");
+  for (Tuple& t : s.tuples) t.pt.x *= 0.5;
   const AssignFn assign = BandAssign(0.25, Side::kR);
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  const FnRouter router(assign, owner, /*partition_count=*/10);
+  const FnRouter ranged(assign, owner, /*partition_count=*/10);
+  const FnRouter unranged(assign, owner);
   for (const bool fault : {false, true}) {
-    EngineOptions options = BaseOptions();
-    options.fault.enabled = fault;
-    obs::TraceRecorder recorder;
-    options.trace = &recorder;
-    Result<JoinRun> result = TryRunPartitionedJoin(r, s, router, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const JobMetrics& m = result.value().metrics;
-    uint64_t freed = 0;
-    uint64_t instances = 0;
-    size_t spans = 0;
-    for (const obs::TraceEvent& e : recorder.Snapshot()) {
-      if (std::string(e.name) != "fill-task") continue;
-      ++spans;
-      EXPECT_STREQ(e.str_name, "shipped");
-      EXPECT_STREQ(e.str_value, "joinable");
-      int64_t task_freed = -1;
-      for (int i = 0; i < e.num_args; ++i) {
-        const std::string arg = e.arg_names[i];
-        if (arg == "freed") task_freed = e.arg_values[i];
-        if (arg == "instances") {
-          instances += static_cast<uint64_t>(e.arg_values[i]);
+    for (const FnRouter* router : {&ranged, &unranged}) {
+      EngineOptions options = BaseOptions();
+      options.fault.enabled = fault;
+      options.fault.map_failure_p = fault ? 0.3 : 0.0;
+      options.fault.max_retries = 25;
+      options.fault.backoff_base_ms = 0.05;
+      obs::TraceRecorder recorder;
+      options.trace = &recorder;
+      Result<JoinRun> result = TryRunPartitionedJoin(r, s, *router, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const JobMetrics& m = result.value().metrics;
+      const std::string label = std::string(fault ? "recovering" : "steal")
+                                    .append(router == &ranged ? " ranged"
+                                                              : " unranged");
+      int64_t range = -1;
+      uint64_t instances = 0;
+      size_t committed_spans = 0;
+      for (const obs::TraceEvent& e : recorder.Snapshot()) {
+        const std::string name = e.name;
+        if (name != "phase-fill" && name != "fill-task") continue;
+        int64_t committed = 1;
+        int64_t span_instances = -1;
+        for (int i = 0; i < e.num_args; ++i) {
+          const std::string arg = e.arg_names[i];
+          if (arg == "range") range = e.arg_values[i];
+          if (arg == "committed") committed = e.arg_values[i];
+          if (arg == "instances") span_instances = e.arg_values[i];
         }
+        if (name == "phase-fill" || committed == 0) continue;
+        ++committed_spans;
+        ASSERT_GE(span_instances, 0) << label;
+        instances += static_cast<uint64_t>(span_instances);
       }
-      ASSERT_GE(task_freed, 0);
-      if (!fault) {
-        EXPECT_GT(task_freed, 0);
+      EXPECT_EQ(range, router->partition_count()) << label;
+      EXPECT_EQ(committed_spans, 2u * static_cast<size_t>(options.num_splits))
+          << label;
+      EXPECT_LT(m.joinable_tuples, m.shuffled_tuples) << label;
+      EXPECT_EQ(instances, router == &ranged ? m.joinable_tuples
+                                             : m.shuffled_tuples)
+          << label;
+      if (fault) {
+        EXPECT_GT(m.tasks_failed, 0u) << label;
       }
-      freed += static_cast<uint64_t>(task_freed);
-    }
-    EXPECT_EQ(spans, 2u * static_cast<size_t>(options.num_splits)) << fault;
-    EXPECT_EQ(instances, m.joinable_tuples) << fault;
-    if (fault) {
-      EXPECT_EQ(freed, 0u);
-    } else {
-      EXPECT_GE(freed, 12 * m.shuffled_tuples);
     }
   }
 }

@@ -433,10 +433,10 @@ TEST(FaultToleranceTest, FailedFillAttemptsRetryFromTheirFullStagedLists) {
 
 TEST(FaultToleranceTest, LostWorkersRebuildFromRetainedFilteredBlocks) {
   // The retained blocks hold only joinable instances. A worker lost in the
-  // regroup re-sorts them on a survivor; one lost in the join has its store
-  // rebuilt from them; and an injected regroup fault strikes after the
-  // regroup read them. Each recovers the fault-free pairs in their order,
-  // which needs every block intact after the regroups that read it.
+  // regroup re-sorts them on a survivor, beside retried regroup faults;
+  // one lost in the join has its store rebuilt from them. Each recovers
+  // the fault-free pairs in their order, which needs every block intact
+  // after the regroups that read it.
   const HalfOverlap in;
   const JoinRun clean = in.Run(BaseOptions());
   ASSERT_LT(clean.metrics.joinable_tuples, clean.metrics.shuffled_tuples);

@@ -603,11 +603,6 @@ TEST(RouteSplitTest, ExactlySizedBlocksMatchAPerInstanceReference) {
         ExpectRouteMatches(out, RouteReference(split, carry), side, label);
         // The consuming fill freed the staged list.
         EXPECT_EQ(out.staged.instances.capacity(), 0u) << label;
-        EXPECT_EQ(out.filled.freed_bytes % sizeof(StagedInstance), 0u)
-            << label;
-        EXPECT_GE(out.filled.freed_bytes,
-                  out.staged.shuffled_tuples * sizeof(StagedInstance))
-            << label;
       }
     }
   }
@@ -794,7 +789,10 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         staged += RouteAssign(d.tuples[row], Side::kR).size();
       }
       EXPECT_EQ(partial.staged.instances.size(), staged);
-      EXPECT_EQ(partial.filled.freed_bytes, 0u);
+      // A fill cut short reports no instances and no bytes, the counters
+      // its task span reads.
+      EXPECT_EQ(partial.filled.instances, 0u);
+      EXPECT_EQ(partial.filled.block_bytes, 0u);
       const std::string label =
           std::string("rerun after ").append(std::to_string(cancel_at));
       if (!in_route) {
@@ -916,13 +914,11 @@ TEST(FillSplitTest, OnlyAConsumingFillFreesItsStagedList) {
   const MapTaskOutput kept =
       FillSplit(split, &staged, nullptr, options, /*consume=*/false, &scratch,
                 nullptr);
-  EXPECT_EQ(kept.freed_bytes, 0u);
   EXPECT_EQ(staged.instances.size(), n);
-  const size_t capacity = staged.instances.capacity();
+  EXPECT_GE(staged.instances.capacity(), n);
   const MapTaskOutput freed =
       FillSplit(split, &staged, nullptr, options, /*consume=*/true, &scratch,
                 nullptr);
-  EXPECT_EQ(freed.freed_bytes, capacity * sizeof(StagedInstance));
   EXPECT_EQ(staged.instances.capacity(), 0u);
   EXPECT_EQ(freed.instances, kept.instances);
   EXPECT_EQ(freed.block_bytes, kept.block_bytes);

@@ -56,8 +56,8 @@ trace of the engine alone has none. The checks:
     spans' kept args (exact; skipped when cancellation events are present);
   * the shuffle_block_bytes counter vs the sum of the committed fill-task
     spans' bytes args (exact; skipped when cancellation events are present);
-  * in a run whose router declares its partition range (its fill-task
-    spans carry shipped: joinable), the joinable_tuples counter vs the sum
+  * in a run whose router declares its partition range (the phase-fill
+    span's range arg is positive), the joinable_tuples counter vs the sum
     of the committed fill-task spans' instances args: the fill ships only
     joinable instances (exact; skipped when cancellation events are
     present);
@@ -151,7 +151,8 @@ class Rollup:
         self.regroup_kept = None  # no committed regroup span has the arg
         self.fill_bytes = None  # no committed fill span has the arg
         self.fill_instances = None  # no committed fill span has the arg
-        # Whether a committed fill span shipped only joinable instances.
+        # Whether the router declared its range, so the fill shipped only
+        # joinable instances.
         self.fill_filtered = False
         events = trace.get("traceEvents", [])
         if not isinstance(events, list):
@@ -183,6 +184,8 @@ class Rollup:
                 self.regroup_kept = (self.regroup_kept or 0) + kept
             if name == "fill-task":
                 self.add_fill(event.get("args", {}))
+            if name == "phase-fill":
+                self.fill_filtered = event.get("args", {}).get("range", 0) > 0
             if name == "join-partition":
                 self.join_partitions += 1
                 self.span_candidates += event.get("args", {}).get(
@@ -196,8 +199,6 @@ class Rollup:
             self.fill_instances = (
                 self.fill_instances or 0
             ) + args["instances"]
-        if args.get("shipped") == "joinable":
-            self.fill_filtered = True
 
     def track_name(self, tid) -> str:
         return self.track_names.get(tid, f"tid {tid}")

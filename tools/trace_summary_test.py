@@ -28,9 +28,9 @@ def span(name, tid, dur_us, **args):
 
 
 def fill_span(instances=10, bytes=280, **args):
-    """A fill-task span of a run whose router declares its range."""
-    return span("fill-task", 1, 500, task=0, shipped="joinable",
-                instances=instances, bytes=bytes, freed=240, **args)
+    """A fill-task span."""
+    return span("fill-task", 1, 500, task=0, instances=instances,
+                bytes=bytes, **args)
 
 
 def spans_named(trace, name):
@@ -50,7 +50,8 @@ def passing_trace():
             span("driver-grid", 0, 1000),
             span("driver-sample", 0, 2000),
             span("phase-map", 0, 1000),
-            span("phase-fill", 0, 500),
+            # The router declares its range [0, 16).
+            span("phase-fill", 0, 500, tasks=1, range=16),
             span("phase-regroup", 0, 500),
             span("phase-join", 0, 2000),
             span("map-task", 1, 1000, task=0),
@@ -186,9 +187,8 @@ class ValidateTest(unittest.TestCase):
         # A router that declares no range gets every routed instance
         # shipped; regroup then drops the one-sided partitions.
         trace = passing_trace()
-        fill = spans_named(trace, "fill-task")[0]
-        fill["args"]["shipped"] = "all"
-        fill["args"]["instances"] = 25
+        spans_named(trace, "phase-fill")[0]["args"]["range"] = 0
+        spans_named(trace, "fill-task")[0]["args"]["instances"] = 25
         self.assertEqual(validate(trace), [])
 
     def test_watchdog_fires_without_events_fails(self) -> None:

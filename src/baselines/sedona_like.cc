@@ -2,11 +2,75 @@
 #include "baselines/sedona_like.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/small_vector.h"
+#include "core/lpt_scheduler.h"
 #include "spatial/quadtree.h"
 
 namespace pasjoin::baselines {
+
+namespace {
+
+/// The Sedona-like join's router: a tuple of the replicated side goes to
+/// its native leaf, then to every other leaf its eps-envelope intersects;
+/// any other tuple goes to its native leaf. Each leaf's owner comes from
+/// `placement`, with no type-erased call per tuple or per instance. The
+/// partitioner and the placement must outlive the router.
+class QuadTreeRouter final : public exec::Router {
+ public:
+  QuadTreeRouter(const spatial::QuadTreePartitioner* partitioner,
+                 const core::CellAssignment* placement, Side replicated,
+                 double eps)
+      : partitioner_(partitioner),
+        placement_(placement),
+        replicated_(replicated),
+        eps_(eps) {}
+
+  size_t Route(std::span<const Tuple> tuples, Side side,
+               exec::RoutedBlock* out) const override {
+    size_t end = 0;
+    size_t k = 0;
+    for (; k < tuples.size(); ++k) {
+      const Point pt = tuples[k].pt;
+      const int32_t native = partitioner_->PartitionOf(pt);
+      if (side == replicated_) {
+        const SmallVector<int32_t, 8> leaves =
+            partitioner_->PartitionsIntersecting(
+                Rect{pt.x - eps_, pt.y - eps_, pt.x + eps_, pt.y + eps_});
+        // The native leaf first, then every other leaf in the envelope.
+        size_t count = 1;
+        for (size_t j = 0; j < leaves.size(); ++j) {
+          count += leaves[j] != native ? 1 : 0;
+        }
+        if (count > exec::RoutedBlock::kMaxInstances - end) break;
+        out->part[end++] = native;
+        for (size_t j = 0; j < leaves.size(); ++j) {
+          if (leaves[j] != native) out->part[end++] = leaves[j];
+        }
+      } else {
+        if (end == exec::RoutedBlock::kMaxInstances) break;
+        out->part[end++] = native;
+      }
+      out->end[k] = end;
+    }
+    for (size_t j = 0; j < end; ++j) {
+      out->owner[j] = placement_->OwnerOf(out->part[j]);
+    }
+    return k;
+  }
+
+ private:
+  const spatial::QuadTreePartitioner* partitioner_;
+  const core::CellAssignment* placement_;
+  Side replicated_;
+  double eps_;
+};
+
+}  // namespace
 
 Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
                                              const SedonaOptions& options) {
@@ -33,32 +97,11 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     return spatial::QuadTreePartitioner(driver.space(), sample, quadtree);
   }();
 
-  const double eps = options.eps;
-  exec::AssignFn assign = [&partitioner, replicated, eps](const Tuple& t,
-                                                          Side side) {
-    exec::PartitionList out;
-    if (side != replicated) {
-      out.push_back(partitioner.PartitionOf(t.pt));
-      return out;
-    }
-    const Rect envelope{t.pt.x - eps, t.pt.y - eps, t.pt.x + eps, t.pt.y + eps};
-    const SmallVector<int32_t, 8> leaves =
-        partitioner.PartitionsIntersecting(envelope);
-    // Native leaf first, then the replicas.
-    const int32_t native = partitioner.PartitionOf(t.pt);
-    out.push_back(native);
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      if (leaves[i] != native) out.push_back(leaves[i]);
-    }
-    return out;
-  };
-
-  const exec::OwnerFn owner =
-      core::CellAssignment::Hash(options.workers).AsOwnerFn();
-  return driver.Run(r, s,
-                    exec::FnRouter(assign, owner,
-                                   partitioner.num_partitions()),
-                    "Sedona");
+  const core::CellAssignment placement =
+      core::CellAssignment::Hash(options.workers);
+  return driver.Run(
+      r, s, QuadTreeRouter(&partitioner, &placement, replicated, options.eps),
+      "Sedona");
 }
 
 }  // namespace pasjoin::baselines

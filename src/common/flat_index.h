@@ -3,7 +3,7 @@
 // An open-addressing map from int32 ids (cells, quartets, partitions) to
 // non-negative int32 values (slots, owners). The planner keeps state only
 // for the cells a sample touched, and regroup numbers only the partitions
-// one side reached; this map finds that state without a table sized by the
+// a worker receives; this map finds that state without a table sized by the
 // grid. An entry is empty when its value is kAbsent, so every int32 is a
 // valid id. Linear probing over a power-of-two table kept at most half
 // full, so a lookup is one multiply and, almost always, one cache line. Ids

@@ -13,8 +13,7 @@ namespace {
 /// The router of a uniform grid join: a tuple of the replicated side goes
 /// to grid::CellsWithinEps, any other to its native cell, and each cell to
 /// its owner under `placement`, with no type-erased call per tuple or per
-/// instance. The grid and the placement must outlive the router. Its range
-/// is the grid's cells.
+/// instance. The grid and the placement must outlive the router.
 class UniformGridRouter final : public exec::Router {
  public:
   UniformGridRouter(const grid::Grid* grid, const CellAssignment* placement,
@@ -41,10 +40,6 @@ class UniformGridRouter final : public exec::Router {
       out->owner[j] = placement_->OwnerOf(out->part[j]);
     }
     return k;
-  }
-
-  exec::PartitionId partition_count() const override {
-    return grid_->num_cells();
   }
 
  private:

@@ -109,8 +109,7 @@ class ReplicationAssigner {
 
 /// The adaptive join's map router: each block's cells from AssignBatch,
 /// each cell's owner from the placement, with no type-erased call per
-/// tuple or per instance. Both must outlive the router. Its range is the
-/// grid's cells.
+/// tuple or per instance. Both must outlive the router.
 class AdaptiveRouter final : public exec::Router {
  public:
   AdaptiveRouter(const ReplicationAssigner* assigner,
@@ -120,9 +119,6 @@ class AdaptiveRouter final : public exec::Router {
   /// Routes every tuple of `tuples`.
   size_t Route(std::span<const Tuple> tuples, Side side,
                exec::RoutedBlock* out) const override;
-  exec::PartitionId partition_count() const override {
-    return assigner_->grid().num_cells();
-  }
 
  private:
   const ReplicationAssigner* assigner_;

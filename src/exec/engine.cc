@@ -26,8 +26,8 @@
 // which stages its split's instances and marks the partitions its side
 // reaches, and a fill task, run in the next phase: once every route has
 // committed, it writes the instances whose partition both sides reach
-// (every instance when the router declares no range) into one exactly
-// sized column block per destination, so each payload is copied once.
+// into one exactly sized column block per destination, so each payload is
+// copied once.
 // Regroup sorts a worker's blocks into contiguous partition runs, and the
 // join reads the runs in place. Both executors run
 // the same task lists, including one join task per (worker, partition).
@@ -410,9 +410,6 @@ struct PhaseSpec {
   std::vector<double>* busy = nullptr;
   /// Receives the phase's measured wall time.
   double* measured_seconds = nullptr;
-  /// An arg of the phase's span, when named (a string literal).
-  const char* arg_name = nullptr;
-  int64_t arg = 0;
 };
 
 /// A phase's simulated makespan: the largest per-worker busy time.
@@ -507,7 +504,6 @@ Status RunPhase(obs::TraceRecorder* trace, int threads, const PhaseSpec& spec,
       trace, kPhaseSpanNames[static_cast<size_t>(spec.phase)], "phase");
   phase_span.SetTrack(obs::kDriverTrack);
   phase_span.AddArg("tasks", spec.count);
-  if (spec.arg_name != nullptr) phase_span.AddArg(spec.arg_name, spec.arg);
   Stopwatch phase_wall;
   std::vector<ThreadState<State>> states(static_cast<size_t>(threads));
   BusyRows rows(threads, spec.busy->size());
@@ -1018,15 +1014,13 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // co-located with logical worker k % workers. A map task is a route task
   // and a fill task, run as two phases with a barrier between them
   // (exec/shuffle.h). Each route task stages its split's instances in its
-  // own slot and, when the router declares its range, marks the partitions
-  // its side reaches in its thread's ReachSet; the barrier ORs the
-  // threads' sets. A failed attempt marks a subset of what its retry marks,
-  // so the union is exact.
+  // own slot and marks the partitions its side reaches in its thread's
+  // ReachSet; the barrier ORs the threads' sets. A failed attempt marks a
+  // subset of what its retry marks, so the union is exact.
   const int total_map_tasks = 2 * num_splits;
   const auto map_owner = [&](int task) {
     return (task % num_splits) % workers;
   };
-  const PartitionId range = router.partition_count();
   ReachSet reach;
   std::vector<StagedSplit> staged(static_cast<size_t>(total_map_tasks));
   std::vector<double> map_busy(static_cast<size_t>(workers));
@@ -1035,10 +1029,8 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
                 &measured_construction},
       map_owner,
       [&](int task, ReachSet& mine, const Cancel* cancel) {
-        if (range > 0 && mine.empty()) mine.Reset(range);
         return RouteSplit(MapTaskSplit(task, r, s, num_splits, workers),
-                          router, options, range > 0 ? &mine : nullptr,
-                          cancel);
+                          router, options, &mine, cancel);
       },
       CommitTo(&staged),
       [&reach](ReachSet& mine) { reach.Union(std::move(mine)); }));
@@ -1048,36 +1040,34 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
     if (!out.error.ok()) return out.error;
   }
 
-  // Each fill task writes the joinable instances of its staged list (all of
-  // them without a declared range) into exactly sized blocks. Unless the
-  // executor retains inputs, the fill frees its staged list once its
-  // blocks are written; the rest go after the phase, as nothing reads them
-  // after it. The phase's span records the declared range, so a trace
-  // tells whether the fill shipped only joinable instances.
+  // Each fill task writes the joinable instances of its staged list into
+  // exactly sized blocks. Unless the executor retains inputs, the fill
+  // frees its staged list once its blocks are written; the rest go after
+  // the phase, as nothing reads them after it.
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
   std::vector<double> fill_busy(static_cast<size_t>(workers));
   PASJOIN_RETURN_NOT_OK(ex->template Run<FillScratch>(
       PhaseSpec{Phase::kFill, total_map_tasks, 1, &fill_busy,
-                &measured_construction, "range", range},
+                &measured_construction},
       map_owner,
       [&](int task, FillScratch& scratch, const Cancel* cancel) {
         return FillSplit(MapTaskSplit(task, r, s, num_splits, workers),
-                         &staged[static_cast<size_t>(task)],
-                         range > 0 ? &reach : nullptr, options,
+                         &staged[static_cast<size_t>(task)], reach, options,
                          /*consume=*/!kRetain, &scratch, cancel);
       },
       CommitTo(&map_out)));
   AccumulateMapMetrics(staged, map_out, num_splits, &m);
   staged = std::vector<StagedSplit>();
-  reach = ReachSet();
+  reach.Reset();
 
   // ------------------------------------------------------------ regroup ---
   // Each worker sorts its inbound blocks, in map-task order, into
-  // contiguous runs of the partitions both sides reach (exec/shuffle.h), so
-  // every run's instance order is deterministic and every run joins. The
-  // blocks are the split data re-execution recovers from: an executor that
-  // retains inputs keeps them; otherwise each worker's regroup frees its
-  // inbound blocks, payload arenas included.
+  // contiguous partition runs (exec/shuffle.h), so every run's instance
+  // order is deterministic; the fill shipped only the partitions both sides
+  // reach, so every run joins. The blocks are the split data re-execution
+  // recovers from: an executor that retains inputs keeps them; otherwise
+  // each worker's regroup frees its inbound blocks, payload arenas
+  // included.
   const auto inbound = [&map_out](int w) {
     std::vector<ShuffleBlock*> blocks;
     blocks.reserve(map_out.size());

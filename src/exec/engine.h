@@ -84,16 +84,13 @@ struct RoutedBlock {
 /// The map's router (Algorithm 5, lines 6-9): assigns tuples to their
 /// partitions and places each partition on its owning worker, a block of
 /// tuples per call. Route is const and is called from every map thread.
+/// Partition ids are non-negative, and a partition's owner is a function
+/// of the partition, so both sides of a partition meet on one worker. The
+/// map ships only the instances of the partitions both sides reach
+/// (exec/shuffle.h).
 class Router {
  public:
   virtual ~Router() = default;
-
-  /// The router's partition-id range [0, partition_count()), or 0 when it
-  /// declares none. With a range, the map ships only the instances whose
-  /// partition both sides reach, and a routed partition outside the range
-  /// fails the run; without one, every instance ships and regroup drops
-  /// the one-sided partitions (exec/shuffle.h).
-  virtual PartitionId partition_count() const { return 0; }
 
   /// Routes a prefix of `tuples` (at most RoutedBlock::kMaxTuples, all of
   /// relation `side`, all with finite points inside the declared bounds)
@@ -108,22 +105,18 @@ class Router {
 /// A Router over an AssignFn and an OwnerFn: one `assign` call per tuple,
 /// then one `owner` call per partition. Both must outlive the router. A
 /// tuple whose partitions do not fit in the block is assigned again, as
-/// the first tuple of the next block. `partition_count` declares the
-/// range `assign` returns, or none when 0.
+/// the first tuple of the next block.
 class FnRouter final : public Router {
  public:
-  FnRouter(const AssignFn& assign, const OwnerFn& owner,
-           PartitionId partition_count = 0)
-      : assign_(&assign), owner_(&owner), partition_count_(partition_count) {}
+  FnRouter(const AssignFn& assign, const OwnerFn& owner)
+      : assign_(&assign), owner_(&owner) {}
 
   size_t Route(std::span<const Tuple> tuples, Side side,
                RoutedBlock* out) const override;
-  PartitionId partition_count() const override { return partition_count_; }
 
  private:
   const AssignFn* assign_;
   const OwnerFn* owner_;
-  PartitionId partition_count_;
 };
 
 /// The execution knobs every join shares: the engine's EngineOptions and
@@ -241,8 +234,8 @@ inline constexpr int kMaxSplits = 1 << 20;
 /// Inputs are validated and rejected with kInvalidArgument: ValidateEps,
 /// workers > 0 and coherent FaultOptions up front; then, inside the map
 /// tasks, finite coordinates (inside `bounds` when declared), at least one
-/// partition, partitions inside the router's declared range and owners in
-/// [0, workers) for every tuple —
+/// partition, non-negative partition ids and owners in [0, workers) for
+/// every tuple —
 /// the error names the lowest offending (dataset, index). The one dataflow
 /// runs on one of two executors (docs/FAULT_TOLERANCE.md): without fault
 /// injection every task runs once and commits in place; with

@@ -100,13 +100,6 @@ void PulseTail(const spatial::KernelCancellation* cancel, size_t n) {
   if (cancel != nullptr) cancel->Pulse(n & (spatial::kKernelPollGrain - 1));
 }
 
-/// The slot of the instances whose partition cannot join.
-constexpr uint32_t kSink = 0;
-
-/// The `begin` of a slot that gets no run: the sink's, and that of every
-/// partition with an empty side.
-constexpr size_t kDropped = std::numeric_limits<size_t>::max();
-
 /// A sort key ordering slots by signed partition id: the id's bits with
 /// the sign flipped above the slot.
 uint64_t RunKey(PartitionId part, uint32_t s) {
@@ -132,26 +125,19 @@ size_t FnRouter::Route(std::span<const Tuple> tuples, Side side,
   return tuples.size();
 }
 
-void ReachSet::Reset(PartitionId n) {
-  const size_t pages = (static_cast<size_t>(n) + (size_t{1} << kShift) - 1) >>
-                       kShift;
+void ReachSet::Reset() {
   for (std::vector<std::unique_ptr<Page>>& side : pages_) {
-    side.clear();
-    side.resize(pages);
+    std::vector<std::unique_ptr<Page>>().swap(side);
   }
 }
 
 void ReachSet::Union(ReachSet&& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    *this = std::move(other);
-    return;
-  }
   for (int side = 0; side < 2; ++side) {
     std::vector<std::unique_ptr<Page>>& mine = pages_[side];
     std::vector<std::unique_ptr<Page>>& theirs = other.pages_[side];
-    PASJOIN_DCHECK(mine.size() == theirs.size());
-    for (size_t i = 0; i < mine.size(); ++i) {
+    // Merge the shorter table into the longer one.
+    if (mine.size() < theirs.size()) mine.swap(theirs);
+    for (size_t i = 0; i < theirs.size(); ++i) {
       if (theirs[i] == nullptr) continue;
       if (mine[i] == nullptr) {
         mine[i] = std::move(theirs[i]);
@@ -173,7 +159,6 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
   const int workers = options.workers;
   const bool carry = options.carry_payloads;
   const bool bounded = options.bounds.Area() > 0.0;
-  const PartitionId range = router.partition_count();
   StagedSplit out;
   // A staged row is a 32-bit offset into the split.
   if (split.end - split.begin > std::numeric_limits<uint32_t>::max()) {
@@ -229,12 +214,10 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
       for (; first < last; ++first) {
         const PartitionId part = block.part[first];
         const int dest = block.owner[first];
-        if (range > 0 && (part < 0 || part >= range)) {
-          out.error = RoutingError(
-              d, i,
-              "assign returned partition " + std::to_string(part) +
-                  ", outside the router's range [0, " +
-                  std::to_string(range) + ")");
+        if (part < 0) {
+          out.error = RoutingError(d, i,
+                                   "assign returned negative partition " +
+                                       std::to_string(part));
           return out;
         }
         if (dest < 0 || dest >= workers) {
@@ -246,7 +229,7 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
           return out;
         }
         staged.push_back(StagedInstance{row, part, dest});
-        if (reach != nullptr) reach->Mark(split.side, part);
+        reach->Mark(split.side, part);
         out.payload_bytes += payload;
         out.shuffle_bytes += bytes;
         if (dest != split.home) out.remote_bytes += bytes;
@@ -261,7 +244,7 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
 }
 
 MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
-                        const ReachSet* reach, const EngineOptions& options,
+                        const ReachSet& reach, const EngineOptions& options,
                         bool consume, FillScratch* scratch,
                         const spatial::KernelCancellation* cancel) {
   const std::vector<Tuple>& tuples = split.data->tuples;
@@ -277,8 +260,7 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
   size_t n = 0;
   for (size_t k = 0; k < instances.size(); ++k) {
     const StagedInstance& inst = instances[k];
-    const size_t keep =
-        reach == nullptr || reach->Reaches(other, inst.part) ? 1 : 0;
+    const size_t keep = reach.Reaches(other, inst.part) ? 1 : 0;
     joinable[n] = inst;
     n += keep;
     count[static_cast<size_t>(inst.dest)] += keep;
@@ -299,7 +281,6 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
   out.by_worker.assign(workers, ShuffleBlock(split.side));
   for (size_t w = 0; w < workers; ++w) {
     ShuffleBlock& block = out.by_worker[w];
-    block.joinable_only = reach != nullptr;
     block.Allocate(count[w], arena[w]);
     out.instances += count[w];
     out.block_bytes += block.AllocatedBytes();
@@ -327,12 +308,10 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
 WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
                     RegroupScratch* scratch,
                     const spatial::KernelCancellation* cancel) {
-  // Counting sort by partition, over the partitions both sides reach. Pass
-  // 1 gives each partition of the side with fewer instances a slot (in
-  // order of first appearance) in a table sized for that side; pass 2 only
-  // looks the other side's instances up, so a partition that side alone
-  // reaches is never numbered. A slot's run counts its R instances in
-  // `mid` and its S instances in `end`.
+  // Counting sort by partition. One pass gives each partition a slot, in
+  // order of first appearance, and counts its R instances in the slot's
+  // `mid` and its S instances in its `end`. Every partition has both
+  // sides, so there are at most as many as the smaller side's instances.
   std::vector<uint32_t>& slot = scratch->slot;
   std::vector<PartitionRun>& runs = scratch->runs;
   size_t n = 0;
@@ -341,59 +320,38 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
     n += block->size();
     if (block->side == Side::kR) n_r += block->size();
   }
-  const Side counted = n_r <= n - n_r ? Side::kR : Side::kS;
   FlatIndex slot_of;
   slot_of.Reserve(std::min(n_r, n - n_r));
-  runs.assign(1, PartitionRun{0, kDropped, 0, 0});  // the sink
+  runs.clear();
   slot.resize(n);
-  // One pass over the blocks of `side`: `slot_for(p)` is the slot of each
-  // instance. The blocks of the other side keep their places in `slot`.
-  const auto count_pass = [&](Side side, const auto& slot_for) {
-    size_t pos = 0;
-    for (const ShuffleBlock* block : inbound) {
-      if (block->side != side) {
-        pos += block->size();
-        continue;
+  size_t pos = 0;
+  for (const ShuffleBlock* block : inbound) {
+    const bool is_r = block->side == Side::kR;
+    for (const PartitionId p : block->part) {
+      // A lookup first: most instances find their partition numbered.
+      int32_t found = slot_of.Find(p);
+      if (found == FlatIndex::kAbsent) {
+        found = slot_of.Insert(p, static_cast<int32_t>(runs.size()));
+        runs.push_back(PartitionRun{p, 0, 0, 0});
       }
-      const bool is_r = side == Side::kR;
-      for (const PartitionId p : block->part) {
-        const uint32_t s = slot_for(p);
-        ++(is_r ? runs[s].mid : runs[s].end);
-        slot[pos++] = s;
-      }
-      if (cancel != nullptr) {
-        cancel->Pulse(block->size());
-        if (cancel->ShouldStop()) return false;
-      }
+      const auto s = static_cast<uint32_t>(found);
+      ++(is_r ? runs[s].mid : runs[s].end);
+      slot[pos++] = s;
     }
-    return true;
-  };
-  const bool counted_all = count_pass(counted, [&](PartitionId p) {
-    const auto next = static_cast<int32_t>(runs.size());
-    const int32_t s = slot_of.Insert(p, next);
-    if (s == next) runs.push_back(PartitionRun{p, kDropped, 0, 0});
-    return static_cast<uint32_t>(s);
-  });
-  if (!counted_all ||
-      !count_pass(counted == Side::kR ? Side::kS : Side::kR,
-                  [&](PartitionId p) {
-                    const int32_t s = slot_of.Find(p);
-                    return s == FlatIndex::kAbsent ? kSink
-                                                   : static_cast<uint32_t>(s);
-                  })) {
-    return WorkerStore();  // never committed
+    if (cancel != nullptr) {
+      cancel->Pulse(block->size());
+      if (cancel->ShouldStop()) return WorkerStore();  // never committed
+    }
   }
   slot_of = FlatIndex();  // free the table before the store is allocated
 
-  // Lay the runs of the partitions with both sides out in ascending
-  // partition order. A slot's `begin` and `mid` then serve as its R and S
-  // scatter cursors; every other slot keeps `begin` == kDropped.
+  // Lay the runs out in ascending partition order. A slot's `begin` and
+  // `mid` then serve as its R and S scatter cursors.
   std::vector<uint64_t>& keys = scratch->keys;
   keys.clear();
-  for (uint32_t s = kSink + 1; s < runs.size(); ++s) {
-    if (runs[s].mid > 0 && runs[s].end > 0) {
-      keys.push_back(RunKey(runs[s].part, s));
-    }
+  for (uint32_t s = 0; s < runs.size(); ++s) {
+    PASJOIN_DCHECK(runs[s].mid > 0 && runs[s].end > 0);
+    keys.push_back(RunKey(runs[s].part, s));
   }
   std::sort(keys.begin(), keys.end());
   WorkerStore store;
@@ -409,19 +367,16 @@ WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
     next = run.end;
   }
 
-  // Pass 3 scatters every instance of a kept run to its slot's cursor for
-  // its side. Instances are visited in (block, row) order, so the sort is
-  // stable.
+  // The scatter writes every instance at its slot's cursor for its side.
+  // Instances are visited in (block, row) order, so the sort is stable.
   store.x.resize(next);
   store.y.resize(next);
   store.id.resize(next);
-  size_t pos = 0;
+  pos = 0;
   for (const ShuffleBlock* block : inbound) {
     const bool is_r = block->side == Side::kR;
     for (size_t row = 0; row < block->size(); ++row) {
       PartitionRun& cursors = runs[slot[pos++]];
-      PASJOIN_DCHECK(!block->joinable_only || cursors.begin != kDropped);
-      if (cursors.begin == kDropped) continue;
       const size_t dest = is_r ? cursors.begin++ : cursors.mid++;
       store.x[dest] = block->x[row];
       store.y[dest] = block->y[row];

@@ -6,9 +6,8 @@
 // A map task is two tasks with a barrier between them. RouteSplit, the
 // route phase, validates its split a router block at a time (at most
 // RoutedBlock::kMaxTuples tuples), routes each block with one Router call,
-// and stages each instance as a 12-byte (row offset, partition,
-// destination) entry of the task's own StagedSplit. When the router
-// declares its partition-id range, it also marks in a ReachSet which
+// stages each instance as a 12-byte (row offset, partition, destination)
+// entry of the task's own StagedSplit, and marks in a ReachSet which
 // partitions its split's side reaches. The engine ORs the threads' reach
 // sets once every route task committed; a set union does not depend on
 // the thread count. FillSplit, the fill phase, then ships only the joinable
@@ -16,8 +15,7 @@
 // join of the paper's Algorithm 5 as a semi-join reduction): it counts
 // them per destination worker, gives each destination its ShuffleBlock at
 // exactly that size, one uninitialized allocation per column and one for
-// the payload arena, and writes them in (row, replica) order. A router
-// that declares no range gets every instance shipped.
+// the payload arena, and writes them in (row, replica) order.
 // A block holds dense columns (partition id, x, y, id) and, when it
 // carries payload bytes, one byte arena with per-instance end offsets.
 // Writing a tuple's payload into its block's arena is the only copy of its
@@ -28,12 +26,11 @@
 // and stably sorts them by partition into a WorkerStore: x, y and id
 // columns holding one contiguous run per partition, R instances before S
 // instances (the layout of Tsitsigkos & Mamoulis, "Parallel In-Memory
-// Evaluation of Spatial Joins"). It keeps only the partitions both sides
-// reached: after a filtered fill every inbound partition is one, and after
-// an unfiltered one an instance whose partition has no instance of the
-// other side is never stored. The join reads each run's columns in place.
-// Teardown frees a few buffers per block and per worker, never one per
-// instance.
+// Evaluation of Spatial Joins"). A partition's owner is a function of the
+// partition, so every partition a worker receives arrives with both
+// sides, and regroup stores all of it. The join reads each run's columns
+// in place. Teardown frees a few buffers per block and per worker, never
+// one per instance.
 #ifndef PASJOIN_EXEC_SHUFFLE_H_
 #define PASJOIN_EXEC_SHUFFLE_H_
 
@@ -47,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "exec/engine.h"
@@ -96,8 +94,6 @@ struct ShuffleBlock {
   /// the block carries no payload bytes.
   Column<uint64_t> payload_end;
   Column<char> payload_bytes;
-  /// Written by a filtered fill: every instance's partition is joinable.
-  bool joinable_only = false;
 
   size_t size() const { return part.size(); }
 
@@ -154,34 +150,40 @@ struct StagedSplit {
   Status error;
 };
 
-/// Which partitions of a router's range [0, n) each side reaches: one bit
-/// per (side, partition), in 4096-bit pages allocated on first mark, so a
-/// grid of a quarter billion cells costs a page table and the pages its
-/// data touches. Each map thread marks its own set; the union of the
-/// threads' sets is the job's.
+/// Which partitions each side reaches: one bit per (side, partition), in
+/// 4096-bit pages allocated on first mark. The page table of a side grows
+/// on its first mark past its end, so a grid of a quarter billion cells
+/// costs a page table and the pages its data touches. Each map thread
+/// marks its own set; the union of the threads' sets is the job's.
 class ReachSet {
  public:
-  /// Clears the set and sizes it for partitions [0, n).
-  void Reset(PartitionId n);
+  /// Clears the set, freeing its pages.
+  void Reset();
 
-  bool empty() const { return pages_[0].empty(); }
-
+  /// Marks partition `p` (>= 0) as reached by `side`.
   void Mark(Side side, PartitionId p) {
+    PASJOIN_DCHECK(p >= 0);
     const auto u = static_cast<uint32_t>(p);
-    std::unique_ptr<Page>& page = pages_[static_cast<int>(side)][u >> kShift];
+    std::vector<std::unique_ptr<Page>>& pages = pages_[static_cast<int>(side)];
+    if ((u >> kShift) >= pages.size()) pages.resize((u >> kShift) + 1);
+    std::unique_ptr<Page>& page = pages[u >> kShift];
     if (page == nullptr) page = std::make_unique<Page>();
     page->words[(u >> 6) & (kWords - 1)] |= uint64_t{1} << (u & 63);
   }
 
+  /// Whether `side` reaches partition `p`; false past the marked pages.
   bool Reaches(Side side, PartitionId p) const {
     const auto u = static_cast<uint32_t>(p);
-    const Page* page = pages_[static_cast<int>(side)][u >> kShift].get();
+    const std::vector<std::unique_ptr<Page>>& pages =
+        pages_[static_cast<int>(side)];
+    if ((u >> kShift) >= pages.size()) return false;
+    const Page* page = pages[u >> kShift].get();
     return page != nullptr &&
            ((page->words[(u >> 6) & (kWords - 1)] >> (u & 63)) & 1) != 0;
   }
 
-  /// Adds every mark of `other`, which is empty or of the same range,
-  /// taking its pages where this set has none.
+  /// Adds every mark of `other`, of any size, taking its pages where this
+  /// set has none.
   void Union(ReachSet&& other);
 
  private:
@@ -207,15 +209,14 @@ struct MapTaskOutput {
 /// The route phase of one map task: routes `split` through `router` and
 /// stages every instance, counting the routed instances and their bytes
 /// (payloads only when carried). Marks the split's side in `reach` for
-/// every staged partition unless `reach` is null, which it must be when
-/// the router declares no range. Idempotent: the split is only read.
+/// every staged partition. Idempotent: the split is only read.
 ///
 /// Each tuple is validated: a point that is not finite (or lies outside
 /// `options.bounds` when they have area), no partition, more partitions
-/// than a RoutedBlock holds, a partition outside the router's declared
-/// range, or an owner outside [0, workers) stops the task with `error`
-/// naming that tuple, the split's lowest offending index. The router never
-/// sees a tuple from the first invalid point on. Polls `cancel` every
+/// than a RoutedBlock holds, a negative partition id, or an owner outside
+/// [0, workers) stops the task with `error` naming that tuple, the split's
+/// lowest offending index. The router never sees a tuple from the first
+/// invalid point on. Polls `cancel` every
 /// kKernelPollGrain tuples (no router block crosses a poll) and returns a
 /// partial output once it fires; the caller discards it.
 StagedSplit RouteSplit(const MapSplit& split, const Router& router,
@@ -231,15 +232,14 @@ struct FillScratch {
 /// The fill phase of one map task: writes the instances `staged` holds for
 /// `split` into one exactly sized block per destination worker of
 /// `options.workers`, in staged order, copying payload bytes only when they
-/// are carried. With `reach`, only the instances whose partition the other
-/// side reaches too; without it, all of them. With `consume`, frees the
-/// staged list once every block is written; otherwise leaves it intact, so
-/// the fill can run again. Polls `cancel` every kKernelPollGrain staged
-/// instances while it picks the joinable ones, then every kKernelPollGrain
-/// written ones, and returns a partial output once it fires; the caller
-/// discards it.
+/// are carried: only the instances whose partition the other side reaches
+/// too, by `reach`. With `consume`, frees the staged list once every block
+/// is written; otherwise leaves it intact, so the fill can run again.
+/// Polls `cancel` every kKernelPollGrain staged instances while it picks
+/// the joinable ones, then every kKernelPollGrain written ones, and returns
+/// a partial output once it fires; the caller discards it.
 MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
-                        const ReachSet* reach, const EngineOptions& options,
+                        const ReachSet& reach, const EngineOptions& options,
                         bool consume, FillScratch* scratch,
                         const spatial::KernelCancellation* cancel);
 
@@ -257,7 +257,7 @@ struct WorkerStore {
   std::vector<double> x;
   std::vector<double> y;
   std::vector<int64_t> id;
-  /// One run per partition with both sides, ascending by partition id.
+  /// One run per inbound partition, ascending by partition id.
   std::vector<PartitionRun> runs;
 };
 
@@ -267,18 +267,18 @@ struct RegroupScratch {
   std::vector<uint32_t> slot;
   /// Per slot: the partition's R and S counts, then its scatter cursors.
   std::vector<PartitionRun> runs;
-  /// (ordered id, slot) key of each partition with both sides.
+  /// (ordered id, slot) key of each partition.
   std::vector<uint64_t> keys;
 };
 
 /// Regroups one worker's `inbound` blocks, given in map-task order, into a
-/// WorkerStore by a counting sort on partition id. A partition with an
-/// empty side gets no run, and its instances are not stored; a
-/// joinable_only block has none such (a debug check). The sort is
-/// stable, so each run lists each side's instances in (map task, row)
-/// order; the store does not depend on how R and S blocks interleave. No
-/// kernel reads payloads, so the store has none; `consume` frees every
-/// inbound block afterwards, payload arena included.
+/// WorkerStore by a counting sort on partition id, one run per inbound
+/// partition. Every inbound partition must have both sides, as the fill
+/// ships them (a debug check). The sort is stable, so each run lists each
+/// side's instances in (map task, row) order; the store does not depend on
+/// how R and S blocks interleave. No kernel reads payloads, so the store
+/// has none; `consume` frees every inbound block afterwards, payload arena
+/// included.
 /// Polls `cancel` after each inbound block, pulsing its instance count,
 /// and returns an empty store once it fires (the caller discards it).
 WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,

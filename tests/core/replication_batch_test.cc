@@ -206,7 +206,8 @@ TEST(AssignBatchTest, MatchesAssignOnAdversarialPoints) {
 }
 
 /// Requires two routed splits to hold the same staged instances and
-/// counters, and to fill the same blocks.
+/// counters, and to fill the same blocks when the other side reaches every
+/// partition.
 void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
                       exec::StagedSplit want,
                       const exec::EngineOptions& options,
@@ -223,11 +224,17 @@ void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
   EXPECT_EQ(got.shuffled_tuples, want.shuffled_tuples) << where;
   EXPECT_EQ(got.shuffle_bytes, want.shuffle_bytes) << where;
   EXPECT_EQ(got.remote_bytes, want.remote_bytes) << where;
+  exec::ReachSet every;
+  for (const exec::StagedInstance& inst : want.instances) {
+    every.Mark(Side::kR, inst.part);
+    every.Mark(Side::kS, inst.part);
+  }
   exec::FillScratch scratch;
   const exec::MapTaskOutput got_fill = exec::FillSplit(
-      split, &got, nullptr, options, /*consume=*/false, &scratch, nullptr);
+      split, &got, every, options, /*consume=*/false, &scratch, nullptr);
   const exec::MapTaskOutput want_fill = exec::FillSplit(
-      split, &want, nullptr, options, /*consume=*/false, &scratch, nullptr);
+      split, &want, every, options, /*consume=*/false, &scratch, nullptr);
+  EXPECT_EQ(want_fill.instances, want.instances.size()) << where;
   ASSERT_EQ(got_fill.by_worker.size(), want_fill.by_worker.size()) << where;
   for (size_t w = 0; w < got_fill.by_worker.size(); ++w) {
     EXPECT_EQ(got_fill.by_worker[w].part, want_fill.by_worker[w].part)
@@ -267,10 +274,11 @@ TEST(AssignBatchTest, AdaptiveRouterWritesThePerTupleRoutersBlocks) {
                begin += length) {
             const exec::MapSplit split{&points, side, begin, begin + length,
                                        /*home=*/2};
+            exec::ReachSet reach;
             ExpectSameOutput(
                 split,
-                exec::RouteSplit(split, router, options, nullptr, nullptr),
-                exec::RouteSplit(split, reference, options, nullptr, nullptr),
+                exec::RouteSplit(split, router, options, &reach, nullptr),
+                exec::RouteSplit(split, reference, options, &reach, nullptr),
                 options, Where(c, duplicate_free, side, length, begin));
           }
         }

@@ -46,16 +46,24 @@ AssignFn BandAssign(double eps) {
   };
 }
 
-/// BandAssign with S moved to partitions 100 and up, where no R instance
-/// goes: the same shuffle volume, but no partition holds both sides, so the
-/// join phase has nothing to join.
-AssignFn DisjointBandAssign(double eps) {
+/// How far FarS moves S to the right.
+constexpr double kFarShift = 100.0;
+
+/// `s` moved kFarShift units right, beyond eps of every R point in [0, 10).
+Dataset FarS(Dataset s) {
+  for (Tuple& t : s.tuples) t.pt.x += kFarShift;
+  return s;
+}
+
+/// BandAssign of FarS as if S had not moved: R and FarS get the partitions
+/// R and S get under BandAssign, so the shuffle and the runs are the same,
+/// but the join finds no pair.
+AssignFn FarBandAssign(double eps) {
   return [band = BandAssign(eps)](const Tuple& t, Side side) {
-    PartitionList out = band(t, side);
-    if (side == Side::kS) {
-      for (size_t i = 0; i < out.size(); ++i) out[i] += 100;
-    }
-    return out;
+    if (side == Side::kR) return band(t, side);
+    Tuple unmoved = t;
+    unmoved.pt.x -= kFarShift;
+    return band(unmoved, side);
   };
 }
 
@@ -148,10 +156,11 @@ TEST(EngineCancelTest, DeadlineAbortsLargeJoin) {
 
 TEST(EngineCancelTest, DeadlineAbortsJoinPhaseForEveryKernel) {
   // The deadline must fire inside the join phase, where each kernel polls
-  // on its own: it is set a little after the time a run whose sides never
-  // meet needs for everything but the join.
+  // on its own: it is set a little after the time a run whose join finds
+  // no pair needs.
   const Dataset r = MakeDataset(RandomPoints(kBigN, 11), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(kBigN, 12), 1000000, "S");
+  const Dataset far_s = FarS(s);
   for (const spatial::LocalJoinKernel kernel :
        {spatial::LocalJoinKernel::kSweepSoA,
         spatial::LocalJoinKernel::kRTree}) {
@@ -159,7 +168,7 @@ TEST(EngineCancelTest, DeadlineAbortsJoinPhaseForEveryKernel) {
     EngineOptions options = BigOptions();
     options.local_kernel = kernel;
     const Stopwatch no_join;
-    ASSERT_TRUE(TryRunPartitionedJoin(r, s, DisjointBandAssign(options.eps),
+    ASSERT_TRUE(TryRunPartitionedJoin(r, far_s, FarBandAssign(options.eps),
                                       ModOwner(options.workers), options)
                     .ok())
         << label;
@@ -221,10 +230,11 @@ TEST(EngineCancelTest, DeadlineInTheJoinLeavesTheTraceRegistryEmpty) {
   const Dataset r = MakeDataset(RandomPoints(kBigN, 11), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(kBigN, 12), 1000000, "S");
   EngineOptions options = BigOptions();
+  const Dataset far_s = FarS(s);
   obs::TraceRecorder recorder;
   options.trace = &recorder;
   const Stopwatch no_join;
-  ASSERT_TRUE(TryRunPartitionedJoin(r, s, DisjointBandAssign(options.eps),
+  ASSERT_TRUE(TryRunPartitionedJoin(r, far_s, FarBandAssign(options.eps),
                                     ModOwner(options.workers), options)
                   .ok());
   const double deadline = no_join.ElapsedSeconds() + 0.2;
@@ -311,14 +321,15 @@ TEST(EngineCancelTest, CancelInAStealFillTaskEndsItsSpanAndTheRun) {
   // the cancel's status with no partial result. Nothing the caller supplies
   // runs in the fill, so the cancel is timed: an uncancelled traced run
   // gives the fill phase's window, and each try moves the cancel by
-  // bisection toward the window until a fill-task span reports 0 bytes. No
-  // router range is declared, so every fill task has instances to write
-  // and only a cut-short one reports none; no partition holds both sides,
-  // so a run the cancel misses ends after an empty join.
+  // bisection toward the window until a fill-task span reports 0 bytes.
+  // Every partition holds both sides, so every fill task has instances to
+  // write and only a cut-short one reports none; S lies far from R, so a
+  // run the cancel misses ends after a join that finds no pair.
   const Dataset r = MakeDataset(RandomPoints(kBigN / 2, 41), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(kBigN / 2, 42), 1000000, "S");
+  const Dataset s =
+      FarS(MakeDataset(RandomPoints(kBigN / 2, 42), 1000000, "S"));
   EngineOptions options = BigOptions();
-  const AssignFn assign = DisjointBandAssign(options.eps);
+  const AssignFn assign = FarBandAssign(options.eps);
   const OwnerFn owner = ModOwner(options.workers);
   double fill_begin = 0.0;
   double fill_end = 0.0;

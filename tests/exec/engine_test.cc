@@ -334,45 +334,6 @@ TEST(EngineTest, VariablePayloadsTravelThroughEveryKernel) {
             kTupleHeaderBytes * bare.metrics.shuffled_tuples);
 }
 
-TEST(EngineTest, NegativeAndSparsePartitionIds) {
-  // The band partitions renamed to ids from -2^30 up to ~2^30: runs are
-  // found by sorting, so the ids' range costs nothing and every observable
-  // matches the dense ids 0..9, under both executors.
-  constexpr PartitionId kStride = (1 << 30) / 5;
-  const auto band_of = [](PartitionId p) {
-    return static_cast<int>((static_cast<int64_t>(p) + (1 << 30)) / kStride);
-  };
-  const Dataset r = MakeDataset(RandomPoints(300, 63), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(300, 64), 1000, "S");
-  EngineOptions options = BaseOptions();
-  options.collect_results = true;
-  const AssignFn dense = BandAssign(options.eps, Side::kS);
-  const AssignFn sparse = [&dense](const Tuple& t, Side side) {
-    PartitionList out = dense(t, side);
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = -(1 << 30) + out[i] * kStride;
-    }
-    return out;
-  };
-  const std::vector<ResultPair> truth = TruthPairs(r, s, options.eps);
-  for (const bool fault : {false, true}) {
-    options.fault.enabled = fault;
-    const JoinRun want =
-        MustRun(r, s, dense, [](PartitionId p) { return p % 4; }, options);
-    const JoinRun got = MustRun(
-        r, s, sparse, [&](PartitionId p) { return band_of(p) % 4; }, options);
-    EXPECT_EQ(SortedPairs(got), truth) << "fault " << fault;
-    EXPECT_EQ(got.metrics.shuffled_tuples, want.metrics.shuffled_tuples);
-    EXPECT_EQ(got.metrics.shuffle_bytes, want.metrics.shuffle_bytes);
-    EXPECT_EQ(got.metrics.shuffle_remote_bytes,
-              want.metrics.shuffle_remote_bytes);
-    EXPECT_EQ(got.metrics.candidates, want.metrics.candidates);
-    EXPECT_EQ(got.metrics.partitions_joined, want.metrics.partitions_joined);
-  }
-}
-
-// --- caller functions validated inside the map tasks ----------------------
-
 /// Runs the join expecting kInvalidArgument under both executors; returns
 /// the (identical) messages' first.
 std::string RejectionMessage(const Dataset& r, const Dataset& s,
@@ -394,6 +355,87 @@ std::string RejectionMessage(const Dataset& r, const Dataset& s,
   }
   return first;
 }
+
+TEST(EngineTest, NegativeAndSparsePartitionIds) {
+  // The band partitions renamed to ids from 0 up to 2^31 - 1: runs are
+  // found by sorting, the reach sets grow to the largest id, and every
+  // observable matches the dense ids 0..9, under both executors. The same
+  // ids made negative are rejected, naming the lowest offending index.
+  constexpr PartitionId kMax = std::numeric_limits<PartitionId>::max();
+  constexpr PartitionId kStride = kMax / 9;
+  const auto sparse_id = [](PartitionId band) {
+    return band == 9 ? kMax : band * kStride;
+  };
+  const auto band_of = [](PartitionId p) {
+    return p == kMax ? 9 : static_cast<int>(p / kStride);
+  };
+  const Dataset r = MakeDataset(RandomPoints(300, 63), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(300, 64), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.collect_results = true;
+  const AssignFn dense = BandAssign(options.eps, Side::kS);
+  const AssignFn sparse = [&](const Tuple& t, Side side) {
+    PartitionList out = dense(t, side);
+    for (size_t i = 0; i < out.size(); ++i) out[i] = sparse_id(out[i]);
+    return out;
+  };
+  const OwnerFn sparse_owner = [&](PartitionId p) { return band_of(p) % 4; };
+  const std::vector<ResultPair> truth = TruthPairs(r, s, options.eps);
+  for (const bool fault : {false, true}) {
+    options.fault.enabled = fault;
+    const JoinRun want =
+        MustRun(r, s, dense, [](PartitionId p) { return p % 4; }, options);
+    const JoinRun got = MustRun(r, s, sparse, sparse_owner, options);
+    EXPECT_EQ(SortedPairs(got), truth) << "fault " << fault;
+    EXPECT_EQ(got.pairs, want.pairs) << "fault " << fault;
+    EXPECT_EQ(got.metrics.shuffled_tuples, want.metrics.shuffled_tuples);
+    EXPECT_EQ(got.metrics.joinable_tuples, want.metrics.joinable_tuples);
+    EXPECT_EQ(got.metrics.shuffle_bytes, want.metrics.shuffle_bytes);
+    EXPECT_EQ(got.metrics.shuffle_block_bytes,
+              want.metrics.shuffle_block_bytes);
+    EXPECT_EQ(got.metrics.shuffle_remote_bytes,
+              want.metrics.shuffle_remote_bytes);
+    EXPECT_EQ(got.metrics.candidates, want.metrics.candidates);
+    EXPECT_EQ(got.metrics.partitions_joined, want.metrics.partitions_joined);
+  }
+
+  // R indices 140 and 40 get negative native ids: the lower is named.
+  const AssignFn negative = [&](const Tuple& t, Side side) {
+    PartitionList out = dense(t, side);
+    if (t.id == 140) out[0] = -1;
+    if (t.id == 40) out[0] = std::numeric_limits<PartitionId>::min();
+    return out;
+  };
+  const std::string message = RejectionMessage(
+      r, s, negative, [](PartitionId p) { return p < 0 ? 0 : p % 4; });
+  EXPECT_EQ(message,
+            "assign returned negative partition -2147483648 in dataset 'R' "
+            "at index 40");
+}
+
+TEST(EngineTest, BlocksHoldOnlyJoinableInstances) {
+  // S covers half of R's bands, so the partitions R alone reaches are
+  // routed and counted but never shipped: without payloads, the blocks
+  // allocate the 28 column bytes of each joinable instance, under both
+  // executors.
+  const Dataset r = MakeDataset(RandomPoints(400, 71), 0, "R");
+  Dataset s = MakeDataset(RandomPoints(400, 72), 1000, "S");
+  for (Tuple& t : s.tuples) t.pt.x *= 0.5;
+  const AssignFn assign = BandAssign(0.25, Side::kR);
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = fault;
+    options.carry_payloads = false;
+    const JobMetrics m = MustRun(r, s, assign, owner, options).metrics;
+    EXPECT_GT(m.joinable_tuples, 0u) << "fault " << fault;
+    EXPECT_LT(m.joinable_tuples, m.shuffled_tuples) << "fault " << fault;
+    EXPECT_EQ(m.shuffle_block_bytes, 28 * m.joinable_tuples)
+        << "fault " << fault;
+  }
+}
+
+// --- caller functions validated inside the map tasks ----------------------
 
 TEST(EngineValidationTest, OwnerOutsideWorkersIsRejected) {
   const Dataset r = MakeDataset(RandomPoints(200, 65), 0, "roads");

@@ -266,8 +266,7 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
   // Each committed fill-task span (the map's second phase) carries the
   // bytes its blocks allocate. Under the recovering executor, worker 1 is
   // lost in the fill, so its tasks' failed attempts record committed=0 and
-  // their retries commit. The router declares no range, so every routed
-  // instance is shipped.
+  // their retries commit. The fill ships only the joinable instances.
   const Dataset r = MakeDataset(RandomPoints(400, 35), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(400, 36), 1000, "S");
   for (const bool fault : {false, true}) {
@@ -303,74 +302,66 @@ TEST(EngineTraceTest, CommittedMapSpansSumToShuffleBlockBytes) {
     EXPECT_EQ(
         ExportedValue(recorder.exported().counters, "shuffle_block_bytes"),
         run.metrics.shuffle_block_bytes);
-    // 28 bytes per instance, the four columns: the payloads are empty, so
-    // no block allocates end offsets.
+    // 28 bytes per joinable instance, the four columns: the payloads are
+    // empty, so no block allocates end offsets.
     EXPECT_EQ(run.metrics.shuffle_block_bytes,
-              28 * run.metrics.shuffled_tuples);
+              28 * run.metrics.joinable_tuples);
     if (fault) {
       EXPECT_GT(run.metrics.tasks_failed, 0u);
     }
   }
 }
 
-TEST(EngineTraceTest, FillSpansShipJoinableInstancesOfARangedRouter) {
-  // The phase-fill span records the router's declared range, 0 for none.
+TEST(EngineTraceTest, FillSpansShipJoinableInstances) {
   // S covers half of R's bands, so five of the ten partitions hold R
-  // alone. With the range declared, the committed fill-task spans'
-  // instances sum to joinable_tuples under both executors (injected fill
-  // faults included); without it, every routed instance ships and they sum
-  // to shuffled_tuples.
+  // alone. The committed fill-task spans' instances sum to joinable_tuples,
+  // not to shuffled_tuples, under both executors (injected fill faults
+  // included), and the phase-fill span has no arg but its task count.
   const Dataset r = MakeDataset(RandomPoints(400, 37), 0, "R");
   Dataset s = MakeDataset(RandomPoints(400, 38), 1000, "S");
   for (Tuple& t : s.tuples) t.pt.x *= 0.5;
   const AssignFn assign = BandAssign(0.25, Side::kR);
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  const FnRouter ranged(assign, owner, /*partition_count=*/10);
-  const FnRouter unranged(assign, owner);
   for (const bool fault : {false, true}) {
-    for (const FnRouter* router : {&ranged, &unranged}) {
-      EngineOptions options = BaseOptions();
-      options.fault.enabled = fault;
-      options.fault.map_failure_p = fault ? 0.3 : 0.0;
-      options.fault.max_retries = 25;
-      options.fault.backoff_base_ms = 0.05;
-      obs::TraceRecorder recorder;
-      options.trace = &recorder;
-      Result<JoinRun> result = TryRunPartitionedJoin(r, s, *router, options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      const JobMetrics& m = result.value().metrics;
-      const std::string label = std::string(fault ? "recovering" : "steal")
-                                    .append(router == &ranged ? " ranged"
-                                                              : " unranged");
-      int64_t range = -1;
-      uint64_t instances = 0;
-      size_t committed_spans = 0;
-      for (const obs::TraceEvent& e : recorder.Snapshot()) {
-        const std::string name = e.name;
-        if (name != "phase-fill" && name != "fill-task") continue;
-        int64_t committed = 1;
-        int64_t span_instances = -1;
-        for (int i = 0; i < e.num_args; ++i) {
-          const std::string arg = e.arg_names[i];
-          if (arg == "range") range = e.arg_values[i];
-          if (arg == "committed") committed = e.arg_values[i];
-          if (arg == "instances") span_instances = e.arg_values[i];
-        }
-        if (name == "phase-fill" || committed == 0) continue;
-        ++committed_spans;
-        ASSERT_GE(span_instances, 0) << label;
-        instances += static_cast<uint64_t>(span_instances);
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = fault;
+    options.fault.map_failure_p = fault ? 0.3 : 0.0;
+    options.fault.max_retries = 25;
+    options.fault.backoff_base_ms = 0.05;
+    obs::TraceRecorder recorder;
+    options.trace = &recorder;
+    Result<JoinRun> result = TryRunPartitionedJoin(r, s, assign, owner,
+                                                   options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const JobMetrics& m = result.value().metrics;
+    const char* label = fault ? "recovering" : "steal";
+    uint64_t instances = 0;
+    size_t committed_spans = 0;
+    for (const obs::TraceEvent& e : recorder.Snapshot()) {
+      const std::string name = e.name;
+      if (name == "phase-fill") {
+        ASSERT_EQ(e.num_args, 1) << label;
+        EXPECT_EQ(std::string(e.arg_names[0]), "tasks") << label;
       }
-      EXPECT_EQ(range, router->partition_count()) << label;
-      EXPECT_EQ(committed_spans, 2u * static_cast<size_t>(options.num_splits))
-          << label;
-      EXPECT_LT(m.joinable_tuples, m.shuffled_tuples) << label;
-      EXPECT_EQ(instances, router == &ranged ? m.joinable_tuples
-                                             : m.shuffled_tuples)
-          << label;
-      if (fault) {
-        EXPECT_GT(m.tasks_failed, 0u) << label;
+      if (name != "fill-task") continue;
+      int64_t committed = 1;
+      int64_t span_instances = -1;
+      for (int i = 0; i < e.num_args; ++i) {
+        const std::string arg = e.arg_names[i];
+        if (arg == "committed") committed = e.arg_values[i];
+        if (arg == "instances") span_instances = e.arg_values[i];
       }
+      if (committed == 0) continue;
+      ++committed_spans;
+      ASSERT_GE(span_instances, 0) << label;
+      instances += static_cast<uint64_t>(span_instances);
+    }
+    EXPECT_EQ(committed_spans, 2u * static_cast<size_t>(options.num_splits))
+        << label;
+    EXPECT_LT(m.joinable_tuples, m.shuffled_tuples) << label;
+    EXPECT_EQ(instances, m.joinable_tuples) << label;
+    if (fault) {
+      EXPECT_GT(m.tasks_failed, 0u) << label;
     }
   }
 }

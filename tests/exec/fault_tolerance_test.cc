@@ -360,14 +360,14 @@ TEST(FaultToleranceTest, TargetedPartitionsFailTheirOwnTasks) {
 }
 
 /// R over [0, 10) x [0, 1) and S over [0, 5) x [0, 1): under BandAssign
-/// with R replicated, partitions 6 to 9 hold R alone, so a router that
-/// declares BandAssign's range [0, 10) ships only part of what it routes.
+/// with R replicated, partitions 6 to 9 hold R alone, so the map ships
+/// only part of what it routes.
 struct HalfOverlap {
   Dataset r = MakeDataset(RandomPoints(600, 71), 0, "R");
   Dataset s = MakeDataset(RandomPoints(600, 72), 1000, "S");
   AssignFn assign = BandAssign(0.25, Side::kR);
   OwnerFn owner = [](PartitionId p) { return p % 4; };
-  FnRouter router{assign, owner, /*partition_count=*/10};
+  FnRouter router{assign, owner};
 
   HalfOverlap() {
     for (Tuple& t : s.tuples) t.pt.x *= 0.5;

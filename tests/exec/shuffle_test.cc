@@ -3,8 +3,9 @@
 // Tests of the engine's columnar shuffle (exec/shuffle.h): payload bytes
 // travel byte-exact through a block; the map writes each block at its final
 // size, equal to a per-instance reference, with the routing errors and
-// cancellation of the engine; and regroup is the stable sort of a worker's
-// inbound blocks into runs of the partitions both sides reach, for any
+// cancellation of the engine; the reach set marks any non-negative id; the
+// fill ships only the partitions both sides reach; and regroup is the
+// stable sort of a worker's inbound blocks into partition runs, for any
 // partition ids — negative, sparse and extreme ones included.
 #include "exec/shuffle.h"
 
@@ -103,25 +104,39 @@ struct SideSpec {
 };
 
 /// Random blocks in map-task order (every R block before every S block),
-/// `blocks_per_side` per side. Ids start at `first_id`.
+/// `blocks_per_side` per side, as the fill ships them: an instance whose
+/// partition the other side never draws is dropped. Ids start at
+/// `first_id`.
 std::vector<ShuffleBlock> RandomBlocks(const SideSpec& r, const SideSpec& s,
                                        size_t blocks_per_side, uint64_t seed,
                                        int64_t first_id = 0) {
   Rng rng(seed);
-  std::vector<ShuffleBlock> blocks;
+  std::vector<std::vector<std::pair<PartitionId, Tuple>>> drawn;
+  std::set<PartitionId> reached[2];
   int64_t id = first_id;
   for (const Side side : {Side::kR, Side::kS}) {
     const SideSpec& spec = side == Side::kR ? r : s;
     for (size_t b = 0; b < blocks_per_side; ++b) {
-      std::vector<std::pair<PartitionId, Tuple>> instances;
+      std::vector<std::pair<PartitionId, Tuple>>& instances =
+          drawn.emplace_back();
       // Some blocks stay empty, as for a worker a split sends nothing to.
       const size_t n = b % 3 == 1 ? 0 : spec.rows;
       for (size_t i = 0; i < n; ++i, ++id) {
         const PartitionId part = spec.parts[rng.NextBounded(spec.parts.size())];
         instances.emplace_back(part, MakeTuple(id));
+        reached[static_cast<int>(side)].insert(part);
       }
-      blocks.push_back(MakeBlock(side, /*carry=*/true, instances));
     }
+  }
+  std::vector<ShuffleBlock> blocks;
+  for (size_t b = 0; b < drawn.size(); ++b) {
+    const Side side = b < blocks_per_side ? Side::kR : Side::kS;
+    const std::set<PartitionId>& other =
+        reached[side == Side::kR ? 1 : 0];
+    std::erase_if(drawn[b], [&other](const auto& instance) {
+      return !other.contains(instance.first);
+    });
+    blocks.push_back(MakeBlock(side, /*carry=*/true, drawn[b]));
   }
   return blocks;
 }
@@ -145,17 +160,9 @@ std::vector<Instance> Contents(const std::vector<ShuffleBlock>& blocks) {
   return all;
 }
 
-/// The stable sort by partition of the blocks' concatenation, without the
-/// partitions one side never reaches.
+/// The stable sort by partition of the blocks' concatenation.
 std::vector<Instance> ReferenceOrder(const std::vector<ShuffleBlock>& blocks) {
   std::vector<Instance> all = Contents(blocks);
-  std::set<PartitionId> reached[2];
-  for (const Instance& inst : all) {
-    reached[inst.side == Side::kR ? 0 : 1].insert(inst.part);
-  }
-  std::erase_if(all, [&](const Instance& inst) {
-    return !reached[0].contains(inst.part) || !reached[1].contains(inst.part);
-  });
   std::stable_sort(all.begin(), all.end(),
                    [](const Instance& a, const Instance& b) {
                      return a.part < b.part;
@@ -186,8 +193,8 @@ void ExpectStoreMatches(const WorkerStore& store,
       EXPECT_LT(store.runs[k - 1].part, run.part);
     }
     EXPECT_EQ(run.begin, next);
-    EXPECT_LE(run.begin, run.mid);
-    EXPECT_LE(run.mid, run.end);
+    EXPECT_LT(run.begin, run.mid);
+    EXPECT_LT(run.mid, run.end);
     for (size_t i = run.begin; i < run.end; ++i) {
       EXPECT_EQ(want[i].part, run.part);
       EXPECT_EQ(want[i].side, i < run.mid ? Side::kR : Side::kS);
@@ -266,42 +273,8 @@ TEST(RegroupTest, CollidingIdsProbePastEachOther) {
   ExpectStoreMatches(store, ReferenceOrder(blocks));
 }
 
-TEST(RegroupTest, PartitionsWithAnEmptySideGetNoRun) {
-  // R reaches 1..4 and S reaches 3..6, with extreme ids on one side only:
-  // only 3 and 4 can join.
-  const SideSpec r{{1, 2, 3, 4, std::numeric_limits<PartitionId>::min()}, 40};
-  const SideSpec s{{3, 4, 5, 6, -1, std::numeric_limits<PartitionId>::max()},
-                   70};
-  std::vector<ShuffleBlock> blocks = RandomBlocks(r, s, 4, 11);
-  const std::vector<Instance> want = ReferenceOrder(blocks);
-  RegroupScratch scratch;
-  const WorkerStore store =
-      Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
-  ExpectStoreMatches(store, want);
-  ASSERT_EQ(store.runs.size(), 2u);
-  EXPECT_EQ(store.runs[0].part, 3);
-  EXPECT_EQ(store.runs[1].part, 4);
-}
-
-TEST(RegroupTest, OneSidedInboundGivesAnEmptyStore) {
-  const std::vector<PartitionId> parts = {-1, 0, 7, 1 << 30};
-  for (const Side only : {Side::kR, Side::kS}) {
-    const SideSpec some{parts, 30};
-    const SideSpec none{parts, 0};
-    std::vector<ShuffleBlock> blocks =
-        only == Side::kR ? RandomBlocks(some, none, 3, 5)
-                         : RandomBlocks(none, some, 3, 5);
-    RegroupScratch scratch;
-    const WorkerStore store =
-        Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
-    EXPECT_TRUE(store.runs.empty());
-    EXPECT_TRUE(store.id.empty());
-    EXPECT_TRUE(store.x.empty());
-  }
-}
-
 TEST(RegroupTest, StoreIgnoresWhichSideIsSmallerAndBlockOrder) {
-  // R sends more instances than S, so regroup numbers S's partitions.
+  // R sends more instances than S.
   const std::vector<PartitionId> parts = {-9, -2, 0, 5, 6, 1 << 20};
   std::vector<ShuffleBlock> blocks =
       RandomBlocks(SideSpec{parts, 200}, SideSpec{parts, 60}, 4, 3);
@@ -321,18 +294,17 @@ TEST(RegroupTest, StoreIgnoresWhichSideIsSmallerAndBlockOrder) {
       Regroup(Pointers(&s_first), /*consume=*/false, &scratch, nullptr),
       base);
 
-  // 500 extra S instances in partitions R never reaches make S (680) the
-  // larger side against R (600), so regroup numbers R's partitions
-  // instead; the store must not move.
+  // 1000 extra S instances in the partitions R reaches make S (1180) the
+  // larger side against R (600): the store is still the reference sort.
   std::vector<ShuffleBlock> larger_s = blocks;
   for (ShuffleBlock& extra :
-       RandomBlocks(SideSpec{parts, 0}, SideSpec{{7, 8, -3}, 500}, 2, 9,
+       RandomBlocks(SideSpec{parts, 500}, SideSpec{parts, 500}, 3, 9,
                     /*first_id=*/100000)) {
     if (extra.side == Side::kS) larger_s.push_back(std::move(extra));
   }
-  ExpectSameStore(
+  ExpectStoreMatches(
       Regroup(Pointers(&larger_s), /*consume=*/false, &scratch, nullptr),
-      base);
+      ReferenceOrder(larger_s));
 }
 
 TEST(RegroupTest, RetainedBlocksRegroupIdentically) {
@@ -439,37 +411,50 @@ Dataset RouteDataset(size_t n) {
   return d;
 }
 
-/// 1 to 4 partitions per tuple, negative ids included.
+/// 1 to 4 partitions per tuple, ids 0 to 22.
 PartitionList RouteAssign(const Tuple& t, Side side) {
   PartitionList out;
   const int64_t k = 1 + (t.id + (side == Side::kS ? 1 : 0)) % 4;
   for (int64_t j = 0; j < k; ++j) {
-    out.push_back(static_cast<PartitionId>((t.id * 7 + j * 5) % 23 - 11));
+    out.push_back(static_cast<PartitionId>((t.id * 7 + j * 5) % 23));
   }
   return out;
 }
 
 /// Several partitions per worker; workers 3 to 5 receive nothing.
-int RouteOwner(PartitionId p) { return ((p % 3) + 3) % 3; }
+int RouteOwner(PartitionId p) { return p % 3; }
 
-/// One map task's two phases: what the route staged and what the fill
+/// Marks the side opposite `split`'s in `reach` for every partition
+/// `staged` holds, so a fill of the split ships every staged instance.
+void MarkOtherSide(const MapSplit& split, const StagedSplit& staged,
+                   ReachSet* reach) {
+  const Side other = split.side == Side::kR ? Side::kS : Side::kR;
+  for (const StagedInstance& inst : staged.instances) {
+    reach->Mark(other, inst.part);
+  }
+}
+
+/// One map task's two phases: what the route staged, what it reached
+/// (with the other side marked wherever this one is) and what the fill
 /// wrote (nothing when the route failed).
 struct Routed {
   StagedSplit staged;
+  ReachSet reach;
   MapTaskOutput filled;
 };
 
-/// RouteSplit through FnRouter(assign, owner), then an unfiltered,
-/// consuming FillSplit unless the route failed or was cancelled.
+/// RouteSplit through FnRouter(assign, owner), then a consuming FillSplit
+/// that ships every instance, unless the route failed or was cancelled.
 Routed RouteFns(const MapSplit& split, const AssignFn& assign,
                 const OwnerFn& owner, const EngineOptions& options,
                 const spatial::KernelCancellation* cancel) {
   Routed out;
   out.staged =
-      RouteSplit(split, FnRouter(assign, owner), options, nullptr, cancel);
+      RouteSplit(split, FnRouter(assign, owner), options, &out.reach, cancel);
+  MarkOtherSide(split, out.staged, &out.reach);
   if (out.staged.error.ok() && (cancel == nullptr || !cancel->ShouldStop())) {
     FillScratch scratch;
-    out.filled = FillSplit(split, &out.staged, nullptr, options,
+    out.filled = FillSplit(split, &out.staged, out.reach, options,
                            /*consume=*/true, &scratch, cancel);
   }
   return out;
@@ -777,7 +762,7 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         // The route finished; a fill under the fired token stops at its
         // first poll.
         EXPECT_EQ(progress.load(), 2500u);
-        partial.filled = FillSplit(split, &partial.staged, nullptr,
+        partial.filled = FillSplit(split, &partial.staged, partial.reach,
                                    RouteOptions(carry), /*consume=*/true,
                                    &scratch, &cancel);
         EXPECT_EQ(progress.load(), 2500u + 1024u);
@@ -798,7 +783,7 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
       if (!in_route) {
         // The fill again, from the list and the scratch the cut-short
         // fill left.
-        partial.filled = FillSplit(split, &partial.staged, nullptr,
+        partial.filled = FillSplit(split, &partial.staged, partial.reach,
                                    RouteOptions(carry), /*consume=*/true,
                                    &scratch, nullptr);
         ExpectRouteMatches(partial, want, Side::kR, label + " (fill)");
@@ -831,15 +816,13 @@ TEST(FillSplitTest, ShipsOnlyPartitionsTheOtherSideReaches) {
   const Dataset d = RouteDataset(3000);
   const AssignFn assign = HalfOverlapAssign;
   const OwnerFn owner = RouteOwner;
-  const FnRouter router(assign, owner, /*partition_count=*/8);
+  const FnRouter router(assign, owner);
   for (const bool carry : {true, false}) {
     const EngineOptions options = RouteOptions(carry);
     const MapSplit r_split{&d, Side::kR, 0, 1700, 0};
     const MapSplit s_split{&d, Side::kS, 1700, 3000, 1};
     ReachSet reach_a;
     ReachSet reach_b;
-    reach_a.Reset(8);
-    reach_b.Reset(8);
     StagedSplit r_staged = RouteSplit(r_split, router, options, &reach_a,
                                       nullptr);
     StagedSplit s_staged = RouteSplit(s_split, router, options, &reach_b,
@@ -857,12 +840,9 @@ TEST(FillSplitTest, ShipsOnlyPartitionsTheOtherSideReaches) {
       Routed out;
       out.staged = staged;
       FillScratch scratch;
-      out.filled = FillSplit(*split, &staged, &reach, options,
+      out.filled = FillSplit(*split, &staged, reach, options,
                              /*consume=*/false, &scratch, nullptr);
       EXPECT_EQ(staged.instances.size(), out.staged.instances.size());
-      for (const ShuffleBlock& block : out.filled.by_worker) {
-        EXPECT_TRUE(block.joinable_only);
-      }
       // The reference of HalfOverlapAssign, built like RouteReference's.
       ReferenceRoute want;
       want.blocks.resize(kRouteWorkers);
@@ -906,40 +886,223 @@ TEST(FillSplitTest, OnlyAConsumingFillFreesItsStagedList) {
   const Dataset d = RouteDataset(500);
   const MapSplit split{&d, Side::kR, 0, 500, 0};
   const EngineOptions options = RouteOptions(true);
+  ReachSet reach;
   StagedSplit staged = RouteSplit(split, FnRouter(RouteAssign, RouteOwner),
-                                  options, nullptr, nullptr);
+                                  options, &reach, nullptr);
   ASSERT_TRUE(staged.error.ok());
+  MarkOtherSide(split, staged, &reach);
   const size_t n = staged.instances.size();
   FillScratch scratch;
   const MapTaskOutput kept =
-      FillSplit(split, &staged, nullptr, options, /*consume=*/false, &scratch,
+      FillSplit(split, &staged, reach, options, /*consume=*/false, &scratch,
                 nullptr);
   EXPECT_EQ(staged.instances.size(), n);
   EXPECT_GE(staged.instances.capacity(), n);
+  EXPECT_EQ(kept.instances, n);
   const MapTaskOutput freed =
-      FillSplit(split, &staged, nullptr, options, /*consume=*/true, &scratch,
+      FillSplit(split, &staged, reach, options, /*consume=*/true, &scratch,
                 nullptr);
   EXPECT_EQ(staged.instances.capacity(), 0u);
   EXPECT_EQ(freed.instances, kept.instances);
   EXPECT_EQ(freed.block_bytes, kept.block_bytes);
 }
 
-TEST(RouteSplitTest, APartitionOutsideTheDeclaredRangeIsAnError) {
-  // HalfOverlapAssign reaches partition 7 on S, outside a range of 7.
-  const Dataset d = RouteDataset(100);
-  const AssignFn assign = HalfOverlapAssign;
+/// Routes `r_split` and `s_split` through FnRouter(assign, RouteOwner),
+/// fills them against the union of their reach sets and regroups each
+/// worker's two inbound blocks: the map and regroup of one job. Requires
+/// each store to be the reference sort of its blocks.
+std::vector<WorkerStore> MapAndRegroup(const MapSplit& r_split,
+                                       const MapSplit& s_split,
+                                       const AssignFn& assign) {
+  const EngineOptions options = RouteOptions(true);
   const OwnerFn owner = RouteOwner;
-  const FnRouter router(assign, owner, /*partition_count=*/7);
+  const FnRouter router(assign, owner);
   ReachSet reach;
-  reach.Reset(7);
-  const StagedSplit r = RouteSplit(MapSplit{&d, Side::kR, 0, 100, 0}, router,
-                                   RouteOptions(false), &reach, nullptr);
-  EXPECT_TRUE(r.error.ok()) << r.error.ToString();
-  const StagedSplit s = RouteSplit(MapSplit{&d, Side::kS, 0, 100, 0}, router,
-                                   RouteOptions(false), &reach, nullptr);
-  EXPECT_EQ(s.error.message(),
-            "assign returned partition 7, outside the router's range [0, 7) "
-            "in dataset 'R' at index 4");
+  std::vector<StagedSplit> staged;
+  for (const MapSplit* split : {&r_split, &s_split}) {
+    ReachSet mine;
+    staged.push_back(RouteSplit(*split, router, options, &mine, nullptr));
+    EXPECT_TRUE(staged.back().error.ok()) << staged.back().error.ToString();
+    reach.Union(std::move(mine));
+  }
+  std::vector<MapTaskOutput> filled;
+  FillScratch fill_scratch;
+  for (size_t t = 0; t < staged.size(); ++t) {
+    filled.push_back(FillSplit(t == 0 ? r_split : s_split, &staged[t], reach,
+                               options, /*consume=*/true, &fill_scratch,
+                               nullptr));
+  }
+  std::vector<WorkerStore> stores;
+  RegroupScratch scratch;
+  for (size_t w = 0; w < static_cast<size_t>(kRouteWorkers); ++w) {
+    std::vector<ShuffleBlock> inbound;
+    for (MapTaskOutput& out : filled) {
+      inbound.push_back(std::move(out.by_worker[w]));
+    }
+    const std::vector<Instance> want = ReferenceOrder(inbound);
+    stores.push_back(
+        Regroup(Pointers(&inbound), /*consume=*/true, &scratch, nullptr));
+    ExpectStoreMatches(stores.back(), want);
+  }
+  return stores;
+}
+
+TEST(RegroupTest, PartitionsWithAnEmptySideGetNoRun) {
+  // R reaches 1 to 4 and 2^31 - 1, S reaches 0 and 3 to 6: the fill ships
+  // only partitions 3 and 4, so regroup gets only runs of those, each on
+  // its owner.
+  const Dataset d = RouteDataset(1000);
+  const AssignFn assign = [](const Tuple& t, Side side) {
+    constexpr PartitionId kR[] = {1, 2, 3, 4,
+                                  std::numeric_limits<PartitionId>::max()};
+    constexpr PartitionId kS[] = {0, 3, 4, 5, 6};
+    PartitionList out;
+    out.push_back((side == Side::kR ? kR : kS)[t.id % 5]);
+    return out;
+  };
+  const std::vector<WorkerStore> stores =
+      MapAndRegroup(MapSplit{&d, Side::kR, 0, 600, 0},
+                    MapSplit{&d, Side::kS, 600, 1000, 1}, assign);
+  std::vector<PartitionId> parts;
+  for (size_t w = 0; w < stores.size(); ++w) {
+    for (const PartitionRun& run : stores[w].runs) {
+      parts.push_back(run.part);
+      EXPECT_EQ(RouteOwner(run.part), static_cast<int>(w));
+    }
+  }
+  EXPECT_EQ(parts, (std::vector<PartitionId>{3, 4}));
+}
+
+TEST(RegroupTest, OneSidedInboundGivesAnEmptyStore) {
+  // Only one side has tuples, so the fill ships nothing and every
+  // worker's store is empty.
+  const Dataset d = RouteDataset(300);
+  for (const Side only : {Side::kR, Side::kS}) {
+    const MapSplit some{&d, only, 0, 300, 0};
+    const MapSplit none{&d, only == Side::kR ? Side::kS : Side::kR, 0, 0, 1};
+    const std::vector<WorkerStore> stores =
+        only == Side::kR ? MapAndRegroup(some, none, RouteAssign)
+                         : MapAndRegroup(none, some, RouteAssign);
+    for (const WorkerStore& store : stores) {
+      EXPECT_TRUE(store.runs.empty());
+      EXPECT_TRUE(store.id.empty());
+      EXPECT_TRUE(store.x.empty());
+    }
+  }
+}
+
+TEST(ReachSetTest, MarksAcrossPageEdgesAndAtInt32Max) {
+  constexpr PartitionId kMax = std::numeric_limits<PartitionId>::max();
+  ReachSet reach;
+  for (const PartitionId p : {4095, 4096, kMax}) reach.Mark(Side::kR, p);
+  reach.Mark(Side::kS, 0);
+  for (const PartitionId p : {4095, 4096, kMax}) {
+    EXPECT_TRUE(reach.Reaches(Side::kR, p)) << p;
+    EXPECT_FALSE(reach.Reaches(Side::kS, p)) << p;
+  }
+  for (const PartitionId p : {0, 4094, 4097, 8191, 8192, kMax - 1}) {
+    EXPECT_FALSE(reach.Reaches(Side::kR, p)) << p;
+  }
+  EXPECT_TRUE(reach.Reaches(Side::kS, 0));
+  reach.Reset();
+  EXPECT_FALSE(reach.Reaches(Side::kR, kMax));
+  EXPECT_FALSE(reach.Reaches(Side::kS, 0));
+}
+
+TEST(ReachSetTest, ReachesPastTheTableEndIsFalse) {
+  // S's page table ends after partition 4095, R's has none: every id past
+  // the end reads false, a negative one included.
+  ReachSet reach;
+  reach.Mark(Side::kS, 10);
+  for (const PartitionId p :
+       {-1, 0, 10, 4096, 1 << 20, std::numeric_limits<PartitionId>::max()}) {
+    EXPECT_FALSE(reach.Reaches(Side::kR, p)) << p;
+    EXPECT_EQ(reach.Reaches(Side::kS, p), p == 10) << p;
+  }
+  const ReachSet empty;
+  EXPECT_FALSE(empty.Reaches(Side::kR, 0));
+  EXPECT_FALSE(
+      empty.Reaches(Side::kS, std::numeric_limits<PartitionId>::min()));
+}
+
+TEST(ReachSetTest, UnionTakesSetsOfAnySize) {
+  // A short set (one page per side) and a long one (up to 2^31 - 1),
+  // merged in both orders and with an empty set on either side.
+  constexpr PartitionId kMax = std::numeric_limits<PartitionId>::max();
+  const auto short_set = [] {
+    ReachSet reach;
+    reach.Mark(Side::kR, 1);
+    reach.Mark(Side::kR, 70);
+    reach.Mark(Side::kS, 2);
+    return reach;
+  };
+  const auto long_set = [] {
+    ReachSet reach;
+    reach.Mark(Side::kR, 70);
+    reach.Mark(Side::kR, kMax);
+    reach.Mark(Side::kS, 5000);
+    return reach;
+  };
+  const auto expect_union = [&](const ReachSet& reach, const char* label) {
+    for (const PartitionId p : {1, 70, kMax}) {
+      EXPECT_TRUE(reach.Reaches(Side::kR, p)) << label << " " << p;
+    }
+    for (const PartitionId p : {2, 5000}) {
+      EXPECT_TRUE(reach.Reaches(Side::kS, p)) << label << " " << p;
+    }
+    for (const PartitionId p : {0, 2, 71, 5000, kMax - 1}) {
+      EXPECT_FALSE(reach.Reaches(Side::kR, p)) << label << " " << p;
+    }
+    for (const PartitionId p : {1, 70, 4999, kMax}) {
+      EXPECT_FALSE(reach.Reaches(Side::kS, p)) << label << " " << p;
+    }
+  };
+  ReachSet short_first = short_set();
+  short_first.Union(long_set());
+  expect_union(short_first, "short first");
+  ReachSet long_first = long_set();
+  long_first.Union(short_set());
+  expect_union(long_first, "long first");
+
+  for (const bool empty_first : {true, false}) {
+    const char* label = empty_first ? "empty first" : "empty last";
+    ReachSet reach;
+    if (empty_first) {
+      reach.Union(short_set());
+      reach.Union(long_set());
+    } else {
+      reach = short_set();
+      reach.Union(long_set());
+      reach.Union(ReachSet());
+    }
+    expect_union(reach, label);
+  }
+}
+
+TEST(RouteSplitTest, ANegativePartitionIdIsAnError) {
+  // Rows 30 and 70 of the split are routed to a negative partition, row 70
+  // natively and row 30 as a replica after partition 0: the task names row
+  // 30, and no negative id is marked.
+  const Dataset d = RouteDataset(100);
+  const AssignFn assign = [](const Tuple& t, Side side) {
+    PartitionList parts = RouteAssign(t, side);
+    if (t.id == 30) parts.push_back(-1);
+    if (t.id == 70) parts[0] = std::numeric_limits<PartitionId>::min();
+    return parts;
+  };
+  const OwnerFn owner = [](PartitionId p) { return p < 0 ? 0 : p % 3; };
+  for (const Side side : {Side::kR, Side::kS}) {
+    ReachSet reach;
+    const StagedSplit out =
+        RouteSplit(MapSplit{&d, side, 10, 100, 0}, FnRouter(assign, owner),
+                   RouteOptions(false), &reach, nullptr);
+    EXPECT_EQ(out.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.error.message(),
+              "assign returned negative partition -1 in dataset 'R' at index "
+              "30");
+    EXPECT_FALSE(reach.Reaches(side, -1));
+    EXPECT_TRUE(reach.Reaches(side, RouteAssign(d.tuples[29], side)[0]));
+  }
 }
 
 TEST(RouteSplitTest, CancelledMapOutputIsNeverCommitted) {

@@ -56,11 +56,9 @@ trace of the engine alone has none. The checks:
     spans' kept args (exact; skipped when cancellation events are present);
   * the shuffle_block_bytes counter vs the sum of the committed fill-task
     spans' bytes args (exact; skipped when cancellation events are present);
-  * in a run whose router declares its partition range (the phase-fill
-    span's range arg is positive), the joinable_tuples counter vs the sum
-    of the committed fill-task spans' instances args: the fill ships only
-    joinable instances (exact; skipped when cancellation events are
-    present);
+  * the joinable_tuples counter vs the sum of the committed fill-task
+    spans' instances args: the fill ships only joinable instances (exact;
+    skipped when cancellation events are present);
   * the watchdog_fires counter vs the number of watchdog-fire events
     (exact — each fire records exactly one instant);
   * no dropped events.
@@ -151,9 +149,6 @@ class Rollup:
         self.regroup_kept = None  # no committed regroup span has the arg
         self.fill_bytes = None  # no committed fill span has the arg
         self.fill_instances = None  # no committed fill span has the arg
-        # Whether the router declared its range, so the fill shipped only
-        # joinable instances.
-        self.fill_filtered = False
         events = trace.get("traceEvents", [])
         if not isinstance(events, list):
             raise ValueError("traceEvents must be an array")
@@ -184,8 +179,6 @@ class Rollup:
                 self.regroup_kept = (self.regroup_kept or 0) + kept
             if name == "fill-task":
                 self.add_fill(event.get("args", {}))
-            if name == "phase-fill":
-                self.fill_filtered = event.get("args", {}).get("range", 0) > 0
             if name == "join-partition":
                 self.join_partitions += 1
                 self.span_candidates += event.get("args", {}).get(
@@ -455,18 +448,17 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
             f"{counters['shuffle_block_bytes']}"
         )
 
-    # A router that declares its partition range gets only the instances of
-    # partitions both sides reach shipped, which are exactly the ones
-    # regroup keeps.
+    # The fill ships only the instances of partitions both sides reach,
+    # which are exactly the ones regroup keeps.
     if (
         not rollup.cancel_events
-        and rollup.fill_filtered
+        and rollup.fill_instances is not None
         and rollup.fill_instances != counters["joinable_tuples"]
     ):
         errors.append(
-            f"joinable_tuples: fill-task instances args of a run that "
-            f"ships joinable instances only sum to {rollup.fill_instances}, "
-            f"counters report {counters['joinable_tuples']}"
+            f"joinable_tuples: fill-task instances args sum to "
+            f"{rollup.fill_instances}, counters report "
+            f"{counters['joinable_tuples']}"
         )
 
     # Watchdog bookkeeping is exact: the engine records one "watchdog-fire"

@@ -50,8 +50,7 @@ def passing_trace():
             span("driver-grid", 0, 1000),
             span("driver-sample", 0, 2000),
             span("phase-map", 0, 1000),
-            # The router declares its range [0, 16).
-            span("phase-fill", 0, 500, tasks=1, range=16),
+            span("phase-fill", 0, 500, tasks=1),
             span("phase-regroup", 0, 500),
             span("phase-join", 0, 2000),
             span("map-task", 1, 1000, task=0),
@@ -181,15 +180,15 @@ class ValidateTest(unittest.TestCase):
         trace = passing_trace()
         trace["traceEvents"].append(fill_span(instances=1, bytes=0))
         self.assert_one_error(
-            trace, "ships joinable instances only sum to 11")
+            trace, "fill-task instances args sum to 11")
 
-    def test_unfiltered_fill_instances_are_not_checked(self) -> None:
-        # A router that declares no range gets every routed instance
-        # shipped; regroup then drops the one-sided partitions.
+    def test_fill_instances_of_every_router_are_checked(self) -> None:
+        # Every router's fill ships only joinable instances: no phase-fill
+        # arg exempts a run whose fill-task instances exceed them.
         trace = passing_trace()
-        spans_named(trace, "phase-fill")[0]["args"]["range"] = 0
         spans_named(trace, "fill-task")[0]["args"]["instances"] = 25
-        self.assertEqual(validate(trace), [])
+        self.assert_one_error(
+            trace, "joinable_tuples: fill-task instances args sum to 25")
 
     def test_watchdog_fires_without_events_fails(self) -> None:
         trace = passing_trace()

@@ -63,6 +63,10 @@ class QuadTreeRouter final : public exec::Router {
     return k;
   }
 
+  int Owner(exec::PartitionId p) const override {
+    return placement_->OwnerOf(p);
+  }
+
  private:
   const spatial::QuadTreePartitioner* partitioner_;
   const core::CellAssignment* placement_;

@@ -2,14 +2,14 @@
 //
 // An open-addressing map from int32 ids (cells, quartets, partitions) to
 // non-negative int32 values (slots, owners). The planner keeps state only
-// for the cells a sample touched, and regroup numbers only the partitions
-// a worker receives; this map finds that state without a table sized by the
-// grid. An entry is empty when its value is kAbsent, so every int32 is a
-// valid id. Linear probing over a power-of-two table kept at most half
-// full, so a lookup is one multiply and, almost always, one cache line. Ids
-// are hashed by blocks of 8: the 8 ids of a block (8 cells of a grid row)
-// have adjacent home slots, so a scan in id order walks the table's cache
-// lines instead of jumping between them.
+// for the cells a sample touched, and the map's barrier numbers only the
+// partitions both sides reach; this map finds that state without a table
+// sized by the grid. An entry is empty when its value is kAbsent, so every
+// int32 is a valid id. Linear probing over a power-of-two table kept at
+// most half full, so a lookup is one multiply and, almost always, one cache
+// line. Ids are hashed by blocks of 8: the 8 ids of a block (8 cells of a
+// grid row) have adjacent home slots, so a scan in id order walks the
+// table's cache lines instead of jumping between them.
 #ifndef PASJOIN_COMMON_FLAT_INDEX_H_
 #define PASJOIN_COMMON_FLAT_INDEX_H_
 

@@ -42,6 +42,10 @@ class UniformGridRouter final : public exec::Router {
     return k;
   }
 
+  int Owner(exec::PartitionId p) const override {
+    return placement_->OwnerOf(p);
+  }
+
  private:
   const grid::Grid* grid_;
   const CellAssignment* placement_;

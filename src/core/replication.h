@@ -120,6 +120,10 @@ class AdaptiveRouter final : public exec::Router {
   size_t Route(std::span<const Tuple> tuples, Side side,
                exec::RoutedBlock* out) const override;
 
+  int Owner(exec::PartitionId p) const override {
+    return placement_->OwnerOf(p);
+  }
+
  private:
   const ReplicationAssigner* assigner_;
   const CellAssignment* placement_;

@@ -2,15 +2,15 @@
 //
 // Engine implementation: ONE dataflow, two executors.
 //
-// RunDataflow writes the map (route, fill) -> regroup -> join [-> dedup]
-// sequence once.
+// RunDataflow writes the map (route, barrier, fill) -> regroup -> join
+// [-> dedup] sequence once.
 // Each phase is a list of tasks — a compute body that fills an attempt-local
 // output, and a commit that publishes it — handed to an executor:
 //
 //   * StealExecutor (fault injection disabled): every task runs exactly
 //     once on a work-stealing runner loop and commits in place; each fill
 //     frees its staged list and each worker's regroup its inbound shuffle
-//     blocks once read;
+//     blocks once read, and the run numbering goes after the regroup;
 //   * RecoveringExecutor (FaultOptions::enabled): runs each phase as waves
 //     on the same runner loop, at most one attempt per task per wave.
 //     Between waves the driver thread re-executes failed attempts from
@@ -18,18 +18,19 @@
 //     a lost logical worker, and backs up or resumes parked stragglers,
 //     waiting out a resumed wave's straggler delay once. A fill's injected
 //     fault strikes after its body ran. The dataflow keeps the staged
-//     lists through the fill and the shuffle blocks through the join, so a
-//     fill retries from its whole list and a lost worker's store is
-//     rebuilt by re-running its regroup.
+//     lists through the fill, and the shuffle blocks and the run numbering
+//     through the join, so a fill retries from its whole list and a lost
+//     worker's store is rebuilt by re-running its regroup.
 //
 // The shuffle is columnar (exec/shuffle.h). A map task is a route task,
 // which stages its split's instances and marks the partitions its side
-// reaches, and a fill task, run in the next phase: once every route has
-// committed, it writes the instances whose partition both sides reach
-// into one exactly sized column block per destination, so each payload is
-// copied once.
-// Regroup sorts a worker's blocks into contiguous partition runs, and the
-// join reads the runs in place. Both executors run
+// reaches, and a fill task, run in the next phase. Between them, the
+// barrier numbers the partitions both sides reach once, on the driver
+// thread: each gets its owner and its run on that owner (RunNumbering).
+// The fill writes the instances of those partitions, each with its run,
+// into one exactly sized column block per owner, so each payload is copied
+// once. Regroup counting-sorts a worker's blocks by run into contiguous
+// partition runs, and the join reads the runs in place. Both executors run
 // the same task lists, including one join task per (worker, partition).
 // See docs/FAULT_TOLERANCE.md for the recovery model and
 // docs/PARALLELISM.md for stealing.
@@ -1015,7 +1016,7 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   // and a fill task, run as two phases with a barrier between them
   // (exec/shuffle.h). Each route task stages its split's instances in its
   // own slot and marks the partitions its side reaches in its thread's
-  // ReachSet; the barrier ORs the threads' sets. A failed attempt marks a
+  // ReachSet; the phase ORs the threads' sets. A failed attempt marks a
   // subset of what its retry marks, so the union is exact.
   const int total_map_tasks = 2 * num_splits;
   const auto map_owner = [&](int task) {
@@ -1040,10 +1041,25 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
     if (!out.error.ok()) return out.error;
   }
 
+  // The barrier: the driver thread numbers the partitions both sides reach,
+  // in ascending id, with one Router::Owner call each. Its time is
+  // construction time, under its own driver-track span.
+  RunNumbering numbering;
+  {
+    obs::ScopedSpan span(trace, "map-barrier", "phase");
+    span.SetTrack(obs::kDriverTrack);
+    Stopwatch barrier;
+    Result<RunNumbering> numbered = RunNumbering::Build(reach, router, workers);
+    measured_construction += barrier.ElapsedSeconds();
+    if (!numbered.ok()) return numbered.status();
+    numbering = std::move(numbered).value();
+    span.AddArg("partitions", static_cast<int64_t>(numbering.size()));
+  }
+
   // Each fill task writes the joinable instances of its staged list into
-  // exactly sized blocks. Unless the executor retains inputs, the fill
-  // frees its staged list once its blocks are written; the rest go after
-  // the phase, as nothing reads them after it.
+  // exactly sized blocks, each with its run. Unless the executor retains
+  // inputs, the fill frees its staged list once its blocks are written; the
+  // rest go after the phase, as nothing reads them after it.
   std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
   std::vector<double> fill_busy(static_cast<size_t>(workers));
   PASJOIN_RETURN_NOT_OK(ex->template Run<FillScratch>(
@@ -1052,8 +1068,8 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
       map_owner,
       [&](int task, FillScratch& scratch, const Cancel* cancel) {
         return FillSplit(MapTaskSplit(task, r, s, num_splits, workers),
-                         &staged[static_cast<size_t>(task)], reach, options,
-                         /*consume=*/!kRetain, &scratch, cancel);
+                         &staged[static_cast<size_t>(task)], reach, numbering,
+                         options, /*consume=*/!kRetain, &scratch, cancel);
       },
       CommitTo(&map_out)));
   AccumulateMapMetrics(staged, map_out, num_splits, &m);
@@ -1061,13 +1077,14 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   reach.Reset();
 
   // ------------------------------------------------------------ regroup ---
-  // Each worker sorts its inbound blocks, in map-task order, into
-  // contiguous partition runs (exec/shuffle.h), so every run's instance
-  // order is deterministic; the fill shipped only the partitions both sides
-  // reach, so every run joins. The blocks are the split data re-execution
-  // recovers from: an executor that retains inputs keeps them; otherwise
+  // Each worker counting-sorts its inbound blocks, in map-task order, by run
+  // into contiguous partition runs (exec/shuffle.h), so every run's
+  // instance order is deterministic; the barrier numbered only the
+  // partitions both sides reach, so every run joins. The blocks and the
+  // numbering are what the lost-worker rebuild re-runs the regroup from:
+  // an executor that retains inputs keeps them through the join; otherwise
   // each worker's regroup frees its inbound blocks, payload arenas
-  // included.
+  // included, and the numbering goes after the phase.
   const auto inbound = [&map_out](int w) {
     std::vector<ShuffleBlock*> blocks;
     blocks.reserve(map_out.size());
@@ -1078,14 +1095,16 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
   };
   std::vector<WorkerStore> stores(static_cast<size_t>(workers));
   std::vector<double> regroup_busy(static_cast<size_t>(workers));
-  PASJOIN_RETURN_NOT_OK(ex->template Run<RegroupScratch>(
+  PASJOIN_RETURN_NOT_OK(ex->Run(
       PhaseSpec{Phase::kRegroup, workers, 1, &regroup_busy,
                 &measured_construction},
       identity,
-      [&](int w, RegroupScratch& scratch, const Cancel* cancel) {
-        return Regroup(inbound(w), /*consume=*/!kRetain, &scratch, cancel);
+      [&](int w, NoPhaseState&, const Cancel* cancel) {
+        return Regroup(inbound(w), numbering.Parts(w), /*consume=*/!kRetain,
+                       cancel);
       },
       CommitTo(&stores)));
+  if (!kRetain) numbering = RunNumbering();
   for (const WorkerStore& store : stores) m.joinable_tuples += store.id.size();
 
   // --------------------------------------------------------------- join ---
@@ -1136,12 +1155,12 @@ Result<JoinRun> RunDataflow(Executor* ex, const Dataset& r, const Dataset& s,
         if (item.worker == lost) {
           MutexLock lock(&lost_store.mu);
           if (!lost_store.rebuilt) {
+            PASJOIN_DCHECK(kRetain);  // the blocks and numbering are kept
             obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
             rebuild_span.AddArg("worker", lost);
             Stopwatch rebuild;
-            RegroupScratch scratch;
-            store = Regroup(inbound(lost), /*consume=*/false, &scratch,
-                            nullptr);
+            store = Regroup(inbound(lost), numbering.Parts(lost),
+                            /*consume=*/false, nullptr);
             lost_store.rebuilt = true;
             state.rebuild_seconds += rebuild.ElapsedSeconds();
           }

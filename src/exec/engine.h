@@ -4,8 +4,10 @@
 // substrate of Algorithm 5. It executes the canonical dataflow of every
 // algorithm in this repository:
 //
-//   input splits --map--> per-worker column blocks --regroup (sort)-->
-//   per-partition runs --local join--> result pairs
+//   input splits --route--> staged instances --barrier (number the
+//   joinable partitions)--> --fill--> per-worker column blocks
+//   --regroup (counting sort by run)--> per-partition runs
+//   --local join--> result pairs
 //   [--distinct--> deduplicated pairs]
 //
 // The engine is algorithm-agnostic: callers supply the router, which
@@ -85,12 +87,17 @@ struct RoutedBlock {
 /// partitions and places each partition on its owning worker, a block of
 /// tuples per call. Route is const and is called from every map thread.
 /// Partition ids are non-negative, and a partition's owner is a function
-/// of the partition, so both sides of a partition meet on one worker. The
-/// map ships only the instances of the partitions both sides reach
-/// (exec/shuffle.h).
+/// of the partition, Owner, so both sides of a partition meet on one
+/// worker. The map ships only the instances of the partitions both sides
+/// reach, to the owner Owner names (exec/shuffle.h).
 class Router {
  public:
   virtual ~Router() = default;
+
+  /// The owner of partition `p`: the owner Route writes for every instance
+  /// of `p`. Called once per partition both sides reach, on the driver
+  /// thread, at the map's barrier.
+  virtual int Owner(PartitionId p) const = 0;
 
   /// Routes a prefix of `tuples` (at most RoutedBlock::kMaxTuples, all of
   /// relation `side`, all with finite points inside the declared bounds)
@@ -113,6 +120,8 @@ class FnRouter final : public Router {
 
   size_t Route(std::span<const Tuple> tuples, Side side,
                RoutedBlock* out) const override;
+
+  int Owner(PartitionId p) const override { return (*owner_)(p); }
 
  private:
   const AssignFn* assign_;
@@ -235,8 +244,10 @@ inline constexpr int kMaxSplits = 1 << 20;
 /// workers > 0 and coherent FaultOptions up front; then, inside the map
 /// tasks, finite coordinates (inside `bounds` when declared), at least one
 /// partition, non-negative partition ids and owners in [0, workers) for
-/// every tuple —
-/// the error names the lowest offending (dataset, index). The one dataflow
+/// every tuple — the error names the lowest offending (dataset, index);
+/// then, at the map's barrier, Router::Owner in [0, workers) for every
+/// partition both sides reach — the error names the lowest offending
+/// partition. The one dataflow
 /// runs on one of two executors (docs/FAULT_TOLERANCE.md): without fault
 /// injection every task runs once and commits in place; with
 /// `fault.enabled`, failed or lost tasks are re-executed from retained split

@@ -2,19 +2,19 @@
 #include "exec/shuffle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
 
-#include "common/flat_index.h"
 #include "common/macros.h"
 
 namespace pasjoin::exec {
 
 void ShuffleBlock::Allocate(size_t n, size_t arena_bytes) {
-  part.resize(n);
+  run.resize(n);
   x.resize(n);
   y.resize(n);
   id.resize(n);
@@ -23,8 +23,8 @@ void ShuffleBlock::Allocate(size_t n, size_t arena_bytes) {
   payload_bytes.resize(arena_bytes);
 }
 
-void ShuffleBlock::Put(size_t i, PartitionId p, const Tuple& t) {
-  part[i] = p;
+void ShuffleBlock::Put(size_t i, uint32_t r, const Tuple& t) {
+  run[i] = r;
   x[i] = t.pt.x;
   y[i] = t.pt.y;
   id[i] = t.id;
@@ -43,13 +43,20 @@ std::string_view ShuffleBlock::Payload(size_t i) const {
 }
 
 uint64_t ShuffleBlock::AllocatedBytes() const {
-  return part.capacity() * sizeof(PartitionId) +
+  return run.capacity() * sizeof(uint32_t) +
          (x.capacity() + y.capacity()) * sizeof(double) +
          id.capacity() * sizeof(int64_t) +
          payload_end.capacity() * sizeof(uint64_t) + payload_bytes.capacity();
 }
 
 namespace {
+
+/// Why partition `part` cannot go to worker `owner` of `workers`.
+std::string OwnerProblem(PartitionId part, int owner, int workers) {
+  return "owner placed partition " + std::to_string(part) + " on worker " +
+         std::to_string(owner) + ", outside [0, " + std::to_string(workers) +
+         ")";
+}
 
 /// The error of tuple `i` of `d`, which cannot be routed.
 Status RoutingError(const Dataset& d, size_t i, const std::string& problem) {
@@ -100,14 +107,6 @@ void PulseTail(const spatial::KernelCancellation* cancel, size_t n) {
   if (cancel != nullptr) cancel->Pulse(n & (spatial::kKernelPollGrain - 1));
 }
 
-/// A sort key ordering slots by signed partition id: the id's bits with
-/// the sign flipped above the slot.
-uint64_t RunKey(PartitionId part, uint32_t s) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(part) ^ 0x80000000U)
-          << 32) |
-         s;
-}
-
 }  // namespace
 
 size_t FnRouter::Route(std::span<const Tuple> tuples, Side side,
@@ -148,6 +147,43 @@ void ReachSet::Union(ReachSet&& other) {
       }
     }
   }
+}
+
+std::vector<PartitionId> ReachSet::Joinable() const {
+  const std::vector<std::unique_ptr<Page>>& r = pages_[0];
+  const std::vector<std::unique_ptr<Page>>& s = pages_[1];
+  std::vector<PartitionId> out;
+  for (size_t i = 0; i < std::min(r.size(), s.size()); ++i) {
+    if (r[i] == nullptr || s[i] == nullptr) continue;
+    for (size_t w = 0; w < kWords; ++w) {
+      for (uint64_t bits = r[i]->words[w] & s[i]->words[w]; bits != 0;
+           bits &= bits - 1) {
+        out.push_back(static_cast<PartitionId>(
+            (i << kShift) | (w << 6) |
+            static_cast<size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
+  return out;
+}
+
+Result<RunNumbering> RunNumbering::Build(const ReachSet& reach,
+                                         const Router& router, int workers) {
+  const std::vector<PartitionId> joinable = reach.Joinable();
+  RunNumbering out;
+  out.index_.Reserve(joinable.size());
+  out.parts_.resize(static_cast<size_t>(workers));
+  for (const PartitionId p : joinable) {
+    const int owner = router.Owner(p);
+    if (owner < 0 || owner >= workers) {
+      return Status::InvalidArgument(OwnerProblem(p, owner, workers));
+    }
+    std::vector<PartitionId>& parts = out.parts_[static_cast<size_t>(owner)];
+    out.index_.Insert(p, static_cast<int32_t>(out.slots_.size()));
+    out.slots_.push_back(Slot{owner, static_cast<uint32_t>(parts.size())});
+    parts.push_back(p);
+  }
+  return out;
 }
 
 StagedSplit RouteSplit(const MapSplit& split, const Router& router,
@@ -221,14 +257,10 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
           return out;
         }
         if (dest < 0 || dest >= workers) {
-          out.error = RoutingError(
-              d, i,
-              "owner placed partition " + std::to_string(part) +
-                  " on worker " + std::to_string(dest) + ", outside [0, " +
-                  std::to_string(workers) + ")");
+          out.error = RoutingError(d, i, OwnerProblem(part, dest, workers));
           return out;
         }
-        staged.push_back(StagedInstance{row, part, dest});
+        staged.push_back(StagedInstance{row, part});
         reach->Mark(split.side, part);
         out.payload_bytes += payload;
         out.shuffle_bytes += bytes;
@@ -244,8 +276,9 @@ StagedSplit RouteSplit(const MapSplit& split, const Router& router,
 }
 
 MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
-                        const ReachSet& reach, const EngineOptions& options,
-                        bool consume, FillScratch* scratch,
+                        const ReachSet& reach, const RunNumbering& numbering,
+                        const EngineOptions& options, bool consume,
+                        FillScratch* scratch,
                         const spatial::KernelCancellation* cancel) {
   const std::vector<Tuple>& tuples = split.data->tuples;
   const std::span<const StagedInstance> instances(staged->instances);
@@ -253,25 +286,29 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
   const Side other = split.side == Side::kR ? Side::kS : Side::kR;
 
   // Copy the joinable instances, in staged order, into the scratch list
-  // without a branch on the reach set, counting them per destination.
+  // without a branch on the reach set.
   std::vector<StagedInstance>& joinable = scratch->joinable;
   joinable.resize(instances.size());
-  std::vector<size_t> count(workers, 0);
   size_t n = 0;
   for (size_t k = 0; k < instances.size(); ++k) {
-    const StagedInstance& inst = instances[k];
-    const size_t keep = reach.Reaches(other, inst.part) ? 1 : 0;
-    joinable[n] = inst;
-    n += keep;
-    count[static_cast<size_t>(inst.dest)] += keep;
+    joinable[n] = instances[k];
+    n += reach.Reaches(other, instances[k].part) ? 1 : 0;
     if (StopAfter(cancel, k)) return MapTaskOutput();  // caller discards
   }
   PulseTail(cancel, instances.size());
+  // Look each one's slot up and count the instances and payload bytes per
+  // owner.
+  std::vector<RunNumbering::Slot>& slot = scratch->slot;
+  slot.resize(n);
+  std::vector<size_t> count(workers, 0);
   std::vector<size_t> arena(workers, 0);
-  if (staged->payload_bytes > 0) {  // with none, read no tuple
-    for (size_t k = 0; k < n; ++k) {
-      arena[static_cast<size_t>(joinable[k].dest)] +=
-          tuples[split.begin + joinable[k].row].payload.size();
+  const bool carried = staged->payload_bytes > 0;  // with none, read no tuple
+  for (size_t k = 0; k < n; ++k) {
+    slot[k] = numbering.Find(joinable[k].part);
+    const auto w = static_cast<size_t>(slot[k].owner);
+    ++count[w];
+    if (carried) {
+      arena[w] += tuples[split.begin + joinable[k].row].payload.size();
     }
   }
 
@@ -287,10 +324,9 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
     count[w] = 0;
   }
   for (size_t k = 0; k < n; ++k) {
-    const StagedInstance& inst = joinable[k];
-    const auto w = static_cast<size_t>(inst.dest);
-    out.by_worker[w].Put(count[w]++, inst.part,
-                         tuples[split.begin + inst.row]);
+    const auto w = static_cast<size_t>(slot[k].owner);
+    out.by_worker[w].Put(count[w]++, slot[k].run,
+                         tuples[split.begin + joinable[k].row]);
     if (StopAfter(cancel, k)) return out;  // caller discards
   }
   PulseTail(cancel, n);
@@ -305,79 +341,47 @@ MapTaskOutput FillSplit(const MapSplit& split, StagedSplit* staged,
   return out;
 }
 
-WorkerStore Regroup(std::span<ShuffleBlock* const> inbound, bool consume,
-                    RegroupScratch* scratch,
+WorkerStore Regroup(std::span<ShuffleBlock* const> inbound,
+                    std::span<const PartitionId> parts, bool consume,
                     const spatial::KernelCancellation* cancel) {
-  // Counting sort by partition. One pass gives each partition a slot, in
-  // order of first appearance, and counts its R instances in the slot's
-  // `mid` and its S instances in its `end`. Every partition has both
-  // sides, so there are at most as many as the smaller side's instances.
-  std::vector<uint32_t>& slot = scratch->slot;
-  std::vector<PartitionRun>& runs = scratch->runs;
-  size_t n = 0;
-  size_t n_r = 0;
-  for (const ShuffleBlock* block : inbound) {
-    n += block->size();
-    if (block->side == Side::kR) n_r += block->size();
-  }
-  FlatIndex slot_of;
-  slot_of.Reserve(std::min(n_r, n - n_r));
-  runs.clear();
-  slot.resize(n);
-  size_t pos = 0;
+  // Counting sort by run: count each run's R instances in its `mid` and its
+  // S instances in its `end`.
+  WorkerStore store;
+  std::vector<PartitionRun>& runs = store.runs;
+  runs.resize(parts.size());
   for (const ShuffleBlock* block : inbound) {
     const bool is_r = block->side == Side::kR;
-    for (const PartitionId p : block->part) {
-      // A lookup first: most instances find their partition numbered.
-      int32_t found = slot_of.Find(p);
-      if (found == FlatIndex::kAbsent) {
-        found = slot_of.Insert(p, static_cast<int32_t>(runs.size()));
-        runs.push_back(PartitionRun{p, 0, 0, 0});
-      }
-      const auto s = static_cast<uint32_t>(found);
-      ++(is_r ? runs[s].mid : runs[s].end);
-      slot[pos++] = s;
+    for (const uint32_t r : block->run) {
+      PASJOIN_DCHECK(r < runs.size());
+      ++(is_r ? runs[r].mid : runs[r].end);
     }
     if (cancel != nullptr) {
       cancel->Pulse(block->size());
       if (cancel->ShouldStop()) return WorkerStore();  // never committed
     }
   }
-  slot_of = FlatIndex();  // free the table before the store is allocated
 
-  // Lay the runs out in ascending partition order. A slot's `begin` and
-  // `mid` then serve as its R and S scatter cursors.
-  std::vector<uint64_t>& keys = scratch->keys;
-  keys.clear();
-  for (uint32_t s = 0; s < runs.size(); ++s) {
-    PASJOIN_DCHECK(runs[s].mid > 0 && runs[s].end > 0);
-    keys.push_back(RunKey(runs[s].part, s));
-  }
-  std::sort(keys.begin(), keys.end());
-  WorkerStore store;
-  store.runs.reserve(keys.size());
+  // Lay the runs out in run order, which is ascending partition order. A
+  // copy's `begin` and `mid` then serve as each run's R and S cursors.
   size_t next = 0;
-  for (const uint64_t key : keys) {
-    PartitionRun& cursors = runs[static_cast<uint32_t>(key)];
-    const PartitionRun run{cursors.part, next, next + cursors.mid,
-                           next + cursors.mid + cursors.end};
-    store.runs.push_back(run);
-    cursors.begin = run.begin;
-    cursors.mid = run.mid;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    PartitionRun& run = runs[k];
+    run = PartitionRun{parts[k], next, next + run.mid,
+                       next + run.mid + run.end};
     next = run.end;
   }
+  std::vector<PartitionRun> cursors = runs;
 
-  // The scatter writes every instance at its slot's cursor for its side.
+  // The scatter writes every instance at its run's cursor for its side.
   // Instances are visited in (block, row) order, so the sort is stable.
   store.x.resize(next);
   store.y.resize(next);
   store.id.resize(next);
-  pos = 0;
   for (const ShuffleBlock* block : inbound) {
     const bool is_r = block->side == Side::kR;
     for (size_t row = 0; row < block->size(); ++row) {
-      PartitionRun& cursors = runs[slot[pos++]];
-      const size_t dest = is_r ? cursors.begin++ : cursors.mid++;
+      PartitionRun& cursor = cursors[block->run[row]];
+      const size_t dest = is_r ? cursor.begin++ : cursor.mid++;
       store.x[dest] = block->x[row];
       store.y[dest] = block->y[row];
       store.id[dest] = block->id[row];

@@ -9,7 +9,8 @@
 // grids are small ones with every agreement randomized, the 1 x N and
 // N x 1 grids (side pairs but no quartets) and a 2.5M-cell grid with a
 // sparse sample. AdaptiveRouter, the map's router over AssignBatch, must
-// also write exactly the blocks a per-tuple router over Assign writes.
+// also write exactly the blocks a per-tuple router over Assign writes, and
+// its Owner must name the owner its Route writes.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -207,9 +208,10 @@ TEST(AssignBatchTest, MatchesAssignOnAdversarialPoints) {
 
 /// Requires two routed splits to hold the same staged instances and
 /// counters, and to fill the same blocks when the other side reaches every
-/// partition.
+/// partition, each numbered by the router that routed it.
 void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
-                      exec::StagedSplit want,
+                      exec::StagedSplit want, const exec::Router& got_router,
+                      const exec::Router& want_router,
                       const exec::EngineOptions& options,
                       const std::string& where) {
   ASSERT_TRUE(got.error.ok()) << where << ": " << got.error.ToString();
@@ -218,7 +220,6 @@ void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
   for (size_t k = 0; k < got.instances.size(); ++k) {
     EXPECT_EQ(got.instances[k].row, want.instances[k].row) << where;
     EXPECT_EQ(got.instances[k].part, want.instances[k].part) << where;
-    EXPECT_EQ(got.instances[k].dest, want.instances[k].dest) << where;
   }
   EXPECT_EQ(got.replicated, want.replicated) << where;
   EXPECT_EQ(got.shuffled_tuples, want.shuffled_tuples) << where;
@@ -229,15 +230,22 @@ void ExpectSameOutput(const exec::MapSplit& split, exec::StagedSplit got,
     every.Mark(Side::kR, inst.part);
     every.Mark(Side::kS, inst.part);
   }
+  const Result<exec::RunNumbering> got_numbering =
+      exec::RunNumbering::Build(every, got_router, options.workers);
+  const Result<exec::RunNumbering> want_numbering =
+      exec::RunNumbering::Build(every, want_router, options.workers);
+  ASSERT_TRUE(got_numbering.ok() && want_numbering.ok()) << where;
   exec::FillScratch scratch;
-  const exec::MapTaskOutput got_fill = exec::FillSplit(
-      split, &got, every, options, /*consume=*/false, &scratch, nullptr);
-  const exec::MapTaskOutput want_fill = exec::FillSplit(
-      split, &want, every, options, /*consume=*/false, &scratch, nullptr);
+  const exec::MapTaskOutput got_fill =
+      exec::FillSplit(split, &got, every, got_numbering.value(), options,
+                      /*consume=*/false, &scratch, nullptr);
+  const exec::MapTaskOutput want_fill =
+      exec::FillSplit(split, &want, every, want_numbering.value(), options,
+                      /*consume=*/false, &scratch, nullptr);
   EXPECT_EQ(want_fill.instances, want.instances.size()) << where;
   ASSERT_EQ(got_fill.by_worker.size(), want_fill.by_worker.size()) << where;
   for (size_t w = 0; w < got_fill.by_worker.size(); ++w) {
-    EXPECT_EQ(got_fill.by_worker[w].part, want_fill.by_worker[w].part)
+    EXPECT_EQ(got_fill.by_worker[w].run, want_fill.by_worker[w].run)
         << where;
     EXPECT_EQ(got_fill.by_worker[w].id, want_fill.by_worker[w].id) << where;
   }
@@ -279,7 +287,20 @@ TEST(AssignBatchTest, AdaptiveRouterWritesThePerTupleRoutersBlocks) {
                 split,
                 exec::RouteSplit(split, router, options, &reach, nullptr),
                 exec::RouteSplit(split, reference, options, &reach, nullptr),
-                options, Where(c, duplicate_free, side, length, begin));
+                router, reference, options,
+                Where(c, duplicate_free, side, length, begin));
+            // Owner names the owner Route writes for every instance.
+            exec::RoutedBlock block{};
+            const size_t n = std::min(length, exec::RoutedBlock::kMaxTuples);
+            ASSERT_EQ(router.Route(std::span<const Tuple>(points.tuples)
+                                       .subspan(begin, n),
+                                   side, &block),
+                      n);
+            for (size_t j = 0; j < block.end[n - 1]; ++j) {
+              EXPECT_EQ(router.Owner(block.part[j]), block.owner[j])
+                  << Where(c, duplicate_free, side, length, begin)
+                  << " instance " << j;
+            }
           }
         }
       }

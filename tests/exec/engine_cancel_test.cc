@@ -109,6 +109,29 @@ EngineOptions BigOptions() {
 
 constexpr size_t kBigN = 400000;
 
+/// The events of `recorder`'s trace named `name`.
+std::vector<obs::TraceEvent> EventsNamed(const obs::TraceRecorder& recorder,
+                                         const std::string& name) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (name == e.name) out.push_back(e);
+  }
+  return out;
+}
+
+/// Requires the trace of one cut run to show that the cut came in the join
+/// phase: the regroup phase ended and the join phase began after it.
+void ExpectCutInTheJoin(const obs::TraceRecorder& recorder,
+                        const std::string& label) {
+  const std::vector<obs::TraceEvent> regroup =
+      EventsNamed(recorder, "phase-regroup");
+  const std::vector<obs::TraceEvent> join = EventsNamed(recorder, "phase-join");
+  ASSERT_EQ(regroup.size(), 1u) << label;
+  ASSERT_EQ(join.size(), 1u) << label;
+  EXPECT_GE(join[0].start_ns, regroup[0].start_ns + regroup[0].duration_ns)
+      << label;
+}
+
 TEST(EngineCancelTest, PreCancelledTokenRejectsRun) {
   const Dataset r = MakeDataset(RandomPoints(50, 1), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(50, 2), 1000, "S");
@@ -174,6 +197,8 @@ TEST(EngineCancelTest, DeadlineAbortsJoinPhaseForEveryKernel) {
         << label;
     const double deadline = no_join.ElapsedSeconds() + 0.2;
     options.deadline = Deadline::AfterSeconds(deadline);
+    obs::TraceRecorder cut;
+    options.trace = &cut;
     const Stopwatch sw;
     Result<JoinRun> result =
         TryRunPartitionedJoin(r, s, BandAssign(options.eps),
@@ -184,6 +209,7 @@ TEST(EngineCancelTest, DeadlineAbortsJoinPhaseForEveryKernel) {
     // The same 2 s overshoot bound as above; a kernel that polled only
     // between partitions would finish its partition first (seconds here).
     EXPECT_LT(elapsed - deadline, 2.0) << label;
+    ExpectCutInTheJoin(cut, label);
   }
 }
 
@@ -239,14 +265,20 @@ TEST(EngineCancelTest, DeadlineInTheJoinLeavesTheTraceRegistryEmpty) {
                   .ok());
   const double deadline = no_join.ElapsedSeconds() + 0.2;
   ASSERT_FALSE(recorder.exported().counters.empty());
+  // The cut run is traced on its own, starting from the finished run's
+  // export.
+  obs::TraceRecorder cut;
+  cut.exported() = recorder.exported();
+  options.trace = &cut;
   options.deadline = Deadline::AfterSeconds(deadline);
   Result<JoinRun> result =
       TryRunPartitionedJoin(r, s, BandAssign(options.eps),
                             ModOwner(options.workers), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(recorder.exported().counters.empty());
-  EXPECT_TRUE(recorder.exported().gauges.empty());
+  ExpectCutInTheJoin(cut, "sweep-soa");
+  EXPECT_TRUE(cut.exported().counters.empty());
+  EXPECT_TRUE(cut.exported().gauges.empty());
 }
 
 /// Runs a small join on the steal executor whose `assign` cancels the
@@ -294,16 +326,6 @@ TEST(EngineCancelTest, TaskErrorAfterACancelIsStillReported) {
   EXPECT_NE(result.status().message().find("assign failed after cancel"),
             std::string::npos)
       << result.status().message();
-}
-
-/// The events of `recorder`'s trace named `name`.
-std::vector<obs::TraceEvent> EventsNamed(const obs::TraceRecorder& recorder,
-                                         const std::string& name) {
-  std::vector<obs::TraceEvent> out;
-  for (const obs::TraceEvent& e : recorder.Snapshot()) {
-    if (name == e.name) out.push_back(e);
-  }
-  return out;
 }
 
 /// The value of `e`'s arg `name`, or -1 when it has none.

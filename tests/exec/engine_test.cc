@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -357,8 +358,8 @@ std::string RejectionMessage(const Dataset& r, const Dataset& s,
 }
 
 TEST(EngineTest, NegativeAndSparsePartitionIds) {
-  // The band partitions renamed to ids from 0 up to 2^31 - 1: runs are
-  // found by sorting, the reach sets grow to the largest id, and every
+  // The band partitions renamed to ids from 0 up to 2^31 - 1: the reach
+  // sets grow to the largest id, the barrier numbers the runs, and every
   // observable matches the dense ids 0..9, under both executors. The same
   // ids made negative are rejected, naming the lowest offending index.
   constexpr PartitionId kMax = std::numeric_limits<PartitionId>::max();
@@ -457,6 +458,48 @@ TEST(EngineValidationTest, OwnerOutsideWorkersIsRejected) {
     EXPECT_NE(message.find("dataset 'roads' at index " + std::to_string(first)),
               std::string::npos)
         << message;
+  }
+}
+
+/// A router that routes like FnRouter(assign, owner) but whose Owner
+/// places partition 7 on worker `workers`, outside [0, workers).
+class DisagreeingRouter final : public Router {
+ public:
+  DisagreeingRouter(const AssignFn& assign, const OwnerFn& owner, int workers)
+      : routes_(assign, owner), workers_(workers), owner_(&owner) {}
+
+  size_t Route(std::span<const Tuple> tuples, Side side,
+               RoutedBlock* out) const override {
+    return routes_.Route(tuples, side, out);
+  }
+  int Owner(PartitionId p) const override {
+    return p == 7 ? workers_ : (*owner_)(p);
+  }
+
+ private:
+  FnRouter routes_;
+  int workers_;
+  const OwnerFn* owner_;
+};
+
+TEST(EngineValidationTest, OwnerOutsideWorkersAtTheBarrierIsRejected) {
+  // Route places every instance inside [0, workers), but Owner places the
+  // joinable partition 7 outside: the barrier rejects the run, naming the
+  // partition, under both executors, before any block is written.
+  const Dataset r = MakeDataset(RandomPoints(200, 65), 0, "roads");
+  const Dataset s = MakeDataset(RandomPoints(200, 66), 1000, "parks");
+  const AssignFn assign = BandAssign(0.25, Side::kR);
+  const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  for (const bool fault : {false, true}) {
+    EngineOptions options = BaseOptions();
+    options.fault.enabled = fault;
+    const Result<JoinRun> run = TryRunPartitionedJoin(
+        r, s, DisagreeingRouter(assign, owner, options.workers), options);
+    ASSERT_FALSE(run.ok()) << "fault " << fault;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(run.status().message(),
+              "owner placed partition 7 on worker 4, outside [0, 4)")
+        << "fault " << fault;
   }
 }
 

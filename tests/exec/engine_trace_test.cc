@@ -136,14 +136,22 @@ TEST(EngineTraceTest, TraceCoversEveryPhaseWithWorkerAttribution) {
   const JoinRun run = MustRun(
       r, s, BandAssign(options.eps, Side::kR),
       [](PartitionId p) { return p % 4; }, options);
-  (void)run;
 
   std::map<std::string, size_t> count;
   std::map<std::string, std::set<int32_t>> tracks;
   for (const obs::TraceEvent& e : recorder.Snapshot()) {
     ++count[e.name];
     tracks[e.name].insert(e.track);
+    // The map's barrier numbers exactly the partitions the join joins.
+    if (std::string(e.name) == "map-barrier") {
+      ASSERT_EQ(e.num_args, 1);
+      EXPECT_EQ(std::string(e.arg_names[0]), "partitions");
+      EXPECT_EQ(static_cast<uint64_t>(e.arg_values[0]),
+                run.metrics.partitions_joined);
+    }
   }
+  EXPECT_EQ(count["map-barrier"], 1u);
+  EXPECT_EQ(tracks["map-barrier"], std::set<int32_t>{obs::kDriverTrack});
   // One driver-track span per engine phase.
   for (const char* phase :
        {"phase-map", "phase-fill", "phase-regroup", "phase-join",

@@ -4,9 +4,10 @@
 // travel byte-exact through a block; the map writes each block at its final
 // size, equal to a per-instance reference, with the routing errors and
 // cancellation of the engine; the reach set marks any non-negative id; the
-// fill ships only the partitions both sides reach; and regroup is the
-// stable sort of a worker's inbound blocks into partition runs, for any
-// partition ids — negative, sparse and extreme ones included.
+// barrier numbers only the partitions both sides reach, ascending per
+// worker, whatever thread marked them; the fill ships only those, each with
+// its run; and regroup is the stable sort of a worker's inbound blocks into
+// partition runs, for sparse and extreme partition ids too.
 #include "exec/shuffle.h"
 
 #include <algorithm>
@@ -42,10 +43,10 @@ Tuple MakeTuple(int64_t id) {
 /// A block of `side` holding `instances` in order, sized and filled the
 /// way the map's fill pass fills one.
 ShuffleBlock MakeBlock(Side side, bool carry,
-                       const std::vector<std::pair<PartitionId, Tuple>>&
+                       const std::vector<std::pair<uint32_t, Tuple>>&
                            instances) {
   size_t arena = 0;
-  for (const auto& [part, t] : instances) arena += t.payload.size();
+  for (const auto& [run, t] : instances) arena += t.payload.size();
   ShuffleBlock block(side);
   block.Allocate(instances.size(), carry ? arena : 0);
   for (size_t i = 0; i < instances.size(); ++i) {
@@ -55,17 +56,17 @@ ShuffleBlock MakeBlock(Side side, bool carry,
 }
 
 TEST(ShuffleBlockTest, PayloadBytesReadBackByteExact) {
-  std::vector<std::pair<PartitionId, Tuple>> instances;
+  std::vector<std::pair<uint32_t, Tuple>> instances;
   uint64_t arena = 0;
   for (int64_t id = 40; id < 52; ++id) {
-    instances.emplace_back(static_cast<PartitionId>(id % 5), MakeTuple(id));
+    instances.emplace_back(static_cast<uint32_t>(id % 5), MakeTuple(id));
     arena += instances.back().second.payload.size();
   }
   const ShuffleBlock block = MakeBlock(Side::kS, /*carry=*/true, instances);
   ASSERT_EQ(block.size(), 12u);
   for (size_t i = 0; i < block.size(); ++i) {
     const int64_t id = static_cast<int64_t>(i) + 40;
-    EXPECT_EQ(block.part[i], static_cast<PartitionId>(id % 5));
+    EXPECT_EQ(block.run[i], static_cast<uint32_t>(id % 5));
     EXPECT_EQ(block.id[i], id);
     EXPECT_EQ(block.x[i], 0.5 * static_cast<double>(id));
     EXPECT_EQ(block.y[i], -1.0 * static_cast<double>(id));
@@ -96,7 +97,48 @@ struct Instance {
   int64_t id;
 };
 
-/// What one side of RandomBlocks sends: `rows` instances per non-empty
+/// One block's instances as a route stages them: its side and each
+/// instance's partition and tuple.
+struct DrawnBlock {
+  Side side = Side::kR;
+  std::vector<std::pair<PartitionId, Tuple>> instances;
+};
+
+/// One worker's inbound blocks, as the fill writes them, and the worker's
+/// joinable partitions in ascending id: run k of the blocks joins parts[k].
+struct Inbound {
+  std::vector<ShuffleBlock> blocks;
+  std::vector<PartitionId> parts;
+};
+
+/// The blocks the fill writes from `drawn` for a worker that owns every
+/// partition: an instance whose partition the other side never draws is
+/// dropped, and the rest carry their partition's run, its rank among the
+/// partitions both sides draw.
+Inbound FillForOneWorker(const std::vector<DrawnBlock>& drawn) {
+  std::set<PartitionId> reached[2];
+  for (const DrawnBlock& block : drawn) {
+    for (const auto& [part, t] : block.instances) {
+      reached[static_cast<int>(block.side)].insert(part);
+    }
+  }
+  Inbound in;
+  std::set_intersection(reached[0].begin(), reached[0].end(),
+                        reached[1].begin(), reached[1].end(),
+                        std::back_inserter(in.parts));
+  for (const DrawnBlock& block : drawn) {
+    std::vector<std::pair<uint32_t, Tuple>> kept;
+    for (const auto& [part, t] : block.instances) {
+      const auto at = std::lower_bound(in.parts.begin(), in.parts.end(), part);
+      if (at == in.parts.end() || *at != part) continue;
+      kept.emplace_back(static_cast<uint32_t>(at - in.parts.begin()), t);
+    }
+    in.blocks.push_back(MakeBlock(block.side, /*carry=*/true, kept));
+  }
+  return in;
+}
+
+/// What one side of RandomDraw sends: `rows` instances per non-empty
 /// block, with partitions drawn from `parts`.
 struct SideSpec {
   std::vector<PartitionId> parts;
@@ -104,65 +146,54 @@ struct SideSpec {
 };
 
 /// Random blocks in map-task order (every R block before every S block),
-/// `blocks_per_side` per side, as the fill ships them: an instance whose
-/// partition the other side never draws is dropped. Ids start at
-/// `first_id`.
-std::vector<ShuffleBlock> RandomBlocks(const SideSpec& r, const SideSpec& s,
-                                       size_t blocks_per_side, uint64_t seed,
-                                       int64_t first_id = 0) {
+/// `blocks_per_side` per side. Ids start at `first_id`.
+std::vector<DrawnBlock> RandomDraw(const SideSpec& r, const SideSpec& s,
+                                   size_t blocks_per_side, uint64_t seed,
+                                   int64_t first_id = 0) {
   Rng rng(seed);
-  std::vector<std::vector<std::pair<PartitionId, Tuple>>> drawn;
-  std::set<PartitionId> reached[2];
+  std::vector<DrawnBlock> drawn;
   int64_t id = first_id;
   for (const Side side : {Side::kR, Side::kS}) {
     const SideSpec& spec = side == Side::kR ? r : s;
     for (size_t b = 0; b < blocks_per_side; ++b) {
-      std::vector<std::pair<PartitionId, Tuple>>& instances =
-          drawn.emplace_back();
+      DrawnBlock& block = drawn.emplace_back();
+      block.side = side;
       // Some blocks stay empty, as for a worker a split sends nothing to.
       const size_t n = b % 3 == 1 ? 0 : spec.rows;
       for (size_t i = 0; i < n; ++i, ++id) {
         const PartitionId part = spec.parts[rng.NextBounded(spec.parts.size())];
-        instances.emplace_back(part, MakeTuple(id));
-        reached[static_cast<int>(side)].insert(part);
+        block.instances.emplace_back(part, MakeTuple(id));
       }
     }
   }
-  std::vector<ShuffleBlock> blocks;
-  for (size_t b = 0; b < drawn.size(); ++b) {
-    const Side side = b < blocks_per_side ? Side::kR : Side::kS;
-    const std::set<PartitionId>& other =
-        reached[side == Side::kR ? 1 : 0];
-    std::erase_if(drawn[b], [&other](const auto& instance) {
-      return !other.contains(instance.first);
-    });
-    blocks.push_back(MakeBlock(side, /*carry=*/true, drawn[b]));
-  }
-  return blocks;
+  return drawn;
 }
 
-/// RandomBlocks with both sides drawing `rows` instances from `parts`.
-std::vector<ShuffleBlock> RandomBlocks(const std::vector<PartitionId>& parts,
-                                       size_t blocks_per_side, size_t rows,
-                                       uint64_t seed) {
-  return RandomBlocks(SideSpec{parts, rows}, SideSpec{parts, rows},
-                      blocks_per_side, seed);
+/// FillForOneWorker of RandomDraw with both sides drawing `rows` instances
+/// from `parts`.
+Inbound RandomBlocks(const std::vector<PartitionId>& parts,
+                     size_t blocks_per_side, size_t rows, uint64_t seed) {
+  return FillForOneWorker(RandomDraw(SideSpec{parts, rows},
+                                     SideSpec{parts, rows}, blocks_per_side,
+                                     seed));
 }
 
-/// The blocks' instances in (block, row) order.
-std::vector<Instance> Contents(const std::vector<ShuffleBlock>& blocks) {
+/// The blocks' instances in (block, row) order, each with the partition
+/// of its run.
+std::vector<Instance> Contents(const Inbound& in) {
   std::vector<Instance> all;
-  for (const ShuffleBlock& block : blocks) {
+  for (const ShuffleBlock& block : in.blocks) {
     for (size_t i = 0; i < block.size(); ++i) {
-      all.push_back(Instance{block.part[i], block.side, block.id[i]});
+      all.push_back(
+          Instance{in.parts[block.run[i]], block.side, block.id[i]});
     }
   }
   return all;
 }
 
 /// The stable sort by partition of the blocks' concatenation.
-std::vector<Instance> ReferenceOrder(const std::vector<ShuffleBlock>& blocks) {
-  std::vector<Instance> all = Contents(blocks);
+std::vector<Instance> ReferenceOrder(const Inbound& in) {
+  std::vector<Instance> all = Contents(in);
   std::stable_sort(all.begin(), all.end(),
                    [](const Instance& a, const Instance& b) {
                      return a.part < b.part;
@@ -174,6 +205,12 @@ std::vector<ShuffleBlock*> Pointers(std::vector<ShuffleBlock>* blocks) {
   std::vector<ShuffleBlock*> out;
   for (ShuffleBlock& block : *blocks) out.push_back(&block);
   return out;
+}
+
+/// Regroups `in` without consuming it, polling `cancel`.
+WorkerStore RegroupOf(Inbound* in,
+                      const spatial::KernelCancellation* cancel = nullptr) {
+  return Regroup(Pointers(&in->blocks), in->parts, /*consume=*/false, cancel);
 }
 
 /// Checks `store` against the reference order: the columns and one run per
@@ -218,137 +255,143 @@ void ExpectSameStore(const WorkerStore& a, const WorkerStore& b) {
   }
 }
 
-TEST(RegroupTest, StableRunsForNegativeAndSparsePartitionIds) {
-  // The ids span both signs, ~2^30 and the int32 extremes: runs must
-  // ascend as signed values, nothing may be indexed by id, and no id may
-  // read as an empty table entry.
+TEST(RegroupTest, StableRunsForSparsePartitionIds) {
+  // The ids span 0, ~2^30 and 2^31 - 1: runs must ascend by id, and
+  // nothing may be indexed by id.
   const std::vector<PartitionId> parts = {
-      std::numeric_limits<PartitionId>::min(),
-      -(1 << 30),
-      -65537,
-      -7,
-      -1,
-      0,
-      3,
-      65536,
-      1 << 29,
-      (1 << 30) + 5,
+      0, 1, 3, 7, 65536, 65537, 1 << 29, 1 << 30, (1 << 30) + 5,
       std::numeric_limits<PartitionId>::max()};
   for (const size_t rows : {size_t{20}, size_t{3000}}) {
-    std::vector<ShuffleBlock> blocks = RandomBlocks(parts, 5, rows, rows);
-    const std::vector<Instance> want = ReferenceOrder(blocks);
-    const std::vector<ShuffleBlock*> inbound = Pointers(&blocks);
-    RegroupScratch scratch;
-    const WorkerStore store =
-        Regroup(inbound, /*consume=*/false, &scratch, nullptr);
-    ExpectStoreMatches(store, want);
+    Inbound in = RandomBlocks(parts, 5, rows, rows);
+    const WorkerStore store = RegroupOf(&in);
+    ExpectStoreMatches(store, ReferenceOrder(in));
     EXPECT_EQ(store.runs.size(), parts.size()) << rows;
   }
 }
 
+/// The router of the numbering tests: `owner` places each partition; Route
+/// is never called.
+class OwnerRouter final : public Router {
+ public:
+  explicit OwnerRouter(std::function<int(PartitionId)> owner)
+      : owner_(std::move(owner)) {}
+
+  size_t Route(std::span<const Tuple> /*tuples*/, Side /*side*/,
+               RoutedBlock* /*out*/) const override {
+    ADD_FAILURE() << "the numbering routed a tuple";
+    return 0;
+  }
+  int Owner(PartitionId p) const override { return owner_(p); }
+
+ private:
+  std::function<int(PartitionId)> owner_;
+};
+
 TEST(RegroupTest, CollidingIdsProbePastEachOther) {
-  // 1024 ids, each once per side, fill the partition table to half: probe
-  // sequences cross the entries of 0, -1 and the int32 extremes, which
-  // must never read as empty.
-  std::vector<PartitionId> parts = {std::numeric_limits<PartitionId>::min(),
-                                    -1, 0,
+  // 1024 ids, each once per side, numbered on one worker: probe sequences
+  // of the numbering's table cross the entries of 0 and 2^31 - 1, which
+  // must never read as empty, and regroup gets every run in id order.
+  std::vector<PartitionId> parts = {0, 1,
                                     std::numeric_limits<PartitionId>::max()};
   Rng rng(23);
   while (parts.size() < 1024) {
     parts.push_back(static_cast<PartitionId>(
-        static_cast<uint32_t>(rng.NextUint64())));
+        static_cast<uint32_t>(rng.NextUint64()) >> 1));
   }
-  std::vector<ShuffleBlock> blocks;
+  ReachSet reach;
+  for (const PartitionId p : parts) {
+    reach.Mark(Side::kR, p);
+    reach.Mark(Side::kS, p);
+  }
+  const Result<RunNumbering> numbering = RunNumbering::Build(
+      reach, OwnerRouter([](PartitionId) { return 0; }), 1);
+  ASSERT_TRUE(numbering.ok()) << numbering.status().ToString();
+  Inbound in;
+  const std::span<const PartitionId> numbered = numbering.value().Parts(0);
+  in.parts.assign(numbered.begin(), numbered.end());
+  std::vector<PartitionId> sorted = parts;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  ASSERT_EQ(in.parts, sorted);
   int64_t id = 0;
   for (const Side side : {Side::kR, Side::kS}) {
-    std::vector<std::pair<PartitionId, Tuple>> instances;
+    std::vector<std::pair<uint32_t, Tuple>> instances;
     for (const PartitionId p : parts) {
-      instances.emplace_back(p, MakeTuple(id++));
+      const RunNumbering::Slot slot = numbering.value().Find(p);
+      EXPECT_EQ(slot.owner, 0);
+      EXPECT_EQ(sorted[slot.run], p);
+      instances.emplace_back(slot.run, MakeTuple(id++));
     }
-    blocks.push_back(MakeBlock(side, /*carry=*/false, instances));
+    in.blocks.push_back(MakeBlock(side, /*carry=*/false, instances));
   }
-  RegroupScratch scratch;
-  const WorkerStore store =
-      Regroup(Pointers(&blocks), /*consume=*/false, &scratch, nullptr);
-  ExpectStoreMatches(store, ReferenceOrder(blocks));
+  ExpectStoreMatches(RegroupOf(&in), ReferenceOrder(in));
 }
 
 TEST(RegroupTest, StoreIgnoresWhichSideIsSmallerAndBlockOrder) {
   // R sends more instances than S.
-  const std::vector<PartitionId> parts = {-9, -2, 0, 5, 6, 1 << 20};
-  std::vector<ShuffleBlock> blocks =
-      RandomBlocks(SideSpec{parts, 200}, SideSpec{parts, 60}, 4, 3);
-  RegroupScratch scratch;
-  const WorkerStore base =
-      Regroup(Pointers(&blocks), /*consume=*/false, &scratch, nullptr);
-  ExpectStoreMatches(base, ReferenceOrder(blocks));
+  const std::vector<PartitionId> parts = {0, 2, 5, 6, 9, 1 << 20};
+  const std::vector<DrawnBlock> drawn =
+      RandomDraw(SideSpec{parts, 200}, SideSpec{parts, 60}, 4, 3);
+  Inbound in = FillForOneWorker(drawn);
+  const WorkerStore base = RegroupOf(&in);
+  ExpectStoreMatches(base, ReferenceOrder(in));
 
   // S blocks before R blocks: each side keeps its own block order.
-  std::vector<ShuffleBlock> s_first;
+  std::vector<DrawnBlock> s_first;
   for (const Side side : {Side::kS, Side::kR}) {
-    for (const ShuffleBlock& block : blocks) {
+    for (const DrawnBlock& block : drawn) {
       if (block.side == side) s_first.push_back(block);
     }
   }
-  ExpectSameStore(
-      Regroup(Pointers(&s_first), /*consume=*/false, &scratch, nullptr),
-      base);
+  Inbound reordered = FillForOneWorker(s_first);
+  ExpectSameStore(RegroupOf(&reordered), base);
 
   // 1000 extra S instances in the partitions R reaches make S (1180) the
   // larger side against R (600): the store is still the reference sort.
-  std::vector<ShuffleBlock> larger_s = blocks;
-  for (ShuffleBlock& extra :
-       RandomBlocks(SideSpec{parts, 500}, SideSpec{parts, 500}, 3, 9,
-                    /*first_id=*/100000)) {
+  std::vector<DrawnBlock> larger_s = drawn;
+  for (DrawnBlock& extra :
+       RandomDraw(SideSpec{parts, 500}, SideSpec{parts, 500}, 3, 9,
+                  /*first_id=*/100000)) {
     if (extra.side == Side::kS) larger_s.push_back(std::move(extra));
   }
-  ExpectStoreMatches(
-      Regroup(Pointers(&larger_s), /*consume=*/false, &scratch, nullptr),
-      ReferenceOrder(larger_s));
+  Inbound larger = FillForOneWorker(larger_s);
+  ExpectStoreMatches(RegroupOf(&larger), ReferenceOrder(larger));
 }
 
 TEST(RegroupTest, RetainedBlocksRegroupIdentically) {
-  // The lost-worker rebuild re-runs Regroup over the retained blocks: they
-  // must be intact, and the second store identical to the first.
-  const std::vector<PartitionId> parts = {-5, 0, 2, 3, 1 << 25};
-  std::vector<ShuffleBlock> blocks =
-      RandomBlocks(SideSpec{parts, 90}, SideSpec{{0, 2, 3, 4, 9}, 50}, 5, 21);
-  const std::vector<Instance> before = Contents(blocks);
-  RegroupScratch scratch;
-  const WorkerStore first =
-      Regroup(Pointers(&blocks), /*consume=*/false, &scratch, nullptr);
-  const std::vector<Instance> after = Contents(blocks);
+  // The lost-worker rebuild re-runs Regroup over the retained blocks and
+  // the retained numbering: the blocks must be intact, and the second
+  // store identical to the first.
+  Inbound in = FillForOneWorker(RandomDraw(SideSpec{{0, 2, 3, 5, 1 << 25}, 90},
+                                           SideSpec{{0, 2, 3, 4, 9}, 50}, 5,
+                                           21));
+  const std::vector<Instance> before = Contents(in);
+  const WorkerStore first = RegroupOf(&in);
+  const std::vector<Instance> after = Contents(in);
   ASSERT_EQ(after.size(), before.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(after[i].id, before[i].id);
     EXPECT_EQ(after[i].part, before[i].part);
     EXPECT_EQ(after[i].side, before[i].side);
   }
-  for (const ShuffleBlock& block : blocks) {
+  for (const ShuffleBlock& block : in.blocks) {
     for (size_t i = 0; i < block.size(); ++i) {
       EXPECT_EQ(std::string(block.Payload(i)), ExpectedPayload(block.id[i]));
     }
   }
-  // A fresh scratch, as the rebuild uses.
-  RegroupScratch rebuild;
-  ExpectSameStore(
-      Regroup(Pointers(&blocks), /*consume=*/false, &rebuild, nullptr), first);
+  ExpectSameStore(RegroupOf(&in), first);
 }
 
 TEST(RegroupTest, PollsEveryBlockOnce) {
-  const std::vector<PartitionId> parts = {1, 2, 3};
-  std::vector<ShuffleBlock> blocks =
-      RandomBlocks(SideSpec{parts, 25}, SideSpec{parts, 40}, 4, 2);
+  Inbound in = FillForOneWorker(
+      RandomDraw(SideSpec{{1, 2, 3}, 25}, SideSpec{{1, 2, 3}, 40}, 4, 2));
   size_t n = 0;
-  for (const ShuffleBlock& block : blocks) n += block.size();
+  for (const ShuffleBlock& block : in.blocks) n += block.size();
   CancellationSource live;
   const CancellationToken live_token = live.token();
   std::atomic<uint64_t> progress{0};
-  RegroupScratch scratch;
   const spatial::KernelCancellation polled{&live_token, &progress};
-  const WorkerStore store =
-      Regroup(Pointers(&blocks), /*consume=*/false, &scratch, &polled);
-  ExpectStoreMatches(store, ReferenceOrder(blocks));
+  ExpectStoreMatches(RegroupOf(&in, &polled), ReferenceOrder(in));
   EXPECT_EQ(progress.load(), n);
 
   // A fired token stops the regroup at its first poll.
@@ -356,20 +399,17 @@ TEST(RegroupTest, PollsEveryBlockOnce) {
   fired.Cancel(StatusCode::kCancelled, "test");
   const CancellationToken fired_token = fired.token();
   const spatial::KernelCancellation stopped{&fired_token, nullptr};
-  const WorkerStore empty =
-      Regroup(Pointers(&blocks), /*consume=*/false, &scratch, &stopped);
+  const WorkerStore empty = RegroupOf(&in, &stopped);
   EXPECT_TRUE(empty.runs.empty());
   EXPECT_TRUE(empty.id.empty());
 }
 
 TEST(RegroupTest, ConsumingFreesInboundBlocks) {
-  const std::vector<PartitionId> parts = {9, -3, 1 << 30};
-  std::vector<ShuffleBlock> blocks = RandomBlocks(parts, 4, 50, 7);
-  const std::vector<Instance> want = ReferenceOrder(blocks);
-  RegroupScratch scratch;
+  Inbound in = RandomBlocks({9, 3, 1 << 30}, 4, 50, 7);
+  const std::vector<Instance> want = ReferenceOrder(in);
   const WorkerStore store =
-      Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
-  for (const ShuffleBlock& block : blocks) {
+      Regroup(Pointers(&in.blocks), in.parts, /*consume=*/true, nullptr);
+  for (const ShuffleBlock& block : in.blocks) {
     EXPECT_EQ(block.size(), 0u);
     EXPECT_EQ(block.payload_bytes.capacity(), 0u);
   }
@@ -389,9 +429,8 @@ TEST(RegroupTest, ConsumingFreesInboundBlocks) {
 
 TEST(RegroupTest, NoInstancesGiveNoRuns) {
   std::vector<ShuffleBlock> blocks(3);
-  RegroupScratch scratch;
   const WorkerStore store =
-      Regroup(Pointers(&blocks), /*consume=*/true, &scratch, nullptr);
+      Regroup(Pointers(&blocks), {}, /*consume=*/true, nullptr);
   EXPECT_TRUE(store.runs.empty());
   EXPECT_TRUE(store.id.empty());
 }
@@ -435,27 +474,36 @@ void MarkOtherSide(const MapSplit& split, const StagedSplit& staged,
 }
 
 /// One map task's two phases: what the route staged, what it reached
-/// (with the other side marked wherever this one is) and what the fill
-/// wrote (nothing when the route failed).
+/// (with the other side marked wherever this one is), the barrier's
+/// numbering of that and what the fill wrote (nothing when the route
+/// failed).
 struct Routed {
   StagedSplit staged;
   ReachSet reach;
+  RunNumbering numbering;
   MapTaskOutput filled;
 };
 
-/// RouteSplit through FnRouter(assign, owner), then a consuming FillSplit
-/// that ships every instance, unless the route failed or was cancelled.
+/// RouteSplit through FnRouter(assign, owner) and, unless the route
+/// failed, the barrier's numbering, then a consuming FillSplit that ships
+/// every instance, unless the route was cancelled too.
 Routed RouteFns(const MapSplit& split, const AssignFn& assign,
                 const OwnerFn& owner, const EngineOptions& options,
                 const spatial::KernelCancellation* cancel) {
   Routed out;
-  out.staged =
-      RouteSplit(split, FnRouter(assign, owner), options, &out.reach, cancel);
+  const FnRouter router(assign, owner);
+  out.staged = RouteSplit(split, router, options, &out.reach, cancel);
+  if (!out.staged.error.ok()) return out;
   MarkOtherSide(split, out.staged, &out.reach);
-  if (out.staged.error.ok() && (cancel == nullptr || !cancel->ShouldStop())) {
+  Result<RunNumbering> numbering =
+      RunNumbering::Build(out.reach, router, options.workers);
+  EXPECT_TRUE(numbering.ok()) << numbering.status().ToString();
+  if (!numbering.ok()) return out;
+  out.numbering = std::move(numbering).value();
+  if (cancel == nullptr || !cancel->ShouldStop()) {
     FillScratch scratch;
-    out.filled = FillSplit(split, &out.staged, out.reach, options,
-                           /*consume=*/true, &scratch, cancel);
+    out.filled = FillSplit(split, &out.staged, out.reach, out.numbering,
+                           options, /*consume=*/true, &scratch, cancel);
   }
   return out;
 }
@@ -475,7 +523,7 @@ std::vector<T> Plain(const Column<T>& column) {
 
 /// What the fill must write, built one instance at a time.
 struct ReferenceBlock {
-  std::vector<PartitionId> part;
+  std::vector<uint32_t> run;
   std::vector<double> x;
   std::vector<double> y;
   std::vector<int64_t> id;
@@ -489,18 +537,29 @@ struct ReferenceRoute {
   StagedSplit counters;
 };
 
-/// The reference of `split` under RouteAssign and RouteOwner. With
-/// `ships`, only the instances whose partition it accepts are written;
-/// the counters count every routed instance.
-ReferenceRoute RouteReference(
-    const MapSplit& split, bool carry,
-    const std::function<bool(PartitionId)>& ships = nullptr) {
+/// The run of partition `p` when both sides reach the partitions of
+/// `joinable`: its rank among the joinable partitions RouteOwner places
+/// where it places `p`.
+uint32_t ReferenceRun(PartitionId p, const std::set<PartitionId>& joinable) {
+  uint32_t run = 0;
+  for (const PartitionId q : joinable) {
+    run += q < p && RouteOwner(q) == RouteOwner(p) ? 1 : 0;
+  }
+  return run;
+}
+
+/// The reference of `split` under `assign` and RouteOwner: the instances of
+/// the partitions `joinable` holds are written, each with its
+/// ReferenceRun; the counters count every routed instance.
+ReferenceRoute RouteReference(const MapSplit& split, bool carry,
+                              const AssignFn& assign,
+                              const std::set<PartitionId>& joinable) {
   ReferenceRoute ref;
   ref.blocks.resize(kRouteWorkers);
   StagedSplit& c = ref.counters;
   for (size_t row = split.begin; row < split.end; ++row) {
     const Tuple& t = split.data->tuples[row];
-    const PartitionList parts = RouteAssign(t, split.side);
+    const PartitionList parts = assign(t, split.side);
     c.replicated += parts.size() - 1;
     for (size_t k = 0; k < parts.size(); ++k) {
       const int w = RouteOwner(parts[k]);
@@ -508,9 +567,9 @@ ReferenceRoute RouteReference(
       c.shuffled_tuples += 1;
       c.shuffle_bytes += bytes;
       if (w != split.home) c.remote_bytes += bytes;
-      if (ships && !ships(parts[k])) continue;
+      if (!joinable.contains(parts[k])) continue;
       ReferenceBlock& b = ref.blocks[static_cast<size_t>(w)];
-      b.part.push_back(parts[k]);
+      b.run.push_back(ReferenceRun(parts[k], joinable));
       b.x.push_back(t.pt.x);
       b.y.push_back(t.pt.y);
       b.id.push_back(t.id);
@@ -527,6 +586,18 @@ ReferenceRoute RouteReference(
   return ref;
 }
 
+/// The reference of `split` under RouteAssign and RouteOwner when the other
+/// side reaches every partition the split reaches.
+ReferenceRoute RouteReference(const MapSplit& split, bool carry) {
+  std::set<PartitionId> reached;
+  for (size_t row = split.begin; row < split.end; ++row) {
+    const PartitionList parts =
+        RouteAssign(split.data->tuples[row], split.side);
+    for (size_t k = 0; k < parts.size(); ++k) reached.insert(parts[k]);
+  }
+  return RouteReference(split, carry, RouteAssign, reached);
+}
+
 /// Requires `out` to hold exactly the reference's blocks, column by
 /// column, each allocated at its final size, and its counters.
 void ExpectRouteMatches(const Routed& out, const ReferenceRoute& ref,
@@ -541,7 +612,7 @@ void ExpectRouteMatches(const Routed& out, const ReferenceRoute& ref,
     const ReferenceBlock& want = ref.blocks[w];
     const std::string where = label + " worker " + std::to_string(w);
     EXPECT_EQ(b.side, side) << where;
-    EXPECT_EQ(Plain(b.part), want.part) << where;
+    EXPECT_EQ(Plain(b.run), want.run) << where;
     EXPECT_EQ(Plain(b.x), want.x) << where;
     EXPECT_EQ(Plain(b.y), want.y) << where;
     EXPECT_EQ(Plain(b.id), want.id) << where;
@@ -549,7 +620,7 @@ void ExpectRouteMatches(const Routed& out, const ReferenceRoute& ref,
     EXPECT_EQ(std::string(b.payload_bytes.begin(), b.payload_bytes.end()),
               want.arena)
         << where;
-    EXPECT_EQ(b.part.capacity(), b.part.size()) << where;
+    EXPECT_EQ(b.run.capacity(), b.run.size()) << where;
     EXPECT_EQ(b.x.capacity(), b.x.size()) << where;
     EXPECT_EQ(b.y.capacity(), b.y.size()) << where;
     EXPECT_EQ(b.id.capacity(), b.id.size()) << where;
@@ -715,7 +786,7 @@ TEST(RouteSplitTest, LongPartitionListsSplitTheRouterBlock) {
   EXPECT_EQ(out.staged.replicated, 5990u);
   for (const ShuffleBlock& block : out.filled.by_worker) {
     for (size_t k = 1; k < block.size(); ++k) {
-      EXPECT_LT(block.part[k - 1], block.part[k]);  // (row, replica) order
+      EXPECT_LT(block.run[k - 1], block.run[k]);  // (row, replica) order
     }
   }
   const Routed too_wide =
@@ -763,8 +834,8 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         // first poll.
         EXPECT_EQ(progress.load(), 2500u);
         partial.filled = FillSplit(split, &partial.staged, partial.reach,
-                                   RouteOptions(carry), /*consume=*/true,
-                                   &scratch, &cancel);
+                                   partial.numbering, RouteOptions(carry),
+                                   /*consume=*/true, &scratch, &cancel);
         EXPECT_EQ(progress.load(), 2500u + 1024u);
       }
       // The staged list stops where the route did.
@@ -784,8 +855,8 @@ TEST(RouteSplitTest, CancelInEitherPassStopsAtItsPollAndLeavesNoStaleStaging) {
         // The fill again, from the list and the scratch the cut-short
         // fill left.
         partial.filled = FillSplit(split, &partial.staged, partial.reach,
-                                   RouteOptions(carry), /*consume=*/true,
-                                   &scratch, nullptr);
+                                   partial.numbering, RouteOptions(carry),
+                                   /*consume=*/true, &scratch, nullptr);
         ExpectRouteMatches(partial, want, Side::kR, label + " (fill)");
       }
       // The rerun of the whole task, not cancelled.
@@ -835,46 +906,20 @@ TEST(FillSplitTest, ShipsOnlyPartitionsTheOtherSideReaches) {
       EXPECT_EQ(reach.Reaches(Side::kR, p), p <= 4) << p;
       EXPECT_EQ(reach.Reaches(Side::kS, p), p >= 3) << p;
     }
+    const Result<RunNumbering> numbering =
+        RunNumbering::Build(reach, router, options.workers);
+    ASSERT_TRUE(numbering.ok()) << numbering.status().ToString();
     for (const MapSplit* split : {&r_split, &s_split}) {
       StagedSplit& staged = split->side == Side::kR ? r_staged : s_staged;
       Routed out;
       out.staged = staged;
       FillScratch scratch;
-      out.filled = FillSplit(*split, &staged, reach, options,
-                             /*consume=*/false, &scratch, nullptr);
+      out.filled = FillSplit(*split, &staged, reach, numbering.value(),
+                             options, /*consume=*/false, &scratch, nullptr);
       EXPECT_EQ(staged.instances.size(), out.staged.instances.size());
-      // The reference of HalfOverlapAssign, built like RouteReference's.
-      ReferenceRoute want;
-      want.blocks.resize(kRouteWorkers);
-      for (size_t row = split->begin; row < split->end; ++row) {
-        const Tuple& t = d.tuples[row];
-        const PartitionList parts = HalfOverlapAssign(t, split->side);
-        for (size_t k = 0; k < parts.size(); ++k) {
-          const PartitionId p = parts[k];
-          const uint64_t bytes =
-              kTupleHeaderBytes + (carry ? t.payload.size() : 0);
-          ++want.counters.shuffled_tuples;
-          want.counters.shuffle_bytes += bytes;
-          if (RouteOwner(p) != split->home) {
-            want.counters.remote_bytes += bytes;
-          }
-          if (p < 3 || p > 4) continue;
-          ReferenceBlock& b = want.blocks[static_cast<size_t>(RouteOwner(p))];
-          b.part.push_back(p);
-          b.x.push_back(t.pt.x);
-          b.y.push_back(t.pt.y);
-          b.id.push_back(t.id);
-          if (carry) {
-            b.arena += t.payload;
-            b.payload_end.push_back(b.arena.size());
-          }
-        }
-        want.counters.replicated += parts.size() - 1;
-      }
-      for (ReferenceBlock& b : want.blocks) {
-        if (b.arena.empty()) b.payload_end.clear();
-      }
-      ExpectRouteMatches(out, want, split->side,
+      ExpectRouteMatches(out,
+                         RouteReference(*split, carry, assign, {3, 4}),
+                         split->side,
                          std::string(carry ? "carried " : "bare ")
                              .append(split->side == Side::kR ? "R" : "S"));
       EXPECT_LT(out.filled.instances, out.staged.shuffled_tuples);
@@ -887,30 +932,35 @@ TEST(FillSplitTest, OnlyAConsumingFillFreesItsStagedList) {
   const MapSplit split{&d, Side::kR, 0, 500, 0};
   const EngineOptions options = RouteOptions(true);
   ReachSet reach;
-  StagedSplit staged = RouteSplit(split, FnRouter(RouteAssign, RouteOwner),
-                                  options, &reach, nullptr);
+  const AssignFn assign = RouteAssign;
+  const OwnerFn owner = RouteOwner;
+  const FnRouter router(assign, owner);
+  StagedSplit staged = RouteSplit(split, router, options, &reach, nullptr);
   ASSERT_TRUE(staged.error.ok());
   MarkOtherSide(split, staged, &reach);
+  const Result<RunNumbering> numbering =
+      RunNumbering::Build(reach, router, options.workers);
+  ASSERT_TRUE(numbering.ok()) << numbering.status().ToString();
   const size_t n = staged.instances.size();
   FillScratch scratch;
   const MapTaskOutput kept =
-      FillSplit(split, &staged, reach, options, /*consume=*/false, &scratch,
-                nullptr);
+      FillSplit(split, &staged, reach, numbering.value(), options,
+                /*consume=*/false, &scratch, nullptr);
   EXPECT_EQ(staged.instances.size(), n);
   EXPECT_GE(staged.instances.capacity(), n);
   EXPECT_EQ(kept.instances, n);
   const MapTaskOutput freed =
-      FillSplit(split, &staged, reach, options, /*consume=*/true, &scratch,
-                nullptr);
+      FillSplit(split, &staged, reach, numbering.value(), options,
+                /*consume=*/true, &scratch, nullptr);
   EXPECT_EQ(staged.instances.capacity(), 0u);
   EXPECT_EQ(freed.instances, kept.instances);
   EXPECT_EQ(freed.block_bytes, kept.block_bytes);
 }
 
 /// Routes `r_split` and `s_split` through FnRouter(assign, RouteOwner),
-/// fills them against the union of their reach sets and regroups each
-/// worker's two inbound blocks: the map and regroup of one job. Requires
-/// each store to be the reference sort of its blocks.
+/// numbers the union of their reach sets, fills them against it and
+/// regroups each worker's two inbound blocks: the map and regroup of one
+/// job. Requires each store to be the reference sort of its blocks.
 std::vector<WorkerStore> MapAndRegroup(const MapSplit& r_split,
                                        const MapSplit& s_split,
                                        const AssignFn& assign) {
@@ -925,23 +975,28 @@ std::vector<WorkerStore> MapAndRegroup(const MapSplit& r_split,
     EXPECT_TRUE(staged.back().error.ok()) << staged.back().error.ToString();
     reach.Union(std::move(mine));
   }
+  const Result<RunNumbering> numbering =
+      RunNumbering::Build(reach, router, options.workers);
+  EXPECT_TRUE(numbering.ok()) << numbering.status().ToString();
+  if (!numbering.ok()) return {};
   std::vector<MapTaskOutput> filled;
   FillScratch fill_scratch;
   for (size_t t = 0; t < staged.size(); ++t) {
     filled.push_back(FillSplit(t == 0 ? r_split : s_split, &staged[t], reach,
-                               options, /*consume=*/true, &fill_scratch,
-                               nullptr));
+                               numbering.value(), options, /*consume=*/true,
+                               &fill_scratch, nullptr));
   }
   std::vector<WorkerStore> stores;
-  RegroupScratch scratch;
-  for (size_t w = 0; w < static_cast<size_t>(kRouteWorkers); ++w) {
-    std::vector<ShuffleBlock> inbound;
+  for (int w = 0; w < kRouteWorkers; ++w) {
+    Inbound in;
     for (MapTaskOutput& out : filled) {
-      inbound.push_back(std::move(out.by_worker[w]));
+      in.blocks.push_back(std::move(out.by_worker[static_cast<size_t>(w)]));
     }
-    const std::vector<Instance> want = ReferenceOrder(inbound);
-    stores.push_back(
-        Regroup(Pointers(&inbound), /*consume=*/true, &scratch, nullptr));
+    const std::span<const PartitionId> parts = numbering.value().Parts(w);
+    in.parts.assign(parts.begin(), parts.end());
+    const std::vector<Instance> want = ReferenceOrder(in);
+    stores.push_back(Regroup(Pointers(&in.blocks), in.parts,
+                             /*consume=*/true, nullptr));
     ExpectStoreMatches(stores.back(), want);
   }
   return stores;
@@ -1076,6 +1131,119 @@ TEST(ReachSetTest, UnionTakesSetsOfAnySize) {
       reach.Union(ReachSet());
     }
     expect_union(reach, label);
+  }
+}
+
+/// Requires `a` and `b` to give every partition of `parts` the same slot
+/// and every worker of `workers` the same partition list.
+void ExpectSameNumbering(const RunNumbering& a, const RunNumbering& b,
+                         const std::vector<PartitionId>& parts, int workers,
+                         const std::string& label) {
+  for (const PartitionId p : parts) {
+    EXPECT_EQ(a.Find(p).owner, b.Find(p).owner) << label << " " << p;
+    EXPECT_EQ(a.Find(p).run, b.Find(p).run) << label << " " << p;
+  }
+  for (int w = 0; w < workers; ++w) {
+    EXPECT_TRUE(std::ranges::equal(a.Parts(w), b.Parts(w)))
+        << label << " worker " << w;
+  }
+}
+
+TEST(RunNumberingTest, NumbersOnlyJoinablePartitionsAscendingPerWorker) {
+  // Both sides reach 1, 5, 4096, 70000 and 2^31 - 1 (pages 0, 1, 17 and
+  // the last); each side alone reaches others. Owners are p % 3 of four
+  // workers: worker 3 owns nothing, and worker 0 only partition 0, which
+  // S never reaches, so neither gets a joinable partition.
+  constexpr PartitionId kMax = std::numeric_limits<PartitionId>::max();
+  ReachSet reach;
+  for (const PartitionId p : {0, 1, 5, 4095, 4096, 70000, kMax - 1, kMax}) {
+    reach.Mark(Side::kR, p);
+  }
+  for (const PartitionId p : {1, 2, 5, 4096, 8191, 70000, kMax}) {
+    reach.Mark(Side::kS, p);
+  }
+  const std::vector<PartitionId> joinable = {1, 5, 4096, 70000, kMax};
+  EXPECT_EQ(reach.Joinable(), joinable);
+  const Result<RunNumbering> numbering = RunNumbering::Build(
+      reach, OwnerRouter([](PartitionId p) { return p % 3; }), 4);
+  ASSERT_TRUE(numbering.ok()) << numbering.status().ToString();
+  const RunNumbering& n = numbering.value();
+  const std::vector<std::vector<PartitionId>> want = {
+      {}, {1, 4096, 70000, kMax}, {5}, {}};
+  for (int w = 0; w < 4; ++w) {
+    const std::span<const PartitionId> parts = n.Parts(w);
+    EXPECT_EQ(std::vector<PartitionId>(parts.begin(), parts.end()),
+              want[static_cast<size_t>(w)])
+        << "worker " << w;
+    for (size_t k = 0; k < parts.size(); ++k) {
+      EXPECT_EQ(n.Find(parts[k]).owner, w) << parts[k];
+      EXPECT_EQ(n.Find(parts[k]).run, k) << parts[k];
+    }
+  }
+  // Nothing reached gives nothing to number.
+  const Result<RunNumbering> empty = RunNumbering::Build(
+      ReachSet(), OwnerRouter([](PartitionId) { return 0; }), 2);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().Parts(0).empty());
+  EXPECT_TRUE(empty.value().Parts(1).empty());
+}
+
+TEST(RunNumberingTest, DoesNotDependOnWhichThreadMarkedWhichPage) {
+  // The same marks spread over 1 to 5 "threads" at random, merged in both
+  // orders, number the same: the numbering reads only the union.
+  Rng rng(41);
+  std::vector<std::pair<Side, PartitionId>> marks;
+  for (int i = 0; i < 3000; ++i) {
+    marks.emplace_back(rng.NextBounded(2) == 0 ? Side::kR : Side::kS,
+                       static_cast<PartitionId>(rng.NextBounded(10000)));
+  }
+  marks.emplace_back(Side::kR, std::numeric_limits<PartitionId>::max());
+  marks.emplace_back(Side::kS, std::numeric_limits<PartitionId>::max());
+  const OwnerRouter router([](PartitionId p) { return (p / 7) % 5; });
+  ReachSet one;
+  for (const auto& [side, p] : marks) one.Mark(side, p);
+  const std::vector<PartitionId> joinable = one.Joinable();
+  ASSERT_GT(joinable.size(), 100u);
+  const Result<RunNumbering> want = RunNumbering::Build(one, router, 5);
+  ASSERT_TRUE(want.ok());
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{5}}) {
+    for (const bool reversed : {false, true}) {
+      std::vector<ReachSet> mine(threads);
+      for (const auto& [side, p] : marks) {
+        mine[rng.NextBounded(threads)].Mark(side, p);
+      }
+      if (reversed) std::reverse(mine.begin(), mine.end());
+      ReachSet reach;
+      for (ReachSet& set : mine) reach.Union(std::move(set));
+      EXPECT_EQ(reach.Joinable(), joinable);
+      const Result<RunNumbering> got = RunNumbering::Build(reach, router, 5);
+      ASSERT_TRUE(got.ok());
+      ExpectSameNumbering(got.value(), want.value(), joinable, 5,
+                          std::to_string(threads) +
+                              (reversed ? " reversed" : ""));
+    }
+  }
+}
+
+TEST(RunNumberingTest, AnOwnerOutsideTheWorkersIsAnError) {
+  // Partitions 3 and 9 are joinable and placed outside [0, 4): the error
+  // names the lower one. A partition only one side reaches is never asked.
+  ReachSet reach;
+  for (const PartitionId p : {1, 3, 9, 12}) reach.Mark(Side::kR, p);
+  for (const PartitionId p : {1, 3, 9}) reach.Mark(Side::kS, p);
+  for (const int bad : {4, -1}) {
+    const Result<RunNumbering> numbering = RunNumbering::Build(
+        reach, OwnerRouter([bad](PartitionId p) {
+          EXPECT_NE(p, 12);
+          return p == 3 || p == 9 ? bad : 0;
+        }),
+        4);
+    ASSERT_FALSE(numbering.ok());
+    EXPECT_EQ(numbering.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(numbering.status().message(),
+              std::string("owner placed partition 3 on worker ")
+                  .append(std::to_string(bad))
+                  .append(", outside [0, 4)"));
   }
 }
 

@@ -37,8 +37,8 @@ trace of the engine alone has none. The checks:
   * the measured_* gauges (real wall time of each phase group under the
     work-stealing execution, docs/PARALLELISM.md) vs the driver-track
     phase spans: measured_construction_seconds ~= driver_seconds +
-    phase-map + phase-fill + phase-regroup, measured_join_seconds ~=
-    phase-join,
+    phase-map + map-barrier + phase-fill + phase-regroup,
+    measured_join_seconds ~= phase-join,
     measured_dedup_seconds ~= phase-dedup-scatter + phase-dedup-merge;
   * the driver spans (driver-scan, driver-grid, driver-sample, ...; they do
     not nest) vs the driver_seconds gauge: the spans lie inside the driver
@@ -336,13 +336,16 @@ def validate(rollup: Rollup, trace, tolerance: float, slack: float) -> list:
 
     # Measured (physical) phase times: each phase's wall time is the single
     # driver-track "phase-*" span enclosing it, so the gauge must match the
-    # span total. Construction additionally includes the sequential driver
-    # time, exactly like the simulated construction gauge.
+    # span total. Construction additionally includes the map's barrier, the
+    # driver-track "map-barrier" span between the route and fill phases,
+    # and the sequential driver time, exactly like the simulated
+    # construction gauge.
     check(
         "measured_construction_seconds",
         gauges["measured_construction_seconds"],
         driver_seconds
         + rollup.total("phase-map")
+        + rollup.total("map-barrier")
         + rollup.total("phase-fill")
         + rollup.total("phase-regroup"),
     )

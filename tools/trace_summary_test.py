@@ -174,6 +174,14 @@ class ValidateTest(unittest.TestCase):
         trace["pasjoin_gauges"]["measured_construction_seconds"] = 0.0175
         self.assertEqual(validate(trace), [])
 
+    def test_map_barrier_counts_into_measured_construction(self) -> None:
+        trace = passing_trace()
+        trace["traceEvents"].append(span("map-barrier", 0, 6000,
+                                         partitions=1))
+        self.assert_one_error(trace, "measured_construction_seconds")
+        trace["pasjoin_gauges"]["measured_construction_seconds"] = 0.018
+        self.assertEqual(validate(trace), [])
+
     def test_joinable_fill_instances_against_joinable_tuples_fails(
         self,
     ) -> None:
